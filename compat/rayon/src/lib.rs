@@ -6,10 +6,12 @@
 //!
 //! Supported shape: `slice.par_iter().map(f).collect::<Vec<_>>()` (plus
 //! `filter_map` and [`join`]). Work is split into contiguous chunks —
-//! one per available core — and results are written back **in input
-//! order**, so `collect` is deterministic regardless of scheduling.
+//! one per available core, the first of them run by the calling thread —
+//! and results are written back **in input order**, so `collect` is
+//! deterministic regardless of scheduling.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParallelIterator};
@@ -33,19 +35,22 @@ where
 fn worker_count(items: usize) -> usize {
     // Honor rayon's own env convention so thread count can be forced —
     // e.g. RAYON_NUM_THREADS=4 on a single-core box to genuinely
-    // exercise cross-thread behavior.
-    let configured = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    configured
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .min(items)
-        .max(1)
+    // exercise cross-thread behavior. Read once per process, as rayon
+    // sizes its pool once: `available_parallelism` opens and reads
+    // cgroup files, which has no place in front of every parallel map.
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    let threads = *THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    });
+    threads.min(items).max(1)
 }
 
 /// Order-preserving parallel map over a slice.
@@ -58,14 +63,23 @@ fn par_map_slice<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + 
     let chunk = n.div_ceil(workers);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
+    let f = &f;
+    let fill = move |src: &'a [T], dst: &mut [Option<R>]| {
+        for (slot, item) in dst.iter_mut().zip(src) {
+            *slot = Some(f(item));
+        }
+    };
     std::thread::scope(|s| {
-        for (src, dst) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            s.spawn(move || {
-                for (slot, item) in dst.iter_mut().zip(src) {
-                    *slot = Some(f(item));
-                }
-            });
+        // The caller takes the first chunk itself, as a rayon worker
+        // would: it has nothing else to do until the scope ends, and a
+        // nested `par_iter` then adds one thread per level, not two.
+        let mut parts = items.chunks(chunk).zip(out.chunks_mut(chunk));
+        let own = parts.next();
+        for (src, dst) in parts {
+            s.spawn(move || fill(src, dst));
+        }
+        if let Some((src, dst)) = own {
+            fill(src, dst);
         }
     });
     out.into_iter()

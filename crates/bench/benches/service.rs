@@ -14,19 +14,13 @@ use dmp_service::client::{Client, PipelinedRequest};
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::node::{ServiceConfig, ServiceNode};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::Json;
 
-fn tmp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-bench-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn service_config(dir: std::path::PathBuf) -> ServiceConfig {
+fn service_config(dir: &ScratchDir) -> ServiceConfig {
     let market = MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0));
     // fsync off: benches measure the serving path, not the disk.
-    ServiceConfig::new(dir, market)
+    ServiceConfig::new(dir.path(), market)
         .with_shards(4)
         .with_fsync(false)
         .with_snapshot_every(0)
@@ -52,7 +46,8 @@ fn drive(addr: std::net::SocketAddr, conns: usize, requests: usize) {
 }
 
 fn bench_gateway_throughput(c: &mut Criterion) {
-    let node = Arc::new(ServiceNode::open(service_config(tmp_dir("gw"))).unwrap());
+    let dir = ScratchDir::new("bench-gw");
+    let node = Arc::new(ServiceNode::open(service_config(&dir)).unwrap());
     let gateway = Gateway::serve(
         Arc::clone(&node),
         GatewayConfig {
@@ -89,7 +84,8 @@ fn bench_gateway_throughput(c: &mut Criterion) {
 }
 
 fn bench_gateway_mutations(c: &mut Criterion) {
-    let node = Arc::new(ServiceNode::open(service_config(tmp_dir("gw-mut"))).unwrap());
+    let dir = ScratchDir::new("bench-gw-mut");
+    let node = Arc::new(ServiceNode::open(service_config(&dir)).unwrap());
     let gateway = Gateway::serve(Arc::clone(&node), GatewayConfig::default()).unwrap();
     let addr = gateway.addr();
     let mut client = Client::connect(addr).unwrap();
@@ -110,8 +106,8 @@ fn bench_gateway_mutations(c: &mut Criterion) {
 /// Build a journal of `rounds` populated market rounds, then measure
 /// recovery (full journal replay into fresh shards).
 fn bench_journal_replay(c: &mut Criterion) {
-    let dir = tmp_dir("replay");
-    let cfg = service_config(dir.clone());
+    let dir = ScratchDir::new("bench-replay");
+    let cfg = service_config(&dir);
     {
         let node = ServiceNode::open(cfg.clone()).unwrap();
         for i in 0..4 {

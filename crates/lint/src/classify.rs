@@ -91,6 +91,13 @@ pub const MODULE_MAP: &[MapEntry] = &[
         why: "command decode is the first step of replay",
     },
     MapEntry {
+        pattern: "crates/service/src/wire.rs",
+        classes: &["replay", "panic_free", "no_index"],
+        why: "the JSON parser is the first decoder every byte from disk or a \
+              socket meets: hostile input must come back as a WireError with \
+              a position, never as a panic",
+    },
+    MapEntry {
         pattern: "crates/service/src/journal.rs",
         classes: &["replay", "float_strict", "panic_free", "no_index"],
         why: "WAL append and frame scan: must report torn tails as errors, \

@@ -67,12 +67,20 @@ struct Conn {
 pub struct Client {
     conn: Option<Conn>,
     addr: SocketAddr,
+    /// A request [`Client::send`] wrote and [`Client::receive`] has not
+    /// read the reply to: its bytes (a stale socket gets them again)
+    /// and how the write went.
+    sent: Option<(Vec<u8>, std::io::Result<()>)>,
 }
 
 impl Client {
     /// Connect.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
-        let mut client = Client { conn: None, addr };
+        let mut client = Client {
+            conn: None,
+            addr,
+            sent: None,
+        };
         client.ensure_conn()?;
         Ok(client)
     }
@@ -98,7 +106,15 @@ impl Client {
     }
 
     fn encode(method: &str, path: &str, body: Option<&Json>, addr: SocketAddr) -> Vec<u8> {
-        let body_text = body.map(Json::dump).unwrap_or_default();
+        Self::encode_text(
+            method,
+            path,
+            &body.map(Json::dump).unwrap_or_default(),
+            addr,
+        )
+    }
+
+    fn encode_text(method: &str, path: &str, body_text: &str, addr: SocketAddr) -> Vec<u8> {
         let mut out = Vec::with_capacity(body_text.len() + 128);
         let _ = write!(
             out,
@@ -107,6 +123,13 @@ impl Client {
             body_text
         );
         out
+    }
+
+    /// Decode a response body. A damaged byte is an error, never
+    /// repaired: a reply the worker did not send must not be accepted.
+    fn decode(body: &[u8]) -> std::io::Result<Json> {
+        Json::parse_bytes(body)
+            .map_err(|e| std::io::Error::other(format!("bad response JSON: {e}")))
     }
 
     /// Whether an error smells like the server closed a keep-alive
@@ -121,6 +144,60 @@ impl Client {
         )
     }
 
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let conn = self.ensure_conn()?;
+        conn.writer.write_all(bytes)?;
+        conn.writer.flush()
+    }
+
+    /// Read the reply to `bytes`, which went out with result `wrote`:
+    /// `(status, body)`.
+    fn complete(
+        &mut self,
+        bytes: &[u8],
+        mut wrote: std::io::Result<()>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        loop {
+            let was_reused = self.conn.as_ref().is_some_and(|c| c.reused);
+            let attempt = wrote.and_then(|()| {
+                let conn = self.conn.as_mut().ok_or(std::io::ErrorKind::NotConnected)?;
+                let reply = read_response_full(&mut conn.reader).map_err(|e| match e {
+                    HttpError::Io(io) => io,
+                    HttpError::Eof => std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "connection closed before response",
+                    ),
+                    other => std::io::Error::other(format!("{other:?}")),
+                })?;
+                conn.reused = true;
+                Ok(reply)
+            });
+            match attempt {
+                Ok((status, body, close)) => {
+                    if close {
+                        // Server said this socket is done: drop it now
+                        // so the next request re-dials instead of
+                        // writing into a closing stream.
+                        self.conn = None;
+                    }
+                    return Ok((status, body));
+                }
+                Err(e) if was_reused && Self::is_stale_conn_error(&e) => {
+                    // Stale keep-alive socket (idle-timeout race): no
+                    // response byte arrived, so the server did not
+                    // process the request on this socket. Re-dial and
+                    // resend once; a fresh socket failing is final.
+                    self.conn = None;
+                    wrote = self.write(bytes);
+                }
+                Err(e) => {
+                    self.conn = None;
+                    return Err(e);
+                }
+            }
+        }
+    }
+
     /// Issue one request; returns `(status, parsed body)`.
     pub fn request(
         &mut self,
@@ -129,51 +206,31 @@ impl Client {
         body: Option<&Json>,
     ) -> std::io::Result<(u16, Json)> {
         let bytes = Self::encode(method, path, body, self.addr);
-        loop {
-            let conn = self.ensure_conn()?;
-            let was_reused = conn.reused;
-            let attempt = conn
-                .writer
-                .write_all(&bytes)
-                .and_then(|()| conn.writer.flush())
-                .and_then(|()| {
-                    read_response_full(&mut conn.reader).map_err(|e| match e {
-                        HttpError::Io(io) => io,
-                        HttpError::Eof => std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed before response",
-                        ),
-                        other => std::io::Error::other(format!("{other:?}")),
-                    })
-                });
-            match attempt {
-                Ok((status, resp_bytes, close)) => {
-                    conn.reused = true;
-                    if close {
-                        // Server said this socket is done: drop it now
-                        // so the next request re-dials instead of
-                        // writing into a closing stream.
-                        self.conn = None;
-                    }
-                    let text = String::from_utf8_lossy(&resp_bytes);
-                    let json = Json::parse(&text)
-                        .map_err(|e| std::io::Error::other(format!("bad response JSON: {e}")))?;
-                    return Ok((status, json));
-                }
-                Err(e) if was_reused && Self::is_stale_conn_error(&e) => {
-                    // Stale keep-alive socket (idle-timeout race): no
-                    // response byte arrived, so the server did not
-                    // process the request on this socket. Re-dial and
-                    // resend once; a fresh socket failing is final.
-                    self.conn = None;
-                    continue;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
-            }
-        }
+        let wrote = self.write(&bytes);
+        let (status, body) = self.complete(&bytes, wrote)?;
+        Ok((status, Self::decode(&body)?))
+    }
+
+    /// The first half of [`Client::request`]: write the request (its
+    /// body already dumped, so one text can go to many servers) and
+    /// return without waiting. A caller holding several clients sends
+    /// on all of them and then calls [`Client::receive`] on each: the
+    /// servers work at the same time and no thread is spawned. A failed
+    /// write is reported by `receive`.
+    pub fn send(&mut self, method: &str, path: &str, body_text: &str) {
+        let bytes = Self::encode_text(method, path, body_text, self.addr);
+        let wrote = self.write(&bytes);
+        self.sent = Some((bytes, wrote));
+    }
+
+    /// The second half: `(status, parsed body)` of the request
+    /// [`Client::send`] wrote.
+    pub fn receive(&mut self) -> std::io::Result<(u16, Json)> {
+        let Some((bytes, wrote)) = self.sent.take() else {
+            return Err(std::io::Error::other("receive() without send()"));
+        };
+        let (status, body) = self.complete(&bytes, wrote)?;
+        Ok((status, Self::decode(&body)?))
     }
 
     /// Write every request in `batch` before reading any response —
@@ -206,11 +263,15 @@ impl Client {
                     Ok((status, bytes, close)) => {
                         got_any = true;
                         conn.reused = true;
-                        let text = String::from_utf8_lossy(&bytes);
-                        let json = Json::parse(&text).map_err(|e| {
-                            std::io::Error::other(format!("bad response JSON: {e}"))
-                        })?;
-                        results.push((status, json));
+                        match Self::decode(&bytes) {
+                            Ok(json) => results.push((status, json)),
+                            Err(e) => {
+                                // Later replies are still in flight on
+                                // this socket; it cannot be reused.
+                                self.conn = None;
+                                return Err(e);
+                            }
+                        }
                         start += 1;
                         if close {
                             // Later pipelined requests die with the
@@ -245,45 +306,12 @@ impl Client {
     /// like the Prometheus exposition on `/metrics`), expecting 200.
     pub fn get_text(&mut self, path: &str) -> std::io::Result<String> {
         let bytes = Self::encode("GET", path, None, self.addr);
-        loop {
-            let conn = self.ensure_conn()?;
-            let was_reused = conn.reused;
-            let attempt = conn
-                .writer
-                .write_all(&bytes)
-                .and_then(|()| conn.writer.flush())
-                .and_then(|()| {
-                    read_response_full(&mut conn.reader).map_err(|e| match e {
-                        HttpError::Io(io) => io,
-                        HttpError::Eof => std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed before response",
-                        ),
-                        other => std::io::Error::other(format!("{other:?}")),
-                    })
-                });
-            match attempt {
-                Ok((status, resp_bytes, close)) => {
-                    conn.reused = true;
-                    if close {
-                        self.conn = None;
-                    }
-                    if status != 200 {
-                        return Err(std::io::Error::other(format!("GET {path} -> {status}")));
-                    }
-                    return String::from_utf8(resp_bytes)
-                        .map_err(|_| std::io::Error::other("response body is not UTF-8"));
-                }
-                Err(e) if was_reused && Self::is_stale_conn_error(&e) => {
-                    self.conn = None;
-                    continue;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
-            }
+        let wrote = self.write(&bytes);
+        let (status, body) = self.complete(&bytes, wrote)?;
+        if status != 200 {
+            return Err(std::io::Error::other(format!("GET {path} -> {status}")));
         }
+        String::from_utf8(body).map_err(|_| std::io::Error::other("response body is not UTF-8"))
     }
 
     /// `GET path`, expecting 200.
@@ -308,5 +336,87 @@ impl Client {
             )));
         }
         Ok(json)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// A one-connection server: waits for `bodies.len()` bodyless
+    /// requests, then answers them in order with the given bodies.
+    fn canned_server(bodies: Vec<&'static [u8]>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            let mut chunk = [0u8; 1024];
+            while seen.windows(4).filter(|w| w == b"\r\n\r\n").count() < bodies.len() {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client hung up before sending every request");
+                seen.extend_from_slice(&chunk[..n]);
+            }
+            for body in bodies {
+                let head = format!(
+                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+                    body.len()
+                );
+                stream.write_all(head.as_bytes()).unwrap();
+                stream.write_all(body).unwrap();
+            }
+            // Hold the socket until the client lets go of it.
+            let _ = stream.read(&mut chunk);
+        });
+        (addr, handle)
+    }
+
+    /// Valid JSON but for one byte that is not UTF-8: lossy decoding
+    /// would turn it into U+FFFD and accept the reply.
+    const DAMAGED: &[u8] = b"{\"digest\":\"12\xff4\"}";
+
+    #[test]
+    fn damaged_reply_is_refused_not_repaired() {
+        let (addr, server) = canned_server(vec![DAMAGED]);
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request("GET", "/internal/digest", None).unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn send_then_receive_overlaps_two_servers() {
+        let (addr_a, server_a) = canned_server(vec![b"{\"who\":\"a\"}"]);
+        let (addr_b, server_b) = canned_server(vec![DAMAGED]);
+        let mut a = Client::connect(addr_a).unwrap();
+        let mut b = Client::connect(addr_b).unwrap();
+        assert!(a.receive().is_err(), "nothing was sent yet");
+        // Both requests are on the wire before either reply is read.
+        a.send("GET", "/x", "");
+        b.send("GET", "/x", "");
+        let (status, json) = a.receive().unwrap();
+        assert_eq!((status, json.dump().as_str()), (200, "{\"who\":\"a\"}"));
+        let err = b.receive().unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+        drop((a, b));
+        server_a.join().unwrap();
+        server_b.join().unwrap();
+    }
+
+    #[test]
+    fn damaged_reply_in_a_pipeline_is_refused_and_drops_the_socket() {
+        let (addr, server) = canned_server(vec![b"{}", DAMAGED, b"{}"]);
+        let mut client = Client::connect(addr).unwrap();
+        let batch = vec![PipelinedRequest::get("/a"); 3];
+        let err = client.pipeline(&batch).unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+        // The third reply is still in flight on that socket: reusing it
+        // would pair the next request with a stale response.
+        assert!(client.conn.is_none());
+        drop(client);
+        server.join().unwrap();
     }
 }

@@ -112,26 +112,27 @@ impl WorkerPool {
             .count()
     }
 
-    /// One RPC to one worker, timed into the per-RPC latency series.
-    /// Any failure — transport error, protocol refusal — takes the
-    /// worker out of rotation and returns `None`; the caller decides
+    /// One RPC to one worker. `None` = the worker failed (see
+    /// [`WorkerPool::book_reply`]) or was already out of rotation.
+    fn rpc(&self, idx: usize, rpc: &str, path: &str, body: &Json) -> Option<Json> {
+        self.fan_out(&[(idx, &body.dump())], rpc, path)
+            .pop()
+            .and_then(|(_, reply)| reply)
+    }
+
+    /// Book one RPC's result: time it into the per-RPC latency series;
+    /// any failure — transport error, protocol refusal — takes the
+    /// worker out of rotation and yields `None`; the caller decides
     /// whether the work re-dispatches.
-    fn rpc(
+    fn book_reply(
         &self,
-        idx: usize,
+        worker: &RemoteWorker,
         rpc: &str,
-        method: &str,
         path: &str,
-        body: Option<&Json>,
+        started: Instant,
+        result: std::io::Result<(u16, Json)>,
     ) -> Option<Json> {
-        let worker = self.workers.get(idx)?;
-        if !worker.alive.load(Ordering::Relaxed) {
-            return None;
-        }
         let m = metrics();
-        // Wall-clock is fine here: RPC latency telemetry, never applied state.
-        let started = Instant::now();
-        let result = worker.client.lock().request(method, path, body);
         m.worker_rpc_us(rpc).record_duration_us(started.elapsed());
         match result {
             Ok((200, json)) => Some(json),
@@ -186,7 +187,7 @@ impl WorkerPool {
         // worker; a failure flips it right back.
         worker.alive.store(true, Ordering::Relaxed);
         let revived = self
-            .rpc(idx, "restore", "POST", "/internal/restore", Some(&body))
+            .rpc(idx, "restore", "/internal/restore", &body)
             .is_some();
         if revived {
             log!(Info, "worker {} provisioned at seq {applied}", worker.addr);
@@ -201,25 +202,56 @@ impl WorkerPool {
             .count()
     }
 
-    /// Fan one request out to a set of workers concurrently (one
-    /// scoped thread per target — worker RPCs overlap, which is the
-    /// entire point of distributing the candidate phase), pairing each
-    /// worker index with its reply (`None` = that worker failed).
+    /// Fan `POST path` out to a set of workers, pairing each worker
+    /// index with its reply (`None` = that worker failed or is out of
+    /// rotation): write every request, then read every reply. The
+    /// workers compute at the same time — the entire point of
+    /// distributing the candidate phase — while this thread waits on
+    /// the first reply; no thread is spawned, so an RPC costs what the
+    /// sockets and the workers cost and not what the scheduler makes
+    /// of a spawn and a join per worker. Targets are in ascending
+    /// worker order, which is also the order their clients lock in.
     fn fan_out(
         &self,
-        targets: Vec<(usize, Json)>,
+        targets: &[(usize, &str)],
         rpc: &str,
         path: &str,
     ) -> Vec<(usize, Option<Json>)> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = targets
-                .into_iter()
-                .map(|(idx, body)| {
-                    scope.spawn(move || (idx, self.rpc(idx, rpc, "POST", path, Some(&body))))
-                })
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        })
+        // Wall-clock is fine here: RPC latency telemetry, never applied state.
+        let started = Instant::now();
+        let mut in_flight = Vec::with_capacity(targets.len());
+        for (idx, body_text) in targets {
+            let live = self
+                .workers
+                .get(*idx)
+                .filter(|w| w.alive.load(Ordering::Relaxed));
+            in_flight.push(live.map(|worker| {
+                let mut client = worker.client.lock();
+                client.send("POST", path, body_text);
+                (worker, client)
+            }));
+        }
+        targets
+            .iter()
+            .zip(in_flight)
+            .map(|((idx, _), sent)| {
+                let reply = sent.and_then(|(worker, mut client)| {
+                    self.book_reply(worker, rpc, path, started, client.receive())
+                });
+                (*idx, reply)
+            })
+            .collect()
+    }
+
+    /// [`WorkerPool::fan_out`] of one body to every live worker.
+    fn broadcast(&self, body: &Json, rpc: &str, path: &str) {
+        let body_text = body.dump();
+        let targets: Vec<(usize, &str)> = self
+            .live_indices()
+            .into_iter()
+            .map(|i| (i, body_text.as_str()))
+            .collect();
+        self.fan_out(&targets, rpc, path);
     }
 
     /// Indices of workers currently in rotation.
@@ -249,12 +281,7 @@ impl CommandFollower for WorkerPool {
             ("seq", enc_u64(seq)),
             ("cmd", cmd.encode()),
         ]);
-        let targets: Vec<(usize, Json)> = self
-            .live_indices()
-            .into_iter()
-            .map(|i| (i, body.clone()))
-            .collect();
-        self.fan_out(targets, "apply", "/internal/apply");
+        self.broadcast(&body, "apply", "/internal/apply");
     }
 }
 
@@ -305,7 +332,7 @@ impl RoundDistributor for WorkerPool {
                     list.push(shard);
                 }
             }
-            let targets: Vec<(usize, Json)> = assignment
+            let bodies: Vec<(usize, String)> = assignment
                 .into_iter()
                 .filter(|(_, list)| !list.is_empty())
                 .map(|(w, list)| {
@@ -318,10 +345,12 @@ impl RoundDistributor for WorkerPool {
                             Json::Arr(list.iter().map(|&s| enc_usize(s)).collect()),
                         ),
                     ]);
-                    (w, body)
+                    (w, body.dump())
                 })
                 .collect();
-            for (_, reply) in self.fan_out(targets, "candidates", "/internal/candidates") {
+            let targets: Vec<(usize, &str)> =
+                bodies.iter().map(|(w, text)| (*w, text.as_str())).collect();
+            for (_, reply) in self.fan_out(&targets, "candidates", "/internal/candidates") {
                 let Some(reply) = reply else { continue };
                 let pairs = match crate::state::field(&reply, "exports")
                     .and_then(|j| codec::decode_indexed_exports(j, shards))
@@ -359,11 +388,6 @@ impl RoundDistributor for WorkerPool {
             ("seed", enc_u64(round_seed)),
             ("exports", codec::encode_exports(exports)),
         ]);
-        let targets: Vec<(usize, Json)> = self
-            .live_indices()
-            .into_iter()
-            .map(|i| (i, body.clone()))
-            .collect();
-        self.fan_out(targets, "settle", "/internal/settle");
+        self.broadcast(&body, "settle", "/internal/settle");
     }
 }

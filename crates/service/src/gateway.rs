@@ -216,10 +216,8 @@ pub(crate) fn err_body(msg: &str) -> String {
     Json::obj([("error", Json::str(msg))]).dump()
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| Response::json(400, err_body("body is not UTF-8")))?;
-    Json::parse(text).map_err(|e| Response::json(400, err_body(&e.to_string())))
+pub(crate) fn parse_body(req: &Request) -> Result<Json, Response> {
+    Json::parse_bytes(&req.body).map_err(|e| Response::json(400, err_body(&e.to_string())))
 }
 
 fn apply_response(result: Result<crate::shard::Outcome, ServiceError>) -> Response {

@@ -41,16 +41,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The 8-byte header in front of `payload`: length, then CRC.
+fn frame_header(payload: &[u8]) -> [u8; 8] {
+    let mut header = [0u8; 8];
+    let (len, crc) = header.split_at_mut(4);
+    len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    crc.copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
 /// Frame one journal/snapshot record.
 pub(crate) fn frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
 }
 
+/// Frame `json` as one record, serializing it straight into `out`
+/// behind a header that is filled in once the payload is there.
+/// Byte-identical to `frame(json.dump().as_bytes(), out)`. A value
+/// the wire cannot carry (a non-finite number from a library caller)
+/// is `InvalidData`, not a panic, and leaves `out` as it was.
+pub(crate) fn frame_json(json: &Json, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    if let Err(e) = json.dump_into(out) {
+        out.truncate(start);
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            e.to_string(),
+        ));
+    }
+    let (head, payload) = out.split_at_mut(start + 8);
+    if let Some(slot) = head.get_mut(start..) {
+        slot.copy_from_slice(&frame_header(payload));
+    }
+    Ok(())
+}
+
 /// Scan framed records out of a byte buffer, stopping cleanly at the
-/// first torn or corrupt frame. Returns `(payloads, valid_len)`.
-pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+/// first torn or corrupt frame. Returns `(payloads, valid_len)`; the
+/// payloads borrow from `bytes`.
+pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     // Checked reads throughout: this scan runs over arbitrary on-disk
@@ -68,7 +99,7 @@ pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         if crc32(payload) != crc {
             break; // torn tail: header written, payload garbage
         }
-        payloads.push(payload.to_vec());
+        payloads.push(payload);
         pos = start + payload.len();
     }
     (payloads, pos)
@@ -89,8 +120,7 @@ fn decode_record(payload: &[u8]) -> Option<(u64, Command)> {
     if payload.len() > MAX_RECORD {
         return None;
     }
-    let text = std::str::from_utf8(payload).ok()?;
-    let json = Json::parse(text).ok()?;
+    let json = Json::parse_bytes(payload).ok()?;
     let seq = json.req_u64("seq").ok()?;
     let cmd = Command::decode(json.get("cmd")?).ok()?;
     Some((seq, cmd))
@@ -138,7 +168,7 @@ impl Journal {
         let mut records = Vec::with_capacity(payloads.len());
         let mut decoded_len = 0usize;
         for payload in payloads {
-            if decode_record(&payload).map(|r| records.push(r)).is_none() {
+            if decode_record(payload).map(|r| records.push(r)).is_none() {
                 // A CRC-intact frame that does not decode is corruption
                 // too: keep the consistent prefix, drop it and the rest
                 // (appends verify replayability, so this means tamper
@@ -183,14 +213,10 @@ impl Journal {
             ));
         }
         // dmp-lint: allow(det-float) -- JSON wire carries seq as f64; the round-trip decode below refuses any seq that does not survive exactly
-        let payload = Json::obj([("seq", Json::Num(seq as f64)), ("cmd", cmd.encode())])
-            .try_dump()
-            .map_err(|e| {
-                // Non-finite amounts (NaN/inf from library callers) are
-                // unrepresentable on the wire: an error, not a panic.
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
-        match decode_record(payload.as_bytes()) {
+        let record = Json::obj([("seq", Json::Num(seq as f64)), ("cmd", cmd.encode())]);
+        let mut buf = Vec::new();
+        frame_json(&record, &mut buf)?;
+        match buf.get(8..).and_then(decode_record) {
             Some((s, c)) if s == seq && c == *cmd => {}
             _ => {
                 return Err(std::io::Error::new(
@@ -202,8 +228,6 @@ impl Journal {
         }
         let m = metrics();
         let started = Instant::now(); // dmp-lint: allow(det-wall-clock) -- append latency telemetry; never journaled or applied
-        let mut buf = Vec::with_capacity(payload.len() + 8);
-        frame(payload.as_bytes(), &mut buf);
         let result = self
             .file
             .write_all(&buf)
@@ -347,12 +371,10 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::ScratchDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmp-journal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.wal")
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("journal-{name}"))
     }
 
     fn sample_cmds() -> Vec<Command> {
@@ -371,7 +393,8 @@ mod tests {
 
     #[test]
     fn append_then_reopen_replays() {
-        let path = tmp("replay");
+        let dir = tmp("replay");
+        let path = dir.join("journal.wal");
         let cmds = sample_cmds();
         {
             let (mut j, existing) = Journal::open(&path, true).unwrap();
@@ -390,7 +413,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated() {
-        let path = tmp("torn");
+        let dir = tmp("torn");
+        let path = dir.join("journal.wal");
         {
             let (mut j, _) = Journal::open(&path, true).unwrap();
             for (i, c) in sample_cmds().iter().enumerate() {
@@ -415,7 +439,8 @@ mod tests {
 
     #[test]
     fn corrupt_payload_stops_replay() {
-        let path = tmp("corrupt");
+        let dir = tmp("corrupt");
+        let path = dir.join("journal.wal");
         {
             let (mut j, _) = Journal::open(&path, true).unwrap();
             for (i, c) in sample_cmds().iter().enumerate() {
@@ -435,7 +460,8 @@ mod tests {
     #[test]
     fn unreplayable_command_refused_at_append() {
         use crate::command::{AskSpec, CellSpec, ColType, TableSpec};
-        let path = tmp("unreplayable");
+        let dir = tmp("unreplayable");
+        let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         // An integer cell beyond 2^53 cannot survive the f64 wire
         // encoding; the WAL must refuse it rather than journal a
@@ -460,7 +486,8 @@ mod tests {
 
     #[test]
     fn undecodable_record_truncated_on_open() {
-        let path = tmp("undecodable");
+        let dir = tmp("undecodable");
+        let path = dir.join("journal.wal");
         {
             let (mut j, _) = Journal::open(&path, true).unwrap();
             for (i, c) in sample_cmds().iter().enumerate() {
@@ -487,7 +514,8 @@ mod tests {
 
     #[test]
     fn poisoned_journal_refuses_appends_until_reopen() {
-        let path = tmp("poisoned");
+        let dir = tmp("poisoned");
+        let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         j.append(1, &Command::RunRound { rounds: 1 }).unwrap();
         assert!(!j.is_poisoned());
@@ -507,7 +535,8 @@ mod tests {
 
     #[test]
     fn truncate_prefix_drops_covered_records_and_keeps_appending() {
-        let path = tmp("compact");
+        let dir = tmp("compact");
+        let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         for (i, c) in sample_cmds().iter().enumerate() {
             j.append(i as u64 + 1, c).unwrap();
@@ -528,7 +557,8 @@ mod tests {
 
     #[test]
     fn truncate_prefix_refused_on_poisoned_journal() {
-        let path = tmp("compact-poisoned");
+        let dir = tmp("compact-poisoned");
+        let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         j.append(1, &Command::RunRound { rounds: 1 }).unwrap();
         j.poison_for_test();

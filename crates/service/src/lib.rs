@@ -67,6 +67,8 @@ pub(crate) mod reactor;
 pub mod shard;
 pub mod snapshot;
 pub mod state;
+#[cfg(any(test, feature = "test-support"))]
+pub mod test_support;
 pub mod timer;
 pub mod wire;
 pub mod worker;

@@ -158,6 +158,12 @@ pub struct ServiceMetrics {
     pub snapshot_failures: Arc<Counter>,
     /// `dmp_snapshot_write_us`.
     pub snapshot_write_us: Arc<Histogram>,
+    /// `dmp_snapshot_verify_us` (re-read + decode + restore + digest of
+    /// the file just written; bounded retention only).
+    pub snapshot_verify_us: Arc<Histogram>,
+    /// `dmp_checkpoint_stall_us` (the whole checkpoint, which runs
+    /// under the apply lock: how long appliers paused behind it).
+    pub checkpoint_stall_us: Arc<Histogram>,
     /// `dmp_snapshot_bytes_total` (encoded snapshot file bytes written).
     pub snapshot_bytes: Arc<Counter>,
     /// `dmp_snapshot_pruned_total` (superseded snapshots removed under
@@ -285,6 +291,14 @@ pub fn metrics() -> &'static ServiceMetrics {
             snapshot_write_us: r.histogram(
                 "dmp_snapshot_write_us",
                 "Snapshot write (serialize + tmp + fsync + rename), microseconds.",
+            ),
+            snapshot_verify_us: r.histogram(
+                "dmp_snapshot_verify_us",
+                "Verified-durable gate: re-read, decode, restore and digest the snapshot just written, microseconds.",
+            ),
+            checkpoint_stall_us: r.histogram(
+                "dmp_checkpoint_stall_us",
+                "Whole checkpoint under the apply lock (digest, encode, write, verify, prune, compact), microseconds.",
             ),
             snapshot_bytes: r.counter(
                 "dmp_snapshot_bytes_total",

@@ -396,6 +396,18 @@ impl ServiceNode {
         result
     }
 
+    /// One checkpoint at `seq`, timed whole: it runs under the apply
+    /// lock, so its duration is how long every applier stalled.
+    fn checkpoint(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
+        // dmp-lint: allow(det-wall-clock) -- checkpoint-stall telemetry; never applied state
+        let started = Instant::now();
+        let result = self.checkpoint_steps(inner, seq);
+        metrics()
+            .checkpoint_stall_us
+            .record_duration_us(started.elapsed());
+        result
+    }
+
     /// Serialize the router's materialized state at `seq`, write it as
     /// a snapshot, and — when retention is bounded — verify the file
     /// on disk restores to a digest-identical state before pruning old
@@ -405,7 +417,7 @@ impl ServiceNode {
     /// serializes, and the journal must not advance between "snapshot
     /// durable" and "prefix truncated". `snapshot_every` bounds how
     /// often appliers pause behind this.
-    fn checkpoint(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
+    fn checkpoint_steps(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
         let m = metrics();
         let digest = self.router.state_digest();
         let snap = Snapshot {
@@ -438,9 +450,13 @@ impl ServiceNode {
         // Verified-durable gate: re-read the file we just renamed into
         // place and prove the *on-disk bytes* decode to an equivalent
         // state. Only then is the journal prefix redundant.
+        // dmp-lint: allow(det-wall-clock) -- snapshot-verify telemetry; never applied state
+        let verify_started = Instant::now();
         let verified = snapshot::load_file(&path)
             .ok_or_else(|| "reread failed".to_string())
             .and_then(|on_disk| Self::restore_verified(&self.cfg, &on_disk).map(|_| ()));
+        m.snapshot_verify_us
+            .record_duration_us(verify_started.elapsed());
         if let Err(why) = verified {
             m.snapshot_failures.inc();
             return Err(ServiceError::Io(std::io::Error::new(
@@ -555,14 +571,13 @@ impl ServiceNode {
 mod tests {
     use super::*;
     use crate::command::OfferSpec;
+    use crate::test_support::ScratchDir;
     use dmp_mechanism::design::MarketDesign;
 
-    fn config(name: &str) -> ServiceConfig {
-        let dir = std::env::temp_dir().join(format!("dmp-node-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn config(dir: &ScratchDir) -> ServiceConfig {
         let market =
             MarketConfig::external(5).with_design(MarketDesign::posted_price_baseline(10.0));
-        ServiceConfig::new(dir, market).with_shards(2)
+        ServiceConfig::new(dir.path(), market).with_shards(2)
     }
 
     fn enroll(i: usize) -> Command {
@@ -574,7 +589,8 @@ mod tests {
 
     #[test]
     fn apply_then_reopen_restores_state() {
-        let cfg = config("reopen");
+        let dir = ScratchDir::new("node-reopen");
+        let cfg = config(&dir);
         let digest = {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             node.apply(Command::Enroll {
@@ -599,7 +615,8 @@ mod tests {
 
     #[test]
     fn rejected_commands_are_journaled_and_replay() {
-        let cfg = config("rejected");
+        let dir = ScratchDir::new("node-rejected");
+        let cfg = config(&dir);
         {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             // Offer from a never-enrolled buyer: rejected but journaled.
@@ -614,7 +631,8 @@ mod tests {
 
     #[test]
     fn mismatched_config_refused_on_reopen() {
-        let cfg = config("fingerprint");
+        let dir = ScratchDir::new("node-fingerprint");
+        let cfg = config(&dir);
         {
             ServiceNode::open(cfg.clone()).unwrap();
         }
@@ -628,7 +646,8 @@ mod tests {
 
     #[test]
     fn snapshot_accelerated_recovery_matches_full_replay() {
-        let cfg = config("snap").with_snapshot_every(2);
+        let dir = ScratchDir::new("node-snap");
+        let cfg = config(&dir).with_snapshot_every(2);
         {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             for i in 0..5 {
@@ -639,25 +658,16 @@ mod tests {
         let node = ServiceNode::open(cfg.clone()).unwrap();
         assert_eq!(node.applied(), 5);
         // A journal-only rebuild agrees bit-for-bit.
-        let mut cfg2 = cfg;
-        let dir2 = cfg2.dir.with_extension("journal-only");
-        let _ = std::fs::remove_dir_all(&dir2);
-        std::fs::create_dir_all(&dir2).unwrap();
-        std::fs::copy(
-            node.config().dir.join("journal.wal"),
-            dir2.join("journal.wal"),
-        )
-        .unwrap();
-        cfg2.dir = dir2;
-        let journal_only = ServiceNode::open(cfg2).unwrap();
+        let dir2 = ScratchDir::new("node-snap-journal-only");
+        std::fs::copy(dir.join("journal.wal"), dir2.join("journal.wal")).unwrap();
+        let journal_only = ServiceNode::open(config(&dir2).with_snapshot_every(2)).unwrap();
         assert_eq!(journal_only.state_digest(), node.state_digest());
     }
 
     #[test]
     fn compaction_shrinks_journal_and_recovery_agrees() {
-        let cfg = config("compact")
-            .with_snapshot_every(4)
-            .with_keep_snapshots(1);
+        let dir = ScratchDir::new("node-compact");
+        let cfg = config(&dir).with_snapshot_every(4).with_keep_snapshots(1);
         let digest = {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             for i in 0..10 {
@@ -680,9 +690,8 @@ mod tests {
 
     #[test]
     fn compacted_journal_without_snapshot_fails_loudly() {
-        let cfg = config("no-genesis")
-            .with_snapshot_every(4)
-            .with_keep_snapshots(1);
+        let dir = ScratchDir::new("node-no-genesis");
+        let cfg = config(&dir).with_snapshot_every(4).with_keep_snapshots(1);
         {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             for i in 0..6 {
@@ -707,7 +716,8 @@ mod tests {
 
     #[test]
     fn journal_gap_fails_loudly() {
-        let cfg = config("gap");
+        let dir = ScratchDir::new("node-gap");
+        let cfg = config(&dir);
         {
             let node = ServiceNode::open(cfg.clone()).unwrap();
             for i in 0..3 {
@@ -721,8 +731,8 @@ mod tests {
         let (payloads, _) = crate::journal::scan_frames(&bytes);
         assert_eq!(payloads.len(), 3);
         let mut spliced = Vec::new();
-        crate::journal::frame(&payloads[0], &mut spliced);
-        crate::journal::frame(&payloads[2], &mut spliced);
+        crate::journal::frame(payloads[0], &mut spliced);
+        crate::journal::frame(payloads[2], &mut spliced);
         std::fs::write(&path, &spliced).unwrap();
         let err = match ServiceNode::open(cfg) {
             Ok(_) => panic!("open succeeded across a journal sequence gap"),
@@ -738,7 +748,8 @@ mod tests {
     fn torn_meta_is_impossible_but_stale_tmp_is_harmless() {
         // A crash between meta tmp-write and rename leaves only the
         // tmp; the next open rewrites the real meta and proceeds.
-        let cfg = config("meta-tmp");
+        let dir = ScratchDir::new("node-meta-tmp");
+        let cfg = config(&dir);
         {
             ServiceNode::open(cfg.clone()).unwrap();
         }

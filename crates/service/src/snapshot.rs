@@ -26,7 +26,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{frame, scan_frames};
+use crate::journal::{frame_json, scan_frames};
 use crate::state::StateImage;
 use crate::wire::Json;
 
@@ -60,21 +60,22 @@ fn seq_of(path: &Path) -> Option<u64> {
 /// Write `snapshot` atomically into `dir`; returns the final path.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let mut buf = Vec::new();
     let header = Json::obj([
         ("version", Json::str(FORMAT_VERSION)),
         // u64 seq and digest exceed f64's exact-integer range: strings.
         ("seq", Json::str(snapshot.seq.to_string())),
         ("digest", Json::str(format!("{:016x}", snapshot.digest))),
         ("shards", Json::str(snapshot.state.shards.len().to_string())),
-    ])
-    .dump();
-    frame(header.as_bytes(), &mut buf);
-    frame(snapshot.state.substrate.dump().as_bytes(), &mut buf);
-    for shard in &snapshot.state.shards {
-        frame(shard.dump().as_bytes(), &mut buf);
+    ]);
+    let state = &snapshot.state;
+    let sections = std::iter::once(&header)
+        .chain([&state.substrate])
+        .chain(&state.shards)
+        .chain([&state.router]);
+    let mut buf = Vec::new();
+    for section in sections {
+        frame_json(section, &mut buf)?;
     }
-    frame(snapshot.state.router.dump().as_bytes(), &mut buf);
 
     let final_path = snapshot_path(dir, snapshot.seq);
     let tmp_path = final_path.with_extension("tmp");
@@ -104,7 +105,7 @@ fn parse_snapshot(bytes: &[u8]) -> Option<Snapshot> {
         return None; // torn or trailing garbage: not an intact snapshot
     }
     let (first, rest) = payloads.split_first()?;
-    let header = Json::parse(std::str::from_utf8(first).ok()?).ok()?;
+    let header = Json::parse_bytes(first).ok()?;
     if header.req_str("version").ok()? != FORMAT_VERSION {
         return None;
     }
@@ -117,7 +118,7 @@ fn parse_snapshot(bytes: &[u8]) -> Option<Snapshot> {
     }
     let mut trees = rest
         .iter()
-        .map(|payload| Json::parse(std::str::from_utf8(payload).ok()?).ok())
+        .map(|payload| Json::parse_bytes(payload).ok())
         .collect::<Option<Vec<Json>>>()?;
     let router = trees.pop()?;
     let mut trees = trees.into_iter();
@@ -200,12 +201,11 @@ pub fn prune_snapshots(dir: &Path, keep: usize) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::frame;
+    use crate::test_support::ScratchDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmp-snapshot-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("snapshot-{name}"))
     }
 
     fn sample() -> Snapshot {
@@ -226,35 +226,35 @@ mod tests {
     #[test]
     fn write_then_load_round_trips() {
         let dir = tmp("roundtrip");
-        write_snapshot(&dir, &sample()).unwrap();
-        assert_eq!(load_latest(&dir).unwrap(), sample());
+        write_snapshot(dir.path(), &sample()).unwrap();
+        assert_eq!(load_latest(dir.path()).unwrap(), sample());
     }
 
     #[test]
     fn newest_intact_snapshot_wins() {
         let dir = tmp("newest");
         let old = Snapshot { seq: 3, ..sample() };
-        write_snapshot(&dir, &old).unwrap();
-        write_snapshot(&dir, &sample()).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().seq, 17);
+        write_snapshot(dir.path(), &old).unwrap();
+        write_snapshot(dir.path(), &sample()).unwrap();
+        assert_eq!(load_latest(dir.path()).unwrap().seq, 17);
     }
 
     #[test]
     fn torn_snapshot_is_skipped() {
         let dir = tmp("torn");
         let old = Snapshot { seq: 3, ..sample() };
-        write_snapshot(&dir, &old).unwrap();
-        let newest = write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(dir.path(), &old).unwrap();
+        let newest = write_snapshot(dir.path(), &sample()).unwrap();
         // Chop bytes off the newest: loader must fall back to seq 3.
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() - 5]).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().seq, 3);
+        assert_eq!(load_latest(dir.path()).unwrap().seq, 3);
     }
 
     #[test]
     fn empty_dir_has_no_snapshot() {
         let dir = tmp("empty");
-        assert!(load_latest(&dir).is_none());
+        assert!(load_latest(dir.path()).is_none());
     }
 
     #[test]
@@ -265,8 +265,8 @@ mod tests {
         let mut buf = Vec::new();
         let header = r#"{"version":1,"seq":17,"digest":"deadbeefcafef00d","count":0}"#;
         frame(header.as_bytes(), &mut buf);
-        fs::write(snapshot_path(&dir, 17), &buf).unwrap();
-        assert!(load_latest(&dir).is_none());
+        fs::write(snapshot_path(dir.path(), 17), &buf).unwrap();
+        assert!(load_latest(dir.path()).is_none());
     }
 
     #[test]
@@ -288,34 +288,34 @@ mod tests {
         // must fall back to the previous intact snapshot.
         let dir = tmp("lost");
         let old = Snapshot { seq: 3, ..sample() };
-        write_snapshot(&dir, &old).unwrap();
-        let newest = write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(dir.path(), &old).unwrap();
+        let newest = write_snapshot(dir.path(), &sample()).unwrap();
         fs::remove_file(&newest).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().seq, 3);
+        assert_eq!(load_latest(dir.path()).unwrap().seq, 3);
     }
 
     #[test]
     fn stale_tmp_files_are_swept() {
         let dir = tmp("sweep");
-        write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(dir.path(), &sample()).unwrap();
         fs::write(dir.join("snapshot-00000000000000000099.tmp"), b"torn").unwrap();
         fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
-        assert_eq!(sweep_tmp(&dir).unwrap(), 1);
+        assert_eq!(sweep_tmp(dir.path()).unwrap(), 1);
         assert!(dir.join("unrelated.txt").exists());
-        assert_eq!(load_latest(&dir).unwrap().seq, 17);
+        assert_eq!(load_latest(dir.path()).unwrap().seq, 17);
     }
 
     #[test]
     fn prune_keeps_newest_k() {
         let dir = tmp("prune");
         for seq in [3, 9, 17] {
-            write_snapshot(&dir, &Snapshot { seq, ..sample() }).unwrap();
+            write_snapshot(dir.path(), &Snapshot { seq, ..sample() }).unwrap();
         }
-        assert_eq!(prune_snapshots(&dir, 2).unwrap(), 1);
-        let kept: Vec<u64> = list_snapshots(&dir).iter().map(|(s, _)| *s).collect();
+        assert_eq!(prune_snapshots(dir.path(), 2).unwrap(), 1);
+        let kept: Vec<u64> = list_snapshots(dir.path()).iter().map(|(s, _)| *s).collect();
         assert_eq!(kept, vec![9, 17]);
         // keep = 0 is clamped to 1: never prune the last snapshot.
-        assert_eq!(prune_snapshots(&dir, 0).unwrap(), 1);
-        assert_eq!(load_latest(&dir).unwrap().seq, 17);
+        assert_eq!(prune_snapshots(dir.path(), 0).unwrap(), 1);
+        assert_eq!(load_latest(dir.path()).unwrap().seq, 17);
     }
 }

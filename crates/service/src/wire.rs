@@ -4,13 +4,20 @@
 //! for null, bool, finite numbers, strings (with `\uXXXX` escapes and
 //! surrogate pairs), arrays and objects.
 //!
+//! Parsing is linear in the document: UTF-8 is validated once (by the
+//! caller's `&str`, or by [`Json::parse_bytes`] for bytes off a disk or
+//! a socket) and strings are copied a run at a time. This is the first
+//! decoder every outside byte meets, so it is panic-free and
+//! index-free under `dmp-lint`; `tests/wire_parser.rs` holds the
+//! hostile-input, scaling and golden-file suites.
+//!
 //! Canonical form: objects keep insertion order, numbers serialize via
 //! Rust's shortest round-trip `f64` formatting, and non-finite numbers
 //! are rejected at encode time (JSON has no NaN/Infinity). `dump ∘
 //! parse` is the identity on every value this module can produce; the
 //! property suite in `tests/wire_props.rs` pins that down.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,17 +159,22 @@ impl Json {
     /// (the codec never produces them; see [`Json::try_dump`]).
     pub fn dump(&self) -> String {
         self.try_dump()
+            // dmp-lint: allow(panic-unwrap) -- encode side, not a decoder: every caller that can hold a non-finite number (journal append, snapshot write) goes through try_dump/dump_into
             .expect("non-finite number cannot be serialized to JSON")
     }
 
     /// Serialize, reporting non-finite numbers as an error.
     pub fn try_dump(&self) -> Result<String, WireError> {
         let mut out = String::new();
-        self.write(&mut out)?;
+        self.dump_into(&mut out)?;
         Ok(out)
     }
 
-    fn write(&self, out: &mut String) -> Result<(), WireError> {
+    /// Serialize onto the end of `out` — a `String`, or a `Vec<u8>`
+    /// such as a frame or request buffer, so a document is written
+    /// where it is going instead of into a `String` that is then
+    /// copied. On a non-finite number `out` keeps the partial text.
+    pub fn dump_into<S: Sink>(&self, out: &mut S) -> Result<(), WireError> {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -172,30 +184,31 @@ impl Json {
                     return Err(WireError::new("non-finite number"));
                 }
                 // Rust's shortest round-trip f64 formatting; valid JSON.
-                out.push_str(&format!("{n}"));
+                // Writing into a sink cannot fail.
+                let _ = write!(FmtSink(out), "{n}");
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push_str("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
-                    item.write(out)?;
+                    item.dump_into(out)?;
                 }
-                out.push(']');
+                out.push_str("]");
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.push_str("{");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out)?;
+                    out.push_str(":");
+                    v.dump_into(out)?;
                 }
-                out.push('}');
+                out.push_str("}");
             }
         }
         Ok(())
@@ -203,40 +216,95 @@ impl Json {
 
     /// Parse a JSON document (one value, surrounded by whitespace only).
     pub fn parse(input: &str) -> Result<Json, WireError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
     }
-}
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    /// Parse a JSON document from bytes off a disk or a socket: one
+    /// UTF-8 validation of the whole buffer, then [`Json::parse`] on it
+    /// in place. Invalid UTF-8 is an error at the first bad byte —
+    /// never repaired.
+    pub fn parse_bytes(input: &[u8]) -> Result<Json, WireError> {
+        let text = std::str::from_utf8(input).map_err(|e| WireError {
+            msg: "invalid UTF-8".into(),
+            pos: e.valid_up_to(),
+        })?;
+        Json::parse(text)
     }
-    out.push('"');
 }
 
+/// A buffer [`Json::dump_into`] can append UTF-8 text to.
+pub trait Sink {
+    /// Append `text`.
+    fn push_str(&mut self, text: &str);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, text: &str) {
+        String::push_str(self, text);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn push_str(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+/// `fmt::Write` over a [`Sink`], so numbers format straight into it.
+struct FmtSink<'a, S: Sink>(&'a mut S);
+
+impl<S: Sink> fmt::Write for FmtSink<'_, S> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0.push_str(text);
+        Ok(())
+    }
+}
+
+/// Bytes a JSON string cannot carry verbatim: the closing quote, the
+/// escape introducer and the control range. All ASCII, so in valid
+/// UTF-8 they only ever occur as whole characters — a run of other
+/// bytes between two of them starts and ends on a char boundary.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+fn write_escaped<S: Sink>(s: &str, out: &mut S) {
+    out.push_str("\"");
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(s.get(run_start..i).unwrap_or_default());
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(FmtSink(out), "\\u{b:04x}");
+            }
+        }
+        run_start = i + 1;
+    }
+    out.push_str(s.get(run_start..).unwrap_or_default());
+    out.push_str("\"");
+}
+
+/// Recursive-descent parser over the input `&str`. UTF-8 was validated
+/// once, when the `&str` was made; the parser only ever stops on ASCII
+/// bytes, so every slice it takes is on char boundaries and `get`
+/// returning `None` is unreachable rather than a panic.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -248,8 +316,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The unread bytes.
+    fn rest(&self) -> &'a [u8] {
+        self.src.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,7 +331,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), WireError> {
+    fn require(&mut self, b: u8) -> Result<(), WireError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -268,7 +341,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, WireError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -294,7 +367,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'[')?;
+        self.require(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -317,7 +390,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'{')?;
+        self.require(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -328,7 +401,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.require(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
             pairs.push((key, value));
@@ -345,9 +418,15 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        self.expect(b'"')?;
+        self.require(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision;
+            // the time spent on a string is linear in its length.
+            let rest = self.src.get(self.pos..).unwrap_or_default();
+            let run = rest.bytes().position(needs_escape).unwrap_or(rest.len());
+            out.push_str(rest.get(..run).unwrap_or_default());
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -356,64 +435,61 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("lone low surrogate"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced pos already
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
 
+    /// Decode one escape; `pos` is just past the backslash.
+    fn escape(&mut self) -> Result<char, WireError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                if !(0xd800..0xdc00).contains(&hi) {
+                    return char::from_u32(hi).ok_or_else(|| self.err("lone low surrogate"));
+                }
+                // Surrogate pair: require the low half.
+                if !self.rest().starts_with(b"\\u") {
+                    return Err(self.err("lone high surrogate"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xdc00..0xe000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                return char::from_u32(cp).ok_or_else(|| self.err("invalid surrogate pair"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four hex digits (no sign: `from_str_radix` alone would
+    /// take `+041`).
     fn hex4(&mut self) -> Result<u32, WireError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.rest().get(..4) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        let mut v = 0u32;
+        for &d in digits {
+            let d = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + d;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -441,9 +517,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
+        let n: f64 = self
+            .src
+            .get(start..self.pos)
+            .and_then(|text| text.parse().ok())
+            .ok_or_else(|| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }

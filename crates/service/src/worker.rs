@@ -37,7 +37,7 @@ use rayon::prelude::*;
 
 use crate::codec;
 use crate::command::Command;
-use crate::gateway::{err_body, Service};
+use crate::gateway::{err_body, parse_body, Service};
 use crate::http::{Request, Response};
 use crate::node::config_fingerprint;
 use crate::shard::ShardRouter;
@@ -177,19 +177,13 @@ impl WorkerNode {
         Ok(())
     }
 
-    fn parse_body(req: &Request) -> Result<Json, Response> {
-        let text = std::str::from_utf8(&req.body)
-            .map_err(|_| Response::json(400, err_body("body is not UTF-8")))?;
-        Json::parse(text).map_err(|e| Response::json(400, err_body(&e.to_string())))
-    }
-
     /// `POST /internal/apply {fp, seq, cmd}` — one journaled command,
     /// in journal order (the coordinator forwards from inside its
     /// apply critical section over one connection, so FIFO per worker
     /// is journal order). Rejected commands are applied for their side
     /// effects exactly like journal replay (`router.apply` is total).
     fn rpc_apply(&self, req: &Request) -> Response {
-        let body = match Self::parse_body(req) {
+        let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
         };
@@ -218,7 +212,7 @@ impl WorkerNode {
     /// replica would not produce itself: accepting either would settle
     /// the round from diverged state.
     fn rpc_candidates(&self, req: &Request) -> Response {
-        let body = match Self::parse_body(req) {
+        let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
         };
@@ -332,7 +326,7 @@ impl WorkerNode {
     /// audit replay). Clearing and settlement are then the same code
     /// path the coordinator ran, so the replica lands bit-identical.
     fn rpc_settle(&self, req: &Request) -> Response {
-        let body = match Self::parse_body(req) {
+        let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
         };
@@ -429,7 +423,7 @@ impl WorkerNode {
     /// and swap it in wholesale. Any pending round is stale by
     /// definition and dropped.
     fn rpc_restore(&self, req: &Request) -> Response {
-        let body = match Self::parse_body(req) {
+        let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
         };

@@ -16,7 +16,8 @@
 //! Every intermediate directory state must recover to the same state
 //! digest as a node that never crashed, and keep accepting commands.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::OnceLock;
 
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
@@ -24,6 +25,7 @@ use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, Table
 use dmp_service::journal::Journal;
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::snapshot;
+use dmp_service::test_support::ScratchDir;
 use rand::{Rng, SeedableRng};
 
 const SHARDS: usize = 3;
@@ -31,13 +33,6 @@ const SNAPSHOT_EVERY: u64 = 6;
 
 fn market_config() -> MarketConfig {
     MarketConfig::external(51).with_design(MarketDesign::posted_price_baseline(11.0))
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-compact-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A short mixed stream: enough commands to cross several snapshot
@@ -100,46 +95,62 @@ fn config(dir: &Path, keep: usize) -> ServiceConfig {
 
 /// Donor state: run with unbounded retention so the full journal *and*
 /// every snapshot survive — the crash cases are carved out of this.
+/// Built once per process and held as file contents, so every case
+/// writes its own private copy and none can disturb another's.
 struct Donor {
-    dir: PathBuf,
     digest: u64,
     applied: u64,
-    snapshot_seqs: Vec<u64>,
+    journal: Vec<u8>,
+    meta: Vec<u8>,
+    /// `(seq, file name, contents)`, ascending by seq.
+    snapshots: Vec<(u64, String, Vec<u8>)>,
 }
 
-fn donor() -> Donor {
-    let dir = tmp_dir("donor");
-    let node = ServiceNode::open(config(&dir, 0)).unwrap();
-    for cmd in command_stream() {
-        let _ = node.apply(cmd);
+impl Donor {
+    fn newest_seq(&self) -> u64 {
+        self.snapshots.last().expect("donor has snapshots").0
     }
-    let digest = node.state_digest();
-    let applied = node.applied();
-    let snapshot_seqs: Vec<u64> = snapshot::list_snapshots(&dir)
-        .into_iter()
-        .map(|(seq, _)| seq)
-        .collect();
-    assert!(
-        snapshot_seqs.len() >= 3,
-        "donor run must cross ≥3 snapshot boundaries, got {snapshot_seqs:?}"
-    );
-    Donor {
-        dir,
-        digest,
-        applied,
-        snapshot_seqs,
-    }
+}
+
+fn donor() -> &'static Donor {
+    static DONOR: OnceLock<Donor> = OnceLock::new();
+    DONOR.get_or_init(|| {
+        let dir = ScratchDir::new("compact-donor");
+        let node = ServiceNode::open(config(dir.path(), 0)).unwrap();
+        for cmd in command_stream() {
+            let _ = node.apply(cmd);
+        }
+        let snapshots: Vec<(u64, String, Vec<u8>)> = snapshot::list_snapshots(dir.path())
+            .into_iter()
+            .map(|(seq, path)| {
+                let name = path.file_name().unwrap().to_str().unwrap().to_string();
+                (seq, name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        assert!(
+            snapshots.len() >= 3,
+            "donor run must cross ≥3 snapshot boundaries, got {}",
+            snapshots.len()
+        );
+        Donor {
+            digest: node.state_digest(),
+            applied: node.applied(),
+            journal: std::fs::read(dir.join("journal.wal")).unwrap(),
+            meta: std::fs::read(dir.join("node.meta")).unwrap(),
+            snapshots,
+        }
+    })
 }
 
 /// Materialize a crash directory: the donor journal plus the snapshots
 /// whose seq passes `keep_snapshot`.
-fn carve(donor: &Donor, name: &str, keep_snapshot: impl Fn(u64) -> bool) -> PathBuf {
-    let dir = tmp_dir(name);
-    std::fs::copy(donor.dir.join("journal.wal"), dir.join("journal.wal")).unwrap();
-    std::fs::copy(donor.dir.join("node.meta"), dir.join("node.meta")).unwrap();
-    for (seq, path) in snapshot::list_snapshots(&donor.dir) {
-        if keep_snapshot(seq) {
-            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+fn carve(donor: &Donor, name: &str, keep_snapshot: impl Fn(u64) -> bool) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("compact-{name}"));
+    std::fs::write(dir.join("journal.wal"), &donor.journal).unwrap();
+    std::fs::write(dir.join("node.meta"), &donor.meta).unwrap();
+    for (seq, file_name, bytes) in &donor.snapshots {
+        if keep_snapshot(*seq) {
+            std::fs::write(dir.join(file_name), bytes).unwrap();
         }
     }
     dir
@@ -171,14 +182,14 @@ fn crash_with_stale_snapshot_tmp_recovers() {
     let d = donor();
     // Crash between tmp write and rename: the newest snapshot never
     // landed, a garbage .tmp did.
-    let newest = *d.snapshot_seqs.last().unwrap();
-    let dir = carve(&d, "tmp-stale", |seq| seq < newest);
+    let newest = d.newest_seq();
+    let dir = carve(d, "tmp-stale", |seq| seq < newest);
     std::fs::write(
         dir.join(format!("snapshot-{newest:020}.tmp")),
         b"half-written snapshot",
     )
     .unwrap();
-    assert_recovers_bit_identical(&d, &dir, "stale-tmp");
+    assert_recovers_bit_identical(d, dir.path(), "stale-tmp");
     assert!(
         !dir.join(format!("snapshot-{newest:020}.tmp")).exists(),
         "open must sweep the stale tmp"
@@ -189,17 +200,17 @@ fn crash_with_stale_snapshot_tmp_recovers() {
 fn crash_after_snapshot_durable_before_prune_recovers() {
     let d = donor();
     // All snapshots present, journal untouched: the prune never ran.
-    let dir = carve(&d, "pre-prune", |_| true);
-    assert_recovers_bit_identical(&d, &dir, "pre-prune");
+    let dir = carve(d, "pre-prune", |_| true);
+    assert_recovers_bit_identical(d, dir.path(), "pre-prune");
 }
 
 #[test]
 fn crash_after_prune_before_truncate_recovers() {
     let d = donor();
     // Only the newest snapshot survives, journal still full-length.
-    let newest = *d.snapshot_seqs.last().unwrap();
-    let dir = carve(&d, "pre-truncate", |seq| seq == newest);
-    assert_recovers_bit_identical(&d, &dir, "pre-truncate");
+    let newest = d.newest_seq();
+    let dir = carve(d, "pre-truncate", |seq| seq == newest);
+    assert_recovers_bit_identical(d, dir.path(), "pre-truncate");
 }
 
 #[test]
@@ -207,10 +218,10 @@ fn crash_with_stale_journal_compact_recovers() {
     let d = donor();
     // Crash between writing journal.compact and the rename: the live
     // journal is intact and the partial copy must be discarded.
-    let newest = *d.snapshot_seqs.last().unwrap();
-    let dir = carve(&d, "compact-stale", |seq| seq == newest);
+    let newest = d.newest_seq();
+    let dir = carve(d, "compact-stale", |seq| seq == newest);
     std::fs::write(dir.join("journal.compact"), b"partial compacted journal").unwrap();
-    assert_recovers_bit_identical(&d, &dir, "stale-compact");
+    assert_recovers_bit_identical(d, dir.path(), "stale-compact");
     assert!(
         !dir.join("journal.compact").exists(),
         "open must remove the stale journal.compact"
@@ -221,14 +232,14 @@ fn crash_with_stale_journal_compact_recovers() {
 fn crash_after_truncate_recovers_from_snapshot_plus_tail() {
     let d = donor();
     // The completed compaction: journal holds only seq > newest.
-    let newest = *d.snapshot_seqs.last().unwrap();
-    let dir = carve(&d, "post-truncate", |seq| seq == newest);
+    let newest = d.newest_seq();
+    let dir = carve(d, "post-truncate", |seq| seq == newest);
     {
         let (mut journal, _) = Journal::open(dir.join("journal.wal"), false).unwrap();
         let dropped = journal.truncate_prefix(newest).unwrap();
         assert!(dropped > 0, "truncation must actually drop the prefix");
     }
-    assert_recovers_bit_identical(&d, &dir, "post-truncate");
+    assert_recovers_bit_identical(d, dir.path(), "post-truncate");
 }
 
 /// End-to-end: a node *running* with bounded retention compacts as it
@@ -237,8 +248,8 @@ fn crash_after_truncate_recovers_from_snapshot_plus_tail() {
 #[test]
 fn live_compaction_shrinks_journal_and_matches_donor() {
     let d = donor();
-    let dir = tmp_dir("live");
-    let node = ServiceNode::open(config(&dir, 1)).unwrap();
+    let dir = ScratchDir::new("compact-live");
+    let node = ServiceNode::open(config(dir.path(), 1)).unwrap();
     for cmd in command_stream() {
         let _ = node.apply(cmd);
     }
@@ -248,18 +259,18 @@ fn live_compaction_shrinks_journal_and_matches_donor() {
         "live compaction changed state"
     );
     let compacted = node.journal_len().unwrap();
-    let full = std::fs::metadata(d.dir.join("journal.wal")).unwrap().len();
+    let full = d.journal.len() as u64;
     assert!(
         compacted < full,
         "compaction did not shrink the journal: {compacted} >= {full}"
     );
     assert_eq!(
-        snapshot::list_snapshots(&dir).len(),
+        snapshot::list_snapshots(dir.path()).len(),
         1,
         "retention must keep exactly one snapshot"
     );
     drop(node);
-    let recovered = ServiceNode::open(config(&dir, 1)).unwrap();
+    let recovered = ServiceNode::open(config(dir.path(), 1)).unwrap();
     assert_eq!(recovered.state_digest(), d.digest);
     assert_eq!(recovered.applied(), d.applied);
 }

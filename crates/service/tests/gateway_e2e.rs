@@ -3,7 +3,6 @@
 //! enroll → deposit → ask → offer → round → ledger-read flow, plus
 //! durability across a gateway restart.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use dmp_core::market::MarketConfig;
@@ -11,6 +10,7 @@ use dmp_mechanism::design::MarketDesign;
 use dmp_service::client::Client;
 use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::node::{ServiceConfig, ServiceNode};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::Json;
 
 /// A seller name that hashes onto the same shard as `buyer` (offers
@@ -24,16 +24,9 @@ fn co_located_seller(buyer: &str, base: &str, shards: u64) -> String {
         .unwrap()
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-gateway-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start(name: &str) -> (Arc<ServiceNode>, Gateway) {
+fn start(dir: &ScratchDir) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let cfg = ServiceConfig::new(tmp_dir(name), market)
+    let cfg = ServiceConfig::new(dir.path(), market)
         .with_shards(2)
         .with_fsync(false);
     let node = Arc::new(ServiceNode::open(cfg).unwrap());
@@ -61,7 +54,8 @@ fn offer_body(buyer: &str, price: f64) -> Json {
 
 #[test]
 fn full_market_session_over_the_wire() {
-    let (_node, gateway) = start("session");
+    let dir = ScratchDir::new("gateway-session");
+    let (_node, gateway) = start(&dir);
     let mut c = Client::connect(gateway.addr()).unwrap();
 
     let health = c.get("/health").unwrap();
@@ -135,7 +129,8 @@ fn concurrent_clients_drive_disjoint_sessions() {
     // ≥ 4 concurrent clients over real sockets, each with its own
     // seller + buyer pair, then one round and ledger reads.
     const CLIENTS: usize = 6;
-    let (node, gateway) = start("concurrent");
+    let dir = ScratchDir::new("gateway-concurrent");
+    let (node, gateway) = start(&dir);
     let addr = gateway.addr();
 
     let handles: Vec<_> = (0..CLIENTS)
@@ -204,8 +199,8 @@ fn concurrent_clients_drive_disjoint_sessions() {
 #[test]
 fn state_survives_gateway_restart() {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let dir = tmp_dir("restart");
-    let cfg = ServiceConfig::new(&dir, market)
+    let dir = ScratchDir::new("gateway-restart");
+    let cfg = ServiceConfig::new(dir.path(), market)
         .with_shards(2)
         .with_fsync(false);
 

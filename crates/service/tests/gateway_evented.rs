@@ -6,7 +6,6 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,18 +14,12 @@ use dmp_mechanism::design::MarketDesign;
 use dmp_service::client::{Client, PipelinedRequest};
 use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::node::{ServiceConfig, ServiceNode};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::Json;
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-evented-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start(name: &str, cfg: GatewayConfig) -> (Arc<ServiceNode>, Gateway) {
+fn start(dir: &ScratchDir, cfg: GatewayConfig) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let service = ServiceConfig::new(tmp_dir(name), market)
+    let service = ServiceConfig::new(dir.path(), market)
         .with_shards(2)
         .with_fsync(false);
     let node = Arc::new(ServiceNode::open(service).unwrap());
@@ -44,7 +37,8 @@ fn slow_loris_does_not_starve_healthy_clients() {
         read_timeout: Duration::from_millis(400),
         ..GatewayConfig::default()
     };
-    let (_node, gateway) = start("loris", cfg);
+    let dir = ScratchDir::new("evented-loris");
+    let (_node, gateway) = start(&dir, cfg);
 
     // Open 64 connections that send a few bytes of a request line and
     // then stall forever (the classic slow-loris shape).
@@ -93,7 +87,8 @@ fn slow_loris_does_not_starve_healthy_clients() {
 /// and the batch helper agrees with issuing them one at a time.
 #[test]
 fn pipelined_requests_answered_in_order() {
-    let (_node, gateway) = start("pipeline", GatewayConfig::default());
+    let dir = ScratchDir::new("evented-pipeline");
+    let (_node, gateway) = start(&dir, GatewayConfig::default());
     let mut c = Client::connect(gateway.addr()).unwrap();
 
     // Mix inline-served GETs with pool-served POSTs: ordering must hold
@@ -138,7 +133,8 @@ fn pipelined_requests_answered_in_order() {
 /// the client helper resends the tail on a fresh connection.
 #[test]
 fn malformed_request_closes_but_client_recovers() {
-    let (_node, gateway) = start("malformed", GatewayConfig::default());
+    let dir = ScratchDir::new("evented-malformed");
+    let (_node, gateway) = start(&dir, GatewayConfig::default());
 
     // Raw socket: two pipelined requests where the first is malformed.
     // The gateway must answer 400 with `Connection: close` and never
@@ -179,7 +175,8 @@ fn client_survives_idle_timeout_reaping() {
         read_timeout: Duration::from_millis(200),
         ..GatewayConfig::default()
     };
-    let (_node, gateway) = start("reap", cfg);
+    let dir = ScratchDir::new("evented-reap");
+    let (_node, gateway) = start(&dir, cfg);
 
     let mut c = Client::connect(gateway.addr()).unwrap();
     assert_eq!(

@@ -4,7 +4,7 @@
 //! offer book are **bit-identical** to an uncrashed run over the same
 //! surviving command prefix.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
@@ -14,6 +14,7 @@ use dmp_service::command::{
 use dmp_service::journal::Journal;
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::shard::ShardRouter;
+use dmp_service::test_support::ScratchDir;
 use rand::{Rng, SeedableRng};
 
 const SHARDS: usize = 3;
@@ -22,11 +23,8 @@ fn market_config() -> MarketConfig {
     MarketConfig::external(23).with_design(MarketDesign::posted_price_baseline(12.0))
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-recovery-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmp_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("recovery-{name}"))
 }
 
 fn table(name: &str, cols: &[&str], rows: usize, rng: &mut rand::rngs::StdRng) -> TableSpec {
@@ -202,7 +200,7 @@ fn copy_crashed(src: &Path, dst: &Path, journal_bytes: &[u8], survivors: usize) 
 fn crash_at_random_offsets_recovers_bit_identical_state() {
     let cmds = command_stream(50, 0xfeed);
     let dir = tmp_dir("bitident");
-    let cfg = ServiceConfig::new(&dir, market_config())
+    let cfg = ServiceConfig::new(dir.path(), market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(40)
         .with_fsync(false);
@@ -230,10 +228,10 @@ fn crash_at_random_offsets_recovers_bit_identical_state() {
     for (case, cut) in cuts.into_iter().enumerate() {
         let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
         let crash_dir = tmp_dir(&format!("bitident-crash{case}"));
-        copy_crashed(&dir, &crash_dir, &bytes[..cut], survivors);
+        copy_crashed(dir.path(), crash_dir.path(), &bytes[..cut], survivors);
 
         let recovered = ServiceNode::open(
-            ServiceConfig::new(&crash_dir, market_config())
+            ServiceConfig::new(crash_dir.path(), market_config())
                 .with_shards(SHARDS)
                 .with_snapshot_every(0)
                 .with_fsync(false),
@@ -272,7 +270,7 @@ fn crash_at_random_offsets_recovers_bit_identical_state() {
 fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
     let cmds = command_stream(20, 0xbead);
     let dir_snap = tmp_dir("snapshotted");
-    let cfg_snap = ServiceConfig::new(&dir_snap, market_config())
+    let cfg_snap = ServiceConfig::new(dir_snap.path(), market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(25)
         .with_fsync(false);
@@ -282,7 +280,7 @@ fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
     }
     drop(node);
     assert!(
-        dmp_service::snapshot::load_latest(&dir_snap).is_some(),
+        dmp_service::snapshot::load_latest(dir_snap.path()).is_some(),
         "run must have produced at least one snapshot"
     );
 
@@ -295,7 +293,7 @@ fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
     )
     .unwrap();
     let journal_only = ServiceNode::open(
-        ServiceConfig::new(&dir_journal, market_config())
+        ServiceConfig::new(dir_journal.path(), market_config())
             .with_shards(SHARDS)
             .with_snapshot_every(0)
             .with_fsync(false),
@@ -314,7 +312,7 @@ fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
 fn corrupted_snapshot_falls_back_to_journal() {
     let cmds = command_stream(10, 0xabcd);
     let dir = tmp_dir("badsnap");
-    let cfg = ServiceConfig::new(&dir, market_config())
+    let cfg = ServiceConfig::new(dir.path(), market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(15)
         .with_fsync(false);
@@ -326,7 +324,7 @@ fn corrupted_snapshot_falls_back_to_journal() {
     drop(node);
 
     // Corrupt every snapshot payload byte-flip-style.
-    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+    for entry in std::fs::read_dir(dir.path()).unwrap().flatten() {
         let name = entry.file_name().to_string_lossy().to_string();
         if name.starts_with("snapshot-") {
             let mut bytes = std::fs::read(entry.path()).unwrap();

@@ -5,7 +5,6 @@
 //! before/after **delta** — this binary stays valid no matter what
 //! other tests in the same process record.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dmp_core::market::MarketConfig;
@@ -13,6 +12,7 @@ use dmp_mechanism::design::MarketDesign;
 use dmp_service::client::Client;
 use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::node::{ServiceConfig, ServiceNode};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::Json;
 use dmp_telemetry::lint_exposition;
 
@@ -24,18 +24,17 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-telemetry-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn start(dir: &ScratchDir) -> (Arc<ServiceNode>, Gateway) {
+    start_keeping(dir, 0)
 }
 
-fn start(name: &str) -> (Arc<ServiceNode>, Gateway) {
+/// `keep_snapshots ≥ 1`: checkpoints verify their image and compact.
+fn start_keeping(dir: &ScratchDir, keep_snapshots: usize) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let cfg = ServiceConfig::new(tmp_dir(name), market)
+    let cfg = ServiceConfig::new(dir.path(), market)
         .with_shards(2)
-        .with_fsync(false);
+        .with_fsync(false)
+        .with_keep_snapshots(keep_snapshots);
     let node = Arc::new(ServiceNode::open(cfg).unwrap());
     let gateway = Gateway::serve(Arc::clone(&node), GatewayConfig::default()).unwrap();
     (node, gateway)
@@ -58,7 +57,8 @@ fn series(text: &str, name: &str) -> f64 {
 #[test]
 fn metrics_scrape_matches_work_done() {
     let _serial = serial();
-    let (_node, gateway) = start("scrape");
+    let dir = ScratchDir::new("telemetry-scrape");
+    let (_node, gateway) = start(&dir);
     let mut client = Client::connect(gateway.addr()).unwrap();
 
     let before = client.get_text("/metrics").unwrap();
@@ -136,7 +136,8 @@ fn metrics_scrape_matches_work_done() {
 #[test]
 fn health_reports_rounds_and_uptime() {
     let _serial = serial();
-    let (_node, gateway) = start("health");
+    let dir = ScratchDir::new("telemetry-health");
+    let (_node, gateway) = start(&dir);
     let mut client = Client::connect(gateway.addr()).unwrap();
 
     client.post("/rounds", &Json::Obj(Vec::new())).unwrap();
@@ -157,7 +158,8 @@ fn health_reports_rounds_and_uptime() {
 #[test]
 fn trace_endpoint_returns_span_ring() {
     let _serial = serial();
-    let (_node, gateway) = start("trace");
+    let dir = ScratchDir::new("telemetry-trace");
+    let (_node, gateway) = start(&dir);
     let mut client = Client::connect(gateway.addr()).unwrap();
 
     // Pool-handled requests open tracer spans.
@@ -174,6 +176,35 @@ fn trace_endpoint_returns_span_ring() {
     // The enroll span may or may not still be in the ring alongside
     // spans from other tests' work, but the field must be an array.
     assert!(matches!(spans, Json::Arr(_)), "{}", trace.dump());
+
+    gateway.shutdown();
+}
+
+#[test]
+fn checkpoint_stall_and_verify_are_exposed() {
+    let _serial = serial();
+    let dir = ScratchDir::new("telemetry-checkpoint");
+    let (_node, gateway) = start_keeping(&dir, 1);
+    let mut client = Client::connect(gateway.addr()).unwrap();
+
+    let before = client.get_text("/metrics").unwrap();
+    let body = Json::parse(r#"{"name":"ckpt-a","role":"buyer","deposit":5.0}"#).unwrap();
+    client.post("/enroll", &body).unwrap();
+    client.post("/snapshot", &Json::Obj(Vec::new())).unwrap();
+    let after = client.get_text("/metrics").unwrap();
+    lint_exposition(&after).expect("exposition must lint clean with the checkpoint series");
+
+    let delta = |name: &str| series(&after, name) - series(&before, name);
+    assert_eq!(delta("dmp_checkpoint_stall_us_count"), 1.0);
+    assert_eq!(delta("dmp_snapshot_verify_us_count"), 1.0);
+    assert_eq!(delta("dmp_snapshot_write_us_count"), 1.0);
+    // The stall is the whole checkpoint: it contains write and verify.
+    assert!(
+        delta("dmp_checkpoint_stall_us_sum")
+            >= delta("dmp_snapshot_write_us_sum") + delta("dmp_snapshot_verify_us_sum")
+    );
+    assert!(after.contains("# TYPE dmp_checkpoint_stall_us histogram"));
+    assert!(after.contains("# TYPE dmp_snapshot_verify_us histogram"));
 
     gateway.shutdown();
 }

@@ -15,16 +15,17 @@ use data_market_platform::service::client::Client;
 use data_market_platform::service::gateway::{Gateway, GatewayConfig};
 use data_market_platform::service::node::{ServiceConfig, ServiceNode};
 use data_market_platform::service::shard::fnv1a;
+use data_market_platform::service::test_support::ScratchDir;
 use data_market_platform::service::wire::Json;
 
 const SHARDS: usize = 4;
 
 fn main() {
     // 1. Open a durable node: journal + snapshots live in `dir`.
-    let dir = std::env::temp_dir().join(format!("dmp-serve-example-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("serve-example");
+    let dir = scratch.path();
     let market = MarketConfig::external(7).with_design(MarketDesign::posted_price_baseline(20.0));
-    let cfg = ServiceConfig::new(&dir, market).with_shards(SHARDS);
+    let cfg = ServiceConfig::new(dir, market).with_shards(SHARDS);
     let node = Arc::new(ServiceNode::open(cfg).expect("open service node"));
 
     // 2. Put the HTTP gateway in front of it (ephemeral port).
@@ -148,5 +149,4 @@ fn main() {
     );
 
     gateway.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,6 @@
 //! is discarded, the journal tail is torn mid-record), and a recovery
 //! that restores the exact ledger and continues serving.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use data_market_platform::core::market::MarketConfig;
@@ -12,15 +11,8 @@ use data_market_platform::service::client::Client;
 use data_market_platform::service::gateway::{Gateway, GatewayConfig};
 use data_market_platform::service::node::{ServiceConfig, ServiceNode};
 use data_market_platform::service::shard::fnv1a;
+use data_market_platform::service::test_support::ScratchDir;
 use data_market_platform::service::wire::Json;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("dmp-facade-recovery-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn service_config(dir: &std::path::Path) -> ServiceConfig {
     let market = MarketConfig::external(31).with_design(MarketDesign::posted_price_baseline(10.0));
@@ -32,7 +24,8 @@ fn service_config(dir: &std::path::Path) -> ServiceConfig {
 
 #[test]
 fn gateway_session_survives_a_hard_crash() {
-    let dir = tmp_dir("hard-crash");
+    let scratch = ScratchDir::new("facade-recovery");
+    let dir = scratch.path();
 
     // Names that co-locate on one shard (offers match within a shard;
     // cross-shard trades are a ROADMAP follow-on).
@@ -50,7 +43,7 @@ fn gateway_session_survives_a_hard_crash() {
     // tear the final journal record in half, as a crash mid-append
     // would.
     let balance_before = {
-        let node = Arc::new(ServiceNode::open(service_config(&dir)).unwrap());
+        let node = Arc::new(ServiceNode::open(service_config(dir)).unwrap());
         let gateway = Gateway::serve(Arc::clone(&node), GatewayConfig::default()).unwrap();
         let mut c = Client::connect(gateway.addr()).unwrap();
         c.post(
@@ -128,7 +121,7 @@ fn gateway_session_survives_a_hard_crash() {
     // gets to exercise the `snapshot + journal replay` path, not just
     // replay-from-genesis.
     assert!(
-        data_market_platform::service::snapshot::load_latest(&dir).is_some(),
+        data_market_platform::service::snapshot::load_latest(dir).is_some(),
         "session must have checkpointed a snapshot at seq 8"
     );
 
@@ -138,7 +131,7 @@ fn gateway_session_survives_a_hard_crash() {
     std::fs::write(&journal, &bytes[..bytes.len() - 3]).unwrap();
 
     // Session 2: recover and keep serving.
-    let node = Arc::new(ServiceNode::open(service_config(&dir)).unwrap());
+    let node = Arc::new(ServiceNode::open(service_config(dir)).unwrap());
     assert_eq!(
         node.applied(),
         9,
