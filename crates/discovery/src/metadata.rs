@@ -444,14 +444,17 @@ impl MetadataEngine {
         }
     }
 
-    /// Replace the catalog with a previously exported image: re-stamps
-    /// leaf provenance, recomputes each entry's latest context snapshot
-    /// at its original `(version, at)`, and restores the id/clock
-    /// counters.
+    /// Replace the catalog with a previously exported image: keeps each
+    /// relation exactly as recorded (every registration path stamped it
+    /// before it was exported; re-stamping here would make the recorded
+    /// source and provenance something a snapshot carries but nobody
+    /// reads, outside what its digest proves), recomputes each entry's
+    /// latest context snapshot at its original `(version, at)`, and
+    /// restores the id/clock counters.
     pub fn restore_state(&self, image: MetadataImage) {
         let mut rebuilt = HashMap::with_capacity(image.entries.len());
         for e in image.entries {
-            let rel = e.relation.with_source(e.id);
+            let rel = e.relation;
             let snapshot = snapshot_of(
                 &rel,
                 e.version,
@@ -490,7 +493,8 @@ pub struct DatasetEntryImage {
     pub name: String,
     /// Registered owner.
     pub owner: String,
-    /// Current data (provenance is re-stamped on restore).
+    /// Current data, source and row provenance as registration stamped
+    /// them (restored verbatim).
     pub relation: Relation,
     /// Current version.
     pub version: u32,

@@ -19,198 +19,96 @@ use dmp_core::arbiter::mashup_builder::BuiltMashup;
 use dmp_core::arbiter::pipeline::{CandidatePhaseExport, CandidateSet};
 use dmp_core::arbiter::pricing::RoundBid;
 
-use crate::state::{
-    arr, dec_audit_event, dec_dataset_vec, dec_f64, dec_negotiation, dec_relation, dec_str,
-    dec_str_vec, dec_u64, dec_usize, enc_audit_event, enc_dataset_vec, enc_f64, enc_negotiation,
-    enc_relation, enc_str_vec, enc_u64, enc_usize, field,
-};
+use crate::state::{enc_all, record, Wire};
 use crate::wire::{Json, WireError};
 
 /// The current candidate-codec version. Bump on any format change and
 /// keep decode refusing everything it does not understand.
 pub const CANDIDATE_CODEC_VERSION: u64 = 1;
 
-fn check_version(j: &Json) -> Result<(), WireError> {
-    let v = dec_u64(field(j, "v")?)?;
-    if v != CANDIDATE_CODEC_VERSION {
-        return Err(WireError::new(format!(
-            "candidate codec version {v} is not the supported {CANDIDATE_CODEC_VERSION}"
-        )));
+record!(RoundBid {
+    offer_id => "offer",
+    buyer => "buyer",
+    bid => "bid",
+    satisfaction => "satisfaction",
+    datasets => "datasets",
+    reserve_floor => "reserve_floor",
+    license_multiplier => "license_multiplier",
+});
+
+record!(BuiltMashup {
+    relation => "relation",
+    datasets => "datasets",
+    coverage => "coverage",
+    confidence => "confidence",
+    missing => "missing",
+});
+
+record!(
+    #[version = CANDIDATE_CODEC_VERSION]
+    CandidateSet {
+        round => "round",
+        bids => "bids",
     }
-    Ok(())
-}
+);
 
-fn enc_bid(b: &RoundBid) -> Json {
-    Json::obj([
-        ("offer", enc_u64(b.offer_id)),
-        ("buyer", Json::str(b.buyer.clone())),
-        ("bid", enc_f64(b.bid)),
-        ("satisfaction", enc_f64(b.satisfaction)),
-        ("datasets", enc_dataset_vec(&b.datasets)),
-        ("reserve_floor", enc_f64(b.reserve_floor)),
-        ("license_multiplier", enc_f64(b.license_multiplier)),
-    ])
-}
-
-fn dec_bid(j: &Json) -> Result<RoundBid, WireError> {
-    Ok(RoundBid {
-        offer_id: dec_u64(field(j, "offer")?)?,
-        buyer: dec_str(field(j, "buyer")?)?,
-        bid: dec_f64(field(j, "bid")?)?,
-        satisfaction: dec_f64(field(j, "satisfaction")?)?,
-        datasets: dec_dataset_vec(field(j, "datasets")?)?,
-        reserve_floor: dec_f64(field(j, "reserve_floor")?)?,
-        license_multiplier: dec_f64(field(j, "license_multiplier")?)?,
-    })
-}
-
-fn enc_mashup(m: &BuiltMashup) -> Json {
-    Json::obj([
-        ("relation", enc_relation(&m.relation)),
-        ("datasets", enc_dataset_vec(&m.datasets)),
-        ("coverage", enc_f64(m.coverage)),
-        ("confidence", enc_f64(m.confidence)),
-        ("missing", enc_str_vec(&m.missing)),
-    ])
-}
-
-fn dec_mashup(j: &Json) -> Result<BuiltMashup, WireError> {
-    Ok(BuiltMashup {
-        relation: dec_relation(field(j, "relation")?)?,
-        datasets: dec_dataset_vec(field(j, "datasets")?)?,
-        coverage: dec_f64(field(j, "coverage")?)?,
-        confidence: dec_f64(field(j, "confidence")?)?,
-        missing: dec_str_vec(field(j, "missing")?)?,
-    })
-}
+// One shard's full candidate phase: the bids, the winning mashups
+// settlement needs, the unmet-demand report inputs, and the audit
+// events the candidate stage appended.
+record!(
+    #[version = CANDIDATE_CODEC_VERSION]
+    CandidatePhaseExport {
+        round => "round",
+        bids => "bids",
+        best_mashups => "mashups",
+        missing => "missing",
+        negotiations => "negotiations",
+        audit_events => "audit",
+    }
+);
 
 /// Encode a [`CandidateSet`] (version-tagged).
 pub fn encode_candidate_set(set: &CandidateSet) -> Json {
-    Json::obj([
-        ("v", enc_u64(CANDIDATE_CODEC_VERSION)),
-        ("round", enc_u64(set.round)),
-        ("bids", Json::Arr(set.bids.iter().map(enc_bid).collect())),
-    ])
+    set.enc()
 }
 
 /// Decode a [`CandidateSet`], refusing unknown versions.
 pub fn decode_candidate_set(j: &Json) -> Result<CandidateSet, WireError> {
-    check_version(j)?;
-    let mut bids = Vec::new();
-    for b in arr(field(j, "bids")?)? {
-        bids.push(dec_bid(b)?);
-    }
-    Ok(CandidateSet {
-        round: dec_u64(field(j, "round")?)?,
-        bids,
-    })
+    Wire::dec(j)
 }
 
-/// Encode one shard's full candidate phase (version-tagged): the bids,
-/// the winning mashups settlement needs, the unmet-demand report
-/// inputs, and the audit events the candidate stage appended.
+/// Encode one shard's candidate phase (version-tagged).
 pub fn encode_export(export: &CandidatePhaseExport) -> Json {
-    Json::obj([
-        ("v", enc_u64(CANDIDATE_CODEC_VERSION)),
-        ("round", enc_u64(export.round)),
-        ("bids", Json::Arr(export.bids.iter().map(enc_bid).collect())),
-        (
-            "mashups",
-            Json::Arr(
-                export
-                    .best_mashups
-                    .iter()
-                    .map(|(offer, m)| Json::Arr(vec![enc_u64(*offer), enc_mashup(m)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "missing",
-            Json::Arr(export.missing.iter().map(|m| enc_str_vec(m)).collect()),
-        ),
-        (
-            "negotiations",
-            Json::Arr(export.negotiations.iter().map(enc_negotiation).collect()),
-        ),
-        (
-            "audit",
-            Json::Arr(export.audit_events.iter().map(enc_audit_event).collect()),
-        ),
-    ])
+    export.enc()
 }
 
 /// Decode one shard's candidate phase, refusing unknown versions.
 pub fn decode_export(j: &Json) -> Result<CandidatePhaseExport, WireError> {
-    check_version(j)?;
-    let mut bids = Vec::new();
-    for b in arr(field(j, "bids")?)? {
-        bids.push(dec_bid(b)?);
-    }
-    let mut best_mashups = Vec::new();
-    for pair in arr(field(j, "mashups")?)? {
-        let pair = arr(pair)?;
-        let mut it = pair.iter();
-        let offer = it
-            .next()
-            .ok_or_else(|| WireError::new("mashup pair missing offer id"))?;
-        let mashup = it
-            .next()
-            .ok_or_else(|| WireError::new("mashup pair missing mashup"))?;
-        best_mashups.push((dec_u64(offer)?, dec_mashup(mashup)?));
-    }
-    let mut missing = Vec::new();
-    for m in arr(field(j, "missing")?)? {
-        missing.push(dec_str_vec(m)?);
-    }
-    let mut negotiations = Vec::new();
-    for n in arr(field(j, "negotiations")?)? {
-        negotiations.push(dec_negotiation(n)?);
-    }
-    let mut audit_events = Vec::new();
-    for e in arr(field(j, "audit")?)? {
-        audit_events.push(dec_audit_event(e)?);
-    }
-    Ok(CandidatePhaseExport {
-        round: dec_u64(field(j, "round")?)?,
-        bids,
-        best_mashups,
-        missing,
-        negotiations,
-        audit_events,
-    })
+    Wire::dec(j)
 }
 
 /// Encode a whole round's exports (one per shard, shard order).
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
-    Json::Arr(exports.iter().map(encode_export).collect())
+    enc_all(exports)
 }
 
 /// Decode a whole round's exports; `shards` pins the expected count so
 /// a short or padded payload is refused before it reaches settlement.
 pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExport>, WireError> {
-    let items = arr(j)?;
-    if items.len() != shards {
+    let exports: Vec<CandidatePhaseExport> = Wire::dec(j)?;
+    if exports.len() != shards {
         return Err(WireError::new(format!(
             "expected {shards} shard exports, got {}",
-            items.len()
+            exports.len()
         )));
     }
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        out.push(decode_export(item)?);
-    }
-    Ok(out)
+    Ok(exports)
 }
 
 /// Encode indexed exports `(shard, export)` — the candidates RPC reply,
 /// which carries only the shards the worker was assigned.
 pub fn encode_indexed_exports(exports: &[(usize, CandidatePhaseExport)]) -> Json {
-    Json::Arr(
-        exports
-            .iter()
-            .map(|(shard, export)| Json::Arr(vec![enc_usize(*shard), encode_export(export)]))
-            .collect(),
-    )
+    enc_all(exports)
 }
 
 /// Decode indexed exports, validating every shard index against the
@@ -219,25 +117,13 @@ pub fn decode_indexed_exports(
     j: &Json,
     shards: usize,
 ) -> Result<Vec<(usize, CandidatePhaseExport)>, WireError> {
-    let mut out = Vec::new();
-    for pair in arr(j)? {
-        let pair = arr(pair)?;
-        let mut it = pair.iter();
-        let shard = it
-            .next()
-            .ok_or_else(|| WireError::new("export pair missing shard index"))?;
-        let export = it
-            .next()
-            .ok_or_else(|| WireError::new("export pair missing export"))?;
-        let shard = dec_usize(shard)?;
-        if shard >= shards {
-            return Err(WireError::new(format!(
-                "shard index {shard} out of range for {shards} shards"
-            )));
-        }
-        out.push((shard, decode_export(export)?));
+    let exports: Vec<(usize, CandidatePhaseExport)> = Wire::dec(j)?;
+    match exports.iter().find(|(shard, _)| *shard >= shards) {
+        Some((shard, _)) => Err(WireError::new(format!(
+            "shard index {shard} out of range for {shards} shards"
+        ))),
+        None => Ok(exports),
     }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use crate::command::Command;
 use crate::metrics::metrics;
 use crate::node::{CommandFollower, ServiceNode};
 use crate::shard::RoundDistributor;
-use crate::state::{self, enc_u64, enc_usize};
+use crate::state::{self, field, Wire};
 use crate::wire::Json;
 
 /// One remote worker: a keep-alive client plus a liveness flag. A
@@ -171,17 +171,13 @@ impl WorkerPool {
         };
         let (image, applied) =
             node.quiesced(|router, applied| (state::encode(&router.export_state()), applied));
+        // The worker installs the image only if it restores to this
+        // digest: state crosses a process boundary here.
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("applied", enc_u64(applied)),
-            (
-                "state",
-                Json::obj([
-                    ("substrate", image.substrate),
-                    ("shards", Json::Arr(image.shards)),
-                    ("router", image.router),
-                ]),
-            ),
+            ("applied", applied.enc()),
+            ("digest", image.digest().enc()),
+            ("state", image.into_json()),
         ]);
         // Mark alive first so `rpc` will talk to a currently-dead
         // worker; a failure flips it right back.
@@ -278,7 +274,7 @@ impl CommandFollower for WorkerPool {
         }
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("seq", enc_u64(seq)),
+            ("seq", seq.enc()),
             ("cmd", cmd.encode()),
         ]);
         self.broadcast(&body, "apply", "/internal/apply");
@@ -338,12 +334,9 @@ impl RoundDistributor for WorkerPool {
                 .map(|(w, list)| {
                     let body = Json::obj([
                         ("fp", Json::str(self.fingerprint.clone())),
-                        ("round", enc_u64(round)),
-                        ("seed", enc_u64(round_seed)),
-                        (
-                            "shards",
-                            Json::Arr(list.iter().map(|&s| enc_usize(s)).collect()),
-                        ),
+                        ("round", round.enc()),
+                        ("seed", round_seed.enc()),
+                        ("shards", list.enc()),
                     ]);
                     (w, body.dump())
                 })
@@ -352,7 +345,7 @@ impl RoundDistributor for WorkerPool {
                 bodies.iter().map(|(w, text)| (*w, text.as_str())).collect();
             for (_, reply) in self.fan_out(&targets, "candidates", "/internal/candidates") {
                 let Some(reply) = reply else { continue };
-                let pairs = match crate::state::field(&reply, "exports")
+                let pairs = match field(&reply, "exports")
                     .and_then(|j| codec::decode_indexed_exports(j, shards))
                 {
                     Ok(pairs) => pairs,
@@ -384,8 +377,8 @@ impl RoundDistributor for WorkerPool {
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]) {
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("round", enc_u64(round)),
-            ("seed", enc_u64(round_seed)),
+            ("round", round.enc()),
+            ("seed", round_seed.enc()),
             ("exports", codec::encode_exports(exports)),
         ]);
         self.broadcast(&body, "settle", "/internal/settle");

@@ -10,7 +10,7 @@
 //! A command is durable before it is applied, so the externally-visible
 //! state is always reconstructible. Recovery runs `restore + tail
 //! replay`: load the newest intact snapshot (a *materialized state
-//! image*, format v2), restore it into a fresh router, verify the state
+//! image*, format v3), restore it into a fresh router, verify the state
 //! digest proves the decoded state is equivalent, then replay only the
 //! journal tail (`seq >` snapshot) under a strict sequence-continuity
 //! check. A digest mismatch or torn snapshot falls back to the previous
@@ -106,13 +106,15 @@ struct NodeInner {
 /// the distributed layer sends it with every internal RPC so a worker
 /// configured differently refuses work instead of silently diverging.
 pub fn config_fingerprint(shards: usize, market: &MarketConfig) -> String {
-    // v3: materialized state snapshots (format v2) + journal
-    // compaction. A v2 directory may hold command-prefix snapshots
-    // and (conversely) a compacted v3 journal is not replayable
-    // from genesis, so the version is part of the fingerprint and
-    // older directories are refused rather than silently misread.
+    // v4: the state digest is FNV-1a over the image encoding
+    // (snapshot format v3). A v3 directory's snapshots carry digests
+    // of a rendering this code no longer has, and a v3 worker would
+    // answer digest RPCs in it, so the version is part of the
+    // fingerprint: older directories and skewed workers are refused
+    // by name rather than misread. (v3 itself refused v1/v2:
+    // command-prefix snapshots, journals not replayable from genesis.)
     format!(
-        "v3 shards={} seed={} kind={:?} max_candidates={} contribution_reward={}",
+        "v4 shards={} seed={} kind={:?} max_candidates={} contribution_reward={}",
         shards, market.seed, market.kind, market.max_candidates, market.contribution_reward,
     )
 }
@@ -268,7 +270,7 @@ impl ServiceNode {
                 );
                 continue;
             };
-            match Self::restore_verified(&cfg, &snap) {
+            match ShardRouter::restore_verified(&cfg.market, cfg.shards, &snap.state, snap.digest) {
                 Ok(restored) => {
                     router = restored;
                     applied = snap.seq;
@@ -336,24 +338,6 @@ impl ServiceNode {
         })
     }
 
-    /// Decode `snap` into a fresh router and prove equivalence: the
-    /// restored state must reproduce the snapshot's recorded digest.
-    fn restore_verified(cfg: &ServiceConfig, snap: &Snapshot) -> Result<ShardRouter, String> {
-        let image = state::decode(&snap.state).map_err(|e| format!("decode: {e}"))?;
-        let router = ShardRouter::new(&cfg.market, cfg.shards);
-        router
-            .restore_state(image)
-            .map_err(|e| format!("restore: {e}"))?;
-        let digest = router.state_digest();
-        if digest != snap.digest {
-            return Err(format!(
-                "digest mismatch: snapshot {:016x}, restored {digest:016x}",
-                snap.digest
-            ));
-        }
-        Ok(router)
-    }
-
     /// Apply one command: journal first (durable), then mutate the
     /// market, then maybe snapshot. Total order across callers: the
     /// gateway's apply-pool workers call this concurrently from
@@ -419,11 +403,12 @@ impl ServiceNode {
     /// often appliers pause behind this.
     fn checkpoint_steps(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
         let m = metrics();
-        let digest = self.router.state_digest();
+        // One walk of the state: the digest is a hash of the encoding.
+        let state = state::encode(&self.router.export_state());
         let snap = Snapshot {
             seq,
-            digest,
-            state: state::encode(&self.router.export_state()),
+            digest: state.digest(),
+            state,
         };
         // dmp-lint: allow(det-wall-clock) -- snapshot-write telemetry; never applied state
         let write_started = Instant::now();
@@ -454,7 +439,17 @@ impl ServiceNode {
         let verify_started = Instant::now();
         let verified = snapshot::load_file(&path)
             .ok_or_else(|| "reread failed".to_string())
-            .and_then(|on_disk| Self::restore_verified(&self.cfg, &on_disk).map(|_| ()));
+            .and_then(|on_disk| {
+                let cfg = &self.cfg;
+                ShardRouter::restore_verified(
+                    &cfg.market,
+                    cfg.shards,
+                    &on_disk.state,
+                    on_disk.digest,
+                )
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+            });
         m.snapshot_verify_us
             .record_duration_us(verify_started.elapsed());
         if let Err(why) = verified {

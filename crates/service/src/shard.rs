@@ -34,30 +34,55 @@ use dmp_core::arbiter::pricing::{clear, RoundBid, Sale};
 use dmp_core::market::{
     DataMarket, MarketConfig, MarketShardState, MarketSubstrate, RoundReport, SubstrateImage,
 };
-use dmp_core::trust::{AuditEvent, DisputeState};
 use dmp_mechanism::design::MarketDesign;
 use dmp_mechanism::elicitation::ElicitationProtocol;
-use dmp_mechanism::wtp::{IntrinsicConstraints, PriceCurve, TaskKind, WtpFunction};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use dmp_relation::{DatasetId, Relation, Value};
+use dmp_relation::DatasetId;
 
 use crate::command::Command;
 use crate::error::ServiceError;
-use crate::wire::Json;
+use crate::wire::{Json, Sink};
 
 /// FNV-1a 64-bit hash (stable across processes and platforms; the
 /// routing function must never change under replay).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a`] fed a piece at a time. As a [`Sink`] it hashes a document
+/// while [`Json::dump_into`] produces it, so the text is never built.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Hash `bytes` after everything fed so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Sink for Fnv1a {
+    fn push_str(&mut self, text: &str) {
+        self.update(text.as_bytes());
+    }
 }
 
 /// What applying one [`Command`] produced (the gateway serializes this
@@ -738,65 +763,44 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// FNV-1a digest over the market state: the shared ledger (every
-    /// balance and open escrow, in micro-credits), then per shard the
-    /// round counter, the full offer book and the participant roster —
-    /// and, beyond that visible prefix, everything a materialized
-    /// snapshot carries (catalog relations cell-by-cell, lineage, id
+    /// Build a router from an encoded image, trusting it only once the
+    /// restored state reproduces `expected` — the one rule for state
+    /// that arrives from a disk or a socket (recovery, compaction,
+    /// worker provisioning). A mismatch is [`ServiceError::Rejected`].
+    pub fn restore_verified(
+        market: &MarketConfig,
+        shards: usize,
+        image: &crate::state::StateImage,
+        expected: u64,
+    ) -> Result<ShardRouter, ServiceError> {
+        let router = ShardRouter::new(market, shards);
+        router.restore_state(crate::state::decode(image)?)?;
+        let digest = router.state_digest();
+        if digest != expected {
+            return Err(ServiceError::Rejected(format!(
+                "image restores to digest {digest:016x}, not the expected {expected:016x}"
+            )));
+        }
+        Ok(router)
+    }
+
+    /// The state digest: FNV-1a over the canonical encoding of
+    /// [`ShardRouter::export_state`] (see [`StateImage::digest`]). It
+    /// covers everything a materialized snapshot carries — ledger,
+    /// catalog relations cell by cell, lineage, offer books, id
     /// allocators, RNG stream positions, transactions, deliveries,
-    /// audit events, disputes), rendered in stable integer/bit form.
-    /// Hasher-derived values (content hashes, audit-chain hashes) are
-    /// deliberately excluded: they may vary across toolchain versions,
-    /// and a digest built on them would refuse a perfectly good
-    /// snapshot after an upgrade. Two routers with equal digests agree
-    /// bit-for-bit on all recoverable state — snapshots store this to
-    /// *prove* a decoded state image equivalent before the journal tail
-    /// replays on top.
+    /// audit events, disputes — because it *is* a hash of what the
+    /// snapshot carries. Hasher-derived values (content hashes,
+    /// audit-chain hashes) are not in the image: they may vary across
+    /// toolchain versions, and a digest built on them would refuse a
+    /// perfectly good snapshot after an upgrade. Two routers with equal
+    /// digests agree bit-for-bit on all recoverable state — snapshots
+    /// store this to *prove* a decoded state image equivalent before
+    /// the journal tail replays on top.
+    ///
+    /// [`StateImage::digest`]: crate::state::StateImage::digest
     pub fn state_digest(&self) -> u64 {
-        let mut canon = String::new();
-        // Substrate state (shared across shards): enumerate once.
-        canon.push_str("ledger\n");
-        for (account, balance) in self.market_at(0).ledger().balances() {
-            canon.push_str(&format!("bal {account} {}\n", micros(balance)));
-        }
-        for (id, holder, remaining) in self.market_at(0).ledger().escrow_holds() {
-            canon.push_str(&format!("esc {id} {holder} {}\n", micros(remaining)));
-        }
-        for (i, market) in self.shards.iter().enumerate() {
-            canon.push_str(&format!("shard {i} round {}\n", market.round()));
-            for offer in market.offers() {
-                canon.push_str(&format!(
-                    "offer {} {} {} {} {:?} {}\n",
-                    offer.id,
-                    offer.wtp.buyer,
-                    offer.purpose,
-                    offer.submitted_at,
-                    offer.state,
-                    micros(offer.wtp.max_price()),
-                ));
-            }
-            for p in market.participants() {
-                canon.push_str(&format!(
-                    "part {} {} {} {}\n",
-                    p.name,
-                    p.role,
-                    p.excluded_until,
-                    micros(p.reputation)
-                ));
-            }
-        }
-        // Extended coverage: the full state image in stable form.
-        let image = self.export_state();
-        digest_substrate(&mut canon, &image.substrate);
-        for (i, shard) in image.shards.iter().enumerate() {
-            digest_shard(&mut canon, i, shard);
-        }
-        let [r0, r1, r2, r3] = image.round_rng;
-        canon.push_str(&format!(
-            "router next_offer {} rng {r0} {r1} {r2} {r3} rounds {}\n",
-            image.next_offer, image.rounds
-        ));
-        fnv1a(canon.as_bytes())
+        crate::state::encode(&self.export_state()).digest()
     }
 }
 
@@ -813,337 +817,6 @@ pub struct RouterImage {
     pub round_rng: [u64; 4],
     /// Rounds completed.
     pub rounds: u64,
-}
-
-/// Micro-credit rendering for digests (stable integer form; same
-/// granularity the ledger stores).
-fn micros(x: f64) -> i64 {
-    (x * dmp_core::arbiter::ledger::MICROS_PER_CREDIT).round() as i64
-}
-
-/// Bit-exact stable rendering of an `f64` for digests: the hex bit
-/// pattern, never decimal formatting (which could drift across library
-/// versions).
-fn stable_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn stable_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push('N'),
-        Value::Bool(b) => out.push_str(if *b { "B1" } else { "B0" }),
-        Value::Int(i) => out.push_str(&format!("I{i}")),
-        Value::Float(f) => out.push_str(&format!("F{}", stable_f64(*f))),
-        Value::Str(s) => out.push_str(&format!("S{}:{s}", s.len())),
-        Value::Timestamp(t) => out.push_str(&format!("T{t}")),
-        Value::Multi(vs) => {
-            out.push_str("M[");
-            for sv in vs {
-                out.push_str(&format!("{}=", sv.source.0));
-                stable_value(&sv.value, out);
-                out.push(';');
-            }
-            out.push(']');
-        }
-    }
-}
-
-fn stable_relation(rel: &Relation, out: &mut String) {
-    out.push_str(&format!(
-        "rel {}:{} src {:?} [",
-        rel.name().len(),
-        rel.name(),
-        rel.source().map(|d| d.0)
-    ));
-    for f in rel.schema().fields() {
-        out.push_str(&format!("{}:{:?},", f.name(), f.dtype()));
-    }
-    out.push(']');
-    for row in rel.rows() {
-        out.push('(');
-        for v in row.values() {
-            stable_value(v, out);
-            out.push(',');
-        }
-        out.push('|');
-        for a in row.provenance().atoms() {
-            out.push_str(&format!("{}:{},", a.dataset.0, a.row));
-        }
-        out.push(')');
-    }
-}
-
-fn stable_curve(curve: &PriceCurve, out: &mut String) {
-    match curve {
-        PriceCurve::Step(steps) => {
-            out.push_str("step");
-            for (t, p) in steps {
-                out.push_str(&format!(" {}:{}", stable_f64(*t), stable_f64(*p)));
-            }
-        }
-        PriceCurve::Linear {
-            min_satisfaction,
-            max_price,
-        } => out.push_str(&format!(
-            "linear {} {}",
-            stable_f64(*min_satisfaction),
-            stable_f64(*max_price)
-        )),
-        PriceCurve::Constant(p) => out.push_str(&format!("const {}", stable_f64(*p))),
-    }
-}
-
-fn stable_task(task: &TaskKind, out: &mut String) {
-    match task {
-        TaskKind::Classification { label } => out.push_str(&format!("cls {label}")),
-        TaskKind::Regression { target } => out.push_str(&format!("reg {target}")),
-        TaskKind::AggregateCompleteness {
-            group_by,
-            expected_groups,
-        } => out.push_str(&format!("agg {group_by} {expected_groups}")),
-        TaskKind::AttributeCoverage => out.push_str("cov"),
-    }
-}
-
-fn stable_constraints(c: &IntrinsicConstraints, out: &mut String) {
-    out.push_str(&format!(
-        "age {:?} exp {:?} authors {} prov {} miss {}",
-        c.max_age,
-        c.expires_at,
-        c.authors.join(","),
-        c.require_provenance,
-        c.max_missing_ratio.map(stable_f64).unwrap_or_default()
-    ));
-}
-
-fn stable_wtp(wtp: &WtpFunction, out: &mut String) {
-    out.push_str(&format!(
-        "{} attrs {} kw {} min_rows {} task ",
-        wtp.buyer,
-        wtp.attributes.join(","),
-        wtp.keywords.join(","),
-        wtp.min_rows
-    ));
-    stable_task(&wtp.task, out);
-    out.push_str(" curve ");
-    stable_curve(&wtp.curve, out);
-    out.push_str(" con ");
-    stable_constraints(&wtp.constraints, out);
-    out.push_str(" owned ");
-    match &wtp.owned_data {
-        Some(rel) => stable_relation(rel, out),
-        None => out.push_str("none"),
-    }
-}
-
-fn stable_audit_event(ev: &AuditEvent, out: &mut String) {
-    match ev {
-        AuditEvent::DatasetRegistered { dataset, seller } => {
-            out.push_str(&format!("reg {} {seller}", dataset.0));
-        }
-        AuditEvent::WtpSubmitted { offer, buyer } => {
-            out.push_str(&format!("wtp {offer} {buyer}"));
-        }
-        AuditEvent::MashupBuilt { offer, datasets } => {
-            out.push_str(&format!("mash {offer}"));
-            for d in datasets {
-                out.push_str(&format!(" {}", d.0));
-            }
-        }
-        AuditEvent::TransactionSettled { tx, buyer, price } => {
-            out.push_str(&format!("settle {tx} {buyer} {}", stable_f64(*price)));
-        }
-        AuditEvent::PrivacyRelease { dataset, epsilon } => {
-            out.push_str(&format!("priv {} {}", dataset.0, stable_f64(*epsilon)));
-        }
-        AuditEvent::ExPostAudit {
-            delivery,
-            underreported,
-        } => {
-            out.push_str(&format!("expost {delivery} {underreported}"));
-        }
-        AuditEvent::Dispute { dispute, note } => {
-            out.push_str(&format!("disp {dispute} {note}"));
-        }
-    }
-}
-
-fn stable_license(l: &dmp_core::license::License, out: &mut String) {
-    match l {
-        dmp_core::license::License::Standard => out.push_str("std"),
-        dmp_core::license::License::Exclusive {
-            tax_rate,
-            hold_rounds,
-        } => out.push_str(&format!("excl {} {hold_rounds}", stable_f64(*tax_rate))),
-        dmp_core::license::License::OwnershipTransfer => out.push_str("own"),
-        dmp_core::license::License::NonTransferable => out.push_str("nt"),
-    }
-}
-
-fn digest_substrate(canon: &mut String, s: &SubstrateImage) {
-    canon.push_str("substrate\n");
-    for e in &s.metadata.entries {
-        canon.push_str(&format!(
-            "meta {} v{} reg {} snap {} name {} owner {} tags {} ",
-            e.id.0,
-            e.version,
-            e.registered_at,
-            e.snapshot_at,
-            e.name,
-            e.owner,
-            e.tags.join(",")
-        ));
-        stable_relation(&e.relation, canon);
-        canon.push('\n');
-    }
-    canon.push_str(&format!(
-        "meta_counters {} {}\n",
-        s.metadata.next_id, s.metadata.clock
-    ));
-    for (d, evs) in &s.lineage {
-        for (seq, ev) in evs {
-            canon.push_str(&format!("lin {} {seq} ", d.0));
-            match ev {
-                dmp_discovery::LineageEvent::UsedInMashup {
-                    mashup,
-                    rows_contributed,
-                } => canon.push_str(&format!("used {mashup} {rows_contributed}")),
-                dmp_discovery::LineageEvent::SoldInMashup { mashup, revenue } => {
-                    canon.push_str(&format!("sold {mashup} {}", stable_f64(*revenue)));
-                }
-                dmp_discovery::LineageEvent::Updated { version } => {
-                    canon.push_str(&format!("upd {version}"));
-                }
-                dmp_discovery::LineageEvent::PrivateRelease { epsilon } => {
-                    canon.push_str(&format!("priv {}", stable_f64(*epsilon)));
-                }
-            }
-            canon.push('\n');
-        }
-    }
-    canon.push_str(&format!("lin_seq {}\n", s.lineage_seq));
-    // Open escrows and balances are already in the digest's visible
-    // prefix; add what the prefix omits — closed escrows (their ids
-    // stay occupied) and the allocator.
-    for e in &s.ledger.escrows {
-        if !e.held {
-            canon.push_str(&format!("esc_closed {} {}\n", e.id, e.from));
-        }
-    }
-    canon.push_str(&format!("ledger_next {}\n", s.ledger.next_escrow));
-    for (d, p) in &s.reserves {
-        canon.push_str(&format!("reserve {} {}\n", d.0, stable_f64(*p)));
-    }
-    for (d, l) in &s.licenses {
-        canon.push_str(&format!("license {} ", d.0));
-        stable_license(l, canon);
-        canon.push('\n');
-    }
-    for (d, p) in &s.ci_policies {
-        canon.push_str(&format!(
-            "ci {} ctx {} roles {} forb {}\n",
-            d.0,
-            p.context,
-            p.allowed_roles.join(","),
-            p.forbidden_purposes.join(",")
-        ));
-    }
-    for (d, holder, until) in &s.exclusive_holds {
-        canon.push_str(&format!("hold {} {holder} {until}\n", d.0));
-    }
-}
-
-fn digest_shard(canon: &mut String, i: usize, s: &MarketShardState) {
-    let [r0, r1, r2, r3] = s.rng;
-    canon.push_str(&format!(
-        "xshard {i} clock {} next {} {} {} rng {r0} {r1} {r2} {r3}\n",
-        s.clock, s.next_offer, s.next_tx, s.next_delivery
-    ));
-    for o in &s.offers {
-        canon.push_str(&format!("xoffer {} wtp ", o.id));
-        stable_wtp(&o.wtp, canon);
-        canon.push('\n');
-    }
-    for t in &s.transactions {
-        canon.push_str(&format!(
-            "tx {} {} {} price {} fee {} sat {} round {} ds",
-            t.id,
-            t.offer_id,
-            t.buyer,
-            stable_f64(t.price),
-            stable_f64(t.fee),
-            stable_f64(t.satisfaction),
-            t.round
-        ));
-        for d in &t.datasets {
-            canon.push_str(&format!(" {}", d.0));
-        }
-        canon.push_str(" shares");
-        for sh in &t.shares {
-            canon.push_str(&format!(" {}:{}", sh.dataset.0, stable_f64(sh.amount)));
-        }
-        canon.push('\n');
-    }
-    for d in &s.deliveries {
-        canon.push_str(&format!(
-            "del {} {} {} sat {} esc {} ds",
-            d.id,
-            d.offer_id,
-            d.buyer,
-            stable_f64(d.satisfaction),
-            d.escrow
-        ));
-        for ds in &d.datasets {
-            canon.push_str(&format!(" {}", ds.0));
-        }
-        canon.push(' ');
-        stable_relation(&d.relation, canon);
-        match &d.settlement {
-            Some(st) => canon.push_str(&format!(
-                " settle {} {} {}\n",
-                stable_f64(st.paid),
-                stable_f64(st.penalty),
-                st.audited
-            )),
-            None => canon.push_str(" settle none\n"),
-        }
-    }
-    for p in &s.purchases {
-        canon.push_str(&format!("buy {}", p.buyer));
-        for d in &p.datasets {
-            canon.push_str(&format!(" {}", d.0));
-        }
-        canon.push('\n');
-    }
-    for m in &s.last_missing {
-        canon.push_str(&format!("miss {}\n", m.join(",")));
-    }
-    for n in &s.last_negotiations {
-        canon.push_str(&format!(
-            "neg {} {} missing {} cand {}\n",
-            n.offer_id,
-            n.buyer,
-            n.missing.join(","),
-            n.candidate_sellers.join(",")
-        ));
-    }
-    for ev in &s.audit_events {
-        canon.push_str("audit ");
-        stable_audit_event(ev, canon);
-        canon.push('\n');
-    }
-    for d in &s.disputes {
-        canon.push_str(&format!(
-            "disp {} {} {} reason {} ",
-            d.id, d.tx, d.complainant, d.reason
-        ));
-        match &d.state {
-            DisputeState::Open => canon.push_str("open\n"),
-            DisputeState::Resolved { refund } => {
-                canon.push_str(&format!("resolved {}\n", stable_f64(*refund)));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

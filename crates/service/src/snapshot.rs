@@ -1,4 +1,4 @@
-//! Materialized state snapshots (format v2) for O(state) recovery.
+//! Materialized state snapshots (format v3) for O(state) recovery.
 //!
 //! A snapshot is the shard router's *serialized state* — catalog,
 //! ledger, offer book, licenses, trust records, RNG streams — encoded
@@ -11,10 +11,13 @@
 //! recovers as fast as one that ran forty. A torn or digest-mismatched
 //! snapshot is simply ignored: the journal remains the source of truth.
 //!
-//! Format v2 frames: `header, substrate, shard × N, router`. The v1
-//! format (a command-prefix checkpoint) is *not* readable by this
-//! module; the node's `node.meta` fingerprint was bumped alongside the
-//! format change so v1 directories are refused at open, never misread.
+//! Format v3 frames: `header, substrate, shard × N, router`. The
+//! sections are encoded as in v2; what changed is the *definition* of
+//! the header's digest (FNV-1a over the sections' own bytes, see
+//! [`StateImage::digest`]), so a v2 file — like a v1 command-prefix
+//! checkpoint — is not readable by this module, and the node's
+//! `node.meta` fingerprint was bumped alongside so older directories
+//! are refused at open, never misread.
 //!
 //! Files are written atomically (`.tmp` + fsync + rename + directory
 //! fsync), named `snapshot-<seq>.dmp` so the newest sorts last. Stale
@@ -27,7 +30,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::journal::{frame_json, scan_frames};
-use crate::state::StateImage;
+use crate::state::{dec_hex, enc_hex, field, StateImage, Wire};
 use crate::wire::Json;
 
 /// An in-memory snapshot: materialized state + expected digest.
@@ -41,8 +44,9 @@ pub struct Snapshot {
     pub state: StateImage,
 }
 
-/// On-disk format version. v1 (command-prefix checkpoints) is refused.
-const FORMAT_VERSION: &str = "2";
+/// On-disk format version. v1 (command-prefix checkpoints) and v2 (a
+/// digest over a second rendering of the state) are refused.
+const FORMAT_VERSION: &str = "3";
 
 fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snapshot-{seq:020}.dmp"))
@@ -63,17 +67,12 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBu
     let header = Json::obj([
         ("version", Json::str(FORMAT_VERSION)),
         // u64 seq and digest exceed f64's exact-integer range: strings.
-        ("seq", Json::str(snapshot.seq.to_string())),
-        ("digest", Json::str(format!("{:016x}", snapshot.digest))),
-        ("shards", Json::str(snapshot.state.shards.len().to_string())),
+        ("seq", snapshot.seq.enc()),
+        ("digest", enc_hex(snapshot.digest)),
+        ("shards", snapshot.state.shards.len().enc()),
     ]);
-    let state = &snapshot.state;
-    let sections = std::iter::once(&header)
-        .chain([&state.substrate])
-        .chain(&state.shards)
-        .chain([&state.router]);
     let mut buf = Vec::new();
-    for section in sections {
+    for section in std::iter::once(&header).chain(snapshot.state.sections()) {
         frame_json(section, &mut buf)?;
     }
 
@@ -109,9 +108,9 @@ fn parse_snapshot(bytes: &[u8]) -> Option<Snapshot> {
     if header.req_str("version").ok()? != FORMAT_VERSION {
         return None;
     }
-    let seq = header.req_str("seq").ok()?.parse::<u64>().ok()?;
-    let digest = u64::from_str_radix(header.req_str("digest").ok()?.as_str(), 16).ok()?;
-    let shards = header.req_str("shards").ok()?.parse::<usize>().ok()?;
+    let seq = field(&header, "seq").and_then(u64::dec).ok()?;
+    let digest = field(&header, "digest").and_then(dec_hex).ok()?;
+    let shards = field(&header, "shards").and_then(usize::dec).ok()?;
     // header + substrate + shards + router.
     if rest.len() != shards + 2 {
         return None;
@@ -267,6 +266,41 @@ mod tests {
         frame(header.as_bytes(), &mut buf);
         fs::write(snapshot_path(dir.path(), 17), &buf).unwrap();
         assert!(load_latest(dir.path()).is_none());
+    }
+
+    #[test]
+    fn v2_snapshots_are_refused_by_version() {
+        // Same frames, same sections — but a v2 header's digest is of a
+        // rendering this code no longer has. Only the version says so.
+        let dir = tmp("v2");
+        let path = write_snapshot(dir.path(), &sample()).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let (payloads, _) = scan_frames(&bytes);
+        let header = String::from_utf8(payloads[0].to_vec()).unwrap();
+        assert!(header.contains(r#""version":"3""#), "{header}");
+        let mut downgraded = Vec::new();
+        frame(
+            header
+                .replace(r#""version":"3""#, r#""version":"2""#)
+                .as_bytes(),
+            &mut downgraded,
+        );
+        for payload in &payloads[1..] {
+            frame(payload, &mut downgraded);
+        }
+        fs::write(&path, &downgraded).unwrap();
+        assert!(load_file(&path).is_none());
+        // And the header's scalars take no second spelling.
+        let mut padded = Vec::new();
+        frame(
+            header.replace(r#""seq":"17""#, r#""seq":"017""#).as_bytes(),
+            &mut padded,
+        );
+        for payload in &payloads[1..] {
+            frame(payload, &mut padded);
+        }
+        fs::write(&path, &padded).unwrap();
+        assert!(load_file(&path).is_none());
     }
 
     #[test]

@@ -1,13 +1,22 @@
-//! Materialized-state snapshot codec (snapshot format v2).
+//! Materialized-state image codec (snapshot format v3) and the state
+//! digest defined over it.
 //!
 //! Serializes a [`RouterImage`] — the shard router's complete durable
 //! state — to wire JSON and back. The encoding is *lossless and
-//! canonical*: every integer is rendered as a decimal string (wire JSON
-//! numbers are `f64`, which cannot carry `u64` RNG state words), every
-//! float as the hex form of its IEEE-754 bit pattern (bit-exact, and
-//! immune to the wire codec's non-finite rejection). `decode ∘ encode`
-//! reproduces a digest-identical router state; the property suite in
-//! `tests/state_props.rs` pins that down.
+//! canonical*: every integer is a decimal string (wire JSON numbers are
+//! `f64`, which cannot carry `u64` RNG state words), every float the
+//! hex form of its IEEE-754 bit pattern (bit-exact, and immune to the
+//! wire codec's non-finite rejection), every record an object with
+//! exactly its fields in a fixed order. Decoding accepts exactly what
+//! encoding emits, so an image has one byte form and
+//! [`StateImage::digest`] — FNV-1a over those bytes — identifies the
+//! state: `digest(image) == digest(encode(restore(decode(image))))`.
+//!
+//! One `Wire` trait carries both directions. Each image type names
+//! its fields once, in a `record!` or `tagged!` table whose
+//! generated `enc` destructures the value **without `..`** — a field
+//! added to an image struct does not compile until it is listed. The
+//! exact-bits scalar forms live in the scalar impls and nowhere else.
 //!
 //! The codec never panics on malformed input: a corrupt snapshot decodes
 //! to a [`WireError`] and recovery falls back to the previous snapshot
@@ -15,6 +24,7 @@
 
 use std::sync::Arc;
 
+use dmp_core::arbiter::ledger::{EscrowImage, LedgerImage};
 use dmp_core::arbiter::services::Purchase;
 use dmp_core::license::{ContextualIntegrityPolicy, License};
 use dmp_core::market::{
@@ -26,10 +36,10 @@ use dmp_discovery::metadata::{DatasetEntryImage, MetadataImage};
 use dmp_discovery::LineageEvent;
 use dmp_mechanism::wtp::{IntrinsicConstraints, PriceCurve, TaskKind, WtpFunction};
 use dmp_relation::{
-    DataType, DatasetId, Field, ProvAtom, Provenance, Relation, Row, Schema, Value,
+    DataType, DatasetId, Field, ProvAtom, Provenance, Relation, Row, Schema, Sourced, Value,
 };
 
-use crate::shard::RouterImage;
+use crate::shard::{Fnv1a, RouterImage};
 use crate::wire::{Json, WireError};
 
 /// The framed form of a materialized snapshot: one JSON tree for the
@@ -46,19 +56,65 @@ pub struct StateImage {
     pub router: Json,
 }
 
+impl StateImage {
+    /// The sections in file order: substrate, every shard, router.
+    pub fn sections(&self) -> impl Iterator<Item = &Json> {
+        std::iter::once(&self.substrate)
+            .chain(&self.shards)
+            .chain([&self.router])
+    }
+
+    /// The state digest: FNV-1a over the sections' wire text in file
+    /// order, hashed as it is produced (nothing is allocated). Two
+    /// images with equal digests encode the same state, and because the
+    /// encoding is canonical the digest of an image equals
+    /// [`ShardRouter::state_digest`](crate::shard::ShardRouter::state_digest)
+    /// of the router it restores to.
+    pub fn digest(&self) -> u64 {
+        let mut hash = Fnv1a::default();
+        for section in self.sections() {
+            // Only a non-finite number fails to dump; `encode` emits no
+            // numbers and the parser accepts none that are non-finite.
+            let _ = section.dump_into(&mut hash);
+        }
+        hash.finish()
+    }
+
+    /// The image as one document (the `/internal/restore` payload).
+    pub fn into_json(self) -> Json {
+        Json::obj([
+            ("substrate", self.substrate),
+            ("shards", Json::Arr(self.shards)),
+            ("router", self.router),
+        ])
+    }
+
+    /// Inverse of [`StateImage::into_json`].
+    pub fn from_json(j: &Json) -> Result<StateImage, WireError> {
+        Ok(StateImage {
+            substrate: field(j, "substrate")?.clone(),
+            shards: arr(field(j, "shards")?)?.to_vec(),
+            router: field(j, "router")?.clone(),
+        })
+    }
+}
+
 /// Encode a router state image into its wire-JSON snapshot form.
 pub fn encode(image: &RouterImage) -> StateImage {
-    let [r0, r1, r2, r3] = image.round_rng;
+    let RouterImage {
+        substrate,
+        shards,
+        next_offer,
+        round_rng,
+        rounds,
+    } = image;
     StateImage {
-        substrate: enc_substrate(&image.substrate),
-        shards: image.shards.iter().map(enc_shard).collect(),
+        substrate: substrate.enc(),
+        shards: shards.iter().map(Wire::enc).collect(),
         router: Json::obj([
-            ("next_offer", enc_u64(image.next_offer)),
-            (
-                "rng",
-                Json::Arr(vec![enc_u64(r0), enc_u64(r1), enc_u64(r2), enc_u64(r3)]),
-            ),
-            ("rounds", enc_u64(image.rounds)),
+            ("next_offer", next_offer.enc()),
+            ("rng", round_rng.enc()),
+            ("rounds", rounds.enc()),
         ]),
     }
 }
@@ -67,1120 +123,815 @@ pub fn encode(image: &RouterImage) -> StateImage {
 /// defect — missing field, bad integer, unknown tag — is a [`WireError`];
 /// the caller treats the snapshot as unusable and falls back.
 pub fn decode(state: &StateImage) -> Result<RouterImage, WireError> {
-    let router = &state.router;
-    Ok(RouterImage {
-        substrate: dec_substrate(&state.substrate)?,
+    let mut router = Fields::of(&state.router)?;
+    let image = RouterImage {
+        substrate: Wire::dec(&state.substrate)?,
         shards: state
             .shards
             .iter()
-            .map(dec_shard)
-            .collect::<Result<Vec<_>, _>>()?,
-        next_offer: dec_u64(field(router, "next_offer")?)?,
-        round_rng: dec_rng(field(router, "rng")?)?,
-        rounds: dec_u64(field(router, "rounds")?)?,
-    })
+            .map(Wire::dec)
+            .collect::<Result<_, _>>()?,
+        next_offer: router.next("next_offer")?,
+        round_rng: router.next("rng")?,
+        rounds: router.next("rounds")?,
+    };
+    router.end()?;
+    Ok(image)
+}
+
+/// A value with one canonical wire-JSON form: `dec` accepts exactly
+/// what `enc` emits and nothing else.
+pub(crate) trait Wire: Sized {
+    /// The canonical encoding.
+    fn enc(&self) -> Json;
+    /// Decode, refusing anything `enc` would not have produced.
+    fn dec(j: &Json) -> Result<Self, WireError>;
 }
 
 // ---------------------------------------------------------------------
-// Scalar atoms.
+// Scalars: the exact-bits rules, stated once.
 // ---------------------------------------------------------------------
 
-pub(crate) fn enc_u64(v: u64) -> Json {
-    Json::Str(v.to_string())
+/// Whether `s` is how `to_string` renders an integer: digits with an
+/// optional `-`, no `+`, no leading zero, no `-0`.
+fn canonical_decimal(s: &str) -> bool {
+    let digits = s.strip_prefix('-').unwrap_or(s);
+    match digits.as_bytes() {
+        [b'0'] => digits.len() == s.len(),
+        [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    }
 }
 
-fn enc_i64(v: i64) -> Json {
-    Json::Str(v.to_string())
+/// Integers travel as decimal strings.
+macro_rules! decimal_wire {
+    ($($int:ty),+) => {$(
+        impl Wire for $int {
+            fn enc(&self) -> Json {
+                Json::Str(self.to_string())
+            }
+
+            fn dec(j: &Json) -> Result<Self, WireError> {
+                j.as_str()
+                    .filter(|s| canonical_decimal(s))
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| {
+                        WireError::new(concat!("expected decimal ", stringify!($int), " string"))
+                    })
+            }
+        }
+    )+};
+}
+decimal_wire!(u64, i64, u32, usize);
+
+/// A 64-bit word as 16 lower-case hex digits (floats' bit patterns, and
+/// the digest in a snapshot header).
+pub(crate) fn enc_hex(word: u64) -> Json {
+    Json::Str(format!("{word:016x}"))
 }
 
-fn enc_u32(v: u32) -> Json {
-    Json::Str(v.to_string())
-}
-
-pub(crate) fn enc_usize(v: usize) -> Json {
-    Json::Str(v.to_string())
+/// Inverse of [`enc_hex`]: no sign, no upper case, no other width.
+pub(crate) fn dec_hex(j: &Json) -> Result<u64, WireError> {
+    j.as_str()
+        .filter(|s| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| WireError::new("expected 16 lower-case hex digits"))
 }
 
 /// Floats travel as the hex bit pattern: exact for every value including
 /// NaN payloads and infinities, which wire JSON cannot represent.
-pub(crate) fn enc_f64(v: f64) -> Json {
-    Json::Str(format!("{:016x}", v.to_bits()))
+impl Wire for f64 {
+    fn enc(&self) -> Json {
+        enc_hex(self.to_bits())
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        dec_hex(j).map(f64::from_bits)
+    }
 }
 
-pub(crate) fn dec_u64(j: &Json) -> Result<u64, WireError> {
-    j.as_str()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| WireError::new("expected decimal u64 string"))
+impl Wire for bool {
+    fn enc(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        j.as_bool().ok_or_else(|| WireError::new("expected bool"))
+    }
 }
 
-fn dec_i64(j: &Json) -> Result<i64, WireError> {
-    j.as_str()
-        .and_then(|s| s.parse::<i64>().ok())
-        .ok_or_else(|| WireError::new("expected decimal i64 string"))
+impl Wire for String {
+    fn enc(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| WireError::new("expected string"))
+    }
 }
 
-fn dec_u32(j: &Json) -> Result<u32, WireError> {
-    j.as_str()
-        .and_then(|s| s.parse::<u32>().ok())
-        .ok_or_else(|| WireError::new("expected decimal u32 string"))
-}
+impl Wire for DatasetId {
+    fn enc(&self) -> Json {
+        self.0.enc()
+    }
 
-pub(crate) fn dec_usize(j: &Json) -> Result<usize, WireError> {
-    j.as_str()
-        .and_then(|s| s.parse::<usize>().ok())
-        .ok_or_else(|| WireError::new("expected decimal usize string"))
-}
-
-pub(crate) fn dec_f64(j: &Json) -> Result<f64, WireError> {
-    j.as_str()
-        .filter(|s| s.len() == 16)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(f64::from_bits)
-        .ok_or_else(|| WireError::new("expected 16-hex-digit f64 bit pattern"))
-}
-
-pub(crate) fn dec_str(j: &Json) -> Result<String, WireError> {
-    j.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| WireError::new("expected string"))
-}
-
-fn dec_bool(j: &Json) -> Result<bool, WireError> {
-    j.as_bool().ok_or_else(|| WireError::new("expected bool"))
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        u64::dec(j).map(DatasetId)
+    }
 }
 
 // ---------------------------------------------------------------------
-// Structural helpers.
+// Containers.
 // ---------------------------------------------------------------------
-
-pub(crate) fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    obj.get(key)
-        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
-}
 
 pub(crate) fn arr(j: &Json) -> Result<&[Json], WireError> {
     j.as_arr().ok_or_else(|| WireError::new("expected array"))
 }
 
-/// Positional element of a tuple-encoded array.
-fn elem(j: &Json, i: usize) -> Result<&Json, WireError> {
-    j.as_arr()
-        .and_then(|a| a.get(i))
-        .ok_or_else(|| WireError::new(format!("missing tuple element {i}")))
+/// Field lookup in an RPC envelope (records decode through [`Fields`]).
+pub(crate) fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, WireError> {
+    obj.get(key)
+        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
 }
 
-/// The `k` discriminant of a tagged object.
-fn kind(j: &Json) -> Result<&str, WireError> {
-    j.get("k")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::new("missing variant tag 'k'"))
+/// A slice as an array of its elements' encodings.
+pub(crate) fn enc_all<T: Wire>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(T::enc).collect())
 }
 
-fn enc_opt<T>(v: &Option<T>, enc: impl Fn(&T) -> Json) -> Json {
-    match v {
-        Some(inner) => enc(inner),
-        None => Json::Null,
+impl<T: Wire> Wire for Vec<T> {
+    fn enc(&self) -> Json {
+        enc_all(self)
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        arr(j)?.iter().map(T::dec).collect()
     }
 }
 
-fn dec_opt<T>(
-    j: &Json,
-    dec: impl Fn(&Json) -> Result<T, WireError>,
-) -> Result<Option<T>, WireError> {
-    match j {
-        Json::Null => Ok(None),
-        other => dec(other).map(Some),
+impl<T: Wire> Wire for Option<T> {
+    fn enc(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::enc)
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        match j {
+            Json::Null => Ok(None),
+            other => T::dec(other).map(Some),
+        }
     }
 }
 
-pub(crate) fn enc_str_vec(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(Json::str).collect())
+/// xoshiro256++ state words.
+impl Wire for [u64; 4] {
+    fn enc(&self) -> Json {
+        enc_all(self)
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        <Vec<u64>>::dec(j)?
+            .try_into()
+            .map_err(|_| WireError::new("rng state must be 4 words"))
+    }
 }
 
-pub(crate) fn dec_str_vec(j: &Json) -> Result<Vec<String>, WireError> {
-    arr(j)?.iter().map(dec_str).collect()
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![self.0.enc(), self.1.enc()])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        match arr(j)? {
+            [a, b] => Ok((A::dec(a)?, B::dec(b)?)),
+            _ => Err(WireError::new("expected a 2-element array")),
+        }
+    }
 }
 
-pub(crate) fn enc_dataset_vec(items: &[DatasetId]) -> Json {
-    Json::Arr(items.iter().map(|d| enc_u64(d.0)).collect())
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![self.0.enc(), self.1.enc(), self.2.enc()])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        match arr(j)? {
+            [a, b, c] => Ok((A::dec(a)?, B::dec(b)?, C::dec(c)?)),
+            _ => Err(WireError::new("expected a 3-element array")),
+        }
+    }
 }
 
-pub(crate) fn dec_dataset_vec(j: &Json) -> Result<Vec<DatasetId>, WireError> {
-    arr(j)?.iter().map(|v| dec_u64(v).map(DatasetId)).collect()
+/// Cursor over an object's fields for record decoding: every field must
+/// be present, in encoding order, and nothing may follow the last.
+pub(crate) struct Fields<'a>(std::slice::Iter<'a, (String, Json)>);
+
+impl<'a> Fields<'a> {
+    pub(crate) fn of(j: &'a Json) -> Result<Self, WireError> {
+        match j {
+            Json::Obj(pairs) => Ok(Fields(pairs.iter())),
+            _ => Err(WireError::new("expected object")),
+        }
+    }
+
+    /// Decode the next field, which must be `key`.
+    pub(crate) fn next<T: Wire>(&mut self, key: &str) -> Result<T, WireError> {
+        match self.0.next() {
+            Some((k, v)) if k == key => T::dec(v),
+            _ => Err(WireError::new(format!("missing field '{key}'"))),
+        }
+    }
+
+    /// The leading `"v"` field of a versioned record: anything but
+    /// `supported` is refused.
+    pub(crate) fn version(&mut self, supported: u64) -> Result<(), WireError> {
+        match self.next::<u64>("v")? {
+            v if v == supported => Ok(()),
+            v => Err(WireError::new(format!(
+                "wire version {v} is not the supported {supported}"
+            ))),
+        }
+    }
+
+    pub(crate) fn end(mut self) -> Result<(), WireError> {
+        match self.0.next() {
+            None => Ok(()),
+            Some((k, _)) => Err(WireError::new(format!("unexpected field '{k}'"))),
+        }
+    }
 }
 
-fn dec_rng(j: &Json) -> Result<[u64; 4], WireError> {
-    let words = arr(j)?.iter().map(dec_u64).collect::<Result<Vec<_>, _>>()?;
-    <[u64; 4]>::try_from(words).map_err(|_| WireError::new("rng state must be 4 words"))
+/// `record!(Type { field => "key", … })` — an object with exactly these
+/// fields in this order; `#[version = V]` puts a checked `"v"` first.
+/// `record!(Type as (field, …))` — the same fields as a bare array.
+/// Either way `enc` destructures without `..`.
+macro_rules! record {
+    ($(#[version = $version:expr])? $ty:path { $($field:ident => $key:literal),+ $(,)? }) => {
+        impl $crate::state::Wire for $ty {
+            fn enc(&self) -> $crate::wire::Json {
+                let Self { $($field),+ } = self;
+                $crate::wire::Json::Obj(vec![
+                    $(("v".to_string(), $crate::state::Wire::enc(&$version)),)?
+                    $(($key.to_string(), $crate::state::Wire::enc($field))),+
+                ])
+            }
+
+            fn dec(j: &$crate::wire::Json) -> Result<Self, $crate::wire::WireError> {
+                let mut fields = $crate::state::Fields::of(j)?;
+                $(fields.version($version)?;)?
+                let out = Self { $($field: fields.next($key)?),+ };
+                fields.end()?;
+                Ok(out)
+            }
+        }
+    };
+    ($ty:path as ($($field:ident),+)) => {
+        impl $crate::state::Wire for $ty {
+            fn enc(&self) -> $crate::wire::Json {
+                let Self { $($field),+ } = self;
+                $crate::wire::Json::Arr(vec![$($crate::state::Wire::enc($field)),+])
+            }
+
+            fn dec(j: &$crate::wire::Json) -> Result<Self, $crate::wire::WireError> {
+                let ($($field),+) = $crate::state::Wire::dec(j)?;
+                Ok(Self { $($field),+ })
+            }
+        }
+    };
+}
+pub(crate) use record;
+
+/// `tagged!(Enum { "tag" => Variant { field => "key", … }, … })` — an
+/// object led by the variant's `"k"` tag. The generated `match` is
+/// exhaustive and its patterns have no `..`.
+macro_rules! tagged {
+    ($ty:path {
+        $($tag:literal => $variant:ident $({ $($field:ident => $key:literal),+ })?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn enc(&self) -> Json {
+                match self {
+                    $(Self::$variant $({ $($field),+ })? => Json::Obj(vec![
+                        ("k".to_string(), Json::str($tag)),
+                        $($(($key.to_string(), $field.enc())),+)?
+                    ]),)+
+                }
+            }
+
+            fn dec(j: &Json) -> Result<Self, WireError> {
+                let mut fields = Fields::of(j)?;
+                let tag: String = fields.next("k")?;
+                let out = match tag.as_str() {
+                    $($tag => Self::$variant $({ $($field: fields.next($key)?),+ })?,)+
+                    _ => return Err(WireError::new(concat!("unknown ", stringify!($ty), " tag"))),
+                };
+                fields.end()?;
+                Ok(out)
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------
-// Relations and cell values.
+// Relations and cell values: schema-typed, so written by hand.
 // ---------------------------------------------------------------------
 
-fn dtype_tag(t: DataType) -> &'static str {
-    match t {
-        DataType::Bool => "bool",
-        DataType::Int => "int",
-        DataType::Float => "float",
-        DataType::Str => "str",
-        DataType::Timestamp => "ts",
-        DataType::Any => "any",
+impl Wire for DataType {
+    fn enc(&self) -> Json {
+        Json::str(match self {
+            DataType::Bool => "bool",
+            DataType::Int => "int",
+            DataType::Float => "float",
+            DataType::Str => "str",
+            DataType::Timestamp => "ts",
+            DataType::Any => "any",
+        })
     }
-}
 
-fn dec_dtype(j: &Json) -> Result<DataType, WireError> {
-    match j.as_str() {
-        Some("bool") => Ok(DataType::Bool),
-        Some("int") => Ok(DataType::Int),
-        Some("float") => Ok(DataType::Float),
-        Some("str") => Ok(DataType::Str),
-        Some("ts") => Ok(DataType::Timestamp),
-        Some("any") => Ok(DataType::Any),
-        _ => Err(WireError::new("unknown dtype tag")),
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        match j.as_str() {
+            Some("bool") => Ok(DataType::Bool),
+            Some("int") => Ok(DataType::Int),
+            Some("float") => Ok(DataType::Float),
+            Some("str") => Ok(DataType::Str),
+            Some("ts") => Ok(DataType::Timestamp),
+            Some("any") => Ok(DataType::Any),
+            _ => Err(WireError::new("unknown dtype tag")),
+        }
     }
 }
 
 /// Cell values as compact tagged tuples: `["N"]`, `["B",bool]`,
 /// `["I","42"]`, `["F","<bits>"]`, `["S","text"]`, `["T","-3"]`,
 /// `["M",[["<src>",value],...]]`.
-fn enc_value(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Arr(vec![Json::str("N")]),
-        Value::Bool(b) => Json::Arr(vec![Json::str("B"), Json::Bool(*b)]),
-        Value::Int(i) => Json::Arr(vec![Json::str("I"), enc_i64(*i)]),
-        Value::Float(f) => Json::Arr(vec![Json::str("F"), enc_f64(*f)]),
-        Value::Str(s) => Json::Arr(vec![Json::str("S"), Json::str(s.as_ref())]),
-        Value::Timestamp(t) => Json::Arr(vec![Json::str("T"), enc_i64(*t)]),
-        Value::Multi(parts) => Json::Arr(vec![
-            Json::str("M"),
-            Json::Arr(
-                parts
-                    .iter()
-                    .map(|s| Json::Arr(vec![enc_u64(s.source.0), enc_value(&s.value)]))
-                    .collect(),
-            ),
-        ]),
+impl Wire for Value {
+    fn enc(&self) -> Json {
+        let tagged = |tag: &str, payload: Json| Json::Arr(vec![Json::str(tag), payload]);
+        match self {
+            Value::Null => Json::Arr(vec![Json::str("N")]),
+            Value::Bool(b) => tagged("B", b.enc()),
+            Value::Int(i) => tagged("I", i.enc()),
+            Value::Float(f) => tagged("F", f.enc()),
+            Value::Str(s) => tagged("S", Json::str(s.as_ref())),
+            Value::Timestamp(t) => tagged("T", t.enc()),
+            Value::Multi(parts) => tagged("M", parts.enc()),
+        }
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        let (tag, payload) = match arr(j)? {
+            [Json::Str(tag), payload @ ..] => (tag.as_str(), payload),
+            _ => return Err(WireError::new("value tag must be a string")),
+        };
+        match (tag, payload) {
+            ("N", []) => Ok(Value::Null),
+            ("B", [b]) => bool::dec(b).map(Value::Bool),
+            ("I", [i]) => i64::dec(i).map(Value::Int),
+            ("F", [f]) => f64::dec(f).map(Value::Float),
+            ("S", [Json::Str(s)]) => Ok(Value::Str(Arc::from(s.as_str()))),
+            ("T", [t]) => i64::dec(t).map(Value::Timestamp),
+            ("M", [parts]) => Wire::dec(parts).map(Value::Multi),
+            _ => Err(WireError::new("unknown value tag or payload")),
+        }
     }
 }
 
-fn dec_value(j: &Json) -> Result<Value, WireError> {
-    let tag = elem(j, 0)?
-        .as_str()
-        .ok_or_else(|| WireError::new("value tag must be a string"))?;
-    match tag {
-        "N" => Ok(Value::Null),
-        "B" => dec_bool(elem(j, 1)?).map(Value::Bool),
-        "I" => dec_i64(elem(j, 1)?).map(Value::Int),
-        "F" => dec_f64(elem(j, 1)?).map(Value::Float),
-        "S" => {
-            Ok(Value::Str(Arc::from(elem(j, 1)?.as_str().ok_or_else(
-                || WireError::new("expected string payload"),
-            )?)))
-        }
-        "T" => dec_i64(elem(j, 1)?).map(Value::Timestamp),
-        "M" => {
-            let parts = arr(elem(j, 1)?)?
-                .iter()
-                .map(|p| {
-                    Ok(dmp_relation::Sourced::new(
-                        DatasetId(dec_u64(elem(p, 0)?)?),
-                        dec_value(elem(p, 1)?)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(Value::Multi(parts))
-        }
-        _ => Err(WireError::new("unknown value tag")),
+record!(Sourced as (source, value));
+record!(ProvAtom as (dataset, row));
+
+/// `[name, dtype]`.
+impl Wire for Field {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![Json::str(self.name()), self.dtype().enc()])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        let (name, dtype): (String, DataType) = Wire::dec(j)?;
+        Ok(Field::new(name, dtype))
     }
 }
 
-pub(crate) fn enc_relation(rel: &Relation) -> Json {
-    Json::obj([
-        ("name", Json::str(rel.name())),
-        ("source", enc_opt(&rel.source(), |d| enc_u64(d.0))),
-        (
-            "schema",
-            Json::Arr(
-                rel.schema()
-                    .fields()
-                    .iter()
-                    .map(|f| Json::Arr(vec![Json::str(f.name()), Json::str(dtype_tag(f.dtype()))]))
-                    .collect(),
-            ),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                rel.rows()
-                    .iter()
-                    .map(|row| {
-                        Json::Arr(vec![
-                            Json::Arr(row.values().iter().map(enc_value).collect()),
-                            Json::Arr(
-                                row.provenance()
-                                    .atoms()
-                                    .iter()
-                                    .map(|a| Json::Arr(vec![enc_u64(a.dataset.0), enc_u64(a.row)]))
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// `[[value, …], [atom, …]]`: the cells, then the recorded provenance.
+impl Wire for Row {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![
+            enc_all(self.values()),
+            enc_all(self.provenance().atoms()),
+        ])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        let (values, atoms): (Vec<Value>, Vec<ProvAtom>) = Wire::dec(j)?;
+        Ok(Row::new(values, Provenance::from_atoms(atoms)))
+    }
 }
 
-pub(crate) fn dec_relation(j: &Json) -> Result<Relation, WireError> {
-    let name = dec_str(field(j, "name")?)?;
-    let source = dec_opt(field(j, "source")?, dec_u64)?;
-    let fields = arr(field(j, "schema")?)?
-        .iter()
-        .map(|f| Ok(Field::new(dec_str(elem(f, 0)?)?, dec_dtype(elem(f, 1)?)?)))
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let schema = Schema::new(fields)
-        .map_err(|e| WireError::new(format!("bad snapshot schema: {e}")))?
-        .shared();
-    let rows = arr(field(j, "rows")?)?
-        .iter()
-        .map(|row| {
-            let values = arr(elem(row, 0)?)?
-                .iter()
-                .map(dec_value)
-                .collect::<Result<Vec<_>, WireError>>()?;
-            let atoms = arr(elem(row, 1)?)?
-                .iter()
-                .map(|a| {
-                    Ok(ProvAtom::new(
-                        DatasetId(dec_u64(elem(a, 0)?)?),
-                        dec_u64(elem(a, 1)?)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(Row::new(values, Provenance::from_atoms(atoms)))
+impl Wire for Relation {
+    fn enc(&self) -> Json {
+        Json::obj([
+            ("name", Json::str(self.name())),
+            ("source", self.source().enc()),
+            ("schema", enc_all(self.schema().fields())),
+            ("rows", enc_all(self.rows())),
+        ])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        let mut fields = Fields::of(j)?;
+        let name: String = fields.next("name")?;
+        let source: Option<DatasetId> = fields.next("source")?;
+        let schema: Vec<Field> = fields.next("schema")?;
+        let rows: Vec<Row> = fields.next("rows")?;
+        fields.end()?;
+        let schema = Schema::new(schema)
+            .map_err(|e| WireError::new(format!("bad snapshot schema: {e}")))?
+            .shared();
+        let rel = Relation::from_rows(name, schema, rows)
+            .map_err(|e| WireError::new(format!("bad snapshot relation: {e}")))?;
+        Ok(match source {
+            // `with_source_raw` keeps the recorded provenance verbatim;
+            // `with_source` would re-stamp it and lose mashup lineage.
+            Some(id) => rel.with_source_raw(id),
+            None => rel,
         })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let rel = Relation::from_rows(name, schema, rows)
-        .map_err(|e| WireError::new(format!("bad snapshot relation: {e}")))?;
-    Ok(match source {
-        // `with_source_raw` keeps the recorded provenance verbatim;
-        // `with_source` would re-stamp it and lose mashup lineage.
-        Some(id) => rel.with_source_raw(DatasetId(id)),
-        None => rel,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Substrate: catalog, lineage, ledger, licensing terms.
 // ---------------------------------------------------------------------
 
-fn enc_substrate(s: &SubstrateImage) -> Json {
-    Json::obj([
-        ("metadata", enc_metadata(&s.metadata)),
-        (
-            "lineage",
-            Json::Arr(
-                s.lineage
-                    .iter()
-                    .map(|(id, evs)| {
-                        Json::Arr(vec![
-                            enc_u64(id.0),
-                            Json::Arr(
-                                evs.iter()
-                                    .map(|(seq, e)| {
-                                        Json::Arr(vec![enc_u64(*seq), enc_lineage_event(e)])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("lineage_seq", enc_u64(s.lineage_seq)),
-        ("ledger", enc_ledger(&s.ledger)),
-        (
-            "reserves",
-            Json::Arr(
-                s.reserves
-                    .iter()
-                    .map(|(id, p)| Json::Arr(vec![enc_u64(id.0), enc_f64(*p)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "licenses",
-            Json::Arr(
-                s.licenses
-                    .iter()
-                    .map(|(id, lic)| Json::Arr(vec![enc_u64(id.0), enc_license(lic)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "ci_policies",
-            Json::Arr(
-                s.ci_policies
-                    .iter()
-                    .map(|(id, p)| Json::Arr(vec![enc_u64(id.0), enc_ci_policy(p)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "holds",
-            Json::Arr(
-                s.exclusive_holds
-                    .iter()
-                    .map(|(id, buyer, until)| {
-                        Json::Arr(vec![enc_u64(id.0), Json::str(buyer), enc_u64(*until)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+record!(SubstrateImage {
+    metadata => "metadata",
+    lineage => "lineage",
+    lineage_seq => "lineage_seq",
+    ledger => "ledger",
+    reserves => "reserves",
+    licenses => "licenses",
+    ci_policies => "ci_policies",
+    exclusive_holds => "holds",
+});
 
-fn dec_substrate(j: &Json) -> Result<SubstrateImage, WireError> {
-    Ok(SubstrateImage {
-        metadata: dec_metadata(field(j, "metadata")?)?,
-        lineage: arr(field(j, "lineage")?)?
-            .iter()
-            .map(|entry| {
-                let id = DatasetId(dec_u64(elem(entry, 0)?)?);
-                let evs = arr(elem(entry, 1)?)?
-                    .iter()
-                    .map(|ev| Ok((dec_u64(elem(ev, 0)?)?, dec_lineage_event(elem(ev, 1)?)?)))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Ok((id, evs))
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        lineage_seq: dec_u64(field(j, "lineage_seq")?)?,
-        ledger: dec_ledger(field(j, "ledger")?)?,
-        reserves: arr(field(j, "reserves")?)?
-            .iter()
-            .map(|r| Ok((DatasetId(dec_u64(elem(r, 0)?)?), dec_f64(elem(r, 1)?)?)))
-            .collect::<Result<Vec<_>, WireError>>()?,
-        licenses: arr(field(j, "licenses")?)?
-            .iter()
-            .map(|l| Ok((DatasetId(dec_u64(elem(l, 0)?)?), dec_license(elem(l, 1)?)?)))
-            .collect::<Result<Vec<_>, WireError>>()?,
-        ci_policies: arr(field(j, "ci_policies")?)?
-            .iter()
-            .map(|p| {
-                Ok((
-                    DatasetId(dec_u64(elem(p, 0)?)?),
-                    dec_ci_policy(elem(p, 1)?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        exclusive_holds: arr(field(j, "holds")?)?
-            .iter()
-            .map(|h| {
-                Ok((
-                    DatasetId(dec_u64(elem(h, 0)?)?),
-                    dec_str(elem(h, 1)?)?,
-                    dec_u64(elem(h, 2)?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-    })
-}
+record!(MetadataImage {
+    entries => "entries",
+    next_id => "next_id",
+    clock => "clock",
+});
 
-fn enc_metadata(m: &MetadataImage) -> Json {
-    Json::obj([
-        (
-            "entries",
-            Json::Arr(
-                m.entries
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            ("id", enc_u64(e.id.0)),
-                            ("name", Json::str(&e.name)),
-                            ("owner", Json::str(&e.owner)),
-                            ("relation", enc_relation(&e.relation)),
-                            ("version", enc_u32(e.version)),
-                            ("registered_at", enc_u64(e.registered_at)),
-                            ("snapshot_at", enc_u64(e.snapshot_at)),
-                            ("tags", enc_str_vec(&e.tags)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("next_id", enc_u64(m.next_id)),
-        ("clock", enc_u64(m.clock)),
-    ])
-}
+record!(DatasetEntryImage {
+    id => "id",
+    name => "name",
+    owner => "owner",
+    relation => "relation",
+    version => "version",
+    registered_at => "registered_at",
+    snapshot_at => "snapshot_at",
+    tags => "tags",
+});
 
-fn dec_metadata(j: &Json) -> Result<MetadataImage, WireError> {
-    Ok(MetadataImage {
-        entries: arr(field(j, "entries")?)?
-            .iter()
-            .map(|e| {
-                Ok(DatasetEntryImage {
-                    id: DatasetId(dec_u64(field(e, "id")?)?),
-                    name: dec_str(field(e, "name")?)?,
-                    owner: dec_str(field(e, "owner")?)?,
-                    relation: dec_relation(field(e, "relation")?)?,
-                    version: dec_u32(field(e, "version")?)?,
-                    registered_at: dec_u64(field(e, "registered_at")?)?,
-                    snapshot_at: dec_u64(field(e, "snapshot_at")?)?,
-                    tags: dec_str_vec(field(e, "tags")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        next_id: dec_u64(field(j, "next_id")?)?,
-        clock: dec_u64(field(j, "clock")?)?,
-    })
-}
+record!(LedgerImage {
+    accounts => "accounts",
+    escrows => "escrows",
+    next_escrow => "next_escrow",
+});
 
-fn enc_ledger(l: &dmp_core::arbiter::ledger::LedgerImage) -> Json {
-    Json::obj([
-        (
-            "accounts",
-            Json::Arr(
-                l.accounts
-                    .iter()
-                    .map(|(name, micros)| Json::Arr(vec![Json::str(name), enc_i64(*micros)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "escrows",
-            Json::Arr(
-                l.escrows
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            ("id", enc_u64(e.id)),
-                            ("from", Json::str(&e.from)),
-                            ("rem", enc_i64(e.remaining_micros)),
-                            ("held", Json::Bool(e.held)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("next_escrow", enc_u64(l.next_escrow)),
-    ])
-}
+record!(EscrowImage {
+    id => "id",
+    from => "from",
+    remaining_micros => "rem",
+    held => "held",
+});
 
-fn dec_ledger(j: &Json) -> Result<dmp_core::arbiter::ledger::LedgerImage, WireError> {
-    Ok(dmp_core::arbiter::ledger::LedgerImage {
-        accounts: arr(field(j, "accounts")?)?
-            .iter()
-            .map(|a| Ok((dec_str(elem(a, 0)?)?, dec_i64(elem(a, 1)?)?)))
-            .collect::<Result<Vec<_>, WireError>>()?,
-        escrows: arr(field(j, "escrows")?)?
-            .iter()
-            .map(|e| {
-                Ok(dmp_core::arbiter::ledger::EscrowImage {
-                    id: dec_u64(field(e, "id")?)?,
-                    from: dec_str(field(e, "from")?)?,
-                    remaining_micros: dec_i64(field(e, "rem")?)?,
-                    held: dec_bool(field(e, "held")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        next_escrow: dec_u64(field(j, "next_escrow")?)?,
-    })
-}
+tagged!(LineageEvent {
+    "used" => UsedInMashup { mashup => "mashup", rows_contributed => "rows" },
+    "sold" => SoldInMashup { mashup => "mashup", revenue => "revenue" },
+    "upd" => Updated { version => "version" },
+    "priv" => PrivateRelease { epsilon => "epsilon" },
+});
 
-fn enc_lineage_event(e: &LineageEvent) -> Json {
-    match e {
-        LineageEvent::UsedInMashup {
-            mashup,
-            rows_contributed,
-        } => Json::obj([
-            ("k", Json::str("used")),
-            ("mashup", Json::str(mashup)),
-            ("rows", enc_usize(*rows_contributed)),
-        ]),
-        LineageEvent::SoldInMashup { mashup, revenue } => Json::obj([
-            ("k", Json::str("sold")),
-            ("mashup", Json::str(mashup)),
-            ("revenue", enc_f64(*revenue)),
-        ]),
-        LineageEvent::Updated { version } => {
-            Json::obj([("k", Json::str("upd")), ("version", enc_u32(*version))])
-        }
-        LineageEvent::PrivateRelease { epsilon } => {
-            Json::obj([("k", Json::str("priv")), ("epsilon", enc_f64(*epsilon))])
-        }
-    }
-}
+tagged!(License {
+    "std" => Standard,
+    "excl" => Exclusive { tax_rate => "tax", hold_rounds => "rounds" },
+    "own" => OwnershipTransfer,
+    "nt" => NonTransferable,
+});
 
-fn dec_lineage_event(j: &Json) -> Result<LineageEvent, WireError> {
-    match kind(j)? {
-        "used" => Ok(LineageEvent::UsedInMashup {
-            mashup: dec_str(field(j, "mashup")?)?,
-            rows_contributed: dec_usize(field(j, "rows")?)?,
-        }),
-        "sold" => Ok(LineageEvent::SoldInMashup {
-            mashup: dec_str(field(j, "mashup")?)?,
-            revenue: dec_f64(field(j, "revenue")?)?,
-        }),
-        "upd" => Ok(LineageEvent::Updated {
-            version: dec_u32(field(j, "version")?)?,
-        }),
-        "priv" => Ok(LineageEvent::PrivateRelease {
-            epsilon: dec_f64(field(j, "epsilon")?)?,
-        }),
-        _ => Err(WireError::new("unknown lineage event tag")),
-    }
-}
-
-fn enc_license(l: &License) -> Json {
-    match l {
-        License::Standard => Json::obj([("k", Json::str("std"))]),
-        License::Exclusive {
-            tax_rate,
-            hold_rounds,
-        } => Json::obj([
-            ("k", Json::str("excl")),
-            ("tax", enc_f64(*tax_rate)),
-            ("rounds", enc_u32(*hold_rounds)),
-        ]),
-        License::OwnershipTransfer => Json::obj([("k", Json::str("own"))]),
-        License::NonTransferable => Json::obj([("k", Json::str("nt"))]),
-    }
-}
-
-fn dec_license(j: &Json) -> Result<License, WireError> {
-    match kind(j)? {
-        "std" => Ok(License::Standard),
-        "excl" => Ok(License::Exclusive {
-            tax_rate: dec_f64(field(j, "tax")?)?,
-            hold_rounds: dec_u32(field(j, "rounds")?)?,
-        }),
-        "own" => Ok(License::OwnershipTransfer),
-        "nt" => Ok(License::NonTransferable),
-        _ => Err(WireError::new("unknown license tag")),
-    }
-}
-
-fn enc_ci_policy(p: &ContextualIntegrityPolicy) -> Json {
-    Json::obj([
-        ("context", Json::str(&p.context)),
-        ("roles", enc_str_vec(&p.allowed_roles)),
-        ("forbidden", enc_str_vec(&p.forbidden_purposes)),
-    ])
-}
-
-fn dec_ci_policy(j: &Json) -> Result<ContextualIntegrityPolicy, WireError> {
-    Ok(ContextualIntegrityPolicy {
-        context: dec_str(field(j, "context")?)?,
-        allowed_roles: dec_str_vec(field(j, "roles")?)?,
-        forbidden_purposes: dec_str_vec(field(j, "forbidden")?)?,
-    })
-}
+record!(ContextualIntegrityPolicy {
+    context => "context",
+    allowed_roles => "roles",
+    forbidden_purposes => "forbidden",
+});
 
 // ---------------------------------------------------------------------
 // Shard-private market state.
 // ---------------------------------------------------------------------
 
-fn enc_shard(s: &MarketShardState) -> Json {
-    let [r0, r1, r2, r3] = s.rng;
-    Json::obj([
-        ("clock", enc_u64(s.clock)),
-        ("round", enc_u64(s.round)),
-        ("next_offer", enc_u64(s.next_offer)),
-        ("next_tx", enc_u64(s.next_tx)),
-        ("next_delivery", enc_u64(s.next_delivery)),
-        (
-            "offers",
-            Json::Arr(s.offers.iter().map(enc_offer).collect()),
-        ),
-        (
-            "txs",
-            Json::Arr(s.transactions.iter().map(enc_tx).collect()),
-        ),
-        (
-            "deliveries",
-            Json::Arr(s.deliveries.iter().map(enc_delivery).collect()),
-        ),
-        (
-            "purchases",
-            Json::Arr(s.purchases.iter().map(enc_purchase).collect()),
-        ),
-        (
-            "participants",
-            Json::Arr(s.participants.iter().map(enc_participant).collect()),
-        ),
-        (
-            "missing",
-            Json::Arr(s.last_missing.iter().map(|m| enc_str_vec(m)).collect()),
-        ),
-        (
-            "negotiations",
-            Json::Arr(s.last_negotiations.iter().map(enc_negotiation).collect()),
-        ),
-        (
-            "rng",
-            Json::Arr(vec![enc_u64(r0), enc_u64(r1), enc_u64(r2), enc_u64(r3)]),
-        ),
-        (
-            "audit",
-            Json::Arr(s.audit_events.iter().map(enc_audit_event).collect()),
-        ),
-        (
-            "disputes",
-            Json::Arr(s.disputes.iter().map(enc_dispute).collect()),
-        ),
-    ])
-}
+record!(MarketShardState {
+    clock => "clock",
+    round => "round",
+    next_offer => "next_offer",
+    next_tx => "next_tx",
+    next_delivery => "next_delivery",
+    offers => "offers",
+    transactions => "txs",
+    deliveries => "deliveries",
+    purchases => "purchases",
+    participants => "participants",
+    last_missing => "missing",
+    last_negotiations => "negotiations",
+    rng => "rng",
+    audit_events => "audit",
+    disputes => "disputes",
+});
 
-fn dec_shard(j: &Json) -> Result<MarketShardState, WireError> {
-    Ok(MarketShardState {
-        clock: dec_u64(field(j, "clock")?)?,
-        round: dec_u64(field(j, "round")?)?,
-        next_offer: dec_u64(field(j, "next_offer")?)?,
-        next_tx: dec_u64(field(j, "next_tx")?)?,
-        next_delivery: dec_u64(field(j, "next_delivery")?)?,
-        offers: arr(field(j, "offers")?)?
-            .iter()
-            .map(dec_offer)
-            .collect::<Result<Vec<_>, _>>()?,
-        transactions: arr(field(j, "txs")?)?
-            .iter()
-            .map(dec_tx)
-            .collect::<Result<Vec<_>, _>>()?,
-        deliveries: arr(field(j, "deliveries")?)?
-            .iter()
-            .map(dec_delivery)
-            .collect::<Result<Vec<_>, _>>()?,
-        purchases: arr(field(j, "purchases")?)?
-            .iter()
-            .map(dec_purchase)
-            .collect::<Result<Vec<_>, _>>()?,
-        participants: arr(field(j, "participants")?)?
-            .iter()
-            .map(dec_participant)
-            .collect::<Result<Vec<_>, _>>()?,
-        last_missing: arr(field(j, "missing")?)?
-            .iter()
-            .map(dec_str_vec)
-            .collect::<Result<Vec<_>, _>>()?,
-        last_negotiations: arr(field(j, "negotiations")?)?
-            .iter()
-            .map(dec_negotiation)
-            .collect::<Result<Vec<_>, _>>()?,
-        rng: dec_rng(field(j, "rng")?)?,
-        audit_events: arr(field(j, "audit")?)?
-            .iter()
-            .map(dec_audit_event)
-            .collect::<Result<Vec<_>, _>>()?,
-        disputes: arr(field(j, "disputes")?)?
-            .iter()
-            .map(dec_dispute)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
+record!(Offer {
+    id => "id",
+    wtp => "wtp",
+    purpose => "purpose",
+    submitted_at => "submitted_at",
+    state => "state",
+});
 
-fn enc_offer(o: &Offer) -> Json {
-    let state = match &o.state {
-        OfferState::Pending => Json::obj([("k", Json::str("pending"))]),
-        OfferState::Fulfilled { tx } => {
-            Json::obj([("k", Json::str("fulfilled")), ("tx", enc_u64(*tx))])
-        }
-        OfferState::AwaitingReport { delivery } => {
-            Json::obj([("k", Json::str("await")), ("delivery", enc_u64(*delivery))])
-        }
-        OfferState::Expired => Json::obj([("k", Json::str("expired"))]),
-    };
-    Json::obj([
-        ("id", enc_u64(o.id)),
-        ("wtp", enc_wtp(&o.wtp)),
-        ("purpose", Json::str(&o.purpose)),
-        ("submitted_at", enc_u64(o.submitted_at)),
-        ("state", state),
-    ])
-}
+tagged!(OfferState {
+    "pending" => Pending,
+    "fulfilled" => Fulfilled { tx => "tx" },
+    "await" => AwaitingReport { delivery => "delivery" },
+    "expired" => Expired,
+});
 
-fn dec_offer(j: &Json) -> Result<Offer, WireError> {
-    let state_j = field(j, "state")?;
-    let state = match kind(state_j)? {
-        "pending" => OfferState::Pending,
-        "fulfilled" => OfferState::Fulfilled {
-            tx: dec_u64(field(state_j, "tx")?)?,
-        },
-        "await" => OfferState::AwaitingReport {
-            delivery: dec_u64(field(state_j, "delivery")?)?,
-        },
-        "expired" => OfferState::Expired,
-        _ => return Err(WireError::new("unknown offer state tag")),
-    };
-    Ok(Offer {
-        id: dec_u64(field(j, "id")?)?,
-        wtp: dec_wtp(field(j, "wtp")?)?,
-        purpose: dec_str(field(j, "purpose")?)?,
-        submitted_at: dec_u64(field(j, "submitted_at")?)?,
-        state,
-    })
-}
+record!(WtpFunction {
+    buyer => "buyer",
+    attributes => "attributes",
+    keywords => "keywords",
+    task => "task",
+    curve => "curve",
+    constraints => "constraints",
+    owned_data => "owned",
+    min_rows => "min_rows",
+});
 
-fn enc_wtp(w: &WtpFunction) -> Json {
-    let task = match &w.task {
-        TaskKind::Classification { label } => {
-            Json::obj([("k", Json::str("cls")), ("label", Json::str(label))])
-        }
-        TaskKind::Regression { target } => {
-            Json::obj([("k", Json::str("reg")), ("target", Json::str(target))])
-        }
-        TaskKind::AggregateCompleteness {
-            group_by,
-            expected_groups,
-        } => Json::obj([
-            ("k", Json::str("agg")),
-            ("group_by", Json::str(group_by)),
-            ("expected", enc_usize(*expected_groups)),
-        ]),
-        TaskKind::AttributeCoverage => Json::obj([("k", Json::str("cov"))]),
-    };
-    let curve = match &w.curve {
-        PriceCurve::Step(steps) => Json::obj([
-            ("k", Json::str("step")),
-            (
-                "steps",
-                Json::Arr(
-                    steps
-                        .iter()
-                        .map(|(t, p)| Json::Arr(vec![enc_f64(*t), enc_f64(*p)]))
-                        .collect(),
-                ),
-            ),
-        ]),
-        PriceCurve::Linear {
-            min_satisfaction,
-            max_price,
-        } => Json::obj([
-            ("k", Json::str("lin")),
-            ("min", enc_f64(*min_satisfaction)),
-            ("max", enc_f64(*max_price)),
-        ]),
-        PriceCurve::Constant(p) => Json::obj([("k", Json::str("const")), ("p", enc_f64(*p))]),
-    };
-    let con = &w.constraints;
-    Json::obj([
-        ("buyer", Json::str(&w.buyer)),
-        ("attributes", enc_str_vec(&w.attributes)),
-        ("keywords", enc_str_vec(&w.keywords)),
-        ("task", task),
-        ("curve", curve),
-        (
-            "constraints",
-            Json::obj([
-                ("max_age", enc_opt(&con.max_age, |v| enc_u64(*v))),
-                ("expires_at", enc_opt(&con.expires_at, |v| enc_u64(*v))),
-                ("authors", enc_str_vec(&con.authors)),
-                ("require_provenance", Json::Bool(con.require_provenance)),
-                (
-                    "max_missing",
-                    enc_opt(&con.max_missing_ratio, |v| enc_f64(*v)),
-                ),
+tagged!(TaskKind {
+    "cls" => Classification { label => "label" },
+    "reg" => Regression { target => "target" },
+    "agg" => AggregateCompleteness { group_by => "group_by", expected_groups => "expected" },
+    "cov" => AttributeCoverage,
+});
+
+/// Two tuple variants, which the `tagged!` table has no syntax for.
+impl Wire for PriceCurve {
+    fn enc(&self) -> Json {
+        let tag = |k: &str| ("k", Json::str(k));
+        match self {
+            PriceCurve::Step(steps) => Json::obj([tag("step"), ("steps", steps.enc())]),
+            PriceCurve::Linear {
+                min_satisfaction,
+                max_price,
+            } => Json::obj([
+                tag("lin"),
+                ("min", min_satisfaction.enc()),
+                ("max", max_price.enc()),
             ]),
-        ),
-        ("owned", enc_opt(&w.owned_data, enc_relation)),
-        ("min_rows", enc_usize(w.min_rows)),
-    ])
-}
-
-fn dec_wtp(j: &Json) -> Result<WtpFunction, WireError> {
-    let task_j = field(j, "task")?;
-    let task = match kind(task_j)? {
-        "cls" => TaskKind::Classification {
-            label: dec_str(field(task_j, "label")?)?,
-        },
-        "reg" => TaskKind::Regression {
-            target: dec_str(field(task_j, "target")?)?,
-        },
-        "agg" => TaskKind::AggregateCompleteness {
-            group_by: dec_str(field(task_j, "group_by")?)?,
-            expected_groups: dec_usize(field(task_j, "expected")?)?,
-        },
-        "cov" => TaskKind::AttributeCoverage,
-        _ => return Err(WireError::new("unknown task tag")),
-    };
-    let curve_j = field(j, "curve")?;
-    let curve = match kind(curve_j)? {
-        "step" => PriceCurve::Step(
-            arr(field(curve_j, "steps")?)?
-                .iter()
-                .map(|s| Ok((dec_f64(elem(s, 0)?)?, dec_f64(elem(s, 1)?)?)))
-                .collect::<Result<Vec<_>, WireError>>()?,
-        ),
-        "lin" => PriceCurve::Linear {
-            min_satisfaction: dec_f64(field(curve_j, "min")?)?,
-            max_price: dec_f64(field(curve_j, "max")?)?,
-        },
-        "const" => PriceCurve::Constant(dec_f64(field(curve_j, "p")?)?),
-        _ => return Err(WireError::new("unknown curve tag")),
-    };
-    let con_j = field(j, "constraints")?;
-    Ok(WtpFunction {
-        buyer: dec_str(field(j, "buyer")?)?,
-        attributes: dec_str_vec(field(j, "attributes")?)?,
-        keywords: dec_str_vec(field(j, "keywords")?)?,
-        task,
-        curve,
-        constraints: IntrinsicConstraints {
-            max_age: dec_opt(field(con_j, "max_age")?, dec_u64)?,
-            expires_at: dec_opt(field(con_j, "expires_at")?, dec_u64)?,
-            authors: dec_str_vec(field(con_j, "authors")?)?,
-            require_provenance: dec_bool(field(con_j, "require_provenance")?)?,
-            max_missing_ratio: dec_opt(field(con_j, "max_missing")?, dec_f64)?,
-        },
-        owned_data: dec_opt(field(j, "owned")?, dec_relation)?,
-        min_rows: dec_usize(field(j, "min_rows")?)?,
-    })
-}
-
-fn enc_tx(t: &TransactionRecord) -> Json {
-    Json::obj([
-        ("id", enc_u64(t.id)),
-        ("offer_id", enc_u64(t.offer_id)),
-        ("buyer", Json::str(&t.buyer)),
-        ("price", enc_f64(t.price)),
-        ("fee", enc_f64(t.fee)),
-        ("satisfaction", enc_f64(t.satisfaction)),
-        ("datasets", enc_dataset_vec(&t.datasets)),
-        (
-            "shares",
-            Json::Arr(
-                t.shares
-                    .iter()
-                    .map(|s| Json::Arr(vec![enc_u64(s.dataset.0), enc_f64(s.amount)]))
-                    .collect(),
-            ),
-        ),
-        ("round", enc_u64(t.round)),
-    ])
-}
-
-fn dec_tx(j: &Json) -> Result<TransactionRecord, WireError> {
-    Ok(TransactionRecord {
-        id: dec_u64(field(j, "id")?)?,
-        offer_id: dec_u64(field(j, "offer_id")?)?,
-        buyer: dec_str(field(j, "buyer")?)?,
-        price: dec_f64(field(j, "price")?)?,
-        fee: dec_f64(field(j, "fee")?)?,
-        satisfaction: dec_f64(field(j, "satisfaction")?)?,
-        datasets: dec_dataset_vec(field(j, "datasets")?)?,
-        shares: arr(field(j, "shares")?)?
-            .iter()
-            .map(|s| {
-                Ok(DatasetShare {
-                    dataset: DatasetId(dec_u64(elem(s, 0)?)?),
-                    amount: dec_f64(elem(s, 1)?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        round: dec_u64(field(j, "round")?)?,
-    })
-}
-
-fn enc_delivery(d: &Delivery) -> Json {
-    Json::obj([
-        ("id", enc_u64(d.id)),
-        ("offer_id", enc_u64(d.offer_id)),
-        ("buyer", Json::str(&d.buyer)),
-        ("relation", enc_relation(&d.relation)),
-        ("satisfaction", enc_f64(d.satisfaction)),
-        ("escrow", enc_u64(d.escrow)),
-        ("datasets", enc_dataset_vec(&d.datasets)),
-        (
-            "settlement",
-            enc_opt(&d.settlement, |s| {
-                Json::obj([
-                    ("paid", enc_f64(s.paid)),
-                    ("penalty", enc_f64(s.penalty)),
-                    ("audited", Json::Bool(s.audited)),
-                ])
-            }),
-        ),
-    ])
-}
-
-fn dec_delivery(j: &Json) -> Result<Delivery, WireError> {
-    Ok(Delivery {
-        id: dec_u64(field(j, "id")?)?,
-        offer_id: dec_u64(field(j, "offer_id")?)?,
-        buyer: dec_str(field(j, "buyer")?)?,
-        relation: dec_relation(field(j, "relation")?)?,
-        satisfaction: dec_f64(field(j, "satisfaction")?)?,
-        escrow: dec_u64(field(j, "escrow")?)?,
-        datasets: dec_dataset_vec(field(j, "datasets")?)?,
-        settlement: dec_opt(field(j, "settlement")?, |s| {
-            Ok(Settlement {
-                paid: dec_f64(field(s, "paid")?)?,
-                penalty: dec_f64(field(s, "penalty")?)?,
-                audited: dec_bool(field(s, "audited")?)?,
-            })
-        })?,
-    })
-}
-
-fn enc_purchase(p: &Purchase) -> Json {
-    Json::obj([
-        ("buyer", Json::str(&p.buyer)),
-        ("datasets", enc_dataset_vec(&p.datasets)),
-    ])
-}
-
-fn dec_purchase(j: &Json) -> Result<Purchase, WireError> {
-    Ok(Purchase {
-        buyer: dec_str(field(j, "buyer")?)?,
-        datasets: dec_dataset_vec(field(j, "datasets")?)?,
-    })
-}
-
-fn enc_participant(p: &Participant) -> Json {
-    Json::obj([
-        ("name", Json::str(&p.name)),
-        ("role", Json::str(&p.role)),
-        ("reputation", enc_f64(p.reputation)),
-        ("excluded_until", enc_u64(p.excluded_until)),
-    ])
-}
-
-fn dec_participant(j: &Json) -> Result<Participant, WireError> {
-    Ok(Participant {
-        name: dec_str(field(j, "name")?)?,
-        role: dec_str(field(j, "role")?)?,
-        reputation: dec_f64(field(j, "reputation")?)?,
-        excluded_until: dec_u64(field(j, "excluded_until")?)?,
-    })
-}
-
-pub(crate) fn enc_negotiation(n: &NegotiationRequest) -> Json {
-    Json::obj([
-        ("offer_id", enc_u64(n.offer_id)),
-        ("buyer", Json::str(&n.buyer)),
-        ("missing", enc_str_vec(&n.missing)),
-        ("sellers", enc_str_vec(&n.candidate_sellers)),
-    ])
-}
-
-pub(crate) fn dec_negotiation(j: &Json) -> Result<NegotiationRequest, WireError> {
-    Ok(NegotiationRequest {
-        offer_id: dec_u64(field(j, "offer_id")?)?,
-        buyer: dec_str(field(j, "buyer")?)?,
-        missing: dec_str_vec(field(j, "missing")?)?,
-        candidate_sellers: dec_str_vec(field(j, "sellers")?)?,
-    })
-}
-
-pub(crate) fn enc_audit_event(e: &AuditEvent) -> Json {
-    match e {
-        AuditEvent::DatasetRegistered { dataset, seller } => Json::obj([
-            ("k", Json::str("reg")),
-            ("dataset", enc_u64(dataset.0)),
-            ("seller", Json::str(seller)),
-        ]),
-        AuditEvent::WtpSubmitted { offer, buyer } => Json::obj([
-            ("k", Json::str("wtp")),
-            ("offer", enc_u64(*offer)),
-            ("buyer", Json::str(buyer)),
-        ]),
-        AuditEvent::MashupBuilt { offer, datasets } => Json::obj([
-            ("k", Json::str("mash")),
-            ("offer", enc_u64(*offer)),
-            ("datasets", enc_dataset_vec(datasets)),
-        ]),
-        AuditEvent::TransactionSettled { tx, buyer, price } => Json::obj([
-            ("k", Json::str("settle")),
-            ("tx", enc_u64(*tx)),
-            ("buyer", Json::str(buyer)),
-            ("price", enc_f64(*price)),
-        ]),
-        AuditEvent::PrivacyRelease { dataset, epsilon } => Json::obj([
-            ("k", Json::str("priv")),
-            ("dataset", enc_u64(dataset.0)),
-            ("epsilon", enc_f64(*epsilon)),
-        ]),
-        AuditEvent::ExPostAudit {
-            delivery,
-            underreported,
-        } => Json::obj([
-            ("k", Json::str("expost")),
-            ("delivery", enc_u64(*delivery)),
-            ("under", Json::Bool(*underreported)),
-        ]),
-        AuditEvent::Dispute { dispute, note } => Json::obj([
-            ("k", Json::str("disp")),
-            ("dispute", enc_u64(*dispute)),
-            ("note", Json::str(note)),
-        ]),
-    }
-}
-
-pub(crate) fn dec_audit_event(j: &Json) -> Result<AuditEvent, WireError> {
-    match kind(j)? {
-        "reg" => Ok(AuditEvent::DatasetRegistered {
-            dataset: DatasetId(dec_u64(field(j, "dataset")?)?),
-            seller: dec_str(field(j, "seller")?)?,
-        }),
-        "wtp" => Ok(AuditEvent::WtpSubmitted {
-            offer: dec_u64(field(j, "offer")?)?,
-            buyer: dec_str(field(j, "buyer")?)?,
-        }),
-        "mash" => Ok(AuditEvent::MashupBuilt {
-            offer: dec_u64(field(j, "offer")?)?,
-            datasets: dec_dataset_vec(field(j, "datasets")?)?,
-        }),
-        "settle" => Ok(AuditEvent::TransactionSettled {
-            tx: dec_u64(field(j, "tx")?)?,
-            buyer: dec_str(field(j, "buyer")?)?,
-            price: dec_f64(field(j, "price")?)?,
-        }),
-        "priv" => Ok(AuditEvent::PrivacyRelease {
-            dataset: DatasetId(dec_u64(field(j, "dataset")?)?),
-            epsilon: dec_f64(field(j, "epsilon")?)?,
-        }),
-        "expost" => Ok(AuditEvent::ExPostAudit {
-            delivery: dec_u64(field(j, "delivery")?)?,
-            underreported: dec_bool(field(j, "under")?)?,
-        }),
-        "disp" => Ok(AuditEvent::Dispute {
-            dispute: dec_u64(field(j, "dispute")?)?,
-            note: dec_str(field(j, "note")?)?,
-        }),
-        _ => Err(WireError::new("unknown audit event tag")),
-    }
-}
-
-fn enc_dispute(d: &Dispute) -> Json {
-    let state = match &d.state {
-        DisputeState::Open => Json::obj([("k", Json::str("open"))]),
-        DisputeState::Resolved { refund } => {
-            Json::obj([("k", Json::str("res")), ("refund", enc_f64(*refund))])
+            PriceCurve::Constant(p) => Json::obj([tag("const"), ("p", p.enc())]),
         }
-    };
-    Json::obj([
-        ("id", enc_u64(d.id)),
-        ("complainant", Json::str(&d.complainant)),
-        ("tx", enc_u64(d.tx)),
-        ("reason", Json::str(&d.reason)),
-        ("state", state),
-    ])
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        let mut fields = Fields::of(j)?;
+        let tag: String = fields.next("k")?;
+        let out = match tag.as_str() {
+            "step" => PriceCurve::Step(fields.next("steps")?),
+            "lin" => PriceCurve::Linear {
+                min_satisfaction: fields.next("min")?,
+                max_price: fields.next("max")?,
+            },
+            "const" => PriceCurve::Constant(fields.next("p")?),
+            _ => return Err(WireError::new("unknown curve tag")),
+        };
+        fields.end()?;
+        Ok(out)
+    }
 }
 
-fn dec_dispute(j: &Json) -> Result<Dispute, WireError> {
-    let state_j = field(j, "state")?;
-    let state = match kind(state_j)? {
-        "open" => DisputeState::Open,
-        "res" => DisputeState::Resolved {
-            refund: dec_f64(field(state_j, "refund")?)?,
-        },
-        _ => return Err(WireError::new("unknown dispute state tag")),
-    };
-    Ok(Dispute {
-        id: dec_u64(field(j, "id")?)?,
-        complainant: dec_str(field(j, "complainant")?)?,
-        tx: dec_u64(field(j, "tx")?)?,
-        reason: dec_str(field(j, "reason")?)?,
-        state,
-    })
+record!(IntrinsicConstraints {
+    max_age => "max_age",
+    expires_at => "expires_at",
+    authors => "authors",
+    require_provenance => "require_provenance",
+    max_missing_ratio => "max_missing",
+});
+
+record!(TransactionRecord {
+    id => "id",
+    offer_id => "offer_id",
+    buyer => "buyer",
+    price => "price",
+    fee => "fee",
+    satisfaction => "satisfaction",
+    datasets => "datasets",
+    shares => "shares",
+    round => "round",
+});
+
+record!(DatasetShare as (dataset, amount));
+
+record!(Delivery {
+    id => "id",
+    offer_id => "offer_id",
+    buyer => "buyer",
+    relation => "relation",
+    satisfaction => "satisfaction",
+    escrow => "escrow",
+    datasets => "datasets",
+    settlement => "settlement",
+});
+
+record!(Settlement {
+    paid => "paid",
+    penalty => "penalty",
+    audited => "audited",
+});
+
+record!(Purchase {
+    buyer => "buyer",
+    datasets => "datasets",
+});
+
+record!(Participant {
+    name => "name",
+    role => "role",
+    reputation => "reputation",
+    excluded_until => "excluded_until",
+});
+
+record!(NegotiationRequest {
+    offer_id => "offer_id",
+    buyer => "buyer",
+    missing => "missing",
+    candidate_sellers => "sellers",
+});
+
+tagged!(AuditEvent {
+    "reg" => DatasetRegistered { dataset => "dataset", seller => "seller" },
+    "wtp" => WtpSubmitted { offer => "offer", buyer => "buyer" },
+    "mash" => MashupBuilt { offer => "offer", datasets => "datasets" },
+    "settle" => TransactionSettled { tx => "tx", buyer => "buyer", price => "price" },
+    "priv" => PrivacyRelease { dataset => "dataset", epsilon => "epsilon" },
+    "expost" => ExPostAudit { delivery => "delivery", underreported => "under" },
+    "disp" => Dispute { dispute => "dispute", note => "note" },
+});
+
+record!(Dispute {
+    id => "id",
+    complainant => "complainant",
+    tx => "tx",
+    reason => "reason",
+    state => "state",
+});
+
+tagged!(DisputeState {
+    "open" => Open,
+    "res" => Resolved { refund => "refund" },
+});
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fmt::Debug;
+
+    fn round_trips<T: Wire + PartialEq + Debug>(values: &[T]) {
+        for v in values {
+            assert_eq!(&T::dec(&v.enc()).unwrap(), v);
+        }
+    }
+
+    fn refuses<T: Wire + Debug>(forms: &[Json]) {
+        for form in forms {
+            assert!(T::dec(form).is_err(), "accepted {form:?}");
+        }
+    }
+
+    /// Spellings `str::parse` would take but `to_string` never writes,
+    /// and things that are not integers at all.
+    const NOT_CANONICAL: [&str; 14] = [
+        "+5", "007", "00", "-0", "-", "", " 5", "5 ", "0x10", "1e3", "1.0", "٣", "5_000", "--5",
+    ];
+
+    #[test]
+    fn integers_round_trip_at_their_bounds_and_refuse_every_other_spelling() {
+        round_trips(&[0u64, 1, 10, u64::MAX]);
+        round_trips(&[i64::MIN, -10, -1, 0, 1, i64::MAX]);
+        round_trips(&[0u32, 9, u32::MAX]);
+        round_trips(&[0usize, 100, usize::MAX]);
+        let bad: Vec<Json> = NOT_CANONICAL
+            .iter()
+            .map(|s| Json::str(*s))
+            .chain([Json::Num(5.0), Json::Null, Json::Arr(vec![Json::str("5")])])
+            .collect();
+        refuses::<u64>(&bad);
+        refuses::<i64>(&bad);
+        refuses::<u32>(&bad);
+        refuses::<usize>(&bad);
+        // Canonical, but out of the type's range.
+        refuses::<u64>(&[Json::str("18446744073709551616"), Json::str("-1")]);
+        refuses::<i64>(&[
+            Json::str("9223372036854775808"),
+            Json::str("-9223372036854775809"),
+        ]);
+        refuses::<u32>(&[Json::str("4294967296")]);
+    }
+
+    #[test]
+    fn floats_round_trip_bit_for_bit_and_refuse_every_other_spelling() {
+        for bits in [
+            0u64,
+            (-0.0f64).to_bits(),
+            1.5f64.to_bits(),
+            f64::MIN_POSITIVE.to_bits(),
+            f64::MAX.to_bits(),
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            0x7ff8_0000_dead_beef, // a NaN with a payload
+            u64::MAX,
+        ] {
+            let encoded = f64::from_bits(bits).enc();
+            assert_eq!(encoded, Json::str(format!("{bits:016x}")));
+            assert_eq!(f64::dec(&encoded).unwrap().to_bits(), bits);
+        }
+        refuses::<f64>(&[
+            Json::str("+00000000000003f"),
+            Json::str("-00000000000003f"),
+            Json::str("3FF0000000000000"),
+            Json::str("3ff000000000000"),
+            Json::str("03ff0000000000000"),
+            Json::str("3ff00000000000 0"),
+            Json::str("3ff0000000000g00"),
+            Json::str(""),
+            Json::Num(1.5),
+            Json::Null,
+        ]);
+    }
+
+    #[test]
+    fn records_take_exactly_their_fields_in_order() {
+        let p = Participant {
+            name: "a".into(),
+            role: "buyer".into(),
+            reputation: 0.5,
+            excluded_until: 3,
+        };
+        let Json::Obj(pairs) = p.enc() else {
+            panic!("a record encodes as an object")
+        };
+        let back = Participant::dec(&Json::Obj(pairs.clone())).unwrap();
+        assert_eq!(
+            (back.name, back.role, back.reputation, back.excluded_until),
+            (p.name, p.role, p.reputation, p.excluded_until)
+        );
+        let mut missing = pairs.clone();
+        missing.pop();
+        let mut extra = pairs.clone();
+        extra.push(("note".into(), Json::Null));
+        let mut swapped = pairs.clone();
+        swapped.swap(0, 1);
+        let mut doubled = pairs.clone();
+        doubled.insert(0, pairs.first().unwrap().clone());
+        refuses::<Participant>(&[
+            Json::Obj(missing),
+            Json::Obj(extra),
+            Json::Obj(swapped),
+            Json::Obj(doubled),
+            Json::Arr(Vec::new()),
+        ]);
+    }
+
+    #[test]
+    fn tagged_variants_and_tuples_are_as_strict() {
+        round_trips(&[
+            License::Standard,
+            License::Exclusive {
+                tax_rate: 0.35,
+                hold_rounds: 2,
+            },
+            License::NonTransferable,
+        ]);
+        let parse = |text: &str| Json::parse(text).unwrap();
+        refuses::<License>(&[
+            parse(r#"{"k":"nope"}"#),
+            parse(r#"{"k":"std","tax":"3fd6666666666666"}"#),
+            parse(r#"{"k":"excl","tax":"3fd6666666666666"}"#),
+            parse(r#"{"tax":"3fd6666666666666","k":"excl","rounds":"2"}"#),
+            parse(r#"{}"#),
+        ]);
+        round_trips(&[Value::Null, Value::Int(-3), Value::str("x")]);
+        refuses::<Value>(&[
+            parse(r#"["N","extra"]"#),
+            parse(r#"["I"]"#),
+            parse(r#"["I","1","2"]"#),
+            parse(r#"["S",1]"#),
+            parse(r#"[]"#),
+        ]);
+        refuses::<(u64, u64)>(&[parse(r#"["1"]"#), parse(r#"["1","2","3"]"#)]);
+        refuses::<[u64; 4]>(&[parse(r#"["1","2","3"]"#)]);
+    }
 }

@@ -19,7 +19,7 @@
 //! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | compute + stash candidate phase, return exports |
 //! | `POST /internal/settle`  | `{fp, round, seed, exports}`      | re-execute clear + settlement locally |
 //! | `GET /internal/digest`   | —                                 | state digest + round/seq watermarks |
-//! | `POST /internal/restore` | `{fp, applied, state}`            | become a fresh replica of the given state |
+//! | `POST /internal/restore` | `{fp, applied, digest, state}`    | become a fresh replica of the given state, if it restores to `digest` |
 //!
 //! Every RPC carries the deployment's config fingerprint and is
 //! **refused** on mismatch (wrong fingerprint, wrong round number, or
@@ -37,12 +37,13 @@ use rayon::prelude::*;
 
 use crate::codec;
 use crate::command::Command;
+use crate::error::ServiceError;
 use crate::gateway::{err_body, parse_body, Service};
 use crate::http::{Request, Response};
 use crate::node::config_fingerprint;
 use crate::shard::ShardRouter;
-use crate::state::{self, arr, dec_u64, dec_usize, enc_u64, field, StateImage};
-use crate::wire::Json;
+use crate::state::{field, StateImage, Wire};
+use crate::wire::{Json, WireError};
 
 /// Protocol phase at which a worker kills itself — fault injection for
 /// the re-dispatch tests (a scripted stand-in for a crash or OOM at
@@ -163,7 +164,7 @@ impl WorkerNode {
     /// silently diverge — refuse instead.
     fn check_fp(&self, body: &Json) -> Result<(), Response> {
         let fp = field(body, "fp")
-            .and_then(crate::state::dec_str)
+            .and_then(String::dec)
             .map_err(|e| Response::json(400, err_body(&e.to_string())))?;
         if fp != self.fingerprint {
             return Err(Response::json(
@@ -191,7 +192,7 @@ impl WorkerNode {
             return resp;
         }
         let (seq, cmd) = match (
-            field(&body, "seq").and_then(dec_u64),
+            field(&body, "seq").and_then(u64::dec),
             field(&body, "cmd").and_then(Command::decode),
         ) {
             (Ok(seq), Ok(cmd)) => (seq, cmd),
@@ -202,7 +203,7 @@ impl WorkerNode {
         // coordinator journaled this command whatever its outcome.
         let _ = router.apply(&cmd);
         self.applied.store(seq, Ordering::Relaxed);
-        Response::json(200, Json::obj([("applied", enc_u64(seq))]).dump())
+        Response::json(200, Json::obj([("applied", seq.enc())]).dump())
     }
 
     /// `POST /internal/candidates {fp, round, seed, shards}` — compute
@@ -220,35 +221,24 @@ impl WorkerNode {
             return resp;
         }
         let (round, seed) = match (
-            field(&body, "round").and_then(dec_u64),
-            field(&body, "seed").and_then(dec_u64),
+            field(&body, "round").and_then(u64::dec),
+            field(&body, "seed").and_then(u64::dec),
         ) {
             (Ok(r), Ok(s)) => (r, s),
             (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
         };
         let router = self.router();
         let shard_count = router.shard_count();
-        let assigned = match field(&body, "shards").and_then(arr) {
-            Ok(items) => {
-                let mut assigned = Vec::with_capacity(items.len());
-                for item in items {
-                    match dec_usize(item) {
-                        Ok(i) if i < shard_count => assigned.push(i),
-                        Ok(i) => {
-                            return Response::json(
-                                400,
-                                err_body(&format!(
-                                    "shard {i} out of range for {shard_count} shards"
-                                )),
-                            )
-                        }
-                        Err(e) => return Response::json(400, err_body(&e.to_string())),
-                    }
-                }
-                assigned
-            }
+        let assigned = match field(&body, "shards").and_then(<Vec<usize>>::dec) {
+            Ok(assigned) => assigned,
             Err(e) => return Response::json(400, err_body(&e.to_string())),
         };
+        if let Some(i) = assigned.iter().find(|&&i| i >= shard_count) {
+            return Response::json(
+                400,
+                err_body(&format!("shard {i} out of range for {shard_count} shards")),
+            );
+        }
         self.maybe_kill(KillPhase::PreCandidate, round);
         let expected_round = router.rounds_completed() + 1;
         if round != expected_round {
@@ -312,7 +302,7 @@ impl WorkerNode {
         Response::json(
             200,
             Json::obj([
-                ("round", enc_u64(round)),
+                ("round", round.enc()),
                 ("exports", codec::encode_indexed_exports(&reply)),
             ])
             .dump(),
@@ -334,8 +324,8 @@ impl WorkerNode {
             return resp;
         }
         let (round, seed) = match (
-            field(&body, "round").and_then(dec_u64),
-            field(&body, "seed").and_then(dec_u64),
+            field(&body, "round").and_then(u64::dec),
+            field(&body, "seed").and_then(u64::dec),
         ) {
             (Ok(r), Ok(s)) => (r, s),
             (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
@@ -396,8 +386,8 @@ impl WorkerNode {
         Response::json(
             200,
             Json::obj([
-                ("rounds", enc_u64(router.rounds_completed())),
-                ("sales", enc_u64(report.sales as u64)),
+                ("rounds", router.rounds_completed().enc()),
+                ("sales", report.sales.enc()),
             ])
             .dump(),
         )
@@ -409,19 +399,21 @@ impl WorkerNode {
         Response::json(
             200,
             Json::obj([
-                ("digest", enc_u64(router.state_digest())),
-                ("rounds", enc_u64(router.rounds_completed())),
-                ("applied", enc_u64(self.applied.load(Ordering::Relaxed))),
+                ("digest", router.state_digest().enc()),
+                ("rounds", router.rounds_completed().enc()),
+                ("applied", self.applied.load(Ordering::Relaxed).enc()),
             ])
             .dump(),
         )
     }
 
-    /// `POST /internal/restore {fp, applied, state}` — become a fresh
-    /// replica of the coordinator's quiesced state: decode the image
-    /// into a brand-new router (same restore path as crash recovery)
-    /// and swap it in wholesale. Any pending round is stale by
-    /// definition and dropped.
+    /// `POST /internal/restore {fp, applied, digest, state}` — become a
+    /// fresh replica of the coordinator's quiesced state: decode the
+    /// image into a brand-new router (same restore path as crash
+    /// recovery), require it to reproduce `digest` exactly as recovery
+    /// does, and only then swap it in wholesale. A mismatch is a 409
+    /// and this worker keeps the state it had. Any pending round is
+    /// stale by definition and dropped.
     fn rpc_restore(&self, req: &Request) -> Response {
         let body = match parse_body(req) {
             Ok(b) => b,
@@ -430,35 +422,29 @@ impl WorkerNode {
         if let Err(resp) = self.check_fp(&body) {
             return resp;
         }
-        let applied = match field(&body, "applied").and_then(dec_u64) {
-            Ok(a) => a,
+        let parts = || -> Result<_, WireError> {
+            Ok((
+                field(&body, "applied").and_then(u64::dec)?,
+                field(&body, "digest").and_then(u64::dec)?,
+                field(&body, "state").and_then(StateImage::from_json)?,
+            ))
+        };
+        let (applied, digest, image) = match parts() {
+            Ok(parts) => parts,
             Err(e) => return Response::json(400, err_body(&e.to_string())),
         };
-        let image = match field(&body, "state").and_then(|state| {
-            Ok(StateImage {
-                substrate: field(state, "substrate")?.clone(),
-                shards: arr(field(state, "shards")?)?.to_vec(),
-                router: field(state, "router")?.clone(),
-            })
-        }) {
-            Ok(image) => image,
-            Err(e) => return Response::json(400, err_body(&e.to_string())),
+        let cfg = &self.cfg;
+        let fresh = match ShardRouter::restore_verified(&cfg.market, cfg.shards, &image, digest) {
+            Ok(fresh) => fresh,
+            Err(ServiceError::Wire(e)) => return Response::json(400, err_body(&e.to_string())),
+            Err(e) => return Response::json(409, err_body(&format!("not installed: {e}"))),
         };
-        let decoded = match state::decode(&image) {
-            Ok(decoded) => decoded,
-            Err(e) => return Response::json(400, err_body(&e.to_string())),
-        };
-        let fresh = ShardRouter::new(&self.cfg.market, self.cfg.shards);
-        if let Err(e) = fresh.restore_state(decoded) {
-            return Response::json(400, err_body(&e.to_string()));
-        }
-        let digest = fresh.state_digest();
         *self.pending.lock() = None;
         *self.router.lock() = Arc::new(fresh);
         self.applied.store(applied, Ordering::Relaxed);
         Response::json(
             200,
-            Json::obj([("digest", enc_u64(digest)), ("applied", enc_u64(applied))]).dump(),
+            Json::obj([("digest", digest.enc()), ("applied", applied.enc())]).dump(),
         )
     }
 
@@ -516,6 +502,7 @@ impl Service for WorkerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state;
     use dmp_mechanism::design::MarketDesign;
 
     fn worker_cfg() -> WorkerConfig {
@@ -546,7 +533,7 @@ mod tests {
         };
         let body = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("seq", enc_u64(1)),
+            ("seq", 1u64.enc()),
             ("cmd", cmd.encode()),
         ]);
         let resp = worker.handle(&post("/internal/apply", body));
@@ -558,8 +545,8 @@ mod tests {
     fn wrong_fingerprint_is_refused() {
         let worker = WorkerNode::new(worker_cfg());
         let body = Json::obj([
-            ("fp", Json::str("v3 shards=9 seed=9 ...")),
-            ("seq", enc_u64(1)),
+            ("fp", Json::str("v4 shards=9 seed=9 ...")),
+            ("seq", 1u64.enc()),
             (
                 "cmd",
                 Command::Enroll {
@@ -580,18 +567,18 @@ mod tests {
         let seed = worker.router().predict_round_seed();
         let wrong_seed = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", enc_u64(1)),
-            ("seed", enc_u64(seed.wrapping_add(1))),
-            ("shards", Json::Arr(vec![enc_u64(0)])),
+            ("round", 1u64.enc()),
+            ("seed", seed.wrapping_add(1).enc()),
+            ("shards", Json::Arr(vec![0usize.enc()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", wrong_seed));
         assert_eq!(resp.status, 409, "{}", resp.body);
 
         let wrong_round = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", enc_u64(7)),
-            ("seed", enc_u64(seed)),
-            ("shards", Json::Arr(vec![enc_u64(0)])),
+            ("round", 7u64.enc()),
+            ("seed", seed.enc()),
+            ("shards", Json::Arr(vec![0usize.enc()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", wrong_round));
         assert_eq!(resp.status, 409);
@@ -619,9 +606,9 @@ mod tests {
         let seed = worker.router().predict_round_seed();
         let candidates = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", enc_u64(1)),
-            ("seed", enc_u64(seed)),
-            ("shards", Json::Arr(vec![enc_u64(0)])),
+            ("round", 1u64.enc()),
+            ("seed", seed.enc()),
+            ("shards", Json::Arr(vec![0usize.enc()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", candidates));
         assert_eq!(resp.status, 200, "{}", resp.body);
@@ -654,8 +641,8 @@ mod tests {
         };
         let settle = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", enc_u64(1)),
-            ("seed", enc_u64(seed)),
+            ("round", 1u64.enc()),
+            ("seed", seed.enc()),
             ("exports", codec::encode_exports(&exports)),
         ]);
         let resp = worker.handle(&post("/internal/settle", settle));
@@ -668,8 +655,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn restore_provisions_a_fresh_replica() {
+    fn funded_source() -> ShardRouter {
         let source = ShardRouter::new(&worker_cfg().market, 2);
         let _ = source.apply(&Command::Enroll {
             name: "alice".into(),
@@ -679,20 +665,24 @@ mod tests {
             account: "alice".into(),
             amount: 9.5,
         });
+        source
+    }
+
+    fn restore_body(worker: &WorkerNode, digest: u64, image: StateImage) -> Json {
+        Json::obj([
+            ("fp", Json::str(worker.fingerprint())),
+            ("applied", 2u64.enc()),
+            ("digest", digest.enc()),
+            ("state", image.into_json()),
+        ])
+    }
+
+    #[test]
+    fn restore_provisions_a_fresh_replica() {
+        let source = funded_source();
         let image = state::encode(&source.export_state());
         let worker = WorkerNode::new(worker_cfg());
-        let body = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("applied", enc_u64(2)),
-            (
-                "state",
-                Json::obj([
-                    ("substrate", image.substrate.clone()),
-                    ("shards", Json::Arr(image.shards.clone())),
-                    ("router", image.router.clone()),
-                ]),
-            ),
-        ]);
+        let body = restore_body(&worker, image.digest(), image);
         let resp = worker.handle(&post("/internal/restore", body));
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(worker.router().state_digest(), source.state_digest());
@@ -701,5 +691,46 @@ mod tests {
             digest.req_str("digest").ok(),
             Some(source.state_digest().to_string())
         );
+    }
+
+    #[test]
+    fn restore_refuses_an_image_that_does_not_match_its_digest() {
+        // One leaf of the image changes on the way (alice's balance:
+        // 9.5 credits in micro-credits); the digest is the honest one.
+        let source = funded_source();
+        let honest = state::encode(&source.export_state());
+        let digest = honest.digest();
+        let text = honest.substrate.dump();
+        assert!(text.contains("\"9500000\""), "{text}");
+        let tampered = StateImage {
+            substrate: Json::parse(&text.replace("\"9500000\"", "\"9500001\"")).unwrap(),
+            ..honest
+        };
+        let worker = WorkerNode::new(worker_cfg());
+        let _ = worker.router().apply(&Command::Enroll {
+            name: "bob".into(),
+            role: "buyer".into(),
+        });
+        let (router_before, digest_before) = (worker.router(), worker.router().state_digest());
+
+        let resp = worker.handle(&post(
+            "/internal/restore",
+            restore_body(&worker, digest, tampered),
+        ));
+        assert_eq!(resp.status, 409, "{}", resp.body);
+        assert!(
+            Arc::ptr_eq(&router_before, &worker.router()),
+            "router swapped"
+        );
+        assert_eq!(worker.router().state_digest(), digest_before);
+        assert!(worker.router().participant_exists("bob"));
+        // A body without the digest is malformed, not trusted.
+        let mut no_digest = restore_body(&worker, digest, state::encode(&source.export_state()));
+        if let Json::Obj(pairs) = &mut no_digest {
+            pairs.retain(|(k, _)| k != "digest");
+        }
+        let resp = worker.handle(&post("/internal/restore", no_digest));
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(Arc::ptr_eq(&router_before, &worker.router()));
     }
 }

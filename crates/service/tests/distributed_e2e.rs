@@ -13,7 +13,8 @@
 //!   re-dispatches and the final state is bit-identical to the
 //!   no-failure run;
 //! * a misconfigured worker (different seed ⇒ different fingerprint)
-//!   is refused over the wire, never silently diverges;
+//!   is refused over the wire, never silently diverges, and so is a
+//!   state image that does not restore to the digest sent with it;
 //! * worker and coordinator `/metrics` expositions lint clean and
 //!   carry the distributed series.
 
@@ -494,6 +495,57 @@ fn mismatched_worker_is_refused_over_the_wire() {
         local4.state_digest(),
         "all-workers-dead fallback diverged from local compute"
     );
+}
+
+/// Same family, other field: the fingerprint matches but the image
+/// does not restore to the digest sent with it. The worker answers 409
+/// *before* installing anything — it stays the replica it was.
+#[test]
+fn restore_that_misses_its_digest_is_refused_before_installation() {
+    let seed = 1_234;
+    let workers = vec![WorkerProc::spawn(seed, 4, None)];
+    let cmds = command_stream(2, seed);
+    let (node, pool, _) = replay_distributed("bad-restore", &cmds, seed, 4, &workers);
+    let worker = workers.first().expect("one worker spawned");
+    let replica_before = digest_of(worker.addr);
+    assert_eq!(replica_before.0, node.state_digest().to_string());
+
+    // A different state's image (one more deposit) under this state's
+    // digest: what a corrupted transfer would look like.
+    let honest_digest = node.state_digest();
+    let other = ShardRouter::new(&market_config(seed), 4);
+    for cmd in cmds.iter().chain([&Command::Deposit {
+        account: "buyer0".into(),
+        amount: 1.0,
+    }]) {
+        let _ = other.apply(cmd);
+    }
+    let image = dmp_service::state::encode(&other.export_state());
+    assert_ne!(image.digest(), honest_digest);
+    let mut client = Client::connect(worker.addr).expect("worker reachable");
+    let (status, body) = client
+        .request(
+            "POST",
+            "/internal/restore",
+            Some(&Json::obj([
+                ("fp", Json::str(node.fingerprint())),
+                ("applied", Json::str(node.applied().to_string())),
+                ("digest", Json::str(honest_digest.to_string())),
+                ("state", image.into_json()),
+            ])),
+        )
+        .expect("rpc completes");
+    assert_eq!(status, 409, "{}", body.dump());
+    assert_eq!(
+        digest_of(worker.addr),
+        replica_before,
+        "a refused restore must leave the replica as it was"
+    );
+    // Still in rotation and still a replica: the next round distributes.
+    assert_eq!(pool.live_workers(), 1);
+    let _ = node.apply(Command::RunRound { rounds: 1 });
+    assert_eq!(pool.live_workers(), 1);
+    assert_eq!(digest_of(worker.addr).0, node.state_digest().to_string());
 }
 
 proptest! {

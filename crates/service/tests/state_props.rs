@@ -165,6 +165,105 @@ proptest! {
     }
 }
 
+/// How many scalar leaves (strings and bools; keys are not leaves) a
+/// tree has.
+fn count_leaves(j: &Json) -> usize {
+    match j {
+        Json::Str(_) | Json::Bool(_) => 1,
+        Json::Arr(items) => items.iter().map(count_leaves).sum(),
+        Json::Obj(pairs) => pairs.iter().map(|(_, v)| count_leaves(v)).sum(),
+        Json::Null | Json::Num(_) => 0,
+    }
+}
+
+/// Another well-formed value of the same kind: a bool flips, an integer
+/// moves by one, a bit pattern loses or gains its lowest bit, and any
+/// other text (a name, a tag) grows by a character.
+fn mutated(leaf: &Json) -> Json {
+    match leaf {
+        Json::Bool(b) => Json::Bool(!b),
+        Json::Str(s) => {
+            let is_hex = s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
+            if let Ok(n) = s.parse::<i128>() {
+                Json::Str((n + 1).to_string())
+            } else if is_hex {
+                let bits = u64::from_str_radix(s, 16).expect("16 hex digits");
+                Json::Str(format!("{:016x}", bits ^ 1))
+            } else {
+                Json::Str(format!("{s}x"))
+            }
+        }
+        other => other.clone(),
+    }
+}
+
+/// Replace the `n`-th leaf (document order) with its mutation.
+fn mutate_leaf(j: &mut Json, n: &mut usize) {
+    match j {
+        Json::Str(_) | Json::Bool(_) => {
+            if *n == 0 {
+                *j = mutated(j);
+            }
+            *n = n.wrapping_sub(1);
+        }
+        Json::Arr(items) => items.iter_mut().for_each(|v| mutate_leaf(v, n)),
+        Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, v)| mutate_leaf(v, n)),
+        Json::Null | Json::Num(_) => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// No dead leaf: whatever scalar of the image changes, either the
+    /// image no longer decodes or it restores to a different state —
+    /// nothing in a snapshot is parsed and then ignored, so the digest
+    /// of the bytes on disk really is the digest of what they restore.
+    #[test]
+    fn no_leaf_of_the_image_is_parsed_and_ignored(
+        seed in 0u64..10_000,
+        shards in 1usize..4,
+        pick in 0usize..1_000_000,
+    ) {
+        let router = ShardRouter::new(&market_config(seed), shards);
+        for cmd in command_stream(3, seed) {
+            let _ = router.apply(&cmd);
+        }
+        let honest = state::encode(&router.export_state());
+        prop_assert_eq!(honest.digest(), router.state_digest());
+
+        let mut sections: Vec<Json> = honest.sections().cloned().collect();
+        let total: usize = sections.iter().map(count_leaves).sum();
+        let mut n = pick % total;
+        for section in &mut sections {
+            mutate_leaf(section, &mut n);
+        }
+        let router_section = sections.pop().expect("router section");
+        let tampered = StateImage {
+            substrate: sections.remove(0),
+            shards: sections,
+            router: router_section,
+        };
+        prop_assert_ne!(&tampered, &honest, "leaf {} did not change", pick % total);
+
+        let Ok(image) = state::decode(&tampered) else {
+            return Ok(()); // refused outright
+        };
+        let restored = ShardRouter::new(&market_config(seed), shards);
+        if restored.restore_state(image).is_ok() {
+            prop_assert_ne!(
+                restored.state_digest(),
+                honest.digest(),
+                "leaf {} of {} was parsed and ignored (seed {}, {} shards)",
+                pick % total,
+                total,
+                seed,
+                shards
+            );
+        }
+    }
+}
+
 /// Non-vacuity: the streams really do produce trades, mashup
 /// provenance, escrows and licenses — the property above is exercising
 /// a populated state, not an empty market.

@@ -1,17 +1,10 @@
 //! The wire parser against hostile and large input: a differential
 //! suite against the scanner it replaced, byte-level fuzzing of
-//! `Json::parse_bytes`, a linear-scaling check, and golden durability
-//! files written by the commit before the rewrite.
+//! `Json::parse_bytes`, and a linear-scaling check. (The golden
+//! durability files this suite introduced are in `tests/golden.rs`.)
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
-use dmp_core::market::MarketConfig;
-use dmp_mechanism::design::MarketDesign;
-use dmp_service::journal::Journal;
-use dmp_service::node::{ServiceConfig, ServiceNode};
-use dmp_service::snapshot;
-use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::{Json, WireError};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -425,109 +418,5 @@ fn parse_cost_per_byte_is_flat_from_64_kib_to_4_mib() {
         "parse is super-linear: {small_ns:.1} ns/B at {} B, {large_ns:.1} ns/B at {} B",
         small.len(),
         large.len()
-    );
-}
-
-// ---------------------------------------------------------------------
-// (d) Golden files: what the commit before the rewrite wrote, this
-// code must load, verify, and write back byte for byte.
-// ---------------------------------------------------------------------
-
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/written_by_bc9fe67"
-);
-const GOLDEN_SNAPSHOT: &str = "snapshot-00000000000000000012.dmp";
-
-fn golden_expected(key: &str) -> u64 {
-    let text = std::fs::read_to_string(Path::new(GOLDEN).join("expected.txt")).unwrap();
-    let value = text
-        .lines()
-        .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
-        .unwrap_or_else(|| panic!("expected.txt has no {key}"));
-    let radix = if key.ends_with("digest") { 16 } else { 10 };
-    u64::from_str_radix(value, radix).unwrap()
-}
-
-fn golden_config(dir: &Path) -> ServiceConfig {
-    let market = MarketConfig::external(5).with_design(MarketDesign::posted_price_baseline(10.0));
-    ServiceConfig::new(dir, market)
-        .with_shards(2)
-        .with_snapshot_every(0)
-        .with_fsync(false)
-}
-
-/// A private copy of the golden directory (opening a node may write).
-fn golden_copy(label: &str, with_snapshot: bool) -> ScratchDir {
-    let dir = ScratchDir::new(label);
-    for name in ["journal.wal", "node.meta", GOLDEN_SNAPSHOT] {
-        if with_snapshot || name != GOLDEN_SNAPSHOT {
-            std::fs::copy(Path::new(GOLDEN).join(name), dir.join(name)).unwrap();
-        }
-    }
-    dir
-}
-
-#[test]
-fn golden_snapshot_loads_verifies_and_rewrites_bit_identically() {
-    let golden_bytes = std::fs::read(Path::new(GOLDEN).join(GOLDEN_SNAPSHOT)).unwrap();
-    let snap = snapshot::load_file(&Path::new(GOLDEN).join(GOLDEN_SNAPSHOT))
-        .expect("parent-written snapshot must load");
-    assert_eq!(snap.seq, golden_expected("snapshot_seq"));
-    assert_eq!(snap.digest, golden_expected("snapshot_digest"));
-
-    let out = ScratchDir::new("golden-rewrite");
-    let rewritten = snapshot::write_snapshot(out.path(), &snap).unwrap();
-    assert_eq!(
-        std::fs::read(rewritten).unwrap(),
-        golden_bytes,
-        "snapshot format changed"
-    );
-
-    // Restore + tail replay reaches the digest the parent reported.
-    // Full journal replay would reach it too, so also require that the
-    // image was the one restored (decoded and digest-verified).
-    let dir = golden_copy("golden-open", true);
-    let verified = || {
-        dmp_service::metrics::metrics()
-            .recovery_snapshot_verified
-            .get()
-    };
-    let before = verified();
-    let node = ServiceNode::open(golden_config(dir.path())).unwrap();
-    assert!(verified() > before, "the golden image was not used");
-    assert_eq!(node.applied(), golden_expected("applied"));
-    assert_eq!(node.state_digest(), golden_expected("digest"));
-}
-
-#[test]
-fn golden_journal_replays_and_rewrites_bit_identically() {
-    let golden_bytes = std::fs::read(Path::new(GOLDEN).join("journal.wal")).unwrap();
-
-    // Journal alone: full replay reaches the same state.
-    let dir = golden_copy("golden-journal", false);
-    let node = ServiceNode::open(golden_config(dir.path())).unwrap();
-    assert_eq!(node.applied(), golden_expected("applied"));
-    assert_eq!(node.state_digest(), golden_expected("digest"));
-    drop(node);
-    assert_eq!(
-        std::fs::read(dir.join("journal.wal")).unwrap(),
-        golden_bytes,
-        "recovery must not rewrite an intact journal"
-    );
-
-    // Decode every record and append it again: the same bytes.
-    let (_, records) = Journal::open(dir.join("journal.wal"), false).unwrap();
-    assert_eq!(records.len() as u64, golden_expected("applied"));
-    let out = ScratchDir::new("golden-reappend");
-    let (mut journal, _) = Journal::open(out.join("journal.wal"), false).unwrap();
-    for (seq, cmd) in &records {
-        journal.append(*seq, cmd).unwrap();
-    }
-    drop(journal);
-    assert_eq!(
-        std::fs::read(out.join("journal.wal")).unwrap(),
-        golden_bytes,
-        "journal record format changed"
     );
 }
