@@ -5,7 +5,11 @@
 //! cargo run --release -p dmp-bench --bin experiments
 //! ```
 //!
-//! or a subset: `... --bin experiments f3 e4 e10`.
+//! or a subset: `... --bin experiments f3 e4 e10`. A name that is not a
+//! table (`f1`–`f3`, `e1`–`e16`) is refused on stderr with exit code 2.
+//! Everything goes to stdout; the binary opens no socket and writes no
+//! file. Performance numbers come from `marketbench`
+//! (`/BENCHMARK.json`), not from here.
 
 use std::collections::HashMap;
 
@@ -40,70 +44,62 @@ use dmp_valuation::knn_shapley::{knn_shapley, knn_utility, LabeledPoint};
 use dmp_valuation::shapley::{exact_shapley, max_abs_error, monte_carlo_shapley, CharacteristicFn};
 use dmp_valuation::sharing::total_shared;
 
+/// Every table the suite prints, in print order.
+const TABLES: &[(&str, fn())] = &[
+    ("f1", f1_pipeline),
+    ("f2", f2_dmms_pipeline),
+    ("f3", f3_mashup_builder),
+    ("e1", e1_truthfulness),
+    ("e2", e2_intro_example),
+    ("e3", e3_ex_post),
+    ("e4", e4_shapley),
+    ("e5", e5_revenue_sharing),
+    ("e6", e6_adversarial),
+    ("e7", e7_throughput),
+    ("e8", e8_extrinsic_value),
+    ("e9", e9_privacy_value),
+    ("e10", e10_query_pricing),
+    ("e11", e11_opportunists),
+    ("e12", e12_market_kinds),
+    ("e13", e13_fusion),
+    ("e14", e14_negotiation),
+    ("e15", e15_recommendations),
+    ("e16", e16_licensing),
+];
+
+/// The tables `args` names (all of them when it is empty), in suite
+/// order; `Err` carries the arguments that name no table.
+fn select(args: &[String]) -> Result<Vec<fn()>, Vec<String>> {
+    let unknown: Vec<String> = args
+        .iter()
+        .filter(|a| TABLES.iter().all(|(name, _)| name != a))
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    Ok(TABLES
+        .iter()
+        .filter(|(name, _)| args.is_empty() || args.iter().any(|a| a == name))
+        .map(|&(_, run)| run)
+        .collect())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let tables = select(&args).unwrap_or_else(|unknown| {
+        let valid: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "experiments: no table named {}; valid tables: {}",
+            unknown.join(", "),
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    });
 
     println!("data-market-platform experiment suite (DESIGN.md section 2)\n");
-    if want("f1") {
-        f1_pipeline();
-    }
-    if want("f2") {
-        f2_dmms_pipeline();
-    }
-    if want("f3") {
-        f3_mashup_builder();
-    }
-    if want("e1") {
-        e1_truthfulness();
-    }
-    if want("e2") {
-        e2_intro_example();
-    }
-    if want("e3") {
-        e3_ex_post();
-    }
-    if want("e4") {
-        e4_shapley();
-    }
-    if want("e5") {
-        e5_revenue_sharing();
-    }
-    if want("e6") {
-        e6_adversarial();
-    }
-    if want("e7") {
-        e7_throughput();
-    }
-    if want("e8") {
-        e8_extrinsic_value();
-    }
-    if want("e9") {
-        e9_privacy_value();
-    }
-    if want("e10") {
-        e10_query_pricing();
-    }
-    if want("e11") {
-        e11_opportunists();
-    }
-    if want("e12") {
-        e12_market_kinds();
-    }
-    if want("e13") {
-        e13_fusion();
-    }
-    if want("e14") {
-        e14_negotiation();
-    }
-    if want("e15") {
-        e15_recommendations();
-    }
-    if want("e16") {
-        e16_licensing();
-    }
-    if want("svc") {
-        svc_service_baseline();
+    for run in tables {
+        run();
     }
 }
 
@@ -1087,509 +1083,21 @@ fn e16_licensing() {
     t.print();
 }
 
-/// SVC — service-layer perf baseline: gateway throughput at 1/4/16/64
-/// concurrent connections (plus a 64-deep pipelined series) and
-/// journal replay speed. Emits `BENCH_service.json` so later PRs can
-/// diff against this trajectory.
-fn svc_service_baseline() {
-    use dmp_service::client::Client;
-    use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
-    use dmp_service::gateway::{Gateway, GatewayConfig};
-    use dmp_service::node::{ServiceConfig, ServiceNode};
-    use dmp_service::wire::Json;
-    use std::sync::Arc;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("dmp-exp-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    };
-    let service_config = |dir: std::path::PathBuf| {
-        let market =
-            MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0));
-        ServiceConfig::new(dir, market)
-            .with_shards(4)
-            .with_fsync(false)
-            .with_snapshot_every(0)
-    };
-
-    let mut t = ExperimentTable::new(
-        "SVC  dmp-service baseline: gateway + journal replay",
-        &["metric", "config", "throughput"],
-    );
-    let mut json_rows: Vec<(String, Json)> = Vec::new();
-
-    // Gateway read path at increasing connection counts.
-    let node = Arc::new(ServiceNode::open(service_config(tmp("svc-gw"))).unwrap());
-    let gateway = Gateway::serve(
-        Arc::clone(&node),
-        GatewayConfig {
-            workers: 16,
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = gateway.addr();
-    // Request/response (one in-flight request per connection) at
-    // increasing connection counts. Connections are multiplexed over a
-    // bounded pool of driver threads (as wrk does): each thread writes
-    // one request on every socket it owns, then reads every response —
-    // so concurrency measures the *server's* multiplexing, not how
-    // many client threads the box can context-switch. Each point is a
-    // timed window (connections pre-established, threads released by a
-    // barrier) and the best of three trials, to keep scheduler noise on
-    // a small shared box out of the trajectory.
-    let measure_conns = |conns: usize| -> f64 {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::Barrier;
-        // Two driver threads saturate the evented server on this box;
-        // more merely multiply client-side context switches.
-        let threads = conns.min(2);
-        let per_thread = conns / threads;
-        let barrier = Arc::new(Barrier::new(threads + 1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let total = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let stop = Arc::clone(&stop);
-                let total = Arc::clone(&total);
-                std::thread::spawn(move || {
-                    use std::io::{BufReader, Write};
-                    let req = b"GET /health HTTP/1.1\r\nhost: bench\r\ncontent-length: 0\r\n\r\n";
-                    let mut socks: Vec<_> = (0..per_thread)
-                        .map(|_| {
-                            let s = std::net::TcpStream::connect(addr).unwrap();
-                            s.set_nodelay(true).unwrap();
-                            let w = s.try_clone().unwrap();
-                            (BufReader::new(s), w)
-                        })
-                        .collect();
-                    barrier.wait();
-                    let mut count = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        for (_, w) in &mut socks {
-                            w.write_all(req).unwrap();
-                        }
-                        for (r, _) in &mut socks {
-                            let (status, _, _) = dmp_service::http::read_response_full(r).unwrap();
-                            assert_eq!(status, 200);
-                        }
-                        count += socks.len();
-                    }
-                    total.fetch_add(count, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        barrier.wait();
-        let started = std::time::Instant::now();
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-        // The elapsed clock runs until every in-flight round drains, so
-        // the tail requests are inside the window they are divided by.
-        total.load(Ordering::Relaxed) as f64 / started.elapsed().as_secs_f64()
-    };
-    // Request-latency quantiles ride along for free: the reactor
-    // records every request into the telemetry histograms, so the
-    // bench snapshots them around each workload and reports the
-    // delta's p50/p99 next to the throughput number.
-    let metrics = dmp_service::metrics::metrics();
-    let health_before = metrics
-        .request_us(dmp_service::metrics::Endpoint::Health)
-        .snapshot();
-    for conns in [1usize, 4, 16, 64] {
-        let rps = (0..5)
-            .map(|_| measure_conns(conns))
-            .fold(f64::MIN, f64::max);
-        t.row(vec![
-            "gateway GET /health".into(),
-            format!("{conns} conn(s)"),
-            format!("{} req/s", f2(rps)),
-        ]);
-        json_rows.push((format!("gateway_health_rps_{conns}conn"), Json::Num(rps)));
-    }
-    // HTTP/1.1 pipelining: one connection, requests batched 64 deep —
-    // one write and one ordered read-out per batch instead of one
-    // round trip per request. Same timed-window, best-of-three shape.
-    {
-        use dmp_service::client::PipelinedRequest;
-        const BATCH: usize = 64;
-        let batch: Vec<PipelinedRequest> = (0..BATCH)
-            .map(|_| PipelinedRequest::get("/health"))
-            .collect();
-        let measure_pipelined = || -> f64 {
-            let mut c = Client::connect(addr).unwrap();
-            let started = std::time::Instant::now();
-            let mut count = 0usize;
-            while started.elapsed() < std::time::Duration::from_millis(400) {
-                let responses = c.pipeline(&batch).unwrap();
-                assert_eq!(responses.len(), BATCH);
-                count += BATCH;
-            }
-            count as f64 / started.elapsed().as_secs_f64()
-        };
-        let rps = (0..5).map(|_| measure_pipelined()).fold(f64::MIN, f64::max);
-        t.row(vec![
-            "gateway GET /health (pipelined)".into(),
-            format!("1 conn, {BATCH}-deep"),
-            format!("{} req/s", f2(rps)),
-        ]);
-        json_rows.push(("gateway_pipelined_rps".into(), Json::Num(rps)));
-    }
-    // p50/p99 over every /health request the benches above issued.
-    let health = metrics
-        .request_us(dmp_service::metrics::Endpoint::Health)
-        .snapshot()
-        .delta_since(&health_before);
-    let (h50, h99) = (health.quantile(0.5), health.quantile(0.99));
-    t.row(vec![
-        "gateway GET /health latency".into(),
-        format!("{} requests", health.count()),
-        format!("p50 {h50}us / p99 {h99}us"),
-    ]);
-    json_rows.push(("gateway_health_p50_us".into(), Json::Num(h50 as f64)));
-    json_rows.push(("gateway_health_p99_us".into(), Json::Num(h99 as f64)));
-    // Journaled mutation path (every request is a WAL append + apply).
-    let mut c = Client::connect(addr).unwrap();
-    c.post(
-        "/enroll",
-        &Json::parse(r#"{"name":"d","role":"buyer"}"#).unwrap(),
-    )
-    .unwrap();
-    const DEPOSITS: usize = 512;
-    let deposit_before = metrics
-        .request_us(dmp_service::metrics::Endpoint::Deposits)
-        .snapshot();
-    let body = Json::parse(r#"{"account":"d","amount":1.0}"#).unwrap();
-    let (_, ms) = time_ms(|| {
-        for _ in 0..DEPOSITS {
-            c.post("/deposits", &body).unwrap();
-        }
-    });
-    let wps = DEPOSITS as f64 / (ms / 1e3);
-    t.row(vec![
-        "gateway POST /deposits (journaled)".into(),
-        "1 conn".into(),
-        format!("{} req/s", f2(wps)),
-    ]);
-    json_rows.push(("gateway_deposit_rps_1conn".into(), Json::Num(wps)));
-    let deposit = metrics
-        .request_us(dmp_service::metrics::Endpoint::Deposits)
-        .snapshot()
-        .delta_since(&deposit_before);
-    let (d50, d99) = (deposit.quantile(0.5), deposit.quantile(0.99));
-    t.row(vec![
-        "gateway POST /deposits latency".into(),
-        format!("{} requests", deposit.count()),
-        format!("p50 {d50}us / p99 {d99}us"),
-    ]);
-    json_rows.push(("gateway_deposit_p50_us".into(), Json::Num(d50 as f64)));
-    json_rows.push(("gateway_deposit_p99_us".into(), Json::Num(d99 as f64)));
-    gateway.shutdown();
-
-    // Journal replay: rebuild 16 populated rounds from the WAL.
-    let dir = tmp("svc-replay");
-    let cfg = service_config(dir.clone());
-    const ROUNDS: usize = 16;
-    {
-        let node = ServiceNode::open(cfg.clone()).unwrap();
-        for i in 0..4 {
-            node.apply(Command::Enroll {
-                name: format!("s{i}"),
-                role: "seller".into(),
-            })
-            .unwrap();
-            node.apply(Command::Enroll {
-                name: format!("b{i}"),
-                role: "buyer".into(),
-            })
-            .unwrap();
-            node.apply(Command::Deposit {
-                account: format!("b{i}"),
-                amount: 1000.0,
-            })
-            .unwrap();
-        }
-        for round in 0..ROUNDS {
-            for i in 0..4 {
-                let _ = node.apply(Command::SubmitAsk(AskSpec {
-                    seller: format!("s{i}"),
-                    table: TableSpec {
-                        name: format!("t{round}_{i}"),
-                        columns: vec![("k".into(), ColType::Int), ("v".into(), ColType::Float)],
-                        rows: (0..6)
-                            .map(|r| vec![CellSpec::Int(r), CellSpec::Float(r as f64 * 1.5)])
-                            .collect(),
-                    },
-                    reserve: None,
-                    license: None,
-                }));
-                let _ = node.apply(Command::SubmitOffer(OfferSpec::simple(
-                    format!("b{i}"),
-                    ["k", "v"],
-                    15.0,
-                )));
-            }
-            node.apply(Command::RunRound { rounds: 1 }).unwrap();
-        }
-    }
-    let (applied, ms) = time_ms(|| ServiceNode::open(cfg.clone()).unwrap().applied());
-    let rounds_per_s = ROUNDS as f64 / (ms / 1e3);
-    let cmds_per_s = applied as f64 / (ms / 1e3);
-    t.row(vec![
-        "journal replay".into(),
-        format!("{ROUNDS} rounds, {applied} cmds"),
-        format!("{} rounds/s ({} cmds/s)", f2(rounds_per_s), f2(cmds_per_s)),
-    ]);
-    json_rows.push((
-        "journal_replay_rounds_per_s".into(),
-        Json::Num(rounds_per_s),
-    ));
-    json_rows.push(("journal_replay_cmds_per_s".into(), Json::Num(cmds_per_s)));
-
-    // Recovery scaling: with materialized snapshots + journal
-    // compaction (`keep_snapshots(1)`), recovery time is O(state +
-    // journal tail), not O(total history). The probe holds the *state*
-    // constant (deposit churn over a fixed account set — balances
-    // change, nothing accumulates) while the command history grows 8x:
-    // the compacted journal never holds more than ~snapshot_every
-    // records, so both recoveries restore the same small snapshot plus
-    // a bounded tail and must land within a constant factor of each
-    // other. CI asserts that ratio and that the long run's journal
-    // stayed bounded after compaction.
-    {
-        let recovery_probe = |name: &str, deposits: usize| -> (f64, u64, u64) {
-            let cfg = service_config(tmp(name))
-                .with_snapshot_every(64)
-                .with_keep_snapshots(1);
-            {
-                let node = ServiceNode::open(cfg.clone()).unwrap();
-                for i in 0..4 {
-                    node.apply(Command::Enroll {
-                        name: format!("b{i}"),
-                        role: "buyer".into(),
-                    })
-                    .unwrap();
-                }
-                for d in 0..deposits {
-                    node.apply(Command::Deposit {
-                        account: format!("b{}", d % 4),
-                        amount: 1.0 + (d % 97) as f64 / 7.0,
-                    })
-                    .unwrap();
-                }
-            }
-            let journal_bytes = std::fs::metadata(cfg.dir.join("journal.wal"))
-                .expect("journal must exist")
-                .len();
-            // Best of three: recovery is milliseconds, so one scheduler
-            // hiccup would otherwise dominate the ratio CI checks.
-            let mut best = f64::MAX;
-            let mut applied = 0u64;
-            for _ in 0..3 {
-                let (a, ms) = time_ms(|| ServiceNode::open(cfg.clone()).unwrap().applied());
-                applied = a;
-                if ms < best {
-                    best = ms;
-                }
-            }
-            (best, journal_bytes, applied)
-        };
-        const SHORT_DEPOSITS: usize = 256;
-        const LONG_DEPOSITS: usize = 2048;
-        let (short_ms, _, short_applied) = recovery_probe("svc-recovery-short", SHORT_DEPOSITS);
-        let (long_ms, long_journal, long_applied) =
-            recovery_probe("svc-recovery-long", LONG_DEPOSITS);
-        t.row(vec![
-            "recovery (short history)".into(),
-            format!("{short_applied} cmds journaled, compacted"),
-            format!("{} ms", f2(short_ms)),
-        ]);
-        t.row(vec![
-            "recovery (long history)".into(),
-            format!("{long_applied} cmds journaled, compacted"),
-            format!("{} ms ({} B journal)", f2(long_ms), long_journal),
-        ]);
-        json_rows.push(("recovery_ms_short_history".into(), Json::Num(short_ms)));
-        json_rows.push(("recovery_ms_long_history".into(), Json::Num(long_ms)));
-        json_rows.push((
-            "journal_bytes_after_compaction".into(),
-            Json::Num(long_journal as f64),
-        ));
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
     }
 
-    // Two-phase cross-shard exchange throughput: a 4-shard router with
-    // buyers and sellers scattered across shards, fresh offers every
-    // round, candidate phase shard-parallel, one global clearing pass,
-    // ordered settlement on the shared ledger.
-    {
-        use dmp_service::shard::ShardRouter;
-        let market =
-            MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0));
-        let router = ShardRouter::new(&market, 4);
-        for i in 0..8 {
-            router
-                .apply(&Command::Enroll {
-                    name: format!("s{i}"),
-                    role: "seller".into(),
-                })
-                .unwrap();
-            router
-                .apply(&Command::Enroll {
-                    name: format!("b{i}"),
-                    role: "buyer".into(),
-                })
-                .unwrap();
-            router
-                .apply(&Command::Deposit {
-                    account: format!("b{i}"),
-                    amount: 1e6,
-                })
-                .unwrap();
-            let _ = router.apply(&Command::SubmitAsk(AskSpec {
-                seller: format!("s{i}"),
-                table: TableSpec {
-                    name: format!("t{i}"),
-                    columns: vec![("k".into(), ColType::Int), ("v".into(), ColType::Float)],
-                    rows: (0..6)
-                        .map(|r| vec![CellSpec::Int(r), CellSpec::Float(r as f64 * 1.5)])
-                        .collect(),
-                },
-                reserve: None,
-                license: None,
-            }));
-        }
-        const XROUNDS: usize = 64;
-        let mut cross_trades = 0usize;
-        let (_, ms) = time_ms(|| {
-            for round in 0..XROUNDS {
-                for i in 0..8 {
-                    let _ = router.apply(&Command::SubmitOffer(OfferSpec::simple(
-                        format!("b{}", (round + i) % 8),
-                        ["k", "v"],
-                        15.0,
-                    )));
-                }
-                cross_trades += router.run_round().cross_shard;
-            }
-        });
-        let xrps = XROUNDS as f64 / (ms / 1e3);
-        t.row(vec![
-            "cross-shard exchange round".into(),
-            format!("4 shards, 8 offers/round, {cross_trades} cross-shard trades"),
-            format!("{} rounds/s", f2(xrps)),
-        ]);
-        json_rows.push(("cross_shard_rounds_per_s".into(), Json::Num(xrps)));
+    #[test]
+    fn select_runs_everything_by_default_and_refuses_unknown_names() {
+        assert_eq!(select(&[]).unwrap().len(), TABLES.len());
+        assert_eq!(select(&args(&["e10", "f3", "e10"])).unwrap().len(), 2);
+        assert_eq!(
+            select(&args(&["e4", "svc", "e17"])).unwrap_err(),
+            args(&["svc", "e17"])
+        );
     }
-
-    // Distributed topology: the same two-phase exchange, but with the
-    // candidate phase farmed out to three full-replica workers over
-    // real loopback sockets and settlement re-executed on every
-    // replica. Workers are in-process [`WorkerNode`]s behind their own
-    // gateways — the wire cost is real, the process-spawn cost is not
-    // what this row measures. The conflict-component quantile rides
-    // along from the same rounds.
-    {
-        use dmp_service::coordinator::WorkerPool;
-        use dmp_service::shard::Outcome;
-        use dmp_service::worker::{WorkerConfig, WorkerNode};
-
-        let market =
-            MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0));
-        let node = Arc::new(ServiceNode::open(service_config(tmp("svc-dist"))).unwrap());
-        let worker_gateways: Vec<Gateway> = (0..3)
-            .map(|_| {
-                let worker = Arc::new(WorkerNode::new(WorkerConfig::new(market.clone(), 4)));
-                Gateway::serve_service(
-                    worker,
-                    GatewayConfig {
-                        addr: "127.0.0.1:0".into(),
-                        ..GatewayConfig::default()
-                    },
-                )
-                .unwrap()
-            })
-            .collect();
-        let addrs: Vec<_> = worker_gateways.iter().map(|g| g.addr()).collect();
-        let pool = Arc::new(WorkerPool::connect(node.fingerprint(), 4, &addrs).unwrap());
-        assert_eq!(pool.provision_all(&node), 3, "all bench workers provision");
-        WorkerPool::attach(&pool, &node);
-        for i in 0..8 {
-            node.apply(Command::Enroll {
-                name: format!("s{i}"),
-                role: "seller".into(),
-            })
-            .unwrap();
-            node.apply(Command::Enroll {
-                name: format!("b{i}"),
-                role: "buyer".into(),
-            })
-            .unwrap();
-            node.apply(Command::Deposit {
-                account: format!("b{i}"),
-                amount: 1e6,
-            })
-            .unwrap();
-            let _ = node.apply(Command::SubmitAsk(AskSpec {
-                seller: format!("s{i}"),
-                table: TableSpec {
-                    name: format!("t{i}"),
-                    columns: vec![("k".into(), ColType::Int), ("v".into(), ColType::Float)],
-                    rows: (0..6)
-                        .map(|r| vec![CellSpec::Int(r), CellSpec::Float(r as f64 * 1.5)])
-                        .collect(),
-                },
-                reserve: None,
-                license: None,
-            }));
-        }
-        const DROUNDS: usize = 32;
-        let mut components: Vec<usize> = Vec::new();
-        let (_, ms) = time_ms(|| {
-            for round in 0..DROUNDS {
-                for i in 0..8 {
-                    let _ = node.apply(Command::SubmitOffer(OfferSpec::simple(
-                        format!("b{}", (round + i) % 8),
-                        ["k", "v"],
-                        15.0,
-                    )));
-                }
-                if let Ok(Outcome::RoundsRun(reports)) = node.apply(Command::RunRound { rounds: 1 })
-                {
-                    components.extend(reports.iter().map(|r| r.components));
-                }
-            }
-        });
-        assert_eq!(pool.live_workers(), 3, "no bench worker may drop out");
-        components.sort_unstable();
-        let components_p50 = components.get(components.len() / 2).copied().unwrap_or(0);
-        let drps = DROUNDS as f64 / (ms / 1e3);
-        t.row(vec![
-            "distributed exchange round".into(),
-            format!("1 coordinator + 3 workers over sockets, {DROUNDS} rounds"),
-            format!("{} rounds/s", f2(drps)),
-        ]);
-        t.row(vec![
-            "settlement conflict components".into(),
-            format!("p50 over {} rounds", components.len()),
-            format!("{components_p50} components"),
-        ]);
-        json_rows.push(("distributed_rounds_per_s".into(), Json::Num(drps)));
-        json_rows.push((
-            "settlement_components_p50".into(),
-            Json::Num(components_p50 as f64),
-        ));
-        for gateway in worker_gateways {
-            gateway.shutdown();
-        }
-    }
-    t.print();
-
-    let out = Json::Obj(json_rows).dump();
-    std::fs::write("BENCH_service.json", &out).expect("write BENCH_service.json");
-    println!("wrote BENCH_service.json: {out}\n");
 }

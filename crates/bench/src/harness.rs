@@ -1,5 +1,5 @@
 //! Shared experiment harness: table building + quick timing helpers used
-//! by the `experiments` binary and the Criterion benches.
+//! by the `experiments` binary.
 
 use std::time::Instant;
 

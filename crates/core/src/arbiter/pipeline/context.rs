@@ -102,18 +102,11 @@ impl RoundContext {
     /// Export the candidate phase's outcome for global (cross-shard)
     /// clearing: the round number and every bid the [`super::CandidateStage`]
     /// produced. Winning mashups stay in the context — only the bids
-    /// travel, and cleared sales come back to [`crate::market::DataMarket::settle_sale`].
-    pub fn candidate_set(&self) -> super::CandidateSet {
-        super::CandidateSet {
-            round: self.round,
-            bids: self.bids.clone(),
-        }
-    }
-
-    /// [`RoundContext::candidate_set`], but **moving** the bids out of
-    /// the context (the per-round hot path: after clearing, settlement
-    /// only consults [`RoundContext::best_mashups`], so the bids need
-    /// not be retained). The context is left with no bids.
+    /// travel, and cleared sales come back to
+    /// [`crate::market::DataMarket::settle_sale_planned`]. The bids are
+    /// **moved** out (after clearing, settlement only consults
+    /// [`RoundContext::best_mashups`], so they need not be retained);
+    /// the context is left with none.
     pub fn take_candidate_set(&mut self) -> super::CandidateSet {
         super::CandidateSet {
             round: self.round,

@@ -591,9 +591,9 @@ impl DataMarket {
     /// **Phase 1** of a two-phase (cross-shard) round: open the round
     /// under an externally-supplied seed and run expiry + candidate
     /// generation, but do **not** clear or settle. The returned context
-    /// carries the candidate bids ([`pipeline::RoundContext::candidate_set`])
+    /// carries the candidate bids ([`pipeline::RoundContext::take_candidate_set`])
     /// for a global clearing pass; hand the context back to
-    /// [`DataMarket::settle_sale`] / [`DataMarket::close_round`] to
+    /// [`DataMarket::settle_sale_planned`] / [`DataMarket::close_round`] to
     /// finish the round. The seed replaces the market's own RNG draw so
     /// every shard of a deployment ties-breaks from one coordinated
     /// stream keyed by global offer ids.
@@ -663,20 +663,11 @@ impl DataMarket {
     /// sale into this market — ex ante payment or ex post delivery,
     /// exactly as [`pipeline::SettlementStage`] would. The sale's offer
     /// must live on this market (its winning mashup is looked up in the
-    /// context); sales without a recorded mashup are ignored.
-    pub fn settle_sale(
-        &self,
-        ctx: &mut pipeline::RoundContext,
-        sale: crate::arbiter::pricing::Sale,
-    ) {
-        pipeline::SettlementStage::settle_one(self, ctx, sale);
-    }
-
-    /// [`DataMarket::settle_sale`] with an optional precomputed
-    /// [`pipeline::SettlementPlan`] — the commit half of conflict-graph
-    /// parallel settlement. Plans may be computed concurrently (they
-    /// never read commit-mutated state); commits must arrive here in
-    /// global offer-id order.
+    /// context); sales without a recorded mashup are ignored. `plan` is
+    /// an optional precomputed [`pipeline::SettlementPlan`] — the commit
+    /// half of conflict-graph parallel settlement. Plans may be computed
+    /// concurrently (they never read commit-mutated state); commits
+    /// must arrive here in global offer-id order.
     pub fn settle_sale_planned(
         &self,
         ctx: &mut pipeline::RoundContext,

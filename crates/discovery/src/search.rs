@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use dmp_relation::DatasetId;
 
-use crate::index::{tokenize, IndexBuilder, Indexes, JoinCandidate};
+use crate::index::{tokenize, Indexes, JoinCandidate};
 use crate::metadata::{ColumnRef, MetadataEngine};
 
 /// A scored search result.
@@ -30,9 +30,7 @@ pub struct SearchHit {
 /// threshold indexes come from the metadata engine's generation-keyed
 /// cache ([`MetadataEngine::cached_indexes`]), so constructing a
 /// `DiscoveryEngine` per query is cheap: the O(columns²) relationship
-/// index is built once per catalog version, not once per caller. Custom
-/// thresholds ([`DiscoveryEngine::with_builder`]) bypass the cache and
-/// pay the full build (which the F3 benchmark times explicitly).
+/// index is built once per catalog version, not once per caller.
 pub struct DiscoveryEngine<'a> {
     engine: &'a MetadataEngine,
     indexes: std::sync::Arc<Indexes>,
@@ -43,12 +41,6 @@ impl<'a> DiscoveryEngine<'a> {
     /// generation).
     pub fn new(engine: &'a MetadataEngine) -> Self {
         let indexes = engine.cached_indexes();
-        DiscoveryEngine { engine, indexes }
-    }
-
-    /// Build with a custom index builder (threshold tuning; uncached).
-    pub fn with_builder(engine: &'a MetadataEngine, builder: &IndexBuilder) -> Self {
-        let indexes = std::sync::Arc::new(builder.build(engine));
         DiscoveryEngine { engine, indexes }
     }
 

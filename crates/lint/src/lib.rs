@@ -21,9 +21,9 @@
 //! error (`allow-unused`) — so stale allows cannot accumulate.
 //!
 //! Scope: every `.rs` file under a `src/` directory in the workspace
-//! (crates/, compat/, the facade). Test code — `tests/`, `examples/`,
-//! `benches/`, and `#[cfg(test)]` modules — is exempt: tests unwrap and
-//! index freely by design, and none of it runs during replay.
+//! (crates/, compat/, the facade). Test code — `tests/`, `examples/`
+//! and `#[cfg(test)]` modules — is exempt: tests unwrap and index
+//! freely by design, and none of it runs during replay.
 
 pub mod classify;
 pub mod lexer;

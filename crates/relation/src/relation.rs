@@ -54,11 +54,6 @@ impl Row {
     pub fn set_provenance(&mut self, prov: Provenance) {
         self.prov = prov;
     }
-
-    /// Consume into parts.
-    pub fn into_parts(self) -> (Vec<Value>, Provenance) {
-        (self.values, self.prov)
-    }
 }
 
 /// An in-memory relation: named, typed, provenance-carrying.
@@ -161,12 +156,6 @@ impl Relation {
         &self.rows
     }
 
-    /// Mutable rows (crate-internal; operators keep the schema invariant).
-    #[allow(dead_code)]
-    pub(crate) fn rows_mut(&mut self) -> &mut Vec<Row> {
-        &mut self.rows
-    }
-
     /// The market dataset id this relation is registered as, if any.
     pub fn source(&self) -> Option<DatasetId> {
         self.source
@@ -228,11 +217,6 @@ impl Relation {
         }
         let nulls = self.column(name)?.filter(|v| v.is_null()).count();
         Ok(nulls as f64 / self.rows.len() as f64)
-    }
-
-    /// Total number of cells (rows × columns).
-    pub fn cell_count(&self) -> usize {
-        self.rows.len() * self.schema.len()
     }
 
     /// The union of all row provenances: every source row this relation

@@ -6,8 +6,6 @@
 //! dependencies. Type inference promotes columns along
 //! `Int → Float → Str`, with `Bool` and empty-as-`Null` handling.
 
-use std::sync::Arc;
-
 use crate::error::{RelError, RelResult};
 use crate::relation::{Relation, Row};
 use crate::schema::{DataType, Field, Schema};
@@ -222,11 +220,6 @@ pub fn parse_csv(name: &str, text: &str) -> RelResult<Relation> {
 /// Serialize with default options.
 pub fn to_csv(rel: &Relation) -> String {
     to_text(rel, &TextOptions::default())
-}
-
-/// Round-trip helper used in tests: parse(to_csv(r)) has the same values.
-pub fn schema_arc(rel: &Relation) -> Arc<Schema> {
-    Arc::clone(rel.schema())
 }
 
 #[cfg(test)]

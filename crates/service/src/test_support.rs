@@ -1,4 +1,4 @@
-//! Support code for tests, benches and examples; compiled only under
+//! Support code for tests and examples; compiled only under
 //! `cfg(test)` or the `test-support` feature, never into a release
 //! node.
 

@@ -23,12 +23,8 @@ use std::net::SocketAddr;
 use std::process::{Child, Stdio};
 use std::sync::Arc;
 
-use dmp_core::market::MarketConfig;
-use dmp_mechanism::design::MarketDesign;
 use dmp_service::client::Client;
-use dmp_service::command::{
-    AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
-};
+use dmp_service::command::Command;
 use dmp_service::coordinator::WorkerPool;
 use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::metrics::metrics;
@@ -37,13 +33,8 @@ use dmp_service::shard::{MergedRoundReport, Outcome, ShardRouter};
 use dmp_service::wire::Json;
 use dmp_telemetry::lint_exposition;
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-
-const POSTED_PRICE: f64 = 12.0;
-
-fn market_config(seed: u64) -> MarketConfig {
-    MarketConfig::external(seed).with_design(MarketDesign::posted_price_baseline(POSTED_PRICE))
-}
+mod common;
+use common::{command_stream, market_config, POSTED_PRICE};
 
 fn temp_dir(name: &str, seed: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dmp-dist-{name}-{seed}-{}", std::process::id()));
@@ -93,104 +84,6 @@ impl Drop for WorkerProc {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
-}
-
-/// A deterministic stream of mixed commands — the same shape the
-/// shard-equivalence suite uses: enrolls, deposits, asks over a small
-/// shared attribute pool, offers, occasional licenses, and rounds.
-fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cmds = Vec::new();
-    let attrs = ["a", "b", "c", "d"];
-    for i in 0..5 {
-        cmds.push(Command::Enroll {
-            name: format!("seller{i}"),
-            role: "seller".into(),
-        });
-        cmds.push(Command::Enroll {
-            name: format!("buyer{i}"),
-            role: "buyer".into(),
-        });
-        cmds.push(Command::Deposit {
-            account: format!("buyer{i}"),
-            amount: 200.0 + i as f64,
-        });
-    }
-    let mut datasets_shared = 0u64;
-    for round in 0..rounds {
-        for _ in 0..rng.gen_range(1..4) {
-            match rng.gen_range(0..10) {
-                0..=3 => {
-                    let start = rng.gen_range(0..attrs.len() - 1);
-                    let width = rng.gen_range(1..=attrs.len() - start);
-                    let cols: Vec<(String, ColType)> = attrs[start..start + width]
-                        .iter()
-                        .map(|c| (c.to_string(), ColType::Float))
-                        .collect();
-                    let rows = (0..rng.gen_range(2..6))
-                        .map(|_| {
-                            cols.iter()
-                                .map(|_| CellSpec::Float(rng.gen_range(0i64..500) as f64 / 10.0))
-                                .collect()
-                        })
-                        .collect();
-                    cmds.push(Command::SubmitAsk(AskSpec {
-                        seller: format!("seller{}", rng.gen_range(0..5)),
-                        table: TableSpec {
-                            name: format!("t{round}_{}", cmds.len()),
-                            columns: cols,
-                            rows,
-                        },
-                        reserve: if rng.gen_bool(0.3) {
-                            Some(rng.gen_range(0i64..8) as f64)
-                        } else {
-                            None
-                        },
-                        license: if rng.gen_bool(0.2) {
-                            Some(LicenseSpec::Exclusive {
-                                tax_rate: 0.25,
-                                hold_rounds: 2,
-                            })
-                        } else {
-                            None
-                        },
-                    }));
-                    datasets_shared += 1;
-                }
-                4..=7 => {
-                    let start = rng.gen_range(0..attrs.len() - 1);
-                    let width = rng.gen_range(1..=attrs.len() - start);
-                    cmds.push(Command::SubmitOffer(OfferSpec {
-                        buyer: format!("buyer{}", rng.gen_range(0..5)),
-                        attributes: attrs[start..start + width]
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect(),
-                        keywords: Vec::new(),
-                        task: TaskSpec::AttributeCoverage,
-                        curve: CurveSpec::Constant(rng.gen_range(10i64..40) as f64),
-                        min_rows: 1,
-                        purpose: "analytics".into(),
-                    }));
-                }
-                8 if datasets_shared > 0 => {
-                    cmds.push(Command::GrantLicense {
-                        seller: format!("seller{}", rng.gen_range(0..5)),
-                        dataset: rng.gen_range(0..datasets_shared),
-                        license: LicenseSpec::Standard,
-                    });
-                }
-                _ => {
-                    cmds.push(Command::Deposit {
-                        account: format!("buyer{}", rng.gen_range(0..5)),
-                        amount: rng.gen_range(1i64..50) as f64,
-                    });
-                }
-            }
-        }
-        cmds.push(Command::RunRound { rounds: 1 });
-    }
-    cmds
 }
 
 /// All settled trades, shard-count-independently keyed and bit-exact.

@@ -336,3 +336,100 @@ fn corrupted_snapshot_falls_back_to_journal() {
     let recovered = ServiceNode::open(cfg).unwrap();
     assert_eq!(fingerprint(recovered.router()), expect);
 }
+
+/// Enroll four accounts, then spread `deposits` deposits over them:
+/// a history whose length is free and whose state is not.
+fn apply_deposit_history(node: &ServiceNode, deposits: u64) {
+    for i in 0..4 {
+        node.apply(Command::Enroll {
+            name: format!("buyer{i}"),
+            role: "buyer".into(),
+        })
+        .unwrap();
+    }
+    for i in 0..deposits {
+        node.apply(Command::Deposit {
+            account: format!("buyer{}", i % 4),
+            amount: 1.0,
+        })
+        .unwrap();
+    }
+}
+
+/// What a closed node leaves on disk after [`apply_deposit_history`],
+/// checkpointing every 64 commands and keeping one snapshot: `(journal
+/// bytes, snapshot bytes)`. Also pins that exactly one snapshot and the
+/// four records past the last checkpoint remain, and that the directory
+/// reopens to the state it was closed in.
+fn disk_after_compacted_history(deposits: u64) -> (u64, u64) {
+    let dir = tmp_dir(&format!("history-{deposits}"));
+    let cfg = ServiceConfig::new(dir.path(), market_config())
+        .with_shards(SHARDS)
+        .with_snapshot_every(64)
+        .with_keep_snapshots(1)
+        .with_fsync(false);
+    let digest = {
+        let node = ServiceNode::open(cfg.clone()).unwrap();
+        apply_deposit_history(&node, deposits);
+        node.state_digest()
+    };
+
+    let snapshots = dmp_service::snapshot::list_snapshots(dir.path());
+    assert_eq!(
+        snapshots.len(),
+        1,
+        "retention must prune to one snapshot after {deposits} deposits"
+    );
+    let snapshot_bytes = std::fs::metadata(&snapshots[0].1).unwrap().len();
+    let journal = dir.join("journal.wal");
+    // 4 + N commands, last checkpoint at N: the four past it remain.
+    assert_eq!(
+        record_boundaries(&journal).len(),
+        4,
+        "compaction must truncate the journal after {deposits} deposits"
+    );
+    let journal_bytes = std::fs::metadata(&journal).unwrap().len();
+
+    let reopened = ServiceNode::open(cfg).unwrap();
+    assert_eq!(reopened.applied(), 4 + deposits);
+    assert_eq!(reopened.state_digest(), digest);
+    (journal_bytes, snapshot_bytes)
+}
+
+/// Recovery is O(state), not O(history), pinned on what recovery reads
+/// rather than on a clock: an 8× longer history over the same four
+/// accounts leaves the same journal tail and the same size of image.
+/// Fails if compaction stops truncating (the record count grows with
+/// history) or retention stops pruning (more than one snapshot). The
+/// timed form of the claim is `marketbench`'s `checkpoint_cycle`
+/// `recovery_s`.
+#[test]
+fn what_recovery_reads_is_bounded_by_state_not_history() {
+    // One uncompacted 64-record journal, as the yardstick for bytes.
+    let window = {
+        let dir = tmp_dir("history-window");
+        let node = ServiceNode::open(
+            ServiceConfig::new(dir.path(), market_config())
+                .with_shards(SHARDS)
+                .with_snapshot_every(0)
+                .with_fsync(false),
+        )
+        .unwrap();
+        apply_deposit_history(&node, 60);
+        node.journal_len().unwrap()
+    };
+
+    let (short_journal, short_snapshot) = disk_after_compacted_history(256);
+    let (long_journal, long_snapshot) = disk_after_compacted_history(2048);
+    assert!(
+        short_journal < window && long_journal < window,
+        "compacted journals ({short_journal} B, {long_journal} B) must stay under one \
+         64-record window ({window} B)"
+    );
+    // Same accounts, larger balances: only the digits differ.
+    assert!(
+        short_snapshot.abs_diff(long_snapshot) < 64,
+        "snapshot grew with history: {short_snapshot} B after 256 deposits, \
+         {long_snapshot} B after 2048"
+    );
+}
