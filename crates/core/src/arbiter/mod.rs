@@ -13,9 +13,10 @@
 //!   Shapley / leave-one-out / provenance;
 //! * [`services`] — arbiter services: demand reports for opportunistic
 //!   sellers and item-based collaborative-filtering recommendations;
-//! * [`pipeline`] — the staged round pipeline wiring the above into
-//!   `DataMarket::run_round`: expiry → candidates (rayon-parallel) →
-//!   clearing → settlement.
+//! * [`pipeline`] — the round's phases wiring the above together:
+//!   expiry → candidates (rayon-parallel) → clearing → conflict-graph
+//!   settlement, run by `DataMarket::run_round` and by the service's
+//!   shard router alike.
 
 pub mod ledger;
 pub mod mashup_builder;
@@ -27,9 +28,6 @@ pub mod wtp_evaluator;
 
 pub use ledger::Ledger;
 pub use mashup_builder::BuiltMashup;
-pub use pipeline::{
-    CandidateSet, CandidateStage, ClearingStage, ExpiryStage, RoundContext, RoundReport,
-    RoundStage, SettlementStage,
-};
+pub use pipeline::{CandidateStage, RoundContext, RoundReport};
 pub use pricing::{RoundBid, Sale};
 pub use wtp_evaluator::Evaluation;

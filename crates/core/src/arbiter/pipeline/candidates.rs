@@ -1,4 +1,5 @@
-//! Stage 2: build + evaluate candidate mashups per pending offer.
+//! Phase 1, second half: build + evaluate candidate mashups per pending
+//! offer.
 
 use rayon::prelude::*;
 
@@ -10,7 +11,7 @@ use crate::arbiter::wtp_evaluator::evaluate;
 use crate::market::{DataMarket, Offer};
 use crate::trust::AuditEvent;
 
-use super::{NegotiationRequest, RoundContext, RoundStage};
+use super::{NegotiationRequest, RoundContext};
 
 /// Per-offer candidate evaluation: the mashup builder + WTP-evaluator +
 /// admissibility / viability filter + seeded tie-breaking of the paper's
@@ -35,13 +36,6 @@ impl Default for CandidateStage {
     }
 }
 
-impl CandidateStage {
-    /// The sequential reference path (differential tests, debugging).
-    pub fn sequential() -> Self {
-        CandidateStage { parallel: false }
-    }
-}
-
 /// Outcome of evaluating one offer's candidates.
 struct OfferOutcome {
     offer_id: u64,
@@ -52,12 +46,20 @@ struct OfferOutcome {
     all_attributes: Vec<String>,
 }
 
-impl RoundStage for CandidateStage {
-    fn name(&self) -> &'static str {
-        "candidates"
+impl CandidateStage {
+    /// The sequential reference path (differential tests, debugging).
+    pub fn sequential() -> Self {
+        CandidateStage { parallel: false }
     }
 
-    fn run(&self, market: &DataMarket, ctx: &mut RoundContext) {
+    /// Evaluate every pending offer and record one bid per offer that
+    /// found a sellable mashup (plus the round's unmet demand).
+    pub(crate) fn run(&self, market: &DataMarket, ctx: &mut RoundContext) {
+        super::timed("candidates", || self.evaluate_all(market, ctx));
+        super::candidates_histogram().record(ctx.bids.len() as u64);
+    }
+
+    fn evaluate_all(&self, market: &DataMarket, ctx: &mut RoundContext) {
         let pending = std::mem::take(&mut ctx.pending);
 
         let outcomes: Vec<OfferOutcome> = if self.parallel {
@@ -286,7 +288,7 @@ mod tests {
 
     fn winner_of(market: &DataMarket, stage: CandidateStage) -> Vec<DatasetId> {
         let mut ctx = RoundContext::open(market);
-        super::super::ExpiryStage.run(market, &mut ctx);
+        super::super::expire(market, &mut ctx);
         stage.run(market, &mut ctx);
         assert_eq!(ctx.bids.len(), 1);
         ctx.bids[0].datasets.clone()
@@ -355,7 +357,7 @@ mod tests {
             .unwrap();
 
         let mut ctx = RoundContext::open(&market);
-        super::super::ExpiryStage.run(&market, &mut ctx);
+        super::super::expire(&market, &mut ctx);
         CandidateStage::default().run(&market, &mut ctx);
         assert_eq!(ctx.bids.len(), 1);
         let floor = market.reserve_floor(&ctx.bids[0].datasets);
@@ -387,7 +389,7 @@ mod tests {
             .unwrap();
 
         let mut ctx = RoundContext::open(&market);
-        super::super::ExpiryStage.run(&market, &mut ctx);
+        super::super::expire(&market, &mut ctx);
         CandidateStage::default().run(&market, &mut ctx);
         assert_eq!(
             ctx.bids.len(),

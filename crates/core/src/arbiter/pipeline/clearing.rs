@@ -1,36 +1,44 @@
-//! Stage 3: the pricing engine clears the round's bids.
+//! Phase 2: the pricing engine clears the round's bids.
 
-use crate::arbiter::pricing::clear;
-use crate::market::DataMarket;
+use dmp_mechanism::design::MarketDesign;
 
-use super::{RoundContext, RoundStage};
+use crate::arbiter::pricing::{self, RoundBid, Sale};
 
-/// Groups the round's bids by product (dataset combination) and clears
-/// each group under the plugged-in market design's allocation + payment
-/// rules (§3.2); license multipliers and reserve floors apply inside
-/// [`clear`]. This is the pipeline's only cross-offer barrier: every
-/// bid must be in before prices are set.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClearingStage;
+use super::RoundContext;
 
-impl RoundStage for ClearingStage {
-    fn name(&self) -> &'static str {
-        "clearing"
-    }
+/// Clear one round over every market's candidate phase: move each
+/// context's bids out, merge them in global offer-id order (the order a
+/// single offer book would list them) and run the pricing engine once,
+/// so bids from different markets compete for the same products. Bids
+/// are grouped by product (dataset combination) and cleared under the
+/// design's allocation + payment rules (§3.2); license multipliers and
+/// reserve floors apply inside [`pricing::clear`]. This is the round's
+/// only cross-offer barrier. Returned sales are sorted by offer id,
+/// which is the order [`super::settle`] commits them in.
+pub fn clear(design: &MarketDesign, ctxs: &mut [RoundContext]) -> Vec<Sale> {
+    super::timed("clearing", || pricing::clear(design, &merge_bids(ctxs)))
+}
 
-    fn run(&self, market: &DataMarket, ctx: &mut RoundContext) {
-        ctx.sales = clear(&market.config.design, &ctx.bids);
-    }
+/// Every context's bids, moved out and sorted by offer id. Offer ids
+/// are globally unique, so the order does not depend on how offers
+/// were spread over markets.
+fn merge_bids(ctxs: &mut [RoundContext]) -> Vec<RoundBid> {
+    let mut bids: Vec<RoundBid> = ctxs
+        .iter_mut()
+        .flat_map(|ctx| std::mem::take(&mut ctx.bids))
+        .collect();
+    bids.sort_by_key(|b| b.offer_id);
+    bids
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbiter::pipeline::{CandidateStage, ExpiryStage};
-    use crate::market::MarketConfig;
-    use dmp_mechanism::design::MarketDesign;
+    use crate::arbiter::pipeline::{expire, CandidateStage};
+    use crate::market::{DataMarket, MarketConfig};
     use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
     use dmp_relation::builder::keyed_rel;
+    use dmp_relation::DatasetId;
 
     #[test]
     fn clearing_prices_at_the_posted_price() {
@@ -52,15 +60,12 @@ mod tests {
             .unwrap();
 
         let mut ctx = RoundContext::open(&market);
-        ExpiryStage.run(&market, &mut ctx);
+        expire(&market, &mut ctx);
         CandidateStage::default().run(&market, &mut ctx);
-        ClearingStage.run(&market, &mut ctx);
+        let sales = clear(&market.config.design, std::slice::from_mut(&mut ctx));
 
-        assert_eq!(ctx.sales.len(), 1);
-        assert_eq!(
-            ctx.sales[0].price, 10.0,
-            "posted-price design sets the price"
-        );
+        assert_eq!(sales.len(), 1);
+        assert_eq!(sales[0].price, 10.0, "posted-price design sets the price");
         assert!(ctx.completed_sales.is_empty(), "settlement has not run yet");
     }
 
@@ -83,11 +88,39 @@ mod tests {
             .unwrap();
 
         let mut ctx = RoundContext::open(&market);
-        ExpiryStage.run(&market, &mut ctx);
+        expire(&market, &mut ctx);
         CandidateStage::default().run(&market, &mut ctx);
-        ClearingStage.run(&market, &mut ctx);
-
         assert!(!ctx.bids.is_empty(), "a bid was made");
-        assert!(ctx.sales.is_empty(), "posted 10 cannot cover reserve 15");
+        let sales = clear(&market.config.design, std::slice::from_mut(&mut ctx));
+
+        assert!(sales.is_empty(), "posted 10 cannot cover reserve 15");
+    }
+
+    #[test]
+    fn merged_bids_follow_global_offer_id_order() {
+        let market = DataMarket::new(MarketConfig::external(3));
+        let bid = |offer_id: u64| RoundBid {
+            offer_id,
+            buyer: format!("b{offer_id}"),
+            bid: 5.0,
+            satisfaction: 1.0,
+            datasets: vec![DatasetId(0)],
+            reserve_floor: 0.0,
+            license_multiplier: 1.0,
+        };
+        let mut ctxs = [RoundContext::open(&market), RoundContext::open(&market)];
+        ctxs[0].bids = vec![bid(3), bid(7)];
+        ctxs[1].bids = vec![bid(1), bid(5)];
+        let merged = merge_bids(&mut ctxs);
+        let ids: Vec<u64> = merged.iter().map(|b| b.offer_id).collect();
+        assert_eq!(
+            ids,
+            [1, 3, 5, 7],
+            "merged order = 1-market offer-book order"
+        );
+        assert!(
+            ctxs.iter().all(|ctx| ctx.bids.is_empty()),
+            "the bids move out of the contexts"
+        );
     }
 }

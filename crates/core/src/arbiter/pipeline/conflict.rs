@@ -6,14 +6,12 @@
 //! key sets commute; connecting sales that share a key partitions the
 //! round's cleared-sale list into connected components.
 //!
-//! The partition feeds [`super::SettlementStage`]'s two-phase commit:
-//! the commit-*independent* arithmetic of each component (fee splits,
-//! provenance-based revenue shares — see
-//! [`crate::market::DataMarket::plan_settlement`]) is computed
-//! concurrently across components, while the commit itself (escrow
-//! holds, id allocation, the audit chain) replays sequentially in
-//! global offer-id order so the result is bit-identical to fully
-//! sequential settlement. Component identity is deterministic: sales
+//! The partition feeds [`super::settle`]'s two-phase commit: the
+//! commit-*independent* arithmetic of each component (fee splits,
+//! provenance-based revenue shares) is computed concurrently across
+//! components, while the commit itself (escrow holds, id allocation,
+//! the audit chain) runs sequentially in global offer-id order, so the
+//! result is bit-identical to fully sequential settlement. Component identity is deterministic: sales
 //! arrive sorted by global offer id, components are keyed by their
 //! smallest member index, and the union-find walks keys through a
 //! `BTreeMap`, so the grouping never depends on hash order.
@@ -47,8 +45,8 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
 /// indices ascend within each component, and components are ordered by
 /// their smallest member index — when the items are cleared sales
 /// sorted by global offer id, the component id is the component's
-/// minimum global offer id, as the distributed exchange requires.
-pub fn connected_components(keys: &[Vec<String>]) -> Vec<Vec<usize>> {
+/// minimum global offer id.
+pub(crate) fn connected_components(keys: &[Vec<String>]) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..keys.len()).collect();
     let mut first_owner: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, item_keys) in keys.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Per-round shared state threaded through the pipeline stages.
+//! Per-round state threaded through the round's phases.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -13,8 +13,8 @@ use crate::market::{DataMarket, Offer};
 
 use super::{NegotiationRequest, RoundReport};
 
-/// Mutable state one round accumulates while flowing through the
-/// stages. Persistent market state (ledger, audit chain, metadata,
+/// Mutable state one round accumulates while flowing through its
+/// phases. Persistent market state (ledger, audit chain, metadata,
 /// lineage, offer book) stays on the [`DataMarket`]; the context only
 /// carries what this round has produced so far.
 #[derive(Debug)]
@@ -25,13 +25,14 @@ pub struct RoundContext {
     pub now: u64,
     /// Round-scoped seed all per-offer RNG streams derive from.
     pub round_seed: u64,
-    /// Offers still live after [`super::ExpiryStage`].
+    /// Offers still live after expiry.
     pub pending: Vec<Offer>,
     /// Offers considered this round (live + expired).
     pub considered: usize,
     /// Offers expired this round.
     pub expired: usize,
-    /// One bid per offer that found a sellable mashup.
+    /// One bid per offer that found a sellable mashup ([`super::clear`]
+    /// moves them out).
     pub bids: Vec<RoundBid>,
     /// The winning candidate mashup per offer id.
     pub best_mashups: BTreeMap<u64, BuiltMashup>,
@@ -39,8 +40,6 @@ pub struct RoundContext {
     pub missing: Vec<Vec<String>>,
     /// Negotiation requests for under-served offers (§4.1).
     pub negotiations: Vec<NegotiationRequest>,
-    /// Sales the clearing stage produced.
-    pub sales: Vec<Sale>,
     /// Sales that actually settled / delivered.
     pub completed_sales: Vec<Sale>,
     /// Ex ante revenue collected.
@@ -77,7 +76,6 @@ impl RoundContext {
             best_mashups: BTreeMap::new(),
             missing: Vec::new(),
             negotiations: Vec::new(),
-            sales: Vec::new(),
             completed_sales: Vec::new(),
             revenue: 0.0,
             fees: 0.0,
@@ -97,21 +95,6 @@ impl RoundContext {
             .rotate_left(17)
             ^ 0xD1B5_4A32_D192_ED03;
         StdRng::seed_from_u64(mixed)
-    }
-
-    /// Export the candidate phase's outcome for global (cross-shard)
-    /// clearing: the round number and every bid the [`super::CandidateStage`]
-    /// produced. Winning mashups stay in the context — only the bids
-    /// travel, and cleared sales come back to
-    /// [`crate::market::DataMarket::settle_sale_planned`]. The bids are
-    /// **moved** out (after clearing, settlement only consults
-    /// [`RoundContext::best_mashups`], so they need not be retained);
-    /// the context is left with none.
-    pub fn take_candidate_set(&mut self) -> super::CandidateSet {
-        super::CandidateSet {
-            round: self.round,
-            bids: std::mem::take(&mut self.bids),
-        }
     }
 
     /// Close the round: publish negotiation/demand state on the market

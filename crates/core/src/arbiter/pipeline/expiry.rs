@@ -1,22 +1,15 @@
-//! Stage 1: snapshot pending offers and expire stale ones.
+//! Phase 1, first half: snapshot pending offers and expire stale ones.
 
 use crate::market::{DataMarket, OfferState};
 
-use super::{RoundContext, RoundStage};
+use super::RoundContext;
 
-/// Collects the round's pending offers (in offer-id order) and marks
+/// Collect the round's pending offers (in offer-id order) and mark
 /// offers whose intrinsic constraints are no longer live (§3.2.2.1,
 /// `expires_at`) as [`OfferState::Expired`]. Live offers flow on to the
 /// [`super::CandidateStage`] via [`RoundContext::pending`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExpiryStage;
-
-impl RoundStage for ExpiryStage {
-    fn name(&self) -> &'static str {
-        "expiry"
-    }
-
-    fn run(&self, market: &DataMarket, ctx: &mut RoundContext) {
+pub(crate) fn expire(market: &DataMarket, ctx: &mut RoundContext) {
+    super::timed("expiry", || {
         let pending: Vec<_> = market
             .offers
             .lock()
@@ -33,7 +26,7 @@ impl RoundStage for ExpiryStage {
                 ctx.expired += 1;
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -63,7 +56,7 @@ mod tests {
             .unwrap();
 
         let mut ctx = RoundContext::open(&market);
-        ExpiryStage.run(&market, &mut ctx);
+        expire(&market, &mut ctx);
 
         assert_eq!(ctx.considered, 2);
         assert_eq!(ctx.expired, 1);

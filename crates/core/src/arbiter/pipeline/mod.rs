@@ -1,37 +1,33 @@
-//! The arbiter's **round pipeline** (paper Fig. 1 (4), §3): a market
-//! round is an explicit sequence of separately-testable stages instead
-//! of one monolithic function, mirroring the paper's arbiter data flow
+//! The arbiter's **round** (paper Fig. 2, §3) — pending WTP offers →
+//! mashup builder → WTP-evaluator → pricing/clearing → transaction
+//! support → revenue allocation — as one sequence of phases, and the
+//! only implementation of it. `DataMarket::run_round` runs it over one
+//! market and the service's shard router over M markets sharing one
+//! ledger, so a round means the same thing, to the bit, in either:
 //!
-//! > pending WTP offers → mashup builder → WTP-evaluator →
-//! > pricing/clearing → transaction support → revenue allocation
+//! 1. **Open** (`DataMarket::begin_round_seeded`): open the round under
+//!    a seed, expire stale offers (§3.2.2.1), then the
+//!    [`CandidateStage`] — per offer: build candidate mashups (DoD,
+//!    §5.3), evaluate WTP, filter on licensing / contextual integrity /
+//!    exclusivity / viability, pick the best bid with a seeded
+//!    tie-break. Offers run on rayon workers; each draws from its own
+//!    [`RoundContext::offer_rng`] stream and results merge in offer
+//!    order, so parallel and sequential runs are byte-identical.
+//! 2. **[`clear`]**: merge every context's bids in global offer-id
+//!    order and run the pricing engine once (§3.2).
+//! 3. **[`settle`]**: plan conflict-graph components concurrently,
+//!    commit every sale in offer-id order on its buyer's market — ex
+//!    ante through the escrow ledger, ex post (§3.2.2.2) by delivery
+//!    awaiting the buyer's report.
+//! 4. **Close** (`DataMarket::close_round`): publish negotiation and
+//!    demand state, produce the [`RoundReport`].
 //!
-//! The stages, in default order:
-//!
-//! 1. [`ExpiryStage`] — snapshot pending offers, expire stale ones
-//!    (intrinsic-constraint `is_live` checks, §3.2.2.1);
-//! 2. [`CandidateStage`] — per offer: build candidate mashups (DoD
-//!    engine, §5.3), run the WTP-evaluator on each, apply licensing /
-//!    contextual-integrity / exclusivity admissibility, keep *viable*
-//!    candidates (reserve-floor coverage), and pick the best bid with
-//!    seeded random tie-breaking. Per-offer work is independent, so
-//!    this stage evaluates offers **in parallel via rayon** by default;
-//!    results are merged back in offer order, and every offer draws
-//!    from its own [`RoundContext::offer_rng`] stream, so parallel and
-//!    sequential execution produce byte-identical outcomes;
-//! 3. [`ClearingStage`] — the pricing engine: group bids by product and
-//!    clear them under the plugged-in market design (§3.2);
-//! 4. [`SettlementStage`] — transaction support + revenue allocation:
-//!    ex ante sales settle immediately through the escrow ledger;
-//!    ex post (use-then-pay, §3.2.2.2) sales escrow the declared cap
-//!    and deliver, awaiting the buyer's value report.
-//!
-//! A [`RoundContext`] threads shared round state (logical time, the
-//! round seed, accumulated bids/sales/negotiations) through the stages;
-//! ledger, audit chain, metadata, and lineage are reached through the
-//! [`DataMarket`] itself. [`DataMarket::run_round`] is a thin driver
-//! over [`default_pipeline`]; custom stage lists (e.g. a sequential
-//! [`CandidateStage`] for differential testing, or an instrumented
-//! stage sandwich) run through [`DataMarket::run_round_with`].
+//! A [`RoundContext`] carries what one round has produced so far;
+//! ledger, audit chain, metadata and lineage are reached through the
+//! market. `DataMarket::run_round_with` takes the candidate stage as
+//! its one parameter: `CandidateStage::sequential()` is the reference
+//! the parallel default is tested against. Each phase records its wall
+//! time into `dmp_round_stage_us{stage=...}`.
 
 mod candidates;
 mod clearing;
@@ -41,11 +37,10 @@ mod expiry;
 mod settlement;
 
 pub use candidates::CandidateStage;
-pub use clearing::ClearingStage;
-pub use conflict::connected_components;
+pub use clearing::clear;
 pub use context::RoundContext;
-pub use expiry::ExpiryStage;
-pub use settlement::{SettlementPlan, SettlementStage};
+pub(crate) use expiry::expire;
+pub use settlement::settle;
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -54,47 +49,24 @@ use dmp_telemetry::{global, Histogram};
 
 use crate::arbiter::pricing::{RoundBid, Sale};
 use crate::arbiter::services::DemandReport;
-use crate::market::DataMarket;
 
-/// One stage of the arbiter's round pipeline.
-///
-/// Stages are stateless (configuration only); all per-round state lives
-/// in the [`RoundContext`], all persistent state in the [`DataMarket`].
-pub trait RoundStage: Send + Sync {
-    /// Stable stage name (diagnostics, tracing).
-    fn name(&self) -> &'static str;
+/// The round's phases, as named in `dmp_round_stage_us{stage=...}`.
+const STAGES: [&str; 4] = ["expiry", "candidates", "clearing", "settlement"];
 
-    /// Execute the stage against the market for this round.
-    fn run(&self, market: &DataMarket, ctx: &mut RoundContext);
-}
-
-/// The paper-ordered default stage list: expiry → candidates (parallel)
-/// → clearing → settlement.
-pub fn default_pipeline() -> Vec<Box<dyn RoundStage>> {
-    vec![
-        Box::new(ExpiryStage),
-        Box::new(CandidateStage::default()),
-        Box::new(ClearingStage),
-        Box::new(SettlementStage),
-    ]
-}
-
-/// The wall-time histogram for one pipeline stage.
-fn stage_histogram(stage: &str) -> Arc<Histogram> {
-    global().histogram(
-        &format!("dmp_round_stage_us{{stage=\"{stage}\"}}"),
-        "Wall time of one arbiter round-pipeline stage, microseconds.",
-    )
-}
-
-/// Handles for the default stages, resolved once so the per-round path
-/// never touches the registry mutex after the first round.
-fn default_stage_histograms() -> &'static [(&'static str, Arc<Histogram>)] {
+/// Histogram handles for [`STAGES`], resolved once so the per-round
+/// path never touches the registry mutex after the first round.
+fn stage_histograms() -> &'static [(&'static str, Arc<Histogram>)] {
     static CACHE: OnceLock<Vec<(&'static str, Arc<Histogram>)>> = OnceLock::new();
     CACHE.get_or_init(|| {
-        ["expiry", "candidates", "clearing", "settlement"]
+        STAGES
             .into_iter()
-            .map(|s| (s, stage_histogram(s)))
+            .map(|stage| {
+                let hist = global().histogram(
+                    &format!("dmp_round_stage_us{{stage=\"{stage}\"}}"),
+                    "Wall time of one arbiter round phase, microseconds.",
+                );
+                (stage, hist)
+            })
             .collect()
     })
 }
@@ -109,53 +81,27 @@ fn candidates_histogram() -> &'static Arc<Histogram> {
     })
 }
 
-/// Run one stage, recording its wall time into
-/// `dmp_round_stage_us{stage="<name>"}`. The candidates stage also
-/// records how many bids it produced into `dmp_round_candidates`.
-/// Custom stage names register their series on first use.
-pub(crate) fn run_stage_timed(stage: &dyn RoundStage, market: &DataMarket, ctx: &mut RoundContext) {
-    let name = stage.name();
-    let hist = default_stage_histograms()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, h)| Arc::clone(h))
-        .unwrap_or_else(|| stage_histogram(name));
-    let started = Instant::now(); // dmp-lint: allow(det-wall-clock) -- stage latency telemetry; never read by the stage
-    stage.run(market, ctx);
-    hist.record_duration_us(started.elapsed());
-    if name == "candidates" {
-        candidates_histogram().record(ctx.bids.len() as u64);
+/// Run one phase, recording its wall time into
+/// `dmp_round_stage_us{stage="<stage>"}`.
+fn timed<T>(stage: &str, phase: impl FnOnce() -> T) -> T {
+    let started = Instant::now(); // dmp-lint: allow(det-wall-clock) -- phase latency telemetry; never read by the phase
+    let out = phase();
+    if let Some((_, hist)) = stage_histograms().iter().find(|(name, _)| *name == stage) {
+        hist.record_duration_us(started.elapsed());
     }
-}
-
-/// One shard's exportable candidate-phase output: everything a global
-/// clearing pass needs from this market for the round. The bids carry
-/// globally-meaningful state only (global offer ids, dataset ids from
-/// the shared catalog, reserve floors, license multipliers) — winning
-/// mashup *relations* stay on the shard that built them and are joined
-/// back at settlement, so a candidate set is cheap to move (and, at the
-/// service layer, to serialize onto a wire).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateSet {
-    /// The round these candidates belong to (uniform across shards of
-    /// one deployment — rounds run in lockstep).
-    pub round: u64,
-    /// One bid per offer that found a sellable mashup.
-    pub bids: Vec<RoundBid>,
+    out
 }
 
 /// The complete candidate-phase outcome of one market (shard) for one
 /// seeded round — everything a *remote* settlement authority needs to
 /// finish the round on this shard's behalf, and everything a replica
-/// needs to adopt the phase without recomputing it.
-///
-/// Where [`CandidateSet`] carries only the bids (enough for global
-/// clearing), the phase export also carries the winning mashups — their
-/// materialized relations included, because revenue allocation splits
-/// by provenance over the relation — plus the negotiation / demand side
-/// channel and the audit events the candidate stage recorded. Expiry is
-/// *not* exported: it is a pure function of the local offer book and
-/// logical clock, so an importing replica re-runs it locally.
+/// needs to adopt the phase without recomputing it: the bids, the
+/// winning mashups (their materialized relations included, because
+/// revenue allocation splits by provenance over the relation), the
+/// negotiation / demand side channel and the audit events the candidate
+/// stage recorded. Expiry is *not* exported: it is a pure function of
+/// the local offer book and logical clock, so an importing replica
+/// re-runs it locally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidatePhaseExport {
     /// The round this phase belongs to.
@@ -211,8 +157,7 @@ pub struct NegotiationRequest {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::market::{MarketConfig, OfferState};
+    use crate::market::{DataMarket, MarketConfig, OfferState};
     use dmp_mechanism::design::MarketDesign;
     use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
     use dmp_relation::builder::keyed_rel;
@@ -221,12 +166,6 @@ mod tests {
         let config =
             MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0));
         DataMarket::new(config)
-    }
-
-    #[test]
-    fn default_pipeline_has_the_paper_stages_in_order() {
-        let names: Vec<&str> = default_pipeline().iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["expiry", "candidates", "clearing", "settlement"]);
     }
 
     #[test]

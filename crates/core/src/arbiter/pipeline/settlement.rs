@@ -1,9 +1,11 @@
-//! Stage 4: transaction support + revenue allocation — and the ex post
-//! reporting path that settles deliveries outside the round.
+//! Phase 3: transaction support + revenue allocation, by conflict graph
+//! — and the ex post reporting path that settles deliveries outside the
+//! round.
 
 use std::sync::atomic::Ordering;
 
 use rand::Rng;
+use rayon::prelude::*;
 
 use dmp_mechanism::elicitation::ElicitationProtocol;
 
@@ -17,20 +19,20 @@ use crate::market::{
 };
 use crate::trust::AuditEvent;
 
-use super::{RoundContext, RoundStage};
+use super::conflict::connected_components;
+use super::RoundContext;
 
 /// The commit-independent arithmetic of one ex ante settlement.
 ///
 /// Everything here is a pure function of the market design, the sale,
 /// and the winning mashup's relation — never of ledger state mutated by
 /// earlier settlements — so plans for *any* set of sales can be
-/// computed concurrently (the conflict-graph settlement path computes
-/// them per connected component on rayon workers) and then committed
-/// sequentially in global offer-id order with results bit-identical to
-/// fully sequential settlement: the commit consumes the plan verbatim,
-/// it never recomputes.
+/// computed concurrently and then committed sequentially in global
+/// offer-id order with results bit-identical to planning each sale just
+/// before its commit: the commit consumes the plan verbatim, it never
+/// recomputes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SettlementPlan {
+pub(crate) struct SettlementPlan {
     /// Arbiter fee carved out of the sale price.
     pub fee: f64,
     /// Provenance-based revenue shares over `price − fee`.
@@ -40,91 +42,112 @@ pub struct SettlementPlan {
     pub reward_shares: Vec<DatasetShare>,
 }
 
-/// Settles the round's cleared sales. Under **ex ante** elicitation the
-/// buyer pays now: escrow, fee split, provenance-based revenue shares,
-/// lineage, licensing holds. Under **ex post** (use-then-pay,
-/// §3.2.2.2) the buyer's declared cap is escrowed and the mashup is
-/// delivered; payment happens later through
-/// [`DataMarket::report_value`]. A sale whose buyer cannot fund the
-/// escrow simply stays pending — no partial state is left behind.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SettlementStage;
-
-impl RoundStage for SettlementStage {
-    fn name(&self) -> &'static str {
-        "settlement"
-    }
-
-    fn run(&self, market: &DataMarket, ctx: &mut RoundContext) {
-        let sales = std::mem::take(&mut ctx.sales);
-        for sale in sales {
-            Self::settle_one(market, ctx, sale);
+/// Settle a round's cleared sales; returns how many conflict components
+/// they partitioned into.
+///
+/// `markets[i]` and `ctxs[i]` are one market and its round; `home`
+/// names the market a sale's buyer lives on (`|_| 0` for one market);
+/// `sales` come sorted by offer id, as [`super::clear`] returns them.
+/// Ex ante, the buyer pays now (escrow, fee, provenance shares,
+/// lineage, licence holds); ex post (§3.2.2.2), the declared cap is
+/// escrowed and the mashup delivered until [`DataMarket::report_value`].
+/// An unfunded sale leaves its offer pending and no partial state; a
+/// sale without a winning mashup on its home market is skipped.
+///
+/// Sales sharing an account or hold ([`DataMarket::settlement_conflict_keys`])
+/// form connected components whose plans are computed concurrently —
+/// plans read nothing a commit writes. Commits then run strictly in
+/// sale order: ids, the audit chain and hold success depend on it, and
+/// an earlier sale's proceeds may fund a later purchase.
+pub fn settle(
+    markets: &[DataMarket],
+    ctxs: &mut [RoundContext],
+    sales: Vec<Sale>,
+    home: impl Fn(&str) -> usize,
+) -> usize {
+    super::timed("settlement", || {
+        let homed: Vec<(usize, Sale)> = sales
+            .into_iter()
+            .map(|sale| (home(&sale.buyer), sale))
+            .collect();
+        let rounds: &[RoundContext] = ctxs;
+        // A sale's home market and its winning mashup there.
+        let mashup = |at: usize, sale: &Sale| {
+            let market = markets.get(at)?;
+            let mashup = rounds.get(at)?.best_mashups.get(&sale.offer_id)?;
+            Some((market, mashup))
+        };
+        let keys: Vec<Vec<String>> = homed
+            .iter()
+            .map(|(at, sale)| match mashup(*at, sale) {
+                Some((market, mashup)) => market.settlement_conflict_keys(sale, mashup),
+                None => Vec::new(),
+            })
+            .collect();
+        let components = connected_components(&keys);
+        // Ex post sales move no money until the report: nothing to plan.
+        let plan = |at: usize, sale: &Sale| {
+            let (market, mashup) = mashup(at, sale)?;
+            (!market.is_ex_post()).then(|| market.plan_settlement(sale, mashup))
+        };
+        let mut plans: Vec<(usize, Option<SettlementPlan>)> = components
+            .par_iter()
+            .map(|component| {
+                component
+                    .iter()
+                    .map(|&i| (i, homed.get(i).and_then(|(at, sale)| plan(*at, sale))))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+        // Back to sale order, whichever component finished first.
+        plans.sort_by_key(|(i, _)| *i);
+        for ((at, sale), (_, plan)) in homed.into_iter().zip(plans) {
+            if let (Some(market), Some(ctx)) = (markets.get(at), ctxs.get_mut(at)) {
+                commit(market, ctx, sale, plan);
+            }
         }
-    }
+        components.len()
+    })
 }
 
-impl SettlementStage {
-    /// Settle one cleared sale into the market — the per-sale body of
-    /// the stage, also driven sale-by-sale (in global offer-id order)
-    /// by the service layer's cross-shard exchange. A sale whose
-    /// winning mashup is not in this context (routed to the wrong
-    /// shard) is ignored; one whose buyer cannot fund the escrow leaves
-    /// the offer pending.
-    pub(crate) fn settle_one(market: &DataMarket, ctx: &mut RoundContext, sale: Sale) {
-        Self::settle_one_planned(market, ctx, sale, None);
-    }
-
-    /// [`SettlementStage::settle_one`] with an optionally precomputed
-    /// [`SettlementPlan`] (conflict-graph parallel settlement: plans are
-    /// computed concurrently per component, commits replay in global
-    /// order through here). `None` plans the sale inline — the two paths
-    /// are bit-identical because the plan is a pure function of inputs
-    /// the commit does not mutate. Ex post sales ignore the plan: their
-    /// money moves at report time, not now.
-    pub(crate) fn settle_one_planned(
-        market: &DataMarket,
-        ctx: &mut RoundContext,
-        sale: Sale,
-        plan: Option<&SettlementPlan>,
-    ) {
-        let ex_post = matches!(
-            market.config.design.elicitation,
-            ElicitationProtocol::ExPost(_)
-        );
-        let mashup = match ctx.best_mashups.get(&sale.offer_id) {
-            Some(m) => m.clone(),
-            None => return,
-        };
-        if ex_post {
-            match market.deliver_ex_post(&sale, &mashup) {
-                Ok(delivery_id) => {
-                    ctx.deliveries.push(delivery_id);
-                    ctx.completed_sales.push(sale);
-                }
-                Err(_) => { /* deposit unavailable: offer stays pending */ }
-            }
-        } else {
-            let settled = match plan {
-                Some(p) => market.settle_planned(&sale, &mashup, ctx.round, p),
-                None => market.settle(&sale, &mashup, ctx.round),
-            };
-            match settled {
-                Ok(record) => {
-                    ctx.revenue += record.price;
-                    ctx.fees += record.fee;
-                    ctx.completed_sales.push(sale);
-                }
-                Err(_) => { /* insufficient funds: offer stays pending */ }
-            }
+/// Commit one sale on its home market: ex ante from its plan, ex post
+/// by delivery.
+fn commit(market: &DataMarket, ctx: &mut RoundContext, sale: Sale, plan: Option<SettlementPlan>) {
+    let Some(mashup) = ctx.best_mashups.get(&sale.offer_id) else {
+        return;
+    };
+    if market.is_ex_post() {
+        // A buyer who cannot fund the deposit keeps the offer pending.
+        if let Ok(delivery_id) = market.deliver_ex_post(&sale, mashup) {
+            ctx.deliveries.push(delivery_id);
+            ctx.completed_sales.push(sale);
+        }
+    } else if let Some(plan) = plan {
+        // Insufficient funds likewise leave the offer pending.
+        if let Ok(record) = market.settle_planned(&sale, mashup, ctx.round, &plan) {
+            ctx.revenue += record.price;
+            ctx.fees += record.fee;
+            ctx.completed_sales.push(sale);
         }
     }
 }
 
 impl DataMarket {
+    /// Does this market's design defer payment to the buyer's report?
+    fn is_ex_post(&self) -> bool {
+        matches!(
+            self.config.design.elicitation,
+            ElicitationProtocol::ExPost(_)
+        )
+    }
+
     /// Compute the commit-independent arithmetic of one ex ante
     /// settlement — see [`SettlementPlan`] for why this is safe to run
     /// concurrently for sales that have not committed yet.
-    pub fn plan_settlement(&self, sale: &Sale, mashup: &BuiltMashup) -> SettlementPlan {
+    pub(crate) fn plan_settlement(&self, sale: &Sale, mashup: &BuiltMashup) -> SettlementPlan {
         let fee = sale.price * self.config.design.arbiter_fee.clamp(0.0, 1.0);
         let to_sellers = sale.price - fee;
         let shares = dataset_shares(&self.config.design, &mashup.relation, to_sellers);
@@ -147,14 +170,17 @@ impl DataMarket {
     /// The conflict keys of one cleared sale: the ledger accounts and
     /// exclusivity-hold slots its settlement writes. Two sales with
     /// disjoint key sets commute semantically; sharing any key makes
-    /// them neighbors in the round's conflict graph (see
-    /// [`super::conflict::connected_components`]). [`ARBITER_ACCOUNT`]
+    /// them neighbors in the round's conflict graph. [`ARBITER_ACCOUNT`]
     /// is excluded — every sale credits the arbiter's fee account, and
     /// integer micro-credit deposits commute exactly, so including it
     /// would collapse every round into one component. A dataset with no
     /// metadata entry pays its residual to the arbiter and is likewise
     /// account-free (its `d:` hold key still counts).
-    pub fn settlement_conflict_keys(&self, sale: &Sale, mashup: &BuiltMashup) -> Vec<String> {
+    pub(crate) fn settlement_conflict_keys(
+        &self,
+        sale: &Sale,
+        mashup: &BuiltMashup,
+    ) -> Vec<String> {
         let mut keys = vec![format!("a:{}", sale.buyer)];
         for &d in &mashup.datasets {
             if let Some(e) = self.metadata.get(d) {
@@ -167,17 +193,6 @@ impl DataMarket {
         keys.sort();
         keys.dedup();
         keys
-    }
-
-    /// Ex ante settlement: move money, split revenue, record everything.
-    pub(crate) fn settle(
-        &self,
-        sale: &Sale,
-        mashup: &BuiltMashup,
-        round: u64,
-    ) -> MarketResult<TransactionRecord> {
-        let plan = self.plan_settlement(sale, mashup);
-        self.settle_planned(sale, mashup, round, &plan)
     }
 
     /// Commit one ex ante settlement from its precomputed plan. Order
@@ -250,8 +265,8 @@ impl DataMarket {
     /// platform-minted contribution rewards (bonus points / credits):
     /// sellers are compensated even when the design charges buyers
     /// nothing, split like the revenue shares would be. They arrive
-    /// precomputed (from the sale's [`SettlementPlan`] or the ex post
-    /// report path) so the planned and unplanned paths share one body.
+    /// precomputed (from the sale's [`SettlementPlan`] or by the ex post
+    /// report path) so both settlement paths share one body.
     fn finish_transaction(
         &self,
         record: &TransactionRecord,
@@ -461,19 +476,29 @@ impl DataMarket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbiter::pipeline::{CandidateStage, ClearingStage, ExpiryStage};
+    use crate::arbiter::pipeline::{clear, expire, CandidateStage};
     use crate::market::MarketConfig;
     use dmp_mechanism::design::MarketDesign;
     use dmp_mechanism::elicitation::ExPostMechanism;
     use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
     use dmp_relation::builder::keyed_rel;
 
-    fn staged_ctx(market: &DataMarket) -> RoundContext {
+    /// A round of `market` opened and cleared, with its cleared sales.
+    fn staged_ctx(market: &DataMarket) -> (RoundContext, Vec<Sale>) {
         let mut ctx = RoundContext::open(market);
-        ExpiryStage.run(market, &mut ctx);
+        expire(market, &mut ctx);
         CandidateStage::default().run(market, &mut ctx);
-        ClearingStage.run(market, &mut ctx);
-        ctx
+        let sales = clear(&market.config.design, std::slice::from_mut(&mut ctx));
+        (ctx, sales)
+    }
+
+    fn settle_one_market(market: &DataMarket, ctx: &mut RoundContext, sales: Vec<Sale>) {
+        settle(
+            std::slice::from_ref(market),
+            std::slice::from_mut(ctx),
+            sales,
+            |_| 0,
+        );
     }
 
     #[test]
@@ -495,8 +520,8 @@ mod tests {
             ))
             .unwrap();
 
-        let mut ctx = staged_ctx(&market);
-        SettlementStage.run(&market, &mut ctx);
+        let (mut ctx, sales) = staged_ctx(&market);
+        settle_one_market(&market, &mut ctx, sales);
 
         assert_eq!(ctx.completed_sales.len(), 1);
         assert!((ctx.revenue - 10.0).abs() < 1e-9);
@@ -532,8 +557,8 @@ mod tests {
             ))
             .unwrap();
 
-        let mut ctx = staged_ctx(&market);
-        SettlementStage.run(&market, &mut ctx);
+        let (mut ctx, sales) = staged_ctx(&market);
+        settle_one_market(&market, &mut ctx, sales);
 
         assert_eq!(ctx.deliveries.len(), 1);
         assert_eq!(ctx.revenue, 0.0, "no money moves before the report");
@@ -569,9 +594,9 @@ mod tests {
             ))
             .unwrap();
 
-        let mut ctx = staged_ctx(&market);
-        assert_eq!(ctx.sales.len(), 1, "the bid clears");
-        SettlementStage.run(&market, &mut ctx);
+        let (mut ctx, sales) = staged_ctx(&market);
+        assert_eq!(sales.len(), 1, "the bid clears");
+        settle_one_market(&market, &mut ctx, sales);
 
         assert!(ctx.completed_sales.is_empty());
         assert_eq!(ctx.revenue, 0.0);

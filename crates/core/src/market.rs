@@ -2,13 +2,13 @@
 //! wired to a plug'n'play [`MarketDesign`]. Internal, external and barter
 //! markets are the same platform with different configs (§3.3).
 //!
-//! A market round ([`DataMarket::run_round`]) drives the staged arbiter
-//! pipeline in [`crate::arbiter::pipeline`]: expiry → candidate
+//! A market round ([`DataMarket::run_round`]) runs the arbiter's phases
+//! in [`crate::arbiter::pipeline`]: expiry → candidate
 //! building/evaluation → clearing → settlement, with licensing,
 //! reserves, contextual integrity, privacy accounting, lineage and the
 //! audit chain enforced along the way. This module owns the market's
 //! *state* (offer book, ledger, participants, licenses) and its public
-//! API; the round *logic* lives stage-by-stage in the pipeline module.
+//! API; the round *logic* lives phase by phase in the pipeline module.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,7 @@ use dmp_relation::{DatasetId, Relation};
 pub use dmp_valuation::sharing::DatasetShare;
 
 use crate::arbiter::ledger::Ledger;
-use crate::arbiter::pipeline::{self, RoundStage};
+use crate::arbiter::pipeline::{self, CandidateStage, RoundContext};
 use crate::arbiter::services::{demand_report, DemandReport, Purchase};
 use crate::buyer::BuyerHandle;
 use crate::error::{MarketError, MarketResult};
@@ -571,36 +571,42 @@ impl DataMarket {
         self.submit_wtp_for_purpose(wtp, "analytics")
     }
 
-    /// Execute one full market round through the default arbiter
-    /// pipeline (expiry → candidates → clearing → settlement).
+    /// Execute one full market round: the arbiter's phases with the
+    /// default (rayon-parallel) candidate stage.
     pub fn run_round(&self) -> RoundReport {
-        self.run_round_with(&pipeline::default_pipeline())
+        self.run_round_with(&CandidateStage::default())
     }
 
-    /// Execute one market round through a custom stage list (see
-    /// [`crate::arbiter::pipeline`] for the available stages and the
-    /// contract between them).
-    pub fn run_round_with(&self, stages: &[Box<dyn RoundStage>]) -> RoundReport {
-        let mut ctx = pipeline::RoundContext::open(self);
-        for stage in stages {
-            pipeline::run_stage_timed(stage.as_ref(), self, &mut ctx);
-        }
-        ctx.finish(self)
+    /// Execute one market round with the given candidate stage —
+    /// `CandidateStage::sequential()` is the reference the parallel
+    /// default is tested against. The round seed is drawn from this
+    /// market's RNG; the phases are the ones the service's shard router
+    /// runs over M markets, here over one.
+    pub fn run_round_with(&self, candidates: &CandidateStage) -> RoundReport {
+        let mut ctx = self.candidate_phase(RoundContext::open(self), candidates);
+        let round = std::slice::from_mut(&mut ctx);
+        let sales = pipeline::clear(&self.config.design, round);
+        pipeline::settle(std::slice::from_ref(self), round, sales, |_| 0);
+        self.close_round(ctx)
     }
 
-    /// **Phase 1** of a two-phase (cross-shard) round: open the round
-    /// under an externally-supplied seed and run expiry + candidate
-    /// generation, but do **not** clear or settle. The returned context
-    /// carries the candidate bids ([`pipeline::RoundContext::take_candidate_set`])
-    /// for a global clearing pass; hand the context back to
-    /// [`DataMarket::settle_sale_planned`] / [`DataMarket::close_round`] to
-    /// finish the round. The seed replaces the market's own RNG draw so
-    /// every shard of a deployment ties-breaks from one coordinated
-    /// stream keyed by global offer ids.
-    pub fn begin_round_seeded(&self, round_seed: u64) -> pipeline::RoundContext {
-        let mut ctx = pipeline::RoundContext::open_seeded(self, round_seed);
-        pipeline::run_stage_timed(&pipeline::ExpiryStage, self, &mut ctx);
-        pipeline::run_stage_timed(&pipeline::CandidateStage::default(), self, &mut ctx);
+    /// Open a round under an externally-supplied seed and run expiry +
+    /// candidate generation, but do **not** clear or settle: hand the
+    /// context to [`pipeline::clear`] and [`pipeline::settle`] (with the
+    /// contexts of every other market of the deployment), then to
+    /// [`DataMarket::close_round`]. The seed replaces the market's own
+    /// RNG draw so every shard of a deployment tie-breaks from one
+    /// coordinated stream keyed by global offer ids.
+    pub fn begin_round_seeded(&self, round_seed: u64) -> RoundContext {
+        self.candidate_phase(
+            RoundContext::open_seeded(self, round_seed),
+            &CandidateStage::default(),
+        )
+    }
+
+    fn candidate_phase(&self, mut ctx: RoundContext, candidates: &CandidateStage) -> RoundContext {
+        pipeline::expire(self, &mut ctx);
+        candidates.run(self, &mut ctx);
         ctx
     }
 
@@ -615,11 +621,11 @@ impl DataMarket {
     pub fn begin_round_exported(
         &self,
         round_seed: u64,
-    ) -> (pipeline::RoundContext, pipeline::CandidatePhaseExport) {
-        let mut ctx = pipeline::RoundContext::open_seeded(self, round_seed);
-        pipeline::run_stage_timed(&pipeline::ExpiryStage, self, &mut ctx);
+    ) -> (RoundContext, pipeline::CandidatePhaseExport) {
+        let mut ctx = RoundContext::open_seeded(self, round_seed);
+        pipeline::expire(self, &mut ctx);
         let audit_mark = self.audit.len() as u64;
-        pipeline::run_stage_timed(&pipeline::CandidateStage::default(), self, &mut ctx);
+        CandidateStage::default().run(self, &mut ctx);
         let export = pipeline::CandidatePhaseExport {
             round: ctx.round,
             bids: ctx.bids.clone(),
@@ -646,9 +652,9 @@ impl DataMarket {
         &self,
         round_seed: u64,
         export: &pipeline::CandidatePhaseExport,
-    ) -> pipeline::RoundContext {
-        let mut ctx = pipeline::RoundContext::open_seeded(self, round_seed);
-        pipeline::run_stage_timed(&pipeline::ExpiryStage, self, &mut ctx);
+    ) -> RoundContext {
+        let mut ctx = RoundContext::open_seeded(self, round_seed);
+        pipeline::expire(self, &mut ctx);
         for event in &export.audit_events {
             self.audit.record(event.clone());
         }
@@ -659,27 +665,9 @@ impl DataMarket {
         ctx
     }
 
-    /// **Phase 2** (per cleared sale): settle one externally-cleared
-    /// sale into this market — ex ante payment or ex post delivery,
-    /// exactly as [`pipeline::SettlementStage`] would. The sale's offer
-    /// must live on this market (its winning mashup is looked up in the
-    /// context); sales without a recorded mashup are ignored. `plan` is
-    /// an optional precomputed [`pipeline::SettlementPlan`] — the commit
-    /// half of conflict-graph parallel settlement. Plans may be computed
-    /// concurrently (they never read commit-mutated state); commits
-    /// must arrive here in global offer-id order.
-    pub fn settle_sale_planned(
-        &self,
-        ctx: &mut pipeline::RoundContext,
-        sale: crate::arbiter::pricing::Sale,
-        plan: Option<&pipeline::SettlementPlan>,
-    ) {
-        pipeline::SettlementStage::settle_one_planned(self, ctx, sale, plan);
-    }
-
-    /// **Phase 3**: close a two-phase round — publish negotiation and
-    /// demand state and produce the round report.
-    pub fn close_round(&self, ctx: pipeline::RoundContext) -> RoundReport {
+    /// Close a round — publish negotiation and demand state and produce
+    /// the round report.
+    pub fn close_round(&self, ctx: RoundContext) -> RoundReport {
         ctx.finish(self)
     }
 

@@ -83,7 +83,9 @@ pub const MODULE_MAP: &[MapEntry] = &[
     MapEntry {
         pattern: "crates/core/src/arbiter/pipeline/settlement.rs",
         classes: &["panic_free", "no_index"],
-        why: "a panic between escrow release and license grant strands funds",
+        why: "the one settlement path (library and shard router): conflict-graph \
+              planning, then commits in global offer-id order; a panic between \
+              escrow release and license grant strands funds",
     },
     MapEntry {
         pattern: "crates/service/src/command.rs",
@@ -124,13 +126,14 @@ pub const MODULE_MAP: &[MapEntry] = &[
     MapEntry {
         pattern: "crates/service/src/shard.rs",
         classes: &["replay", "panic_free", "no_index"],
-        why: "settlement routing and two-phase cross-shard clearing; \
-              1-shard == M-shard equivalence depends on deterministic order",
+        why: "participant routing, global offer ids and the round seed stream; \
+              1-shard == M-shard equivalence depends on them (clearing and \
+              settlement order live in core's pipeline)",
     },
     MapEntry {
         pattern: "crates/service/src/codec.rs",
         classes: &["replay", "float_strict", "panic_free", "no_index"],
-        why: "distributed round codec: decode(encode(cs)) must be bit-exact, \
+        why: "distributed round codec: decode(encode(export)) must be bit-exact, \
               floats travel as bit patterns, and a malformed candidate payload \
               from the wire must error, never panic a round",
     },

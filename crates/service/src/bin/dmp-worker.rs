@@ -41,6 +41,15 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
+/// `--shards`: a positive count. `WorkerConfig::new` would quietly run
+/// a zero as one shard, so the flag is refused here instead.
+fn parse_shards(value: Option<String>) -> Result<usize, String> {
+    match value.map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err("--shards needs a positive integer".into()),
+    }
+}
+
 fn main() {
     let mut addr = "127.0.0.1:0".to_string();
     let mut shards = 4usize;
@@ -55,7 +64,7 @@ fn main() {
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--addr" => addr = parse(&flag, args.next()),
-            "--shards" => shards = parse(&flag, args.next()),
+            "--shards" => shards = parse_shards(args.next()).unwrap_or_else(|e| fail(&e)),
             "--seed" => seed = parse(&flag, args.next()),
             "--posted-price" => posted_price = Some(parse(&flag, args.next())),
             "--max-candidates" => max_candidates = Some(parse(&flag, args.next())),
@@ -106,5 +115,19 @@ fn main() {
     let _ = std::io::stdout().flush();
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_shards;
+
+    #[test]
+    fn zero_shards_are_refused() {
+        let zero = parse_shards(Some("0".into())).unwrap_err();
+        assert!(zero.contains("--shards"), "{zero}");
+        assert!(parse_shards(None).is_err());
+        assert!(parse_shards(Some("-1".into())).is_err());
+        assert_eq!(parse_shards(Some("3".into())), Ok(3));
     }
 }

@@ -1,6 +1,6 @@
 //! Versioned wire codec for the distributed round protocol: the
-//! [`CandidateSet`]s and [`CandidatePhaseExport`]s that coordinator and
-//! shard workers exchange between processes.
+//! [`CandidatePhaseExport`]s that coordinator and shard workers exchange
+//! between processes.
 //!
 //! Format rules (shared with the snapshot codec in [`crate::state`]):
 //!
@@ -16,7 +16,7 @@
 //!   unknown tag, version skew) is a [`WireError`], never a panic.
 
 use dmp_core::arbiter::mashup_builder::BuiltMashup;
-use dmp_core::arbiter::pipeline::{CandidatePhaseExport, CandidateSet};
+use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;
 
 use crate::state::{enc_all, record, Wire};
@@ -44,14 +44,6 @@ record!(BuiltMashup {
     missing => "missing",
 });
 
-record!(
-    #[version = CANDIDATE_CODEC_VERSION]
-    CandidateSet {
-        round => "round",
-        bids => "bids",
-    }
-);
-
 // One shard's full candidate phase: the bids, the winning mashups
 // settlement needs, the unmet-demand report inputs, and the audit
 // events the candidate stage appended.
@@ -66,16 +58,6 @@ record!(
         audit_events => "audit",
     }
 );
-
-/// Encode a [`CandidateSet`] (version-tagged).
-pub fn encode_candidate_set(set: &CandidateSet) -> Json {
-    set.enc()
-}
-
-/// Decode a [`CandidateSet`], refusing unknown versions.
-pub fn decode_candidate_set(j: &Json) -> Result<CandidateSet, WireError> {
-    Wire::dec(j)
-}
 
 /// Encode one shard's candidate phase (version-tagged).
 pub fn encode_export(export: &CandidatePhaseExport) -> Json {
@@ -161,35 +143,42 @@ mod tests {
         }
     }
 
+    /// An export carrying `bids` and nothing else.
+    fn export_of(round: u64, bids: Vec<RoundBid>) -> CandidatePhaseExport {
+        CandidatePhaseExport {
+            round,
+            bids,
+            best_mashups: Vec::new(),
+            missing: Vec::new(),
+            negotiations: Vec::new(),
+            audit_events: Vec::new(),
+        }
+    }
+
     #[test]
-    fn candidate_set_round_trips_through_the_wire() {
-        let set = CandidateSet {
-            round: 9,
-            bids: vec![bid(42)],
-        };
-        let encoded = encode_candidate_set(&set).dump();
-        let decoded = decode_candidate_set(&Json::parse(&encoded).unwrap()).expect("decodes back");
-        assert_eq!(decoded, set, "wire round-trip changed the candidate set");
-        // Malformed sets are refused, not defaulted.
-        assert!(decode_candidate_set(&Json::parse(r#"{"v":"1","round":"1"}"#).unwrap()).is_err());
-        assert!(decode_candidate_set(
-            &Json::parse(r#"{"v":"1","round":"1","bids":[{"offer":"1"}]}"#).unwrap()
-        )
-        .is_err());
+    fn export_with_a_missing_field_is_refused() {
+        let decode = |text: &str| decode_export(&Json::parse(text).unwrap());
+        let full = encode_export(&export_of(9, vec![bid(42)])).dump();
+        assert_eq!(
+            decode(&full).expect("decodes back"),
+            export_of(9, vec![bid(42)])
+        );
+        // Malformed exports are refused, not defaulted.
+        assert!(decode(r#"{"v":"1","round":"1"}"#).is_err());
+        let bid_missing_fields = r#"{"v":"1","round":"1","bids":[{"offer":"1"}],"mashups":[],"missing":[],"negotiations":[],"audit":[]}"#;
+        assert!(decode(bid_missing_fields).is_err());
     }
 
     #[test]
     fn version_skew_is_refused() {
-        let set = CandidateSet {
-            round: 1,
-            bids: Vec::new(),
-        };
-        let mut encoded = encode_candidate_set(&set).dump();
+        let mut encoded = encode_export(&export_of(1, Vec::new())).dump();
         encoded = encoded.replacen("\"1\"", "\"2\"", 1);
-        let err = decode_candidate_set(&Json::parse(&encoded).unwrap()).unwrap_err();
+        let err = decode_export(&Json::parse(&encoded).unwrap()).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         // Missing version tag is also refused.
-        assert!(decode_candidate_set(&Json::parse(r#"{"round":"1","bids":[]}"#).unwrap()).is_err());
+        let unversioned =
+            r#"{"round":"1","bids":[],"mashups":[],"missing":[],"negotiations":[],"audit":[]}"#;
+        assert!(decode_export(&Json::parse(unversioned).unwrap()).is_err());
     }
 
     #[test]
@@ -222,13 +211,8 @@ mod tests {
         let mut b = bid(1);
         b.bid = 0.1 + 0.2;
         b.satisfaction = f64::MIN_POSITIVE;
-        let set = CandidateSet {
-            round: 1,
-            bids: vec![b.clone()],
-        };
-        let decoded =
-            decode_candidate_set(&Json::parse(&encode_candidate_set(&set).dump()).unwrap())
-                .unwrap();
+        let export = export_of(1, vec![b.clone()]);
+        let decoded = decode_export(&Json::parse(&encode_export(&export).dump()).unwrap()).unwrap();
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
@@ -236,17 +220,7 @@ mod tests {
 
     #[test]
     fn indexed_exports_validate_shard_range() {
-        let exports = vec![(
-            1usize,
-            CandidatePhaseExport {
-                round: 1,
-                bids: Vec::new(),
-                best_mashups: Vec::new(),
-                missing: Vec::new(),
-                negotiations: Vec::new(),
-                audit_events: Vec::new(),
-            },
-        )];
+        let exports = vec![(1usize, export_of(1, Vec::new()))];
         let j = encode_indexed_exports(&exports);
         let decoded = decode_indexed_exports(&j, 2).unwrap();
         assert_eq!(decoded.len(), 1);
@@ -304,21 +278,21 @@ mod tests {
     }
 
     proptest! {
-        /// The satellite property: `decode(encode(cs)) == cs` for
-        /// arbitrary candidate sets, bit-for-bit, through an actual
-        /// serialize → parse cycle of the JSON text.
+        /// `decode(encode(export)) == export` for arbitrary bids,
+        /// bit-for-bit, through an actual serialize → parse cycle of
+        /// the JSON text.
         #[test]
-        fn candidate_set_codec_round_trips(
+        fn export_codec_round_trips(
             round in BITS,
             bids in proptest::collection::vec(arb_bid(), 0..8),
         ) {
-            let set = CandidateSet { round, bids };
-            let text = encode_candidate_set(&set).dump();
-            let decoded = decode_candidate_set(&Json::parse(&text).expect("self-produced json"))
+            let export = export_of(round, bids);
+            let text = encode_export(&export).dump();
+            let decoded = decode_export(&Json::parse(&text).expect("self-produced json"))
                 .expect("self-produced payload decodes");
-            prop_assert_eq!(decoded.round, set.round);
-            prop_assert_eq!(decoded.bids.len(), set.bids.len());
-            for (a, b) in decoded.bids.iter().zip(&set.bids) {
+            prop_assert_eq!(decoded.round, export.round);
+            prop_assert_eq!(decoded.bids.len(), export.bids.len());
+            for (a, b) in decoded.bids.iter().zip(&export.bids) {
                 prop_assert_eq!(bid_bits(a), bid_bits(b));
             }
         }

@@ -190,6 +190,15 @@ impl ServiceNode {
 
     /// Open a node, running crash recovery against `cfg.dir`.
     pub fn open(cfg: ServiceConfig) -> Result<ServiceNode, ServiceError> {
+        // `shards` is a public field, so a struct literal can bypass
+        // `with_shards`'s clamp; the router would run one shard while
+        // node.meta recorded zero. Refuse before anything is written.
+        if cfg.shards == 0 {
+            return Err(ServiceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "ServiceConfig.shards must be at least 1, got 0",
+            )));
+        }
         std::fs::create_dir_all(&cfg.dir)?;
 
         // Guard the durability contract: journal replay only reproduces
@@ -637,6 +646,25 @@ mod tests {
         assert!(ServiceNode::open(reshaped).is_err());
         // The original config still opens.
         assert!(ServiceNode::open(cfg).is_ok());
+    }
+
+    #[test]
+    fn zero_shards_are_refused_before_node_meta_is_written() {
+        let dir = ScratchDir::new("node-zero-shards");
+        let cfg = ServiceConfig {
+            shards: 0,
+            ..config(&dir)
+        };
+        match ServiceNode::open(cfg).err() {
+            Some(ServiceError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(e.to_string().contains("shards"), "{e}");
+            }
+            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+        }
+        assert!(!dir.path().join("node.meta").exists());
+        // The directory stays usable under the config it was meant for.
+        assert!(ServiceNode::open(config(&dir).with_shards(1)).is_ok());
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! Horizontal partitioning with **cross-shard clearing**: participants
 //! hash onto M [`DataMarket`] shards that share one
 //! [`dmp_core::market::MarketSubstrate`] (catalog + licensing terms +
-//! settlement ledger), and every round runs as a two-phase exchange:
+//! settlement ledger), and every round runs the arbiter's phases from
+//! [`dmp_core::arbiter::pipeline`] — the same ones
+//! [`DataMarket::run_round`] runs over one market — across all of them:
 //!
-//! 1. **Candidate phase** (shard-parallel, rayon): each shard runs
-//!    expiry + candidate generation under one coordinator-issued round
-//!    seed and exports a serializable [`CandidateSet`] — it does *not*
-//!    clear locally;
-//! 2. **Exchange phase** (global): the [`ExchangeStage`] merges all
-//!    shards' candidate sets in global offer-id order and runs the
-//!    pricing engine **once** over the unified match graph, so bids
-//!    from different shards compete for the same products;
-//! 3. **Settlement phase** (ordered): cleared sales are routed back to
-//!    the shard owning each buyer and settled in global offer-id order
-//!    against the shared ledger, so money flows (including to sellers
-//!    whose accounts hash to other shards) land exactly where a
-//!    1-shard market would put them.
+//! 1. **Candidate phase** (shard-parallel, rayon, or farmed out to
+//!    worker processes): each shard runs expiry + candidate generation
+//!    under one coordinator-issued round seed — it does *not* clear
+//!    locally;
+//! 2. **Clearing** ([`pipeline::clear`]): every shard's bids merge in
+//!    global offer-id order and the pricing engine runs **once** over
+//!    the unified match graph, so bids from different shards compete
+//!    for the same products;
+//! 3. **Settlement** ([`pipeline::settle`]): cleared sales are routed
+//!    back to the shard owning each buyer and committed in global
+//!    offer-id order against the shared ledger, so money flows
+//!    (including to sellers whose accounts hash to other shards) land
+//!    exactly where a 1-shard market would put them.
 //!
 //! Routing is by stable FNV-1a hash of the participant name, offer ids
 //! are allocated globally by the router, and all shards tie-break from
@@ -27,15 +29,11 @@
 
 use std::sync::Arc;
 
-use dmp_core::arbiter::pipeline::{
-    connected_components, CandidatePhaseExport, CandidateSet, RoundContext, SettlementPlan,
-};
-use dmp_core::arbiter::pricing::{clear, RoundBid, Sale};
+use dmp_core::arbiter::pipeline::{self, CandidatePhaseExport, RoundContext};
+use dmp_core::arbiter::pricing::Sale;
 use dmp_core::market::{
     DataMarket, MarketConfig, MarketShardState, MarketSubstrate, RoundReport, SubstrateImage,
 };
-use dmp_mechanism::design::MarketDesign;
-use dmp_mechanism::elicitation::ElicitationProtocol;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,40 +248,6 @@ pub trait RoundDistributor: Send + Sync {
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]);
 }
 
-/// The global clearing pass of a two-phase round: merge every shard's
-/// [`CandidateSet`] into one bid list (global offer-id order — the same
-/// order a 1-shard market would see) and run the pricing engine once
-/// over it.
-pub struct ExchangeStage {
-    design: MarketDesign,
-}
-
-impl ExchangeStage {
-    /// An exchange clearing under the deployment's market design.
-    pub fn new(design: MarketDesign) -> Self {
-        ExchangeStage { design }
-    }
-
-    /// Merge candidate sets into one bid list sorted by global offer
-    /// id. Offer ids are router-allocated and globally unique, so the
-    /// merged order is identical to the order a 1-shard offer book
-    /// would have produced. Takes the sets by value — this is the
-    /// per-round hot path, and the bids move rather than clone.
-    pub fn merge(sets: Vec<CandidateSet>) -> Vec<RoundBid> {
-        let mut bids: Vec<RoundBid> = sets.into_iter().flat_map(|s| s.bids).collect();
-        bids.sort_by_key(|b| b.offer_id);
-        bids
-    }
-
-    /// Clear the merged candidate graph: one global pricing pass, so
-    /// bids from different shards compete for the same product.
-    /// Returned sales are sorted by global offer id (the contract of
-    /// [`clear`]), which phase 3 relies on for settlement order.
-    pub fn clear(&self, sets: Vec<CandidateSet>) -> Vec<Sale> {
-        clear(&self.design, &Self::merge(sets))
-    }
-}
-
 /// Router-global mutable state: the global offer-id allocator and the
 /// round-seed coordinator. Both must be shard-count-independent — the
 /// per-offer tie-break streams derive from `(round_seed, offer_id)`, so
@@ -298,7 +262,6 @@ struct RouterState {
 /// function and one two-phase exchange.
 pub struct ShardRouter {
     shards: Vec<DataMarket>,
-    exchange: ExchangeStage,
     state: Mutex<RouterState>,
     /// Rounds completed since this router was built (replay included).
     /// Atomic so the gateway's `/health` — served inline on the reactor
@@ -328,7 +291,6 @@ impl ShardRouter {
             .collect();
         ShardRouter {
             shards: markets,
-            exchange: ExchangeStage::new(base.design.clone()),
             state: Mutex::new(RouterState {
                 next_offer: 0,
                 round_rng: StdRng::seed_from_u64(base.seed),
@@ -506,23 +468,10 @@ impl ShardRouter {
         }
     }
 
-    /// Run one **two-phase cross-shard round**:
-    ///
-    /// 1. every shard runs expiry + candidate generation in parallel
-    ///    under one coordinator-issued round seed and exports its
-    ///    [`CandidateSet`];
-    /// 2. the [`ExchangeStage`] clears the merged candidate graph once,
-    ///    globally;
-    /// 3. cleared sales are routed back to each buyer's shard and
-    ///    settled **in global offer-id order** (settlement moves money
-    ///    on the shared ledger, so ordering is part of the semantics:
-    ///    a seller's proceeds from an earlier sale can fund their own
-    ///    later purchase, exactly as in a 1-shard market).
-    ///
-    /// The candidate phase dominates round cost and stays parallel —
-    /// shard-parallel in-process, or farmed out to worker processes
-    /// when a [`RoundDistributor`] is attached; the exchange and
-    /// settlement phases are cheap, ledger-touching, and deterministic.
+    /// Run one cross-shard round: the arbiter's phases (module doc) over
+    /// every shard. The candidate phase dominates round cost and stays
+    /// parallel — shard-parallel in-process, or farmed out to worker
+    /// processes when a [`RoundDistributor`] is attached.
     pub fn run_round(&self) -> MergedRoundReport {
         let m = crate::metrics::metrics();
         let round_seed = self.draw_round_seed();
@@ -571,93 +520,26 @@ impl ShardRouter {
         merged
     }
 
-    /// Phase 2 of a round: move every shard's bids out of its context
-    /// and run one global clearing pass over the merged candidate
-    /// graph. Returned sales are sorted by global offer id.
+    /// Phase 2 of a round: [`pipeline::clear`] over every shard's
+    /// context. Returned sales are sorted by global offer id.
     pub fn clear_round(&self, ctxs: &mut [RoundContext]) -> Vec<Sale> {
-        let sets: Vec<CandidateSet> = ctxs
-            .iter_mut()
-            .map(RoundContext::take_candidate_set)
-            .collect();
-        self.exchange.clear(sets)
+        pipeline::clear(&self.market_at(0).config().design, ctxs)
     }
 
-    /// Phases 3–4 of a round: settle the cleared sales against the
-    /// shared ledger (conflict-graph parallel planning, globally
-    /// ordered commit) and close every shard's round. Shared between
-    /// the in-process path ([`ShardRouter::run_round`]) and worker
-    /// replicas replaying a coordinator-settled round — both must
-    /// execute it bit-identically. `sales` must be sorted by global
-    /// offer id (the contract of [`clear`]).
+    /// Phases 3–4 of a round: [`pipeline::settle`] the cleared sales on
+    /// each buyer's shard, count the cross-shard trades and close every
+    /// shard's round. Shared between the in-process path
+    /// ([`ShardRouter::run_round`]) and worker replicas replaying a
+    /// coordinator-settled round — both must execute it bit-identically.
+    /// `sales` must be sorted by global offer id, as
+    /// [`ShardRouter::clear_round`] returns them.
     pub fn finish_round(&self, mut ctxs: Vec<RoundContext>, sales: Vec<Sale>) -> MergedRoundReport {
         let m = crate::metrics::metrics();
-        // Phase 3: conflict-graph settlement, routed to the buyer's
-        // shard. Planning (fee split, revenue shares, contribution
-        // rewards — the Shapley-flavored part) reads no ledger state,
-        // so sales whose conflict keys (buyer + dataset owners +
-        // datasets) land in different connected components are planned
-        // concurrently. The *commit* stays strictly in global offer-id
-        // order: escrow/transaction/delivery ids, the audit chain, and
-        // hold-success all depend on it (a seller's proceeds from an
-        // earlier sale can fund their own later purchase on the shared
-        // ledger, exactly as in a 1-shard market).
         // dmp-lint: allow(det-wall-clock) -- per-phase latency telemetry; never read into round state
         let phase_started = std::time::Instant::now();
-        let keyed: Vec<(usize, Sale)> = sales
-            .into_iter()
-            .map(|sale| (self.shard_of(&sale.buyer), sale))
-            .collect();
-        // Ex post designs defer payment to delivery audits; their
-        // settlement path ignores plans, so skip the planning pass.
-        let plan_ahead = !matches!(
-            self.exchange.design.elicitation,
-            ElicitationProtocol::ExPost(_)
-        );
-        let keys: Vec<Vec<String>> = keyed
-            .iter()
-            .map(|(home, sale)| {
-                // dmp-lint: allow(panic-indexing) -- one context per shard by construction; home comes from shard_of, reduced mod shards.len()
-                match ctxs[*home].best_mashups.get(&sale.offer_id) {
-                    Some(mashup) => self.market_at(*home).settlement_conflict_keys(sale, mashup),
-                    None => Vec::new(),
-                }
-            })
-            .collect();
-        let components = connected_components(&keys);
-        let per_component: Vec<Vec<(usize, Option<SettlementPlan>)>> = components
-            .par_iter()
-            .map(|component| {
-                component
-                    .iter()
-                    .map(|&i| {
-                        // dmp-lint: allow(panic-indexing) -- component members index the keyed sales they were built from
-                        let (home, sale) = &keyed[i];
-                        let plan = if plan_ahead {
-                            // dmp-lint: allow(panic-indexing) -- one context per shard by construction
-                            ctxs[*home]
-                                .best_mashups
-                                .get(&sale.offer_id)
-                                .map(|mashup| self.market_at(*home).plan_settlement(sale, mashup))
-                        } else {
-                            None
-                        };
-                        (i, plan)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        // Deterministic merge: back to global offer-id order (keyed
-        // order) regardless of which component finished first.
-        let mut planned: Vec<(usize, Option<SettlementPlan>)> =
-            per_component.into_iter().flatten().collect();
-        planned.sort_by_key(|(i, _)| *i);
-        m.settlement_components.record(components.len() as u64);
-        let component_count = components.len();
-        for ((home, sale), (_, plan)) in keyed.into_iter().zip(planned) {
-            self.market_at(home)
-                // dmp-lint: allow(panic-indexing) -- one context per shard by construction; home comes from shard_of, reduced mod shards.len()
-                .settle_sale_planned(&mut ctxs[home], sale, plan.as_ref());
-        }
+        let components =
+            pipeline::settle(&self.shards, &mut ctxs, sales, |buyer| self.shard_of(buyer));
+        m.settlement_components.record(components as u64);
         // Cross-shard accounting over sales that actually *settled*
         // (cleared-but-unfunded sales leave their offers pending and
         // must not be reported as trades): a settled sale is
@@ -691,7 +573,7 @@ impl ShardRouter {
             .collect();
         let mut merged = MergedRoundReport::merge(reports);
         merged.cross_shard = cross_shard;
-        merged.components = component_count;
+        merged.components = components;
         m.round_phase_us(3)
             .record_duration_us(phase_started.elapsed());
         m.cross_shard_sales.add(cross_shard as u64);
@@ -921,32 +803,6 @@ mod tests {
             .filter(|(name, _)| name == "alice")
             .count();
         assert_eq!(alices, 1);
-    }
-
-    #[test]
-    fn exchange_merge_orders_bids_by_global_offer_id() {
-        let bid = |offer_id: u64| RoundBid {
-            offer_id,
-            buyer: format!("b{offer_id}"),
-            bid: 5.0,
-            satisfaction: 1.0,
-            datasets: vec![DatasetId(0)],
-            reserve_floor: 0.0,
-            license_multiplier: 1.0,
-        };
-        let sets = vec![
-            CandidateSet {
-                round: 1,
-                bids: vec![bid(3), bid(7)],
-            },
-            CandidateSet {
-                round: 1,
-                bids: vec![bid(1), bid(5)],
-            },
-        ];
-        let merged = ExchangeStage::merge(sets);
-        let ids: Vec<u64> = merged.iter().map(|b| b.offer_id).collect();
-        assert_eq!(ids, [1, 3, 5, 7], "merged order = 1-shard offer-book order");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! is exactly what makes this hold.
 //!
 //! A property test replays random mixed command streams into 1-shard
-//! and 4-shard routers; deterministic tests pin the cross-shard unlock
-//! itself (a buyer matching a seller on another shard) and the
-//! node-level recovery path.
+//! and 4-shard routers, and into a 1-shard router whose rounds run as
+//! the library's `DataMarket::run_round`; deterministic tests pin the
+//! cross-shard unlock itself (a buyer matching a seller on another
+//! shard) and the node-level recovery path.
 
 use dmp_core::market::OfferState;
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
@@ -116,6 +117,28 @@ fn replay(cmds: &[Command], seed: u64, shards: usize) -> (ShardRouter, Vec<Merge
     (router, reports)
 }
 
+/// Apply a stream to a fresh 1-shard router, but run every round as
+/// the library's own round (`DataMarket::run_round` on shard 0) instead
+/// of the router's. On a posted-price ex ante market shard 0 draws the
+/// router's round seeds from its own RNG and the router still allocates
+/// offer ids, so the two drivers must agree.
+fn replay_library_rounds(cmds: &[Command], seed: u64) -> ShardRouter {
+    let router = ShardRouter::new(&market_config(seed), 1);
+    for cmd in cmds {
+        match cmd {
+            Command::RunRound { rounds } => {
+                for _ in 0..*rounds {
+                    router.shard(0).run_round();
+                }
+            }
+            _ => {
+                let _ = router.apply(cmd);
+            }
+        }
+    }
+    router
+}
+
 fn assert_equivalent(cmds: &[Command], seed: u64, shards: usize) {
     let (mono, mono_reports) = replay(cmds, seed, 1);
     let (multi, multi_reports) = replay(cmds, seed, shards);
@@ -155,6 +178,12 @@ proptest! {
     fn four_shards_clear_like_one(seed in 0u64..10_000) {
         let cmds = command_stream(5, seed);
         assert_equivalent(&cmds, seed, 4);
+        // One round path: the library driver lands where the router does.
+        let (router, _) = replay(&cmds, seed, 1);
+        let library = replay_library_rounds(&cmds, seed);
+        assert_eq!(trades(&router), trades(&library), "seed {seed}: library trades diverged");
+        assert_eq!(offer_states(&router), offer_states(&library), "seed {seed}: library offers diverged");
+        assert_eq!(ledger_state(&router), ledger_state(&library), "seed {seed}: library ledger diverged");
     }
 
     /// Shard counts that do not divide the participant population

@@ -3,9 +3,7 @@
 //! produce byte-identical rounds to the sequential reference path, and
 //! repeated runs must pick identical tie-break winners.
 
-use data_market_platform::core::arbiter::pipeline::{
-    CandidateStage, ClearingStage, ExpiryStage, RoundStage, SettlementStage,
-};
+use data_market_platform::core::arbiter::pipeline::CandidateStage;
 use data_market_platform::core::market::{DataMarket, MarketConfig, RoundReport};
 use data_market_platform::mechanism::design::MarketDesign;
 use data_market_platform::mechanism::wtp::{PriceCurve, WtpFunction};
@@ -46,13 +44,8 @@ fn populated_market(seed: u64) -> DataMarket {
     market
 }
 
-fn sequential_pipeline() -> Vec<Box<dyn RoundStage>> {
-    vec![
-        Box::new(ExpiryStage),
-        Box::new(CandidateStage::sequential()),
-        Box::new(ClearingStage),
-        Box::new(SettlementStage),
-    ]
+fn sequential_pipeline() -> CandidateStage {
+    CandidateStage::sequential()
 }
 
 fn assert_same_report(a: &RoundReport, b: &RoundReport) {
