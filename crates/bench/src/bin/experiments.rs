@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use rand::SeedableRng;
 
-use dmp_bench::harness::{f2, f3, pct, time_ms, ExperimentTable};
+use dmp_bench::harness::{f2, f3, pct, ExperimentTable};
 use dmp_core::license::License;
 use dmp_core::market::{DataMarket, MarketConfig};
 use dmp_discovery::{IndexBuilder, MetadataEngine};
@@ -166,11 +166,11 @@ fn f1_pipeline() {
     t.print();
 }
 
-/// F2 — Fig. 2: full transaction pipeline latency vs market size.
+/// F2 — Fig. 2: one full transaction round vs market size.
 fn f2_dmms_pipeline() {
     let mut t = ExperimentTable::new(
-        "F2  DMMS pipeline: round latency vs market size",
-        &["datasets", "offers", "round ms", "sales", "ms/offer"],
+        "F2  DMMS pipeline: one round vs market size",
+        &["datasets", "offers", "sales"],
     );
     for (n_sellers, n_buyers) in [(5usize, 5usize), (10, 20), (20, 40)] {
         let market = DataMarket::new(
@@ -205,13 +205,11 @@ fn f2_dmms_pipeline() {
                 },
             ));
         }
-        let (report, ms) = time_ms(|| market.run_round());
+        let report = market.run_round();
         t.row(vec![
             datasets.to_string(),
             n_buyers.to_string(),
-            f2(ms),
             report.sales.len().to_string(),
-            f2(ms / n_buyers as f64),
         ]);
     }
     t.print();
@@ -221,36 +219,22 @@ fn f2_dmms_pipeline() {
 fn f3_mashup_builder() {
     let mut t = ExperimentTable::new(
         "F3  Mashup Builder: index build + DoD vs lake size",
-        &[
-            "tables",
-            "columns",
-            "ingest ms",
-            "index ms",
-            "join edges",
-            "dod ms",
-            "candidates",
-        ],
+        &["tables", "columns", "join edges", "candidates"],
     );
     for n_tables in [50usize, 200, 500] {
         let lake = synthetic_lake(n_tables, 8, 50, 9);
         let engine = MetadataEngine::new();
-        let (_, ingest_ms) = time_ms(|| {
-            engine.register_batch("steward", lake.clone());
-        });
-        let (idx, index_ms) = time_ms(|| IndexBuilder::new().build(&engine));
-        let edges = idx.relationships.len();
-        let (cands, dod_ms) = time_ms(|| {
-            let dod = DodEngine::new(&engine);
-            let spec = TargetSpec::with_attributes(["topic0_id", "attr_0_x", "attr_8_x"]);
-            dod.find_mashups(&spec).map(|c| c.len()).unwrap_or(0)
-        });
+        engine.register_batch("steward", lake);
+        let edges = IndexBuilder::new().build(&engine).relationships.len();
+        let spec = TargetSpec::with_attributes(["topic0_id", "attr_0_x", "attr_8_x"]);
+        let cands = DodEngine::new(&engine)
+            .find_mashups(&spec)
+            .map(|c| c.len())
+            .unwrap_or(0);
         t.row(vec![
             n_tables.to_string(),
             (n_tables * 3).to_string(),
-            f2(ingest_ms),
-            f2(index_ms),
             edges.to_string(),
-            f2(dod_ms),
             cands.to_string(),
         ]);
     }
@@ -404,24 +388,19 @@ fn coverage_like_game(n: usize) -> CharacteristicFn {
     })
 }
 
-/// E4 — §3.2.3: Shapley cost vs efficient alternatives.
+/// E4 — §3.2.3: exact Shapley vs efficient alternatives.
 fn e4_shapley() {
-    // (a) exact blow-up vs Monte-Carlo.
+    // (a) exact vs Monte-Carlo.
     let mut ta = ExperimentTable::new(
-        "E4a  Revenue allocation runtime: exact vs Monte-Carlo(1000)",
-        &["players", "exact ms", "mc ms", "mc max err"],
+        "E4a  Revenue allocation: exact vs Monte-Carlo(1000)",
+        &["players", "mc max err"],
     );
     for n in [8usize, 12, 16, 18] {
         let game = coverage_like_game(n);
-        let (exact, exact_ms) = time_ms(|| exact_shapley(&game));
+        let exact = exact_shapley(&game);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let (mc, mc_ms) = time_ms(|| monte_carlo_shapley(&game, 1_000, &mut rng));
-        ta.row(vec![
-            n.to_string(),
-            f2(exact_ms),
-            f2(mc_ms),
-            f3(max_abs_error(&exact, &mc)),
-        ]);
+        let mc = monte_carlo_shapley(&game, 1_000, &mut rng);
+        ta.row(vec![n.to_string(), f3(max_abs_error(&exact, &mc))]);
     }
     ta.print();
 
@@ -442,7 +421,7 @@ fn e4_shapley() {
     // (c) KNN-Shapley closed form at scale.
     let mut tc = ExperimentTable::new(
         "E4c  KNN-Shapley (Jia et al. [56]): exact closed form",
-        &["train points", "closed-form ms", "efficiency check"],
+        &["train points", "efficiency check"],
     );
     for n in [1_000usize, 5_000, 20_000] {
         let train: Vec<LabeledPoint> = (0..n)
@@ -451,13 +430,12 @@ fn e4_shapley() {
         let test: Vec<LabeledPoint> = (0..20)
             .map(|i| LabeledPoint::new(vec![i as f64, i as f64], (i % 2) as i64))
             .collect();
-        let (s, ms) = time_ms(|| knn_shapley(&train, &test, 5));
+        let s = knn_shapley(&train, &test, 5);
         let all: Vec<usize> = (0..n).collect();
         let total: f64 = s.iter().sum();
         let vn = knn_utility(&train, &all, &test, 5);
         tc.row(vec![
             n.to_string(),
-            f2(ms),
             if (total - vn).abs() < 1e-6 {
                 "sum=v(N) ok".into()
             } else {
@@ -572,11 +550,11 @@ fn e6_adversarial() {
     t.print();
 }
 
-/// E7 — §6.1 efficiency: simulator throughput scaling.
+/// E7 — §6.1 efficiency: the simulator at growing participant counts.
 fn e7_throughput() {
     let mut t = ExperimentTable::new(
-        "E7  Simulator throughput vs participants",
-        &["sellers", "buyers", "rounds", "total ms", "rounds/s", "tx"],
+        "E7  Simulator scaling vs participants",
+        &["sellers", "buyers", "rounds", "tx"],
     );
     for (s, b) in [(5usize, 10usize), (10, 30), (20, 60)] {
         let w = generate(&WorkloadConfig {
@@ -597,13 +575,11 @@ fn e7_throughput() {
             vec![BuyerStrategy::Truthful],
             vec![SellerStrategy::Honest],
         );
-        let (result, ms) = time_ms(|| sim.run(5));
+        let result = sim.run(5);
         t.row(vec![
             s.to_string(),
             b.to_string(),
             "5".into(),
-            f2(ms),
-            f2(5_000.0 / ms),
             result.metrics.transactions.to_string(),
         ]);
     }

@@ -1,7 +1,6 @@
-//! Shared experiment harness: table building + quick timing helpers used
-//! by the `experiments` binary.
-
-use std::time::Instant;
+//! Shared experiment harness: table building for the `experiments`
+//! binary. Tables hold no wall-clock numbers, so a run's output is a
+//! pure function of its seeds (`tests/expected/experiments.txt`).
 
 pub use dmp_simulator::report::{f2, f3, pct, render_table};
 
@@ -56,13 +55,6 @@ pub fn table(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> String {
     render_table(title, headers, &rows)
 }
 
-/// Time a closure, returning `(result, milliseconds)`.
-pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +66,5 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.len(), 1);
         assert!(t.render().contains("== t =="));
-    }
-
-    #[test]
-    fn timing_returns_result() {
-        let (v, ms) = time_ms(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(ms >= 0.0);
     }
 }
