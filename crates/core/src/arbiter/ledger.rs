@@ -206,7 +206,7 @@ impl Ledger {
     /// Pay `min(amount, remaining)` out of an escrow to `to`, returning
     /// what was actually paid. This is the payout used by settlement,
     /// where "the rest of the hold" is the intent; the clamp tolerates
-    /// only rounding dust ([`Self::RELEASE_DUST_MICROS`]).
+    /// only rounding dust (`RELEASE_DUST_MICROS`).
     /// [`Ledger::release`] stays strict for exact payouts.
     pub fn release_up_to(&self, escrow: u64, to: &str, amount: f64) -> MarketResult<f64> {
         // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic

@@ -54,7 +54,7 @@ pub(crate) struct SettlementPlan {
 /// An unfunded sale leaves its offer pending and no partial state; a
 /// sale without a winning mashup on its home market is skipped.
 ///
-/// Sales sharing an account or hold ([`DataMarket::settlement_conflict_keys`])
+/// Sales sharing an account or hold (`DataMarket::settlement_conflict_keys`)
 /// form connected components whose plans are computed concurrently —
 /// plans read nothing a commit writes. Commits then run strictly in
 /// sale order: ids, the audit chain and hold success depend on it, and

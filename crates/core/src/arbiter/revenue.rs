@@ -167,7 +167,10 @@ mod tests {
             .source(DatasetId(2))
             .build()
             .unwrap();
-        let m = a.union(&b).unwrap();
+        let mut m = a;
+        for row in b.rows() {
+            m.push(row.clone()).unwrap();
+        }
         let design = MarketDesign::internal_welfare();
         let shares = dataset_shares(&design, &m, 40.0);
         let d1 = shares.iter().find(|s| s.dataset == DatasetId(1)).unwrap();

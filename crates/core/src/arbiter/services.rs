@@ -1,7 +1,7 @@
 //! Arbiter services (§4.1): "because the arbiter knows the supply and
 //! demand for datasets, it can use this information to offer additional
 //! services" — dataset recommendations via item-based collaborative
-//! filtering [83], and demand reports that tell opportunistic sellers
+//! filtering \[83\], and demand reports that tell opportunistic sellers
 //! (§7.1) which attributes buyers want but nobody supplies.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +18,7 @@ pub struct Purchase {
     pub datasets: Vec<DatasetId>,
 }
 
-/// Item-based collaborative filtering (Sarwar et al. [83]): cosine
+/// Item-based collaborative filtering (Sarwar et al. \[83\]): cosine
 /// similarity between dataset co-purchase vectors, recommendations are
 /// the nearest items to what the buyer already bought, excluding those.
 pub fn recommend(purchases: &[Purchase], buyer: &str, k: usize) -> Vec<DatasetId> {

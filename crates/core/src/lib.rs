@@ -14,7 +14,7 @@
 //! * [`buyer`] — the Buyer Management Platform: fluent WTP construction,
 //!   owned-data packaging, ex post reporting;
 //! * [`market`] — the [`market::DataMarket`] facade that wires everything
-//!   to a plug'n'play [`dmp_mechanism::MarketDesign`];
+//!   to a plug'n'play [`dmp_mechanism::design::MarketDesign`];
 //! * [`currency`] — incentive currencies for internal / external / barter
 //!   markets (§3.3);
 //! * [`license`] — data licenses and contextual-integrity checks (§4.4);

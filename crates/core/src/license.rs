@@ -3,7 +3,7 @@
 //! different rights to the beneficiary", including exclusive access whose
 //! "artificial scarcity [...] should cost more to buyers, who could be
 //! forced to pay a 'tax'", ownership transfers (enabling arbitrageurs,
-//! §7.1), and non-transferable grants. Contextual-integrity policies [71]
+//! §7.1), and non-transferable grants. Contextual-integrity policies \[71\]
 //! restrict *who* may receive data *for what purpose*.
 
 /// A license attached to a dataset by its seller.

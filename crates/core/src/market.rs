@@ -1,6 +1,8 @@
 //! The [`DataMarket`]: one deployable DMMS instance (Fig. 1 (4), Fig. 2)
-//! wired to a plug'n'play [`MarketDesign`]. Internal, external and barter
-//! markets are the same platform with different configs (§3.3).
+//! wired to a plug'n'play
+//! [`MarketDesign`](dmp_mechanism::design::MarketDesign). Internal,
+//! external and barter markets are the same platform with different
+//! configs (§3.3).
 //!
 //! A market round ([`DataMarket::run_round`]) runs the arbiter's phases
 //! in [`crate::arbiter::pipeline`]: expiry → candidate

@@ -2,7 +2,7 @@
 //!
 //! Data discovery substrate for the Mashup Builder (paper §5, Fig. 3;
 //! DESIGN.md S2/S3). The paper bootstraps its mashup builder with Aurum
-//! [19]: "it extracts metadata from the input datasets, it organizes that
+//! \[19\]: "it extracts metadata from the input datasets, it organizes that
 //! metadata in an index and uses the index to identify datasets based on
 //! the criteria indicated in the WTP-function". This crate rebuilds that
 //! pipeline from scratch:
@@ -15,8 +15,8 @@
 //!   share interfaces), versioned context snapshots, lifecycle tracking;
 //! * [`index`] — the index builder: inverted name/value indexes and the
 //!   relationship index of join-candidate column pairs;
-//! * [`search`] — discovery queries over the indexes (by keyword, by
-//!   schema, by similarity);
+//! * [`search`] — discovery queries over the indexes (by keyword and by
+//!   attribute name);
 //! * [`lineage`] — fine-grained lineage records for seller accountability
 //!   (§4.2).
 
@@ -30,6 +30,4 @@ pub mod sketch;
 pub use index::{IndexBuilder, JoinCandidate, RelationshipIndex};
 pub use lineage::{LineageEvent, LineageLog};
 pub use metadata::{ColumnRef, ContextSnapshot, DatasetEntry, MetadataEngine};
-pub use profile::ColumnProfile;
 pub use search::{DiscoveryEngine, SearchHit};
-pub use sketch::{HyperLogLog, MinHash};

@@ -45,44 +45,28 @@ pub enum LineageEvent {
 /// in record order.
 pub type LineageImage = Vec<(DatasetId, Vec<(u64, LineageEvent)>)>;
 
-/// Append-only per-dataset lineage log, with an optional access quota:
-/// "the SMP incrementally updates the information recorded about those
-/// datasets subject to an optional access quota established by the origin
-/// system".
+/// Append-only per-dataset lineage log: "the SMP incrementally updates
+/// the information recorded about those datasets".
 #[derive(Debug, Default)]
 pub struct LineageLog {
     events: RwLock<HashMap<DatasetId, Vec<(u64, LineageEvent)>>>,
     seq: std::sync::atomic::AtomicU64,
-    /// Max recorded events per dataset (None = unbounded).
-    quota: Option<usize>,
 }
 
 impl LineageLog {
-    /// Unbounded log.
+    /// Empty log.
     pub fn new() -> Self {
         LineageLog::default()
-    }
-
-    /// Log with a per-dataset quota; once full, oldest events are dropped.
-    pub fn with_quota(quota: usize) -> Self {
-        LineageLog {
-            quota: Some(quota),
-            ..Default::default()
-        }
     }
 
     /// Record an event for a dataset. Returns the event sequence number.
     pub fn record(&self, dataset: DatasetId, event: LineageEvent) -> u64 {
         let seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut map = self.events.write();
-        let log = map.entry(dataset).or_default();
-        log.push((seq, event));
-        if let Some(q) = self.quota {
-            if log.len() > q {
-                let drop_n = log.len() - q;
-                log.drain(0..drop_n);
-            }
-        }
+        self.events
+            .write()
+            .entry(dataset)
+            .or_default()
+            .push((seq, event));
         seq
     }
 
@@ -134,8 +118,7 @@ impl LineageLog {
     }
 
     /// All recorded events and the sequence counter, dataset-sorted,
-    /// for materialized snapshots. The quota is configuration, not
-    /// state, and is not exported.
+    /// for materialized snapshots.
     pub fn export_state(&self) -> (LineageImage, u64) {
         let mut entries: LineageImage = self
             .events
@@ -234,18 +217,6 @@ mod tests {
             },
         );
         assert_eq!(log.mashups(d), vec!["m1".to_string(), "m2".to_string()]);
-    }
-
-    #[test]
-    fn quota_drops_oldest() {
-        let log = LineageLog::with_quota(2);
-        let d = DatasetId(1);
-        for v in 1..=5 {
-            log.record(d, LineageEvent::Updated { version: v });
-        }
-        let evs = log.events(d);
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[1].1, LineageEvent::Updated { version: 5 });
     }
 
     #[test]

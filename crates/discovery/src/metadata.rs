@@ -257,66 +257,6 @@ impl MetadataEngine {
             .collect()
     }
 
-    /// Parallel batch registration: profiling (sketches, statistics)
-    /// dominates ingestion cost, so snapshots are computed on `workers`
-    /// scoped threads before entries are installed. Ids are
-    /// assigned in input order, identical to [`Self::register_batch`].
-    pub fn register_batch_parallel(
-        &self,
-        owner: &str,
-        rels: Vec<Relation>,
-        workers: usize,
-    ) -> Vec<DatasetId> {
-        if rels.is_empty() {
-            return Vec::new();
-        }
-        let workers = workers.clamp(1, rels.len());
-        // Pre-assign ids in order so output matches the serial path.
-        let base = self.next_id.fetch_add(rels.len() as u64, Ordering::Relaxed);
-        let ids: Vec<DatasetId> = (0..rels.len())
-            .map(|i| DatasetId(base + i as u64))
-            .collect();
-        let owner = owner.to_string();
-
-        // Profile in parallel: each task produces a finished entry.
-        let entries = Mutex::new(Vec::with_capacity(rels.len()));
-        let jobs = Mutex::new(
-            rels.into_iter()
-                .zip(ids.iter().copied())
-                .collect::<Vec<(Relation, DatasetId)>>(),
-        );
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = jobs.lock().pop();
-                    let Some((rel, id)) = job else { break };
-                    let name = rel.name().to_string();
-                    let rel = rel.with_source(id);
-                    let at = self.tick();
-                    let snapshot = snapshot_of(&rel, 1, at, std::slice::from_ref(&owner));
-                    entries.lock().push(DatasetEntry {
-                        id,
-                        name,
-                        owner: owner.clone(),
-                        relation: Arc::new(rel),
-                        version: 1,
-                        registered_at: at,
-                        snapshots: vec![snapshot],
-                        tags: Vec::new(),
-                    });
-                });
-            }
-        });
-
-        let mut map = self.entries.write();
-        for e in entries.into_inner() {
-            map.insert(e.id, e);
-        }
-        self.bump_generation();
-        drop(map);
-        ids
-    }
-
     /// Update a dataset's contents; bumps the version and appends a new
     /// context snapshot iff the content actually changed. Returns the new
     /// version, or `None` if the id is unknown.
@@ -402,17 +342,6 @@ impl MetadataEngine {
         let mut v: Vec<DatasetEntry> = self.entries.read().values().cloned().collect();
         v.sort_by_key(|e| e.id);
         v
-    }
-
-    /// All column data items across all datasets.
-    pub fn column_refs(&self) -> Vec<ColumnRef> {
-        let mut out = Vec::new();
-        for e in self.entries() {
-            for p in &e.latest_snapshot().profiles {
-                out.push(ColumnRef::new(e.id, p.name.clone()));
-            }
-        }
-        out
     }
 
     /// Catalog state for materialized snapshots. Per entry this keeps
@@ -599,40 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_serial_semantics() {
-        let serial = MetadataEngine::new();
-        let parallel = MetadataEngine::new();
-        let tables: Vec<_> = (0..24)
-            .map(|i| keyed_rel(&format!("t{i}"), &[(i, "a"), (i + 1, "b")]))
-            .collect();
-        let ids_s = serial.register_batch("steward", tables.clone());
-        let ids_p = parallel.register_batch_parallel("steward", tables, 4);
-        assert_eq!(ids_s.len(), ids_p.len());
-        for (a, b) in ids_s.iter().zip(&ids_p) {
-            let ea = serial.get(*a).unwrap();
-            let eb = parallel.get(*b).unwrap();
-            assert_eq!(ea.name, eb.name, "ids assigned in input order");
-            assert_eq!(ea.owner, eb.owner);
-            assert_eq!(ea.latest_snapshot().rows, eb.latest_snapshot().rows);
-            assert_eq!(
-                ea.latest_snapshot().content_hash,
-                eb.latest_snapshot().content_hash
-            );
-            // provenance stamped with the right id
-            assert_eq!(eb.relation.source(), Some(*b));
-        }
-    }
-
-    #[test]
-    fn parallel_batch_empty_and_single_worker() {
-        let eng = MetadataEngine::new();
-        assert!(eng.register_batch_parallel("o", vec![], 8).is_empty());
-        let ids = eng.register_batch_parallel("o", vec![keyed_rel("t", &[(1, "x")])], 0);
-        assert_eq!(ids.len(), 1);
-        assert!(eng.get(ids[0]).is_some());
-    }
-
-    #[test]
     fn batch_register_names_from_relations() {
         let eng = MetadataEngine::new();
         let ids = eng.register_batch(
@@ -662,15 +557,6 @@ mod tests {
         assert!(!eng.remove(id));
         assert!(eng.get(id).is_none());
         assert!(eng.is_empty());
-    }
-
-    #[test]
-    fn column_refs_enumerate_data_items() {
-        let eng = MetadataEngine::new();
-        eng.register("a", "alice", keyed_rel("a", &[(1, "x")]));
-        eng.register("b", "bob", keyed_rel("b", &[(1, "x")]));
-        let refs = eng.column_refs();
-        assert_eq!(refs.len(), 4); // two datasets × (k, v)
     }
 
     #[test]

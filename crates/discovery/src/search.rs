@@ -3,15 +3,14 @@
 //! datasets".
 //!
 //! [`DiscoveryEngine`] bundles the metadata engine and built indexes and
-//! answers the three query shapes the DoD engine needs: by keyword, by
-//! target schema (query-by-example attribute names), and by content
-//! similarity to a probe column.
+//! answers the two query shapes the DoD engine needs: by keyword and by
+//! target schema (query-by-example attribute names).
 
 use std::collections::HashMap;
 
 use dmp_relation::DatasetId;
 
-use crate::index::{tokenize, Indexes, JoinCandidate};
+use crate::index::{tokenize, Indexes};
 use crate::metadata::{ColumnRef, MetadataEngine};
 
 /// A scored search result.
@@ -23,36 +22,24 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// Discovery facade over the metadata engine + indexes.
-///
-/// The engine holds a *built* snapshot of the indexes; call
-/// [`DiscoveryEngine::refresh`] after ingesting new datasets. Default-
-/// threshold indexes come from the metadata engine's generation-keyed
-/// cache ([`MetadataEngine::cached_indexes`]), so constructing a
-/// `DiscoveryEngine` per query is cheap: the O(columns²) relationship
-/// index is built once per catalog version, not once per caller.
-pub struct DiscoveryEngine<'a> {
-    engine: &'a MetadataEngine,
+/// Discovery queries over a *built* snapshot of the metadata engine's
+/// indexes; datasets ingested later need a new `DiscoveryEngine`.
+/// Default-threshold indexes come from the metadata engine's
+/// generation-keyed cache ([`MetadataEngine::cached_indexes`]), so
+/// constructing a `DiscoveryEngine` per query is cheap: the O(columns²)
+/// relationship index is built once per catalog version, not once per
+/// caller.
+pub struct DiscoveryEngine {
     indexes: std::sync::Arc<Indexes>,
 }
 
-impl<'a> DiscoveryEngine<'a> {
+impl DiscoveryEngine {
     /// Indexes over the engine's current contents (cached per catalog
     /// generation).
-    pub fn new(engine: &'a MetadataEngine) -> Self {
-        let indexes = engine.cached_indexes();
-        DiscoveryEngine { engine, indexes }
-    }
-
-    /// Re-snapshot the indexes after ingestion (a no-op when the
-    /// catalog has not changed since this snapshot was taken).
-    pub fn refresh(&mut self) {
-        self.indexes = self.engine.cached_indexes();
-    }
-
-    /// The underlying metadata engine.
-    pub fn metadata(&self) -> &MetadataEngine {
-        self.engine
+    pub fn new(engine: &MetadataEngine) -> Self {
+        DiscoveryEngine {
+            indexes: engine.cached_indexes(),
+        }
     }
 
     /// The built indexes (read-only).
@@ -127,44 +114,6 @@ impl<'a> DiscoveryEngine<'a> {
         hits.sort_by(|a, b| b.score.total_cmp(&a.score));
         hits
     }
-
-    /// Columns whose content is similar to the probe column (fusion
-    /// candidates — the paper's `b` vs `b'` case). Returns hits sorted by
-    /// Jaccard estimate, excluding the probe itself.
-    pub fn similar_columns(&self, probe: &ColumnRef, min_jaccard: f64) -> Vec<SearchHit> {
-        let probe_entry = match self.engine.get(probe.dataset) {
-            Some(e) => e,
-            None => return Vec::new(),
-        };
-        let probe_profile = match probe_entry.profile(&probe.column) {
-            Some(p) => p.clone(),
-            None => return Vec::new(),
-        };
-        let mut hits = Vec::new();
-        for e in self.engine.entries() {
-            for p in &e.latest_snapshot().profiles {
-                if e.id == probe.dataset && p.name == probe.column {
-                    continue;
-                }
-                let j = probe_profile.content_similarity(p);
-                if j >= min_jaccard {
-                    hits.push(SearchHit {
-                        column: ColumnRef::new(e.id, p.name.clone()),
-                        score: j,
-                    });
-                }
-            }
-        }
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score));
-        hits
-    }
-
-    /// Join candidates incident to a dataset, best first.
-    pub fn join_candidates(&self, d: DatasetId) -> Vec<&JoinCandidate> {
-        let mut edges: Vec<&JoinCandidate> = self.indexes.relationships.edges_of(d).collect();
-        edges.sort_by(|a, b| b.score().total_cmp(&a.score()));
-        edges
-    }
 }
 
 #[cfg(test)]
@@ -231,58 +180,6 @@ mod tests {
         let hits = d.candidates_for_attribute("amount");
         assert_eq!(hits[0].column.column, "amount");
         assert!(hits[0].score > 1.0);
-    }
-
-    #[test]
-    fn similar_columns_find_near_duplicates() {
-        let eng = engine();
-        let d = DiscoveryEngine::new(&eng);
-        let ids = eng.ids();
-        let probe = ColumnRef::new(ids[0], "customer_name");
-        let hits = d.similar_columns(&probe, 0.5);
-        assert!(
-            hits.iter().any(|h| h.column.column == "client"),
-            "expected crm_dump.client as a fusion candidate, got {hits:?}"
-        );
-    }
-
-    #[test]
-    fn similar_columns_unknown_probe_is_empty() {
-        let eng = engine();
-        let d = DiscoveryEngine::new(&eng);
-        assert!(d
-            .similar_columns(&ColumnRef::new(DatasetId(99), "x"), 0.1)
-            .is_empty());
-    }
-
-    #[test]
-    fn join_candidates_sorted_by_score() {
-        let eng = engine();
-        let d = DiscoveryEngine::new(&eng);
-        let ids = eng.ids();
-        let cands = d.join_candidates(ids[0]);
-        assert!(!cands.is_empty());
-        for w in cands.windows(2) {
-            assert!(w[0].score() >= w[1].score());
-        }
-    }
-
-    #[test]
-    fn refresh_picks_up_new_datasets() {
-        let eng = engine();
-        let mut d = DiscoveryEngine::new(&eng);
-        assert!(d.search_datasets("inventory").is_empty());
-        eng.register(
-            "inventory",
-            "d",
-            RelationBuilder::new("inventory")
-                .column("sku", DataType::Int)
-                .row(vec![Value::Int(1)])
-                .build()
-                .unwrap(),
-        );
-        d.refresh();
-        assert_eq!(d.search_datasets("inventory").len(), 1);
     }
 
     #[test]

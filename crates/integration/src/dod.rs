@@ -85,7 +85,7 @@ impl MashupCandidate {
 /// The DoD engine. Holds a discovery snapshot over the metadata engine.
 pub struct DodEngine<'a> {
     engine: &'a MetadataEngine,
-    discovery: DiscoveryEngine<'a>,
+    discovery: DiscoveryEngine,
     /// Maximum join hops from an anchor (default 2).
     pub max_hops: usize,
     /// Maximum anchors explored (default 4).
@@ -104,16 +104,6 @@ impl<'a> DodEngine<'a> {
             max_anchors: 4,
             max_candidates: 8,
         }
-    }
-
-    /// The discovery engine (for callers needing raw search).
-    pub fn discovery(&self) -> &DiscoveryEngine<'a> {
-        &self.discovery
-    }
-
-    /// Rebuild discovery indexes after ingestion.
-    pub fn refresh(&mut self) {
-        self.discovery.refresh();
     }
 
     /// Produce ranked mashup candidates for a target spec.

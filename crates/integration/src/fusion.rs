@@ -117,7 +117,7 @@ fn weighted_vote(claims: &[Sourced], weight: impl Fn(DatasetId) -> f64) -> Value
         .unwrap_or(Value::Null)
 }
 
-/// Iterative truth discovery over an aligned relation (§8.3, [64]):
+/// Iterative truth discovery over an aligned relation (§8.3, \[64\]):
 /// estimates per-source accuracy from agreement with the (weighted)
 /// consensus and re-derives the consensus until convergence.
 ///
@@ -216,25 +216,6 @@ impl TruthDiscovery {
     }
 }
 
-/// Contrast operator: for a fused column, compute the numeric spread
-/// (max − min) of each cell's claims — "a buyer may be interested in
-/// looking at both signals, or at their difference" (§1).
-pub fn contrast(rel: &Relation, col: &str) -> RelResult<Relation> {
-    rel.map_column(col, |v| match v {
-        Value::Multi(claims) => {
-            let nums: Vec<f64> = claims.iter().filter_map(|c| c.value.as_f64()).collect();
-            if nums.len() < 2 {
-                Value::Null
-            } else {
-                let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                Value::Float(hi - lo)
-            }
-        }
-        _ => Value::Null,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +263,7 @@ mod tests {
         let nyc = resolved
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("nyc"))
+            .find(|r| r.get(0) == &Value::str("nyc"))
             .unwrap();
         assert_eq!(nyc.get(1), &Value::Int(20));
     }
@@ -295,7 +276,7 @@ mod tests {
         let nyc = resolved
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("nyc"))
+            .find(|r| r.get(0) == &Value::str("nyc"))
             .unwrap();
         assert!((nyc.get(1).as_f64().unwrap() - (20.0 + 20.0 + 99.0) / 3.0).abs() < 1e-9);
     }
@@ -308,7 +289,7 @@ mod tests {
         let nyc = resolved
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("nyc"))
+            .find(|r| r.get(0) == &Value::str("nyc"))
             .unwrap();
         assert_eq!(nyc.get(1), &Value::Int(99)); // source 2 listed first
     }
@@ -334,29 +315,10 @@ mod tests {
             .resolved
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("nyc"))
+            .find(|r| r.get(0) == &Value::str("nyc"))
             .unwrap();
         assert_eq!(nyc.get(1), &Value::Int(20));
         assert!(result.iterations >= 1);
-    }
-
-    #[test]
-    fn contrast_measures_disagreement() {
-        let (a, b, c) = sources();
-        let fused = align(&[&a, &b, &c], "city", "temp").unwrap();
-        let diff = contrast(&fused, "temp").unwrap();
-        let nyc = diff
-            .rows()
-            .iter()
-            .find(|r| r.get(0).as_str() == Some("nyc"))
-            .unwrap();
-        assert_eq!(nyc.get(1), &Value::Float(79.0)); // 99 - 20
-        let chi = diff
-            .rows()
-            .iter()
-            .find(|r| r.get(0).as_str() == Some("chi"))
-            .unwrap();
-        assert_eq!(chi.get(1), &Value::Float(0.0));
     }
 
     #[test]

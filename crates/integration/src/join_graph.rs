@@ -120,25 +120,6 @@ pub fn enumerate_paths(
     results
 }
 
-/// Materialize a join path into a relation by chaining inner hash joins,
-/// starting from the anchor dataset's current contents.
-///
-/// Column-name bookkeeping: after each join, clashing right-side names are
-/// suffixed `_r` by the join operator; we track the *current* name of each
-/// hop's join column so later hops join on the right physical column.
-pub fn materialize(path: &JoinPath, engine: &MetadataEngine) -> RelResult<Relation> {
-    let first = path
-        .steps
-        .first()
-        .ok_or_else(|| RelError::Invalid("empty join path".into()))?;
-    let acc: Relation = engine
-        .relation(first.from_dataset)
-        .ok_or_else(|| RelError::Invalid(format!("unknown dataset {}", first.from_dataset)))?
-        .as_ref()
-        .clone();
-    apply_steps(acc, &path.steps, engine)
-}
-
 /// Apply join steps onto an already-materialized accumulator. Used by the
 /// DoD engine to chain several paths from the same anchor. Steps whose
 /// target dataset's columns are already present (joined earlier) are
@@ -224,6 +205,13 @@ mod tests {
         eng
     }
 
+    /// The path's joins applied to its anchor dataset, as the DoD engine
+    /// chains them.
+    fn anchored(path: &JoinPath, eng: &MetadataEngine) -> Relation {
+        let anchor = eng.relation(path.steps[0].from_dataset).unwrap();
+        apply_steps(anchor.as_ref().clone(), &path.steps, eng).unwrap()
+    }
+
     #[test]
     fn finds_direct_path() {
         let eng = lake();
@@ -262,7 +250,7 @@ mod tests {
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
         let paths = enumerate_paths(&idx.relationships, ids[0], ids[1], 2);
-        let rel = materialize(&paths[0], &eng).unwrap();
+        let rel = anchored(&paths[0], &eng);
         assert_eq!(rel.len(), 300); // every order matches a customer
         assert!(rel.schema().contains("region"));
         assert!(rel.schema().contains("product"));
@@ -275,17 +263,11 @@ mod tests {
         let ids = eng.ids();
         let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 3);
         let two_hop = paths.iter().find(|p| p.hops() == 2).unwrap();
-        let rel = materialize(two_hop, &eng).unwrap();
+        let rel = anchored(two_hop, &eng);
         assert!(rel.schema().contains("price"));
         assert_eq!(rel.len(), 300);
         // provenance of each row spans all three datasets
         assert_eq!(rel.rows()[0].provenance().datasets().len(), 3);
-    }
-
-    #[test]
-    fn empty_path_rejected() {
-        let eng = lake();
-        assert!(materialize(&JoinPath::default(), &eng).is_err());
     }
 
     #[test]

@@ -8,25 +8,18 @@
 //!
 //! * [`join_graph`] — join-path enumeration over the relationship index
 //!   and path materialization via hash joins;
-//! * [`mapping`] — discovery of attribute mapping functions: identity,
-//!   affine transforms (the paper's Celsius→Fahrenheit `f(d)`), and
-//!   dictionary mapping tables for non-invertible functions, plus inverse
-//!   search (`f'` such that `f'(f(d)) = d`);
+//! * [`mapping`] — discovery of attribute mapping functions from paired
+//!   samples: identity, affine transforms (the paper's Celsius→Fahrenheit
+//!   `f(d)`), and dictionary mapping tables for non-invertible functions;
 //! * [`fusion`] — fusion operators that align multiple sources into
 //!   multi-valued (1NF-breaking) cells and resolve them by majority,
 //!   weighted vote (iterative truth discovery), mean, or keep-all;
-//! * [`blend`] — the blending engine: schema matching + union across
-//!   near-duplicate datasets;
 //! * [`dod`] — the DoD engine itself: query-by-example target schemas in,
 //!   ranked materialized mashup candidates out.
 
-pub mod blend;
 pub mod dod;
 pub mod fusion;
 pub mod join_graph;
 pub mod mapping;
 
 pub use dod::{DodEngine, MashupCandidate, TargetSpec};
-pub use fusion::{FusionStrategy, TruthDiscovery};
-pub use join_graph::{JoinPath, JoinStep};
-pub use mapping::Mapping;

@@ -6,8 +6,9 @@
 //! exists, or otherwise find a mapping table that links values of f(d) to
 //! values of d".
 //!
-//! [`Mapping`] models the three cases (identity, affine, dictionary) and
-//! [`discover`] induces one from paired samples.
+//! [`Mapping`] models the three cases (identity, affine, dictionary),
+//! [`discover`] induces one from paired samples, and [`mapping_table`]
+//! materializes a dictionary as the table a seller publishes.
 
 use std::collections::HashMap;
 
@@ -45,40 +46,6 @@ impl Mapping {
             },
             Mapping::Dictionary(map) => map.get(v).cloned().unwrap_or(Value::Null),
         }
-    }
-
-    /// The inverse mapping, when one exists:
-    /// * identity ↦ identity;
-    /// * affine ↦ affine iff `scale != 0`;
-    /// * dictionary ↦ reversed dictionary iff injective.
-    pub fn invert(&self) -> Option<Mapping> {
-        match self {
-            Mapping::Identity => Some(Mapping::Identity),
-            Mapping::Affine { scale, offset } => {
-                if scale.abs() < f64::EPSILON {
-                    None
-                } else {
-                    Some(Mapping::Affine {
-                        scale: 1.0 / scale,
-                        offset: -offset / scale,
-                    })
-                }
-            }
-            Mapping::Dictionary(map) => {
-                let mut inv = HashMap::with_capacity(map.len());
-                for (k, v) in map {
-                    if inv.insert(v.clone(), k.clone()).is_some() {
-                        return None; // not injective: no functional inverse
-                    }
-                }
-                Some(Mapping::Dictionary(inv))
-            }
-        }
-    }
-
-    /// Is this mapping invertible as a function?
-    pub fn is_invertible(&self) -> bool {
-        self.invert().is_some()
     }
 }
 
@@ -150,30 +117,6 @@ fn fit_affine(pts: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((a, b))
 }
 
-/// Discover the mapping between two *columns of the same relation*
-/// (typically after joining the unknown column against reference data
-/// obtained in a negotiation round).
-pub fn discover_between_columns(
-    rel: &Relation,
-    from_col: &str,
-    to_col: &str,
-) -> RelResult<Option<Mapping>> {
-    let fi = rel.col_index(from_col)?;
-    let ti = rel.col_index(to_col)?;
-    let pairs: Vec<(Value, Value)> = rel
-        .rows()
-        .iter()
-        .map(|r| (r.get(fi).clone(), r.get(ti).clone()))
-        .collect();
-    Ok(discover(&pairs))
-}
-
-/// Apply a mapping to one column of a relation, producing a new relation
-/// where `col` holds mapped values.
-pub fn apply_to_column(rel: &Relation, col: &str, mapping: &Mapping) -> RelResult<Relation> {
-    rel.map_column(col, |v| mapping.apply(v))
-}
-
 /// Build a two-column mapping-table relation from a dictionary mapping —
 /// this is the artifact a seller can publish in a negotiation round so
 /// the arbiter can join `f(d)` back to `d`.
@@ -232,28 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_inverse_recovers_input() {
-        let m = Mapping::Affine {
-            scale: 1.8,
-            offset: 32.0,
-        };
-        let inv = m.invert().unwrap();
-        let x = vf(25.0);
-        let y = m.apply(&x);
-        let back = inv.apply(&y);
-        assert!((back.as_f64().unwrap() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn noninvertible_affine() {
-        let m = Mapping::Affine {
-            scale: 0.0,
-            offset: 5.0,
-        };
-        assert!(!m.is_invertible());
-    }
-
-    #[test]
     fn discovers_dictionary_for_categorical_recode() {
         let pairs = vec![
             (Value::str("alice"), vi(101)),
@@ -273,26 +194,6 @@ mod tests {
     fn inconsistent_pairs_yield_none() {
         let pairs = vec![(vi(1), vi(10)), (vi(1), vi(20))];
         assert_eq!(discover(&pairs), None);
-    }
-
-    #[test]
-    fn noninjective_dictionary_has_no_inverse() {
-        // employees -> department: many-to-one, like the paper's
-        // non-invertible employee→ID example reversed.
-        let pairs = vec![
-            (Value::str("alice"), Value::str("eng")),
-            (Value::str("bob"), Value::str("eng")),
-        ];
-        let m = discover(&pairs).unwrap();
-        assert!(!m.is_invertible());
-    }
-
-    #[test]
-    fn injective_dictionary_inverts() {
-        let pairs = vec![(vi(1), Value::str("a")), (vi(2), Value::str("b"))];
-        let m = discover(&pairs).unwrap();
-        let inv = m.invert().unwrap();
-        assert_eq!(inv.apply(&Value::str("a")), vi(1));
     }
 
     #[test]
@@ -319,23 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_column_transforms_relation() {
-        use dmp_relation::{DataType, RelationBuilder};
-        let r = RelationBuilder::new("temps")
-            .column("c", DataType::Float)
-            .row(vec![vf(0.0)])
-            .row(vec![vf(100.0)])
-            .build()
-            .unwrap();
-        let m = Mapping::Affine {
-            scale: 1.8,
-            offset: 32.0,
-        };
-        let out = apply_to_column(&r, "c", &m).unwrap();
-        assert_eq!(out.rows()[1].get(0), &vf(212.0));
-    }
-
-    #[test]
     fn mapping_table_materializes_sorted() {
         let m = Mapping::Dictionary(HashMap::from([
             (vi(2), Value::str("b")),
@@ -345,27 +229,5 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.rows()[0].get(0), &vi(1));
         assert!(mapping_table("x", &Mapping::Identity).is_err());
-    }
-
-    #[test]
-    fn discover_between_columns_works_on_joined_data() {
-        use dmp_relation::{DataType, RelationBuilder};
-        let r = RelationBuilder::new("joined")
-            .column("fd", DataType::Float)
-            .column("d", DataType::Float)
-            .row(vec![vf(32.0), vf(0.0)])
-            .row(vec![vf(212.0), vf(100.0)])
-            .row(vec![vf(50.0), vf(10.0)])
-            .build()
-            .unwrap();
-        let m = discover_between_columns(&r, "fd", "d").unwrap().unwrap();
-        // fd = 1.8 d + 32  =>  d = (fd - 32) / 1.8
-        match m {
-            Mapping::Affine { scale, offset } => {
-                assert!((scale - 1.0 / 1.8).abs() < 1e-9);
-                assert!((offset + 32.0 / 1.8).abs() < 1e-6);
-            }
-            other => panic!("expected affine inverse, got {other:?}"),
-        }
     }
 }

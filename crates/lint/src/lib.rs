@@ -2,7 +2,7 @@
 //! analysis for the workspace. Zero external dependencies, in the
 //! house style of `compat/polling` and the telemetry exposition linter:
 //! a small hand-rolled lexer ([`lexer`]), a checked-in module
-//! classification map ([`classify`]), and a token-pattern rule engine
+//! classification map ([`classify`](mod@classify)), and a token-pattern rule engine
 //! ([`rules`]).
 //!
 //! The contract: `lint_workspace(root)` returns zero findings, forever.

@@ -84,26 +84,6 @@ impl ExPostMechanism {
         }
         best.0
     }
-
-    /// Analytic sufficient condition for truthfulness: the expected
-    /// marginal penalty of under-reporting at least offsets the marginal
-    /// gain.
-    pub fn is_truthful(&self) -> bool {
-        self.audit_prob * self.penalty_mult >= 1.0
-            || (self.audit_prob > 0.0
-                && self.exclusion_rounds > 0
-                && self.round_value > 0.0
-                && self.audit_prob
-                    * (self.penalty_mult + self.exclusion_rounds as f64 * self.round_value)
-                    >= 1.0)
-    }
-
-    /// Regret of reporting `r` instead of the optimum (≥ 0). For a
-    /// truthful design, the regret of truthful reporting is 0.
-    pub fn report_regret(&self, v: f64, r: f64) -> f64 {
-        let opt = self.optimal_report(v);
-        (self.expected_utility(v, opt) - self.expected_utility(v, r)).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +93,6 @@ mod tests {
     #[test]
     fn default_mechanism_is_truthful() {
         let m = ExPostMechanism::default();
-        assert!(m.is_truthful());
         for v in [1.0, 10.0, 123.4] {
             let opt = m.optimal_report(v);
             assert!((opt - v).abs() < 1e-9, "optimal report {opt} != value {v}");
@@ -128,7 +107,6 @@ mod tests {
             exclusion_rounds: 0,
             round_value: 0.0,
         };
-        assert!(!m.is_truthful());
         let opt = m.optimal_report(100.0);
         assert!(
             opt < 50.0,
@@ -147,7 +125,6 @@ mod tests {
             exclusion_rounds: 2,
             round_value: 10.0,
         };
-        assert!(m.is_truthful());
         // Deviations are unprofitable because any detected deviation
         // costs 0.2 × (gain + 20) ≥ gain for gain ≤ 5; the optimizer
         // over the full grid accepts big deviations only if profitable:
@@ -159,13 +136,6 @@ mod tests {
     fn overreporting_never_optimal() {
         let m = ExPostMechanism::default();
         assert!(m.expected_utility(10.0, 15.0) < m.expected_utility(10.0, 10.0));
-    }
-
-    #[test]
-    fn truthful_reporting_has_zero_regret() {
-        let m = ExPostMechanism::default();
-        assert!(m.report_regret(80.0, 80.0) < 1e-9);
-        assert!(m.report_regret(80.0, 20.0) > 0.0);
     }
 
     #[test]

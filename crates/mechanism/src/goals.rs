@@ -27,25 +27,7 @@ pub struct OutcomeMeasure {
     pub transactions: usize,
 }
 
-impl OutcomeMeasure {
-    /// Scalar score under a goal.
-    pub fn score(&self, goal: MarketGoal) -> f64 {
-        match goal {
-            MarketGoal::Revenue => self.revenue,
-            MarketGoal::Welfare => self.welfare,
-            MarketGoal::Transactions => self.transactions as f64,
-        }
-    }
-
-    /// Combine two measures (e.g. across rounds).
-    pub fn add(&self, other: &OutcomeMeasure) -> OutcomeMeasure {
-        OutcomeMeasure {
-            revenue: self.revenue + other.revenue,
-            welfare: self.welfare + other.welfare,
-            transactions: self.transactions + other.transactions,
-        }
-    }
-}
+impl OutcomeMeasure {}
 
 /// Gini coefficient of a revenue distribution — used to measure whether a
 /// design concentrates data value "around a few organizations even more"
@@ -72,36 +54,6 @@ pub fn gini(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn score_selects_goal_dimension() {
-        let m = OutcomeMeasure {
-            revenue: 10.0,
-            welfare: 25.0,
-            transactions: 3,
-        };
-        assert_eq!(m.score(MarketGoal::Revenue), 10.0);
-        assert_eq!(m.score(MarketGoal::Welfare), 25.0);
-        assert_eq!(m.score(MarketGoal::Transactions), 3.0);
-    }
-
-    #[test]
-    fn add_accumulates() {
-        let a = OutcomeMeasure {
-            revenue: 1.0,
-            welfare: 2.0,
-            transactions: 1,
-        };
-        let b = OutcomeMeasure {
-            revenue: 3.0,
-            welfare: 4.0,
-            transactions: 2,
-        };
-        let c = a.add(&b);
-        assert_eq!(c.revenue, 4.0);
-        assert_eq!(c.welfare, 6.0);
-        assert_eq!(c.transactions, 3);
-    }
 
     #[test]
     fn gini_equal_distribution_is_zero() {

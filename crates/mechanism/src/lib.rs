@@ -29,10 +29,3 @@ pub mod goals;
 pub mod payment;
 pub mod query_pricing;
 pub mod wtp;
-
-pub use allocation::{AllocationRule, Bid};
-pub use design::{DesignOutcome, MarketDesign, RevenueAllocationMethod, RevenueSharingMethod};
-pub use elicitation::{ElicitationProtocol, ExPostMechanism};
-pub use goals::{gini, MarketGoal, OutcomeMeasure};
-pub use payment::PaymentRule;
-pub use wtp::{IntrinsicConstraints, PriceCurve, TaskKind, WtpFunction};

@@ -2,7 +2,7 @@
 //! the mashup".
 //!
 //! Includes the mechanisms the paper builds on for freely-replicable
-//! goods: Vickrey/second-price with a Myerson reserve [67] for scarce
+//! goods: Vickrey/second-price with a Myerson reserve \[67\] for scarce
 //! licenses, and the Goldberg–Hartline random-sampling optimal price
 //! auction (RSOP) [45, 46] for digital goods — truthful even with
 //! infinite supply, which posted-price-with-known-demand is not.
@@ -36,7 +36,7 @@ pub enum PaymentRule {
         /// RNG seed for the split (determinism in tests/benches).
         seed: u64,
     },
-    /// Generalized second price (the ad-auction rule of §3.2.1 [67,48]):
+    /// Generalized second price (the ad-auction rule of §3.2.1 \[67,48\]):
     /// winners are ranked by bid and the k-th ranked winner pays the
     /// (k+1)-th ranked bid — positional pricing for ranked slots (e.g.
     /// placement in the arbiter's recommendation list).
@@ -45,13 +45,6 @@ pub enum PaymentRule {
 
 /// A priced winner: `(bid index, price to pay)`.
 pub type Payment = (usize, f64);
-
-/// Myerson-optimal reserve price for valuations drawn from U[0, high]:
-/// `high / 2` (the virtual-value zero crossing for the uniform
-/// distribution, Myerson 1981).
-pub fn myerson_reserve_uniform(high: f64) -> f64 {
-    high / 2.0
-}
 
 /// The revenue-optimal single fixed price against a set of bids:
 /// maximizes `price × |{b ≥ price}|` over candidate prices (all bids).
@@ -240,11 +233,6 @@ mod tests {
     #[test]
     fn optimal_fixed_price_empty() {
         assert_eq!(optimal_fixed_price(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn myerson_reserve_for_uniform() {
-        assert_eq!(myerson_reserve_uniform(100.0), 50.0);
     }
 
     #[test]

@@ -136,23 +136,6 @@ impl PriceCurve {
             PriceCurve::Constant(p) => *p,
         }
     }
-
-    /// A scaled copy (used by shading strategies in the simulator).
-    pub fn scaled(&self, factor: f64) -> PriceCurve {
-        match self {
-            PriceCurve::Step(steps) => {
-                PriceCurve::Step(steps.iter().map(|&(t, p)| (t, p * factor)).collect())
-            }
-            PriceCurve::Linear {
-                min_satisfaction,
-                max_price,
-            } => PriceCurve::Linear {
-                min_satisfaction: *min_satisfaction,
-                max_price: max_price * factor,
-            },
-            PriceCurve::Constant(p) => PriceCurve::Constant(p * factor),
-        }
-    }
 }
 
 /// Intrinsic-property constraints (§3.2.2.1, fourth WTP component, and
@@ -175,11 +158,6 @@ pub struct IntrinsicConstraints {
 }
 
 impl IntrinsicConstraints {
-    /// No constraints.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// Check dataset-level metadata against the constraints.
     pub fn admits_dataset(&self, registered_at: u64, owner: &str, now: u64) -> bool {
         if let Some(max_age) = self.max_age {
@@ -252,13 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_shades_prices_not_thresholds() {
-        let c = PriceCurve::Step(vec![(0.8, 100.0)]).scaled(0.5);
-        assert_eq!(c.price(0.9), 50.0);
-        assert_eq!(c.price(0.7), 0.0);
-    }
-
-    #[test]
     fn constant_curve() {
         let c = PriceCurve::Constant(30.0);
         assert_eq!(c.price(0.0), 30.0);
@@ -303,7 +274,7 @@ mod tests {
         };
         assert!(c.is_live(50));
         assert!(!c.is_live(51));
-        assert!(IntrinsicConstraints::none().is_live(u64::MAX));
+        assert!(IntrinsicConstraints::default().is_live(u64::MAX));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! k-anonymity style generalization and suppression (§4.2 and [69]'s
+//! k-anonymity style generalization and suppression (§4.2 and \[69\]'s
 //! warning that "datasets may leak information when combined with other
 //! datasets — which is precisely what the arbiter will do").
 //!

@@ -52,7 +52,6 @@ pub struct PrivacyBudget {
 struct Ledger {
     total: f64,
     spent: f64,
-    releases: Vec<f64>,
 }
 
 impl PrivacyBudget {
@@ -68,7 +67,6 @@ impl PrivacyBudget {
             Ledger {
                 total: total_epsilon.max(0.0),
                 spent: 0.0,
-                releases: Vec::new(),
             },
         );
     }
@@ -87,7 +85,6 @@ impl PrivacyBudget {
             });
         }
         ledger.spent += epsilon;
-        ledger.releases.push(epsilon);
         Ok(())
     }
 
@@ -98,20 +95,6 @@ impl PrivacyBudget {
             .lock()
             .get(&dataset)
             .map(|l| (l.total - l.spent).max(0.0))
-    }
-
-    /// Total ε spent so far.
-    pub fn spent(&self, dataset: DatasetId) -> Option<f64> {
-        self.ledgers.lock().get(&dataset).map(|l| l.spent)
-    }
-
-    /// Number of releases performed.
-    pub fn release_count(&self, dataset: DatasetId) -> usize {
-        self.ledgers
-            .lock()
-            .get(&dataset)
-            .map(|l| l.releases.len())
-            .unwrap_or(0)
     }
 }
 
@@ -126,7 +109,6 @@ mod tests {
         assert!(b.spend(DatasetId(1), 0.4).is_ok());
         assert!(b.spend(DatasetId(1), 0.6).is_ok());
         assert!((b.remaining(DatasetId(1)).unwrap()).abs() < 1e-9);
-        assert_eq!(b.release_count(DatasetId(1)), 2);
     }
 
     #[test]
@@ -136,8 +118,7 @@ mod tests {
         b.spend(DatasetId(1), 0.9).unwrap();
         let err = b.spend(DatasetId(1), 0.2).unwrap_err();
         assert!(matches!(err, BudgetError::Exhausted { .. }));
-        assert!((b.spent(DatasetId(1)).unwrap() - 0.9).abs() < 1e-9);
-        assert_eq!(b.release_count(DatasetId(1)), 1);
+        assert!((b.remaining(DatasetId(1)).unwrap() - 0.1).abs() < 1e-9);
     }
 
     #[test]
@@ -157,7 +138,6 @@ mod tests {
         b.spend(DatasetId(1), 1.0).unwrap();
         b.register(DatasetId(1), 2.0);
         assert_eq!(b.remaining(DatasetId(1)), Some(2.0));
-        assert_eq!(b.release_count(DatasetId(1)), 0);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! the key open question being "a good balance between protection and
 //! profit" — the privacy–value curve that experiment E9 measures.
 //!
-//! * [`dp`] — Laplace, geometric and Gaussian mechanisms plus randomized
-//!   response, over relations and scalar queries;
+//! * [`dp`] — per-cell Laplace noise over a relation's numeric column;
 //! * [`budget`] — per-dataset ε-budget ledgers with sequential
 //!   composition and budget-exceeded refusal;
 //! * [`anonymize`] — k-anonymity style generalization and suppression;
@@ -21,5 +20,3 @@ pub mod dp;
 pub mod pii;
 
 pub use budget::{BudgetError, PrivacyBudget};
-pub use dp::{laplace_mechanism, perturb_numeric_column, DpParams};
-pub use pii::{detect_pii, PiiKind};

@@ -43,14 +43,6 @@ impl RelationBuilder {
         self
     }
 
-    /// Append several columns from `(name, type)` pairs.
-    pub fn columns(mut self, cols: &[(&str, DataType)]) -> Self {
-        for (n, t) in cols {
-            self.fields.push(Field::new(*n, *t));
-        }
-        self
-    }
-
     /// Append one row of values (validated at `build`).
     pub fn row(mut self, values: Vec<Value>) -> Self {
         self.rows.push(values);
@@ -102,7 +94,8 @@ mod tests {
     #[test]
     fn builder_round_trip() {
         let r = RelationBuilder::new("t")
-            .columns(&[("a", DataType::Int), ("b", DataType::Str)])
+            .column("a", DataType::Int)
+            .column("b", DataType::Str)
             .row(vec![Value::Int(1), Value::str("x")])
             .source(DatasetId(5))
             .build()

@@ -13,14 +13,10 @@ pub type RelResult<T> = Result<T, RelError>;
 pub enum RelError {
     /// A referenced column does not exist in the schema.
     UnknownColumn(String),
-    /// Two schemas that had to be compatible were not.
-    SchemaMismatch(String),
     /// An operation received a value of an unexpected type.
     TypeError(String),
     /// A duplicate column name was introduced.
     DuplicateColumn(String),
-    /// Text parsing failed.
-    Parse(String),
     /// An arity mismatch between a row and its schema.
     Arity { expected: usize, got: usize },
     /// Generic invalid-argument error.
@@ -31,10 +27,8 @@ impl fmt::Display for RelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RelError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
-            RelError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             RelError::TypeError(m) => write!(f, "type error: {m}"),
             RelError::DuplicateColumn(c) => write!(f, "duplicate column: {c}"),
-            RelError::Parse(m) => write!(f, "parse error: {m}"),
             RelError::Arity { expected, got } => {
                 write!(f, "arity mismatch: expected {expected} values, got {got}")
             }
@@ -62,7 +56,7 @@ mod tests {
 
     #[test]
     fn error_trait_object() {
-        let e: Box<dyn std::error::Error> = Box::new(RelError::Parse("bad".into()));
+        let e: Box<dyn std::error::Error> = Box::new(RelError::Invalid("bad".into()));
         assert!(e.to_string().contains("bad"));
     }
 }

@@ -16,27 +16,22 @@
 //!   carries **why-provenance** ([`Provenance`]), propagated through all
 //!   operators so the market's revenue-sharing engine (§3.2.3) can reverse-
 //!   engineer which source rows contributed to a sold mashup;
-//! * relational operators (select, project, hash join, union, aggregate,
-//!   sort, distinct, pivot) plus time-granularity interpolation (§5.3);
-//! * a small expression language ([`expr::Expr`]) for predicates;
-//! * delimited-text I/O with type inference ([`textio`]).
+//! * relational operators (select, project, rename, hash join, group-by
+//!   aggregate, column maps).
 //!
 //! Everything is deterministic and allocation-conscious: schemas are shared
 //! via `Arc`, strings via `Arc<str>`, and provenance as sorted boxed slices.
 
 pub mod builder;
 pub mod error;
-pub mod expr;
 pub mod ops;
 pub mod provenance;
 pub mod relation;
 pub mod schema;
-pub mod textio;
 pub mod value;
 
 pub use builder::RelationBuilder;
 pub use error::{RelError, RelResult};
-pub use expr::{CmpOp, Expr};
 pub use provenance::{DatasetId, ProvAtom, Provenance};
 pub use relation::{Relation, Row};
 pub use schema::{DataType, Field, Schema};

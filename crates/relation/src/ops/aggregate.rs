@@ -334,7 +334,7 @@ mod tests {
         let eu = g
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("eu"))
+            .find(|r| r.get(0) == &Value::str("eu"))
             .unwrap();
         assert_eq!(eu.get(1), &Value::Int(30));
     }
@@ -344,12 +344,8 @@ mod tests {
         let g = sales()
             .aggregate(&["region"], &[AggSpec::new("amount", AggFun::Count, "n")])
             .unwrap();
-        let regions: Vec<_> = g
-            .rows()
-            .iter()
-            .filter_map(|r| r.get(0).as_str().map(str::to_string))
-            .collect();
-        assert_eq!(regions, vec!["eu", "us", "ap"]);
+        let regions: Vec<_> = g.rows().iter().map(|r| r.get(0).clone()).collect();
+        assert_eq!(regions, ["eu", "us", "ap"].map(Value::str));
     }
 
     #[test]
@@ -360,7 +356,7 @@ mod tests {
         let eu = g
             .rows()
             .iter()
-            .find(|r| r.get(0).as_str() == Some("eu"))
+            .find(|r| r.get(0) == &Value::str("eu"))
             .unwrap();
         assert_eq!(eu.provenance().len(), 2); // two eu rows contributed
     }

@@ -1,33 +1,15 @@
-//! Select, project, rename, limit, union, distinct, sort and map —
-//! the workhorse operators the mashup builder composes.
+//! Select, project, rename and map — the workhorse operators the mashup
+//! builder composes.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::error::{RelError, RelResult};
-use crate::expr::Expr;
 use crate::relation::{Relation, Row};
 use crate::schema::{Field, Schema};
 use crate::value::Value;
 
 impl Relation {
-    /// Rows satisfying the predicate. Provenance is preserved per-row.
-    pub fn select(&self, predicate: &Expr) -> RelResult<Relation> {
-        let mut rows = Vec::new();
-        for row in self.rows() {
-            if predicate.matches(self.schema(), row)? {
-                rows.push(row.clone());
-            }
-        }
-        Ok(Relation::from_rows_unchecked(
-            format!("σ({})", self.name()),
-            Arc::clone(self.schema()),
-            rows,
-        ))
-    }
-
-    /// Rows satisfying a Rust closure (for callers who don't want to build
-    /// an [`Expr`]).
+    /// Rows satisfying a predicate. Provenance is preserved per-row.
     pub fn select_fn(&self, mut pred: impl FnMut(&Row) -> bool) -> Relation {
         let rows = self.rows().iter().filter(|r| pred(r)).cloned().collect();
         Relation::from_rows_unchecked(
@@ -81,100 +63,6 @@ impl Relation {
         ))
     }
 
-    /// First `n` rows.
-    pub fn limit(&self, n: usize) -> Relation {
-        Relation::from_rows_unchecked(
-            self.name().to_string(),
-            Arc::clone(self.schema()),
-            self.rows().iter().take(n).cloned().collect(),
-        )
-    }
-
-    /// Bag union. Schemas must be union-compatible (same arity, unifiable
-    /// types); the left relation's column names win.
-    pub fn union(&self, other: &Relation) -> RelResult<Relation> {
-        let schema = self.schema().union_compatible(other.schema())?.shared();
-        let mut rows = Vec::with_capacity(self.len() + other.len());
-        rows.extend_from_slice(self.rows());
-        rows.extend_from_slice(other.rows());
-        Ok(Relation::from_rows_unchecked(
-            format!("{}∪{}", self.name(), other.name()),
-            schema,
-            rows,
-        ))
-    }
-
-    /// Set-distinct on all columns. The kept row for each value-group
-    /// merges the provenance of **all** duplicates, so no contributing
-    /// source row loses credit.
-    pub fn distinct(&self) -> Relation {
-        let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(self.len());
-        let mut kept: Vec<Row> = Vec::new();
-        let mut index_of: std::collections::HashMap<Vec<Value>, usize> =
-            std::collections::HashMap::new();
-        for row in self.rows() {
-            let key = row.values().to_vec();
-            if seen.insert(key.clone()) {
-                index_of.insert(key, kept.len());
-                kept.push(row.clone());
-            } else {
-                let i = index_of[&key];
-                let merged = kept[i].provenance().merge(row.provenance());
-                kept[i].set_provenance(merged);
-            }
-        }
-        Relation::from_rows_unchecked(
-            format!("δ({})", self.name()),
-            Arc::clone(self.schema()),
-            kept,
-        )
-    }
-
-    /// Stable sort by one column ascending (`desc = false`) or descending.
-    pub fn sort_by(&self, col: &str, desc: bool) -> RelResult<Relation> {
-        let idx = self.schema().index_of(col)?;
-        let mut rows = self.rows().to_vec();
-        rows.sort_by(|a, b| {
-            let ord = a.get(idx).cmp_numeric(b.get(idx));
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        Ok(Relation::from_rows_unchecked(
-            self.name().to_string(),
-            Arc::clone(self.schema()),
-            rows,
-        ))
-    }
-
-    /// Add a derived column computed by an expression.
-    pub fn with_column(&self, name: &str, expr: &Expr) -> RelResult<Relation> {
-        if self.schema().contains(name) {
-            return Err(RelError::DuplicateColumn(name.to_string()));
-        }
-        // Infer the type from the first non-null result.
-        let mut new_rows = Vec::with_capacity(self.len());
-        let mut dtype = crate::schema::DataType::Any;
-        for row in self.rows() {
-            let v = expr.eval(self.schema(), row)?;
-            if dtype == crate::schema::DataType::Any && !v.is_null() {
-                dtype = v.dtype();
-            }
-            let mut values = row.values().to_vec();
-            values.push(v);
-            new_rows.push(Row::new(values, row.provenance().clone()));
-        }
-        let mut fields = self.schema().fields().to_vec();
-        fields.push(Field::new(name, dtype));
-        Ok(Relation::from_rows_unchecked(
-            self.name().to_string(),
-            Schema::new(fields)?.shared(),
-            new_rows,
-        ))
-    }
-
     /// Map one column in place through a function (unit conversions, the
     /// paper's `f(d)` transformations, DP perturbation, ...).
     pub fn map_column(&self, col: &str, mut f: impl FnMut(&Value) -> Value) -> RelResult<Relation> {
@@ -208,21 +96,6 @@ impl Relation {
             rows,
         ))
     }
-
-    /// Random sample without replacement of up to `n` rows (deterministic
-    /// given the RNG). Used by the arbiter to show data previews.
-    pub fn sample(&self, n: usize, rng: &mut impl rand::Rng) -> Relation {
-        use rand::seq::SliceRandom;
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(n);
-        idx.sort_unstable();
-        Relation::from_rows_unchecked(
-            format!("sample({})", self.name()),
-            Arc::clone(self.schema()),
-            idx.into_iter().map(|i| self.rows()[i].clone()).collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +103,6 @@ mod tests {
     use super::*;
     use crate::provenance::DatasetId;
     use crate::schema::DataType;
-    use rand::SeedableRng;
 
     fn rel() -> Relation {
         let schema = Schema::of(&[("x", DataType::Int), ("g", DataType::Str)])
@@ -241,15 +113,6 @@ mod tests {
             r.push_values(vec![Value::Int(x), Value::str(g)]).unwrap();
         }
         r.with_source(DatasetId(1))
-    }
-
-    #[test]
-    fn select_filters_rows() {
-        let r = rel();
-        let s = r.select(&Expr::col("x").gt(Expr::lit(1))).unwrap();
-        assert_eq!(s.len(), 3);
-        // provenance of the kept rows is intact
-        assert!(s.rows().iter().all(|row| row.provenance().len() == 1));
     }
 
     #[test]
@@ -270,81 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn union_requires_compatible_arity() {
-        let r = rel();
-        let other = Relation::empty("o", Schema::of(&[("x", DataType::Int)]).unwrap().shared());
-        assert!(r.union(&other).is_err());
-        let u = r.union(&r).unwrap();
-        assert_eq!(u.len(), 8);
-    }
-
-    #[test]
-    fn distinct_merges_duplicate_provenance() {
-        let r = rel();
-        let d = r.distinct();
-        assert_eq!(d.len(), 3);
-        // the duplicated (2, "b") row keeps both source rows' credit
-        let dup = d
-            .rows()
-            .iter()
-            .find(|row| row.get(0) == &Value::Int(2))
-            .unwrap();
-        assert_eq!(dup.provenance().len(), 2);
-    }
-
-    #[test]
-    fn sort_orders_numerically() {
-        let r = rel();
-        let s = r.sort_by("x", true).unwrap();
-        let xs: Vec<i64> = s.rows().iter().filter_map(|r| r.get(0).as_i64()).collect();
-        assert_eq!(xs, vec![3, 2, 2, 1]);
-    }
-
-    #[test]
-    fn with_column_derives_values() {
-        let r = rel();
-        let e = Expr::Arith(
-            Box::new(Expr::col("x")),
-            crate::expr::ArithOp::Mul,
-            Box::new(Expr::lit(10)),
-        );
-        let w = r.with_column("x10", &e).unwrap();
-        assert_eq!(w.rows()[2].get(2), &Value::Int(30));
-        assert!(w.with_column("x10", &e).is_err(), "duplicate rejected");
-    }
-
-    #[test]
     fn map_column_transforms_in_place() {
         let r = rel();
         let m = r
             .map_column("x", |v| Value::Float(v.as_f64().unwrap() * 1.8 + 32.0))
             .unwrap();
         assert_eq!(m.rows()[0].get(0), &Value::Float(33.8));
-    }
-
-    #[test]
-    fn sample_is_deterministic_for_seed() {
-        let r = rel();
-        let mut rng1 = rand::rngs::StdRng::seed_from_u64(7);
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(7);
-        let a = r.sample(2, &mut rng1);
-        let b = r.sample(2, &mut rng2);
-        assert_eq!(a.rows().len(), 2);
-        assert_eq!(
-            a.rows()
-                .iter()
-                .map(|r| r.values().to_vec())
-                .collect::<Vec<_>>(),
-            b.rows()
-                .iter()
-                .map(|r| r.values().to_vec())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn limit_truncates() {
-        assert_eq!(rel().limit(2).len(), 2);
-        assert_eq!(rel().limit(99).len(), 4);
     }
 }

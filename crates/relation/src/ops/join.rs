@@ -7,7 +7,6 @@
 //! across the datasets that produced it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::error::{RelError, RelResult};
 use crate::relation::{Relation, Row};
@@ -130,45 +129,13 @@ impl Relation {
         }
         self.join(other, &shared, kind)
     }
-
-    /// Semi-join: left rows that have at least one match on the right.
-    pub fn semi_join(&self, other: &Relation, on: &[(&str, &str)]) -> RelResult<Relation> {
-        let left_keys: Vec<usize> = on
-            .iter()
-            .map(|(l, _)| self.schema().index_of(l))
-            .collect::<RelResult<_>>()?;
-        let right_keys: Vec<usize> = on
-            .iter()
-            .map(|(_, r)| other.schema().index_of(r))
-            .collect::<RelResult<_>>()?;
-        let mut keys: std::collections::HashSet<Vec<Value>> =
-            std::collections::HashSet::with_capacity(other.len());
-        for row in other.rows() {
-            let key: Vec<Value> = right_keys.iter().map(|&k| row.get(k).clone()).collect();
-            if !key.iter().any(Value::is_null) {
-                keys.insert(key);
-            }
-        }
-        let rows = self
-            .rows()
-            .iter()
-            .filter(|r| {
-                let key: Vec<Value> = left_keys.iter().map(|&k| r.get(k).clone()).collect();
-                !key.iter().any(Value::is_null) && keys.contains(&key)
-            })
-            .cloned()
-            .collect();
-        Ok(Relation::from_rows_unchecked(
-            format!("{}⋉{}", self.name(), other.name()),
-            Arc::clone(self.schema()),
-            rows,
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::provenance::DatasetId;
     use crate::schema::{DataType, Schema};
 
@@ -250,13 +217,6 @@ mod tests {
         assert_eq!(j.len(), 3);
         let no_shared = Relation::empty("E", Schema::of(&[("q", DataType::Int)]).unwrap().shared());
         assert!(left().natural_join(&no_shared, JoinKind::Inner).is_err());
-    }
-
-    #[test]
-    fn semi_join_filters_left() {
-        let s = left().semi_join(&right(), &[("k", "k")]).unwrap();
-        assert_eq!(s.len(), 2); // k=2, k=3
-        assert_eq!(s.schema().len(), 2); // schema unchanged
     }
 
     #[test]

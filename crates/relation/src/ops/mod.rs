@@ -6,7 +6,6 @@
 pub mod aggregate;
 pub mod basic;
 pub mod join;
-pub mod reshape;
 
 pub use aggregate::{AggFun, AggSpec};
 pub use join::JoinKind;

@@ -40,11 +40,6 @@ impl Row {
         &self.values[i]
     }
 
-    /// Mutable value at position `i` (used by in-place transforms).
-    pub fn get_mut(&mut self, i: usize) -> &mut Value {
-        &mut self.values[i]
-    }
-
     /// The row's why-provenance.
     pub fn provenance(&self) -> &Provenance {
         &self.prov
@@ -348,12 +343,8 @@ mod tests {
     #[test]
     fn column_iteration() {
         let r = people();
-        let names: Vec<_> = r
-            .column("name")
-            .unwrap()
-            .filter_map(Value::as_str)
-            .collect();
-        assert_eq!(names, vec!["ada", "bob"]);
+        let names: Vec<_> = r.column("name").unwrap().cloned().collect();
+        assert_eq!(names, vec![Value::str("ada"), Value::str("bob")]);
         assert!(r.column("missing").is_err());
     }
 

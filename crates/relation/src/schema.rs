@@ -193,25 +193,6 @@ impl Schema {
         }
         Schema::new(fields)
     }
-
-    /// Structural compatibility for union: same arity and pairwise
-    /// unifiable types (names may differ; left names win).
-    pub fn union_compatible(&self, other: &Schema) -> RelResult<Schema> {
-        if self.len() != other.len() {
-            return Err(RelError::SchemaMismatch(format!(
-                "union arity {} vs {}",
-                self.len(),
-                other.len()
-            )));
-        }
-        let fields = self
-            .fields
-            .iter()
-            .zip(&other.fields)
-            .map(|(a, b)| Field::new(a.name(), a.dtype().unify(b.dtype())))
-            .collect();
-        Schema::new(fields)
-    }
 }
 
 impl PartialEq for Schema {
@@ -289,21 +270,6 @@ mod tests {
             names.iter().collect::<std::collections::HashSet<_>>().len(),
             3
         );
-    }
-
-    #[test]
-    fn union_unifies_types() {
-        let s = Schema::of(&[("x", DataType::Int)]).unwrap();
-        let t = Schema::of(&[("y", DataType::Float)]).unwrap();
-        let u = s.union_compatible(&t).unwrap();
-        assert_eq!(u.field("x").unwrap().dtype(), DataType::Float);
-    }
-
-    #[test]
-    fn union_rejects_arity_mismatch() {
-        let s = abc();
-        let t = Schema::of(&[("x", DataType::Int)]).unwrap();
-        assert!(s.union_compatible(&t).is_err());
     }
 
     #[test]

@@ -103,22 +103,6 @@ impl Value {
         }
     }
 
-    /// String view (only for `Str`).
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean view (only for `Bool`).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Rank used to order values of different types.
     fn type_rank(&self) -> u8 {
         match self {

@@ -2,7 +2,7 @@
 //! thread multiplexing every connection over an OS readiness queue
 //! (epoll on Linux via the `compat/polling` shim), with a sharded
 //! apply pool executing journaled commands off the reactor thread.
-//! See [`crate::reactor`] for the event-loop internals.
+//! See the crate's `reactor` module for the event-loop internals.
 //!
 //! Wire behavior:
 //!

@@ -228,7 +228,7 @@ impl ParseState {
 /// proptest against [`read_request`]).
 ///
 /// The same bounds as the one-shot parser are enforced *while* bytes
-/// accumulate ([`MAX_LINE`], [`MAX_HEADERS`], the body cap), so a peer
+/// accumulate (`MAX_LINE`, `MAX_HEADERS`, the body cap), so a peer
 /// trickling an endless header grows no further than one line past the
 /// cap. After an error the parser is poisoned — the connection answered
 /// a 400/413 and is about to close; further `next` calls keep failing.

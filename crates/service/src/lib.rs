@@ -26,7 +26,7 @@
 //!   multiplexing every connection over an OS readiness queue (epoll
 //!   via the `compat/polling` shim), request pipelining with ordered
 //!   write-out, timer-wheel idle timeouts, and a sharded apply pool
-//!   executing journaled commands off the reactor ([`reactor`],
+//!   executing journaled commands off the reactor (`reactor`,
 //!   [`timer`]);
 //! * [`client`] — a minimal blocking client for tests, benches and
 //!   examples, with transparent keep-alive reconnection and a

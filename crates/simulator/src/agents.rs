@@ -61,14 +61,6 @@ impl BuyerStrategy {
             BuyerStrategy::Colluder { shade, .. } => Some(v * shade.clamp(0.0, 1.0)),
         }
     }
-
-    /// Is this strategy adversarial (for mix accounting)?
-    pub fn is_adversarial(&self) -> bool {
-        matches!(
-            self,
-            BuyerStrategy::Shade(_) | BuyerStrategy::Colluder { .. }
-        )
-    }
 }
 
 /// How a seller behaves.
@@ -185,8 +177,6 @@ mod tests {
 
     #[test]
     fn adversarial_classification() {
-        assert!(BuyerStrategy::Shade(0.5).is_adversarial());
-        assert!(!BuyerStrategy::Truthful.is_adversarial());
         assert!(SellerStrategy::Spammer { copies: 3 }.is_adversarial());
         assert!(!SellerStrategy::Honest.is_adversarial());
         assert!(!SellerStrategy::Opportunist.is_adversarial());

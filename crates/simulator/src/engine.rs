@@ -55,8 +55,6 @@ impl SimConfig {
 /// Per-round summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundSummary {
-    /// Round number.
-    pub round: u64,
     /// Revenue settled this round.
     pub revenue: f64,
     /// Transactions settled this round.
@@ -219,7 +217,6 @@ impl Simulation {
             transactions += tx2;
             self.arbitrage_phase();
             per_round.push(RoundSummary {
-                round: r + 1,
                 revenue,
                 transactions,
             });
@@ -461,16 +458,6 @@ impl Simulation {
         metrics.set_seller_gini(&revenue_by_seller);
         SimResult { metrics, per_round }
     }
-
-    /// Buyers whose strategy matches a predicate (metric slicing).
-    pub fn buyers_where(&self, pred: impl Fn(&BuyerStrategy) -> bool) -> Vec<String> {
-        self.demands
-            .iter()
-            .zip(&self.buyer_strategies)
-            .filter(|(_, s)| pred(s))
-            .map(|(d, _)| d.buyer.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -711,22 +698,5 @@ mod tests {
             .filter(|e| e.name.contains("curated"))
             .count();
         assert_eq!(curated, 0, "standard licenses forbid resale");
-    }
-
-    #[test]
-    fn metrics_slice_by_strategy() {
-        let cfg = SimConfig::new(
-            MarketConfig::external(1).with_design(MarketDesign::posted_price_baseline(5.0)),
-            3,
-        );
-        let sim = Simulation::new(
-            cfg,
-            small_workload(),
-            vec![BuyerStrategy::Truthful, BuyerStrategy::Shade(0.5)],
-            vec![SellerStrategy::Honest],
-        );
-        let truthful = sim.buyers_where(|s| matches!(s, BuyerStrategy::Truthful));
-        let shaded = sim.buyers_where(|s| s.is_adversarial());
-        assert_eq!(truthful.len() + shaded.len(), 8);
     }
 }

@@ -22,8 +22,3 @@ pub mod metrics;
 pub mod report;
 pub mod scenario;
 pub mod workload;
-
-pub use agents::{BuyerStrategy, SellerStrategy};
-pub use engine::{SimConfig, SimResult, Simulation};
-pub use metrics::MarketMetrics;
-pub use scenario::Scenario;

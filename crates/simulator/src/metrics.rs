@@ -30,21 +30,6 @@ pub struct MarketMetrics {
 }
 
 impl MarketMetrics {
-    /// Mean utility across a set of buyers (e.g. all truthful buyers).
-    pub fn mean_utility<'a>(&self, buyers: impl IntoIterator<Item = &'a str>) -> f64 {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for b in buyers {
-            total += self.buyer_utility.get(b).copied().unwrap_or(0.0);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
-    }
-
     /// Recompute the seller Gini from a revenue-per-seller map.
     pub fn set_seller_gini(&mut self, revenues: &HashMap<String, f64>) {
         let vals: Vec<f64> = revenues.values().copied().collect();
@@ -55,18 +40,6 @@ impl MarketMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_utility_over_subset() {
-        let mut m = MarketMetrics::default();
-        m.buyer_utility.insert("a".into(), 10.0);
-        m.buyer_utility.insert("b".into(), 20.0);
-        m.buyer_utility.insert("c".into(), 90.0);
-        assert!((m.mean_utility(["a", "b"]) - 15.0).abs() < 1e-12);
-        assert_eq!(m.mean_utility(std::iter::empty::<&str>()), 0.0);
-        // unknown buyers count as zero utility
-        assert!((m.mean_utility(["a", "zz"]) - 5.0).abs() < 1e-12);
-    }
 
     #[test]
     fn gini_setter() {

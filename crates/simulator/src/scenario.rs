@@ -27,22 +27,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// All-honest baseline on a posted-price external market.
-    pub fn baseline(seed: u64) -> Self {
-        Scenario {
-            name: "baseline".into(),
-            workload: WorkloadConfig {
-                seed,
-                ..Default::default()
-            },
-            buyers: vec![BuyerStrategy::Truthful],
-            sellers: vec![SellerStrategy::Honest],
-            market: MarketConfig::external(seed)
-                .with_design(MarketDesign::posted_price_baseline(20.0)),
-            rounds: 8,
-        }
-    }
-
     /// Adversarial mix (E6): `frac` of buyers shade/collude and `frac`
     /// of sellers spam/overprice/fault.
     pub fn adversarial(seed: u64, frac: f64, design: MarketDesign) -> Self {
@@ -151,33 +135,13 @@ impl Scenario {
     }
 }
 
-/// Run several scenarios concurrently on scoped threads — the
-/// multi-seed / multi-design sweeps of §6.1 are embarrassingly
-/// parallel (every scenario owns its own `DataMarket`). Results come
-/// back in input order.
-pub fn run_parallel(scenarios: &[Scenario]) -> Vec<SimResult> {
-    let mut results: Vec<Option<SimResult>> = Vec::new();
-    results.resize_with(scenarios.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, scenario) in results.iter_mut().zip(scenarios) {
-            scope.spawn(move || {
-                *slot = Some(scenario.run());
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn baseline_trades() {
-        let result = Scenario::baseline(3).run();
+        let result = Scenario::adversarial(3, 0.0, MarketDesign::posted_price_baseline(20.0)).run();
         assert!(result.metrics.transactions > 0);
         assert!(result.metrics.fill_rate > 0.3);
     }
@@ -207,25 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_runs() {
-        let scenarios = vec![
-            Scenario::baseline(1),
-            Scenario::baseline(2),
-            Scenario::opportunist(3, true),
-        ];
-        let parallel = run_parallel(&scenarios);
-        assert_eq!(parallel.len(), 3);
-        for (scenario, result) in scenarios.iter().zip(&parallel) {
-            let serial = scenario.run();
-            assert_eq!(serial.metrics.transactions, result.metrics.transactions);
-            assert!((serial.metrics.revenue - result.metrics.revenue).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn scenarios_are_reproducible() {
-        let a = Scenario::baseline(9).run();
-        let b = Scenario::baseline(9).run();
+        let a = Scenario::opportunist(9, true).run();
+        let b = Scenario::opportunist(9, true).run();
         assert_eq!(a.metrics.transactions, b.metrics.transactions);
         assert!((a.metrics.revenue - b.metrics.revenue).abs() < 1e-9);
     }

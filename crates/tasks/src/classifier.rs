@@ -1,6 +1,6 @@
-//! From-scratch classifiers for WTP evaluation: the paper's running
+//! A from-scratch classifier for WTP evaluation: the paper's running
 //! example is a buyer who "wants to build a machine learning classifier
-//! [with] at least an accuracy of 80% for the responsible engineer to
+//! \[with\] at least an accuracy of 80% for the responsible engineer to
 //! trust the classifier" (§1). The satisfaction metric is held-out
 //! accuracy on the candidate mashup.
 
@@ -159,60 +159,6 @@ impl Default for LogisticRegression {
     }
 }
 
-/// Multi-class nearest-centroid classifier (no training hyper-parameters;
-/// robust satisfaction baseline for noisy mashups).
-#[derive(Debug, Clone, Default)]
-pub struct NearestCentroid {
-    centroids: Vec<(i64, Vec<f64>)>,
-}
-
-impl NearestCentroid {
-    /// Untrained model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fit centroids per class.
-    pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[i64]) {
-        let mut sums: std::collections::HashMap<i64, (Vec<f64>, usize)> =
-            std::collections::HashMap::new();
-        for (x, &y) in xs.iter().zip(ys) {
-            let e = sums.entry(y).or_insert_with(|| (vec![0.0; x.len()], 0));
-            for (s, xi) in e.0.iter_mut().zip(x) {
-                *s += xi;
-            }
-            e.1 += 1;
-        }
-        self.centroids = sums
-            .into_iter()
-            .map(|(y, (sum, c))| (y, sum.into_iter().map(|s| s / c as f64).collect()))
-            .collect();
-        self.centroids.sort_by_key(|(y, _)| *y);
-    }
-
-    /// Predict the label of the nearest centroid.
-    pub fn predict(&self, x: &[f64]) -> i64 {
-        self.centroids
-            .iter()
-            .min_by(|a, b| {
-                let da: f64 = a.1.iter().zip(x).map(|(c, xi)| (c - xi).powi(2)).sum();
-                let db: f64 = b.1.iter().zip(x).map(|(c, xi)| (c - xi).powi(2)).sum();
-                da.total_cmp(&db)
-            })
-            .map(|(y, _)| *y)
-            .unwrap_or(0)
-    }
-}
-
-/// Which model a classification task trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Binary logistic regression.
-    Logistic,
-    /// Multi-class nearest centroid.
-    NearestCentroid,
-}
-
 /// The classification task: train on a split of the mashup, return
 /// held-out accuracy as satisfaction.
 #[derive(Debug, Clone)]
@@ -223,8 +169,6 @@ pub struct ClassifierTask {
     pub test_fraction: f64,
     /// Split seed (determinism for audits).
     pub seed: u64,
-    /// Model choice.
-    pub model: ModelKind,
 }
 
 impl ClassifierTask {
@@ -234,17 +178,6 @@ impl ClassifierTask {
             label: label.into(),
             test_fraction: 0.3,
             seed: 17,
-            model: ModelKind::Logistic,
-        }
-    }
-
-    /// Nearest-centroid task on `label`.
-    pub fn nearest_centroid(label: impl Into<String>) -> Self {
-        ClassifierTask {
-            label: label.into(),
-            test_fraction: 0.3,
-            seed: 17,
-            model: ModelKind::NearestCentroid,
         }
     }
 
@@ -265,29 +198,13 @@ impl ClassifierTask {
         let train_x: Vec<Vec<f64>> = train_idx.iter().map(|&i| data.xs[i].clone()).collect();
         let train_y: Vec<i64> = train_idx.iter().map(|&i| data.ys[i]).collect();
 
-        type Predictor = Box<dyn Fn(&[f64]) -> i64>;
-        let predict: Predictor = match self.model {
-            ModelKind::Logistic => {
-                let mut m = LogisticRegression::new();
-                m.fit(&train_x, &train_y);
-                Box::new(move |x| m.predict(x))
-            }
-            ModelKind::NearestCentroid => {
-                let mut m = NearestCentroid::new();
-                m.fit(&train_x, &train_y);
-                Box::new(move |x| m.predict(x))
-            }
-        };
+        let mut model = LogisticRegression::new();
+        model.fit(&train_x, &train_y);
 
-        // Logistic is binary: targets clamp to {0, 1}; centroid is
-        // multi-class and compares raw labels.
-        let target = |y: i64| match self.model {
-            ModelKind::Logistic => y.clamp(0, 1),
-            ModelKind::NearestCentroid => y,
-        };
+        // Logistic is binary: targets clamp to {0, 1}.
         let hits = test_idx
             .iter()
-            .filter(|&&i| predict(&data.xs[i]) == target(data.ys[i]))
+            .filter(|&&i| model.predict(&data.xs[i]) == data.ys[i].clamp(0, 1))
             .count();
         Some(hits as f64 / test_idx.len() as f64)
     }
@@ -317,13 +234,6 @@ mod tests {
         let task = ClassifierTask::logistic("label");
         let s = task.evaluate(&rel);
         assert!(s.value() > 0.9, "accuracy {} on separable blobs", s.value());
-    }
-
-    #[test]
-    fn nearest_centroid_also_separates() {
-        let rel = gaussian_blobs(400, 2, 3.0, 5);
-        let task = ClassifierTask::nearest_centroid("label");
-        assert!(task.evaluate(&rel).value() > 0.9);
     }
 
     #[test]
@@ -374,11 +284,5 @@ mod tests {
         let task = ClassifierTask::logistic("label");
         let s = task.evaluate(&rel).value();
         assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
-    fn centroid_predict_without_fit_defaults() {
-        let m = NearestCentroid::new();
-        assert_eq!(m.predict(&[1.0, 2.0]), 0);
     }
 }

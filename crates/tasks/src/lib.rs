@@ -8,12 +8,12 @@
 //!
 //! Tasks implement [`Task`]: `evaluate(&Relation) -> satisfaction ∈ [0,1]`.
 //!
-//! * [`classifier`] — from-scratch logistic regression and
-//!   nearest-centroid classifiers with train/test accuracy;
+//! * [`classifier`] — from-scratch logistic regression with train/test
+//!   accuracy;
 //! * [`regression`] — OLS linear regression with R²;
 //! * [`query_task`] — relational query tasks scored by AQP-style
-//!   completeness (group coverage) [75];
-//! * [`report`] — coverage / freshness report tasks;
+//!   completeness (group coverage) \[75\];
+//! * [`report`] — the attribute-coverage report task;
 //! * [`synth`] — synthetic labeled-data generators, including the intro
 //!   example's feature split across sellers.
 
@@ -24,7 +24,7 @@ pub mod report;
 pub mod synth;
 pub mod task;
 
-pub use classifier::{ClassifierTask, LogisticRegression, NearestCentroid};
+pub use classifier::{ClassifierTask, LogisticRegression};
 pub use query_task::QueryCompletenessTask;
 pub use regression::RegressionTask;
 pub use task::{Satisfaction, Task};

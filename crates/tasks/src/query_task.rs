@@ -1,26 +1,22 @@
 //! Relational query tasks scored by completeness — "a relational query
 //! may benefit from notions of completeness borrowed from the approximate
-//! query processing literature" (§3.2.2.1, citing VerdictDB [75]).
+//! query processing literature" (§3.2.2.1, citing VerdictDB \[75\]).
 
-use dmp_relation::expr::Expr;
+use std::collections::HashSet;
+
 use dmp_relation::Relation;
 
 use crate::task::{Satisfaction, Task};
 
 /// A group-by query whose satisfaction is *group coverage*: the fraction
 /// of the buyer's expected distinct groups that the mashup actually
-/// contains (optionally after a filter), weighted by a minimum support
-/// per group.
+/// contains.
 #[derive(Debug, Clone)]
 pub struct QueryCompletenessTask {
     /// Group-by column.
     pub group_by: String,
     /// How many distinct groups the buyer expects (e.g. 50 US states).
     pub expected_groups: usize,
-    /// Rows required per group for it to count as covered.
-    pub min_support: usize,
-    /// Optional row filter applied before grouping.
-    pub filter: Option<Expr>,
 }
 
 impl QueryCompletenessTask {
@@ -29,39 +25,20 @@ impl QueryCompletenessTask {
         QueryCompletenessTask {
             group_by: group_by.into(),
             expected_groups: expected_groups.max(1),
-            min_support: 1,
-            filter: None,
         }
     }
 
-    /// Require `n` rows per group.
-    pub fn with_min_support(mut self, n: usize) -> Self {
-        self.min_support = n.max(1);
-        self
-    }
-
-    /// Filter rows first.
-    pub fn with_filter(mut self, filter: Expr) -> Self {
-        self.filter = Some(filter);
-        self
-    }
-
-    /// The number of covered groups.
+    /// The number of covered groups: distinct non-null values of the
+    /// group column.
     pub fn covered_groups(&self, mashup: &Relation) -> Option<usize> {
-        let filtered = match &self.filter {
-            Some(f) => mashup.select(f).ok()?,
-            None => mashup.clone(),
-        };
-        let idx = filtered.col_index(&self.group_by).ok()?;
-        let mut counts: std::collections::HashMap<dmp_relation::Value, usize> =
-            std::collections::HashMap::new();
-        for row in filtered.rows() {
-            let v = row.get(idx);
-            if !v.is_null() {
-                *counts.entry(v.clone()).or_insert(0) += 1;
-            }
-        }
-        Some(counts.values().filter(|&&c| c >= self.min_support).count())
+        let idx = mashup.col_index(&self.group_by).ok()?;
+        let groups: HashSet<_> = mashup
+            .rows()
+            .iter()
+            .map(|row| row.get(idx))
+            .filter(|v| !v.is_null())
+            .collect();
+        Some(groups.len())
     }
 }
 
@@ -107,24 +84,6 @@ mod tests {
         let rel = regions(&["eu", "us"], 5);
         let t = QueryCompletenessTask::new("region", 4);
         assert_eq!(t.evaluate(&rel).value(), 0.5);
-    }
-
-    #[test]
-    fn min_support_discounts_thin_groups() {
-        let mut rel = regions(&["eu"], 5);
-        // add a region with a single row
-        rel.push_values(vec![Value::str("ap"), Value::Int(0)])
-            .unwrap();
-        let t = QueryCompletenessTask::new("region", 2).with_min_support(3);
-        assert_eq!(t.evaluate(&rel).value(), 0.5);
-    }
-
-    #[test]
-    fn filter_applies_before_grouping() {
-        let rel = regions(&["eu", "us"], 5);
-        let t = QueryCompletenessTask::new("region", 2)
-            .with_filter(Expr::col("sales").ge(Expr::lit(100)));
-        assert_eq!(t.evaluate(&rel).value(), 0.0, "filter removes everything");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Report-style tasks: attribute coverage and volume. These back the
+//! The report-style task: attribute coverage and volume. It backs the
 //! plain data-acquisition WTP-functions ("I need a table with these
 //! columns, reasonably complete") that don't train any model.
 
@@ -27,18 +27,6 @@ impl CoverageTask {
             target_rows: 1,
         }
     }
-
-    /// Require at least `rows` rows for full satisfaction.
-    pub fn with_target_rows(mut self, rows: usize) -> Self {
-        self.target_rows = rows.max(1);
-        self
-    }
-
-    /// Tolerate `ratio` nulls per column.
-    pub fn with_max_missing(mut self, ratio: f64) -> Self {
-        self.max_missing = ratio.clamp(0.0, 1.0);
-        self
-    }
 }
 
 impl Task for CoverageTask {
@@ -61,25 +49,6 @@ impl Task for CoverageTask {
         let attr_frac = covered as f64 / self.attributes.len() as f64;
         let volume = (mashup.len() as f64 / self.target_rows as f64).min(1.0);
         Satisfaction::new(attr_frac * volume)
-    }
-}
-
-/// Freshness task: satisfaction decays linearly with the relation's age
-/// relative to a horizon. Age is supplied externally (the arbiter knows
-/// registration times; relations don't carry wall-clock).
-#[derive(Debug, Clone)]
-pub struct FreshnessScore {
-    /// Age (logical ticks) at which satisfaction reaches zero.
-    pub horizon: u64,
-}
-
-impl FreshnessScore {
-    /// Score an age.
-    pub fn score(&self, age: u64) -> Satisfaction {
-        if self.horizon == 0 {
-            return Satisfaction::new(if age == 0 { 1.0 } else { 0.0 });
-        }
-        Satisfaction::new(1.0 - age as f64 / self.horizon as f64)
     }
 }
 
@@ -119,16 +88,25 @@ mod tests {
 
     #[test]
     fn nulls_past_threshold_drop_attribute() {
-        let t = CoverageTask::new(["a"]).with_max_missing(0.05);
+        let t = CoverageTask {
+            max_missing: 0.05,
+            ..CoverageTask::new(["a"])
+        };
         // every 2nd row null: 50% nulls > 5%
         assert_eq!(t.evaluate(&rel(2, 10)).value(), 0.0);
-        let lenient = CoverageTask::new(["a"]).with_max_missing(0.6);
+        let lenient = CoverageTask {
+            max_missing: 0.6,
+            ..CoverageTask::new(["a"])
+        };
         assert_eq!(lenient.evaluate(&rel(2, 10)).value(), 1.0);
     }
 
     #[test]
     fn volume_scales_linearly_up_to_target() {
-        let t = CoverageTask::new(["a"]).with_target_rows(20);
+        let t = CoverageTask {
+            target_rows: 20,
+            ..CoverageTask::new(["a"])
+        };
         assert_eq!(t.evaluate(&rel(0, 10)).value(), 0.5);
         assert_eq!(t.evaluate(&rel(0, 40)).value(), 1.0);
     }
@@ -137,16 +115,5 @@ mod tests {
     fn empty_attribute_list_trivially_satisfied() {
         let t = CoverageTask::new(Vec::<String>::new());
         assert_eq!(t.evaluate(&rel(0, 1)).value(), 1.0);
-    }
-
-    #[test]
-    fn freshness_decays() {
-        let f = FreshnessScore { horizon: 100 };
-        assert_eq!(f.score(0).value(), 1.0);
-        assert_eq!(f.score(50).value(), 0.5);
-        assert_eq!(f.score(200).value(), 0.0);
-        let strict = FreshnessScore { horizon: 0 };
-        assert_eq!(strict.score(0).value(), 1.0);
-        assert_eq!(strict.score(1).value(), 0.0);
     }
 }

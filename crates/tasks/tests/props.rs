@@ -29,7 +29,6 @@ proptest! {
         let rel = b.build().unwrap();
         let tasks: Vec<Box<dyn Task>> = vec![
             Box::new(ClassifierTask::logistic("label")),
-            Box::new(ClassifierTask::nearest_centroid("label")),
             Box::new(RegressionTask::new("x")),
             Box::new(QueryCompletenessTask::new("label", 2)),
             Box::new(CoverageTask::new(["label", "x", "zzz"])),

@@ -13,7 +13,7 @@
 //!   CI scrape test runs);
 //! * [`trace`] — a bounded, lossy-by-design (drop-counted) ring buffer
 //!   of structured spans, exported as JSON;
-//! * [`log`] — a structured, level-filtered logger behind the
+//! * [`log`](mod@log) — a structured, level-filtered logger behind the
 //!   [`log!`] macro, gated by the `DMP_LOG` env var and **off by
 //!   default** so benches stay clean.
 //!

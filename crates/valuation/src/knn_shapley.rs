@@ -1,6 +1,6 @@
 //! Exact, efficient Shapley values for K-nearest-neighbor utility —
 //! "Efficient task-specific data valuation for nearest neighbor
-//! algorithms" (Jia et al., VLDB'19; the paper's reference [56]).
+//! algorithms" (Jia et al., VLDB'19; the paper's reference \[56\]).
 //!
 //! For the KNN utility
 //! `v(S) = (1/K) Σ_{k ≤ min(K,|S|)} 1[ y_{α_k(S)} = y_test ]`

@@ -6,25 +6,20 @@
 //! are more computationally efficient and maintain the good properties
 //! conferred by the Shapley value."
 //!
-//! * [`shapley`] — exact Shapley (bit-subset dynamic enumeration, n ≤ 22),
-//!   permutation-sampling Monte Carlo, and stratified sampling;
-//! * [`banzhaf`] — Banzhaf index and leave-one-out values;
-//! * [`core_solver`] — core membership checks and least-core computation
-//!   for small coalitional games;
+//! * [`shapley`] — exact Shapley (bit-subset dynamic enumeration, n ≤ 22)
+//!   and permutation-sampling Monte Carlo;
+//! * [`banzhaf`] — leave-one-out values and budget-balancing
+//!   normalisation;
 //! * [`knn_shapley`] — the closed-form exact Shapley value for K-NN
-//!   utility (Jia et al., VLDB'19 [56]) in O(n log n);
+//!   utility (Jia et al., VLDB'19 \[56\]) in O(n log n);
 //! * [`row_alloc`] — per-row revenue allocation within a sold mashup;
 //! * [`sharing`] — provenance-based revenue sharing: propagate row
 //!   allocations to source datasets via why-provenance.
 
 pub mod banzhaf;
-pub mod core_solver;
 pub mod knn_shapley;
 pub mod row_alloc;
 pub mod shapley;
 pub mod sharing;
 
-pub use core_solver::{is_in_core, least_core};
 pub use row_alloc::RowAllocation;
-pub use shapley::{exact_shapley, monte_carlo_shapley, stratified_shapley, CharacteristicFn};
-pub use sharing::{share_revenue, DatasetShare};

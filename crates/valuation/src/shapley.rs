@@ -122,44 +122,6 @@ pub fn monte_carlo_shapley(
     phi
 }
 
-/// Stratified-sampling Shapley: for each player and each coalition size
-/// `s`, sample `samples_per_stratum` random coalitions of that size not
-/// containing the player and average marginals per stratum, then average
-/// strata uniformly (each size is equally weighted in the Shapley
-/// formula). Lower variance than plain permutation sampling for games
-/// whose marginals vary strongly with coalition size.
-pub fn stratified_shapley(
-    game: &CharacteristicFn,
-    samples_per_stratum: usize,
-    rng: &mut impl Rng,
-) -> Vec<f64> {
-    let n = game.n();
-    if n == 0 || samples_per_stratum == 0 {
-        return vec![0.0; n];
-    }
-    let mut phi = vec![0.0f64; n];
-    let others: Vec<usize> = (0..n).collect();
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        let mut pool: Vec<usize> = others.iter().copied().filter(|&j| j != i).collect();
-        let mut total = 0.0;
-        for s in 0..n {
-            let mut stratum_sum = 0.0;
-            for _ in 0..samples_per_stratum {
-                pool.shuffle(rng);
-                let mut mask = 0u64;
-                for &j in pool.iter().take(s) {
-                    mask |= 1 << j;
-                }
-                stratum_sum += game.value(mask | (1 << i)) - game.value(mask);
-            }
-            total += stratum_sum / samples_per_stratum as f64;
-        }
-        phi[i] = total / n as f64;
-    }
-    phi
-}
-
 /// Max absolute error between two allocations (for E4's error-vs-samples
 /// sweeps).
 pub fn max_abs_error(a: &[f64], b: &[f64]) -> f64 {
@@ -257,15 +219,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let fine = monte_carlo_shapley(&game, 50_000, &mut rng);
         assert!(max_abs_error(&exact, &fine) <= max_abs_error(&exact, &coarse));
-    }
-
-    #[test]
-    fn stratified_converges_too() {
-        let game = glove();
-        let exact = exact_shapley(&game);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let st = stratified_shapley(&game, 2_000, &mut rng);
-        assert!(max_abs_error(&exact, &st) < 0.03, "{st:?}");
     }
 
     #[test]

@@ -175,8 +175,10 @@ fn freshness_constraint_excludes_stale_data() {
     }
     let buyer = m.buyer("b");
     buyer.deposit(100.0);
-    let mut constraints = data_market_platform::mechanism::wtp::IntrinsicConstraints::none();
-    constraints.max_age = Some(2);
+    let constraints = data_market_platform::mechanism::wtp::IntrinsicConstraints {
+        max_age: Some(2),
+        ..Default::default()
+    };
     buyer
         .wtp(["k", "v"])
         .price_curve(PriceCurve::Constant(30.0))
