@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dmp_core::market::MarketConfig;
+use dmp_mechanism::elicitation::ElicitationProtocol;
 use dmp_telemetry::log;
 use parking_lot::Mutex;
 
@@ -31,7 +32,7 @@ use crate::command::Command;
 use crate::error::ServiceError;
 use crate::journal::Journal;
 use crate::metrics::metrics;
-use crate::shard::{Outcome, ShardRouter};
+use crate::shard::{fnv1a, Outcome, ShardRouter};
 use crate::snapshot::{self, Snapshot};
 use crate::state;
 
@@ -100,22 +101,29 @@ struct NodeInner {
     journal: Journal,
 }
 
-/// The replay-relevant identity of a deployment: every knob that feeds
-/// shard hashing or an RNG stream. Two processes agree on this string
-/// iff a command stream applied to both produces bit-identical state —
-/// the distributed layer sends it with every internal RPC so a worker
+/// The replay-relevant identity of a deployment: the shard count and
+/// the whole [`MarketConfig`]. Two processes agree on this string iff a
+/// command stream applied to both produces bit-identical state — the
+/// distributed layer sends it with every internal RPC so a worker
 /// configured differently refuses work instead of silently diverging.
+///
+/// The config enters as an FNV-1a hash of its `Debug` rendering: every
+/// type under `MarketConfig` derives `Debug` and holds no map, so the
+/// text is deterministic and a field added to the config cannot be left
+/// out. The design's name is spelled out so a refusal is readable; the
+/// string stays short because it is written to `node.meta` and sent
+/// with every internal RPC.
 pub fn config_fingerprint(shards: usize, market: &MarketConfig) -> String {
-    // v4: the state digest is FNV-1a over the image encoding
-    // (snapshot format v3). A v3 directory's snapshots carry digests
-    // of a rendering this code no longer has, and a v3 worker would
-    // answer digest RPCs in it, so the version is part of the
-    // fingerprint: older directories and skewed workers are refused
-    // by name rather than misread. (v3 itself refused v1/v2:
-    // command-prefix snapshots, journals not replayable from genesis.)
+    // v5: the whole MarketConfig. v4 named five fields and left out
+    // the design and the currency, so a directory written at one
+    // posted price reopened at another and replayed its journal under
+    // the new prices. The version is part of the fingerprint: older
+    // directories and skewed workers are refused by name rather than
+    // misread. (v4 refused v3's digest rendering; v3 refused v1/v2.)
     format!(
-        "v4 shards={} seed={} kind={:?} max_candidates={} contribution_reward={}",
-        shards, market.seed, market.kind, market.max_candidates, market.contribution_reward,
+        "v5 shards={shards} design={} market={:016x}",
+        market.design.name,
+        fnv1a(format!("{market:?}").as_bytes())
     )
 }
 
@@ -197,6 +205,18 @@ impl ServiceNode {
             return Err(ServiceError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "ServiceConfig.shards must be at least 1, got 0",
+            )));
+        }
+        // No command reaches `DataMarket::report_value`, so an ex-post
+        // design would escrow every sale and never release it.
+        if let ElicitationProtocol::ExPost(_) = cfg.market.design.elicitation {
+            return Err(ServiceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "ServiceConfig.market.design '{}' elicits ex post; the service \
+                     has no command to report values, so only ex-ante designs are served",
+                    cfg.market.design.name
+                ),
             )));
         }
         std::fs::create_dir_all(&cfg.dir)?;
@@ -646,6 +666,52 @@ mod tests {
         assert!(ServiceNode::open(reshaped).is_err());
         // The original config still opens.
         assert!(ServiceNode::open(cfg).is_ok());
+    }
+
+    #[test]
+    fn reopen_at_a_different_posted_price_is_refused_naming_both() {
+        let dir = ScratchDir::new("node-fingerprint-price");
+        let cfg = config(&dir);
+        ServiceNode::open(cfg.clone()).unwrap();
+        // Same shards, seed and kind: only the design's price moved, and
+        // replaying the journal under it would settle different sales.
+        let repriced = ServiceConfig {
+            market: MarketConfig::external(5)
+                .with_design(MarketDesign::posted_price_baseline(20.0)),
+            ..cfg.clone()
+        };
+        let err = match ServiceNode::open(repriced.clone()) {
+            Ok(_) => panic!("a directory written at price 10 reopened at price 20"),
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            err.contains(&format!("'{}'", ServiceNode::config_fingerprint(&cfg)))
+                && err.contains(&format!("'{}'", ServiceNode::config_fingerprint(&repriced))),
+            "the refusal must name both fingerprints: {err}"
+        );
+        assert!(err.contains("design=posted-price(10)") && err.contains("design=posted-price(20)"));
+        assert!(ServiceNode::config_fingerprint(&cfg).len() <= 71);
+    }
+
+    #[test]
+    fn ex_post_designs_are_refused_before_node_meta_is_written() {
+        let dir = ScratchDir::new("node-ex-post");
+        let mut market = config(&dir).market;
+        market.design.elicitation = ElicitationProtocol::ExPost(Default::default());
+        let cfg = ServiceConfig {
+            market,
+            ..config(&dir)
+        };
+        match ServiceNode::open(cfg).err() {
+            Some(ServiceError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(e.to_string().contains("ServiceConfig.market.design"), "{e}");
+            }
+            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+        }
+        assert!(!dir.path().join("node.meta").exists());
+        // The directory stays usable under an ex-ante design.
+        assert!(ServiceNode::open(config(&dir)).is_ok());
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! directories written by named commits, and what today's code owes
 //! each of them.
 //!
-//! * `written_by_pr18/` is in the current formats (fingerprint v4,
+//! * `written_by_v5/` is in the current formats (fingerprint v5,
 //!   snapshot format 3): it must load, digest-verify through the image
 //!   and through the journal alone, and be written back byte for byte.
+//! * `written_by_pr18/` predates the fingerprint covering the whole
+//!   `MarketConfig` (fingerprint v4): it must be *refused by name*. Its
+//!   journal and snapshot are byte-identical to `written_by_v5/`'s;
+//!   only `node.meta` differs.
 //! * `written_by_bc9fe67/` predates the digest's redefinition
 //!   (fingerprint v3, snapshot format 2): it must be *refused by name*,
 //!   never misread — while its image sections, whose encoding did not
 //!   change, still re-encode to the same bytes, and its journal, whose
 //!   format did not change either, still replays.
 //!
-//! Both were produced by [`script`]; `regenerate_golden` is the tool
-//! for the next deliberate format change.
+//! All three were produced by [`script`]; `regenerate_golden` is the
+//! tool for the next deliberate format change.
 
 use std::path::{Path, PathBuf};
 
@@ -27,8 +31,11 @@ use dmp_service::state::{self, StateImage};
 use dmp_service::test_support::ScratchDir;
 use dmp_service::{snapshot, Json};
 
-const PARENT: &str = "written_by_bc9fe67";
-const CURRENT: &str = "written_by_pr18";
+/// Fingerprint v3, snapshot format 2.
+const V3: &str = "written_by_bc9fe67";
+/// Fingerprint v4, snapshot format 3.
+const V4: &str = "written_by_pr18";
+const CURRENT: &str = "written_by_v5";
 const SNAPSHOT: &str = "snapshot-00000000000000000012.dmp";
 /// `snapshot_now()` runs after this many commands of the script.
 const SNAPSHOT_AT: usize = 12;
@@ -39,7 +46,7 @@ fn golden(dir: &str) -> PathBuf {
         .join(dir)
 }
 
-/// The 15 commands both directories hold: enrolments with multi-byte,
+/// The 15 commands every directory holds: enrolments with multi-byte,
 /// quoted, escaped and control characters in the names, deposits, three
 /// asks, four offers (one from a principal that never enrolled, so it
 /// is journaled and rejected), a round, then — after the snapshot — a
@@ -238,32 +245,42 @@ fn current_journal_replays_and_rewrites_bit_identically() {
 }
 
 // ---------------------------------------------------------------------
-// The parent's formats: refused by name, never misread.
+// Older formats: refused by name, never misread.
 // ---------------------------------------------------------------------
 
 #[test]
 fn parent_directory_is_refused_by_fingerprint() {
-    let dir = copy_of(
-        PARENT,
-        "golden-parent-open",
-        &["journal.wal", "node.meta", SNAPSHOT],
-    );
-    let err = match ServiceNode::open(config(dir.path())) {
-        Ok(_) => panic!("a v3 directory opened under v4 code"),
-        Err(e) => e.to_string(),
-    };
-    assert!(
-        err.contains("'v3 shards=2") && err.contains("'v4 shards=2"),
-        "the refusal must name both versions: {err}"
-    );
+    for (older, version) in [(V4, "v4"), (V3, "v3")] {
+        let dir = copy_of(
+            older,
+            "golden-parent-open",
+            &["journal.wal", "node.meta", SNAPSHOT],
+        );
+        let err = match ServiceNode::open(config(dir.path())) {
+            Ok(_) => panic!("a {version} directory opened under v5 code"),
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            err.contains(&format!("'{version} shards=2")) && err.contains("'v5 shards=2"),
+            "the refusal must name both versions: {err}"
+        );
+    }
+    // v5 changed what node.meta records and nothing else.
+    for name in ["journal.wal", SNAPSHOT, "expected.txt"] {
+        assert_eq!(
+            std::fs::read(golden(V4).join(name)).unwrap(),
+            std::fs::read(golden(CURRENT).join(name)).unwrap(),
+            "{name} differs between {V4} and {CURRENT}"
+        );
+    }
 }
 
 #[test]
 fn parent_snapshot_is_refused_by_version() {
-    assert!(snapshot::load_file(&golden(PARENT).join(SNAPSHOT)).is_none());
+    assert!(snapshot::load_file(&golden(V3).join(SNAPSHOT)).is_none());
     // Smuggled past the fingerprint, it costs a fallback, not a misread:
     // recovery rejects it and replays the journal.
-    let dir = copy_of(PARENT, "golden-parent-snap", &["journal.wal", SNAPSHOT]);
+    let dir = copy_of(V3, "golden-parent-snap", &["journal.wal", SNAPSHOT]);
     let rejected = || metrics().recovery_snapshot_rejected.get();
     let before = rejected();
     let node = ServiceNode::open(config(dir.path())).unwrap();
@@ -277,7 +294,7 @@ fn parent_snapshot_is_refused_by_version() {
 #[test]
 fn parent_image_sections_still_reencode_byte_for_byte() {
     // Only the digest's definition changed; the image encoding did not.
-    let bytes = std::fs::read(golden(PARENT).join(SNAPSHOT)).unwrap();
+    let bytes = std::fs::read(golden(V3).join(SNAPSHOT)).unwrap();
     let sections = frames(&bytes);
     let (_header, sections) = sections.split_first().unwrap();
     let mut trees: Vec<Json> = sections
@@ -307,10 +324,10 @@ fn parent_image_sections_still_reencode_byte_for_byte() {
 
 #[test]
 fn parent_journal_replays_without_its_meta_and_reappends_bit_identically() {
-    let golden_bytes = std::fs::read(golden(PARENT).join("journal.wal")).unwrap();
-    let dir = copy_of(PARENT, "golden-parent-journal", &["journal.wal"]);
+    let golden_bytes = std::fs::read(golden(V3).join("journal.wal")).unwrap();
+    let dir = copy_of(V3, "golden-parent-journal", &["journal.wal"]);
     let node = ServiceNode::open(config(dir.path())).unwrap();
-    assert_eq!(node.applied(), expected(PARENT, "applied"));
+    assert_eq!(node.applied(), expected(V3, "applied"));
     assert_eq!(node.applied(), script().len() as u64);
     assert_eq!(
         node.state_digest(),
