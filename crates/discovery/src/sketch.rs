@@ -188,6 +188,16 @@ impl HyperLogLog {
         }
         raw
     }
+
+    /// Merge another sketch into this one (union semantics).
+    pub fn merge(&mut self, other: &HyperLogLog) {
+        assert_eq!(self.p, other.p, "HLL precision mismatch");
+        for (a, b) in self.registers.iter_mut().zip(&other.registers) {
+            if *b > *a {
+                *a = *b;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +286,21 @@ mod tests {
         }
         let est = hll.estimate();
         assert!((est - 100.0).abs() < 10.0);
+    }
+
+    #[test]
+    fn hll_merge_is_union() {
+        let mut a = HyperLogLog::new(10);
+        let mut b = HyperLogLog::new(10);
+        for i in 0..500u64 {
+            a.insert(&i);
+        }
+        for i in 250..750u64 {
+            b.insert(&i);
+        }
+        a.merge(&b);
+        let est = a.estimate();
+        assert!((est - 750.0).abs() / 750.0 < 0.1, "union estimate {est}");
     }
 
     #[test]

@@ -59,6 +59,21 @@ proptest! {
         prop_assert!(rel_err < 0.10, "n={n} est={est} err={rel_err}");
     }
 
+    /// HLL merge equals inserting the union.
+    #[test]
+    fn hll_merge_is_union(
+        xs in prop::collection::hash_set(0u64..2000, 1..500),
+        ys in prop::collection::hash_set(0u64..2000, 1..500),
+    ) {
+        let mut a = HyperLogLog::new(12);
+        let mut b = HyperLogLog::new(12);
+        let mut u = HyperLogLog::new(12);
+        for x in &xs { a.insert(x); u.insert(x); }
+        for y in &ys { b.insert(y); u.insert(y); }
+        a.merge(&b);
+        prop_assert!((a.estimate() - u.estimate()).abs() < 1e-9);
+    }
+
     /// The metadata engine's versions are monotone and snapshots align.
     #[test]
     fn metadata_versions_monotone(updates in prop::collection::vec(0i64..50, 1..8)) {

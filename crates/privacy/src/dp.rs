@@ -1,6 +1,8 @@
-//! Differential privacy (§4.2, \[38\]): the Laplace mechanism applied per
-//! cell to a numeric column. Used by the seller platform to produce safe
-//! releases, with the privacy–value trade-off measured in E9.
+//! Differential-privacy mechanisms (§4.2, \[38\]): Laplace noise applied
+//! per cell to a numeric column, geometric noise for integer queries,
+//! Gaussian for (ε, δ)-DP, and randomized response for categorical
+//! cells. Used by the seller platform to produce safe releases, with the
+//! privacy–value trade-off measured in E9.
 
 use rand::Rng;
 
@@ -37,6 +39,49 @@ pub fn laplace_noise(b: f64, rng: &mut impl Rng) -> f64 {
     }
     let u: f64 = rng.gen_range(-0.5..0.5);
     -b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+}
+
+/// The geometric mechanism (discrete Laplace) for integer-valued queries:
+/// adds two-sided geometric noise with parameter `α = exp(−ε/Δ)`.
+pub fn geometric_mechanism(true_value: i64, params: DpParams, rng: &mut impl Rng) -> i64 {
+    let alpha = (-params.epsilon / params.sensitivity.max(1e-12)).exp();
+    if alpha <= 0.0 || alpha >= 1.0 {
+        return true_value;
+    }
+    // Difference of two geometric variables.
+    let draw = |rng: &mut dyn rand::RngCore| -> i64 {
+        let u: f64 = rand::Rng::gen::<f64>(rng);
+        (u.ln() / alpha.ln()).floor() as i64
+    };
+    true_value + draw(rng) - draw(rng)
+}
+
+/// Gaussian mechanism for (ε, δ)-DP: σ = Δ·√(2 ln(1.25/δ)) / ε.
+pub fn gaussian_mechanism(
+    true_value: f64,
+    params: DpParams,
+    delta: f64,
+    rng: &mut impl Rng,
+) -> f64 {
+    let delta = delta.clamp(1e-12, 0.5);
+    let sigma = params.sensitivity * (2.0 * (1.25 / delta).ln()).sqrt() / params.epsilon;
+    // Box–Muller.
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    true_value + sigma * z
+}
+
+/// Randomized response for a boolean attribute with budget ε: answer
+/// truthfully with probability `e^ε/(e^ε+1)`, else flip. ε-DP for one
+/// bit; the workhorse for categorical perturbation.
+pub fn randomized_response(truth: bool, epsilon: f64, rng: &mut impl Rng) -> bool {
+    let p_truth = epsilon.exp() / (epsilon.exp() + 1.0);
+    if rng.gen::<f64>() < p_truth {
+        truth
+    } else {
+        !truth
+    }
 }
 
 /// Perturb a numeric column of a relation with per-cell Laplace noise —
@@ -92,6 +137,46 @@ mod tests {
         let loose = DpParams::new(10.0, 1.0);
         assert!(tight.laplace_scale() > loose.laplace_scale());
         assert_eq!(tight.laplace_scale(), 10.0);
+    }
+
+    #[test]
+    fn geometric_mechanism_returns_integers_near_truth() {
+        let mut r = rng();
+        let params = DpParams::new(1.0, 1.0);
+        let n = 20_000;
+        let mean: f64 = (0..n)
+            .map(|_| geometric_mechanism(100, params, &mut r) as f64)
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - 100.0).abs() < 0.5, "mean {mean}");
+    }
+
+    #[test]
+    fn gaussian_mechanism_centered() {
+        let mut r = rng();
+        let params = DpParams::new(1.0, 1.0);
+        let n = 20_000;
+        let mean: f64 = (0..n)
+            .map(|_| gaussian_mechanism(5.0, params, 1e-5, &mut r))
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - 5.0).abs() < 0.2, "mean {mean}");
+    }
+
+    #[test]
+    fn randomized_response_truth_rate_matches_epsilon() {
+        let mut r = rng();
+        let eps = 1.0f64;
+        let n = 50_000;
+        let truthful = (0..n)
+            .filter(|_| randomized_response(true, eps, &mut r))
+            .count() as f64
+            / n as f64;
+        let want = eps.exp() / (eps.exp() + 1.0);
+        assert!(
+            (truthful - want).abs() < 0.01,
+            "rate {truthful}, want {want}"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the key open question being "a good balance between protection and
 //! profit" — the privacy–value curve that experiment E9 measures.
 //!
-//! * [`dp`] — per-cell Laplace noise over a relation's numeric column;
+//! * [`dp`] — per-cell Laplace noise over a relation's numeric column,
+//!   plus geometric, Gaussian and randomized-response mechanisms;
 //! * [`budget`] — per-dataset ε-budget ledgers with sequential
 //!   composition and budget-exceeded refusal;
 //! * [`anonymize`] — k-anonymity style generalization and suppression;

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use dmp_privacy::anonymize::{is_k_anonymous, k_anonymize};
 use dmp_privacy::budget::PrivacyBudget;
-use dmp_privacy::dp::laplace_noise;
+use dmp_privacy::dp::{laplace_noise, randomized_response};
 use dmp_privacy::pii::{is_credit_card, is_email, is_ipv4, is_phone, is_ssn};
 use dmp_relation::{DataType, DatasetId, RelationBuilder, Value};
 
@@ -36,6 +36,16 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         prop_assert!(laplace_noise(b, &mut rng).is_finite());
         prop_assert_eq!(laplace_noise(0.0, &mut rng), 0.0);
+    }
+
+    /// Randomized response returns a boolean with the right bias
+    /// direction: truth is always at least as likely as the flip.
+    #[test]
+    fn randomized_response_biased_to_truth(eps in 0.0f64..5.0, seed in 0u64..100) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = 2000;
+        let truthful = (0..n).filter(|_| randomized_response(true, eps, &mut rng)).count();
+        prop_assert!(truthful as f64 >= n as f64 * 0.40, "eps={eps} truthful={truthful}");
     }
 
     /// k_anonymize postcondition: the output *is* k-anonymous, for any

@@ -116,6 +116,15 @@ mod tests {
     }
 
     #[test]
+    fn select_filters_rows() {
+        let r = rel();
+        let s = r.select_fn(|row| row.get(0).as_i64().is_some_and(|x| x > 1));
+        assert_eq!(s.len(), 3);
+        // provenance of the kept rows is intact
+        assert!(s.rows().iter().all(|row| row.provenance().len() == 1));
+    }
+
+    #[test]
     fn project_reorders_and_keeps_provenance() {
         let r = rel();
         let p = r.project(&["g", "x"]).unwrap();

@@ -8,11 +8,12 @@
 //!
 //! * [`shapley`] — exact Shapley (bit-subset dynamic enumeration, n ≤ 22)
 //!   and permutation-sampling Monte Carlo;
-//! * [`banzhaf`] — leave-one-out values and budget-balancing
-//!   normalisation;
+//! * [`banzhaf`] — Banzhaf index (exact and Monte Carlo), leave-one-out
+//!   values and budget-balancing normalisation;
 //! * [`knn_shapley`] — the closed-form exact Shapley value for K-NN
 //!   utility (Jia et al., VLDB'19 \[56\]) in O(n log n);
-//! * [`row_alloc`] — per-row revenue allocation within a sold mashup;
+//! * [`row_alloc`] — per-row revenue allocation within a sold mashup
+//!   (uniform, explicitly weighted, or by provenance breadth);
 //! * [`sharing`] — provenance-based revenue sharing: propagate row
 //!   allocations to source datasets via why-provenance.
 

@@ -26,9 +26,47 @@ impl RowAllocation {
         }
     }
 
+    /// Weighted by explicit per-row weights (e.g. task-influence scores:
+    /// rows that moved the model's accuracy more are worth more).
+    /// Negative weights are clamped to zero; all-zero weights fall back
+    /// to uniform.
+    pub fn weighted(mashup: &Relation, price: f64, weights: &[f64]) -> RowAllocation {
+        let n = mashup.len();
+        if n == 0 {
+            return RowAllocation {
+                amounts: Vec::new(),
+            };
+        }
+        assert_eq!(weights.len(), n, "one weight per row");
+        let clamped: Vec<f64> = weights.iter().map(|w| w.max(0.0)).collect();
+        let total: f64 = clamped.iter().sum();
+        if total <= 0.0 {
+            return Self::uniform(mashup, price);
+        }
+        RowAllocation {
+            amounts: clamped.iter().map(|w| w / total * price).collect(),
+        }
+    }
+
+    /// Weighted by provenance breadth: rows assembled from more source
+    /// rows (joins across more inputs) carry more integration value.
+    pub fn by_provenance_size(mashup: &Relation, price: f64) -> RowAllocation {
+        let weights: Vec<f64> = mashup
+            .rows()
+            .iter()
+            .map(|r| r.provenance().len().max(1) as f64)
+            .collect();
+        Self::weighted(mashup, price, &weights)
+    }
+
     /// Per-row amounts.
     pub fn amounts(&self) -> &[f64] {
         &self.amounts
+    }
+
+    /// Total allocated (equals the price up to float error).
+    pub fn total(&self) -> f64 {
+        self.amounts.iter().sum()
     }
 }
 
@@ -49,7 +87,27 @@ mod tests {
     fn uniform_splits_evenly_and_balances() {
         let a = RowAllocation::uniform(&mashup(), 100.0);
         assert_eq!(a.amounts(), &[25.0; 4]);
-        assert!((a.amounts().iter().sum::<f64>() - 100.0).abs() < 1e-9);
+        assert!((a.total() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn weighted_respects_weights() {
+        let a = RowAllocation::weighted(&mashup(), 100.0, &[1.0, 1.0, 2.0, 0.0]);
+        assert_eq!(a.amounts(), &[25.0, 25.0, 50.0, 0.0]);
+        assert!((a.total() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn negative_weights_clamped() {
+        let a = RowAllocation::weighted(&mashup(), 10.0, &[-1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(a.amounts()[0], 0.0);
+        assert!((a.total() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_weights_fall_back_to_uniform() {
+        let a = RowAllocation::weighted(&mashup(), 8.0, &[0.0; 4]);
+        assert_eq!(a.amounts(), &[2.0; 4]);
     }
 
     #[test]
@@ -60,5 +118,36 @@ mod tests {
             .unwrap();
         let a = RowAllocation::uniform(&empty, 50.0);
         assert!(a.amounts().is_empty());
+        assert_eq!(a.total(), 0.0);
+    }
+
+    #[test]
+    fn provenance_size_weighting() {
+        use dmp_relation::ops::JoinKind;
+        // join produces rows with 2-atom provenance; a left-join miss has 1.
+        let left = RelationBuilder::new("l")
+            .column("k", DataType::Int)
+            .row(vec![Value::Int(1)])
+            .row(vec![Value::Int(2)])
+            .source(DatasetId(1))
+            .build()
+            .unwrap();
+        let right = RelationBuilder::new("r")
+            .column("k", DataType::Int)
+            .row(vec![Value::Int(1)])
+            .source(DatasetId(2))
+            .build()
+            .unwrap();
+        let j = left.join(&right, &[("k", "k")], JoinKind::Left).unwrap();
+        let a = RowAllocation::by_provenance_size(&j, 30.0);
+        // row for k=1 has 2 atoms, k=2 has 1 atom: weights 2:1
+        assert!((a.amounts()[0] - 20.0).abs() < 1e-9);
+        assert!((a.amounts()[1] - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per row")]
+    fn weight_arity_checked() {
+        let _ = RowAllocation::weighted(&mashup(), 1.0, &[1.0]);
     }
 }

@@ -183,6 +183,14 @@ mod tests {
     }
 
     #[test]
+    fn conservation_under_weighted_rows() {
+        let m = joined_mashup();
+        let rows = RowAllocation::weighted(&m, 77.0, &[3.0, 1.0]);
+        let shares = share_revenue(&m, &rows, SharingRule::ProportionalToAtoms);
+        assert!((total_shared(&shares) - 77.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn zero_price_zero_shares() {
         let m = joined_mashup();
         let rows = RowAllocation::uniform(&m, 0.0);
