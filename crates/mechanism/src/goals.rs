@@ -27,8 +27,6 @@ pub struct OutcomeMeasure {
     pub transactions: usize,
 }
 
-impl OutcomeMeasure {}
-
 /// Gini coefficient of a revenue distribution — used to measure whether a
 /// design concentrates data value "around a few organizations even more"
 /// (FAQ §3.4). 0 = perfectly equal, →1 = concentrated.

@@ -139,9 +139,16 @@ impl Scenario {
 mod tests {
     use super::*;
 
+    /// All-honest default workload on a posted-price external market.
+    fn baseline(seed: u64) -> Scenario {
+        let market =
+            MarketConfig::external(seed).with_design(MarketDesign::posted_price_baseline(20.0));
+        Scenario::market_kind(seed, market, "baseline")
+    }
+
     #[test]
     fn baseline_trades() {
-        let result = Scenario::adversarial(3, 0.0, MarketDesign::posted_price_baseline(20.0)).run();
+        let result = baseline(3).run();
         assert!(result.metrics.transactions > 0);
         assert!(result.metrics.fill_rate > 0.3);
     }
@@ -172,8 +179,8 @@ mod tests {
 
     #[test]
     fn scenarios_are_reproducible() {
-        let a = Scenario::opportunist(9, true).run();
-        let b = Scenario::opportunist(9, true).run();
+        let a = baseline(9).run();
+        let b = baseline(9).run();
         assert_eq!(a.metrics.transactions, b.metrics.transactions);
         assert!((a.metrics.revenue - b.metrics.revenue).abs() < 1e-9);
     }

@@ -6,25 +6,25 @@ use dmp_relation::Relation;
 
 use crate::task::{Satisfaction, Task};
 
+/// Maximum tolerated null ratio per attribute.
+const MAX_MISSING: f64 = 0.1;
+
+/// Rows at which the volume factor saturates.
+const TARGET_ROWS: usize = 1;
+
 /// Satisfaction = (fraction of required attributes present with null
-/// ratio ≤ `max_missing`) × (row-count factor capped at 1).
+/// ratio ≤ 10 %) × (row-count factor: 0 for an empty mashup, else 1).
 #[derive(Debug, Clone)]
 pub struct CoverageTask {
     /// Required attribute names.
     pub attributes: Vec<String>,
-    /// Maximum tolerated null ratio per attribute.
-    pub max_missing: f64,
-    /// Rows at which the volume factor saturates.
-    pub target_rows: usize,
 }
 
 impl CoverageTask {
-    /// Coverage over attributes with defaults (10 % nulls, 1 row).
+    /// Coverage over `attributes`.
     pub fn new<S: Into<String>>(attributes: impl IntoIterator<Item = S>) -> Self {
         CoverageTask {
             attributes: attributes.into_iter().map(Into::into).collect(),
-            max_missing: 0.1,
-            target_rows: 1,
         }
     }
 }
@@ -41,13 +41,13 @@ impl Task for CoverageTask {
         let mut covered = 0usize;
         for attr in &self.attributes {
             if mashup.schema().contains(attr)
-                && mashup.null_ratio(attr).unwrap_or(1.0) <= self.max_missing
+                && mashup.null_ratio(attr).unwrap_or(1.0) <= MAX_MISSING
             {
                 covered += 1;
             }
         }
         let attr_frac = covered as f64 / self.attributes.len() as f64;
-        let volume = (mashup.len() as f64 / self.target_rows as f64).min(1.0);
+        let volume = (mashup.len() as f64 / TARGET_ROWS as f64).min(1.0);
         Satisfaction::new(attr_frac * volume)
     }
 }
@@ -88,26 +88,18 @@ mod tests {
 
     #[test]
     fn nulls_past_threshold_drop_attribute() {
-        let t = CoverageTask {
-            max_missing: 0.05,
-            ..CoverageTask::new(["a"])
-        };
-        // every 2nd row null: 50% nulls > 5%
+        let t = CoverageTask::new(["a"]);
+        // every 2nd row null: 50% nulls > 10%
         assert_eq!(t.evaluate(&rel(2, 10)).value(), 0.0);
-        let lenient = CoverageTask {
-            max_missing: 0.6,
-            ..CoverageTask::new(["a"])
-        };
-        assert_eq!(lenient.evaluate(&rel(2, 10)).value(), 1.0);
+        // one null in 20 rows: 5% ≤ 10%
+        assert_eq!(t.evaluate(&rel(20, 20)).value(), 1.0);
     }
 
     #[test]
     fn volume_scales_linearly_up_to_target() {
-        let t = CoverageTask {
-            target_rows: 20,
-            ..CoverageTask::new(["a"])
-        };
-        assert_eq!(t.evaluate(&rel(0, 10)).value(), 0.5);
+        let t = CoverageTask::new(["a"]);
+        assert_eq!(t.evaluate(&rel(0, 0)).value(), 0.0);
+        assert_eq!(t.evaluate(&rel(0, TARGET_ROWS)).value(), 1.0);
         assert_eq!(t.evaluate(&rel(0, 40)).value(), 1.0);
     }
 

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use dmp_relation::ops::JoinKind;
 use dmp_relation::{DataType, DatasetId, RelationBuilder, Value};
-use dmp_valuation::banzhaf::{leave_one_out, normalize_to};
+use dmp_valuation::banzhaf::{exact_banzhaf, leave_one_out, normalize_to};
 use dmp_valuation::shapley::{exact_shapley, monte_carlo_shapley, CharacteristicFn};
 use dmp_valuation::sharing::{share_revenue, total_shared, SharingRule};
 use dmp_valuation::RowAllocation;
@@ -42,12 +42,15 @@ proptest! {
         prop_assert!((total - (game.grand_value() - game.value(0))).abs() < 1e-6);
     }
 
-    /// Monotone games give non-negative Shapley values.
+    /// Monotone games give non-negative Shapley values; Banzhaf too.
     #[test]
     fn monotone_games_nonnegative_values(n in 1usize..7, seed in prop::collection::vec(0.1f64..5.0, 4..10)) {
         let game = random_monotone_game(n, seed);
         for phi in exact_shapley(&game) {
             prop_assert!(phi >= -1e-9);
+        }
+        for beta in exact_banzhaf(&game) {
+            prop_assert!(beta >= -1e-9);
         }
     }
 
@@ -88,7 +91,8 @@ proptest! {
         }
     }
 
-    /// Provenance revenue sharing conserves the price for any join shape.
+    /// Provenance revenue sharing conserves the price for any join shape
+    /// and any row weights.
     #[test]
     fn sharing_conserves_price(
         keys_l in prop::collection::vec(0i64..10, 1..20),
@@ -108,7 +112,7 @@ proptest! {
         let m = l.join(&r, &[("k", "k")], JoinKind::Inner).unwrap();
         prop_assume!(!m.is_empty());
         for rule in [SharingRule::ProportionalToAtoms, SharingRule::EqualPerDataset] {
-            let rows = RowAllocation::uniform(&m, price);
+            let rows = RowAllocation::by_provenance_size(&m, price);
             let shares = share_revenue(&m, &rows, rule);
             prop_assert!((total_shared(&shares) - price).abs() < 1e-6);
         }
