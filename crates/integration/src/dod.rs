@@ -9,12 +9,12 @@
 //! plans join paths to cover the remaining attributes, materializes the
 //! joins, and returns ranked [`MashupCandidate`]s.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dmp_discovery::{ColumnRef, DiscoveryEngine, MetadataEngine};
 use dmp_relation::{DatasetId, RelResult, Relation};
 
-use crate::join_graph::{apply_steps, enumerate_paths, resolve_column, JoinPath};
+use crate::join_graph::{apply_steps, best_path, resolve_column};
 
 /// A query-by-example description of the mashup a buyer wants.
 #[derive(Debug, Clone, Default)]
@@ -86,23 +86,21 @@ impl MashupCandidate {
 pub struct DodEngine<'a> {
     engine: &'a MetadataEngine,
     discovery: DiscoveryEngine,
-    /// Maximum join hops from an anchor (default 2).
-    pub max_hops: usize,
-    /// Maximum anchors explored (default 4).
-    pub max_anchors: usize,
-    /// Maximum candidates returned (default 8).
-    pub max_candidates: usize,
 }
 
 impl<'a> DodEngine<'a> {
+    /// Maximum join hops from an anchor.
+    const MAX_HOPS: usize = 2;
+    /// Maximum anchors explored.
+    const MAX_ANCHORS: usize = 4;
+    /// Maximum candidates returned.
+    const MAX_CANDIDATES: usize = 8;
+
     /// Build over the current metadata state.
     pub fn new(engine: &'a MetadataEngine) -> Self {
         DodEngine {
             engine,
             discovery: DiscoveryEngine::new(engine),
-            max_hops: 2,
-            max_anchors: 4,
-            max_candidates: 8,
         }
     }
 
@@ -112,7 +110,7 @@ impl<'a> DodEngine<'a> {
             return Ok(Vec::new());
         }
         // 1. Candidate columns per requested attribute.
-        let mut per_attr: HashMap<&str, Vec<ColumnRef>> = HashMap::new();
+        let mut per_attr: BTreeMap<&str, Vec<ColumnRef>> = BTreeMap::new();
         for attr in &spec.attributes {
             let hits = self.discovery.candidates_for_attribute(attr);
             per_attr.insert(
@@ -140,7 +138,7 @@ impl<'a> DodEngine<'a> {
             Some(ids)
         };
 
-        let mut anchor_cover: HashMap<DatasetId, usize> = HashMap::new();
+        let mut anchor_cover: BTreeMap<DatasetId, usize> = BTreeMap::new();
         for cols in per_attr.values() {
             let mut seen: Vec<DatasetId> = Vec::new();
             for c in cols {
@@ -162,7 +160,7 @@ impl<'a> DodEngine<'a> {
         // "datasets can be arbitrarily similar to each other").
         let mut anchors: Vec<(DatasetId, usize)> = Vec::new();
         for (d, count) in ranked {
-            if anchors.len() >= self.max_anchors {
+            if anchors.len() >= Self::MAX_ANCHORS {
                 break;
             }
             let dup = anchors
@@ -185,7 +183,7 @@ impl<'a> DodEngine<'a> {
             }
         }
         candidates.sort_by(|a, b| b.score().total_cmp(&a.score()));
-        candidates.truncate(self.max_candidates);
+        candidates.truncate(Self::MAX_CANDIDATES);
         Ok(candidates)
     }
 
@@ -196,7 +194,7 @@ impl<'a> DodEngine<'a> {
         &self,
         a: DatasetId,
         b: DatasetId,
-        per_attr: &HashMap<&str, Vec<ColumnRef>>,
+        per_attr: &BTreeMap<&str, Vec<ColumnRef>>,
     ) -> bool {
         let (ea, eb) = match (self.engine.get(a), self.engine.get(b)) {
             (Some(x), Some(y)) => (x, y),
@@ -225,7 +223,7 @@ impl<'a> DodEngine<'a> {
         &self,
         anchor: DatasetId,
         spec: &TargetSpec,
-        per_attr: &HashMap<&str, Vec<ColumnRef>>,
+        per_attr: &BTreeMap<&str, Vec<ColumnRef>>,
     ) -> RelResult<Option<MashupCandidate>> {
         let anchor_rel = match self.engine.relation(anchor) {
             Some(r) => r.as_ref().clone(),
@@ -235,8 +233,7 @@ impl<'a> DodEngine<'a> {
         // Each requested attribute must bind to a *distinct* source
         // column — two attributes sharing one physical column would
         // collapse in the projection.
-        let mut used: std::collections::HashSet<(DatasetId, String)> =
-            std::collections::HashSet::new();
+        let mut used: BTreeSet<(DatasetId, String)> = BTreeSet::new();
         let mut bindings: Vec<(String, ColumnRef)> = Vec::new();
         let mut foreign_needs: Vec<(String, ColumnRef)> = Vec::new();
         for attr in &spec.attributes {
@@ -268,13 +265,12 @@ impl<'a> DodEngine<'a> {
                 bindings.push((attr, foreign));
                 continue;
             }
-            let paths: Vec<JoinPath> = enumerate_paths(
+            if let Some(best) = best_path(
                 &self.discovery.indexes().relationships,
                 anchor,
                 foreign.dataset,
-                self.max_hops,
-            );
-            if let Some(best) = paths.first() {
+                Self::MAX_HOPS,
+            ) {
                 match apply_steps(acc.clone(), &best.steps, self.engine) {
                     Ok(next) if !next.is_empty() => {
                         acc = next;
@@ -292,7 +288,7 @@ impl<'a> DodEngine<'a> {
         // columns from different datasets may resolve to one physical
         // column after joins; keep only the first claimant.
         let mut physical: Vec<(String, String)> = Vec::new(); // (requested, physical)
-        let mut used_physical: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut used_physical: BTreeSet<String> = BTreeSet::new();
         for (attr, col) in &bindings {
             if let Some(p) = resolve_column(&acc, &col.column) {
                 if used_physical.insert(p.clone()) {

@@ -1,12 +1,16 @@
-//! Join-path enumeration and materialization over the relationship index.
+//! Join-path search and materialization over the relationship index.
 //!
 //! The index builder "materializes join paths between files" (§5.2); the
 //! DoD engine walks those paths to assemble mashups. A [`JoinPath`] is a
-//! sequence of join steps from an anchor dataset to a target dataset; this
-//! module enumerates acyclic paths up to a hop limit and materializes them
-//! with provenance-preserving hash joins.
+//! sequence of join steps from an anchor dataset to a target dataset;
+//! [`best_path`] finds the most confident acyclic one up to a hop limit
+//! without materializing the others, and [`apply_steps`] joins it onto an
+//! accumulator with provenance-preserving hash joins.
 
-use dmp_discovery::{MetadataEngine, RelationshipIndex};
+use std::cmp::Ordering;
+use std::iter::successors;
+
+use dmp_discovery::{JoinCandidate, MetadataEngine, RelationshipIndex};
 use dmp_relation::{DatasetId, RelError, RelResult, Relation};
 
 /// One hop in a join path.
@@ -53,71 +57,93 @@ impl JoinPath {
     }
 }
 
-/// Enumerate acyclic join paths from `from` to `to`, up to `max_hops`,
-/// best-confidence first. Bounded breadth keeps enumeration cheap on
-/// dense graphs.
-pub fn enumerate_paths(
+/// [`best_path`] stops once this many paths have reached the target.
+const MAX_PATHS: usize = 64;
+
+/// The most confident acyclic join path from `from` to `to` within
+/// `max_hops` hops, or `None` when `to` is out of reach.
+///
+/// A depth-first search over [`RelationshipIndex::edges_of`] that never
+/// revisits a dataset and stops once 64 paths have reached `to`. Of the
+/// paths found, the winner has the highest confidence (the product of
+/// its steps' confidences, compared by `total_cmp`), then the fewest
+/// hops, then was found first. The frontier is an arena of
+/// `(parent, edge, forward)` hops; [`JoinStep`]s are built for the
+/// returned path only.
+pub fn best_path(
     index: &RelationshipIndex,
     from: DatasetId,
     to: DatasetId,
     max_hops: usize,
-) -> Vec<JoinPath> {
-    const MAX_PATHS: usize = 64;
-    let mut results: Vec<JoinPath> = Vec::new();
-    // DFS stack: (current dataset, path so far, visited sets)
-    let mut stack: Vec<(DatasetId, JoinPath, Vec<DatasetId>)> =
-        vec![(from, JoinPath::default(), vec![from])];
+) -> Option<JoinPath> {
+    /// One hop: the arena index of the hop before it, the edge, and
+    /// whether the edge is walked left to right.
+    type Hop<'a> = (Option<usize>, &'a JoinCandidate, bool);
+    let target = |&(_, edge, forward): &Hop| {
+        if forward {
+            edge.right.dataset
+        } else {
+            edge.left.dataset
+        }
+    };
 
-    while let Some((cur, path, visited)) = stack.pop() {
-        if results.len() >= MAX_PATHS {
+    let mut arena: Vec<Hop> = Vec::new();
+    // DFS stack: (last hop, current dataset, hops, confidence so far).
+    let mut stack: Vec<(Option<usize>, DatasetId, usize, f64)> = Vec::new();
+    if max_hops > 0 {
+        stack.push((None, from, 0, 1.0));
+    }
+    let mut found = 0usize;
+    // (confidence, hops, last hop) of the best path so far.
+    let mut best: Option<(f64, usize, usize)> = None;
+
+    while let Some((tip, cur, hops, confidence)) = stack.pop() {
+        if found >= MAX_PATHS {
             break;
         }
-        if path.hops() >= max_hops {
-            continue;
-        }
         for edge in index.edges_of(cur) {
-            let (fd, fc, td, tc) = if edge.left.dataset == cur {
-                (
-                    edge.left.dataset,
-                    edge.left.column.clone(),
-                    edge.right.dataset,
-                    edge.right.column.clone(),
-                )
-            } else {
-                (
-                    edge.right.dataset,
-                    edge.right.column.clone(),
-                    edge.left.dataset,
-                    edge.left.column.clone(),
-                )
-            };
-            if visited.contains(&td) {
+            let hop = (tip, edge, edge.left.dataset == cur);
+            let td = target(&hop);
+            if td == from || successors(tip, |&i| arena[i].0).any(|i| target(&arena[i]) == td) {
                 continue;
             }
-            let mut next = path.clone();
-            next.steps.push(JoinStep {
-                from_dataset: fd,
-                from_column: fc,
-                to_dataset: td,
-                to_column: tc,
-                confidence: edge.score().min(1.0),
-            });
+            let confidence = confidence * edge.score().min(1.0);
             if td == to {
-                results.push(next);
-            } else {
-                let mut v = visited.clone();
-                v.push(td);
-                stack.push((td, next, v));
+                found += 1;
+                let better = best.is_none_or(|(c, h, _)| {
+                    confidence.total_cmp(&c).then(h.cmp(&(hops + 1))) == Ordering::Greater
+                });
+                if better {
+                    arena.push(hop);
+                    best = Some((confidence, hops + 1, arena.len() - 1));
+                }
+            } else if hops + 1 < max_hops {
+                arena.push(hop);
+                stack.push((Some(arena.len() - 1), td, hops + 1, confidence));
             }
         }
     }
 
-    results.sort_by(|a, b| {
-        b.confidence()
-            .total_cmp(&a.confidence())
-            .then_with(|| a.hops().cmp(&b.hops()))
-    });
-    results
+    let (_, _, last) = best?;
+    let mut steps: Vec<JoinStep> = successors(Some(last), |&i| arena[i].0)
+        .map(|i| {
+            let (_, edge, forward) = arena[i];
+            let (l, r) = if forward {
+                (&edge.left, &edge.right)
+            } else {
+                (&edge.right, &edge.left)
+            };
+            JoinStep {
+                from_dataset: l.dataset,
+                from_column: l.column.clone(),
+                to_dataset: r.dataset,
+                to_column: r.column.clone(),
+                confidence: edge.score().min(1.0),
+            }
+        })
+        .collect();
+    steps.reverse();
+    Some(JoinPath { steps })
 }
 
 /// Apply join steps onto an already-materialized accumulator. Used by the
@@ -217,10 +243,9 @@ mod tests {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[1], 2);
-        assert!(!paths.is_empty());
-        assert_eq!(paths[0].hops(), 1);
-        assert!(paths[0].confidence() > 0.5);
+        let path = best_path(&idx.relationships, ids[0], ids[1], 2).unwrap();
+        assert_eq!(path.hops(), 1);
+        assert!(path.confidence() > 0.5);
     }
 
     #[test]
@@ -228,10 +253,10 @@ mod tests {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 3);
+        let path = best_path(&idx.relationships, ids[0], ids[2], 3);
         assert!(
-            paths.iter().any(|p| p.hops() == 2),
-            "expected customers→orders→products path, got {paths:?}"
+            path.iter().any(|p| p.hops() == 2),
+            "expected customers→orders→products path, got {path:?}"
         );
     }
 
@@ -240,8 +265,8 @@ mod tests {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 1);
-        assert!(paths.iter().all(|p| p.hops() <= 1));
+        let path = best_path(&idx.relationships, ids[0], ids[2], 1);
+        assert!(path.iter().all(|p| p.hops() <= 1));
     }
 
     #[test]
@@ -249,8 +274,8 @@ mod tests {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[1], 2);
-        let rel = anchored(&paths[0], &eng);
+        let path = best_path(&idx.relationships, ids[0], ids[1], 2).unwrap();
+        let rel = anchored(&path, &eng);
         assert_eq!(rel.len(), 300); // every order matches a customer
         assert!(rel.schema().contains("region"));
         assert!(rel.schema().contains("product"));
@@ -261,8 +286,8 @@ mod tests {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 3);
-        let two_hop = paths.iter().find(|p| p.hops() == 2).unwrap();
+        let path = best_path(&idx.relationships, ids[0], ids[2], 3);
+        let two_hop = path.iter().find(|p| p.hops() == 2).unwrap();
         let rel = anchored(two_hop, &eng);
         assert!(rel.schema().contains("price"));
         assert_eq!(rel.len(), 300);
@@ -271,23 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn paths_sorted_by_confidence() {
-        let eng = lake();
-        let idx = IndexBuilder::new().build(&eng);
-        let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 3);
-        for w in paths.windows(2) {
-            assert!(w[0].confidence() >= w[1].confidence() || w[0].hops() <= w[1].hops());
-        }
-    }
-
-    #[test]
     fn datasets_lists_visited() {
         let eng = lake();
         let idx = IndexBuilder::new().build(&eng);
         let ids = eng.ids();
-        let paths = enumerate_paths(&idx.relationships, ids[0], ids[2], 3);
-        let p = paths.iter().find(|p| p.hops() == 2).unwrap();
+        let p = best_path(&idx.relationships, ids[0], ids[2], 3).unwrap();
+        assert_eq!(p.hops(), 2);
         assert_eq!(p.datasets(), vec![ids[0], ids[1], ids[2]]);
     }
 }

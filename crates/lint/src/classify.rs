@@ -88,6 +88,18 @@ pub const MODULE_MAP: &[MapEntry] = &[
               escrow release and license grant strands funds",
     },
     MapEntry {
+        pattern: "crates/integration/src/dod.rs",
+        classes: &["replay"],
+        why: "anchor ranking decides which datasets a buyer pays for, and WAL \
+              replay re-runs it",
+    },
+    MapEntry {
+        pattern: "crates/integration/src/join_graph.rs",
+        classes: &["replay"],
+        why: "join-path choice decides which datasets a mashup joins, and WAL \
+              replay re-runs it",
+    },
+    MapEntry {
         pattern: "crates/service/src/command.rs",
         classes: &["replay"],
         why: "command decode is the first step of replay",
@@ -215,6 +227,18 @@ mod tests {
         let c = classify("crates/core/src/arbiter/ledger.rs");
         assert!(c.replay, "dir entry");
         assert!(c.float_strict && c.panic_free && c.no_index, "file entry");
+    }
+
+    #[test]
+    fn dod_engine_is_replay_only() {
+        for path in [
+            "crates/integration/src/dod.rs",
+            "crates/integration/src/join_graph.rs",
+        ] {
+            let c = classify(path);
+            assert!(c.replay, "{path}");
+            assert!(!c.float_strict && !c.panic_free && !c.no_index, "{path}");
+        }
     }
 
     #[test]

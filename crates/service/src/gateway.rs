@@ -113,6 +113,26 @@ impl Default for GatewayConfig {
     }
 }
 
+impl GatewayConfig {
+    /// `InvalidInput` naming the first field whose zero value means no
+    /// request could ever be served.
+    fn check(&self) -> std::io::Result<()> {
+        let zero = if self.workers == 0 {
+            "workers"
+        } else if self.max_pipeline == 0 {
+            "max_pipeline"
+        } else if self.read_timeout.is_zero() {
+            "read_timeout"
+        } else {
+            return Ok(());
+        };
+        Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("GatewayConfig.{zero} must be non-zero"),
+        ))
+    }
+}
+
 /// A running gateway; dropping it (or calling [`Gateway::shutdown`])
 /// stops the reactor and joins the apply workers.
 pub struct Gateway {
@@ -131,12 +151,18 @@ impl Gateway {
 
     /// Bind and start serving any [`Service`] — the same reactor +
     /// apply-pool stack fronts worker replicas too.
+    ///
+    /// Refuses with `InvalidInput`, before binding, a config that could
+    /// never serve a request: zero `workers`, zero `max_pipeline` (the
+    /// pipeline reads as full, so no socket is ever read) or a zero
+    /// `read_timeout` (every connection is reaped as it is accepted).
     pub fn serve_service(svc: Arc<dyn Service>, cfg: GatewayConfig) -> std::io::Result<Gateway> {
+        cfg.check()?;
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = cfg.workers.max(1);
+        let workers = cfg.workers;
 
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new()?);
@@ -465,5 +491,67 @@ pub(crate) fn route(node: &ServiceNode, req: &Request) -> Response {
         },
         ("GET" | "POST", _) => Response::json(404, err_body("unknown route")),
         _ => Response::json(405, err_body("method not allowed")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Unreachable;
+
+    impl Service for Unreachable {
+        fn handle(&self, _: &Request) -> Response {
+            unreachable!("a refused gateway serves nothing")
+        }
+
+        fn handle_inline(&self, _: &Request) -> Option<Response> {
+            unreachable!("a refused gateway serves nothing")
+        }
+    }
+
+    #[test]
+    fn configs_that_can_never_serve_are_refused_before_binding() {
+        // An address that cannot be bound: reaching `bind` would fail
+        // with a different error kind.
+        let unbindable = || GatewayConfig {
+            addr: "not an address".to_string(),
+            ..GatewayConfig::default()
+        };
+        let cases = [
+            (
+                "GatewayConfig.workers",
+                GatewayConfig {
+                    workers: 0,
+                    ..unbindable()
+                },
+            ),
+            (
+                "GatewayConfig.max_pipeline",
+                GatewayConfig {
+                    max_pipeline: 0,
+                    ..unbindable()
+                },
+            ),
+            (
+                "GatewayConfig.read_timeout",
+                GatewayConfig {
+                    read_timeout: Duration::ZERO,
+                    ..unbindable()
+                },
+            ),
+        ];
+        for (field, cfg) in cases {
+            match Gateway::serve_service(Arc::new(Unreachable), cfg) {
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{field}: {e}");
+                    assert!(e.to_string().contains(field), "{field}: {e}");
+                }
+                Ok(_) => panic!("{field} = 0 was served"),
+            }
+        }
+        // The same configs with every field non-zero reach `bind`.
+        let err = Gateway::serve_service(Arc::new(Unreachable), unbindable()).err();
+        assert!(err.is_some_and(|e| !e.to_string().contains("GatewayConfig")));
     }
 }
