@@ -57,14 +57,14 @@ pub fn build_mashups(metadata: &MetadataEngine, wtp: &WtpFunction, max: usize) -
                     _ => continue,
                 }
             }
-            None => cand.relation.clone(),
+            None => cand.relation,
         };
         if relation.len() < wtp.min_rows.max(1) {
             continue;
         }
         out.push(BuiltMashup {
             relation,
-            datasets: cand.datasets.clone(),
+            datasets: cand.datasets,
             coverage: cand.coverage,
             confidence: cand.confidence,
             missing,

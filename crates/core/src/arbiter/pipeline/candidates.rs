@@ -88,7 +88,7 @@ impl CandidateStage {
                         let mut owners: Vec<String> = m
                             .datasets
                             .iter()
-                            .filter_map(|&d| market.metadata.get(d).map(|e| e.owner))
+                            .filter_map(|&d| market.metadata.with_entry(d, |e| e.owner.clone()))
                             .collect();
                         owners.sort();
                         owners.dedup();
@@ -200,16 +200,14 @@ impl DataMarket {
         let holds = self.exclusive_holds.lock();
         let policies = self.ci_policies.lock();
         for &d in &mashup.datasets {
-            let entry = match self.metadata.get(d) {
-                Some(e) => e,
-                None => return false,
-            };
-            if !offer
-                .wtp
-                .constraints
-                .admits_dataset(entry.registered_at, &entry.owner, now)
-            {
-                return false;
+            let admitted = self.metadata.with_entry(d, |e| {
+                offer
+                    .wtp
+                    .constraints
+                    .admits_dataset(e.registered_at, &e.owner, now)
+            });
+            if admitted != Some(true) {
+                return false; // unknown dataset, or the buyer's constraints refuse it
             }
             if let Some((holder, until)) = holds.get(&d) {
                 if *until >= round && holder != &offer.wtp.buyer {

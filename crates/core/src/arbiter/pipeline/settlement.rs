@@ -183,10 +183,9 @@ impl DataMarket {
     ) -> Vec<String> {
         let mut keys = vec![format!("a:{}", sale.buyer)];
         for &d in &mashup.datasets {
-            if let Some(e) = self.metadata.get(d) {
-                if e.owner != ARBITER_ACCOUNT {
-                    keys.push(format!("a:{}", e.owner));
-                }
+            let owner = self.metadata.with_entry(d, |e| e.owner.clone());
+            if let Some(owner) = owner.filter(|o| o != ARBITER_ACCOUNT) {
+                keys.push(format!("a:{owner}"));
             }
             keys.push(format!("d:{}", d.0));
         }
@@ -218,10 +217,10 @@ impl DataMarket {
             self.ledger.release_up_to(escrow, ARBITER_ACCOUNT, fee)?;
         }
         for share in shares {
-            let owner = match self.metadata.get(share.dataset) {
-                Some(e) => e.owner,
-                None => ARBITER_ACCOUNT.to_string(), // provenance-free residual
-            };
+            let owner = self
+                .metadata
+                .with_entry(share.dataset, |e| e.owner.clone())
+                .unwrap_or_else(|| ARBITER_ACCOUNT.to_string()); // provenance-free residual
             self.ledger.release_up_to(escrow, &owner, share.amount)?;
         }
         self.ledger.close(escrow)?; // refund rounding residue, if any
@@ -275,8 +274,8 @@ impl DataMarket {
         reward_shares: &[DatasetShare],
     ) {
         for share in reward_shares {
-            if let Some(e) = self.metadata.get(share.dataset) {
-                self.ledger.deposit(&e.owner, share.amount);
+            if let Some(owner) = self.metadata.with_entry(share.dataset, |e| e.owner.clone()) {
+                self.ledger.deposit(&owner, share.amount);
             }
         }
         self.audit.record(AuditEvent::TransactionSettled {
@@ -414,10 +413,10 @@ impl DataMarket {
         let fee = (base * fee_rate + penalty).min(deposit - to_sellers);
         let shares = dataset_shares(&self.config.design, &mashup_rel, to_sellers);
         for share in &shares {
-            let owner = match self.metadata.get(share.dataset) {
-                Some(e) => e.owner,
-                None => ARBITER_ACCOUNT.to_string(),
-            };
+            let owner = self
+                .metadata
+                .with_entry(share.dataset, |e| e.owner.clone())
+                .unwrap_or_else(|| ARBITER_ACCOUNT.to_string());
             self.ledger.release_up_to(escrow, &owner, share.amount)?;
         }
         if fee > 0.0 {

@@ -246,9 +246,13 @@ impl<'m> SellerHandle<'m> {
     }
 
     fn assert_owner(&self, dataset: DatasetId) -> MarketResult<()> {
-        match self.market.metadata.get(dataset) {
-            Some(e) if e.owner == self.name => Ok(()),
-            Some(_) => Err(MarketError::LicenseViolation(format!(
+        match self
+            .market
+            .metadata
+            .with_entry(dataset, |e| e.owner == self.name)
+        {
+            Some(true) => Ok(()),
+            Some(false) => Err(MarketError::LicenseViolation(format!(
                 "{} does not own {dataset}",
                 self.name
             ))),

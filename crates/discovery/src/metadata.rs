@@ -307,9 +307,32 @@ impl MetadataEngine {
         removed
     }
 
-    /// Fetch a dataset entry (cloned snapshot of its metadata).
+    /// Fetch a dataset entry. This clones the *whole* entry: every
+    /// context snapshot with its column profiles, MinHash signatures and
+    /// samples. To read a field or two (an owner, a timestamp), use
+    /// [`Self::with_entry`], which copies nothing.
     pub fn get(&self, id: DatasetId) -> Option<DatasetEntry> {
-        self.entries.read().get(&id).cloned()
+        self.with_entry(id, DatasetEntry::clone)
+    }
+
+    /// Run `f` on a dataset's entry under the catalog's read lock;
+    /// `None` when the id is unknown. `f` must not call back into this
+    /// engine: a second read behind a queued writer can block, and a
+    /// write deadlocks. To read two entries, use [`Self::with_entries`].
+    pub fn with_entry<R>(&self, id: DatasetId, f: impl FnOnce(&DatasetEntry) -> R) -> Option<R> {
+        self.entries.read().get(&id).map(f)
+    }
+
+    /// Run `f` on two entries under one read guard (see
+    /// [`Self::with_entry`]); `None` when either id is unknown.
+    pub fn with_entries<R>(
+        &self,
+        a: DatasetId,
+        b: DatasetId,
+        f: impl FnOnce(&DatasetEntry, &DatasetEntry) -> R,
+    ) -> Option<R> {
+        let entries = self.entries.read();
+        Some(f(entries.get(&a)?, entries.get(&b)?))
     }
 
     /// The current relation of a dataset.
@@ -557,6 +580,32 @@ mod tests {
         assert!(!eng.remove(id));
         assert!(eng.get(id).is_none());
         assert!(eng.is_empty());
+    }
+
+    #[test]
+    fn with_entry_reads_the_current_entry_or_none() {
+        let eng = MetadataEngine::new();
+        let id = eng.register("a", "alice", keyed_rel("a", &[(1, "x")]));
+        let other = eng.register("b", "bob", keyed_rel("b", &[(2, "y")]));
+        assert_eq!(
+            eng.with_entry(id, |e| e.owner.clone()),
+            Some("alice".into())
+        );
+        assert_eq!(eng.with_entry(DatasetId(99), |e| e.version), None);
+
+        eng.update(id, keyed_rel("a", &[(1, "x"), (2, "y")]));
+        assert_eq!(
+            eng.with_entry(id, |e| (e.version, e.relation.len())),
+            Some((2, 2))
+        );
+        assert_eq!(
+            eng.with_entries(id, other, |a, b| (a.version, b.owner.clone())),
+            Some((2, "bob".into()))
+        );
+
+        assert!(eng.remove(id));
+        assert_eq!(eng.with_entry(id, |e| e.version), None);
+        assert_eq!(eng.with_entries(other, id, |_, _| ()), None);
     }
 
     #[test]

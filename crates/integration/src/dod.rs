@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dmp_discovery::{ColumnRef, DiscoveryEngine, MetadataEngine};
 use dmp_relation::{DatasetId, RelResult, Relation};
 
-use crate::join_graph::{apply_steps, best_path, resolve_column};
+use crate::join_graph::{apply_steps, best_path};
 
 /// A query-by-example description of the mashup a buyer wants.
 #[derive(Debug, Clone, Default)]
@@ -196,26 +196,26 @@ impl<'a> DodEngine<'a> {
         b: DatasetId,
         per_attr: &BTreeMap<&str, Vec<ColumnRef>>,
     ) -> bool {
-        let (ea, eb) = match (self.engine.get(a), self.engine.get(b)) {
-            (Some(x), Some(y)) => (x, y),
-            _ => return false,
-        };
-        let mut compared = 0usize;
-        for cols in per_attr.values() {
-            let ca = cols.iter().find(|c| c.dataset == a);
-            let cb = cols.iter().find(|c| c.dataset == b);
-            if let (Some(ca), Some(cb)) = (ca, cb) {
-                let (pa, pb) = match (ea.profile(&ca.column), eb.profile(&cb.column)) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => return false,
-                };
-                if pa.content_similarity(pb) <= 0.95 {
-                    return false;
+        self.engine
+            .with_entries(a, b, |ea, eb| {
+                let mut compared = 0usize;
+                for cols in per_attr.values() {
+                    let ca = cols.iter().find(|c| c.dataset == a);
+                    let cb = cols.iter().find(|c| c.dataset == b);
+                    if let (Some(ca), Some(cb)) = (ca, cb) {
+                        let (pa, pb) = match (ea.profile(&ca.column), eb.profile(&cb.column)) {
+                            (Some(x), Some(y)) => (x, y),
+                            _ => return false,
+                        };
+                        if pa.content_similarity(pb) <= 0.95 {
+                            return false;
+                        }
+                        compared += 1;
+                    }
                 }
-                compared += 1;
-            }
-        }
-        compared > 0
+                compared > 0
+            })
+            .unwrap_or(false)
     }
 
     /// Assemble a candidate around one anchor dataset.
@@ -225,9 +225,8 @@ impl<'a> DodEngine<'a> {
         spec: &TargetSpec,
         per_attr: &BTreeMap<&str, Vec<ColumnRef>>,
     ) -> RelResult<Option<MashupCandidate>> {
-        let anchor_rel = match self.engine.relation(anchor) {
-            Some(r) => r.as_ref().clone(),
-            None => return Ok(None),
+        let Some(anchor_rel) = self.engine.relation(anchor) else {
+            return Ok(None);
         };
 
         // Each requested attribute must bind to a *distinct* source
@@ -256,8 +255,10 @@ impl<'a> DodEngine<'a> {
             return Ok(None); // anchor contributes nothing
         }
 
-        // Plan paths to each needed foreign dataset (deduped).
-        let mut acc = anchor_rel;
+        // Plan paths to each needed foreign dataset (deduped). The anchor
+        // is read from the catalog in place; `joins` holds the joined
+        // relation once a path has joined something.
+        let mut joins: Option<Relation> = None;
         let mut confidence = 1.0;
         let mut joined: Vec<DatasetId> = vec![anchor];
         for (attr, foreign) in foreign_needs {
@@ -271,9 +272,10 @@ impl<'a> DodEngine<'a> {
                 foreign.dataset,
                 Self::MAX_HOPS,
             ) {
-                match apply_steps(acc.clone(), &best.steps, self.engine) {
+                let acc = joins.as_ref().unwrap_or(&anchor_rel);
+                match apply_steps(acc, &best.steps, self.engine) {
                     Ok(next) if !next.is_empty() => {
-                        acc = next;
+                        joins = Some(next);
                         confidence *= best.confidence().min(1.0);
                         joined.extend(best.datasets());
                         joined.dedup();
@@ -284,24 +286,25 @@ impl<'a> DodEngine<'a> {
             }
         }
 
-        // Project + rename to the requested attribute names. Same-named
-        // columns from different datasets may resolve to one physical
-        // column after joins; keep only the first claimant.
-        let mut physical: Vec<(String, String)> = Vec::new(); // (requested, physical)
-        let mut used_physical: BTreeSet<String> = BTreeSet::new();
+        // Project + rename to the requested attribute names. Columns are
+        // found by exact name (see `apply_steps`): a same-named column of
+        // a later dataset is shadowed by the one joined first, so several
+        // bindings may claim one physical column; keep the first claimant.
+        let acc = joins.as_ref().unwrap_or(&anchor_rel);
+        let mut physical: Vec<(String, &str)> = Vec::new(); // (requested, physical)
+        let mut used_physical: BTreeSet<&str> = BTreeSet::new();
         for (attr, col) in &bindings {
-            if let Some(p) = resolve_column(&acc, &col.column) {
-                if used_physical.insert(p.clone()) {
-                    physical.push((attr.clone(), p));
-                }
+            let p = col.column.as_str();
+            if acc.schema().contains(p) && used_physical.insert(p) {
+                physical.push((attr.clone(), p));
             }
         }
         if physical.is_empty() {
             return Ok(None);
         }
-        let cols: Vec<&str> = physical.iter().map(|(_, p)| p.as_str()).collect();
+        let cols: Vec<&str> = physical.iter().map(|&(_, p)| p).collect();
         let mut projected = acc.project(&cols)?;
-        for (attr, p) in &physical {
+        for &(ref attr, p) in &physical {
             if attr != p && !projected.schema().contains(attr) {
                 projected = projected.rename(p, attr)?;
             }
@@ -454,6 +457,86 @@ mod tests {
         for w in cands.windows(2) {
             assert!(w[0].score() >= w[1].score());
         }
+    }
+
+    /// A copy of `s1` (`⟨a, b, c⟩`, 200 rows) with `a` shifted by
+    /// `offset` and `c` changed in the rows `changed` picks.
+    fn s1_copy(offset: i64, changed: impl Fn(i64) -> bool) -> Relation {
+        let mut b = RelationBuilder::new("copy")
+            .column("a", DataType::Int)
+            .column("b", DataType::Float)
+            .column("c", DataType::Str);
+        for i in 0..200 {
+            let c = if changed(i) {
+                format!("x{i}")
+            } else {
+                format!("c{i}")
+            };
+            b = b.row(vec![
+                Value::Int(i + offset),
+                Value::Float(i as f64 * 0.5),
+                Value::str(c),
+            ]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn near_identical_anchors_collapse_to_one() {
+        let anchors = |copy: Relation| {
+            let eng = market();
+            let copy = eng.register("copy", "copycat", copy);
+            let spec = TargetSpec::with_attributes(["a", "b", "c"]);
+            let names: Vec<String> = DodEngine::new(&eng)
+                .find_mashups(&spec)
+                .unwrap()
+                .iter()
+                .map(|c| c.relation.name().to_string())
+                .collect();
+            (names, format!("mashup@{copy}"))
+        };
+        // One changed row of 200: near-identical to s1, never an anchor.
+        let (names, copy) = anchors(s1_copy(0, |i| i == 7));
+        assert!(names.contains(&"mashup@d0".to_string()), "{names:?}");
+        assert!(!names.contains(&copy), "{names:?}");
+        // Control: a copy with other contents is an anchor of its own.
+        let (names, copy) = anchors(s1_copy(1000, |_| true));
+        assert!(names.contains(&"mashup@d0".to_string()), "{names:?}");
+        assert!(names.contains(&copy), "{names:?}");
+    }
+
+    #[test]
+    fn a_native_suffixed_column_never_stands_in_for_an_unjoined_attribute() {
+        let eng = MetadataEngine::new();
+        let mut b = RelationBuilder::new("t")
+            .column("k", DataType::Int)
+            .column("v_r", DataType::Int);
+        for i in 0..50 {
+            b = b.row(vec![Value::Int(i), Value::Int(i * 2)]);
+        }
+        let t = eng.register("t", "s1", b.build().unwrap());
+        // `v` lives only in a table nothing joins to `t`.
+        let mut b = RelationBuilder::new("u")
+            .column("z", DataType::Str)
+            .column("v", DataType::Int);
+        for i in 0..50 {
+            b = b.row(vec![Value::str(format!("z{i}")), Value::Int(10_000 + i)]);
+        }
+        let u = eng.register("u", "s2", b.build().unwrap());
+
+        let dod = DodEngine::new(&eng);
+        let spec = TargetSpec::with_attributes(["k", "v"]);
+        let per_attr = BTreeMap::from([
+            ("k", vec![ColumnRef::new(t, "k")]),
+            ("v", vec![ColumnRef::new(u, "v")]),
+        ]);
+        let cand = dod.build_candidate(t, &spec, &per_attr).unwrap().unwrap();
+        assert_eq!(cand.missing(&spec), vec!["v"]);
+        assert_eq!(
+            cand.relation.schema().names().collect::<Vec<_>>(),
+            vec!["k"]
+        );
+        assert_eq!(cand.datasets, vec![t]);
     }
 
     #[test]

@@ -146,51 +146,46 @@ pub fn best_path(
     Some(JoinPath { steps })
 }
 
-/// Apply join steps onto an already-materialized accumulator. Used by the
-/// DoD engine to chain several paths from the same anchor. Steps whose
-/// target dataset's columns are already present (joined earlier) are
-/// skipped.
+/// Join `steps` onto `acc`, an already-materialized relation, and return
+/// the result. Used by the DoD engine to chain several paths from the
+/// same anchor. A step whose target dataset is already in `acc` (joined
+/// by an earlier path) is skipped; when every step is, the result is a
+/// copy of `acc`.
+///
+/// Each step joins on its `from_column` by exact name. A join keeps
+/// every left-hand name and suffixes only right-hand clashes, so a
+/// column of a dataset already in `acc` is either present under its
+/// own name or shadowed by a same-named column that is; a missing name
+/// means the step's left dataset was never joined, and the step fails
+/// with [`RelError::UnknownColumn`].
 pub fn apply_steps(
-    mut acc: Relation,
+    acc: &Relation,
     steps: &[JoinStep],
     engine: &MetadataEngine,
 ) -> RelResult<Relation> {
+    let mut joined: Option<Relation> = None;
     for step in steps {
         let right = engine
             .relation(step.to_dataset)
             .ok_or_else(|| RelError::Invalid(format!("unknown dataset {}", step.to_dataset)))?;
-        if acc.full_provenance().datasets().contains(&step.to_dataset)
-            && acc.schema().contains(&step.to_column)
-        {
+        let cur = joined.as_ref().unwrap_or(acc);
+        if cur.schema().contains(&step.to_column) && contains_dataset(cur, step.to_dataset) {
             continue; // already joined this dataset in an earlier path
         }
-        // The left join column must exist in the accumulated relation; if
-        // a previous join renamed it (suffix _r), try that variant.
-        let left_col = resolve_column(&acc, &step.from_column)
-            .ok_or_else(|| RelError::UnknownColumn(step.from_column.clone()))?;
-        acc = acc.join(
+        joined = Some(cur.join(
             &right,
-            &[(left_col.as_str(), step.to_column.as_str())],
+            &[(step.from_column.as_str(), step.to_column.as_str())],
             dmp_relation::ops::JoinKind::Inner,
-        )?;
+        )?);
     }
-    Ok(acc)
+    Ok(joined.unwrap_or_else(|| acc.clone()))
 }
 
-/// Find the current physical name of a logical column that joins may have
-/// suffixed with `_r` (possibly repeatedly).
-pub fn resolve_column(rel: &Relation, name: &str) -> Option<String> {
-    if rel.schema().contains(name) {
-        return Some(name.to_string());
-    }
-    let mut candidate = format!("{name}_r");
-    for _ in 0..4 {
-        if rel.schema().contains(&candidate) {
-            return Some(candidate);
-        }
-        candidate.push_str("_r");
-    }
-    None
+/// Does any row of `rel` descend from a row of `dataset`?
+fn contains_dataset(rel: &Relation, dataset: DatasetId) -> bool {
+    rel.rows()
+        .iter()
+        .any(|r| r.provenance().atoms().iter().any(|a| a.dataset == dataset))
 }
 
 #[cfg(test)]
@@ -235,7 +230,46 @@ mod tests {
     /// chains them.
     fn anchored(path: &JoinPath, eng: &MetadataEngine) -> Relation {
         let anchor = eng.relation(path.steps[0].from_dataset).unwrap();
-        apply_steps(anchor.as_ref().clone(), &path.steps, eng).unwrap()
+        apply_steps(&anchor, &path.steps, eng).unwrap()
+    }
+
+    #[test]
+    fn steps_into_datasets_already_joined_return_the_input_unchanged() {
+        let eng = lake();
+        let idx = IndexBuilder::new().build(&eng);
+        let ids = eng.ids();
+        let path = best_path(&idx.relationships, ids[0], ids[2], 3).unwrap();
+        let joined = anchored(&path, &eng);
+        let again = apply_steps(&joined, &path.steps, &eng).unwrap();
+        assert_eq!(again, joined);
+    }
+
+    #[test]
+    fn a_step_from_a_dataset_never_joined_fails_instead_of_binding_a_suffixed_name() {
+        let eng = lake();
+        // Native columns `customer_r` and `product`, no `customer`.
+        let mut b = RelationBuilder::new("decoy")
+            .column("customer_r", DataType::Int)
+            .column("product", DataType::Int);
+        for i in 0..100 {
+            b = b.row(vec![Value::Int(i), Value::Int(1000 + i % 20)]);
+        }
+        let decoy = eng.register("decoy", "d", b.build().unwrap());
+        let ids = eng.ids();
+        // orders.customer -> customers.cust_id, applied to a relation
+        // that never joined `orders`.
+        let step = JoinStep {
+            from_dataset: ids[1],
+            from_column: "customer".into(),
+            to_dataset: ids[0],
+            to_column: "cust_id".into(),
+            confidence: 1.0,
+        };
+        let acc = eng.relation(decoy).unwrap();
+        assert_eq!(
+            apply_steps(&acc, &[step], &eng),
+            Err(RelError::UnknownColumn("customer".into()))
+        );
     }
 
     #[test]

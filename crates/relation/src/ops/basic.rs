@@ -43,8 +43,9 @@ impl Relation {
         ))
     }
 
-    /// Rename a single column.
-    pub fn rename(&self, from: &str, to: &str) -> RelResult<Relation> {
+    /// Rename a single column. Takes the relation by value: only the
+    /// schema is rebuilt, the rows move over uncopied.
+    pub fn rename(self, from: &str, to: &str) -> RelResult<Relation> {
         let idx = self.schema().index_of(from)?;
         if self.schema().contains(to) && to != from {
             return Err(RelError::DuplicateColumn(to.to_string()));
@@ -56,11 +57,8 @@ impl Relation {
             .enumerate()
             .map(|(i, f)| if i == idx { f.renamed(to) } else { f.clone() })
             .collect();
-        Ok(Relation::from_rows_unchecked(
-            self.name().to_string(),
-            Schema::new(fields)?.shared(),
-            self.rows().to_vec(),
-        ))
+        let schema = Schema::new(fields)?.shared();
+        Ok(self.with_schema_unchecked(schema))
     }
 
     /// Map one column in place through a function (unit conversions, the
@@ -135,10 +133,11 @@ mod tests {
 
     #[test]
     fn rename_rejects_collision() {
-        let r = rel();
-        assert!(r.rename("x", "g").is_err());
-        let rn = r.rename("x", "value").unwrap();
+        assert!(rel().rename("x", "g").is_err());
+        let rn = rel().rename("x", "value").unwrap();
         assert!(rn.schema().contains("value"));
+        assert_eq!(rn.rows(), rel().rows(), "rows move over unchanged");
+        assert_eq!(rn.source(), None);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! across the datasets that produced it.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::iter::successors;
 
 use crate::error::{RelError, RelResult};
 use crate::relation::{Relation, Row};
@@ -23,12 +25,49 @@ pub enum JoinKind {
     Full,
 }
 
+/// One row's join key, borrowed: the values at `cols`, hashed and
+/// compared in place, so neither side copies a key out of its rows.
+struct Key<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl Key<'_> {
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        self.cols.iter().map(|&c| &self.row[c])
+    }
+
+    /// NULL never equals anything in a join key (SQL semantics).
+    fn has_null(&self) -> bool {
+        self.values().any(Value::is_null)
+    }
+}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for Key<'_> {}
+
+/// End of a right-row chain in [`Relation::join`]'s `next` array.
+const END: usize = usize::MAX;
+
 impl Relation {
     /// Equi-join on `on` pairs of `(left_col, right_col)`.
     ///
-    /// Implementation: classic build/probe hash join, building on the
-    /// smaller side for `Inner`. NULL keys never match (SQL semantics).
-    /// Right-hand columns that clash with left names are suffixed `_r`.
+    /// Implementation: build/probe hash join, building on the right side.
+    /// NULL keys never match (SQL semantics). Right-hand columns that
+    /// clash with left names are suffixed `_r`. Output order: left rows
+    /// in order, each followed by its matches in right-row order; `Full`
+    /// then appends the unmatched right rows in right-row order.
     pub fn join(
         &self,
         other: &Relation,
@@ -53,29 +92,44 @@ impl Relation {
         let lw = self.schema().len();
         let rw = other.schema().len();
 
-        // Build hash table over the right side: key values -> row indices.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(other.len());
+        // Build over the right side: key -> (first, last) row of its
+        // chain; `next[i]` is the right row after row `i` with the same
+        // key, so a chain walks its rows in right-row order.
+        let mut table: HashMap<Key, (usize, usize)> = HashMap::with_capacity(other.len());
+        let mut next = vec![END; other.len()];
         for (i, row) in other.rows().iter().enumerate() {
-            let key: Vec<Value> = right_keys.iter().map(|&k| row.get(k).clone()).collect();
-            if key.iter().any(Value::is_null) {
+            let key = Key {
+                row: row.values(),
+                cols: &right_keys,
+            };
+            if key.has_null() {
                 continue;
             }
-            table.entry(key).or_default().push(i);
+            table
+                .entry(key)
+                .and_modify(|(_, last)| {
+                    next[*last] = i;
+                    *last = i;
+                })
+                .or_insert((i, i));
         }
 
         let mut out: Vec<Row> = Vec::new();
         let mut right_matched = vec![false; other.len()];
 
         for lrow in self.rows() {
-            let key: Vec<Value> = left_keys.iter().map(|&k| lrow.get(k).clone()).collect();
-            let matches = if key.iter().any(Value::is_null) {
+            let key = Key {
+                row: lrow.values(),
+                cols: &left_keys,
+            };
+            let first = if key.has_null() {
                 None
             } else {
-                table.get(&key)
+                table.get(&key).map(|&(first, _)| first)
             };
-            match matches {
-                Some(idxs) => {
-                    for &ri in idxs {
+            match first {
+                Some(first) => {
+                    for ri in successors(Some(first), |&i| Some(next[i]).filter(|&n| n != END)) {
                         right_matched[ri] = true;
                         let rrow = &other.rows()[ri];
                         let mut values = Vec::with_capacity(lw + rw);

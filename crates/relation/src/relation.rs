@@ -120,6 +120,14 @@ impl Relation {
         }
     }
 
+    /// The same name and rows under another schema, unregistered like
+    /// every operator's output. Callers guarantee the rows match it.
+    pub(crate) fn with_schema_unchecked(mut self, schema: Arc<Schema>) -> Self {
+        self.schema = schema;
+        self.source = None;
+        self
+    }
+
     /// Relation name (e.g. the dataset or mashup label).
     pub fn name(&self) -> &str {
         &self.name

@@ -25,6 +25,83 @@ fn small_relation(source: u64) -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Raw rows for a two-key relation: `(k1 pick, k2 pick, payload)`.
+type KeyedRows = Vec<(u8, u8, i64)>;
+
+/// Strategy: up to 12 raw rows with few distinct keys, so keys repeat.
+fn keyed_rows() -> impl Strategy<Value = KeyedRows> {
+    prop::collection::vec((0u8..5, 0u8..5, 0i64..1000), 0..12)
+}
+
+/// A join-key cell of key type `ty` (0 Int, 1 Float, 2 Str): `pick` 0 is
+/// NULL, 1–4 one of four values of that type.
+fn key_cell(ty: u8, pick: u8) -> Value {
+    match (pick, ty) {
+        (0, _) => Value::Null,
+        (p, 0) => Value::Int(i64::from(p)),
+        (p, 1) => Value::Float(f64::from(p) * 0.5),
+        (p, _) => Value::str(format!("s{p}")),
+    }
+}
+
+/// Relation `(k1, k2, payload)` with key types `types`, stamped as
+/// dataset `source`.
+fn keyed_relation(source: u64, types: (u8, u8), payload: &str, rows: &KeyedRows) -> Relation {
+    let dtype = |ty: u8| [DataType::Int, DataType::Float, DataType::Str][usize::from(ty)];
+    let mut b = RelationBuilder::new(format!("t{source}"))
+        .column("k1", dtype(types.0))
+        .column("k2", dtype(types.1))
+        .column(payload, DataType::Int);
+    for &(k1, k2, x) in rows {
+        b = b.row(vec![
+            key_cell(types.0, k1),
+            key_cell(types.1, k2),
+            Value::Int(x),
+        ]);
+    }
+    b.source(DatasetId(source)).build().unwrap()
+}
+
+/// The join by definition: every left row against every right row.
+/// Left rows in order, each followed by its matches in right-row order,
+/// then (for `Full`) the unmatched right rows in right-row order.
+fn nested_loop_join(l: &Relation, r: &Relation, on: &[(&str, &str)], kind: JoinKind) -> Relation {
+    let lk: Vec<usize> = on.iter().map(|(a, _)| l.col_index(a).unwrap()).collect();
+    let rk: Vec<usize> = on.iter().map(|(_, b)| r.col_index(b).unwrap()).collect();
+    let matches = |lrow: &Row, rrow: &Row| {
+        lk.iter().zip(&rk).all(|(&i, &j)| {
+            !lrow.get(i).is_null() && !rrow.get(j).is_null() && lrow.get(i) == rrow.get(j)
+        })
+    };
+    let nulls = |n: usize| vec![Value::Null; n];
+    let (lw, rw) = (l.schema().len(), r.schema().len());
+    let mut rows = Vec::new();
+    let mut right_matched = vec![false; r.len()];
+    for lrow in l.rows() {
+        let mut matched = false;
+        for (j, rrow) in r.rows().iter().enumerate() {
+            if matches(lrow, rrow) {
+                matched = true;
+                right_matched[j] = true;
+                let values = [lrow.values(), rrow.values()].concat();
+                rows.push(Row::new(values, lrow.provenance().merge(rrow.provenance())));
+            }
+        }
+        if !matched && kind != JoinKind::Inner {
+            let values = [lrow.values(), &nulls(rw)].concat();
+            rows.push(Row::new(values, lrow.provenance().clone()));
+        }
+    }
+    if kind == JoinKind::Full {
+        for (rrow, _) in r.rows().iter().zip(&right_matched).filter(|(_, m)| !**m) {
+            let values = [&nulls(lw), rrow.values()].concat();
+            rows.push(Row::new(values, rrow.provenance().clone()));
+        }
+    }
+    let schema = l.schema().concat(r.schema(), "_r").unwrap().shared();
+    Relation::from_rows(format!("{}⋈{}", l.name(), r.name()), schema, rows).unwrap()
+}
+
 /// Column `k` (position 0) of a `small_relation` row.
 fn k(row: &Row) -> i64 {
     row.get(0).as_i64().unwrap()
@@ -99,6 +176,29 @@ proptest! {
             prop_assert!(ds.contains(&DatasetId(1)));
             prop_assert!(ds.contains(&DatasetId(2)));
         }
+    }
+
+    /// The hash join equals the nested-loop join exactly: schema, name,
+    /// every row's values and provenance, and row order — over Int, Float
+    /// and Str keys with duplicates and NULLs, one or two key pairs, and
+    /// every join kind.
+    #[test]
+    fn join_equals_nested_loop_oracle(
+        types in (0u8..3, 0u8..3),
+        l_rows in keyed_rows(),
+        r_rows in keyed_rows(),
+        two_keys in proptest::bool::ANY,
+        kind in 0u8..3,
+    ) {
+        let l = keyed_relation(1, types, "a", &l_rows);
+        let r = keyed_relation(2, types, "b", &r_rows);
+        let on: &[(&str, &str)] = if two_keys {
+            &[("k1", "k1"), ("k2", "k2")]
+        } else {
+            &[("k1", "k1")]
+        };
+        let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Full][usize::from(kind)];
+        prop_assert_eq!(l.join(&r, on, kind).unwrap(), nested_loop_join(&l, &r, on, kind));
     }
 
     /// Group-by SUM over all groups equals the global SUM.

@@ -552,8 +552,7 @@ impl ShardRouter {
                     let crosses = m.datasets.iter().any(|&d| {
                         self.market_at(home)
                             .metadata()
-                            .get(d)
-                            .map(|e| self.shard_of(&e.owner) != home)
+                            .with_entry(d, |e| self.shard_of(&e.owner) != home)
                             .unwrap_or(false)
                     });
                     if crosses {

@@ -442,8 +442,12 @@ impl Simulation {
         let mut revenue_by_seller: HashMap<String, f64> = HashMap::new();
         for tx in self.market.transactions() {
             for share in &tx.shares {
-                if let Some(e) = self.market.metadata().get(share.dataset) {
-                    *revenue_by_seller.entry(e.owner).or_insert(0.0) += share.amount;
+                if let Some(owner) = self
+                    .market
+                    .metadata()
+                    .with_entry(share.dataset, |e| e.owner.clone())
+                {
+                    *revenue_by_seller.entry(owner).or_insert(0.0) += share.amount;
                 }
             }
         }
