@@ -159,42 +159,6 @@ impl Ledger {
         Ok(id)
     }
 
-    /// Pay `amount` out of an escrow to `to`. The escrow stays open with
-    /// the remainder.
-    pub fn release(&self, escrow: u64, to: &str, amount: f64) -> MarketResult<()> {
-        // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic
-        if amount < 0.0 {
-            return Err(MarketError::Invalid("negative release".into()));
-        }
-        let m = to_micros(amount);
-        let mut escrows = self.escrows.lock();
-        let e = escrows
-            .get_mut(&escrow)
-            .ok_or(MarketError::UnknownId(escrow))?;
-        if e.state != EscrowState::Held {
-            return Err(MarketError::Invalid("escrow already closed".into()));
-        }
-        if e.remaining < m {
-            return Err(MarketError::InsufficientFunds {
-                account: format!("escrow#{escrow}"),
-                needed: amount,
-                available: from_micros(e.remaining),
-            });
-        }
-        // Checked credit *before* the escrow debit: a refused payout
-        // leaves the hold untouched instead of vanishing the money.
-        let mut accounts = self.accounts.lock();
-        let to_entry = accounts.entry(to.to_string()).or_insert(0);
-        let credited = to_entry
-            .checked_add(m)
-            .ok_or_else(|| MarketError::BalanceOverflow {
-                account: to.to_string(),
-            })?;
-        *to_entry = credited;
-        e.remaining -= m;
-        Ok(())
-    }
-
     /// Micro-credits of payout overshoot `release_up_to` absorbs: each
     /// payout in a revenue split rounds independently (≤ 0.5 µ each),
     /// so the final one can exceed the (also rounded) hold by the
@@ -207,7 +171,6 @@ impl Ledger {
     /// what was actually paid. This is the payout used by settlement,
     /// where "the rest of the hold" is the intent; the clamp tolerates
     /// only rounding dust (`RELEASE_DUST_MICROS`).
-    /// [`Ledger::release`] stays strict for exact payouts.
     pub fn release_up_to(&self, escrow: u64, to: &str, amount: f64) -> MarketResult<f64> {
         // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic
         if amount < 0.0 {
@@ -461,7 +424,7 @@ mod tests {
         assert_eq!(l.balance("buyer"), 40.0);
         assert_eq!(l.total_supply(), 100.0);
 
-        l.release(e, "seller", 45.0).unwrap();
+        l.release_up_to(e, "seller", 45.0).unwrap();
         assert_eq!(l.balance("seller"), 45.0);
         assert_eq!(l.total_supply(), 100.0);
 
@@ -476,7 +439,7 @@ mod tests {
         let l = Ledger::new();
         l.deposit("buyer", 1.0);
         // Hold 10.5 µ; three "equal" shares of 3.5 µ each round to 4 µ,
-        // so the strict release would fail on the third. release_up_to
+        // so the third asks for 1 µ more than is left. release_up_to
         // pays out the remainder instead.
         let e = l.hold("buyer", 0.0000105).unwrap();
         assert_eq!(l.release_up_to(e, "s1", 0.0000035).unwrap(), 0.000004);
@@ -540,16 +503,12 @@ mod tests {
         l.deposit("buyer", 20.0);
         let e = l.hold("buyer", 20.0).unwrap();
         assert!(matches!(
-            l.release(e, "whale", 5.0),
-            Err(MarketError::BalanceOverflow { .. })
-        ));
-        assert!(matches!(
             l.release_up_to(e, "whale", 5.0),
             Err(MarketError::BalanceOverflow { .. })
         ));
         // The hold is untouched and still pays out elsewhere.
         assert_eq!(l.escrow_remaining(e), Some(20.0));
-        l.release(e, "seller", 20.0).unwrap();
+        l.release_up_to(e, "seller", 20.0).unwrap();
     }
 
     #[test]
@@ -564,7 +523,7 @@ mod tests {
         assert_eq!(l.escrow_remaining(e), Some(50.0));
         // Payouts to a roomy account still drain it; the emptied escrow
         // then closes cleanly.
-        l.release(e, "seller", 50.0).unwrap();
+        l.release_up_to(e, "seller", 50.0).unwrap();
         l.close(e).unwrap();
     }
 
@@ -573,9 +532,9 @@ mod tests {
         let l = Ledger::new();
         l.deposit("buyer", 10.0);
         let e = l.hold("buyer", 10.0).unwrap();
-        assert!(l.release(e, "s", 11.0).is_err());
-        l.release(e, "s", 10.0).unwrap();
-        assert!(l.release(e, "s", 0.1).is_err());
+        assert!(l.release_up_to(e, "s", 11.0).is_err());
+        l.release_up_to(e, "s", 10.0).unwrap();
+        assert!(l.release_up_to(e, "s", 0.1).is_err());
     }
 
     #[test]
@@ -585,7 +544,7 @@ mod tests {
         let e = l.hold("b", 5.0).unwrap();
         l.close(e).unwrap();
         assert!(l.close(e).is_err());
-        assert!(l.release(e, "s", 1.0).is_err());
+        assert!(l.release_up_to(e, "s", 1.0).is_err());
     }
 
     #[test]

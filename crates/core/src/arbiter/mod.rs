@@ -26,8 +26,4 @@ pub mod revenue;
 pub mod services;
 pub mod wtp_evaluator;
 
-pub use ledger::Ledger;
-pub use mashup_builder::BuiltMashup;
-pub use pipeline::{CandidateStage, RoundContext, RoundReport};
 pub use pricing::{RoundBid, Sale};
-pub use wtp_evaluator::Evaluation;

@@ -22,11 +22,6 @@ impl<'m> BuyerHandle<'m> {
         }
     }
 
-    /// The buyer principal.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Current balance.
     pub fn balance(&self) -> f64 {
         self.market.balance(&self.name)
@@ -50,17 +45,6 @@ impl<'m> BuyerHandle<'m> {
         }
     }
 
-    /// Submit a prebuilt WTP-function.
-    pub fn submit(&self, wtp: WtpFunction) -> MarketResult<u64> {
-        if wtp.buyer != self.name {
-            return Err(MarketError::Invalid(format!(
-                "WTP buyer '{}' does not match handle '{}'",
-                wtp.buyer, self.name
-            )));
-        }
-        self.market.submit_wtp(wtp)
-    }
-
     /// Deliveries addressed to this buyer.
     pub fn deliveries(&self) -> Vec<Delivery> {
         self.market
@@ -70,17 +54,6 @@ impl<'m> BuyerHandle<'m> {
             .filter(|d| d.buyer == self.name)
             .cloned()
             .collect()
-    }
-
-    /// Take the data of a delivery (clone of the mashup).
-    pub fn take_delivery(&self, delivery_id: u64) -> MarketResult<Relation> {
-        self.market
-            .deliveries
-            .lock()
-            .iter()
-            .find(|d| d.id == delivery_id && d.buyer == self.name)
-            .map(|d| d.relation.clone())
-            .ok_or(MarketError::UnknownId(delivery_id))
     }
 
     /// Report the realized value of an ex post delivery (§3.2.2.2).
@@ -125,14 +98,6 @@ impl<'m, 'b> WtpBuilder<'m, 'b> {
         self
     }
 
-    /// Set the task package to regression on a target column.
-    pub fn regression(mut self, target: impl Into<String>) -> Self {
-        self.wtp.task = TaskKind::Regression {
-            target: target.into(),
-        };
-        self
-    }
-
     /// Set the task to aggregate completeness.
     pub fn aggregate_completeness(
         mut self,
@@ -171,12 +136,6 @@ impl<'m, 'b> WtpBuilder<'m, 'b> {
         self
     }
 
-    /// Restrict discovery with topic keywords.
-    pub fn keywords<S: Into<String>>(mut self, kws: impl IntoIterator<Item = S>) -> Self {
-        self.wtp.keywords = kws.into_iter().map(Into::into).collect();
-        self
-    }
-
     /// Require a minimum mashup size.
     pub fn min_rows(mut self, n: usize) -> Self {
         self.wtp.min_rows = n;
@@ -187,11 +146,6 @@ impl<'m, 'b> WtpBuilder<'m, 'b> {
     pub fn purpose(mut self, purpose: impl Into<String>) -> Self {
         self.purpose = purpose.into();
         self
-    }
-
-    /// Inspect the WTP-function without submitting.
-    pub fn build(self) -> WtpFunction {
-        self.wtp
     }
 
     /// Submit to the market; returns the offer id.
@@ -219,27 +173,19 @@ mod tests {
     fn fluent_builder_produces_wtp() {
         let m = market();
         let b = m.buyer("b1");
-        let wtp = b
+        let offer = b
             .wtp(["a", "b", "d"])
             .classification("label")
             .pay_steps(&[(0.8, 100.0), (0.9, 150.0)])
             .min_rows(50)
-            .keywords(["weather"])
-            .build();
+            .submit()
+            .unwrap();
+        let wtp = m.offer(offer).unwrap().wtp;
         assert_eq!(wtp.buyer, "b1");
         assert_eq!(wtp.attributes.len(), 3);
         assert_eq!(wtp.curve.price(0.85), 100.0);
         assert_eq!(wtp.min_rows, 50);
-        assert_eq!(wtp.keywords, vec!["weather".to_string()]);
         assert!(matches!(wtp.task, TaskKind::Classification { .. }));
-    }
-
-    #[test]
-    fn submit_mismatched_buyer_rejected() {
-        let m = market();
-        let b = m.buyer("b1");
-        let wtp = WtpFunction::simple("someone_else", ["a"], PriceCurve::Constant(1.0));
-        assert!(b.submit(wtp).is_err());
     }
 
     #[test]
@@ -262,8 +208,7 @@ mod tests {
         ));
         let deliveries = b.deliveries();
         assert_eq!(deliveries.len(), 1);
-        let data = b.take_delivery(deliveries[0].id).unwrap();
-        assert_eq!(data.len(), 2);
+        assert_eq!(deliveries[0].relation.len(), 2);
     }
 
     #[test]
@@ -277,9 +222,8 @@ mod tests {
             .submit()
             .unwrap();
         m.run_round();
-        let id = b.deliveries()[0].id;
-        let eve = m.buyer("eve");
-        assert!(eve.take_delivery(id).is_err());
+        assert_eq!(b.deliveries().len(), 1);
+        assert!(m.buyer("eve").deliveries().is_empty());
     }
 
     #[test]

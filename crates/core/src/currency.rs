@@ -51,31 +51,6 @@ impl fmt::Display for Currency {
     }
 }
 
-/// An amount of incentive in a specific currency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Incentive {
-    /// Denomination.
-    pub currency: Currency,
-    /// Amount (≥ 0).
-    pub amount: f64,
-}
-
-impl Incentive {
-    /// Construct, clamping negatives to zero.
-    pub fn new(currency: Currency, amount: f64) -> Self {
-        Incentive {
-            currency,
-            amount: amount.max(0.0),
-        }
-    }
-}
-
-impl fmt::Display for Incentive {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.amount, self.currency)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,13 +64,7 @@ mod tests {
     }
 
     #[test]
-    fn incentive_clamps_negative() {
-        assert_eq!(Incentive::new(Currency::Money, -5.0).amount, 0.0);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Currency::BonusPoints.to_string(), "bonus-points");
-        assert_eq!(Incentive::new(Currency::Money, 3.0).to_string(), "3 money");
     }
 }

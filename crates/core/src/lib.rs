@@ -29,8 +29,3 @@ pub mod license;
 pub mod market;
 pub mod seller;
 pub mod trust;
-
-pub use currency::{Currency, Incentive};
-pub use error::{MarketError, MarketResult};
-pub use license::{ContextualIntegrityPolicy, License};
-pub use market::{DataMarket, MarketConfig, MarketKind};

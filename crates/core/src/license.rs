@@ -70,11 +70,6 @@ pub struct ContextualIntegrityPolicy {
 }
 
 impl ContextualIntegrityPolicy {
-    /// An unconstrained policy.
-    pub fn open() -> Self {
-        Self::default()
-    }
-
     /// A policy restricted to roles within a context.
     pub fn restricted(
         context: impl Into<String>,
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn open_policy_permits_everything() {
-        let p = ContextualIntegrityPolicy::open();
+        let p = ContextualIntegrityPolicy::default();
         assert!(p.permits("anyone", "anything"));
     }
 }

@@ -47,11 +47,6 @@ impl<'m> SellerHandle<'m> {
         }
     }
 
-    /// The seller principal.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Current balance.
     pub fn balance(&self) -> f64 {
         self.market.balance(&self.name)

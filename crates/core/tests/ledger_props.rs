@@ -1,15 +1,17 @@
 //! Property tests for the arbiter ledger: currency conservation under
 //! random interleaved deposit / transfer / escrow / release / close
-//! sequences. With integer micro-credit storage the invariant is exact:
-//! the total supply equals the sum of minted deposits bit-for-bit, and
-//! no account ever goes negative. Near the `i64` micro-credit ceiling,
-//! every transfer/escrow credit is **checked**: an operation either
-//! succeeds conserving supply exactly, or fails (`BalanceOverflow` /
+//! sequences. A release is settlement's payout, `release_up_to`,
+//! including the rounding dust it absorbs past the end of a hold. With
+//! integer micro-credit storage the invariant is exact: the total
+//! supply equals the sum of minted deposits bit-for-bit, and no account
+//! ever goes negative. Near the `i64` micro-credit ceiling, every
+//! transfer/escrow credit is **checked**: an operation either succeeds
+//! conserving supply exactly, or fails (`BalanceOverflow` /
 //! `InsufficientFunds`) leaving the total untouched — never a silent
 //! clamp.
 
 use dmp_core::arbiter::ledger::{Ledger, MAX_AMOUNT};
-use dmp_core::error::MarketError;
+use dmp_core::error::{MarketError, MarketResult};
 use proptest::prelude::*;
 
 const ACCOUNTS: [&str; 4] = ["alice", "bob", "carol", "dave"];
@@ -48,6 +50,46 @@ fn decode(kind: u8, a: usize, b: usize, amount: f64) -> Op {
     }
 }
 
+fn micros(x: f64) -> i64 {
+    (x * 1e6).round() as i64
+}
+
+/// Settlement's payout. Draws in the top fifth of `0..top` ask for the
+/// rest of the hold plus 0–200 micro-credits, so both the dust clamp
+/// (≤ 100 µ over, pays exactly the rest) and the refusal above it run.
+/// A payout moves exactly what it reports out of the hold (checked
+/// where f64 still resolves micro-credits, below 2^53 µ).
+fn release(ledger: &Ledger, escrow: u64, to: &str, amount: f64, top: f64) -> MarketResult<()> {
+    let before = ledger.escrow_remaining(escrow);
+    let request = match before {
+        Some(rest) if amount >= 0.8 * top => rest + (amount / top - 0.8) * 1e-3,
+        _ => amount,
+    };
+    let result = ledger.release_up_to(escrow, to, request);
+    match (&result, before.filter(|&rest| rest < 1e9)) {
+        (Ok(paid), Some(rest)) => {
+            let after = ledger.escrow_remaining(escrow).unwrap();
+            assert_eq!(
+                micros(rest) - micros(*paid),
+                micros(after),
+                "payout != hold change"
+            );
+            assert!(
+                micros(*paid) <= micros(request),
+                "paid {paid} > asked {request}"
+            );
+        }
+        (Err(MarketError::InsufficientFunds { .. }), Some(rest)) => {
+            assert!(
+                micros(request) > micros(rest) + 100,
+                "dust refused: {request} vs {rest}"
+            );
+        }
+        _ => {}
+    }
+    result.map(|_| ())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -84,7 +126,7 @@ proptest! {
                 Op::Release { slot, to, amount } => {
                     if !escrows.is_empty() {
                         let id = escrows[slot % escrows.len()];
-                        let _ = ledger.release(id, ACCOUNTS[to], amount);
+                        let _ = release(&ledger, id, ACCOUNTS[to], amount, 50.0);
                     }
                 }
                 Op::Close { slot } => {
@@ -131,7 +173,7 @@ proptest! {
                 Op::Release { slot, to, amount } => {
                     if !escrows.is_empty() {
                         let id = escrows[slot % escrows.len()];
-                        let _ = ledger.release(id, ACCOUNTS[to], amount);
+                        let _ = release(&ledger, id, ACCOUNTS[to], amount, 20.0);
                     }
                 }
                 Op::Close { slot } => {
@@ -147,7 +189,6 @@ proptest! {
         // granularity, so compare in whole micro-credits.
         let from_accounts: f64 = ledger.balances().iter().map(|(_, v)| v).sum();
         let from_escrows: f64 = ledger.escrow_holds().iter().map(|(_, _, v)| v).sum();
-        let micros = |x: f64| (x * 1e6).round() as i64;
         prop_assert_eq!(
             micros(ledger.total_supply()),
             micros(from_accounts + from_escrows)
@@ -197,7 +238,7 @@ proptest! {
                         Ok(())
                     } else {
                         let id = escrows[slot % escrows.len()];
-                        ledger.release(id, ACCOUNTS[to], amount)
+                        release(&ledger, id, ACCOUNTS[to], amount, MAX_AMOUNT)
                     }
                 }
                 Op::Close { slot } => {

@@ -7,9 +7,7 @@
 //! `/internal/*` RPC surface until killed.
 //!
 //! ```text
-//! dmp-worker --shards 4 --seed 7 --posted-price 12.0 \
-//!            [--addr 127.0.0.1:0] [--max-candidates 4] \
-//!            [--contribution-reward 0] \
+//! dmp-worker --shards 4 --seed 7 --posted-price 12.0 [--addr 127.0.0.1:0] \
 //!            [--kill-phase pre-candidate|pre-settle|mid-settle --kill-round N]
 //! ```
 //!
@@ -27,8 +25,7 @@ use dmp_service::worker::{KillPhase, WorkerConfig, WorkerNode};
 fn fail(msg: &str) -> ! {
     eprintln!("dmp-worker: {msg}");
     eprintln!(
-        "usage: dmp-worker [--addr HOST:PORT] [--shards N] [--seed N] \
-         [--posted-price X] [--max-candidates N] [--contribution-reward X] \
+        "usage: dmp-worker [--addr HOST:PORT] [--shards N] [--seed N] [--posted-price X] \
          [--kill-phase pre-candidate|pre-settle|mid-settle --kill-round N]"
     );
     std::process::exit(2);
@@ -55,8 +52,6 @@ fn main() {
     let mut shards = 4usize;
     let mut seed = 7u64;
     let mut posted_price: Option<f64> = None;
-    let mut max_candidates: Option<usize> = None;
-    let mut contribution_reward: Option<f64> = None;
     let mut kill_phase: Option<KillPhase> = None;
     let mut kill_round: Option<u64> = None;
 
@@ -67,8 +62,6 @@ fn main() {
             "--shards" => shards = parse_shards(args.next()).unwrap_or_else(|e| fail(&e)),
             "--seed" => seed = parse(&flag, args.next()),
             "--posted-price" => posted_price = Some(parse(&flag, args.next())),
-            "--max-candidates" => max_candidates = Some(parse(&flag, args.next())),
-            "--contribution-reward" => contribution_reward = Some(parse(&flag, args.next())),
             "--kill-phase" => {
                 let spelled: String = parse(&flag, args.next());
                 match KillPhase::parse(&spelled) {
@@ -84,12 +77,6 @@ fn main() {
     let mut market = MarketConfig::external(seed);
     if let Some(price) = posted_price {
         market = market.with_design(MarketDesign::posted_price_baseline(price));
-    }
-    if let Some(n) = max_candidates {
-        market.max_candidates = n;
-    }
-    if let Some(reward) = contribution_reward {
-        market.contribution_reward = reward;
     }
 
     let mut cfg = WorkerConfig::new(market, shards);

@@ -85,11 +85,6 @@ impl Client {
         Ok(client)
     }
 
-    /// The gateway address this client talks to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     fn ensure_conn(&mut self) -> std::io::Result<&mut Conn> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(self.addr)?;

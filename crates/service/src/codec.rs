@@ -59,16 +59,6 @@ record!(
     }
 );
 
-/// Encode one shard's candidate phase (version-tagged).
-pub fn encode_export(export: &CandidatePhaseExport) -> Json {
-    export.enc()
-}
-
-/// Decode one shard's candidate phase, refusing unknown versions.
-pub fn decode_export(j: &Json) -> Result<CandidatePhaseExport, WireError> {
-    Wire::dec(j)
-}
-
 /// Encode a whole round's exports (one per shard, shard order).
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
     enc_all(exports)
@@ -157,8 +147,8 @@ mod tests {
 
     #[test]
     fn export_with_a_missing_field_is_refused() {
-        let decode = |text: &str| decode_export(&Json::parse(text).unwrap());
-        let full = encode_export(&export_of(9, vec![bid(42)])).dump();
+        let decode = |text: &str| CandidatePhaseExport::dec(&Json::parse(text).unwrap());
+        let full = export_of(9, vec![bid(42)]).enc().dump();
         assert_eq!(
             decode(&full).expect("decodes back"),
             export_of(9, vec![bid(42)])
@@ -171,14 +161,14 @@ mod tests {
 
     #[test]
     fn version_skew_is_refused() {
-        let mut encoded = encode_export(&export_of(1, Vec::new())).dump();
+        let mut encoded = export_of(1, Vec::new()).enc().dump();
         encoded = encoded.replacen("\"1\"", "\"2\"", 1);
-        let err = decode_export(&Json::parse(&encoded).unwrap()).unwrap_err();
+        let err = CandidatePhaseExport::dec(&Json::parse(&encoded).unwrap()).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         // Missing version tag is also refused.
         let unversioned =
             r#"{"round":"1","bids":[],"mashups":[],"missing":[],"negotiations":[],"audit":[]}"#;
-        assert!(decode_export(&Json::parse(unversioned).unwrap()).is_err());
+        assert!(CandidatePhaseExport::dec(&Json::parse(unversioned).unwrap()).is_err());
     }
 
     #[test]
@@ -199,8 +189,9 @@ mod tests {
                 datasets: vec![DatasetId(3)],
             }],
         };
-        let encoded = encode_export(&export).dump();
-        let decoded = decode_export(&Json::parse(&encoded).unwrap()).expect("decodes back");
+        let encoded = export.enc().dump();
+        let decoded =
+            CandidatePhaseExport::dec(&Json::parse(&encoded).unwrap()).expect("decodes back");
         assert_eq!(decoded, export, "wire round-trip changed the export");
     }
 
@@ -212,7 +203,8 @@ mod tests {
         b.bid = 0.1 + 0.2;
         b.satisfaction = f64::MIN_POSITIVE;
         let export = export_of(1, vec![b.clone()]);
-        let decoded = decode_export(&Json::parse(&encode_export(&export).dump()).unwrap()).unwrap();
+        let decoded =
+            CandidatePhaseExport::dec(&Json::parse(&export.enc().dump()).unwrap()).unwrap();
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
@@ -287,8 +279,8 @@ mod tests {
             bids in proptest::collection::vec(arb_bid(), 0..8),
         ) {
             let export = export_of(round, bids);
-            let text = encode_export(&export).dump();
-            let decoded = decode_export(&Json::parse(&text).expect("self-produced json"))
+            let text = export.enc().dump();
+            let decoded = CandidatePhaseExport::dec(&Json::parse(&text).expect("self-produced json"))
                 .expect("self-produced payload decodes");
             prop_assert_eq!(decoded.round, export.round);
             prop_assert_eq!(decoded.bids.len(), export.bids.len());

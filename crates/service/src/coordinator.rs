@@ -99,11 +99,6 @@ impl WorkerPool {
             .set_distributor(Arc::clone(pool) as Arc<dyn RoundDistributor>);
     }
 
-    /// Total workers (live or dead).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Workers currently in rotation.
     pub fn live_workers(&self) -> usize {
         self.workers

@@ -425,23 +425,13 @@ impl Response {
         );
         out
     }
-
-    /// Serialize onto a stream.
-    pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes(keep_alive))?;
-        stream.flush()
-    }
 }
 
-/// Read one response (client side). Returns `(status, body)`.
-pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> {
-    read_response_full(stream).map(|(status, body, _)| (status, body))
-}
-
-/// Read one response, also reporting whether the server marked the
-/// connection for closing (`Connection: close`) — a keep-alive client
-/// must drop and re-dial before its next request instead of writing
-/// into a socket the server is about to shut.
+/// Read one response (client side): `(status, body, close)`, where
+/// `close` reports whether the server marked the connection for closing
+/// (`Connection: close`) — a keep-alive client must drop and re-dial
+/// before its next request instead of writing into a socket the server
+/// is about to shut.
 pub fn read_response_full(stream: &mut impl BufRead) -> Result<(u16, Vec<u8>, bool), HttpError> {
     let Some(line) = read_line_bounded(stream)? else {
         return Err(HttpError::Eof);
@@ -530,7 +520,7 @@ mod tests {
         let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 1\r\ncontent-length: 9\r\n\r\nx";
         let mut reader = BufReader::new(&raw[..]);
         assert!(matches!(
-            read_response(&mut reader),
+            read_response_full(&mut reader),
             Err(HttpError::Malformed(_))
         ));
     }
@@ -669,15 +659,13 @@ mod tests {
 
     #[test]
     fn response_close_flag_surfaces_to_clients() {
-        let mut buf = Vec::new();
-        Response::json(200, "{}").write_to(&mut buf, false).unwrap();
+        let buf = Response::json(200, "{}").to_bytes(false);
         let mut reader = BufReader::new(&buf[..]);
         let (status, _, close) = read_response_full(&mut reader).unwrap();
         assert_eq!(status, 200);
         assert!(close, "connection: close must surface");
 
-        let mut buf = Vec::new();
-        Response::json(200, "{}").write_to(&mut buf, true).unwrap();
+        let buf = Response::json(200, "{}").to_bytes(true);
         let mut reader = BufReader::new(&buf[..]);
         let (_, _, close) = read_response_full(&mut reader).unwrap();
         assert!(!close);
@@ -685,12 +673,9 @@ mod tests {
 
     #[test]
     fn response_serializes_and_parses() {
-        let mut buf = Vec::new();
-        Response::json(200, "{\"ok\":true}")
-            .write_to(&mut buf, true)
-            .unwrap();
+        let buf = Response::json(200, "{\"ok\":true}").to_bytes(true);
         let mut reader = BufReader::new(&buf[..]);
-        let (status, body) = read_response(&mut reader).unwrap();
+        let (status, body, _) = read_response_full(&mut reader).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"{\"ok\":true}");
     }

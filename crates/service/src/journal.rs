@@ -354,24 +354,6 @@ impl Journal {
         Ok(dropped)
     }
 
-    /// Whether a failed rollback has poisoned this journal (appends are
-    /// refused until the file is reopened and its tail re-truncated).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Test hook: force the poisoned state a failed rollback would set
-    /// (an `ftruncate` failure is not portably inducible from a test).
-    #[doc(hidden)]
-    pub fn poison_for_test(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current journal size in bytes.
     pub fn len(&self) -> std::io::Result<u64> {
         Ok(self.file.metadata()?.len())
@@ -533,8 +515,10 @@ mod tests {
         let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         j.append(1, &Command::RunRound { rounds: 1 }).unwrap();
-        assert!(!j.is_poisoned());
-        j.poison_for_test();
+        assert!(!j.poisoned);
+        // The state a failed rollback sets (an `ftruncate` failure is
+        // not portably inducible from a test).
+        j.poisoned = true;
         let err = j.append(2, &Command::RunRound { rounds: 1 }).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         // Reopen re-scans the tail and clears the poison; the journal
@@ -542,7 +526,7 @@ mod tests {
         drop(j);
         let (mut j, records) = Journal::open(&path, true).unwrap();
         assert_eq!(records.len(), 1);
-        assert!(!j.is_poisoned());
+        assert!(!j.poisoned);
         j.append(2, &Command::RunRound { rounds: 1 }).unwrap();
         let (_, records) = Journal::open(&path, true).unwrap();
         assert_eq!(records.len(), 2);
@@ -576,7 +560,7 @@ mod tests {
         let path = dir.join("journal.wal");
         let (mut j, _) = Journal::open(&path, true).unwrap();
         j.append(1, &Command::RunRound { rounds: 1 }).unwrap();
-        j.poison_for_test();
+        j.poisoned = true;
         assert!(j.truncate_prefix(1).is_err());
     }
 

@@ -15,7 +15,7 @@
 //! * [`snapshot`] — periodic compacted command checkpoints carrying a
 //!   state digest that **verifies** recovery reproduced the exact
 //!   pre-crash state (leaning on the bit-identical round pipeline);
-//! * [`shard`] — participants hash across M [`dmp_core::DataMarket`]
+//! * [`shard`] — participants hash across M [`dmp_core::market::DataMarket`]
 //!   shards sharing one catalog + ledger substrate; every round is a
 //!   two-phase exchange (shard-parallel candidate phase → one global
 //!   clearing pass → ordered settlement), so an M-shard deployment
@@ -73,13 +73,4 @@ pub mod timer;
 pub mod wire;
 pub mod worker;
 
-pub use client::Client;
-pub use command::{AskSpec, Command, LicenseSpec, OfferSpec};
-pub use coordinator::WorkerPool;
-pub use error::ServiceError;
-pub use gateway::{Gateway, GatewayConfig};
-pub use journal::Journal;
-pub use node::{ServiceConfig, ServiceNode};
-pub use shard::{MergedRoundReport, Outcome, RoundDistributor, ShardRouter};
-pub use wire::{Json, WireError};
-pub use worker::{WorkerConfig, WorkerNode};
+pub use wire::Json;

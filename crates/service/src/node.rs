@@ -72,9 +72,9 @@ impl ServiceConfig {
         }
     }
 
-    /// Override the shard count.
+    /// Override the shard count ([`ServiceNode::open`] refuses 0).
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards;
         self
     }
 
@@ -198,9 +198,9 @@ impl ServiceNode {
 
     /// Open a node, running crash recovery against `cfg.dir`.
     pub fn open(cfg: ServiceConfig) -> Result<ServiceNode, ServiceError> {
-        // `shards` is a public field, so a struct literal can bypass
-        // `with_shards`'s clamp; the router would run one shard while
-        // node.meta recorded zero. Refuse before anything is written.
+        // Zero shards, from a struct literal or `with_shards(0)`: the
+        // router would run one shard while node.meta recorded zero.
+        // Refuse before anything is written.
         if cfg.shards == 0 {
             return Err(ServiceError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -717,18 +717,20 @@ mod tests {
     #[test]
     fn zero_shards_are_refused_before_node_meta_is_written() {
         let dir = ScratchDir::new("node-zero-shards");
-        let cfg = ServiceConfig {
+        let literal = ServiceConfig {
             shards: 0,
             ..config(&dir)
         };
-        match ServiceNode::open(cfg).err() {
-            Some(ServiceError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-                assert!(e.to_string().contains("shards"), "{e}");
+        for cfg in [literal, config(&dir).with_shards(0)] {
+            match ServiceNode::open(cfg).err() {
+                Some(ServiceError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                    assert!(e.to_string().contains("shards"), "{e}");
+                }
+                other => panic!("expected an InvalidInput refusal, got {other:?}"),
             }
-            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+            assert!(!dir.path().join("node.meta").exists());
         }
-        assert!(!dir.path().join("node.meta").exists());
         // The directory stays usable under the config it was meant for.
         assert!(ServiceNode::open(config(&dir).with_shards(1)).is_ok());
     }

@@ -93,16 +93,6 @@ impl TimerWheel {
                 due_at.saturating_duration_since(now)
             })
     }
-
-    /// Total scheduled entries (including lazily superseded ones).
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
-    /// Whether no entries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +108,7 @@ mod tests {
         wheel.schedule(1, start + Duration::from_millis(35));
         assert!(wheel.advance(start + Duration::from_millis(30)).is_empty());
         assert_eq!(wheel.advance(start + Duration::from_millis(50)), vec![1]);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.next_timeout(start), None, "nothing left scheduled");
     }
 
     #[test]

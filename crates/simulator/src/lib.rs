@@ -11,7 +11,7 @@
 //! * [`workload`] — synthetic market workloads: topic catalogs, Zipf
 //!   demand, valuation distributions, data-lake generation;
 //! * [`engine`] — the round-based simulation engine driving a real
-//!   [`dmp_core::DataMarket`];
+//!   [`dmp_core::market::DataMarket`];
 //! * [`metrics`] — social welfare, revenue, satisfaction, Gini, regret;
 //! * [`scenario`] — named scenario configurations for the experiments;
 //! * [`report`] — aligned text tables for the experiment harness.

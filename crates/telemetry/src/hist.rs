@@ -3,15 +3,16 @@
 //! Values (typically microseconds) land in one of [`BUCKET_COUNT`]
 //! buckets: the first two groups are exact (one bucket per value for
 //! `0..32`), and every later power-of-two range is split into
-//! [`SUB_COUNT`] linear sub-buckets, so the relative quantile error is
-//! bounded by `1/SUB_COUNT` (6.25%) across the entire `u64` range.
+//! [`SUB_COUNT`] linear sub-buckets, so a bucket's upper bound (what a
+//! quantile read off the exposition reports) overstates any value in it
+//! by at most `1/SUB_COUNT` (6.25%) across the entire `u64` range.
 //!
 //! [`Histogram::record`] is lock-free — one `fetch_add` on the bucket,
 //! plus `fetch_add`/`fetch_min`/`fetch_max` for the sum/min/max — and
 //! safe to call from any number of threads. [`Histogram::snapshot`]
 //! copies the counters without stopping writers (a snapshot taken mid
 //! record may be off by the records in flight; monitoring, not
-//! accounting). Snapshots merge, subtract, and answer quantiles.
+//! accounting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -104,11 +105,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Total records so far (sums the buckets).
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
 }
 
 /// An immutable copy of a [`Histogram`]'s counters.
@@ -144,68 +140,6 @@ impl HistogramSnapshot {
     /// Total records.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Merge another snapshot into this one (bucket-wise addition —
-    /// the merged quantiles are the quantiles of the combined stream,
-    /// up to bucket resolution).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        // The live histogram's atomic sum wraps mod 2^64 (fetch_add);
-        // snapshot arithmetic must match or merging panics in debug.
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Bucket-wise difference `self - earlier` (for interval views over
-    /// cumulative histograms). Saturates at zero per bucket.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            // min/max are lifetime extrema; an interval delta keeps the
-            // conservative envelope rather than inventing tighter ones.
-            min: self.min,
-            max: self.max,
-        }
-    }
-
-    /// The value at quantile `q` (0.0..=1.0): the upper bound of the
-    /// bucket holding the rank-`ceil(q*count)` record, clamped into
-    /// `[min, max]`. Returns 0 for an empty snapshot.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_bound(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / total as f64
-        }
     }
 }
 
@@ -272,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn record_and_quantile() {
+    fn record_tracks_count_sum_and_extrema() {
         let h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
@@ -282,27 +216,6 @@ mod tests {
         assert_eq!(s.sum, 500_500);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 1000);
-        let p50 = s.quantile(0.5);
-        assert!((470..=530).contains(&p50), "p50={p50}");
-        let p99 = s.quantile(0.99);
-        assert!((980..=1000).contains(&p99), "p99={p99}");
-        assert_eq!(s.quantile(0.0), 1);
-        assert_eq!(s.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_conserves_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..100 {
-            a.record(v);
-            b.record(v * 1000);
-        }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count(), 200);
-        assert_eq!(m.min, 0);
-        assert_eq!(m.max, 99_000);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`hist`] — log-bucketed (HDR-style: power-of-two major buckets,
 //!   linear sub-buckets) latency histograms with a lock-free
-//!   [`hist::Histogram::record`] hot path and mergeable
+//!   [`hist::Histogram::record`] hot path and immutable
 //!   [`hist::HistogramSnapshot`]s;
 //! * [`registry`] — a process-global [`registry::Registry`] of atomic
 //!   counters, gauges and histograms, rendered on demand in the
@@ -36,6 +36,5 @@ pub mod registry;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use log::Level;
 pub use registry::{global, lint_exposition, Counter, Gauge, Registry};
 pub use trace::{tracer, TraceEvent, Tracer};

@@ -67,11 +67,6 @@ pub fn enabled(level: Level) -> bool {
     level as u8 <= max
 }
 
-/// Test/diagnostic hook: override the level set from `DMP_LOG`.
-pub fn set_level(level: Option<Level>) {
-    MAX_LEVEL.store(level.map(|l| l as u8).unwrap_or(0), Ordering::Relaxed);
-}
-
 /// Emit one structured line to stderr (called by the macro after the
 /// level check; not meant to be called directly).
 #[doc(hidden)]
@@ -92,7 +87,7 @@ pub fn write(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
 /// dmp_telemetry::log!(Warn, "snapshot failed seq={} err={}", 42, "disk full");
 /// ```
 ///
-/// The first argument is a [`Level`](crate::Level) variant name; the
+/// The first argument is a [`Level`](crate::log::Level) variant name; the
 /// rest is a `format!` body — by convention `key=value` pairs after a
 /// short message. Disabled levels cost one atomic load and never
 /// evaluate the format arguments.
@@ -117,6 +112,11 @@ mod tests {
     fn levels_order_most_severe_first() {
         assert!(Level::Error < Level::Warn);
         assert!(Level::Warn < Level::Trace);
+    }
+
+    /// Stand-in for `DMP_LOG`, which is read once per process.
+    fn set_level(level: Option<Level>) {
+        MAX_LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
     }
 
     #[test]

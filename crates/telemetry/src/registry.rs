@@ -46,11 +46,6 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// Set the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Add `n` (may be negative).
     pub fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -96,12 +91,6 @@ pub fn global() -> &'static Registry {
 }
 
 impl Registry {
-    /// A fresh, empty registry (tests; production code uses
-    /// [`global`]).
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
     /// Get or register the counter `name`. The help text is stored on
     /// first registration. Panics if `name` is already registered as a
     /// different metric kind — that is a programming error, not a
@@ -336,7 +325,7 @@ mod tests {
 
     #[test]
     fn handles_are_shared() {
-        let r = Registry::new();
+        let r = Registry::default();
         let a = r.counter("x_total", "a counter");
         let b = r.counter("x_total", "a counter");
         a.inc();
@@ -347,16 +336,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_mismatch_panics() {
-        let r = Registry::new();
+        let r = Registry::default();
         r.counter("x", "");
         r.gauge("x", "");
     }
 
     #[test]
     fn renders_counters_gauges_histograms() {
-        let r = Registry::new();
+        let r = Registry::default();
         r.counter("req_total", "requests").add(7);
-        r.gauge("conns", "open connections").set(-2);
+        r.gauge("conns", "open connections").add(-2);
         let h = r.histogram("lat_us{endpoint=\"/health\"}", "latency");
         h.record(3);
         h.record(300);
@@ -381,7 +370,7 @@ mod tests {
 
     #[test]
     fn histogram_bucket_lines_are_cumulative_and_monotone() {
-        let r = Registry::new();
+        let r = Registry::default();
         let h = r.histogram("h_us", "");
         for v in [1u64, 2, 4, 100, 10_000, 1_000_000] {
             h.record(v);

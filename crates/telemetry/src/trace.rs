@@ -137,13 +137,6 @@ pub struct SpanGuard<'a> {
     started: Instant,
 }
 
-impl SpanGuard<'_> {
-    /// Update the detail payload before the span closes.
-    pub fn set_detail(&mut self, detail: u64) {
-        self.detail = detail;
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let dur_us = self.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -172,8 +165,7 @@ mod tests {
     fn span_guard_records_on_drop() {
         let t = Tracer::with_capacity(8);
         {
-            let mut span = t.span("work", 0);
-            span.set_detail(42);
+            let _span = t.span("work", 42);
         }
         let events = t.snapshot();
         assert_eq!(events.len(), 1);
