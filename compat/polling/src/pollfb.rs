@@ -3,7 +3,7 @@
 //! O(ready fds) — fine as a fallback and as a conformance oracle for
 //! the epoll backend, not meant for 10k-connection deployments.
 
-#![allow(non_camel_case_types)]
+#![allow(non_camel_case_types, reason = "C type names, spelled as in <poll.h>")]
 
 use std::collections::BTreeMap;
 use std::ffi::c_int;

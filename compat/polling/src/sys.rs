@@ -3,7 +3,10 @@
 //! (`glibc`/`musl`) that every Rust binary on Linux already links, so a
 //! plain `extern "C"` block reaches them.
 
-#![allow(non_camel_case_types)]
+#![allow(
+    non_camel_case_types,
+    reason = "C type names, spelled as in <sys/epoll.h>"
+)]
 
 use std::ffi::{c_int, c_void};
 

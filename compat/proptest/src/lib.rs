@@ -202,7 +202,7 @@ mod tests {
     fn failing_case_panics_with_inputs() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
-            #[allow(unused)]
+            #[allow(unused, reason = "checks that the macro forwards attributes to the fn")]
             fn always_fails(x in 0u8..10) {
                 prop_assert!(x > 200, "x was {}", x);
             }

@@ -11,6 +11,17 @@
 //! under arbitrary interleavings of transfers, holds and releases. The
 //! public API stays in `f64` credits.
 
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,7 +30,6 @@ use parking_lot::Mutex;
 use crate::error::{MarketError, MarketResult};
 
 /// Micro-credits per credit: the fixed granularity of stored amounts.
-// dmp-lint: allow(det-float) -- the one boundary constant: 1e6 is exact in f64 and only used in to/from_micros
 pub const MICROS_PER_CREDIT: f64 = 1_000_000.0;
 
 /// Largest amount (in credits) a single operation accepts; amounts are
@@ -30,16 +40,23 @@ pub const MICROS_PER_CREDIT: f64 = 1_000_000.0;
 /// overflow is refused with [`MarketError::BalanceOverflow`] and no
 /// state change. Only `deposit` — the explicit mint — saturates at the
 /// `i64` ceiling, and that clamp is visible in `total_supply`.
-// dmp-lint: allow(det-float) -- boundary clamp constant, exact in f64 (integer below 2^53)
 pub const MAX_AMOUNT: f64 = 1e12;
 
 /// Round an amount in credits to whole micro-credits.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "write-side boundary: the caller's f64 amount becomes whole micro-credits here, and state never sees a float"
+)]
 fn to_micros(amount: f64) -> i64 {
     (amount.clamp(-MAX_AMOUNT, MAX_AMOUNT) * MICROS_PER_CREDIT).round() as i64
 }
 
+#[expect(
+    clippy::float_arithmetic,
+    clippy::cast_precision_loss,
+    reason = "read-side boundary: balances stay i64, only the report value is f64"
+)]
 fn from_micros(m: i64) -> f64 {
-    // dmp-lint: allow(det-float) -- read-side boundary: balances stay i64, only the report value is f64
     m as f64 / MICROS_PER_CREDIT
 }
 
@@ -93,7 +110,6 @@ impl Ledger {
     /// clamping the credit side while the debit side paid in full would
     /// silently destroy currency).
     pub fn transfer(&self, from: &str, to: &str, amount: f64) -> MarketResult<()> {
-        // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic
         if amount < 0.0 {
             return Err(MarketError::Invalid("negative transfer".into()));
         }
@@ -130,7 +146,6 @@ impl Ledger {
 
     /// Hold `amount` from an account in escrow; returns the escrow id.
     pub fn hold(&self, from: &str, amount: f64) -> MarketResult<u64> {
-        // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic
         if amount < 0.0 {
             return Err(MarketError::Invalid("negative escrow".into()));
         }
@@ -172,7 +187,6 @@ impl Ledger {
     /// where "the rest of the hold" is the intent; the clamp tolerates
     /// only rounding dust (`RELEASE_DUST_MICROS`).
     pub fn release_up_to(&self, escrow: u64, to: &str, amount: f64) -> MarketResult<f64> {
-        // dmp-lint: allow(det-float) -- sign check on the boundary argument, no float arithmetic
         if amount < 0.0 {
             return Err(MarketError::Invalid("negative release".into()));
         }
@@ -193,7 +207,6 @@ impl Ledger {
         }
         let m = requested.min(e.remaining);
         if m <= 0 {
-            // dmp-lint: allow(det-float) -- exact zero, the "nothing paid" report value
             return Ok(0.0);
         }
         let mut accounts = self.accounts.lock();

@@ -18,6 +18,8 @@
 //!   settlement, run by `DataMarket::run_round` and by the service's
 //!   shard router alike.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod ledger;
 pub mod mashup_builder;
 pub mod pipeline;

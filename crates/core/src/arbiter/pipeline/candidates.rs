@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn tie_breaking_varies_across_seeds() {
         // Not a fixed winner: across seeds, both sellers get picked.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..30 {
             seen.insert(winner_of(
                 &market_with_twin_sellers(seed),

@@ -84,7 +84,11 @@ fn candidates_histogram() -> &'static Arc<Histogram> {
 /// Run one phase, recording its wall time into
 /// `dmp_round_stage_us{stage="<stage>"}`.
 fn timed<T>(stage: &str, phase: impl FnOnce() -> T) -> T {
-    let started = Instant::now(); // dmp-lint: allow(det-wall-clock) -- phase latency telemetry; never read by the phase
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase latency telemetry; never read by the phase"
+    )]
+    let started = Instant::now();
     let out = phase();
     if let Some((_, hist)) = stage_histograms().iter().find(|(name, _)| *name == stage) {
         hist.record_duration_us(started.elapsed());

@@ -2,6 +2,16 @@
 //! — and the ex post reporting path that settles deliveries outside the
 //! round.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::sync::atomic::Ordering;
 
 use rand::Rng;

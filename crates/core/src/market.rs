@@ -12,6 +12,8 @@
 //! *state* (offer book, ledger, participants, licenses) and its public
 //! API; the round *logic* lives phase by phase in the pipeline module.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

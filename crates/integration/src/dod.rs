@@ -9,6 +9,8 @@
 //! plans join paths to cover the remaining attributes, materializes the
 //! joins, and returns ranked [`MashupCandidate`]s.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use dmp_discovery::{ColumnRef, DiscoveryEngine, MetadataEngine};

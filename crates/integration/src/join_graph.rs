@@ -7,6 +7,8 @@
 //! without materializing the others, and [`apply_steps`] joins it onto an
 //! accumulator with provenance-preserving hash joins.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::cmp::Ordering;
 use std::iter::successors;
 

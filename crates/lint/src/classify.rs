@@ -5,7 +5,9 @@
 //! replay-critical is an architectural fact, not something a tool can
 //! infer — so it lives here, next to the rules, where a PR that adds a
 //! new settlement path has to edit it (and a reviewer gets to ask why
-//! if it doesn't).
+//! if it doesn't). Clippy does the checking, through the header each
+//! class puts in the file ([`HEADERS`]); dmp-lint's `class-header` rule
+//! keeps the headers and the map in step.
 //!
 //! Deliberate exemptions, documented so they read as decisions rather
 //! than omissions:
@@ -23,31 +25,39 @@
 //!   is instead in the reactor-inline class: handlers it runs inline
 //!   must not block on locks.
 
-/// Rule classes a file can belong to. A file accumulates the classes
-/// of every map entry that matches it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Classes {
-    /// Replay-critical: state here is reconstructed by WAL replay and
-    /// must be bit-identical across runs and shard counts. Enables
-    /// `det-unordered-collection`, `det-wall-clock`, `det-rng`.
-    pub replay: bool,
-    /// Float-strict: integer-exact arithmetic zones (the micro-credit
-    /// ledger, WAL framing). Float literals and casts to `f64`/`f32`
-    /// must each justify themselves. Enables `det-float`.
-    pub float_strict: bool,
-    /// Panic-free: WAL append, recovery, and settlement paths must
-    /// propagate errors, not abort mid-critical-section. Enables
-    /// `panic-unwrap`, `panic-macro`.
-    pub panic_free: bool,
-    /// No-indexing: same paths, `[]` indexing (a hidden panic) needs a
-    /// bounds argument. Enables `panic-indexing`.
-    pub no_index: bool,
-    /// Reactor-inline: code that runs on the reactor thread while
-    /// serving `/health`, `/metrics`, `/trace`. Blocking lock
-    /// acquisitions stall every connection. Enables
-    /// `lock-reactor-inline`.
-    pub reactor_inline: bool,
-}
+/// The `#![deny(clippy::…)]` header each clippy-checked class puts in
+/// its entry's file, or in `mod.rs` for a directory entry (an inner
+/// attribute covers the whole module subtree). `clippy.toml` names
+/// what `disallowed_types` and `disallowed_methods` refuse.
+///
+/// - `replay`: state here is rebuilt by WAL replay and must be
+///   bit-identical across runs and shard counts, so no
+///   `HashMap`/`HashSet`, wall clock or entropy draw.
+/// - `float_strict`: integer-exact zones (the micro-credit ledger, WAL
+///   framing, the codecs): float arithmetic and lossy casts to floats
+///   each justify themselves.
+/// - `panic_free`: WAL append, recovery and settlement propagate
+///   errors; they do not abort mid-critical-section.
+/// - `no_index`: the same paths, where a `[]` index is a hidden panic.
+///
+/// The fifth class, `reactor_inline`, has no header: dmp-lint itself
+/// enforces it ([`LOCK_REACTOR_INLINE`](crate::rules::LOCK_REACTOR_INLINE)).
+pub const HEADERS: &[(&str, &str)] = &[
+    (
+        "replay",
+        "#![deny(clippy::disallowed_types, clippy::disallowed_methods)]",
+    ),
+    (
+        "float_strict",
+        "#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]",
+    ),
+    (
+        "panic_free",
+        "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+         clippy::unreachable, clippy::todo, clippy::unimplemented)]",
+    ),
+    ("no_index", "#![deny(clippy::indexing_slicing)]"),
+];
 
 /// One row of the module map.
 pub struct MapEntry {
@@ -55,7 +65,8 @@ pub struct MapEntry {
     /// prefix" (matched anywhere in the path); otherwise the pattern
     /// must match a path suffix.
     pub pattern: &'static str,
-    /// Class names this entry grants (see [`Classes`]).
+    /// Class names this entry grants: one of [`HEADERS`], or
+    /// `reactor_inline`.
     pub classes: &'static [&'static str],
     /// Why the module is classified this way.
     pub why: &'static str,
@@ -180,35 +191,32 @@ pub const MODULE_MAP: &[MapEntry] = &[
     },
 ];
 
-/// Classify a path against [`MODULE_MAP`]. Accepts either `/` or `\`
-/// separators and both absolute and repo-relative paths.
-pub fn classify(path: &str) -> Classes {
-    let norm: String = path
-        .chars()
-        .map(|c| if c == '\\' { '/' } else { c })
-        .collect();
-    let mut out = Classes::default();
-    for entry in MODULE_MAP {
-        let hit = if entry.pattern.ends_with('/') {
-            norm.contains(entry.pattern)
+impl MapEntry {
+    /// The file that carries this entry's headers: the entry's own
+    /// file, or `mod.rs` for a directory entry.
+    pub fn header_file(&self) -> String {
+        if self.pattern.ends_with('/') {
+            format!("{}mod.rs", self.pattern)
         } else {
-            norm.ends_with(entry.pattern)
-        };
-        if !hit {
-            continue;
-        }
-        for class in entry.classes {
-            match *class {
-                "replay" => out.replay = true,
-                "float_strict" => out.float_strict = true,
-                "panic_free" => out.panic_free = true,
-                "no_index" => out.no_index = true,
-                "reactor_inline" => out.reactor_inline = true,
-                other => unreachable!("unknown class name in MODULE_MAP: {other}"),
-            }
+            self.pattern.to_string()
         }
     }
-    out
+}
+
+/// The class names [`MODULE_MAP`] grants a `/`-separated path, which
+/// may be absolute or repo-relative.
+pub fn classify(path: &str) -> Vec<&'static str> {
+    MODULE_MAP
+        .iter()
+        .filter(|e| {
+            if e.pattern.ends_with('/') {
+                path.contains(e.pattern)
+            } else {
+                path.ends_with(e.pattern)
+            }
+        })
+        .flat_map(|e| e.classes.iter().copied())
+        .collect()
 }
 
 #[cfg(test)]
@@ -218,15 +226,13 @@ mod tests {
     #[test]
     fn arbiter_dir_is_replay() {
         let c = classify("/root/repo/crates/core/src/arbiter/pricing.rs");
-        assert!(c.replay);
-        assert!(!c.float_strict);
+        assert_eq!(c, ["replay"]);
     }
 
     #[test]
     fn ledger_accumulates_dir_and_file_classes() {
         let c = classify("crates/core/src/arbiter/ledger.rs");
-        assert!(c.replay, "dir entry");
-        assert!(c.float_strict && c.panic_free && c.no_index, "file entry");
+        assert_eq!(c, ["replay", "float_strict", "panic_free", "no_index"]);
     }
 
     #[test]
@@ -235,31 +241,33 @@ mod tests {
             "crates/integration/src/dod.rs",
             "crates/integration/src/join_graph.rs",
         ] {
-            let c = classify(path);
-            assert!(c.replay, "{path}");
-            assert!(!c.float_strict && !c.panic_free && !c.no_index, "{path}");
+            assert_eq!(classify(path), ["replay"], "{path}");
         }
     }
 
     #[test]
     fn reactor_is_inline_only() {
-        let c = classify("crates/service/src/reactor.rs");
-        assert!(c.reactor_inline);
-        assert!(!c.replay && !c.panic_free);
+        assert_eq!(
+            classify("crates/service/src/reactor.rs"),
+            ["reactor_inline"]
+        );
     }
 
     #[test]
     fn unclassified_file_gets_nothing() {
-        assert_eq!(classify("crates/relation/src/lib.rs"), Classes::default());
+        assert!(classify("crates/relation/src/lib.rs").is_empty());
     }
 
     #[test]
     fn every_map_class_name_is_known() {
-        // classify() would hit unreachable!() on a typo; touch every
-        // entry once.
         for e in MODULE_MAP {
-            let _ = classify(&format!("x/{}", e.pattern.trim_end_matches('/')));
-            let _ = classify(&format!("x/{}/y.rs", e.pattern.trim_end_matches('/')));
+            for class in e.classes {
+                assert!(
+                    *class == "reactor_inline" || HEADERS.iter().any(|(c, _)| c == class),
+                    "unknown class `{class}` in the entry for {}",
+                    e.pattern
+                );
+            }
         }
     }
 }

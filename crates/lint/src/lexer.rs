@@ -8,18 +8,16 @@
 //! would get wrong are handled properly: nested block comments, string
 //! escapes, raw strings (`r#"…"#` with any hash count), byte strings,
 //! char literals vs. lifetimes (`'a'` vs. `'a`), raw identifiers
-//! (`r#fn`), and float literal detection (`1.0`, `1e12`, `1f64` are
-//! floats; `0x1e`, `1.max(2)`, `0..10` are not).
+//! (`r#fn`), and numbers (`1.0` is one token; `1.max(2)`, `0..10` and
+//! `x.0.lock()` keep their dots).
 
 /// Token classification. Only as fine-grained as the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (the rules treat keywords as idents).
     Ident,
-    /// Integer literal, including hex/octal/binary.
-    Int,
-    /// Float literal (`1.0`, `1e12`, `2f64`).
-    Float,
+    /// Numeric literal, suffix included (`0x1e`, `2f64`, `1.0`).
+    Num,
     /// String, byte-string, or raw-string literal.
     Str,
     /// Character or byte literal.
@@ -258,14 +256,7 @@ impl Lexer {
             && second != Some('\'')
             && first != Some('\\');
         if is_lifetime {
-            let mut text = String::new();
-            while let Some(c) = self.peek(0) {
-                if !is_ident_continue(c) {
-                    break;
-                }
-                text.push(c);
-                self.bump();
-            }
+            let text = self.take_ident_continue();
             self.push(TokKind::Lifetime, text, line);
             return;
         }
@@ -283,93 +274,30 @@ impl Lexer {
     }
 
     fn ident(&mut self, line: u32) {
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if !is_ident_continue(c) {
-                break;
-            }
-            text.push(c);
-            self.bump();
-        }
+        let text = self.take_ident_continue();
         self.push(TokKind::Ident, text, line);
     }
 
+    /// A numeric literal: digits, radix prefix and suffix, plus a
+    /// fraction when a digit follows the dot. An exponent sign splits
+    /// the token (`1e-3` is `1e`, `-`, `3`), which no rule can see.
     fn number(&mut self, line: u32) {
-        let mut text = String::new();
-        let mut float = false;
-        if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x' | 'o' | 'b')) {
-            // Radix literal: digits then an optional type suffix, never
-            // a float (so `0x1e` has no exponent).
-            text.push(self.bump().unwrap_or_default());
-            text.push(self.bump().unwrap_or_default());
-            while let Some(c) = self.peek(0) {
-                if c.is_ascii_hexdigit() || c == '_' || is_ident_continue(c) {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.push(TokKind::Int, text, line);
-            return;
+        let mut text = self.take_ident_continue();
+        if self.peek(0) == Some('.') && self.peek(1).is_some_and(|c| c.is_ascii_digit()) {
+            self.bump();
+            text.push('.');
+            text.push_str(&self.take_ident_continue());
         }
-        self.digits(&mut text);
-        // Fractional part: `.` followed by a digit, or a bare trailing
-        // `.` that is neither a range (`..`) nor a method call (`1.max`).
-        if self.peek(0) == Some('.') {
-            match self.peek(1) {
-                Some(c) if c.is_ascii_digit() => {
-                    float = true;
-                    text.push(self.bump().unwrap_or_default());
-                    self.digits(&mut text);
-                }
-                Some('.') => {}
-                Some(c) if is_ident_start(c) => {}
-                _ => {
-                    float = true;
-                    text.push(self.bump().unwrap_or_default());
-                }
-            }
-        }
-        // Exponent: `e`/`E` with optional sign, then digits.
-        if matches!(self.peek(0), Some('e' | 'E')) {
-            let (a, b) = (self.peek(1), self.peek(2));
-            let signed = matches!(a, Some('+' | '-')) && matches!(b, Some(c) if c.is_ascii_digit());
-            if signed || matches!(a, Some(c) if c.is_ascii_digit()) {
-                float = true;
-                text.push(self.bump().unwrap_or_default());
-                if signed {
-                    text.push(self.bump().unwrap_or_default());
-                }
-                self.digits(&mut text);
-            }
-        }
-        // Type suffix (`u32`, `f64`, …): `f` suffixes force float.
-        if matches!(self.peek(0), Some(c) if is_ident_start(c)) {
-            if self.peek(0) == Some('f') {
-                float = true;
-            }
-            while let Some(c) = self.peek(0) {
-                if !is_ident_continue(c) {
-                    break;
-                }
-                text.push(c);
-                self.bump();
-            }
-        }
-        let kind = if float { TokKind::Float } else { TokKind::Int };
-        self.push(kind, text, line);
+        self.push(TokKind::Num, text, line);
     }
 
-    fn digits(&mut self, text: &mut String) {
-        while let Some(c) = self.peek(0) {
-            if c.is_ascii_digit() || c == '_' {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    fn take_ident_continue(&mut self) -> String {
+        let mut text = String::new();
+        while let Some(c) = self.peek(0).filter(|&c| is_ident_continue(c)) {
+            text.push(c);
+            self.bump();
         }
+        text
     }
 }
 
@@ -396,12 +324,26 @@ mod tests {
     #[test]
     fn floats_vs_ints() {
         let toks = kinds("1.0 1e12 2f64 1_000_000.0 0x1e 1.max(2) 0..10 x.0");
-        let floats: Vec<&str> = toks
+        let nums: Vec<&str> = toks
             .iter()
-            .filter(|(k, _)| *k == TokKind::Float)
+            .filter(|(k, _)| *k == TokKind::Num)
             .map(|(_, t)| t.as_str())
             .collect();
-        assert_eq!(floats, ["1.0", "1e12", "2f64", "1_000_000.0"]);
+        assert_eq!(
+            nums,
+            [
+                "1.0",
+                "1e12",
+                "2f64",
+                "1_000_000.0",
+                "0x1e",
+                "1",
+                "2",
+                "0",
+                "10",
+                "0"
+            ]
+        );
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! dmp-lint: determinism, lock-discipline, and panic-hygiene static
-//! analysis for the workspace. Zero external dependencies, in the
-//! house style of `compat/polling` and the telemetry exposition linter:
-//! a small hand-rolled lexer ([`lexer`]), a checked-in module
-//! classification map ([`classify`](mod@classify)), and a token-pattern rule engine
-//! ([`rules`]).
+//! dmp-lint: lock-discipline static analysis for the workspace, and
+//! the check that keeps clippy's per-module classes in step with the
+//! module map. Zero external dependencies, in the house style of
+//! `compat/polling` and the telemetry exposition linter: a small
+//! hand-rolled lexer ([`lexer`]), a checked-in module classification
+//! map ([`classify`](mod@classify)), and the lock rules ([`rules`]).
+//!
+//! Clippy carries determinism, float strictness and panic hygiene:
+//! each [`MODULE_MAP`] entry's file carries the `#![deny(clippy::…)]`
+//! header of its classes, and the `class-header` rule reports one that
+//! is missing.
 //!
 //! The contract: `lint_workspace(root)` returns zero findings, forever.
 //! `tests/workspace_lint.rs` pins that under `cargo test`; CI runs the
@@ -21,9 +26,8 @@
 //! error (`allow-unused`) — so stale allows cannot accumulate.
 //!
 //! Scope: every `.rs` file under a `src/` directory in the workspace
-//! (crates/, compat/, the facade). Test code — `tests/`, `examples/`
-//! and `#[cfg(test)]` modules — is exempt: tests unwrap and index
-//! freely by design, and none of it runs during replay.
+//! (crates/, compat/, the facade), test modules included. `tests/` and
+//! `examples/` are out of scope.
 
 pub mod classify;
 pub mod lexer;
@@ -34,11 +38,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use classify::{classify, Classes, MapEntry, MODULE_MAP};
-pub use rules::{rule, Finding, RuleInfo, RULES};
+pub use classify::{HEADERS, MODULE_MAP};
+pub use rules::{Finding, RULES};
 
 use lexer::{Comment, Tok};
-use rules::LockPair;
+use rules::{LockPair, ALLOW_MALFORMED, ALLOW_UNUSED, CLASS_HEADER, LOCK_ORDER};
 
 /// One parsed `// dmp-lint: allow(...)` annotation.
 #[derive(Debug)]
@@ -61,33 +65,50 @@ pub struct Linter {
 }
 
 impl Linter {
-    pub fn new() -> Linter {
-        Linter::default()
-    }
-
     /// Lint one file. `path` is used both for reporting and for module
     /// classification, so fixtures can present virtual paths.
     pub fn check_file(&mut self, path: &str, src: &str) {
         let lexed = lexer::lex(src);
-        let (toks, removed) = strip_cfg_test(lexed.toks);
-        let classes = classify::classify(path);
-        let analysis = rules::analyze(path, &toks, &classes);
+        let reactor_inline = classify::classify(path).contains(&"reactor_inline");
+        let analysis = rules::analyze(path, &lexed.toks, reactor_inline);
         self.findings.extend(analysis.findings);
         self.pairs.extend(analysis.pairs);
-        self.collect_allows(path, &lexed.comments, &toks, &removed);
+        self.check_headers(path, &lexed.toks);
+        self.collect_allows(path, &lexed.comments, &lexed.toks);
     }
 
-    fn collect_allows(
-        &mut self,
-        path: &str,
-        comments: &[Comment],
-        toks: &[Tok],
-        removed: &[(u32, u32)],
-    ) {
-        for c in comments {
-            if removed.iter().any(|&(a, b)| c.line >= a && c.line <= b) {
-                continue; // annotation inside a #[cfg(test)] module
+    /// `class-header`: the map entries whose header file `path` is must
+    /// find each of their classes' headers in it, compared token by
+    /// token so that rustfmt's wrapping does not matter.
+    fn check_headers(&mut self, path: &str, toks: &[Tok]) {
+        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        for entry in MODULE_MAP {
+            if !path.ends_with(&entry.header_file()) {
+                continue;
             }
+            for (class, header) in HEADERS.iter().filter(|(c, _)| entry.classes.contains(c)) {
+                let want: Vec<String> = lexer::lex(header)
+                    .toks
+                    .into_iter()
+                    .map(|t| t.text)
+                    .collect();
+                if !texts.windows(want.len()).any(|w| w == want.as_slice()) {
+                    self.findings.push(Finding {
+                        path: path.to_string(),
+                        line: 1,
+                        rule: CLASS_HEADER,
+                        message: format!(
+                            "MODULE_MAP classifies `{}` as {class}, but the file lacks `{header}`",
+                            entry.pattern
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
+    fn collect_allows(&mut self, path: &str, comments: &[Comment], toks: &[Tok]) {
+        for c in comments {
             let Some(parsed) = parse_annotation(&c.text) else {
                 continue;
             };
@@ -109,7 +130,7 @@ impl Linter {
                 Err(why) => self.findings.push(Finding {
                     path: path.to_string(),
                     line: c.line,
-                    rule: "allow-malformed",
+                    rule: ALLOW_MALFORMED,
                     message: why,
                 }),
             }
@@ -141,7 +162,7 @@ impl Linter {
                     self.findings.push(Finding {
                         path: path.clone(),
                         line: *line,
-                        rule: "lock-order",
+                        rule: LOCK_ORDER,
                         message: format!(
                             "`{y}` acquired while `{x}` is held, but the opposite \
                              order occurs at {opath}:{oline} — deadlock under \
@@ -156,7 +177,7 @@ impl Linter {
         let allows = &mut self.allows;
         let mut kept = Vec::with_capacity(self.findings.len());
         for f in self.findings {
-            if f.rule == "allow-malformed" {
+            if f.rule == ALLOW_MALFORMED {
                 kept.push(f);
                 continue;
             }
@@ -179,7 +200,7 @@ impl Linter {
                 kept.push(Finding {
                     path: a.path.clone(),
                     line: a.line,
-                    rule: "allow-unused",
+                    rule: ALLOW_UNUSED,
                     message: format!(
                         "allow({}) suppresses nothing — delete it or move it to \
                          the offending line",
@@ -197,15 +218,24 @@ impl Linter {
 
 /// Lint a single source text under a virtual path (fixtures, tests).
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    let mut l = Linter::new();
+    let mut l = Linter::default();
     l.check_file(path, src);
     l.finish()
 }
 
-/// Lint every in-scope file under `root` (a workspace checkout).
+/// Lint every in-scope file under `root` (a workspace checkout). A
+/// root that cannot be read, or holds no in-scope file, is an error:
+/// a clean pass over nothing proves nothing.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut linter = Linter::new();
-    for path in walk(root)? {
+    let files = walk(root)?;
+    if files.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            "no `src/**/*.rs` file under the root",
+        ));
+    }
+    let mut linter = Linter::default();
+    for path in files {
         let src = fs::read_to_string(&path)?;
         let rel = path
             .strip_prefix(root)
@@ -221,13 +251,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 /// VCS metadata, and the lint fixture corpus (which is known-bad on
 /// purpose). Sorted for deterministic output — this tool had better
 /// practice what it preaches.
-pub fn walk(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn walk(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let entries = match fs::read_dir(&dir) {
             Ok(e) => e,
-            Err(_) => continue, // unreadable dirs are out of scope
+            Err(e) if dir == root => return Err(e),
+            Err(_) => continue, // unreadable subdirectories are out of scope
         };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -256,37 +287,15 @@ pub fn summarize(findings: &[Finding]) -> String {
     for f in findings {
         *counts.entry(f.rule).or_insert(0) += 1;
     }
-    let width = RULES.iter().map(|r| r.id.len()).max().unwrap_or(0);
+    let width = RULES.iter().map(|r| r.len()).max().unwrap_or(0);
     let mut out = String::new();
     out.push_str(&format!("{:width$}  findings\n", "rule"));
     for r in RULES {
-        out.push_str(&format!(
-            "{:width$}  {}\n",
-            r.id,
-            counts.get(r.id).copied().unwrap_or(0)
-        ));
+        let n = counts.get(r).copied().unwrap_or(0);
+        out.push_str(&format!("{r:width$}  {n}\n"));
     }
     out.push_str(&format!("{:width$}  {}\n", "total", findings.len()));
     out
-}
-
-/// The `--explain` text for one rule.
-pub fn explain(info: &RuleInfo) -> String {
-    format!(
-        "{id} [{family}]\n\n  {summary}\n\noffending:\n{bad}\n\nfix:\n{fix}\n",
-        id = info.id,
-        family = info.family,
-        summary = info.summary,
-        bad = indent(info.bad),
-        fix = indent(info.fix),
-    )
-}
-
-fn indent(s: &str) -> String {
-    s.lines()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Parse a comment body as a dmp-lint annotation.
@@ -323,7 +332,7 @@ fn parse_annotation(text: &str) -> Option<Result<Vec<String>, String>> {
         if id.is_empty() {
             return Some(Err("empty rule id in allow(...)".to_string()));
         }
-        if rules::rule(id).is_none() {
+        if !RULES.contains(&id) {
             return Some(Err(format!("unknown rule id `{id}` in allow(...)")));
         }
         rules_out.push(id.to_string());
@@ -343,88 +352,6 @@ fn parse_annotation(text: &str) -> Option<Result<Vec<String>, String>> {
     Some(Ok(rules_out))
 }
 
-/// Remove `#[cfg(test)]` items (in practice: `mod tests { … }`) from
-/// the token stream. Returns the surviving tokens plus the removed line
-/// spans, so annotations inside test modules are ignored too.
-fn strip_cfg_test(toks: Vec<Tok>) -> (Vec<Tok>, Vec<(u32, u32)>) {
-    let mut keep = Vec::with_capacity(toks.len());
-    let mut removed = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if let Some(end) = cfg_test_item_end(&toks, i) {
-            let first = toks[i].line;
-            let last = toks.get(end - 1).map_or(first, |t| t.line);
-            removed.push((first, last));
-            i = end;
-        } else {
-            keep.push(toks[i].clone());
-            i += 1;
-        }
-    }
-    (keep, removed)
-}
-
-/// If `toks[i]` starts a `#[cfg(test)]`-gated item, return the index
-/// one past its end.
-fn cfg_test_item_end(toks: &[Tok], i: usize) -> Option<usize> {
-    let ident = |j: usize, s: &str| toks.get(j).is_some_and(|t| t.is_ident(s));
-    let punct = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
-    if !(punct(i, '#') && punct(i + 1, '[') && ident(i + 2, "cfg") && punct(i + 3, '(')) {
-        return None;
-    }
-    // Scan the cfg argument list for a bare `test`.
-    let mut j = i + 4;
-    let mut depth = 1;
-    let mut has_test = false;
-    while j < toks.len() && depth > 0 {
-        match &toks[j] {
-            t if t.is_punct('(') => depth += 1,
-            t if t.is_punct(')') => depth -= 1,
-            t if t.is_ident("test") => has_test = true,
-            _ => {}
-        }
-        j += 1;
-    }
-    if !has_test || !punct(j, ']') {
-        return None;
-    }
-    j += 1;
-    // Skip any further attributes on the same item.
-    while punct(j, '#') && punct(j + 1, '[') {
-        let mut bdepth = 0;
-        while j < toks.len() {
-            if toks[j].is_punct('[') {
-                bdepth += 1;
-            } else if toks[j].is_punct(']') {
-                bdepth -= 1;
-                if bdepth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
-    }
-    // The item body: through the matching brace of its first `{`, or to
-    // a top-level `;` for brace-less items (`#[cfg(test)] use …;`).
-    let mut bdepth = 0i32;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('{') {
-            bdepth += 1;
-        } else if t.is_punct('}') {
-            bdepth -= 1;
-            if bdepth == 0 {
-                return Some(j + 1);
-            }
-        } else if t.is_punct(';') && bdepth == 0 {
-            return Some(j + 1);
-        }
-        j += 1;
-    }
-    Some(j)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,27 +360,27 @@ mod tests {
     fn annotation_grammar() {
         assert!(parse_annotation(" just a comment").is_none());
         assert_eq!(
-            parse_annotation(" dmp-lint: allow(det-wall-clock) -- telemetry only"),
-            Some(Ok(vec!["det-wall-clock".to_string()]))
+            parse_annotation(" dmp-lint: allow(lock-order) -- one global order"),
+            Some(Ok(vec!["lock-order".to_string()]))
         );
-        let multi = parse_annotation(" dmp-lint: allow(panic-unwrap, det-float) -- boundary");
+        let multi = parse_annotation(" dmp-lint: allow(lock-order, lock-across-fsync) -- WAL");
         assert_eq!(
             multi,
             Some(Ok(vec![
-                "panic-unwrap".to_string(),
-                "det-float".to_string()
+                "lock-order".to_string(),
+                "lock-across-fsync".to_string()
             ]))
         );
         assert!(matches!(
-            parse_annotation(" dmp-lint: allow(det-wall-clock)"),
+            parse_annotation(" dmp-lint: allow(lock-order)"),
             Some(Err(_))
         ));
         assert!(matches!(
-            parse_annotation(" dmp-lint: allow(no-such-rule) -- x"),
+            parse_annotation(" dmp-lint: allow(det-wall-clock) -- moved to clippy"),
             Some(Err(_))
         ));
         assert!(matches!(
-            parse_annotation(" dmp-lint: allow(det-wall-clock) -- "),
+            parse_annotation(" dmp-lint: allow(lock-order) -- "),
             Some(Err(_))
         ));
         assert!(matches!(
@@ -463,32 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_mod_is_stripped_but_code_before_is_not() {
-        let src = "fn live() { x.unwrap(); }\n\
-                   #[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n";
-        let f = lint_source("crates/service/src/journal.rs", src);
-        let unwraps: Vec<u32> = f
-            .iter()
-            .filter(|f| f.rule == "panic-unwrap")
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(unwraps, [1], "only the non-test unwrap: {f:?}");
-    }
-
-    #[test]
     fn trailing_and_standalone_allows_suppress() {
         let src = "fn f() {\n\
-                   let t = Instant::now(); // dmp-lint: allow(det-wall-clock) -- telemetry\n\
-                   // dmp-lint: allow(det-wall-clock) -- telemetry\n\
-                   let u = Instant::now();\n\
+                   let a = self.ring.lock(); // dmp-lint: allow(lock-reactor-inline) -- copy-out\n\
+                   // dmp-lint: allow(lock-reactor-inline) -- copy-out\n\
+                   let b = self.ring.lock();\n\
                    }\n";
-        let f = lint_source("crates/core/src/arbiter/x.rs", src);
+        let f = lint_source("crates/service/src/reactor.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn unused_allow_is_a_finding() {
-        let src = "// dmp-lint: allow(det-rng) -- nope\nfn f() {}\n";
+        let src = "// dmp-lint: allow(lock-order) -- nope\nfn f() {}\n";
         let f = lint_source("crates/core/src/arbiter/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "allow-unused");
@@ -496,10 +410,26 @@ mod tests {
     }
 
     #[test]
+    fn class_header_matches_tokens_not_lines() {
+        // rustfmt wraps the panic-free header one lint per line.
+        let wrapped = "//! Settlement.\n\n\
+                       #![deny(\n    clippy::unwrap_used,\n    clippy::expect_used,\n    \
+                       clippy::panic,\n    clippy::unreachable,\n    clippy::todo,\n    \
+                       clippy::unimplemented\n)]\n#![deny(clippy::indexing_slicing)]\n";
+        let path = "crates/core/src/arbiter/pipeline/settlement.rs";
+        assert!(lint_source(path, wrapped).is_empty());
+
+        let f = lint_source(path, "#![deny(clippy::indexing_slicing)]\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("class-header", 1));
+        assert!(f[0].message.contains("panic_free"), "{}", f[0].message);
+    }
+
+    #[test]
     fn summary_lists_every_rule_even_clean() {
         let s = summarize(&[]);
         for r in RULES {
-            assert!(s.contains(r.id), "summary missing {}", r.id);
+            assert!(s.contains(r), "summary missing {r}");
         }
         assert!(s.contains("total"));
     }

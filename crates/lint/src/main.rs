@@ -2,7 +2,7 @@
 //! per-rule summary, exit nonzero on any finding.
 //!
 //! ```text
-//! dmp-lint [--deny-all] [--explain <rule>] [--list] [--map] [root]
+//! dmp-lint [--deny-all] [root]
 //! ```
 //!
 //! Deny is the default and only mode; `--deny-all` is accepted so the
@@ -13,41 +13,11 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny-all" => {} // the default; kept for explicit CI invocations
-            "--list" => {
-                for r in dmp_lint::RULES {
-                    println!("{:24}  [{}] {}", r.id, r.family, first_line(r.summary));
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--map" => {
-                for e in dmp_lint::MODULE_MAP {
-                    println!(
-                        "{}\n    classes: {}\n    why: {}",
-                        e.pattern,
-                        e.classes.join(", "),
-                        e.why
-                    );
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--explain" => {
-                let Some(id) = args.next() else {
-                    eprintln!("--explain needs a rule id (see --list)");
-                    return ExitCode::FAILURE;
-                };
-                let Some(info) = dmp_lint::rule(&id) else {
-                    eprintln!("unknown rule `{id}` (see --list)");
-                    return ExitCode::FAILURE;
-                };
-                print!("{}", dmp_lint::explain(info));
-                return ExitCode::SUCCESS;
-            }
             "--help" | "-h" => {
-                println!("usage: dmp-lint [--deny-all] [--explain <rule>] [--list] [--map] [root]");
+                println!("usage: dmp-lint [--deny-all] [root]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => root = PathBuf::from(other),
@@ -61,7 +31,7 @@ fn main() -> ExitCode {
     let findings = match dmp_lint::lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("dmp-lint: cannot walk {}: {e}", root.display());
+            eprintln!("dmp-lint: cannot lint {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
@@ -77,10 +47,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn first_line(s: &str) -> String {
-    // Summaries are wrapped string literals; collapse the whitespace
-    // runs the continuation lines introduce.
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
 }

@@ -1,29 +1,13 @@
-//! The rule engine: walks one file's token stream and emits findings.
-//!
-//! Three families (see README "Correctness tooling"):
-//!
-//! - **determinism** — `det-unordered-collection`, `det-wall-clock`,
-//!   `det-rng`, `det-float`: replay-critical modules must not depend on
-//!   process-seeded iteration order, wall clocks, ambient randomness,
-//!   or (in the float-strict zones) unjustified float arithmetic.
-//! - **lock discipline** — `lock-across-fsync`, `lock-order`,
-//!   `lock-reactor-inline`: every `.lock()` site is recorded; guards
-//!   held across fsync-bearing calls are flagged, pairwise acquisition
-//!   order is checked for inversions workspace-wide, and reactor-inline
-//!   modules may not block on a lock at all.
-//! - **panic hygiene** — `panic-unwrap`, `panic-macro`,
-//!   `panic-indexing`: WAL append, recovery, and settlement paths
-//!   propagate errors; they do not abort mid-critical-section.
-//!
-//! Two meta rules (`allow-unused`, `allow-malformed`) police the
-//! suppression annotations themselves; they are produced by
-//! [`crate::Linter`], not here.
+//! The lock-discipline rules: every `.lock()` site is recorded, guards
+//! held across fsync-bearing calls are flagged, pairwise acquisition
+//! order is checked for inversions workspace-wide, and reactor-inline
+//! modules may not block on a lock at all. The other three rules
+//! ([`CLASS_HEADER`] and the two annotation checks) are produced by
+//! [`crate::Linter`]; clippy carries determinism, float and panic
+//! hygiene (README "Correctness tooling").
 //!
 //! Known approximations, chosen over false negatives:
 //!
-//! - `det-unordered-collection` flags any `HashMap`/`HashSet` mention
-//!   in a replay module, not just iteration — the type's presence is
-//!   the hazard, and keyed-lookup-only uses can say so in an allow.
 //! - Lock tracking recognizes `.lock()` only (the parking_lot shim and
 //!   std). `.read()`/`.write()` collide with `io::Read`/`io::Write`
 //!   too often to match on tokens; the workspace's `RwLock`s live in
@@ -33,7 +17,6 @@
 //!   guards, but a guard smuggled out of a block by value would escape
 //!   the analysis.
 
-use crate::classify::Classes;
 use crate::lexer::{Tok, TokKind};
 
 /// One lint finding at a source location.
@@ -72,152 +55,69 @@ pub struct Analysis {
     pub pairs: Vec<LockPair>,
 }
 
-/// Documentation record for one rule: drives `--explain`, `--list`,
-/// and annotation validation.
-pub struct RuleInfo {
-    pub id: &'static str,
-    pub family: &'static str,
-    pub summary: &'static str,
-    /// Minimal offending snippet.
-    pub bad: &'static str,
-    /// The fix (or the shape of a justified allow).
-    pub fix: &'static str,
-}
+/// A `Mutex` guard is live across an fsync-bearing call (`sync_all`,
+/// `sync_data`, `journal.append`, `write_snapshot`): every other path
+/// on that lock stalls for the disk.
+///
+/// ```text
+/// let mut inner = self.inner.lock();
+/// inner.journal.append(&cmd)?; // fsync inside; lock held ~ms
+/// ```
+///
+/// Move the I/O out of the critical section, or, where the WAL
+/// ordering invariant needs append and apply to be atomic, annotate:
+/// `// dmp-lint: allow(lock-across-fsync) -- WAL invariant: durable-before-visible`.
+pub const LOCK_ACROSS_FSYNC: &str = "lock-across-fsync";
 
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "det-unordered-collection",
-        family: "determinism",
-        summary: "no HashMap/HashSet in replay-critical modules: std's per-process \
-                  hasher seed makes iteration order differ between the run that \
-                  wrote the WAL and the run that replays it",
-        bad: "let mut scores: HashMap<DatasetId, f64> = HashMap::new();\n\
-              for (id, s) in &scores { total += s; } // order differs per process",
-        fix: "use BTreeMap/BTreeSet (deterministic order), or sort before \
-              draining; keyed-lookup-only uses may annotate:\n\
-              // dmp-lint: allow(det-unordered-collection) -- never iterated, lookups only",
-    },
-    RuleInfo {
-        id: "det-wall-clock",
-        family: "determinism",
-        summary: "no Instant::now/SystemTime::now in replay-critical modules: \
-                  wall-clock reads differ on replay, so any value derived from \
-                  them diverges the rebuilt state",
-        bad: "let deadline = Instant::now() + ttl; // replay sees a different now",
-        fix: "thread logical time (round number, command seq) through instead; \
-              pure latency telemetry may annotate:\n\
-              // dmp-lint: allow(det-wall-clock) -- latency telemetry only, never applied state",
-    },
-    RuleInfo {
-        id: "det-rng",
-        family: "determinism",
-        summary: "no ambient randomness (thread_rng/from_entropy/rand::random) in \
-                  replay-critical modules: entropy draws cannot be replayed",
-        bad: "let jitter = rand::thread_rng().gen_range(0..10);",
-        fix: "derive a seeded stream from replayed state, as the candidate stage \
-              does: StdRng::seed_from_u64(round_seed ^ offer_id)",
-    },
-    RuleInfo {
-        id: "det-float",
-        family: "determinism",
-        summary: "no float literals or `as f64`/`as f32` casts in float-strict \
-                  zones (ledger, WAL framing): float accumulation is \
-                  order-sensitive and conservation must be exact",
-        bad: "balance += amount * 0.95; // drifts; order-dependent",
-        fix: "keep integer micro-credits; boundary conversions annotate with the \
-              exactness argument:\n\
-              // dmp-lint: allow(det-float) -- u32 seq is exact in f64 (< 2^53)",
-    },
-    RuleInfo {
-        id: "lock-across-fsync",
-        family: "lock-discipline",
-        summary: "a Mutex guard is live across an fsync-bearing call (sync_all, \
-                  sync_data, journal.append, write_snapshot): every other path \
-                  on that lock stalls for the disk",
-        bad: "let mut inner = self.inner.lock();\n\
-              inner.journal.append(&cmd)?; // fsync inside; lock held ~ms",
-        fix: "move the I/O outside the critical section, or — where the WAL \
-              ordering invariant requires append+apply to be atomic — annotate:\n\
-              // dmp-lint: allow(lock-across-fsync) -- WAL invariant: durable-before-visible",
-    },
-    RuleInfo {
-        id: "lock-order",
-        family: "lock-discipline",
-        summary: "two locks are acquired in opposite orders at different sites; \
-                  under concurrency that is a deadlock waiting for its interleaving",
-        bad: "fn a() { let _l = licenses.lock(); let _h = holds.lock(); }\n\
-              fn b() { let _h = holds.lock(); let _l = licenses.lock(); }",
-        fix: "pick one global order (the workspace uses: licenses before \
-              exclusive_holds before ci_policies; escrows before accounts) and \
-              restructure the outlier",
-    },
-    RuleInfo {
-        id: "lock-reactor-inline",
-        family: "lock-discipline",
-        summary: "a blocking .lock() in a reactor-inline module: one thread owns \
-                  every connection, so blocking it stalls the whole gateway",
-        bad: "fn handle_metrics(&self) -> String { self.entries.lock().render() }",
-        fix: "use try_lock with a lossy fallback (as the trace ring does), or \
-              annotate with the bounded-hold argument:\n\
-              // dmp-lint: allow(lock-reactor-inline) -- held for a snapshot copy only",
-    },
-    RuleInfo {
-        id: "panic-unwrap",
-        family: "panic-hygiene",
-        summary: "no .unwrap()/.expect() in WAL append, recovery, or settlement \
-                  paths: a panic mid-critical-section poisons state that error \
-                  propagation would have left recoverable",
-        bad: "let crc = bytes[pos..pos + 4].try_into().unwrap();",
-        fix: "propagate: bytes.get(pos..pos + 4).and_then(|s| s.try_into().ok())\n\
-              .ok_or_else(|| io::Error::new(InvalidData, \"torn frame\"))?",
-    },
-    RuleInfo {
-        id: "panic-macro",
-        family: "panic-hygiene",
-        summary: "no panic!/unreachable!/todo!/unimplemented! in panic-free \
-                  modules: aborting the apply thread mid-settlement strands escrow",
-        bad: "None => panic!(\"escrow {id} missing\"),",
-        fix: "return an error the caller can journal and surface: \
-              None => return Err(MarketError::UnknownEscrow(id)),",
-    },
-    RuleInfo {
-        id: "panic-indexing",
-        family: "panic-hygiene",
-        summary: "no [] indexing in panic-free modules: a slice index is an \
-                  invisible panic site; recovery code especially sees arbitrary \
-                  on-disk garbage",
-        bad: "let header = &bytes[pos..pos + 8]; // torn tail => panic",
-        fix: "use .get(..) and propagate, or annotate with the bounds argument:\n\
-              // dmp-lint: allow(panic-indexing) -- index reduced mod shards.len() above",
-    },
-    RuleInfo {
-        id: "allow-unused",
-        family: "meta",
-        summary: "a dmp-lint allow annotation suppressed nothing; stale allows \
-                  hide future regressions at that site",
-        bad: "// dmp-lint: allow(det-wall-clock) -- telemetry\nlet x = 1; // no finding here",
-        fix: "delete the annotation (or move it to the line it was meant for)",
-    },
-    RuleInfo {
-        id: "allow-malformed",
-        family: "meta",
-        summary: "a dmp-lint annotation that does not parse, names an unknown \
-                  rule, or omits the mandatory `-- <reason>`",
-        bad: "// dmp-lint: allow(det-wall-clock)   (no reason given)",
-        fix: "write: // dmp-lint: allow(<rule>[, <rule>]) -- <why this is sound>",
-    },
-];
+/// Two locks are taken in opposite orders at different sites: under
+/// concurrency, a deadlock waiting for its interleaving.
+///
+/// ```text
+/// fn a() { let _l = licenses.lock(); let _h = holds.lock(); }
+/// fn b() { let _h = holds.lock(); let _l = licenses.lock(); }
+/// ```
+///
+/// Keep the one global order (licenses before exclusive_holds before
+/// ci_policies; escrows before accounts) and restructure the outlier.
+pub const LOCK_ORDER: &str = "lock-order";
 
-/// Look up a rule by id.
-pub fn rule(id: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.id == id)
-}
+/// A blocking `.lock()` in a reactor-inline module: one thread owns
+/// every connection, so blocking it stalls the whole gateway.
+///
+/// ```text
+/// fn handle_metrics(&self) -> String { self.entries.lock().render() }
+/// ```
+///
+/// Use `try_lock` with a lossy fallback (as the trace ring's writers
+/// do), or annotate with the bounded-hold argument:
+/// `// dmp-lint: allow(lock-reactor-inline) -- held for a snapshot copy only`.
+pub const LOCK_REACTOR_INLINE: &str = "lock-reactor-inline";
 
-/// Keywords that can directly precede `[` without forming an index
-/// expression (array literals, slice patterns, `&mut [T]`, …).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "return", "break", "else", "match", "loop", "move", "const",
-    "static", "use", "pub", "as", "dyn", "where", "if", "while", "for", "unsafe", "box",
+/// A [`MODULE_MAP`](crate::MODULE_MAP) entry's file (or `mod.rs`, for
+/// a directory entry) lacks the `#![deny(clippy::…)]` header of one of
+/// its classes ([`HEADERS`](crate::classify::HEADERS)), so clippy no
+/// longer checks what the map says it does. Add the header, or take
+/// the class out of the map in the same change.
+pub const CLASS_HEADER: &str = "class-header";
+
+/// A `// dmp-lint: allow(…)` annotation suppressed nothing; a stale
+/// allow hides a future regression at that site. Delete it, or move
+/// it to the line it was meant for.
+pub const ALLOW_UNUSED: &str = "allow-unused";
+
+/// A `// dmp-lint:` annotation that does not parse, names an unknown
+/// rule, or omits the mandatory `-- <reason>`. Write
+/// `// dmp-lint: allow(<rule>[, <rule>]) -- <why this is sound>`.
+pub const ALLOW_MALFORMED: &str = "allow-malformed";
+
+/// Every rule id, in the order the findings table prints them.
+pub const RULES: &[&str] = &[
+    LOCK_ACROSS_FSYNC,
+    LOCK_ORDER,
+    LOCK_REACTOR_INLINE,
+    CLASS_HEADER,
+    ALLOW_UNUSED,
+    ALLOW_MALFORMED,
 ];
 
 /// A live lock guard.
@@ -234,8 +134,9 @@ struct Guard {
     temp: bool,
 }
 
-/// Analyze one file's (test-stripped) token stream.
-pub fn analyze(path: &str, toks: &[Tok], classes: &Classes) -> Analysis {
+/// Analyze one file's token stream. `reactor_inline`: the file is in
+/// that class of [`MODULE_MAP`](crate::MODULE_MAP).
+pub fn analyze(path: &str, toks: &[Tok], reactor_inline: bool) -> Analysis {
     let mut out = Analysis::default();
     let mut depth: i32 = 0;
     let mut guards: Vec<Guard> = Vec::new();
@@ -301,72 +202,6 @@ pub fn analyze(path: &str, toks: &[Tok], classes: &Classes) -> Analysis {
             }
         }
 
-        // --- determinism ---------------------------------------------
-        if classes.replay && t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "HashMap" | "HashSet" => push(
-                    &mut out,
-                    "det-unordered-collection",
-                    line,
-                    format!(
-                        "{} in a replay-critical module: iteration order is \
-                         per-process, so replay diverges",
-                        t.text
-                    ),
-                ),
-                "Instant" | "SystemTime"
-                    if punct(i + 1, ':') && punct(i + 2, ':') && ident(i + 3) == Some("now") =>
-                {
-                    push(
-                        &mut out,
-                        "det-wall-clock",
-                        line,
-                        format!("{}::now() in a replay-critical module", t.text),
-                    )
-                }
-                "thread_rng" | "from_entropy" => push(
-                    &mut out,
-                    "det-rng",
-                    line,
-                    format!("ambient randomness ({}) cannot be replayed", t.text),
-                ),
-                "random"
-                    if i >= 3
-                        && punct(i - 1, ':')
-                        && punct(i - 2, ':')
-                        && ident(i - 3) == Some("rand") =>
-                {
-                    push(
-                        &mut out,
-                        "det-rng",
-                        line,
-                        "rand::random() draws from the thread RNG".to_string(),
-                    )
-                }
-                _ => {}
-            }
-        }
-        if classes.float_strict {
-            if t.kind == TokKind::Float {
-                push(
-                    &mut out,
-                    "det-float",
-                    line,
-                    format!("float literal `{}` in a float-strict zone", t.text),
-                );
-            }
-            if t.is_ident("as") {
-                if let Some(ty @ ("f64" | "f32")) = ident(i + 1) {
-                    push(
-                        &mut out,
-                        "det-float",
-                        line,
-                        format!("`as {ty}` cast in a float-strict zone"),
-                    );
-                }
-            }
-        }
-
         // --- lock discipline -----------------------------------------
         let is_lock_call = t.is_ident("lock")
             && i > 0
@@ -407,10 +242,10 @@ pub fn analyze(path: &str, toks: &[Tok], classes: &Classes) -> Analysis {
                 }
             }
             let binds_guard = pending_let.is_some() && punct(j, ';');
-            if classes.reactor_inline {
+            if reactor_inline {
                 push(
                     &mut out,
-                    "lock-reactor-inline",
+                    LOCK_REACTOR_INLINE,
                     line,
                     format!(
                         "blocking `.lock()` on `{receiver}` in a reactor-inline \
@@ -455,51 +290,13 @@ pub fn analyze(path: &str, toks: &[Tok], classes: &Classes) -> Analysis {
                 let held: Vec<&str> = guards.iter().map(|g| g.receiver.as_str()).collect();
                 push(
                     &mut out,
-                    "lock-across-fsync",
+                    LOCK_ACROSS_FSYNC,
                     line,
                     format!(
                         "`{m}` (fsync-bearing) while holding lock(s) on {}: the \
                          disk write serializes every waiter",
                         held.join(", ")
                     ),
-                );
-            }
-        }
-
-        // --- panic hygiene -------------------------------------------
-        if classes.panic_free && t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "unwrap" | "expect" if i > 0 && punct(i - 1, '.') => push(
-                    &mut out,
-                    "panic-unwrap",
-                    line,
-                    format!(".{}() in a panic-free module: propagate instead", t.text),
-                ),
-                "panic" | "unreachable" | "todo" | "unimplemented" if punct(i + 1, '!') => push(
-                    &mut out,
-                    "panic-macro",
-                    line,
-                    format!(
-                        "{}! in a panic-free module: return an error instead",
-                        t.text
-                    ),
-                ),
-                _ => {}
-            }
-        }
-        if classes.no_index && t.is_punct('[') && i > 0 {
-            let prev = &toks[i - 1];
-            let indexes = match prev.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                TokKind::Punct => prev.is_punct(']') || prev.is_punct(')'),
-                _ => false,
-            };
-            if indexes {
-                push(
-                    &mut out,
-                    "panic-indexing",
-                    line,
-                    "[] indexing in a panic-free module: use .get(..) and propagate".to_string(),
                 );
             }
         }

@@ -1,17 +1,13 @@
 //! Fixture corpus: one known-bad and one known-good (or
-//! allow-annotated) file per rule, pinned to exact finding counts, rule
-//! ids, and line numbers. The fixtures live under `tests/fixtures/` —
-//! a directory the workspace walker skips by name — and are linted
-//! under *virtual* paths chosen to exercise the module classes each
-//! rule is gated on. They are lint subjects, not compile targets.
+//! allow-annotated) file per dmp-lint rule, pinned to exact finding
+//! counts, rule ids, and line numbers. The fixtures live under
+//! `tests/fixtures/` — a directory the workspace walker skips by name —
+//! and are linted under *virtual* paths chosen to exercise the module
+//! class each rule is gated on. They are lint subjects, not compile
+//! targets. (`fixtures/clippy/` is the one that compiles: CI's clippy
+//! step checks that the class headers fire.)
 
 use dmp_lint::{lint_source, Finding};
-
-/// Lint `fixtures/<rule>/<which>.rs` as if it lived at `virtual_path`.
-fn run(rule_dir: &str, which: &str, virtual_path: &str, src: &str) -> Vec<Finding> {
-    let _ = (rule_dir, which); // names kept in the call sites for readability
-    lint_source(virtual_path, src)
-}
 
 /// Assert the findings are exactly `(rule, line)` in order.
 fn assert_findings(findings: &[Finding], expected: &[(&str, u32)]) {
@@ -28,122 +24,14 @@ fn assert_findings(findings: &[Finding], expected: &[(&str, u32)]) {
     );
 }
 
-// Virtual paths per module class (see dmp_lint::classify::MODULE_MAP):
-// replay-critical, float-strict, panic-free + no-index, reactor-inline,
+// Virtual paths (see dmp_lint::MODULE_MAP): the reactor-inline class,
 // and an unclassified path for the globally-enforced lock rules.
-const REPLAY: &str = "crates/core/src/market.rs";
-const FLOAT_STRICT: &str = "crates/core/src/arbiter/ledger.rs";
-const PANIC_FREE: &str = "crates/core/src/arbiter/pipeline/settlement.rs";
 const REACTOR: &str = "crates/service/src/reactor.rs";
 const UNCLASSIFIED: &str = "crates/anywhere/src/helper.rs";
 
 #[test]
-fn det_unordered_collection_fires() {
-    let f = run(
-        "det-unordered-collection",
-        "bad",
-        REPLAY,
-        include_str!("fixtures/det-unordered-collection/bad.rs"),
-    );
-    assert_findings(
-        &f,
-        &[
-            ("det-unordered-collection", 1), // use std::collections::HashMap
-            ("det-unordered-collection", 6), // type annotation
-            ("det-unordered-collection", 6), // HashMap::new()
-        ],
-    );
-}
-
-#[test]
-fn det_unordered_collection_clean_with_allows() {
-    let f = run(
-        "det-unordered-collection",
-        "good",
-        REPLAY,
-        include_str!("fixtures/det-unordered-collection/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
-fn det_wall_clock_fires() {
-    let f = run(
-        "det-wall-clock",
-        "bad",
-        REPLAY,
-        include_str!("fixtures/det-wall-clock/bad.rs"),
-    );
-    assert_findings(&f, &[("det-wall-clock", 4), ("det-wall-clock", 5)]);
-}
-
-#[test]
-fn det_wall_clock_clean_with_allow() {
-    let f = run(
-        "det-wall-clock",
-        "good",
-        REPLAY,
-        include_str!("fixtures/det-wall-clock/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
-fn det_rng_fires() {
-    let f = run(
-        "det-rng",
-        "bad",
-        REPLAY,
-        include_str!("fixtures/det-rng/bad.rs"),
-    );
-    assert_findings(&f, &[("det-rng", 2), ("det-rng", 3), ("det-rng", 4)]);
-}
-
-#[test]
-fn det_rng_seeded_stream_is_clean() {
-    let f = run(
-        "det-rng",
-        "good",
-        REPLAY,
-        include_str!("fixtures/det-rng/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
-fn det_float_fires() {
-    let f = run(
-        "det-float",
-        "bad",
-        FLOAT_STRICT,
-        include_str!("fixtures/det-float/bad.rs"),
-    );
-    assert_findings(
-        &f,
-        &[
-            ("det-float", 2), // as f64
-            ("det-float", 2), // as f64 again
-            ("det-float", 3), // 0.95 literal
-        ],
-    );
-}
-
-#[test]
-fn det_float_integer_micros_is_clean() {
-    let f = run(
-        "det-float",
-        "good",
-        FLOAT_STRICT,
-        include_str!("fixtures/det-float/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
 fn lock_across_fsync_fires() {
-    let f = run(
-        "lock-across-fsync",
-        "bad",
+    let f = lint_source(
         UNCLASSIFIED,
         include_str!("fixtures/lock-across-fsync/bad.rs"),
     );
@@ -152,9 +40,7 @@ fn lock_across_fsync_fires() {
 
 #[test]
 fn lock_across_fsync_scoped_guard_is_clean() {
-    let f = run(
-        "lock-across-fsync",
-        "good",
+    let f = lint_source(
         UNCLASSIFIED,
         include_str!("fixtures/lock-across-fsync/good.rs"),
     );
@@ -163,12 +49,7 @@ fn lock_across_fsync_scoped_guard_is_clean() {
 
 #[test]
 fn lock_order_inversion_fires() {
-    let f = run(
-        "lock-order",
-        "bad",
-        UNCLASSIFIED,
-        include_str!("fixtures/lock-order/bad.rs"),
-    );
+    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/lock-order/bad.rs"));
     assert_eq!(f.len(), 2, "one finding per direction of the inversion");
     assert!(f.iter().all(|x| x.rule == "lock-order"));
     let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
@@ -177,31 +58,19 @@ fn lock_order_inversion_fires() {
 
 #[test]
 fn lock_order_consistent_order_is_clean() {
-    let f = run(
-        "lock-order",
-        "good",
-        UNCLASSIFIED,
-        include_str!("fixtures/lock-order/good.rs"),
-    );
+    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/lock-order/good.rs"));
     assert_findings(&f, &[]);
 }
 
 #[test]
 fn lock_reactor_inline_fires() {
-    let f = run(
-        "lock-reactor-inline",
-        "bad",
-        REACTOR,
-        include_str!("fixtures/lock-reactor-inline/bad.rs"),
-    );
+    let f = lint_source(REACTOR, include_str!("fixtures/lock-reactor-inline/bad.rs"));
     assert_findings(&f, &[("lock-reactor-inline", 2)]);
 }
 
 #[test]
 fn lock_reactor_inline_try_lock_is_clean() {
-    let f = run(
-        "lock-reactor-inline",
-        "good",
+    let f = lint_source(
         REACTOR,
         include_str!("fixtures/lock-reactor-inline/good.rs"),
     );
@@ -209,106 +78,20 @@ fn lock_reactor_inline_try_lock_is_clean() {
 }
 
 #[test]
-fn panic_unwrap_fires() {
-    let f = run(
-        "panic-unwrap",
-        "bad",
-        PANIC_FREE,
-        include_str!("fixtures/panic-unwrap/bad.rs"),
-    );
-    assert_findings(&f, &[("panic-unwrap", 2), ("panic-unwrap", 2)]);
-}
-
-#[test]
-fn panic_unwrap_propagation_is_clean() {
-    let f = run(
-        "panic-unwrap",
-        "good",
-        PANIC_FREE,
-        include_str!("fixtures/panic-unwrap/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
-fn panic_macro_fires() {
-    let f = run(
-        "panic-macro",
-        "bad",
-        PANIC_FREE,
-        include_str!("fixtures/panic-macro/bad.rs"),
-    );
-    assert_findings(&f, &[("panic-macro", 4), ("panic-macro", 5)]);
-}
-
-#[test]
-fn panic_macro_error_return_is_clean() {
-    let f = run(
-        "panic-macro",
-        "good",
-        PANIC_FREE,
-        include_str!("fixtures/panic-macro/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
-fn panic_indexing_fires() {
-    let f = run(
-        "panic-indexing",
-        "bad",
-        PANIC_FREE,
-        include_str!("fixtures/panic-indexing/bad.rs"),
-    );
-    assert_findings(
-        &f,
-        &[
-            ("panic-indexing", 2),
-            ("panic-indexing", 3),
-            ("panic-indexing", 4),
-            ("panic-indexing", 5),
-        ],
-    );
-}
-
-#[test]
-fn panic_indexing_get_and_audited_allow_is_clean() {
-    let f = run(
-        "panic-indexing",
-        "good",
-        PANIC_FREE,
-        include_str!("fixtures/panic-indexing/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
 fn allow_unused_fires_on_stale_annotation() {
-    let f = run(
-        "allow-unused",
-        "bad",
-        UNCLASSIFIED,
-        include_str!("fixtures/allow-unused/bad.rs"),
-    );
+    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/allow-unused/bad.rs"));
     assert_findings(&f, &[("allow-unused", 1)]);
 }
 
 #[test]
 fn allow_unused_absent_when_no_annotations() {
-    let f = run(
-        "allow-unused",
-        "good",
-        UNCLASSIFIED,
-        include_str!("fixtures/allow-unused/good.rs"),
-    );
+    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/allow-unused/good.rs"));
     assert_findings(&f, &[]);
 }
 
 #[test]
 fn allow_malformed_fires() {
-    let f = run(
-        "allow-malformed",
-        "bad",
+    let f = lint_source(
         UNCLASSIFIED,
         include_str!("fixtures/allow-malformed/bad.rs"),
     );
@@ -324,11 +107,6 @@ fn allow_malformed_fires() {
 
 #[test]
 fn allow_well_formed_and_used_is_clean() {
-    let f = run(
-        "allow-malformed",
-        "good",
-        REPLAY,
-        include_str!("fixtures/allow-malformed/good.rs"),
-    );
+    let f = lint_source(REACTOR, include_str!("fixtures/allow-malformed/good.rs"));
     assert_findings(&f, &[]);
 }

@@ -1,6 +1,6 @@
-// dmp-lint: allow(det-wall-clock)
+// dmp-lint: allow(lock-order)
 pub fn a() {}
 // dmp-lint: allow(no-such-rule) -- the rule id is misspelled
 pub fn b() {}
-// dmp-lint: deny(det-rng) -- only allow(...) exists
+// dmp-lint: deny(lock-order) -- only allow(...) exists
 pub fn c() {}

@@ -1,5 +1,5 @@
-pub fn observe() {
-    // dmp-lint: allow(det-wall-clock) -- latency telemetry only, never applied state
-    let started = Instant::now();
-    let _ = started;
+pub fn trace_body(&self) -> String {
+    // dmp-lint: allow(lock-reactor-inline) -- held for a snapshot copy only; writers never block holding it
+    let ring = self.ring.lock();
+    ring.snapshot()
 }

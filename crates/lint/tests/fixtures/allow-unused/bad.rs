@@ -1,4 +1,4 @@
-// dmp-lint: allow(det-wall-clock) -- stale: the Instant::now this covered was removed
-pub fn logical_time(round: u64) -> u64 {
-    round
+// dmp-lint: allow(lock-across-fsync) -- stale: the fsync this covered moved out of the lock
+pub fn apply(&self, cmd: Command) -> u64 {
+    self.inner.lock().stage(&cmd)
 }

@@ -1,3 +1,3 @@
-pub fn logical_time(round: u64) -> u64 {
-    round
+pub fn apply(&self, cmd: Command) -> u64 {
+    self.inner.lock().stage(&cmd)
 }

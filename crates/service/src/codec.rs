@@ -15,6 +15,18 @@
 //! * decoding is total: every defect (missing field, bad integer,
 //!   unknown tag, version skew) is a [`WireError`], never a panic.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use dmp_core::arbiter::mashup_builder::BuiltMashup;
 use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;

@@ -8,6 +8,8 @@
 //! balances, offer book and allocations — that determinism is what the
 //! crash-recovery tests pin down.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use dmp_core::license::License;
 use dmp_mechanism::wtp::{IntrinsicConstraints, PriceCurve, TaskKind, WtpFunction};
 use dmp_relation::{DataType, Relation, RelationBuilder, Value};

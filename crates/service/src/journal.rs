@@ -18,6 +18,18 @@
 //! last intact record, and returns every valid `(seq, Command)` for
 //! replay.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -28,6 +40,10 @@ use crate::metrics::metrics;
 use crate::wire::Json;
 
 /// One step of the reflected CRC-32 (IEEE 802.3) per byte value.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated; byte < 256 is the loop condition"
+)]
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut byte = 0;
@@ -38,7 +54,6 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        // dmp-lint: allow(panic-indexing) -- const-evaluated; byte < 256 is the loop condition
         table[byte] = crc;
         byte += 1;
     }
@@ -47,10 +62,10 @@ const CRC_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte slice, a table lookup per
 /// byte: snapshot sections run to megabytes.
+#[expect(clippy::indexing_slicing, reason = "a u8 indexes a 256-entry table")]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;
     for &b in bytes {
-        // dmp-lint: allow(panic-indexing) -- a u8 indexes a 256-entry table
         crc = CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     !crc
@@ -227,7 +242,10 @@ impl Journal {
                  file may end in a torn frame; reopen the journal to truncate and resume",
             ));
         }
-        // dmp-lint: allow(det-float) -- JSON wire carries seq as f64; the round-trip decode below refuses any seq that does not survive exactly
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "JSON wire carries seq as f64; the round-trip decode below refuses any seq that does not survive exactly"
+        )]
         let record = Json::obj([("seq", Json::Num(seq as f64)), ("cmd", cmd.encode())]);
         let mut buf = Vec::new();
         frame_json(&record, &mut buf)?;
@@ -242,14 +260,21 @@ impl Journal {
             }
         }
         let m = metrics();
-        let started = Instant::now(); // dmp-lint: allow(det-wall-clock) -- append latency telemetry; never journaled or applied
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "append latency telemetry; never journaled or applied"
+        )]
+        let started = Instant::now();
         let result = self
             .file
             .write_all(&buf)
             .and_then(|()| self.file.flush())
             .and_then(|()| {
                 if self.fsync {
-                    // dmp-lint: allow(det-wall-clock) -- fsync latency telemetry; never journaled or applied
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "fsync latency telemetry; never journaled or applied"
+                    )]
                     let sync_started = Instant::now();
                     let r = self.file.sync_data();
                     m.journal_fsync_us

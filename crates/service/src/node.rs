@@ -18,6 +18,17 @@
 //! prefix is only ever dropped *after* a snapshot covering it has been
 //! read back from disk and digest-verified (`keep_snapshots > 0`).
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -262,7 +273,10 @@ impl ServiceNode {
             log!(Info, "removed stale journal.compact left by a crash");
         }
 
-        // dmp-lint: allow(det-wall-clock) -- recovery-duration telemetry; replay state never reads it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "recovery-duration telemetry; replay state never reads it"
+        )]
         let recovery_started = Instant::now();
         let journal_path = cfg.dir.join("journal.wal");
         let (journal, journal_records) = Journal::open(&journal_path, cfg.fsync)?;
@@ -360,7 +374,10 @@ impl ServiceNode {
             router,
             inner: Mutex::new(NodeInner { journal }),
             applied: AtomicU64::new(applied),
-            // dmp-lint: allow(det-wall-clock) -- /health uptime display; presentation, never state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "/health uptime display; presentation, never state"
+            )]
             started: Instant::now(),
             health_cache: Mutex::new((u64::MAX, u64::MAX, u64::MAX, String::new())),
             follower: Mutex::new(None),
@@ -378,7 +395,10 @@ impl ServiceNode {
     pub fn apply(&self, cmd: Command) -> Result<Outcome, ServiceError> {
         let m = metrics();
         let apply_hist = m.apply_us(&cmd);
-        // dmp-lint: allow(det-wall-clock) -- apply latency telemetry; never applied state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "apply latency telemetry; never applied state"
+        )]
         let apply_started = Instant::now();
         let mut inner = self.inner.lock();
         let seq = self.applied.load(Ordering::Relaxed) + 1;
@@ -412,7 +432,10 @@ impl ServiceNode {
     /// One checkpoint at `seq`, timed whole: it runs under the apply
     /// lock, so its duration is how long every applier stalled.
     fn checkpoint(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
-        // dmp-lint: allow(det-wall-clock) -- checkpoint-stall telemetry; never applied state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checkpoint-stall telemetry; never applied state"
+        )]
         let started = Instant::now();
         let result = self.checkpoint_steps(inner, seq);
         metrics()
@@ -439,7 +462,10 @@ impl ServiceNode {
             digest: state.digest(),
             state,
         };
-        // dmp-lint: allow(det-wall-clock) -- snapshot-write telemetry; never applied state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot-write telemetry; never applied state"
+        )]
         let write_started = Instant::now();
         let path = match snapshot::write_snapshot(&self.cfg.dir, &snap) {
             Ok(path) => {
@@ -464,7 +490,10 @@ impl ServiceNode {
         // Verified-durable gate: re-read the file we just renamed into
         // place and prove the *on-disk bytes* decode to an equivalent
         // state. Only then is the journal prefix redundant.
-        // dmp-lint: allow(det-wall-clock) -- snapshot-verify telemetry; never applied state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot-verify telemetry; never applied state"
+        )]
         let verify_started = Instant::now();
         let verified = snapshot::load_file(&path)
             .ok_or_else(|| "reread failed".to_string())

@@ -27,6 +27,17 @@
 //! 1-shard market for the same command stream (pinned by the
 //! `shard_equivalence` test suite).
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::sync::Arc;
 
 use dmp_core::arbiter::pipeline::{self, CandidatePhaseExport, RoundContext};
@@ -348,8 +359,11 @@ impl ShardRouter {
     /// non-empty by construction and every internal index is either 0
     /// or comes from [`ShardRouter::shard_of`], which reduces modulo
     /// `shards.len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shards is non-empty by construction; indices are 0 or shard_of results, reduced mod shards.len()"
+    )]
     fn market_at(&self, shard: usize) -> &DataMarket {
-        // dmp-lint: allow(panic-indexing) -- shards is non-empty by construction; indices are 0 or shard_of results, reduced mod shards.len()
         &self.shards[shard]
     }
 
@@ -482,7 +496,10 @@ impl ShardRouter {
         // otherwise. Both paths produce identical contexts: the export
         // carries everything the candidate stage computed, and expiry
         // (a pure function of the local offer book) re-runs on import.
-        // dmp-lint: allow(det-wall-clock) -- per-phase latency telemetry; never read into round state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-phase latency telemetry; never read into round state"
+        )]
         let phase_started = std::time::Instant::now();
         let remote = distributor
             .as_ref()
@@ -506,7 +523,10 @@ impl ShardRouter {
         // Phase 2: one global clearing pass over all shards' bids. The
         // bids move out of the contexts by value — settlement only
         // needs the winning mashups, which stay behind.
-        // dmp-lint: allow(det-wall-clock) -- per-phase latency telemetry; never read into round state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-phase latency telemetry; never read into round state"
+        )]
         let phase_started = std::time::Instant::now();
         let sales = self.clear_round(&mut ctxs);
         m.round_phase_us(1)
@@ -535,7 +555,10 @@ impl ShardRouter {
     /// [`ShardRouter::clear_round`] returns them.
     pub fn finish_round(&self, mut ctxs: Vec<RoundContext>, sales: Vec<Sale>) -> MergedRoundReport {
         let m = crate::metrics::metrics();
-        // dmp-lint: allow(det-wall-clock) -- per-phase latency telemetry; never read into round state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-phase latency telemetry; never read into round state"
+        )]
         let phase_started = std::time::Instant::now();
         let components =
             pipeline::settle(&self.shards, &mut ctxs, sales, |buyer| self.shard_of(buyer));
@@ -563,7 +586,10 @@ impl ShardRouter {
         }
         m.round_phase_us(2)
             .record_duration_us(phase_started.elapsed());
-        // dmp-lint: allow(det-wall-clock) -- per-phase latency telemetry; never read into round state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-phase latency telemetry; never read into round state"
+        )]
         let phase_started = std::time::Instant::now();
         let reports: Vec<RoundReport> = ctxs
             .into_iter()

@@ -25,6 +25,18 @@
 //! open; superseded snapshots are pruned under the node's retention
 //! knob once a newer snapshot is verified durable.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};

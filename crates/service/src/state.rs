@@ -22,6 +22,18 @@
 //! to a [`WireError`] and recovery falls back to the previous snapshot
 //! or full journal replay.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
+
 use std::sync::Arc;
 
 use dmp_core::arbiter::ledger::{EscrowImage, LedgerImage};

@@ -7,8 +7,8 @@
 //! Parsing is linear in the document: UTF-8 is validated once (by the
 //! caller's `&str`, or by [`Json::parse_bytes`] for bytes off a disk or
 //! a socket) and strings are copied a run at a time. This is the first
-//! decoder every outside byte meets, so it is panic-free and
-//! index-free under `dmp-lint`; `tests/wire_parser.rs` holds the
+//! decoder every outside byte meets, so clippy holds it panic-free and
+//! index-free (the headers below); `tests/wire_parser.rs` holds the
 //! hostile-input, scaling and golden-file suites.
 //!
 //! Canonical form: objects keep insertion order, numbers serialize via
@@ -16,6 +16,17 @@
 //! are rejected at encode time (JSON has no NaN/Infinity). `dump ∘
 //! parse` is the identity on every value this module can produce; the
 //! property suite in `tests/wire_props.rs` pins that down.
+
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::indexing_slicing)]
 
 use std::fmt::{self, Write as _};
 
@@ -157,9 +168,12 @@ impl Json {
 
     /// Serialize to a compact JSON string. Panics on non-finite numbers
     /// (the codec never produces them; see [`Json::try_dump`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side, not a decoder: every caller that can hold a non-finite number (journal append, snapshot write) goes through try_dump/dump_into"
+    )]
     pub fn dump(&self) -> String {
         self.try_dump()
-            // dmp-lint: allow(panic-unwrap) -- encode side, not a decoder: every caller that can hold a non-finite number (journal append, snapshot write) goes through try_dump/dump_into
             .expect("non-finite number cannot be serialized to JSON")
     }
 

@@ -27,6 +27,16 @@
 //! diverged replica must fail fast and be re-provisioned, never settle
 //! a round from the wrong state.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -38,7 +38,10 @@ pub fn ridge_fit(xs: &[Vec<f64>], ys: &[f64], lambda: f64) -> Option<Vec<f64>> {
         row[i] += lambda;
     }
     // Gaussian elimination with partial pivoting.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "elimination reads and writes rows col, pivot and r of the same matrix"
+    )]
     for col in 0..d {
         let pivot = (col..d).max_by(|&r1, &r2| a[r1][col].abs().total_cmp(&a[r2][col].abs()))?;
         if a[pivot][col].abs() < 1e-12 {

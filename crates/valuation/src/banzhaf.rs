@@ -46,7 +46,10 @@ pub fn monte_carlo_banzhaf(
         return vec![0.0; n];
     }
     let mut beta = vec![0.0f64; n];
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "i is both the slot of beta and the player bit in the sampled mask"
+    )]
     for i in 0..n {
         for _ in 0..samples {
             let mut mask: u64 = rng.gen::<u64>() & (((1u128 << n) - 1) as u64);

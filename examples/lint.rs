@@ -1,6 +1,5 @@
-//! Tour of the dmp-lint rulebook: every rule, the invariant it guards,
-//! an offending snippet, and the fix — then a live demonstration of the
-//! pass catching a violation and honoring an annotated suppression.
+//! A live dmp-lint pass over a snippet: one lock held across an fsync
+//! fires, and one carrying an annotated suppression does not.
 //!
 //! ```text
 //! cargo run --example lint
@@ -9,41 +8,28 @@
 //! The real pass runs as `cargo run -p dmp-lint -- --deny-all` (CI) and
 //! as the `workspace_is_lint_clean` test under `cargo test`.
 
-use dmp_lint::{explain, lint_source, summarize, MODULE_MAP, RULES};
+use dmp_lint::{lint_source, summarize};
 
 fn main() {
-    // 1. The rulebook: each rule with its offending snippet and fix.
-    println!("=== dmp-lint rulebook ({} rules) ===\n", RULES.len());
-    for info in RULES {
-        println!("{}", explain(info));
-    }
-
-    // 2. The module map: which paths carry which obligations.
-    println!("=== module map ({} entries) ===\n", MODULE_MAP.len());
-    for entry in MODULE_MAP {
-        println!("  {}\n    -> {}\n", entry.pattern, entry.why);
-    }
-
-    // 3. Live: lint a replay-critical snippet with one violation and
-    //    one annotated suppression.
     let src = "\
-use std::collections::BTreeMap;
+pub fn stage(&self, cmd: Command) -> std::io::Result<()> {
+    let mut inner = self.inner.lock();
+    inner.file.sync_all()?;
+    Ok(())
+}
 
-pub fn tally(xs: &[(u64, u64)]) -> u64 {
-    let mut m = std::collections::HashMap::new();
-    for &(k, v) in xs {
-        *m.entry(k).or_insert(0) += v;
-    }
-    // dmp-lint: allow(det-wall-clock) -- latency telemetry only, never applied state
-    let _started = std::time::Instant::now();
-    m.len() as u64
+pub fn apply(&self, cmd: Command) -> std::io::Result<()> {
+    let mut inner = self.inner.lock();
+    // dmp-lint: allow(lock-across-fsync) -- WAL ordering invariant: append (durable) and apply (visible) must be one critical section
+    inner.journal.append(&cmd)?;
+    Ok(())
 }
 ";
-    println!("=== live pass over a replay-critical snippet ===\n");
-    let findings = lint_source("crates/core/src/market.rs", src);
+    println!("=== live pass over a snippet ===\n");
+    let findings = lint_source("crates/service/src/example.rs", src);
     for f in &findings {
         println!("  {}", f.render());
     }
     println!("\n{}", summarize(&findings));
-    println!("\nThe HashMap fires; the annotated Instant::now does not.");
+    println!("\nThe unannotated sync_all fires; the annotated journal.append does not.");
 }
