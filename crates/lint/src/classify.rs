@@ -19,11 +19,9 @@
 //!   float-strict class.
 //! - `service::node`'s `/health` body formats uptime as a float; that
 //!   is presentation, never state, so node.rs is not float-strict.
-//! - `service::reactor` and `service::timer` keep `HashMap`s of
-//!   connections and use `Instant` for timeouts; connection bookkeeping
-//!   is not replayed, so they are not in the replay class. The reactor
-//!   is instead in the reactor-inline class: handlers it runs inline
-//!   must not block on locks.
+//! - `service::gateway` keeps a `HashMap` of open connections and uses
+//!   `Instant` for request latency; connection bookkeeping is not
+//!   replayed, so it is not in the replay class.
 
 /// The `#![deny(clippy::…)]` header each clippy-checked class puts in
 /// its entry's file, or in `mod.rs` for a directory entry (an inner
@@ -39,9 +37,6 @@
 /// - `panic_free`: WAL append, recovery and settlement propagate
 ///   errors; they do not abort mid-critical-section.
 /// - `no_index`: the same paths, where a `[]` index is a hidden panic.
-///
-/// The fifth class, `reactor_inline`, has no header: dmp-lint itself
-/// enforces it ([`LOCK_REACTOR_INLINE`](crate::rules::LOCK_REACTOR_INLINE)).
 pub const HEADERS: &[(&str, &str)] = &[
     (
         "replay",
@@ -65,8 +60,7 @@ pub struct MapEntry {
     /// prefix" (matched anywhere in the path); otherwise the pattern
     /// must match a path suffix.
     pub pattern: &'static str,
-    /// Class names this entry grants: one of [`HEADERS`], or
-    /// `reactor_inline`.
+    /// Class names this entry grants, each one of [`HEADERS`].
     pub classes: &'static [&'static str],
     /// Why the module is classified this way.
     pub why: &'static str,
@@ -173,22 +167,6 @@ pub const MODULE_MAP: &[MapEntry] = &[
               a panic there poisons the exchange, a worker fault must degrade \
               to re-dispatch or local compute instead",
     },
-    MapEntry {
-        pattern: "crates/service/src/reactor.rs",
-        classes: &["reactor_inline"],
-        why: "one thread owns every connection; a blocking lock here stalls \
-              the whole gateway",
-    },
-    MapEntry {
-        pattern: "crates/telemetry/src/registry.rs",
-        classes: &["reactor_inline"],
-        why: "/metrics renders inline on the reactor thread",
-    },
-    MapEntry {
-        pattern: "crates/telemetry/src/trace.rs",
-        classes: &["reactor_inline"],
-        why: "/trace renders inline on the reactor thread",
-    },
 ];
 
 impl MapEntry {
@@ -246,14 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_is_inline_only() {
-        assert_eq!(
-            classify("crates/service/src/reactor.rs"),
-            ["reactor_inline"]
-        );
-    }
-
-    #[test]
     fn unclassified_file_gets_nothing() {
         assert!(classify("crates/relation/src/lib.rs").is_empty());
     }
@@ -263,7 +233,7 @@ mod tests {
         for e in MODULE_MAP {
             for class in e.classes {
                 assert!(
-                    *class == "reactor_inline" || HEADERS.iter().any(|(c, _)| c == class),
+                    HEADERS.iter().any(|(c, _)| c == class),
                     "unknown class `{class}` in the entry for {}",
                     e.pattern
                 );

@@ -1,7 +1,7 @@
 //! dmp-lint: lock-discipline static analysis for the workspace, and
 //! the check that keeps clippy's per-module classes in step with the
-//! module map. Zero external dependencies, in the house style of
-//! `compat/polling` and the telemetry exposition linter: a small
+//! module map. Zero external dependencies, in the house style of the
+//! `compat/` shims and the telemetry exposition linter: a small
 //! hand-rolled lexer ([`lexer`]), a checked-in module classification
 //! map ([`classify`](mod@classify)), and the lock rules ([`rules`]).
 //!
@@ -69,8 +69,7 @@ impl Linter {
     /// classification, so fixtures can present virtual paths.
     pub fn check_file(&mut self, path: &str, src: &str) {
         let lexed = lexer::lex(src);
-        let reactor_inline = classify::classify(path).contains(&"reactor_inline");
-        let analysis = rules::analyze(path, &lexed.toks, reactor_inline);
+        let analysis = rules::analyze(path, &lexed.toks);
         self.findings.extend(analysis.findings);
         self.pairs.extend(analysis.pairs);
         self.check_headers(path, &lexed.toks);
@@ -392,11 +391,12 @@ mod tests {
     #[test]
     fn trailing_and_standalone_allows_suppress() {
         let src = "fn f() {\n\
-                   let a = self.ring.lock(); // dmp-lint: allow(lock-reactor-inline) -- copy-out\n\
-                   // dmp-lint: allow(lock-reactor-inline) -- copy-out\n\
-                   let b = self.ring.lock();\n\
+                   let mut g = self.inner.lock();\n\
+                   g.journal.append(&a); // dmp-lint: allow(lock-across-fsync) -- WAL order\n\
+                   // dmp-lint: allow(lock-across-fsync) -- WAL order\n\
+                   g.journal.append(&b);\n\
                    }\n";
-        let f = lint_source("crates/service/src/reactor.rs", src);
+        let f = lint_source("crates/anywhere/src/helper.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -1,7 +1,7 @@
 //! The lock-discipline rules: every `.lock()` site is recorded, guards
-//! held across fsync-bearing calls are flagged, pairwise acquisition
-//! order is checked for inversions workspace-wide, and reactor-inline
-//! modules may not block on a lock at all. The other three rules
+//! held across fsync-bearing calls are flagged, and pairwise
+//! acquisition order is checked for inversions workspace-wide. The
+//! other three rules
 //! ([`CLASS_HEADER`] and the two annotation checks) are produced by
 //! [`crate::Linter`]; clippy carries determinism, float and panic
 //! hygiene (README "Correctness tooling").
@@ -81,18 +81,6 @@ pub const LOCK_ACROSS_FSYNC: &str = "lock-across-fsync";
 /// ci_policies; escrows before accounts) and restructure the outlier.
 pub const LOCK_ORDER: &str = "lock-order";
 
-/// A blocking `.lock()` in a reactor-inline module: one thread owns
-/// every connection, so blocking it stalls the whole gateway.
-///
-/// ```text
-/// fn handle_metrics(&self) -> String { self.entries.lock().render() }
-/// ```
-///
-/// Use `try_lock` with a lossy fallback (as the trace ring's writers
-/// do), or annotate with the bounded-hold argument:
-/// `// dmp-lint: allow(lock-reactor-inline) -- held for a snapshot copy only`.
-pub const LOCK_REACTOR_INLINE: &str = "lock-reactor-inline";
-
 /// A [`MODULE_MAP`](crate::MODULE_MAP) entry's file (or `mod.rs`, for
 /// a directory entry) lacks the `#![deny(clippy::…)]` header of one of
 /// its classes ([`HEADERS`](crate::classify::HEADERS)), so clippy no
@@ -114,7 +102,6 @@ pub const ALLOW_MALFORMED: &str = "allow-malformed";
 pub const RULES: &[&str] = &[
     LOCK_ACROSS_FSYNC,
     LOCK_ORDER,
-    LOCK_REACTOR_INLINE,
     CLASS_HEADER,
     ALLOW_UNUSED,
     ALLOW_MALFORMED,
@@ -134,9 +121,8 @@ struct Guard {
     temp: bool,
 }
 
-/// Analyze one file's token stream. `reactor_inline`: the file is in
-/// that class of [`MODULE_MAP`](crate::MODULE_MAP).
-pub fn analyze(path: &str, toks: &[Tok], reactor_inline: bool) -> Analysis {
+/// Analyze one file's token stream.
+pub fn analyze(path: &str, toks: &[Tok]) -> Analysis {
     let mut out = Analysis::default();
     let mut depth: i32 = 0;
     let mut guards: Vec<Guard> = Vec::new();
@@ -242,17 +228,6 @@ pub fn analyze(path: &str, toks: &[Tok], reactor_inline: bool) -> Analysis {
                 }
             }
             let binds_guard = pending_let.is_some() && punct(j, ';');
-            if reactor_inline {
-                push(
-                    &mut out,
-                    LOCK_REACTOR_INLINE,
-                    line,
-                    format!(
-                        "blocking `.lock()` on `{receiver}` in a reactor-inline \
-                         module (try_lock or annotate)"
-                    ),
-                );
-            }
             for g in &guards {
                 if g.receiver != receiver {
                     out.pairs.push(LockPair {

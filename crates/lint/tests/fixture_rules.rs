@@ -24,9 +24,8 @@ fn assert_findings(findings: &[Finding], expected: &[(&str, u32)]) {
     );
 }
 
-// Virtual paths (see dmp_lint::MODULE_MAP): the reactor-inline class,
-// and an unclassified path for the globally-enforced lock rules.
-const REACTOR: &str = "crates/service/src/reactor.rs";
+// Virtual path (see dmp_lint::MODULE_MAP): an unclassified file, since
+// every lock rule applies workspace-wide.
 const UNCLASSIFIED: &str = "crates/anywhere/src/helper.rs";
 
 #[test]
@@ -63,21 +62,6 @@ fn lock_order_consistent_order_is_clean() {
 }
 
 #[test]
-fn lock_reactor_inline_fires() {
-    let f = lint_source(REACTOR, include_str!("fixtures/lock-reactor-inline/bad.rs"));
-    assert_findings(&f, &[("lock-reactor-inline", 2)]);
-}
-
-#[test]
-fn lock_reactor_inline_try_lock_is_clean() {
-    let f = lint_source(
-        REACTOR,
-        include_str!("fixtures/lock-reactor-inline/good.rs"),
-    );
-    assert_findings(&f, &[]);
-}
-
-#[test]
 fn allow_unused_fires_on_stale_annotation() {
     let f = lint_source(UNCLASSIFIED, include_str!("fixtures/allow-unused/bad.rs"));
     assert_findings(&f, &[("allow-unused", 1)]);
@@ -107,6 +91,9 @@ fn allow_malformed_fires() {
 
 #[test]
 fn allow_well_formed_and_used_is_clean() {
-    let f = lint_source(REACTOR, include_str!("fixtures/allow-malformed/good.rs"));
+    let f = lint_source(
+        UNCLASSIFIED,
+        include_str!("fixtures/allow-malformed/good.rs"),
+    );
     assert_findings(&f, &[]);
 }

@@ -1,5 +1,6 @@
-pub fn trace_body(&self) -> String {
-    // dmp-lint: allow(lock-reactor-inline) -- held for a snapshot copy only; writers never block holding it
-    let ring = self.ring.lock();
-    ring.snapshot()
+pub fn apply_durable(&self, cmd: Command) -> std::io::Result<()> {
+    let mut inner = self.inner.lock();
+    // dmp-lint: allow(lock-across-fsync) -- WAL ordering invariant: append (durable) and apply (visible) must be one critical section
+    inner.journal.append(&cmd)?;
+    Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! Boots a [`WorkerNode`] (a full in-memory replica of the market,
 //! built from the same config flags as the coordinator) behind the
-//! evented gateway, prints the bound address on stdout (the spawn
+//! gateway, prints the bound address on stdout (the spawn
 //! handshake the coordinator and the e2e tests read), and serves the
 //! `/internal/*` RPC surface until killed.
 //!

@@ -12,8 +12,8 @@
 //! have applied the command).
 //!
 //! [`Client::pipeline`] writes a whole batch of requests before
-//! reading any responses — HTTP/1.1 pipelining, which the evented
-//! gateway answers in request order. One round trip per *batch*
+//! reading any responses — HTTP/1.1 pipelining, which the gateway
+//! answers in request order. One round trip per *batch*
 //! instead of one per request is the difference between
 //! latency-bound and throughput-bound benching.
 

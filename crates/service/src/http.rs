@@ -2,15 +2,9 @@
 //! client helper): request-line + headers + `Content-Length` bodies,
 //! keep-alive by default, no chunked encoding.
 //!
-//! Two request decoders share the same line-level grammar:
-//!
-//! * [`read_request`] — one-shot, over a blocking `BufRead` stream
-//!   (client-side tests, oracles);
-//! * [`RequestParser`] — **resumable**: feed it whatever bytes the
-//!   socket produced (down to one at a time), and it yields complete
-//!   requests as they materialize. Multiple pipelined requests in one
-//!   buffer come out in order. This is what the evented gateway runs —
-//!   a readiness reactor never gets to block until a request finishes.
+//! [`read_request`] reads one request off a blocking `BufRead` stream;
+//! each gateway connection thread calls it in a loop, so pipelined
+//! requests come out in wire order however the socket cuts them.
 
 use std::io::{BufRead, Write};
 
@@ -195,177 +189,6 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
     })
 }
 
-/// What the incremental parser is in the middle of.
-enum ParseState {
-    /// Reading the request line + headers.
-    Head {
-        /// `(method, path)` once the request line has been seen.
-        request_line: Option<(String, String)>,
-        headers: Vec<(String, String)>,
-        content_length: Option<usize>,
-    },
-    /// Head complete; waiting for `need` body bytes.
-    Body { head: Request, need: usize },
-}
-
-impl ParseState {
-    fn fresh() -> ParseState {
-        ParseState::Head {
-            request_line: None,
-            headers: Vec::new(),
-            content_length: None,
-        }
-    }
-}
-
-/// A resumable HTTP/1.1 request parser for non-blocking sockets.
-///
-/// [`RequestParser::feed`] appends whatever bytes arrived;
-/// [`RequestParser::next`] yields each complete request exactly once,
-/// in wire order, or `Ok(None)` when more bytes are needed. Splitting
-/// the input at any byte boundary — mid-request-line, mid-header,
-/// mid-body — yields the same requests as a one-shot parse (pinned by
-/// proptest against [`read_request`]).
-///
-/// The same bounds as the one-shot parser are enforced *while* bytes
-/// accumulate (`MAX_LINE`, `MAX_HEADERS`, the body cap), so a peer
-/// trickling an endless header grows no further than one line past the
-/// cap. After an error the parser is poisoned — the connection answered
-/// a 400/413 and is about to close; further `next` calls keep failing.
-pub struct RequestParser {
-    buf: Vec<u8>,
-    /// Start of the current (possibly partial) line within `buf`.
-    line_start: usize,
-    /// First byte not yet scanned for a line terminator.
-    scan: usize,
-    state: ParseState,
-    poisoned: bool,
-}
-
-impl Default for RequestParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RequestParser {
-    /// An empty parser.
-    pub fn new() -> RequestParser {
-        RequestParser {
-            buf: Vec::new(),
-            line_start: 0,
-            scan: 0,
-            state: ParseState::fresh(),
-            poisoned: false,
-        }
-    }
-
-    /// Append bytes from the socket.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a completed request.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Try to extract the next complete request.
-    pub fn next(&mut self, max_body: usize) -> Result<Option<Request>, HttpError> {
-        if self.poisoned {
-            return Err(HttpError::Malformed("parser previously errored".into()));
-        }
-        match self.advance(max_body) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn advance(&mut self, max_body: usize) -> Result<Option<Request>, HttpError> {
-        loop {
-            match &mut self.state {
-                ParseState::Head {
-                    request_line,
-                    headers,
-                    content_length,
-                } => {
-                    let Some(nl) = self.buf[self.scan..].iter().position(|&b| b == b'\n') else {
-                        // No full line yet: enforce the line cap on the
-                        // partial tail, then wait for more bytes.
-                        if self.buf.len() - self.line_start > MAX_LINE {
-                            return Err(HttpError::TooLarge);
-                        }
-                        self.scan = self.buf.len();
-                        return Ok(None);
-                    };
-                    let end = self.scan + nl;
-                    let mut raw = &self.buf[self.line_start..end];
-                    if raw.len() > MAX_LINE {
-                        return Err(HttpError::TooLarge);
-                    }
-                    if raw.last() == Some(&b'\r') {
-                        raw = &raw[..raw.len() - 1];
-                    }
-                    let line = std::str::from_utf8(raw)
-                        .map_err(|_| HttpError::Malformed("line is not UTF-8".into()))?;
-                    if request_line.is_none() {
-                        *request_line = Some(parse_request_line(line)?);
-                    } else if line.is_empty() {
-                        // Blank line: the head is complete.
-                        let (method, path) = request_line.take().expect("request line parsed");
-                        let need = content_length.unwrap_or(0);
-                        if need > max_body {
-                            return Err(HttpError::TooLarge);
-                        }
-                        let head = Request {
-                            method,
-                            path,
-                            headers: std::mem::take(headers),
-                            body: Vec::new(),
-                        };
-                        // Drop the head bytes; the body starts at 0 now.
-                        self.buf.drain(..end + 1);
-                        self.line_start = 0;
-                        self.scan = 0;
-                        self.state = ParseState::Body { head, need };
-                        continue;
-                    } else {
-                        if headers.len() >= MAX_HEADERS {
-                            return Err(HttpError::TooLarge);
-                        }
-                        headers.push(parse_header_line(line, content_length)?);
-                    }
-                    self.line_start = end + 1;
-                    self.scan = end + 1;
-                }
-                ParseState::Body { head, need } => {
-                    if self.buf.len() < *need {
-                        return Ok(None);
-                    }
-                    let mut req = std::mem::replace(
-                        head,
-                        Request {
-                            method: String::new(),
-                            path: String::new(),
-                            headers: Vec::new(),
-                            body: Vec::new(),
-                        },
-                    );
-                    req.body = self.buf[..*need].to_vec();
-                    self.buf.drain(..*need);
-                    self.line_start = 0;
-                    self.scan = 0;
-                    self.state = ParseState::fresh();
-                    return Ok(Some(req));
-                }
-            }
-        }
-    }
-}
-
 /// An HTTP response ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -404,12 +227,13 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
+            503 => "Service Unavailable",
             500 => "Internal Server Error",
             _ => "Unknown",
         }
     }
 
-    /// Serialize to wire bytes (what the reactor queues per response).
+    /// Serialize to wire bytes.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut out = Vec::with_capacity(self.body.len() + 128);
@@ -568,91 +392,73 @@ mod tests {
         assert!(matches!(read_request(&mut reader, 10), Err(HttpError::Eof)));
     }
 
-    #[test]
-    fn incremental_parser_handles_byte_at_a_time() {
-        let raw = b"POST /offers?x=1 HTTP/1.1\r\nHost: localhost\r\nContent-Length: 4\r\n\r\nbodyGET /health HTTP/1.1\r\n\r\n";
-        let mut parser = RequestParser::new();
-        let mut out = Vec::new();
-        for &b in raw.iter() {
-            parser.feed(&[b]);
-            while let Some(req) = parser.next(1024).unwrap() {
-                out.push(req);
-            }
+    /// A reader that hands out at most one byte per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
         }
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].method, "POST");
-        assert_eq!(out[0].path, "/offers");
-        assert_eq!(out[0].header("host"), Some("localhost"));
-        assert_eq!(out[0].body, b"body");
-        assert_eq!(out[1].method, "GET");
-        assert_eq!(out[1].path, "/health");
-        assert!(out[1].body.is_empty());
-        assert_eq!(parser.buffered(), 0);
     }
 
     #[test]
-    fn incremental_parser_yields_pipelined_requests_in_order() {
+    fn read_request_handles_byte_at_a_time() {
+        let raw = b"POST /offers?x=1 HTTP/1.1\r\nHost: localhost\r\nContent-Length: 4\r\n\r\nbodyGET /health HTTP/1.1\r\n\r\n";
+        let mut reader = BufReader::new(Trickle(raw));
+        let first = read_request(&mut reader, 1024).unwrap();
+        assert_eq!(first.method, "POST");
+        assert_eq!(first.path, "/offers");
+        assert_eq!(first.header("host"), Some("localhost"));
+        assert_eq!(first.body, b"body");
+        let second = read_request(&mut reader, 1024).unwrap();
+        assert_eq!(second.method, "GET");
+        assert_eq!(second.path, "/health");
+        assert!(second.body.is_empty());
+        assert!(matches!(
+            read_request(&mut reader, 1024),
+            Err(HttpError::Eof)
+        ));
+    }
+
+    #[test]
+    fn read_request_yields_pipelined_requests_in_order() {
         let mut raw = Vec::new();
         for i in 0..10 {
             raw.extend_from_slice(
                 format!("POST /r{i} HTTP/1.1\r\ncontent-length: 2\r\n\r\n{i:02}").as_bytes(),
             );
         }
-        let mut parser = RequestParser::new();
-        parser.feed(&raw);
+        let mut reader = BufReader::new(&raw[..]);
         for i in 0..10 {
-            let req = parser.next(1024).unwrap().expect("request ready");
+            let req = read_request(&mut reader, 1024).unwrap();
             assert_eq!(req.path, format!("/r{i}"));
             assert_eq!(req.body, format!("{i:02}").as_bytes());
         }
-        assert!(parser.next(1024).unwrap().is_none());
+        assert!(matches!(
+            read_request(&mut reader, 1024),
+            Err(HttpError::Eof)
+        ));
     }
 
     #[test]
-    fn incremental_parser_caps_endless_line_while_buffering() {
-        let mut parser = RequestParser::new();
-        parser.feed(b"GET / HTTP/1.1\r\nx-big: ");
-        let mut hit_cap = false;
-        for _ in 0..70 {
-            parser.feed(&[b'a'; 1024]);
-            match parser.next(1024) {
-                Ok(None) => continue,
-                Err(HttpError::TooLarge) => {
-                    hit_cap = true;
-                    break;
-                }
-                other => panic!("unexpected: {other:?}"),
-            }
-        }
-        assert!(hit_cap, "cap must trigger before the line completes");
-        // Poisoned from here on.
-        assert!(parser.next(1024).is_err());
-    }
-
-    #[test]
-    fn incremental_parser_rejects_oversized_body_before_it_arrives() {
-        let mut parser = RequestParser::new();
-        parser.feed(b"POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\n");
-        assert!(matches!(parser.next(10), Err(HttpError::TooLarge)));
-    }
-
-    #[test]
-    fn incremental_parser_matches_one_shot_on_malformed_input() {
-        for raw in [
-            &b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nbody"[..],
-            &b"GET nopath HTTP/1.1\r\n\r\n"[..],
-            &b"GET / HTTP/1.1\r\nbadheader\r\n\r\n"[..],
+    fn malformed_request_rejected_with_diagnostic() {
+        for (raw, diagnostic) in [
+            (
+                &b"GET nopath HTTP/1.1\r\n\r\n"[..],
+                "request target must be absolute",
+            ),
+            (
+                &b"GET / HTTP/1.1\r\nbadheader\r\n\r\n"[..],
+                "bad header 'badheader'",
+            ),
         ] {
             let mut reader = BufReader::new(raw);
-            let one_shot = read_request(&mut reader, 1024);
-            let mut parser = RequestParser::new();
-            parser.feed(raw);
-            let incremental = parser.next(1024);
-            match (&one_shot, &incremental) {
-                (Err(HttpError::Malformed(a)), Err(HttpError::Malformed(b))) => {
-                    assert_eq!(a, b, "same diagnostic for {raw:?}")
-                }
-                other => panic!("expected matching Malformed, got {other:?}"),
+            match read_request(&mut reader, 1024) {
+                Err(HttpError::Malformed(msg)) => assert_eq!(msg, diagnostic, "{raw:?}"),
+                other => panic!("{raw:?} accepted: {other:?}"),
             }
         }
     }

@@ -22,12 +22,11 @@
 //!   clears exactly the trades the 1-shard market would;
 //! * [`node`] — [`node::ServiceNode`]: journal → apply → snapshot, and
 //!   `snapshot + journal replay` crash recovery;
-//! * [`gateway`] — an **evented HTTP/1.1 server**: one reactor thread
-//!   multiplexing every connection over an OS readiness queue (epoll
-//!   via the `compat/polling` shim), request pipelining with ordered
-//!   write-out, timer-wheel idle timeouts, and a sharded apply pool
-//!   executing journaled commands off the reactor (`reactor`,
-//!   [`timer`]);
+//! * [`gateway`] — a **blocking HTTP/1.1 server** over `std::net`: one
+//!   thread per connection (at most
+//!   [`MAX_CONNECTIONS`](gateway::MAX_CONNECTIONS)) reads, applies and
+//!   answers its requests in order, pipelining included, with socket
+//!   read/write timeouts closing idle peers;
 //! * [`client`] — a minimal blocking client for tests, benches and
 //!   examples, with transparent keep-alive reconnection and a
 //!   pipelined batch helper;
@@ -63,13 +62,11 @@ pub mod http;
 pub mod journal;
 pub mod metrics;
 pub mod node;
-pub(crate) mod reactor;
 pub mod shard;
 pub mod snapshot;
 pub mod state;
 #[cfg(any(test, feature = "test-support"))]
 pub mod test_support;
-pub mod timer;
 pub mod wire;
 pub mod worker;
 

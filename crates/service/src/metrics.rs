@@ -2,11 +2,11 @@
 //! layer.
 //!
 //! All handles are resolved once, on first use, into one
-//! [`ServiceMetrics`] singleton — after that the hot paths (reactor,
-//! apply pool, journal, round pipeline) touch only relaxed atomics and
-//! never the registry mutex. `GET /metrics` renders the global
-//! registry on the reactor thread; because recording is handle-based,
-//! rendering can never contend with the WAL or apply-pool locks.
+//! [`ServiceMetrics`] singleton — after that the hot paths (gateway,
+//! journal, round pipeline) touch only relaxed atomics and never the
+//! registry mutex. `GET /metrics` renders the global registry; because
+//! recording is handle-based, rendering can never contend with the
+//! apply or WAL locks.
 
 use std::sync::{Arc, OnceLock};
 
@@ -17,11 +17,11 @@ use crate::command::Command;
 /// The request endpoints latency and counts are broken out by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// `GET /health` (inline on the reactor).
+    /// `GET /health`.
     Health,
-    /// `GET /metrics` (inline on the reactor).
+    /// `GET /metrics`.
     Metrics,
-    /// `GET /trace` (inline on the reactor).
+    /// `GET /trace`.
     Trace,
     /// `GET /ledger` and `GET /ledger/:name`.
     Ledger,
@@ -77,7 +77,7 @@ impl Endpoint {
         }
     }
 
-    /// Stable label value (also the tracer span name for apply jobs).
+    /// Stable label value (also the tracer span name of a request).
     pub fn label(self) -> &'static str {
         match self {
             Endpoint::Health => "/health",
@@ -128,19 +128,12 @@ pub struct ServiceMetrics {
     pub gateway_connections: Arc<Gauge>,
     requests: Vec<Arc<Counter>>,
     request_us: Vec<Arc<Histogram>>,
-    /// `dmp_gateway_pipeline_depth` (in-flight requests per connection,
-    /// sampled at parse time).
-    pub pipeline_depth: Arc<Histogram>,
-    /// `dmp_gateway_backpressure_stalls_total` (read-interest drops).
-    pub backpressure_stalls: Arc<Counter>,
-    /// `dmp_gateway_idle_reaps_total` (timer-wheel closes).
+    /// `dmp_gateway_refused_total` (`503`s past the connection cap).
+    pub gateway_refused: Arc<Counter>,
+    /// `dmp_gateway_idle_reaps_total` (read or write timeouts).
     pub idle_reaps: Arc<Counter>,
     /// `dmp_gateway_parse_errors_total`.
     pub parse_errors: Arc<Counter>,
-    /// `dmp_apply_queue_depth` (jobs queued to the apply pool).
-    pub apply_queue_depth: Arc<Gauge>,
-    /// `dmp_apply_queue_wait_us` (parse → dequeue).
-    pub apply_queue_wait_us: Arc<Histogram>,
     apply_us: Vec<Arc<Histogram>>,
     /// `dmp_journal_appends_total`.
     pub journal_appends: Arc<Counter>,
@@ -209,11 +202,11 @@ pub fn metrics() -> &'static ServiceMetrics {
         ServiceMetrics {
             gateway_accepts: r.counter(
                 "dmp_gateway_accepts_total",
-                "Connections accepted by the reactor.",
+                "Connections accepted by the gateway.",
             ),
             gateway_connections: r.gauge(
                 "dmp_gateway_connections",
-                "Connections currently registered with the reactor.",
+                "Connections currently served, one thread each.",
             ),
             requests: Endpoint::ALL
                 .iter()
@@ -233,29 +226,17 @@ pub fn metrics() -> &'static ServiceMetrics {
                     )
                 })
                 .collect(),
-            pipeline_depth: r.histogram(
-                "dmp_gateway_pipeline_depth",
-                "In-flight pipelined requests per connection, sampled at parse time.",
-            ),
-            backpressure_stalls: r.counter(
-                "dmp_gateway_backpressure_stalls_total",
-                "Times the reactor stopped reading a socket at the pipeline cap.",
+            gateway_refused: r.counter(
+                "dmp_gateway_refused_total",
+                "Connections answered 503 because the connection cap was reached.",
             ),
             idle_reaps: r.counter(
                 "dmp_gateway_idle_reaps_total",
-                "Idle connections closed by the timer wheel.",
+                "Connections closed by a read or write timeout.",
             ),
             parse_errors: r.counter(
                 "dmp_gateway_parse_errors_total",
                 "Requests rejected by the HTTP parser.",
-            ),
-            apply_queue_depth: r.gauge(
-                "dmp_apply_queue_depth",
-                "Jobs queued to the apply pool, not yet picked up.",
-            ),
-            apply_queue_wait_us: r.histogram(
-                "dmp_apply_queue_wait_us",
-                "Time a job waited in the apply queue, microseconds.",
             ),
             apply_us: COMMAND_KINDS
                 .iter()

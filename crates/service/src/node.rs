@@ -162,7 +162,7 @@ pub struct ServiceNode {
     /// When recovery finished (drives `/health` uptime).
     started: Instant,
     /// Rendered `/health` body, keyed on the atomics it reports. The
-    /// reactor serves `/health` inline per request; rebuilding ~100
+    /// gateway serves `/health` per request; rebuilding ~100
     /// bytes of JSON (and formatting floats) every time is measurable
     /// at gateway rps, so the body is re-rendered only when a key
     /// component changes. This mutex is private to the health path and
@@ -386,12 +386,12 @@ impl ServiceNode {
 
     /// Apply one command: journal first (durable), then mutate the
     /// market, then maybe snapshot. Total order across callers: the
-    /// gateway's apply-pool workers call this concurrently from
-    /// several threads, and the internal mutex serializes them — the
-    /// journal sequence and the router mutation for one command are a
-    /// single critical section, so the WAL ordering invariant (durable
-    /// before visible) holds no matter how many workers the
-    /// [`gateway`](crate::gateway) runs.
+    /// gateway's connection threads call this concurrently, and the
+    /// internal mutex serializes them — the journal sequence and the
+    /// router mutation for one command are a single critical section,
+    /// so the WAL ordering invariant (durable before visible) holds no
+    /// matter how many connections the [`gateway`](crate::gateway)
+    /// serves.
     pub fn apply(&self, cmd: Command) -> Result<Outcome, ServiceError> {
         let m = metrics();
         let apply_hist = m.apply_us(&cmd);

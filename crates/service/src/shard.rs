@@ -275,8 +275,8 @@ pub struct ShardRouter {
     shards: Vec<DataMarket>,
     state: Mutex<RouterState>,
     /// Rounds completed since this router was built (replay included).
-    /// Atomic so the gateway's `/health` — served inline on the reactor
-    /// thread — never takes a shard lock a running round might hold.
+    /// Atomic so the gateway's `/health` never takes a shard lock a
+    /// running round might hold.
     rounds: std::sync::atomic::AtomicU64,
     /// Candidate-phase delegation (coordinator role). `None` — the
     /// default, and always the state during journal replay — computes
@@ -339,8 +339,8 @@ impl ShardRouter {
         self.state.lock().round_rng.gen::<u64>()
     }
 
-    /// Rounds completed since construction — lock-free (the reactor
-    /// thread reads this for `/health` while rounds run on the pool).
+    /// Rounds completed since construction — lock-free (`/health` reads
+    /// this while a round runs on another connection).
     pub fn rounds_completed(&self) -> u64 {
         self.rounds.load(std::sync::atomic::Ordering::Relaxed)
     }

@@ -1,6 +1,6 @@
 //! The shard-worker side of the distributed exchange: a disposable,
 //! in-memory **full replica** of the coordinator's market behind the
-//! same evented gateway, serving the internal RPC surface.
+//! same gateway, serving the internal RPC surface.
 //!
 //! A worker holds all M shards (one [`ShardRouter`] over one shared
 //! substrate) built from the same config flags as the coordinator, and
@@ -124,7 +124,7 @@ struct PendingRound {
 
 /// A worker process's state: one full-replica router plus the pending
 /// candidate stash. Implements [`Service`], so `Gateway::serve_service`
-/// puts it behind the same reactor + apply pool as the coordinator.
+/// puts it behind the same gateway as the coordinator.
 pub struct WorkerNode {
     cfg: WorkerConfig,
     fingerprint: String,
@@ -494,18 +494,6 @@ impl Service for WorkerNode {
             ("GET" | "POST", _) => Response::json(404, err_body("unknown route")),
             _ => Response::json(405, err_body("method not allowed")),
         }
-    }
-
-    fn handle_inline(&self, req: &Request) -> Option<Response> {
-        // Same inline contract as the coordinator surface: /metrics
-        // and /trace touch only telemetry-internal locks; /health
-        // clones the router handle (a momentary uncontended lock — the
-        // long-running round work happens on a cloned Arc, never under
-        // it) and reads atomics.
-        if req.method == "GET" && matches!(req.path.as_str(), "/health" | "/metrics" | "/trace") {
-            return Some(self.handle(req));
-        }
-        None
     }
 }
 

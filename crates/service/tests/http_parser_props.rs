@@ -1,17 +1,18 @@
-//! Property tests pinning the resumable [`RequestParser`] to the
-//! one-shot [`read_request`] oracle.
+//! Property tests pinning [`read_request`] over a socket-like reader to
+//! the same parser over the whole stream at once.
 //!
-//! The evented gateway never sees a request in one piece: the kernel
+//! A gateway connection never sees a request in one piece: the kernel
 //! hands it whatever bytes happen to be in the socket buffer, cut at
 //! arbitrary boundaries (TCP segmentation, slow peers, pipelining).
-//! These properties assert that **no cut changes the parse**: feeding
-//! any chunking of a request stream — down to one byte at a time —
-//! yields exactly the requests the blocking parser reads from the same
-//! bytes, and pipelined requests always surface in wire order.
+//! These properties assert that **no cut changes the parse**: reading
+//! a request stream through a reader that returns at most k bytes per
+//! `read` — down to one — yields exactly the requests read from a
+//! `Cursor` over the same bytes, and pipelined requests always surface
+//! in wire order.
 
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Read};
 
-use dmp_service::http::{read_request, HttpError, Request, RequestParser};
+use dmp_service::http::{read_request, HttpError, Request};
 use proptest::prelude::*;
 
 const MAX_BODY: usize = 1 << 20;
@@ -43,81 +44,77 @@ fn encode(req: &(bool, String, String, String, Vec<u8>)) -> Vec<u8> {
     wire
 }
 
-/// The blocking oracle: drain every request out of `wire`.
-fn oracle(wire: &[u8]) -> Vec<Request> {
-    let mut cursor = Cursor::new(wire);
+/// A reader that returns the stream in chunks, cycling through
+/// `sizes`: what a socket does to the bytes a peer sent.
+struct Chunked<'a> {
+    rest: &'a [u8],
+    sizes: Vec<usize>,
+    k: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.k % self.sizes.len()];
+        self.k += 1;
+        let n = size.min(buf.len()).min(self.rest.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+/// Drain every request out of `stream` until a clean EOF.
+fn drain(mut stream: impl std::io::BufRead) -> Vec<Request> {
     let mut out = Vec::new();
     loop {
-        match read_request(&mut cursor, MAX_BODY) {
+        match read_request(&mut stream, MAX_BODY) {
             Ok(req) => out.push(req),
             Err(HttpError::Eof) => return out,
-            Err(e) => panic!("oracle rejected its own wire bytes: {e:?}"),
+            Err(e) => panic!("rejected well-formed wire bytes: {e:?}"),
         }
     }
 }
 
-/// Drain every complete request currently inside `parser`.
-fn drain(parser: &mut RequestParser) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(req) = parser.next(MAX_BODY).expect("incremental parse failed") {
-        out.push(req);
-    }
-    out
+/// The oracle: the whole stream in one buffer.
+fn oracle(wire: &[u8]) -> Vec<Request> {
+    drain(Cursor::new(wire))
+}
+
+/// The system under test: the stream cut into `sizes`-byte reads.
+fn chunked(wire: &[u8], sizes: Vec<usize>) -> Vec<Request> {
+    drain(BufReader::new(Chunked {
+        rest: wire,
+        sizes,
+        k: 0,
+    }))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any chunking of a request stream parses identically to the
-    /// one-shot oracle — including chunk boundaries inside the request
-    /// line, inside a header name, between `\r` and `\n`, and mid-body.
+    /// oracle — including chunk boundaries inside the request line,
+    /// inside a header name, between `\r` and `\n`, and mid-body.
     #[test]
     fn chunked_parse_matches_one_shot(
         reqs in proptest::collection::vec(arb_request(), 1..5),
         chunk_sizes in proptest::collection::vec(1usize..9, 1..12),
     ) {
         let wire: Vec<u8> = reqs.iter().flat_map(encode).collect();
-        let expected = oracle(&wire);
-
-        let mut parser = RequestParser::new();
-        let mut got = Vec::new();
-        let mut pos = 0;
-        let mut k = 0;
-        while pos < wire.len() {
-            let n = chunk_sizes[k % chunk_sizes.len()].min(wire.len() - pos);
-            k += 1;
-            parser.feed(&wire[pos..pos + n]);
-            pos += n;
-            // Draining between feeds must not disturb later requests.
-            got.extend(drain(&mut parser));
-        }
-        got.extend(drain(&mut parser));
-
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(parser.buffered(), 0, "no bytes may linger after a complete stream");
+        prop_assert_eq!(chunked(&wire, chunk_sizes), oracle(&wire));
     }
 
     /// One byte at a time is the pathological chunking; it must agree
-    /// with feeding the entire pipelined buffer at once, and both must
-    /// preserve wire order.
+    /// with the whole buffer at once, and both must preserve wire
+    /// order.
     #[test]
     fn byte_at_a_time_matches_whole_buffer(
         reqs in proptest::collection::vec(arb_request(), 1..4),
     ) {
         let wire: Vec<u8> = reqs.iter().flat_map(encode).collect();
+        let all_at_once = oracle(&wire);
 
-        let mut whole = RequestParser::new();
-        whole.feed(&wire);
-        let all_at_once = drain(&mut whole);
-
-        let mut trickle = RequestParser::new();
-        let mut dribbled = Vec::new();
-        for b in &wire {
-            trickle.feed(std::slice::from_ref(b));
-            dribbled.extend(drain(&mut trickle));
-        }
-
-        prop_assert_eq!(&dribbled, &all_at_once);
+        prop_assert_eq!(&chunked(&wire, vec![1]), &all_at_once);
         // Wire order: request i of the batch surfaces as parse i.
         prop_assert_eq!(all_at_once.len(), reqs.len());
         for (parsed, generated) in all_at_once.iter().zip(&reqs) {

@@ -28,7 +28,7 @@
 //!   render time only, never on the record path.
 //! * Rendering takes no lock other than the registry's own map mutex
 //!   (briefly, to clone the handle list): scraping `/metrics` can
-//!   never contend with an apply-pool or WAL mutex.
+//!   never contend with the apply or WAL mutex.
 
 pub mod hist;
 pub mod log;

@@ -96,7 +96,6 @@ impl Registry {
     /// different metric kind — that is a programming error, not a
     /// runtime condition.
     pub fn counter(&self, name: &str, help: &'static str) -> Arc<Counter> {
-        // dmp-lint: allow(lock-reactor-inline) -- registration path: handles are OnceLock-cached at startup, the reactor only ever hits the cached Arc
         let mut entries = self.entries.lock().unwrap();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             metric: Metric::Counter(Arc::new(Counter::default())),
@@ -110,7 +109,6 @@ impl Registry {
 
     /// Get or register the gauge `name`.
     pub fn gauge(&self, name: &str, help: &'static str) -> Arc<Gauge> {
-        // dmp-lint: allow(lock-reactor-inline) -- registration path: handles are OnceLock-cached at startup, the reactor only ever hits the cached Arc
         let mut entries = self.entries.lock().unwrap();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             metric: Metric::Gauge(Arc::new(Gauge::default())),
@@ -124,7 +122,6 @@ impl Registry {
 
     /// Get or register the histogram `name`.
     pub fn histogram(&self, name: &str, help: &'static str) -> Arc<Histogram> {
-        // dmp-lint: allow(lock-reactor-inline) -- registration path: handles are OnceLock-cached at startup, the reactor only ever hits the cached Arc
         let mut entries = self.entries.lock().unwrap();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             metric: Metric::Histogram(Arc::new(Histogram::new())),
@@ -144,7 +141,6 @@ impl Registry {
         // Snapshot the handle list under the map lock, render outside
         // it: rendering cost never extends the critical section.
         let snapshot: Vec<(String, &'static str, MetricSnapshot)> = {
-            // dmp-lint: allow(lock-reactor-inline) -- held only to clone the handle list; rendering happens after release, and writers are startup-time registrations
             let entries = self.entries.lock().unwrap();
             entries
                 .iter()

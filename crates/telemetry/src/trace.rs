@@ -3,8 +3,8 @@
 //! Hot threads call [`Tracer::record`] (or hold a [`SpanGuard`]); the
 //! write path `try_lock`s the ring and, when another thread holds it,
 //! **drops the event and counts the drop** instead of ever blocking —
-//! a tracer must never turn into a lock the reactor or an apply worker
-//! can stall on. The ring keeps the most recent `capacity` events;
+//! a tracer must never turn into a lock a connection thread can stall
+//! on. The ring keeps the most recent `capacity` events;
 //! older ones fall off the front. `GET /trace` serializes a snapshot
 //! as JSON.
 
@@ -102,7 +102,8 @@ impl Tracer {
     /// Copy out the current ring, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.ring
-            // dmp-lint: allow(lock-reactor-inline) -- bounded hold: writers only try_lock (lossy), so this copy-out never waits behind a long writer
+            // Bounded hold: writers only try_lock (lossy), so this
+            // copy-out never waits behind a long writer.
             .lock()
             .map(|r| r.iter().cloned().collect())
             .unwrap_or_default()
@@ -186,7 +187,7 @@ mod tests {
     #[test]
     fn contended_ring_drops_not_blocks() {
         let t = Tracer::with_capacity(8);
-        // dmp-lint: allow(lock-reactor-inline) -- the test holds the ring on purpose, to contend the writer
+        // Hold the ring on purpose, to contend the writer.
         let guard = t.ring.lock().unwrap();
         t.record("dropped", 1, 1);
         drop(guard);
