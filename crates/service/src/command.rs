@@ -7,6 +7,11 @@
 //! stream to a freshly-deployed market reproduces the exact ledger
 //! balances, offer book and allocations — that determinism is what the
 //! crash-recovery tests pin down.
+//!
+//! A `Command` carries the core's own [`TaskKind`], [`PriceCurve`] and
+//! [`License`]. The private `enc_*` / `dec_*` functions below are their
+//! wire grammar, and a write route's request body is its command's wire
+//! form minus `"op"`.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
@@ -46,7 +51,7 @@ pub enum Command {
         /// the seller name, the same routing that registered it).
         dataset: u64,
         /// The license to attach.
-        license: LicenseSpec,
+        license: License,
     },
     /// Run one or more market rounds across every shard.
     RunRound {
@@ -65,9 +70,9 @@ pub struct OfferSpec {
     /// Optional discovery keywords.
     pub keywords: Vec<String>,
     /// The data task.
-    pub task: TaskSpec,
+    pub task: TaskKind,
     /// satisfaction → price curve.
-    pub curve: CurveSpec,
+    pub curve: PriceCurve,
     /// Minimum rows for a usable mashup.
     pub min_rows: u64,
     /// Declared purpose (contextual integrity).
@@ -84,7 +89,7 @@ pub struct AskSpec {
     /// Reserve price floor (optional).
     pub reserve: Option<f64>,
     /// License to attach at share time (optional; Standard otherwise).
-    pub license: Option<LicenseSpec>,
+    pub license: Option<License>,
 }
 
 /// An inline relation: name, typed columns, rows of scalar cells.
@@ -130,64 +135,6 @@ pub enum CellSpec {
     Bool(bool),
 }
 
-/// Wire form of a task package.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskSpec {
-    /// Fraction of requested attributes present.
-    AttributeCoverage,
-    /// Held-out classifier accuracy on `label`.
-    Classification {
-        /// Label column.
-        label: String,
-    },
-    /// Clamped R² on `target`.
-    Regression {
-        /// Target column.
-        target: String,
-    },
-    /// Group coverage of a group-by query.
-    AggregateCompleteness {
-        /// Group-by column.
-        group_by: String,
-        /// Expected distinct groups.
-        expected_groups: u64,
-    },
-}
-
-/// Wire form of a price curve.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CurveSpec {
-    /// Constant price.
-    Constant(f64),
-    /// Linear above a satisfaction floor.
-    Linear {
-        /// Satisfaction below which the buyer pays nothing.
-        min_satisfaction: f64,
-        /// Price at satisfaction 1.0.
-        max_price: f64,
-    },
-    /// Ascending step thresholds.
-    Step(Vec<(f64, f64)>),
-}
-
-/// Wire form of a data license.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LicenseSpec {
-    /// Non-exclusive use, no resale.
-    Standard,
-    /// Exclusive access with a price uplift.
-    Exclusive {
-        /// Uplift fraction.
-        tax_rate: f64,
-        /// Exclusivity duration in rounds.
-        hold_rounds: u32,
-    },
-    /// Full ownership transfer (resale allowed).
-    OwnershipTransfer,
-    /// No re-sharing, even of derived data.
-    NonTransferable,
-}
-
 impl Command {
     /// Upper bound on `RunRound::rounds` in one command: a round batch
     /// executes while holding the node's write path and replays in
@@ -218,8 +165,8 @@ impl Command {
                     "keywords",
                     Json::Arr(o.keywords.iter().map(|s| Json::str(s.clone())).collect()),
                 ),
-                ("task", o.task.encode()),
-                ("curve", o.curve.encode()),
+                ("task", enc_task(&o.task)),
+                ("curve", enc_curve(&o.curve)),
                 ("min_rows", Json::Num(o.min_rows as f64)),
                 ("purpose", Json::str(o.purpose.clone())),
             ]),
@@ -233,7 +180,7 @@ impl Command {
                     pairs.push(("reserve".to_string(), Json::Num(r)));
                 }
                 if let Some(l) = &a.license {
-                    pairs.push(("license".to_string(), l.encode()));
+                    pairs.push(("license".to_string(), enc_license(l)));
                 }
                 Json::Obj(pairs)
             }
@@ -245,7 +192,7 @@ impl Command {
                 ("op", Json::str("grant_license")),
                 ("seller", Json::str(seller.clone())),
                 ("dataset", Json::Num(*dataset as f64)),
-                ("license", license.encode()),
+                ("license", enc_license(license)),
             ]),
             Command::RunRound { rounds } => Json::obj([
                 ("op", Json::str("run_round")),
@@ -254,13 +201,17 @@ impl Command {
         }
     }
 
-    /// Decode from the wire JSON form.
+    /// Decode from the wire JSON form. Two fields have defaults, which
+    /// [`Command::encode`] always writes out: `role` is
+    /// `"participant"` and `rounds` is 1.
     pub fn decode(json: &Json) -> Result<Command, WireError> {
         let op = json.req_str("op")?;
         match op.as_str() {
             "enroll" => Ok(Command::Enroll {
                 name: json.req_str("name")?,
-                role: json.req_str("role")?,
+                role: opt(json, "role", Json::as_str, "a string")?
+                    .unwrap_or("participant")
+                    .to_string(),
             }),
             "deposit" => Ok(Command::Deposit {
                 account: json.req_str("account")?,
@@ -271,13 +222,13 @@ impl Command {
             "grant_license" => Ok(Command::GrantLicense {
                 seller: json.req_str("seller")?,
                 dataset: json.req_u64("dataset")?,
-                license: LicenseSpec::decode(
+                license: dec_license(
                     json.get("license")
                         .ok_or_else(|| WireError::new("missing field 'license'"))?,
                 )?,
             }),
             "run_round" => {
-                let rounds = json.req_u64("rounds")?;
+                let rounds = opt(json, "rounds", Json::as_u64, "a positive integer")?.unwrap_or(1);
                 if rounds == 0 || rounds > Command::MAX_ROUNDS_PER_COMMAND {
                     return Err(WireError::new(format!(
                         "'rounds' must be in 1..={}",
@@ -291,6 +242,21 @@ impl Command {
             other => Err(WireError::new(format!("unknown op '{other}'"))),
         }
     }
+}
+
+/// An optional field: `None` when absent, `read` of it when present.
+/// Strict: a field `read` refuses is an error naming what it
+/// `must_be`, never a silent default (the journaled command must mean
+/// what the client said).
+fn opt<'a, T>(
+    json: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    must_be: &str,
+) -> Result<Option<T>, WireError> {
+    json.get(key)
+        .map(|j| read(j).ok_or_else(|| WireError::new(format!("'{key}' must be {must_be}"))))
+        .transpose()
 }
 
 fn str_list(items: &[Json]) -> Result<Vec<String>, WireError> {
@@ -315,8 +281,8 @@ impl OfferSpec {
             buyer: buyer.into(),
             attributes: attributes.into_iter().map(Into::into).collect(),
             keywords: Vec::new(),
-            task: TaskSpec::AttributeCoverage,
-            curve: CurveSpec::Constant(price),
+            task: TaskKind::AttributeCoverage,
+            curve: PriceCurve::Constant(price),
             min_rows: 1,
             purpose: "analytics".to_string(),
         }
@@ -326,37 +292,19 @@ impl OfferSpec {
         Ok(OfferSpec {
             buyer: json.req_str("buyer")?,
             attributes: str_list(json.req_arr("attributes")?)?,
-            keywords: match json.get("keywords") {
-                Some(j) => str_list(
-                    j.as_arr()
-                        .ok_or_else(|| WireError::new("'keywords' must be an array"))?,
-                )?,
-                None => Vec::new(),
-            },
+            keywords: str_list(opt(json, "keywords", Json::as_arr, "an array")?.unwrap_or(&[]))?,
             task: match json.get("task") {
-                Some(j) => TaskSpec::decode(j)?,
-                None => TaskSpec::AttributeCoverage,
+                Some(j) => dec_task(j)?,
+                None => TaskKind::AttributeCoverage,
             },
-            curve: CurveSpec::decode(
+            curve: dec_curve(
                 json.get("curve")
                     .ok_or_else(|| WireError::new("missing field 'curve'"))?,
             )?,
-            // Strict: a present-but-invalid field is an error, never a
-            // silent default (the journaled command must mean what the
-            // client said).
-            min_rows: match json.get("min_rows") {
-                None => 1,
-                Some(j) => j
-                    .as_u64()
-                    .ok_or_else(|| WireError::new("'min_rows' must be a non-negative integer"))?,
-            },
-            purpose: match json.get("purpose") {
-                None => "analytics".to_string(),
-                Some(j) => j
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| WireError::new("'purpose' must be a string"))?,
-            },
+            min_rows: opt(json, "min_rows", Json::as_u64, "a non-negative integer")?.unwrap_or(1),
+            purpose: opt(json, "purpose", Json::as_str, "a string")?
+                .unwrap_or("analytics")
+                .to_string(),
         })
     }
 
@@ -366,8 +314,8 @@ impl OfferSpec {
             buyer: self.buyer.clone(),
             attributes: self.attributes.clone(),
             keywords: self.keywords.clone(),
-            task: self.task.to_task_kind(),
-            curve: self.curve.to_price_curve(),
+            task: self.task.clone(),
+            curve: self.curve.clone(),
             constraints: IntrinsicConstraints::default(),
             owned_data: None,
             min_rows: self.min_rows as usize,
@@ -383,18 +331,13 @@ impl AskSpec {
                 json.get("table")
                     .ok_or_else(|| WireError::new("missing field 'table'"))?,
             )?,
-            reserve: match json.get("reserve") {
-                None => None,
-                Some(j) => Some(
-                    j.as_f64()
-                        .filter(|r| r.is_finite())
-                        .ok_or_else(|| WireError::new("'reserve' must be a finite number"))?,
-                ),
-            },
-            license: match json.get("license") {
-                Some(j) => Some(LicenseSpec::decode(j)?),
-                None => None,
-            },
+            reserve: opt(
+                json,
+                "reserve",
+                |j| j.as_f64().filter(|r| r.is_finite()),
+                "a finite number",
+            )?,
+            license: json.get("license").map(dec_license).transpose()?,
         })
     }
 }
@@ -563,184 +506,129 @@ impl TableSpec {
     }
 }
 
-impl TaskSpec {
-    fn encode(&self) -> Json {
-        match self {
-            TaskSpec::AttributeCoverage => Json::obj([("kind", Json::str("attribute_coverage"))]),
-            TaskSpec::Classification { label } => Json::obj([
-                ("kind", Json::str("classification")),
-                ("label", Json::str(label.clone())),
-            ]),
-            TaskSpec::Regression { target } => Json::obj([
-                ("kind", Json::str("regression")),
-                ("target", Json::str(target.clone())),
-            ]),
-            TaskSpec::AggregateCompleteness {
-                group_by,
-                expected_groups,
-            } => Json::obj([
-                ("kind", Json::str("aggregate_completeness")),
-                ("group_by", Json::str(group_by.clone())),
-                ("expected_groups", Json::Num(*expected_groups as f64)),
-            ]),
-        }
-    }
-
-    fn decode(json: &Json) -> Result<TaskSpec, WireError> {
-        match json.req_str("kind")?.as_str() {
-            "attribute_coverage" => Ok(TaskSpec::AttributeCoverage),
-            "classification" => Ok(TaskSpec::Classification {
-                label: json.req_str("label")?,
-            }),
-            "regression" => Ok(TaskSpec::Regression {
-                target: json.req_str("target")?,
-            }),
-            "aggregate_completeness" => Ok(TaskSpec::AggregateCompleteness {
-                group_by: json.req_str("group_by")?,
-                expected_groups: json.req_u64("expected_groups")?,
-            }),
-            other => Err(WireError::new(format!("unknown task kind '{other}'"))),
-        }
-    }
-
-    fn to_task_kind(&self) -> TaskKind {
-        match self {
-            TaskSpec::AttributeCoverage => TaskKind::AttributeCoverage,
-            TaskSpec::Classification { label } => TaskKind::Classification {
-                label: label.clone(),
-            },
-            TaskSpec::Regression { target } => TaskKind::Regression {
-                target: target.clone(),
-            },
-            TaskSpec::AggregateCompleteness {
-                group_by,
-                expected_groups,
-            } => TaskKind::AggregateCompleteness {
-                group_by: group_by.clone(),
-                expected_groups: *expected_groups as usize,
-            },
-        }
+fn enc_task(task: &TaskKind) -> Json {
+    match task {
+        TaskKind::AttributeCoverage => Json::obj([("kind", Json::str("attribute_coverage"))]),
+        TaskKind::Classification { label } => Json::obj([
+            ("kind", Json::str("classification")),
+            ("label", Json::str(label.clone())),
+        ]),
+        TaskKind::Regression { target } => Json::obj([
+            ("kind", Json::str("regression")),
+            ("target", Json::str(target.clone())),
+        ]),
+        TaskKind::AggregateCompleteness {
+            group_by,
+            expected_groups,
+        } => Json::obj([
+            ("kind", Json::str("aggregate_completeness")),
+            ("group_by", Json::str(group_by.clone())),
+            ("expected_groups", Json::Num(*expected_groups as f64)),
+        ]),
     }
 }
 
-impl CurveSpec {
-    fn encode(&self) -> Json {
-        match self {
-            CurveSpec::Constant(p) => {
-                Json::obj([("kind", Json::str("constant")), ("price", Json::Num(*p))])
-            }
-            CurveSpec::Linear {
-                min_satisfaction,
-                max_price,
-            } => Json::obj([
-                ("kind", Json::str("linear")),
-                ("min_satisfaction", Json::Num(*min_satisfaction)),
-                ("max_price", Json::Num(*max_price)),
-            ]),
-            CurveSpec::Step(steps) => Json::obj([
-                ("kind", Json::str("step")),
-                (
-                    "steps",
-                    Json::Arr(
-                        steps
-                            .iter()
-                            .map(|&(t, p)| Json::Arr(vec![Json::Num(t), Json::Num(p)]))
-                            .collect(),
-                    ),
+fn dec_task(json: &Json) -> Result<TaskKind, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "attribute_coverage" => Ok(TaskKind::AttributeCoverage),
+        "classification" => Ok(TaskKind::Classification {
+            label: json.req_str("label")?,
+        }),
+        "regression" => Ok(TaskKind::Regression {
+            target: json.req_str("target")?,
+        }),
+        "aggregate_completeness" => Ok(TaskKind::AggregateCompleteness {
+            group_by: json.req_str("group_by")?,
+            expected_groups: usize::try_from(json.req_u64("expected_groups")?)
+                .map_err(|_| WireError::new("'expected_groups' exceeds usize range"))?,
+        }),
+        other => Err(WireError::new(format!("unknown task kind '{other}'"))),
+    }
+}
+
+fn enc_curve(curve: &PriceCurve) -> Json {
+    match curve {
+        PriceCurve::Constant(p) => {
+            Json::obj([("kind", Json::str("constant")), ("price", Json::Num(*p))])
+        }
+        PriceCurve::Linear {
+            min_satisfaction,
+            max_price,
+        } => Json::obj([
+            ("kind", Json::str("linear")),
+            ("min_satisfaction", Json::Num(*min_satisfaction)),
+            ("max_price", Json::Num(*max_price)),
+        ]),
+        PriceCurve::Step(steps) => Json::obj([
+            ("kind", Json::str("step")),
+            (
+                "steps",
+                Json::Arr(
+                    steps
+                        .iter()
+                        .map(|&(t, p)| Json::Arr(vec![Json::Num(t), Json::Num(p)]))
+                        .collect(),
                 ),
-            ]),
-        }
-    }
-
-    fn decode(json: &Json) -> Result<CurveSpec, WireError> {
-        match json.req_str("kind")?.as_str() {
-            "constant" => Ok(CurveSpec::Constant(json.req_f64("price")?)),
-            "linear" => Ok(CurveSpec::Linear {
-                min_satisfaction: json.req_f64("min_satisfaction")?,
-                max_price: json.req_f64("max_price")?,
-            }),
-            "step" => {
-                let mut steps = Vec::new();
-                for step in json.req_arr("steps")? {
-                    let pair = step.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        WireError::new("step must be a [satisfaction, price] pair")
-                    })?;
-                    let t = pair[0]
-                        .as_f64()
-                        .ok_or_else(|| WireError::new("step threshold must be a number"))?;
-                    let p = pair[1]
-                        .as_f64()
-                        .ok_or_else(|| WireError::new("step price must be a number"))?;
-                    steps.push((t, p));
-                }
-                Ok(CurveSpec::Step(steps))
-            }
-            other => Err(WireError::new(format!("unknown curve kind '{other}'"))),
-        }
-    }
-
-    fn to_price_curve(&self) -> PriceCurve {
-        match self {
-            CurveSpec::Constant(p) => PriceCurve::Constant(*p),
-            CurveSpec::Linear {
-                min_satisfaction,
-                max_price,
-            } => PriceCurve::Linear {
-                min_satisfaction: *min_satisfaction,
-                max_price: *max_price,
-            },
-            CurveSpec::Step(steps) => PriceCurve::Step(steps.clone()),
-        }
+            ),
+        ]),
     }
 }
 
-impl LicenseSpec {
-    pub(crate) fn encode(&self) -> Json {
-        match self {
-            LicenseSpec::Standard => Json::obj([("kind", Json::str("standard"))]),
-            LicenseSpec::Exclusive {
-                tax_rate,
-                hold_rounds,
-            } => Json::obj([
-                ("kind", Json::str("exclusive")),
-                ("tax_rate", Json::Num(*tax_rate)),
-                ("hold_rounds", Json::Num(*hold_rounds as f64)),
-            ]),
-            LicenseSpec::OwnershipTransfer => {
-                Json::obj([("kind", Json::str("ownership_transfer"))])
+fn dec_curve(json: &Json) -> Result<PriceCurve, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "constant" => Ok(PriceCurve::Constant(json.req_f64("price")?)),
+        "linear" => Ok(PriceCurve::Linear {
+            min_satisfaction: json.req_f64("min_satisfaction")?,
+            max_price: json.req_f64("max_price")?,
+        }),
+        "step" => {
+            let mut steps = Vec::new();
+            for step in json.req_arr("steps")? {
+                let pair = step
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or_else(|| WireError::new("step must be a [satisfaction, price] pair"))?;
+                let t = pair[0]
+                    .as_f64()
+                    .ok_or_else(|| WireError::new("step threshold must be a number"))?;
+                let p = pair[1]
+                    .as_f64()
+                    .ok_or_else(|| WireError::new("step price must be a number"))?;
+                steps.push((t, p));
             }
-            LicenseSpec::NonTransferable => Json::obj([("kind", Json::str("non_transferable"))]),
+            Ok(PriceCurve::Step(steps))
         }
+        other => Err(WireError::new(format!("unknown curve kind '{other}'"))),
     }
+}
 
-    pub(crate) fn decode(json: &Json) -> Result<LicenseSpec, WireError> {
-        match json.req_str("kind")?.as_str() {
-            "standard" => Ok(LicenseSpec::Standard),
-            "exclusive" => Ok(LicenseSpec::Exclusive {
-                tax_rate: json.req_f64("tax_rate")?,
-                hold_rounds: u32::try_from(json.req_u64("hold_rounds")?)
-                    .map_err(|_| WireError::new("'hold_rounds' exceeds u32 range"))?,
-            }),
-            "ownership_transfer" => Ok(LicenseSpec::OwnershipTransfer),
-            "non_transferable" => Ok(LicenseSpec::NonTransferable),
-            other => Err(WireError::new(format!("unknown license kind '{other}'"))),
-        }
+fn enc_license(license: &License) -> Json {
+    match license {
+        License::Standard => Json::obj([("kind", Json::str("standard"))]),
+        License::Exclusive {
+            tax_rate,
+            hold_rounds,
+        } => Json::obj([
+            ("kind", Json::str("exclusive")),
+            ("tax_rate", Json::Num(*tax_rate)),
+            ("hold_rounds", Json::Num(*hold_rounds as f64)),
+        ]),
+        License::OwnershipTransfer => Json::obj([("kind", Json::str("ownership_transfer"))]),
+        License::NonTransferable => Json::obj([("kind", Json::str("non_transferable"))]),
     }
+}
 
-    /// Materialize into a core [`License`].
-    pub fn to_license(&self) -> License {
-        match self {
-            LicenseSpec::Standard => License::Standard,
-            LicenseSpec::Exclusive {
-                tax_rate,
-                hold_rounds,
-            } => License::Exclusive {
-                tax_rate: *tax_rate,
-                hold_rounds: *hold_rounds,
-            },
-            LicenseSpec::OwnershipTransfer => License::OwnershipTransfer,
-            LicenseSpec::NonTransferable => License::NonTransferable,
-        }
+fn dec_license(json: &Json) -> Result<License, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "standard" => Ok(License::Standard),
+        "exclusive" => Ok(License::Exclusive {
+            tax_rate: json.req_f64("tax_rate")?,
+            hold_rounds: u32::try_from(json.req_u64("hold_rounds")?)
+                .map_err(|_| WireError::new("'hold_rounds' exceeds u32 range"))?,
+        }),
+        "ownership_transfer" => Ok(License::OwnershipTransfer),
+        "non_transferable" => Ok(License::NonTransferable),
+        other => Err(WireError::new(format!("unknown license kind '{other}'"))),
     }
 }
 
@@ -768,11 +656,11 @@ mod tests {
             buyer: "alice".into(),
             attributes: vec!["city".into(), "temp".into()],
             keywords: vec!["weather".into()],
-            task: TaskSpec::AggregateCompleteness {
+            task: TaskKind::AggregateCompleteness {
                 group_by: "city".into(),
                 expected_groups: 12,
             },
-            curve: CurveSpec::Step(vec![(0.8, 100.0), (0.9, 150.0)]),
+            curve: PriceCurve::Step(vec![(0.8, 100.0), (0.9, 150.0)]),
             min_rows: 3,
             purpose: "research".into(),
         }));
@@ -795,7 +683,7 @@ mod tests {
                 ],
             },
             reserve: Some(5.0),
-            license: Some(LicenseSpec::Exclusive {
+            license: Some(License::Exclusive {
                 tax_rate: 0.5,
                 hold_rounds: 3,
             }),
@@ -803,7 +691,7 @@ mod tests {
         round_trip(Command::GrantLicense {
             seller: "weather-co".into(),
             dataset: 0,
-            license: LicenseSpec::NonTransferable,
+            license: License::NonTransferable,
         });
         round_trip(Command::RunRound { rounds: 4 });
     }
@@ -849,5 +737,31 @@ mod tests {
             let json = Json::parse(bad).unwrap();
             assert!(Command::decode(&json).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn role_and_rounds_have_defaults_but_no_silent_ones() {
+        let decode = |text: &str| Command::decode(&Json::parse(text).unwrap());
+        assert_eq!(
+            decode(r#"{"op":"enroll","name":"a"}"#).unwrap(),
+            Command::Enroll {
+                name: "a".into(),
+                role: "participant".into(),
+            }
+        );
+        assert_eq!(
+            decode(r#"{"op":"run_round"}"#).unwrap(),
+            Command::RunRound { rounds: 1 }
+        );
+        // Encoding writes both fields out, so a journal never relies on
+        // a default.
+        let text = Command::RunRound { rounds: 1 }.encode().dump();
+        assert_eq!(text, r#"{"op":"run_round","rounds":1}"#);
+        assert!(decode(r#"{"op":"enroll","name":"a","role":5}"#).is_err());
+        // The first "op" is the one read.
+        assert_eq!(
+            decode(r#"{"op":"run_round","op":"enroll","name":"a"}"#).unwrap(),
+            Command::RunRound { rounds: 1 }
+        );
     }
 }

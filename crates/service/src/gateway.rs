@@ -27,6 +27,11 @@
 //!   `Connection: close` (`dmp_gateway_refused_total`).
 //! * **`Connection: close`** is honored after the response flushes.
 //!
+//! A write route's body is its command's wire form minus `"op"`
+//! ([`Command::decode`] is the one decoder; an empty body is `{}`).
+//! Two fields have defaults: `"role"` is `"participant"` and
+//! `"rounds"` is 1. `/enroll` also takes an optional `"deposit"`.
+//!
 //! | Endpoint          | Command journaled        | Response              |
 //! |-------------------|--------------------------|-----------------------|
 //! | `POST /enroll`    | `Enroll` (+ `Deposit`)   | shard assignment      |
@@ -52,11 +57,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::command::{Command, LicenseSpec};
+use crate::command::Command;
 use crate::error::ServiceError;
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::metrics::{metrics, Endpoint};
+use crate::metrics::{endpoint, metrics, ENDPOINTS};
 use crate::node::ServiceNode;
+use crate::shard::{check_deposit, Outcome};
 use crate::wire::Json;
 
 /// Connections served at once; one past it is answered `503`.
@@ -350,10 +356,10 @@ fn serve_requests(
             Err(HttpError::Malformed(msg)) => return refuse(reader.get_mut(), 400, &msg),
         };
         let start = Instant::now();
-        let endpoint = Endpoint::of(&req.path);
+        let endpoint = endpoint(&req.path);
         let close = req.wants_close();
         let response = {
-            let _span = dmp_telemetry::tracer().span(endpoint.label(), seq);
+            let _span = dmp_telemetry::tracer().span(ENDPOINTS[endpoint], seq);
             svc.handle(&req)
         };
         seq += 1;
@@ -386,7 +392,7 @@ pub(crate) fn parse_body(req: &Request) -> Result<Json, Response> {
     Json::parse_bytes(&req.body).map_err(|e| Response::json(400, err_body(&e.to_string())))
 }
 
-fn apply_response(result: Result<crate::shard::Outcome, ServiceError>) -> Response {
+fn apply_response(result: Result<Outcome, ServiceError>) -> Response {
     match result {
         Ok(outcome) => Response::json(200, outcome.to_json().dump()),
         Err(ServiceError::Rejected(msg)) => Response::json(400, err_body(&msg)),
@@ -399,10 +405,9 @@ fn apply_response(result: Result<crate::shard::Outcome, ServiceError>) -> Respon
 
 pub(crate) fn route(node: &ServiceNode, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        // The body is cached on the node and only re-rendered when a
-        // reported counter (or the decisecond of uptime) changes — the
-        // health path never waits on the apply/WAL lock, so a round
-        // running on another connection cannot stall it.
+        // Rendered from atomics: the health path never waits on the
+        // apply/WAL lock, so a round running on another connection
+        // cannot stall it.
         ("GET", "/health") => Response::json(200, node.health_body()),
         // Prometheus text exposition. Rendering snapshots every handle
         // under the registry's own map mutex only — never the node's
@@ -446,181 +451,6 @@ pub(crate) fn route(node: &ServiceNode, req: &Request) -> Response {
                 .dump(),
             )
         }
-        ("POST", "/enroll") => {
-            let body = match parse_body(req) {
-                Ok(b) => b,
-                Err(resp) => return resp,
-            };
-            let name = match body.req_str("name") {
-                Ok(n) => n,
-                Err(e) => return Response::json(400, err_body(&e.to_string())),
-            };
-            let role = body
-                .get("role")
-                .and_then(Json::as_str)
-                .unwrap_or("participant")
-                .to_string();
-            // Validate the optional enrollment deposit *before* any
-            // command applies: an invalid amount must not leave a
-            // half-done enroll-without-deposit behind.
-            let deposit = match body.get("deposit") {
-                None => None,
-                Some(j) => match j.as_f64() {
-                    Some(a)
-                        if a.is_finite()
-                            && (0.0..=dmp_core::arbiter::ledger::MAX_AMOUNT).contains(&a) =>
-                    {
-                        Some(a)
-                    }
-                    _ => {
-                        return Response::json(
-                            400,
-                            err_body(&format!(
-                                "'deposit' must be a non-negative number <= {}",
-                                dmp_core::arbiter::ledger::MAX_AMOUNT
-                            )),
-                        )
-                    }
-                },
-            };
-            let enroll = node.apply(Command::Enroll {
-                name: name.clone(),
-                role,
-            });
-            let shard = match &enroll {
-                Ok(crate::shard::Outcome::Enrolled { shard, .. }) => *shard,
-                _ => return apply_response(enroll),
-            };
-            // The deposit is a second journaled command; the response
-            // reports both outcomes (enrollment + resulting balance).
-            if let Some(amount) = deposit {
-                match node.apply(Command::Deposit {
-                    account: name.clone(),
-                    amount,
-                }) {
-                    Ok(crate::shard::Outcome::Deposited { balance, .. }) => {
-                        return Response::json(
-                            200,
-                            Json::obj([
-                                ("enrolled", Json::str(name)),
-                                ("shard", Json::Num(shard as f64)),
-                                ("balance", Json::Num(balance)),
-                            ])
-                            .dump(),
-                        );
-                    }
-                    other => return apply_response(other),
-                }
-            }
-            apply_response(enroll)
-        }
-        ("POST", "/deposits") => {
-            let body = match parse_body(req) {
-                Ok(b) => b,
-                Err(resp) => return resp,
-            };
-            let cmd = match (body.req_str("account"), body.req_f64("amount")) {
-                (Ok(account), Ok(amount)) => Command::Deposit { account, amount },
-                (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
-            };
-            apply_response(node.apply(cmd))
-        }
-        ("POST", "/offers") => {
-            let body = match parse_body(req) {
-                Ok(b) => b,
-                Err(resp) => return resp,
-            };
-            // Reuse the command decoder: an offer body is the command
-            // object minus the "op" discriminator.
-            let mut with_op = vec![("op".to_string(), Json::str("offer"))];
-            if let Json::Obj(pairs) = body {
-                with_op.extend(pairs);
-            }
-            match Command::decode(&Json::Obj(with_op)) {
-                Ok(cmd @ Command::SubmitOffer(_)) => apply_response(node.apply(cmd)),
-                Ok(_) => Response::json(400, err_body("not an offer body")),
-                Err(e) => Response::json(400, err_body(&e.to_string())),
-            }
-        }
-        ("POST", "/asks") => {
-            let body = match parse_body(req) {
-                Ok(b) => b,
-                Err(resp) => return resp,
-            };
-            let mut with_op = vec![("op".to_string(), Json::str("ask"))];
-            if let Json::Obj(pairs) = body {
-                with_op.extend(pairs);
-            }
-            match Command::decode(&Json::Obj(with_op)) {
-                Ok(cmd @ Command::SubmitAsk(_)) => apply_response(node.apply(cmd)),
-                Ok(_) => Response::json(400, err_body("not an ask body")),
-                Err(e) => Response::json(400, err_body(&e.to_string())),
-            }
-        }
-        ("POST", "/licenses") => {
-            let body = match parse_body(req) {
-                Ok(b) => b,
-                Err(resp) => return resp,
-            };
-            let cmd = match (
-                body.req_str("seller"),
-                body.req_u64("dataset"),
-                body.get("license"),
-            ) {
-                (Ok(seller), Ok(dataset), Some(license_json)) => {
-                    match LicenseSpec::decode(license_json) {
-                        Ok(license) => Command::GrantLicense {
-                            seller,
-                            dataset,
-                            license,
-                        },
-                        Err(e) => return Response::json(400, err_body(&e.to_string())),
-                    }
-                }
-                (Err(e), _, _) | (_, Err(e), _) => {
-                    return Response::json(400, err_body(&e.to_string()))
-                }
-                (_, _, None) => return Response::json(400, err_body("missing field 'license'")),
-            };
-            apply_response(node.apply(cmd))
-        }
-        ("POST", "/rounds") => {
-            let rounds = if req.body.is_empty() {
-                1
-            } else {
-                let body = match parse_body(req) {
-                    Ok(b) => b,
-                    Err(resp) => return resp,
-                };
-                match body.get("rounds") {
-                    None => 1,
-                    // Strict: a fractional or out-of-range count is an
-                    // error, not a silent default.
-                    Some(j) => match j.as_u64() {
-                        Some(n) => n,
-                        None => {
-                            return Response::json(
-                                400,
-                                err_body("'rounds' must be a positive integer"),
-                            )
-                        }
-                    },
-                }
-            };
-            if rounds == 0 || rounds > Command::MAX_ROUNDS_PER_COMMAND {
-                return Response::json(
-                    400,
-                    err_body(&format!(
-                        "'rounds' must be in 1..={} (one journaled command blocks \
-                         writers while it runs and replays in full on recovery)",
-                        Command::MAX_ROUNDS_PER_COMMAND
-                    )),
-                );
-            }
-            apply_response(node.apply(Command::RunRound {
-                rounds: rounds as u32,
-            }))
-        }
         ("POST", "/snapshot") => match node.snapshot_now() {
             Ok(seq) => Response::json(
                 200,
@@ -628,8 +458,85 @@ pub(crate) fn route(node: &ServiceNode, req: &Request) -> Response {
             ),
             Err(e) => Response::json(500, err_body(&e.to_string())),
         },
-        ("GET" | "POST", _) => Response::json(404, err_body("unknown route")),
+        ("POST", path) => match write_op(path) {
+            Some(op) => write(node, op, req),
+            None => Response::json(404, err_body("unknown route")),
+        },
+        ("GET", _) => Response::json(404, err_body("unknown route")),
         _ => Response::json(405, err_body("method not allowed")),
+    }
+}
+
+/// The op of the command a write route journals.
+fn write_op(path: &str) -> Option<&'static str> {
+    Some(match path {
+        "/enroll" => "enroll",
+        "/deposits" => "deposit",
+        "/offers" => "offer",
+        "/asks" => "ask",
+        "/licenses" => "grant_license",
+        "/rounds" => "run_round",
+        _ => return None,
+    })
+}
+
+/// A write route: the body (an empty one is `{}`) is the command's wire
+/// form minus `"op"`. The route's `op` goes *first*, ahead of the
+/// body's pairs, and [`Json::get`] reads the first key, so a body's
+/// own `"op"` never chooses the command.
+fn write(node: &ServiceNode, op: &str, req: &Request) -> Response {
+    let body = if req.body.is_empty() {
+        Json::Obj(Vec::new())
+    } else {
+        match parse_body(req) {
+            Ok(b) => b,
+            Err(resp) => return resp,
+        }
+    };
+    let Json::Obj(pairs) = body else {
+        return Response::json(400, err_body("request body must be a JSON object"));
+    };
+    let json = Json::Obj(
+        std::iter::once(("op".to_string(), Json::str(op)))
+            .chain(pairs)
+            .collect(),
+    );
+    let cmd = match Command::decode(&json) {
+        Ok(cmd) => cmd,
+        Err(e) => return Response::json(400, err_body(&e.to_string())),
+    };
+    // `/enroll` may carry an opening deposit, a second command. It is
+    // checked before the enroll applies, so that a bad amount never
+    // leaves an enroll without its deposit behind.
+    let deposit = match json.get("deposit") {
+        Some(j) if op == "enroll" => {
+            // A non-number fails the bound like any other bad amount.
+            let amount = j.as_f64().unwrap_or(f64::NAN);
+            if let Err(e) = check_deposit(amount) {
+                return apply_response(Err(e));
+            }
+            Some(amount)
+        }
+        _ => None,
+    };
+    let result = node.apply(cmd);
+    let (Some(amount), Ok(Outcome::Enrolled { name, shard })) = (deposit, &result) else {
+        return apply_response(result);
+    };
+    match node.apply(Command::Deposit {
+        account: name.clone(),
+        amount,
+    }) {
+        Ok(Outcome::Deposited { balance, .. }) => Response::json(
+            200,
+            Json::obj([
+                ("enrolled", Json::str(name.clone())),
+                ("shard", Json::Num(*shard as f64)),
+                ("balance", Json::Num(balance)),
+            ])
+            .dump(),
+        ),
+        other => apply_response(other),
     }
 }
 

@@ -14,93 +14,37 @@ use dmp_telemetry::{global, Counter, Gauge, Histogram};
 
 use crate::command::Command;
 
-/// The request endpoints latency and counts are broken out by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `GET /health`.
-    Health,
-    /// `GET /metrics`.
-    Metrics,
-    /// `GET /trace`.
-    Trace,
-    /// `GET /ledger` and `GET /ledger/:name`.
-    Ledger,
-    /// `POST /enroll`.
-    Enroll,
-    /// `POST /deposits`.
-    Deposits,
-    /// `POST /offers`.
-    Offers,
-    /// `POST /asks`.
-    Asks,
-    /// `POST /licenses`.
-    Licenses,
-    /// `POST /rounds`.
-    Rounds,
-    /// `POST /snapshot`.
-    Snapshot,
-    /// Anything else (404s, bad methods).
-    Other,
-}
+/// The request endpoints latency and counts are broken out by, as
+/// their series labels. A label is a path (`/ledger` covers
+/// `/ledger/:name` too), and the last, `other`, takes every path not
+/// listed (404s, worker RPCs). The label is also the tracer span name
+/// of a request.
+pub const ENDPOINTS: [&str; 12] = [
+    "/health",
+    "/metrics",
+    "/trace",
+    "/ledger",
+    "/enroll",
+    "/deposits",
+    "/offers",
+    "/asks",
+    "/licenses",
+    "/rounds",
+    "/snapshot",
+    "other",
+];
 
-impl Endpoint {
-    const ALL: [Endpoint; 12] = [
-        Endpoint::Health,
-        Endpoint::Metrics,
-        Endpoint::Trace,
-        Endpoint::Ledger,
-        Endpoint::Enroll,
-        Endpoint::Deposits,
-        Endpoint::Offers,
-        Endpoint::Asks,
-        Endpoint::Licenses,
-        Endpoint::Rounds,
-        Endpoint::Snapshot,
-        Endpoint::Other,
-    ];
-
-    /// Classify a request path (the label every request series uses).
-    pub fn of(path: &str) -> Endpoint {
-        match path {
-            "/health" => Endpoint::Health,
-            "/metrics" => Endpoint::Metrics,
-            "/trace" => Endpoint::Trace,
-            "/enroll" => Endpoint::Enroll,
-            "/deposits" => Endpoint::Deposits,
-            "/offers" => Endpoint::Offers,
-            "/asks" => Endpoint::Asks,
-            "/licenses" => Endpoint::Licenses,
-            "/rounds" => Endpoint::Rounds,
-            "/snapshot" => Endpoint::Snapshot,
-            p if p == "/ledger" || p.starts_with("/ledger/") => Endpoint::Ledger,
-            _ => Endpoint::Other,
-        }
-    }
-
-    /// Stable label value (also the tracer span name of a request).
-    pub fn label(self) -> &'static str {
-        match self {
-            Endpoint::Health => "/health",
-            Endpoint::Metrics => "/metrics",
-            Endpoint::Trace => "/trace",
-            Endpoint::Ledger => "/ledger",
-            Endpoint::Enroll => "/enroll",
-            Endpoint::Deposits => "/deposits",
-            Endpoint::Offers => "/offers",
-            Endpoint::Asks => "/asks",
-            Endpoint::Licenses => "/licenses",
-            Endpoint::Rounds => "/rounds",
-            Endpoint::Snapshot => "/snapshot",
-            Endpoint::Other => "other",
-        }
-    }
-
-    fn index(self) -> usize {
-        Endpoint::ALL
-            .iter()
-            .position(|e| *e == self)
-            .expect("every endpoint is in ALL")
-    }
+/// The index into [`ENDPOINTS`] of a request path.
+pub fn endpoint(path: &str) -> usize {
+    let path = if path.starts_with("/ledger/") {
+        "/ledger"
+    } else {
+        path
+    };
+    ENDPOINTS
+        .iter()
+        .position(|e| *e == path)
+        .unwrap_or(ENDPOINTS.len() - 1)
 }
 
 /// The command kinds apply time is broken out by.
@@ -208,20 +152,20 @@ pub fn metrics() -> &'static ServiceMetrics {
                 "dmp_gateway_connections",
                 "Connections currently served, one thread each.",
             ),
-            requests: Endpoint::ALL
+            requests: ENDPOINTS
                 .iter()
                 .map(|e| {
                     r.counter(
-                        &format!("dmp_gateway_requests_total{{endpoint=\"{}\"}}", e.label()),
+                        &format!("dmp_gateway_requests_total{{endpoint=\"{e}\"}}"),
                         "Requests completed, by endpoint.",
                     )
                 })
                 .collect(),
-            request_us: Endpoint::ALL
+            request_us: ENDPOINTS
                 .iter()
                 .map(|e| {
                     r.histogram(
-                        &format!("dmp_gateway_request_us{{endpoint=\"{}\"}}", e.label()),
+                        &format!("dmp_gateway_request_us{{endpoint=\"{e}\"}}"),
                         "Request wall latency (parse to response ready), microseconds.",
                     )
                 })
@@ -349,16 +293,17 @@ pub fn metrics() -> &'static ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Count one completed request and record its wall latency.
-    pub fn record_request(&self, endpoint: Endpoint, elapsed: std::time::Duration) {
-        let i = endpoint.index();
-        self.requests[i].inc();
-        self.request_us[i].record_duration_us(elapsed);
+    /// Count one completed request and record its wall latency
+    /// (`endpoint` indexes [`ENDPOINTS`]).
+    pub fn record_request(&self, endpoint: usize, elapsed: std::time::Duration) {
+        self.requests[endpoint].inc();
+        self.request_us[endpoint].record_duration_us(elapsed);
     }
 
-    /// The request counter for one endpoint.
-    pub fn requests_total(&self, endpoint: Endpoint) -> u64 {
-        self.requests[endpoint.index()].get()
+    /// The request counter for one endpoint (an index into
+    /// [`ENDPOINTS`]).
+    pub fn requests_total(&self, endpoint: usize) -> u64 {
+        self.requests[endpoint].get()
     }
 
     /// The apply-time histogram for one command.
@@ -391,22 +336,25 @@ mod tests {
 
     #[test]
     fn endpoint_classification() {
-        assert_eq!(Endpoint::of("/health"), Endpoint::Health);
-        assert_eq!(Endpoint::of("/ledger"), Endpoint::Ledger);
-        assert_eq!(Endpoint::of("/ledger/alice"), Endpoint::Ledger);
-        assert_eq!(Endpoint::of("/metrics"), Endpoint::Metrics);
-        assert_eq!(Endpoint::of("/nope"), Endpoint::Other);
-        for e in Endpoint::ALL {
-            assert_eq!(Endpoint::ALL[e.index()], e);
+        let label = |path| ENDPOINTS[endpoint(path)];
+        assert_eq!(label("/health"), "/health");
+        assert_eq!(label("/ledger"), "/ledger");
+        assert_eq!(label("/ledger/alice"), "/ledger");
+        assert_eq!(label("/metrics"), "/metrics");
+        assert_eq!(label("/nope"), "other");
+        assert_eq!(label("/internal/apply"), "other");
+        for (i, e) in ENDPOINTS.iter().enumerate() {
+            assert_eq!(endpoint(e), i);
         }
     }
 
     #[test]
     fn handles_resolve_and_record() {
         let m = metrics();
-        let before = m.requests_total(Endpoint::Health);
-        m.record_request(Endpoint::Health, std::time::Duration::from_micros(5));
-        assert_eq!(m.requests_total(Endpoint::Health), before + 1);
+        let health = endpoint("/health");
+        let before = m.requests_total(health);
+        m.record_request(health, std::time::Duration::from_micros(5));
+        assert_eq!(m.requests_total(health), before + 1);
         m.apply_us(&Command::RunRound { rounds: 1 }).record(10);
         assert!(
             m.apply_us(&Command::RunRound { rounds: 1 })

@@ -161,13 +161,6 @@ pub struct ServiceNode {
     applied: AtomicU64,
     /// When recovery finished (drives `/health` uptime).
     started: Instant,
-    /// Rendered `/health` body, keyed on the atomics it reports. The
-    /// gateway serves `/health` per request; rebuilding ~100
-    /// bytes of JSON (and formatting floats) every time is measurable
-    /// at gateway rps, so the body is re-rendered only when a key
-    /// component changes. This mutex is private to the health path and
-    /// uncontended — it never orders after the apply/WAL lock.
-    health_cache: Mutex<(u64, u64, u64, String)>,
     /// Applied-command observer (the coordinator's forwarding hook).
     /// Invoked under the apply lock so followers observe journal order;
     /// installed only *after* recovery, so replay never forwards.
@@ -379,7 +372,6 @@ impl ServiceNode {
                 reason = "/health uptime display; presentation, never state"
             )]
             started: Instant::now(),
-            health_cache: Mutex::new((u64::MAX, u64::MAX, u64::MAX, String::new())),
             follower: Mutex::new(None),
         })
     }
@@ -552,30 +544,22 @@ impl ServiceNode {
         self.started.elapsed()
     }
 
-    /// The `/health` JSON body. Cached: re-rendered only when the
-    /// applied sequence, the round counter, or the decisecond of
-    /// uptime changes (so `uptime_s` has 0.1 s granularity — plenty
-    /// for liveness, and it keeps the float's decimal repr short and
-    /// cheap to format).
+    /// The `/health` JSON body, rendered from atomics without the
+    /// apply/WAL lock. `uptime_s` has 0.1 s granularity: plenty for
+    /// liveness, and it keeps the float's decimal form short.
     pub fn health_body(&self) -> String {
         use crate::wire::Json;
-        let applied = self.applied();
-        let rounds = self.router.rounds_completed();
+        let rounds = self.router.rounds_completed() as f64;
         let uptime_ds = self.uptime().as_millis() as u64 / 100;
-        let mut cache = self.health_cache.lock();
-        if (cache.0, cache.1, cache.2) != (applied, rounds, uptime_ds) {
-            let body = Json::obj([
-                ("status", Json::str("ok")),
-                ("shards", Json::Num(self.router.shard_count() as f64)),
-                ("applied", Json::Num(applied as f64)),
-                ("round", Json::Num(rounds as f64)),
-                ("rounds_completed", Json::Num(rounds as f64)),
-                ("uptime_s", Json::Num(uptime_ds as f64 / 10.0)),
-            ])
-            .dump();
-            *cache = (applied, rounds, uptime_ds, body);
-        }
-        cache.3.clone()
+        Json::obj([
+            ("status", Json::str("ok")),
+            ("shards", Json::Num(self.router.shard_count() as f64)),
+            ("applied", Json::Num(self.applied() as f64)),
+            ("round", Json::Num(rounds)),
+            ("rounds_completed", Json::Num(rounds)),
+            ("uptime_s", Json::Num(uptime_ds as f64 / 10.0)),
+        ])
+        .dump()
     }
 
     /// Sequence number of the last applied command.

@@ -56,6 +56,20 @@ use crate::command::Command;
 use crate::error::ServiceError;
 use crate::wire::{Json, Sink};
 
+/// The bound on every deposit: a finite, non-negative amount of at
+/// most [`MAX_AMOUNT`](dmp_core::arbiter::ledger::MAX_AMOUNT) credits.
+/// [`ShardRouter::apply`] enforces it, and `POST /enroll` checks its
+/// opening deposit against it before the enroll applies.
+pub(crate) fn check_deposit(amount: f64) -> Result<(), ServiceError> {
+    let max = dmp_core::arbiter::ledger::MAX_AMOUNT;
+    if (0.0..=max).contains(&amount) {
+        return Ok(());
+    }
+    Err(ServiceError::Rejected(format!(
+        "deposit amount must be a non-negative finite number <= {max} credits"
+    )))
+}
+
 /// FNV-1a 64-bit hash (stable across processes and platforms; the
 /// routing function must never change under replay).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -386,17 +400,7 @@ impl ShardRouter {
                 })
             }
             Command::Deposit { account, amount } => {
-                if *amount < 0.0 || !amount.is_finite() {
-                    return Err(ServiceError::Rejected(
-                        "deposit amount must be a non-negative finite number".into(),
-                    ));
-                }
-                if *amount > dmp_core::arbiter::ledger::MAX_AMOUNT {
-                    return Err(ServiceError::Rejected(format!(
-                        "deposit amount exceeds the ledger maximum of {} credits",
-                        dmp_core::arbiter::ledger::MAX_AMOUNT
-                    )));
-                }
+                check_deposit(*amount)?;
                 let shard = self.shard_of(account);
                 let market = self.market_at(shard);
                 // Only enrolled principals (and the arbiter) hold
@@ -449,7 +453,7 @@ impl ShardRouter {
                 }
                 if let Some(license) = &spec.license {
                     seller
-                        .set_license(dataset, license.to_license())
+                        .set_license(dataset, license.clone())
                         .map_err(|e| ServiceError::Rejected(format!("{e:?}")))?;
                 }
                 Ok(Outcome::AskAccepted {
@@ -465,7 +469,7 @@ impl ShardRouter {
                 let shard = self.shard_of(seller);
                 self.market_at(shard)
                     .seller(seller)
-                    .set_license(DatasetId(*dataset), license.to_license())
+                    .set_license(DatasetId(*dataset), license.clone())
                     .map_err(|e| ServiceError::Rejected(format!("{e:?}")))?;
                 Ok(Outcome::LicenseGranted {
                     dataset: *dataset,

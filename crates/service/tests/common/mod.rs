@@ -1,13 +1,13 @@
-//! Helpers shared by `shard_equivalence.rs` and `distributed_e2e.rs`,
-//! which pin the same market under the same command streams (`mod
-//! common;` in both). The generators in `recovery.rs`, `state_props.rs`
+//! Helpers shared by `shard_equivalence.rs`, `distributed_e2e.rs` and
+//! `write_routes.rs`, which pin the same market under the same command
+//! streams (`mod common;` in each). The generators in `recovery.rs`, `state_props.rs`
 //! and `compaction_crash.rs` differ on purpose and stay where they are.
 
+use dmp_core::license::License;
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
-use dmp_service::command::{
-    AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
-};
+use dmp_mechanism::wtp::{PriceCurve, TaskKind};
+use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use rand::{Rng, SeedableRng};
 
 /// The posted price of every market these suites open — and of every
@@ -73,7 +73,7 @@ pub fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             None
                         },
                         license: if rng.gen_bool(0.2) {
-                            Some(LicenseSpec::Exclusive {
+                            Some(License::Exclusive {
                                 tax_rate: 0.25,
                                 hold_rounds: 2,
                             })
@@ -94,8 +94,8 @@ pub fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             .map(|s| s.to_string())
                             .collect(),
                         keywords: Vec::new(),
-                        task: TaskSpec::AttributeCoverage,
-                        curve: CurveSpec::Constant(rng.gen_range(10i64..40) as f64),
+                        task: TaskKind::AttributeCoverage,
+                        curve: PriceCurve::Constant(rng.gen_range(10i64..40) as f64),
                         min_rows: 1,
                         purpose: "analytics".into(),
                     }));
@@ -104,7 +104,7 @@ pub fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                     cmds.push(Command::GrantLicense {
                         seller: format!("seller{}", rng.gen_range(0..5)),
                         dataset: rng.gen_range(0..datasets_shared),
-                        license: LicenseSpec::Standard,
+                        license: License::Standard,
                     });
                 }
                 _ => {

@@ -95,6 +95,32 @@ fn full_market_session_over_the_wire() {
     let seller_ledger = c.get(&format!("/ledger/{seller}")).unwrap();
     assert!(seller_ledger.req_f64("balance").unwrap() > 0.0);
 
+    // `POST /licenses`: the seller makes its dataset exclusive; a
+    // dataset it never shared, or a body without a license, is refused.
+    let dataset = ask.req_u64("dataset").unwrap();
+    let grant = |dataset: u64, license: &str| {
+        Json::parse(&format!(
+            r#"{{"seller":"{seller}","dataset":{dataset}{license}}}"#
+        ))
+        .unwrap()
+    };
+    let exclusive = r#","license":{"kind":"exclusive","tax_rate":0.5,"hold_rounds":2}"#;
+    let (status, body) = c
+        .request("POST", "/licenses", Some(&grant(dataset, exclusive)))
+        .unwrap();
+    assert_eq!(status, 200, "{}", body.dump());
+    assert_eq!(
+        body.dump(),
+        format!(
+            r#"{{"licensed":{dataset},"shard":{}}}"#,
+            ask.req_u64("shard").unwrap()
+        )
+    );
+    for bad in [grant(dataset + 1000, exclusive), grant(dataset, "")] {
+        let (status, body) = c.request("POST", "/licenses", Some(&bad)).unwrap();
+        assert_eq!(status, 400, "{} -> {}", bad.dump(), body.dump());
+    }
+
     // Error paths over the wire.
     let (status, _) = c.request("GET", "/ledger/nobody", None).unwrap();
     assert_eq!(status, 404);

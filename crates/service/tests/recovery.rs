@@ -6,11 +6,11 @@
 
 use std::path::Path;
 
+use dmp_core::license::License;
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
-use dmp_service::command::{
-    AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
-};
+use dmp_mechanism::wtp::{PriceCurve, TaskKind};
+use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::journal::Journal;
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::shard::ShardRouter;
@@ -83,7 +83,7 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             None
                         },
                         license: if rng.gen_bool(0.25) {
-                            Some(LicenseSpec::Exclusive {
+                            Some(License::Exclusive {
                                 tax_rate: 0.5,
                                 hold_rounds: 2,
                             })
@@ -102,8 +102,8 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             .map(|s| s.to_string())
                             .collect(),
                         keywords: Vec::new(),
-                        task: TaskSpec::AttributeCoverage,
-                        curve: CurveSpec::Constant(rng.gen_range(10i64..200) as f64 / 10.0),
+                        task: TaskKind::AttributeCoverage,
+                        curve: PriceCurve::Constant(rng.gen_range(10i64..200) as f64 / 10.0),
                         min_rows: 1,
                         purpose: "analytics".into(),
                     }));
@@ -115,7 +115,7 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                 8 => cmds.push(Command::GrantLicense {
                     seller: format!("seller{}", rng.gen_range(0usize..4)),
                     dataset: rng.gen_range(0u64..6),
-                    license: LicenseSpec::NonTransferable,
+                    license: License::NonTransferable,
                 }),
                 _ => cmds.push(Command::Enroll {
                     name: format!("late{}", rng.gen_range(0usize..6)),

@@ -4,11 +4,11 @@
 //! actually stores (floats travel as bit patterns, so the round trip is
 //! exact even for values a decimal float repr would perturb).
 
+use dmp_core::license::License;
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
-use dmp_service::command::{
-    AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
-};
+use dmp_mechanism::wtp::{PriceCurve, TaskKind};
+use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::shard::ShardRouter;
 use dmp_service::state::{self, StateImage};
 use dmp_service::Json;
@@ -70,7 +70,7 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             None
                         },
                         license: if rng.gen_bool(0.3) {
-                            Some(LicenseSpec::Exclusive {
+                            Some(License::Exclusive {
                                 tax_rate: 0.35,
                                 hold_rounds: 2,
                             })
@@ -89,8 +89,8 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                             .map(|s| s.to_string())
                             .collect(),
                         keywords: Vec::new(),
-                        task: TaskSpec::AttributeCoverage,
-                        curve: CurveSpec::Constant((rng.gen_range(5i64..200) as f64) / 9.0),
+                        task: TaskKind::AttributeCoverage,
+                        curve: PriceCurve::Constant((rng.gen_range(5i64..200) as f64) / 9.0),
                         min_rows: 1,
                         purpose: "analytics".into(),
                     }));
@@ -98,7 +98,7 @@ fn command_stream(rounds: usize, seed: u64) -> Vec<Command> {
                 6 => cmds.push(Command::GrantLicense {
                     seller: format!("seller{}", rng.gen_range(0usize..3)),
                     dataset: rng.gen_range(0u64..5),
-                    license: LicenseSpec::NonTransferable,
+                    license: License::NonTransferable,
                 }),
                 _ => cmds.push(Command::Deposit {
                     account: format!("buyer{}", rng.gen_range(0usize..3)),

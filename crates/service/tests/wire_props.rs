@@ -2,9 +2,9 @@
 //! on arbitrary JSON values, and every [`Command`] round-trips through
 //! its wire form unchanged.
 
-use dmp_service::command::{
-    AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
-};
+use dmp_core::license::License;
+use dmp_mechanism::wtp::{PriceCurve, TaskKind};
+use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::wire::Json;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -97,16 +97,16 @@ fn arb_name(rng: &mut TestRng) -> String {
         .collect()
 }
 
-fn arb_curve(rng: &mut TestRng) -> CurveSpec {
+fn arb_curve(rng: &mut TestRng) -> PriceCurve {
     match rng.gen_range(0u32..3) {
-        0 => CurveSpec::Constant(rng.gen_range(0.0f64..500.0)),
-        1 => CurveSpec::Linear {
+        0 => PriceCurve::Constant(rng.gen_range(0.0f64..500.0)),
+        1 => PriceCurve::Linear {
             min_satisfaction: rng.gen_range(0.0f64..1.0),
             max_price: rng.gen_range(0.0f64..500.0),
         },
         _ => {
             let steps = rng.gen_range(1usize..4);
-            CurveSpec::Step(
+            PriceCurve::Step(
                 (0..steps)
                     .map(|_| (rng.gen_range(0.0f64..1.0), rng.gen_range(0.0f64..500.0)))
                     .collect(),
@@ -115,31 +115,31 @@ fn arb_curve(rng: &mut TestRng) -> CurveSpec {
     }
 }
 
-fn arb_task(rng: &mut TestRng) -> TaskSpec {
+fn arb_task(rng: &mut TestRng) -> TaskKind {
     match rng.gen_range(0u32..4) {
-        0 => TaskSpec::AttributeCoverage,
-        1 => TaskSpec::Classification {
+        0 => TaskKind::AttributeCoverage,
+        1 => TaskKind::Classification {
             label: arb_name(rng),
         },
-        2 => TaskSpec::Regression {
+        2 => TaskKind::Regression {
             target: arb_name(rng),
         },
-        _ => TaskSpec::AggregateCompleteness {
+        _ => TaskKind::AggregateCompleteness {
             group_by: arb_name(rng),
-            expected_groups: rng.gen_range(1u64..100),
+            expected_groups: rng.gen_range(1usize..100),
         },
     }
 }
 
-fn arb_license(rng: &mut TestRng) -> LicenseSpec {
+fn arb_license(rng: &mut TestRng) -> License {
     match rng.gen_range(0u32..4) {
-        0 => LicenseSpec::Standard,
-        1 => LicenseSpec::Exclusive {
+        0 => License::Standard,
+        1 => License::Exclusive {
             tax_rate: rng.gen_range(0.0f64..2.0),
             hold_rounds: rng.gen_range(0u32..10),
         },
-        2 => LicenseSpec::OwnershipTransfer,
-        _ => LicenseSpec::NonTransferable,
+        2 => License::OwnershipTransfer,
+        _ => License::NonTransferable,
     }
 }
 
