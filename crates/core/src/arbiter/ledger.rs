@@ -23,7 +23,6 @@
 #![deny(clippy::indexing_slicing)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -60,26 +59,41 @@ fn from_micros(m: i64) -> f64 {
     m as f64 / MICROS_PER_CREDIT
 }
 
-/// Escrow lifecycle.
-#[derive(Debug, Clone, PartialEq)]
-enum EscrowState {
-    Held,
-    Closed,
-}
-
 #[derive(Debug, Clone)]
 struct Escrow {
     from: String,
     remaining: i64,
-    state: EscrowState,
+    /// Still open (a closed escrow keeps its id occupied).
+    held: bool,
+}
+
+/// The ledger's contents: balances, every escrow ever taken, and the
+/// next escrow id.
+#[derive(Debug, Default)]
+struct LedgerState {
+    accounts: BTreeMap<String, i64>,
+    escrows: BTreeMap<u64, Escrow>,
+    next_escrow: u64,
+}
+
+/// The open escrow `id`, or why it cannot pay out.
+fn held(escrows: &mut BTreeMap<u64, Escrow>, id: u64) -> MarketResult<&mut Escrow> {
+    let e = escrows.get_mut(&id).ok_or(MarketError::UnknownId(id))?;
+    if !e.held {
+        return Err(MarketError::Invalid("escrow already closed".into()));
+    }
+    Ok(e)
 }
 
 /// Double-entry ledger with named accounts and escrow holds.
+///
+/// One guard covers accounts, escrows and the escrow id together, so a
+/// hold debits and records its escrow in one critical section, and a
+/// reader (`total_supply`, `export_state`) sees one consistent cut:
+/// never a debit whose escrow is not there yet.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    accounts: Mutex<BTreeMap<String, i64>>,
-    escrows: Mutex<BTreeMap<u64, Escrow>>,
-    next_escrow: AtomicU64,
+    state: Mutex<LedgerState>,
 }
 
 impl Ledger {
@@ -95,14 +109,15 @@ impl Ledger {
         if m <= 0 {
             return;
         }
-        let mut accounts = self.accounts.lock();
-        let e = accounts.entry(account.to_string()).or_insert(0);
+        let mut state = self.state.lock();
+        let e = state.accounts.entry(account.to_string()).or_insert(0);
         *e = e.saturating_add(m);
     }
 
     /// Current balance (0 for unknown accounts).
     pub fn balance(&self, account: &str) -> f64 {
-        from_micros(self.accounts.lock().get(account).copied().unwrap_or(0))
+        let state = self.state.lock();
+        from_micros(state.accounts.get(account).copied().unwrap_or(0))
     }
 
     /// Transfer between accounts; fails on insufficient funds, and on a
@@ -117,7 +132,8 @@ impl Ledger {
         if m == 0 {
             return Ok(());
         }
-        let mut accounts = self.accounts.lock();
+        let mut state = self.state.lock();
+        let accounts = &mut state.accounts;
         let available = accounts.get(from).copied().unwrap_or(0);
         if available < m {
             return Err(MarketError::InsufficientFunds {
@@ -134,7 +150,7 @@ impl Ledger {
                 Ok(())
             }
             None => {
-                // Undo the debit under the same lock: a refused
+                // Undo the debit under the same guard: a refused
                 // transfer leaves no partial state.
                 *accounts.entry(from.to_string()).or_insert(0) += m;
                 Err(MarketError::BalanceOverflow {
@@ -145,30 +161,30 @@ impl Ledger {
     }
 
     /// Hold `amount` from an account in escrow; returns the escrow id.
+    /// The debit and the escrow it funds land in one critical section.
     pub fn hold(&self, from: &str, amount: f64) -> MarketResult<u64> {
         if amount < 0.0 {
             return Err(MarketError::Invalid("negative escrow".into()));
         }
         let m = to_micros(amount);
-        {
-            let mut accounts = self.accounts.lock();
-            let available = accounts.get(from).copied().unwrap_or(0);
-            if available < m {
-                return Err(MarketError::InsufficientFunds {
-                    account: from.to_string(),
-                    needed: amount,
-                    available: from_micros(available),
-                });
-            }
-            *accounts.entry(from.to_string()).or_insert(0) -= m;
+        let mut state = self.state.lock();
+        let available = state.accounts.get(from).copied().unwrap_or(0);
+        if available < m {
+            return Err(MarketError::InsufficientFunds {
+                account: from.to_string(),
+                needed: amount,
+                available: from_micros(available),
+            });
         }
-        let id = self.next_escrow.fetch_add(1, Ordering::Relaxed);
-        self.escrows.lock().insert(
+        *state.accounts.entry(from.to_string()).or_insert(0) -= m;
+        let id = state.next_escrow;
+        state.next_escrow += 1;
+        state.escrows.insert(
             id,
             Escrow {
                 from: from.to_string(),
                 remaining: m,
-                state: EscrowState::Held,
+                held: true,
             },
         );
         Ok(id)
@@ -190,13 +206,11 @@ impl Ledger {
         if amount < 0.0 {
             return Err(MarketError::Invalid("negative release".into()));
         }
-        let mut escrows = self.escrows.lock();
-        let e = escrows
-            .get_mut(&escrow)
-            .ok_or(MarketError::UnknownId(escrow))?;
-        if e.state != EscrowState::Held {
-            return Err(MarketError::Invalid("escrow already closed".into()));
-        }
+        let mut state = self.state.lock();
+        let LedgerState {
+            accounts, escrows, ..
+        } = &mut *state;
+        let e = held(escrows, escrow)?;
         let requested = to_micros(amount);
         if requested > e.remaining.saturating_add(Self::RELEASE_DUST_MICROS) {
             return Err(MarketError::InsufficientFunds {
@@ -209,14 +223,12 @@ impl Ledger {
         if m <= 0 {
             return Ok(0.0);
         }
-        let mut accounts = self.accounts.lock();
         let to_entry = accounts.entry(to.to_string()).or_insert(0);
-        let credited = to_entry
+        *to_entry = to_entry
             .checked_add(m)
             .ok_or_else(|| MarketError::BalanceOverflow {
                 account: to.to_string(),
             })?;
-        *to_entry = credited;
         e.remaining -= m;
         Ok(from_micros(m))
     }
@@ -224,52 +236,48 @@ impl Ledger {
     /// Close the escrow, refunding whatever remains to the holder.
     /// Returns the refunded amount.
     pub fn close(&self, escrow: u64) -> MarketResult<f64> {
-        let mut escrows = self.escrows.lock();
-        let e = escrows
-            .get_mut(&escrow)
-            .ok_or(MarketError::UnknownId(escrow))?;
-        if e.state != EscrowState::Held {
-            return Err(MarketError::Invalid("escrow already closed".into()));
-        }
+        let mut state = self.state.lock();
+        let LedgerState {
+            accounts, escrows, ..
+        } = &mut *state;
+        let e = held(escrows, escrow)?;
         // Checked refund first: on overflow the escrow stays held (and
         // its funds stay counted) instead of silently clamping away.
         let refund = e.remaining;
-        let mut accounts = self.accounts.lock();
         let from_entry = accounts.entry(e.from.clone()).or_insert(0);
-        let refunded =
+        *from_entry =
             from_entry
                 .checked_add(refund)
                 .ok_or_else(|| MarketError::BalanceOverflow {
                     account: e.from.clone(),
                 })?;
-        *from_entry = refunded;
-        e.state = EscrowState::Closed;
+        e.held = false;
         e.remaining = 0;
         Ok(from_micros(refund))
     }
 
     /// Funds still held in an open escrow (`None` for unknown/closed).
     pub fn escrow_remaining(&self, escrow: u64) -> Option<f64> {
-        self.escrows
+        self.state
             .lock()
+            .escrows
             .get(&escrow)
-            .filter(|e| e.state == EscrowState::Held)
+            .filter(|e| e.held)
             .map(|e| from_micros(e.remaining))
     }
 
     /// Total currency across accounts and open escrows (conservation
-    /// invariant: only `deposit` changes this).
+    /// invariant: only `deposit` changes this), read in one cut.
     pub fn total_supply(&self) -> f64 {
-        let accounts: i64 = self
+        let state = self.state.lock();
+        let accounts = state
             .accounts
-            .lock()
             .values()
             .fold(0i64, |acc, &v| acc.saturating_add(v));
-        let escrowed: i64 = self
+        let escrowed = state
             .escrows
-            .lock()
             .values()
-            .filter(|e| e.state == EscrowState::Held)
+            .filter(|e| e.held)
             .fold(0i64, |acc, e| acc.saturating_add(e.remaining));
         from_micros(accounts.saturating_add(escrowed))
     }
@@ -277,8 +285,9 @@ impl Ledger {
     /// All account balances, sorted by name (for reports and snapshots).
     /// `BTreeMap` iteration is already name-ordered.
     pub fn balances(&self) -> Vec<(String, f64)> {
-        self.accounts
+        self.state
             .lock()
+            .accounts
             .iter()
             .map(|(k, &v)| (k.clone(), from_micros(v)))
             .collect()
@@ -288,10 +297,11 @@ impl Ledger {
     /// by id (for snapshots and durability digests). `BTreeMap`
     /// iteration is already id-ordered.
     pub fn escrow_holds(&self) -> Vec<(u64, String, f64)> {
-        self.escrows
+        self.state
             .lock()
+            .escrows
             .iter()
-            .filter(|(_, e)| e.state == EscrowState::Held)
+            .filter(|(_, e)| e.held)
             .map(|(&id, e)| (id, e.from.clone(), from_micros(e.remaining)))
             .collect()
     }
@@ -300,58 +310,45 @@ impl Ledger {
     /// micro-credits so the round trip is bit-identical: account
     /// balances, *all* escrows (closed ones keep their ids occupied and
     /// must survive so `next_escrow` stays consistent with the map),
-    /// and the next escrow id.
+    /// and the next escrow id — one cut, under one guard.
     pub fn export_state(&self) -> LedgerImage {
-        let accounts = self
-            .accounts
-            .lock()
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        let escrows = self
-            .escrows
-            .lock()
-            .iter()
-            .map(|(&id, e)| EscrowImage {
-                id,
-                from: e.from.clone(),
-                remaining_micros: e.remaining,
-                held: e.state == EscrowState::Held,
-            })
-            .collect();
+        let state = self.state.lock();
         LedgerImage {
-            accounts,
-            escrows,
-            next_escrow: self.next_escrow.load(Ordering::SeqCst),
+            accounts: state
+                .accounts
+                .iter()
+                .map(|(k, &v)| (k.clone(), v))
+                .collect(),
+            escrows: state
+                .escrows
+                .iter()
+                .map(|(&id, e)| EscrowImage {
+                    id,
+                    from: e.from.clone(),
+                    remaining_micros: e.remaining,
+                    held: e.held,
+                })
+                .collect(),
+            next_escrow: state.next_escrow,
         }
     }
 
     /// Replace the ledger's contents with a previously exported image
     /// (recovery from a materialized snapshot).
     pub fn restore_state(&self, image: LedgerImage) {
-        // Lock order matches the payout paths: escrows before accounts.
-        let mut escrows = self.escrows.lock();
-        let mut accounts = self.accounts.lock();
-        accounts.clear();
-        for (name, micros) in image.accounts {
-            accounts.insert(name, micros);
-        }
-        escrows.clear();
-        for e in image.escrows {
-            escrows.insert(
-                e.id,
-                Escrow {
-                    from: e.from,
-                    remaining: e.remaining_micros,
-                    state: if e.held {
-                        EscrowState::Held
-                    } else {
-                        EscrowState::Closed
-                    },
-                },
-            );
-        }
-        self.next_escrow.store(image.next_escrow, Ordering::SeqCst);
+        let escrows = image.escrows.into_iter().map(|e| {
+            let escrow = Escrow {
+                from: e.from,
+                remaining: e.remaining_micros,
+                held: e.held,
+            };
+            (e.id, escrow)
+        });
+        *self.state.lock() = LedgerState {
+            accounts: image.accounts.into_iter().collect(),
+            escrows: escrows.collect(),
+            next_escrow: image.next_escrow,
+        };
     }
 }
 

@@ -8,7 +8,8 @@ use dmp_relation::DatasetId;
 use crate::arbiter::mashup_builder::{build_mashups, BuiltMashup};
 use crate::arbiter::pricing::RoundBid;
 use crate::arbiter::wtp_evaluator::evaluate;
-use crate::market::{DataMarket, Offer};
+use crate::license::License;
+use crate::market::{DataMarket, Offer, Terms};
 use crate::trust::AuditEvent;
 
 use super::{NegotiationRequest, RoundContext};
@@ -79,6 +80,8 @@ impl CandidateStage {
         for outcome in outcomes {
             match outcome.best {
                 Some((m, satisfaction, bid)) => {
+                    let (license_multiplier, reserve_floor) =
+                        market.terms.lock().price_terms(&m.datasets);
                     market.audit.record(AuditEvent::MashupBuilt {
                         offer: outcome.offer_id,
                         datasets: m.datasets.clone(),
@@ -105,8 +108,8 @@ impl CandidateStage {
                         bid,
                         satisfaction,
                         datasets: m.datasets.clone(),
-                        reserve_floor: market.reserve_floor(&m.datasets),
-                        license_multiplier: market.license_multiplier(&m.datasets),
+                        reserve_floor,
+                        license_multiplier,
                     });
                     ctx.best_mashups.insert(outcome.offer_id, m);
                 }
@@ -131,6 +134,7 @@ impl CandidateStage {
 /// Evaluate one offer: candidates in, best admissible-viable bid out.
 fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> OfferOutcome {
     let mashups = build_mashups(&market.metadata, &offer.wtp, market.config.max_candidates);
+    let role = market.participant(&offer.wtp.buyer).map(|p| p.role);
     // Prefer *viable* candidates: ones whose seller reserve floor the
     // buyer's bid can possibly cover — otherwise a single overpriced
     // dataset would block an offer that an equivalent cheaper mashup
@@ -139,15 +143,15 @@ fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> Off
     // first-registered seller capturing it.
     let mut evaluated: Vec<(BuiltMashup, f64, f64, bool)> = Vec::new();
     for m in mashups {
-        if !market.admissible(&m, offer, ctx.now, ctx.round) {
+        if !market.admissible(&m, offer, role.as_deref().unwrap_or(""), ctx.now, ctx.round) {
             continue;
         }
         let ev = evaluate(&offer.wtp, &m.relation);
         if ev.bid <= 0.0 {
             continue;
         }
-        let mult = market.license_multiplier(&m.datasets).max(1.0);
-        let viable = ev.bid * mult + 1e-9 >= market.reserve_floor(&m.datasets);
+        let (mult, floor) = market.terms.lock().price_terms(&m.datasets);
+        let viable = ev.bid * mult + 1e-9 >= floor;
         evaluated.push((m, ev.satisfaction, ev.bid, viable));
     }
     let any_viable = evaluated.iter().any(|(_, _, _, v)| *v);
@@ -182,70 +186,58 @@ fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> Off
 
 impl DataMarket {
     /// Is a mashup's dataset set admissible for this buyer/offer?
-    /// Checks intrinsic constraints, exclusivity holds, and
-    /// contextual-integrity policies (§4.4).
+    /// Checks intrinsic constraints against the catalog, then
+    /// exclusivity holds and contextual-integrity policies (§4.4) under
+    /// one `terms` guard.
     pub(crate) fn admissible(
         &self,
         mashup: &BuiltMashup,
         offer: &Offer,
+        buyer_role: &str,
         now: u64,
         round: u64,
     ) -> bool {
-        let buyer_role = self
-            .participants
-            .lock()
-            .get(&offer.wtp.buyer)
-            .map(|p| p.role.clone())
-            .unwrap_or_default();
-        let holds = self.exclusive_holds.lock();
-        let policies = self.ci_policies.lock();
-        for &d in &mashup.datasets {
-            let admitted = self.metadata.with_entry(d, |e| {
-                offer
-                    .wtp
-                    .constraints
+        let wtp = &offer.wtp;
+        // An unknown dataset, or one the buyer's constraints refuse.
+        let refused = mashup.datasets.iter().any(|&d| {
+            let admits = self.metadata.with_entry(d, |e| {
+                wtp.constraints
                     .admits_dataset(e.registered_at, &e.owner, now)
             });
-            if admitted != Some(true) {
-                return false; // unknown dataset, or the buyer's constraints refuse it
-            }
-            if let Some((holder, until)) = holds.get(&d) {
-                if *until >= round && holder != &offer.wtp.buyer {
-                    return false; // exclusively held by someone else
-                }
-            }
-            if let Some(policy) = policies.get(&d) {
-                if !policy.permits(&buyer_role, &offer.purpose) {
-                    return false;
-                }
-            }
+            admits != Some(true)
+        });
+        if refused {
+            return false;
         }
-        true
+        let terms = self.terms.lock();
+        mashup.datasets.iter().all(|d| {
+            let held_by_other = terms
+                .exclusive_holds
+                .get(d)
+                .is_some_and(|(holder, until)| *until >= round && *holder != wtp.buyer);
+            let refused = terms
+                .ci_policies
+                .get(d)
+                .is_some_and(|policy| !policy.permits(buyer_role, &offer.purpose));
+            !held_by_other && !refused
+        })
     }
+}
 
-    /// License multiplier for a dataset set: the max of individual
-    /// multipliers (one exclusive dataset taxes the whole mashup).
-    pub(crate) fn license_multiplier(&self, datasets: &[DatasetId]) -> f64 {
-        let licenses = self.licenses.lock();
-        datasets
+impl Terms {
+    /// `(license multiplier, reserve floor)` of a dataset set: the max
+    /// of the individual multipliers (one exclusive dataset taxes the
+    /// whole mashup) and the sum of the seller reserves.
+    pub(crate) fn price_terms(&self, datasets: &[DatasetId]) -> (f64, f64) {
+        let multiplier = datasets
             .iter()
-            .map(|d| {
-                licenses
-                    .get(d)
-                    .cloned()
-                    .unwrap_or_default()
-                    .price_multiplier()
-            })
-            .fold(1.0, f64::max)
-    }
-
-    /// Sum of seller reserve prices over a dataset set.
-    pub(crate) fn reserve_floor(&self, datasets: &[DatasetId]) -> f64 {
-        let reserves = self.reserves.lock();
-        datasets
+            .map(|d| self.licenses.get(d).map_or(1.0, License::price_multiplier))
+            .fold(1.0, f64::max);
+        let floor = datasets
             .iter()
-            .map(|d| reserves.get(d).copied().unwrap_or(0.0))
-            .sum()
+            .map(|d| self.reserves.get(d).copied().unwrap_or(0.0))
+            .sum();
+        (multiplier, floor)
     }
 }
 
@@ -358,7 +350,7 @@ mod tests {
         super::super::expire(&market, &mut ctx);
         CandidateStage::default().run(&market, &mut ctx);
         assert_eq!(ctx.bids.len(), 1);
-        let floor = market.reserve_floor(&ctx.bids[0].datasets);
+        let floor = ctx.bids[0].reserve_floor;
         assert!(
             ctx.bids[0].bid + 1e-9 >= floor,
             "viability filter must drop the uncoverable candidate (floor {floor})"

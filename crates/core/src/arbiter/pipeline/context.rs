@@ -1,7 +1,6 @@
 //! Per-round state threaded through the round's phases.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,7 +53,7 @@ impl RoundContext {
     /// Open a new round: bump the round counter, advance logical time,
     /// and draw the round seed from the market's seeded RNG.
     pub(crate) fn open(market: &DataMarket) -> Self {
-        let round_seed = market.rng.lock().gen::<u64>();
+        let round_seed = market.book.lock().rng.gen::<u64>();
         Self::open_seeded(market, round_seed)
     }
 
@@ -63,8 +62,11 @@ impl RoundContext {
     /// per-offer tie-break streams from the *same* seed, or an M-shard
     /// market would clear differently from the 1-shard market).
     pub(crate) fn open_seeded(market: &DataMarket, round_seed: u64) -> Self {
-        let round = market.round_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let now = market.tick();
+        let (round, now) = {
+            let mut book = market.book.lock();
+            book.round += 1;
+            (book.round, book.tick())
+        };
         RoundContext {
             round,
             now,
@@ -100,8 +102,10 @@ impl RoundContext {
     /// Close the round: publish negotiation/demand state on the market
     /// and produce the round report.
     pub(crate) fn finish(self, market: &DataMarket) -> RoundReport {
-        *market.last_missing.lock() = self.missing.clone();
-        *market.last_negotiations.lock() = self.negotiations;
+        let mut book = market.book.lock();
+        book.last_missing = self.missing.clone();
+        book.last_negotiations = self.negotiations;
+        drop(book);
         RoundReport {
             round: self.round,
             considered: self.considered,

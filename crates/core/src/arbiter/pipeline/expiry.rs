@@ -10,19 +10,16 @@ use super::RoundContext;
 /// [`super::CandidateStage`] via [`RoundContext::pending`].
 pub(crate) fn expire(market: &DataMarket, ctx: &mut RoundContext) {
     super::timed("expiry", || {
-        let pending: Vec<_> = market
-            .offers
-            .lock()
-            .values()
-            .filter(|o| o.state == OfferState::Pending)
-            .cloned()
-            .collect();
-        ctx.considered = pending.len();
-        for offer in pending {
+        let mut book = market.book.lock();
+        for offer in book.offers.values_mut() {
+            if offer.state != OfferState::Pending {
+                continue;
+            }
+            ctx.considered += 1;
             if offer.wtp.constraints.is_live(ctx.now) {
-                ctx.pending.push(offer);
+                ctx.pending.push(offer.clone());
             } else {
-                market.set_offer_state(offer.id, OfferState::Expired);
+                offer.state = OfferState::Expired;
                 ctx.expired += 1;
             }
         }

@@ -12,8 +12,6 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
-use std::sync::atomic::Ordering;
-
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -235,7 +233,7 @@ impl DataMarket {
         }
         self.ledger.close(escrow)?; // refund rounding residue, if any
 
-        let tx = self.next_tx.fetch_add(1, Ordering::Relaxed);
+        let tx = self.book.lock().next_tx();
         let record = TransactionRecord {
             id: tx,
             offer_id: sale.offer_id,
@@ -250,9 +248,9 @@ impl DataMarket {
         self.finish_transaction(&record, mashup, round, &plan.reward_shares);
 
         // Deliver the data as a settled delivery record.
-        let delivery_id = self.next_delivery.fetch_add(1, Ordering::Relaxed);
-        self.deliveries.lock().push(Delivery {
-            id: delivery_id,
+        let mut book = self.book.lock();
+        book.deliver(|id| Delivery {
+            id,
             offer_id: sale.offer_id,
             buyer: sale.buyer.clone(),
             relation: mashup.relation.clone(),
@@ -265,8 +263,8 @@ impl DataMarket {
                 audited: false,
             }),
         });
-        self.set_offer_state(sale.offer_id, OfferState::Fulfilled { tx });
-        self.transactions.lock().push(record.clone());
+        book.set_offer_state(sale.offer_id, OfferState::Fulfilled { tx });
+        book.transactions.push(record.clone());
         Ok(record)
     }
 
@@ -311,18 +309,18 @@ impl DataMarket {
                 },
             );
         }
-        self.purchases.lock().push(Purchase {
+        self.book.lock().purchases.push(Purchase {
             buyer: record.buyer.clone(),
             datasets: mashup.datasets.clone(),
         });
         // Start exclusivity holds.
-        let licenses = self.licenses.lock();
-        let mut holds = self.exclusive_holds.lock();
+        let mut terms = self.terms.lock();
         for &d in &mashup.datasets {
-            if let Some(l) = licenses.get(&d) {
-                if l.is_exclusive() {
-                    holds.insert(d, (record.buyer.clone(), round + l.hold_rounds() as u64));
-                }
+            if let Some(l) = terms.licenses.get(&d).filter(|l| l.is_exclusive()) {
+                let until = round + l.hold_rounds() as u64;
+                terms
+                    .exclusive_holds
+                    .insert(d, (record.buyer.clone(), until));
             }
         }
     }
@@ -334,9 +332,9 @@ impl DataMarket {
             .ok_or(MarketError::UnknownId(sale.offer_id))?;
         let deposit = offer.wtp.max_price().max(sale.price);
         let escrow = self.ledger.hold(&sale.buyer, deposit)?;
-        let delivery_id = self.next_delivery.fetch_add(1, Ordering::Relaxed);
-        self.deliveries.lock().push(Delivery {
-            id: delivery_id,
+        let mut book = self.book.lock();
+        let delivery_id = book.deliver(|id| Delivery {
+            id,
             offer_id: sale.offer_id,
             buyer: sale.buyer.clone(),
             relation: mashup.relation.clone(),
@@ -345,7 +343,7 @@ impl DataMarket {
             datasets: mashup.datasets.clone(),
             settlement: None,
         });
-        self.set_offer_state(
+        book.set_offer_state(
             sale.offer_id,
             OfferState::AwaitingReport {
                 delivery: delivery_id,
@@ -366,27 +364,23 @@ impl DataMarket {
                 ))
             }
         };
-        let (offer_id, buyer, satisfaction, escrow, mashup_rel, datasets) = {
-            let deliveries = self.deliveries.lock();
-            let d = deliveries
-                .iter()
-                .find(|d| d.id == delivery_id)
+        let (delivery, offer) = {
+            let book = self.book.lock();
+            let d = book
+                .deliveries
+                .get(&delivery_id)
                 .ok_or(MarketError::UnknownId(delivery_id))?;
             if d.settlement.is_some() {
                 return Err(MarketError::Invalid("delivery already settled".into()));
             }
-            (
-                d.offer_id,
-                d.buyer.clone(),
-                d.satisfaction,
-                d.escrow,
-                d.relation.clone(),
-                d.datasets.clone(),
-            )
+            let offer = book
+                .offers
+                .get(&d.offer_id)
+                .cloned()
+                .ok_or(MarketError::UnknownId(d.offer_id))?;
+            (d.clone(), offer)
         };
-        let offer = self
-            .offer(offer_id)
-            .ok_or(MarketError::UnknownId(offer_id))?;
+        let escrow = delivery.escrow;
         let deposit = self
             .ledger
             .escrow_remaining(escrow)
@@ -396,20 +390,24 @@ impl DataMarket {
 
         // Audit: the arbiter re-runs the packaged task (it already knows
         // the measured satisfaction) and compares the implied value.
-        let audited = self.rng.lock().gen::<f64>() < mech.audit_prob;
-        let true_value = offer.wtp.curve.price(satisfaction);
+        let true_value = offer.wtp.curve.price(delivery.satisfaction);
         let mut penalty = 0.0;
-        // Differences below the ledger's micro-credit granularity are
-        // not payable, so they cannot count as under-reporting (the
-        // escrowed cap itself is rounded to micro-credits).
-        if audited && reported + 1e-6 < true_value {
-            penalty = mech.penalty_mult * (true_value - reported);
-            let round = self.round();
-            if let Some(p) = self.participants.lock().get_mut(&buyer) {
-                p.reputation = (p.reputation * 0.5).max(0.0);
-                p.excluded_until = round + mech.exclusion_rounds as u64;
+        let (audited, round) = {
+            let mut book = self.book.lock();
+            let audited = book.rng.gen::<f64>() < mech.audit_prob;
+            // Differences below the ledger's micro-credit granularity
+            // are not payable, so they cannot count as under-reporting
+            // (the escrowed cap itself is rounded to micro-credits).
+            if audited && reported + 1e-6 < true_value {
+                penalty = mech.penalty_mult * (true_value - reported);
+                let excluded_until = book.round + mech.exclusion_rounds as u64;
+                if let Some(p) = book.participants.get_mut(&delivery.buyer) {
+                    p.reputation = (p.reputation * 0.5).max(0.0);
+                    p.excluded_until = excluded_until;
+                }
             }
-        }
+            (audited, book.round)
+        };
         self.audit.record(AuditEvent::ExPostAudit {
             delivery: delivery_id,
             underreported: penalty > 0.0,
@@ -421,7 +419,7 @@ impl DataMarket {
         let base = reported;
         let to_sellers = base * (1.0 - fee_rate);
         let fee = (base * fee_rate + penalty).min(deposit - to_sellers);
-        let shares = dataset_shares(&self.config.design, &mashup_rel, to_sellers);
+        let shares = dataset_shares(&self.config.design, &delivery.relation, to_sellers);
         for share in &shares {
             let owner = self
                 .metadata
@@ -439,21 +437,21 @@ impl DataMarket {
             penalty,
             audited,
         };
-        let tx = self.next_tx.fetch_add(1, Ordering::Relaxed);
+        let tx = self.book.lock().next_tx();
         let record = TransactionRecord {
             id: tx,
-            offer_id,
-            buyer: buyer.clone(),
+            offer_id: offer.id,
+            buyer: delivery.buyer,
             price: base,
             fee,
-            satisfaction,
-            datasets: datasets.clone(),
+            satisfaction: delivery.satisfaction,
+            datasets: delivery.datasets.clone(),
             shares,
-            round: self.round(),
+            round,
         };
         let built = BuiltMashup {
-            relation: mashup_rel,
-            datasets,
+            relation: delivery.relation,
+            datasets: delivery.datasets,
             coverage: 1.0,
             confidence: 1.0,
             missing: Vec::new(),
@@ -467,15 +465,11 @@ impl DataMarket {
         } else {
             Vec::new()
         };
-        self.finish_transaction(&record, &built, self.round(), &reward_shares);
-        self.transactions.lock().push(record);
-        self.set_offer_state(offer_id, OfferState::Fulfilled { tx });
-        if let Some(d) = self
-            .deliveries
-            .lock()
-            .iter_mut()
-            .find(|d| d.id == delivery_id)
-        {
+        self.finish_transaction(&record, &built, round, &reward_shares);
+        let mut book = self.book.lock();
+        book.transactions.push(record);
+        book.set_offer_state(offer.id, OfferState::Fulfilled { tx });
+        if let Some(d) = book.deliveries.get_mut(&delivery_id) {
             d.settlement = Some(settlement);
         }
         Ok(settlement)

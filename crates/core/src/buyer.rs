@@ -48,9 +48,10 @@ impl<'m> BuyerHandle<'m> {
     /// Deliveries addressed to this buyer.
     pub fn deliveries(&self) -> Vec<Delivery> {
         self.market
-            .deliveries
+            .book
             .lock()
-            .iter()
+            .deliveries
+            .values()
             .filter(|d| d.buyer == self.name)
             .cloned()
             .collect()
@@ -61,10 +62,11 @@ impl<'m> BuyerHandle<'m> {
         // Ownership check before delegating.
         let owns = self
             .market
-            .deliveries
+            .book
             .lock()
-            .iter()
-            .any(|d| d.id == delivery_id && d.buyer == self.name);
+            .deliveries
+            .get(&delivery_id)
+            .is_some_and(|d| d.buyer == self.name);
         if !owns {
             return Err(MarketError::UnknownId(delivery_id));
         }

@@ -39,7 +39,7 @@ pub enum MarketError {
     LicenseViolation(String),
     /// The seller platform refused a registration (e.g. PII found).
     RegistrationRefused(String),
-    /// Privacy budget exhausted or missing.
+    /// A private release's ε exceeds its declared budget.
     PrivacyBudget(String),
     /// No mashup could satisfy the WTP-function.
     NoMashup,

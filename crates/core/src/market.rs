@@ -14,16 +14,16 @@
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dmp_discovery::{LineageLog, MetadataEngine};
 use dmp_mechanism::wtp::WtpFunction;
-use dmp_privacy::PrivacyBudget;
 use dmp_relation::{DatasetId, Relation};
 pub use dmp_valuation::sharing::DatasetShare;
 
@@ -145,9 +145,9 @@ pub struct Participant {
 pub const ARBITER_ACCOUNT: &str = "__arbiter__";
 
 /// State every shard of one deployment **shares**: the dataset catalog
-/// (metadata + lineage), the licensing terms attached to it (reserves,
-/// licenses, contextual-integrity policies, exclusivity holds) and the
-/// settlement ledger.
+/// (metadata + lineage), the licensing terms attached to it
+/// (reserves, licenses, contextual-integrity policies, exclusivity
+/// holds) and the settlement ledger.
 ///
 /// Sharding the market (service layer) partitions *participants* —
 /// their offer books, round execution, audit chains — purely as a
@@ -157,15 +157,27 @@ pub const ARBITER_ACCOUNT: &str = "__arbiter__";
 /// and hold the same balances as the 1-shard market for the same
 /// command stream. A standalone [`DataMarket`] owns a private substrate
 /// (`DataMarket::new`), so library users see no difference.
+///
+/// The licensing terms sit behind one guard, `terms`, shared by every
+/// shard; the ledger keeps its own. No code path holds both.
 #[derive(Clone, Default)]
 pub struct MarketSubstrate {
     pub(crate) metadata: Arc<MetadataEngine>,
     pub(crate) lineage: Arc<LineageLog>,
     pub(crate) ledger: Arc<Ledger>,
-    pub(crate) reserves: Arc<Mutex<BTreeMap<DatasetId, f64>>>,
-    pub(crate) licenses: Arc<Mutex<BTreeMap<DatasetId, License>>>,
-    pub(crate) ci_policies: Arc<Mutex<BTreeMap<DatasetId, ContextualIntegrityPolicy>>>,
-    pub(crate) exclusive_holds: Arc<Mutex<BTreeMap<DatasetId, (String, u64)>>>,
+    pub(crate) terms: Arc<Mutex<Terms>>,
+}
+
+/// The licensing terms attached to the catalog, keyed by dataset:
+/// seller reserve prices, licenses (Standard when absent),
+/// contextual-integrity policies and exclusivity holds
+/// `(holder, until_round)`.
+#[derive(Debug, Default)]
+pub(crate) struct Terms {
+    pub(crate) reserves: BTreeMap<DatasetId, f64>,
+    pub(crate) licenses: BTreeMap<DatasetId, License>,
+    pub(crate) ci_policies: BTreeMap<DatasetId, ContextualIntegrityPolicy>,
+    pub(crate) exclusive_holds: BTreeMap<DatasetId, (String, u64)>,
 }
 
 impl MarketSubstrate {
@@ -180,31 +192,29 @@ impl MarketSubstrate {
     /// per shard.
     pub fn export_state(&self) -> SubstrateImage {
         let (lineage, lineage_seq) = self.lineage.export_state();
+        let metadata = self.metadata.export_state();
+        let ledger = self.ledger.export_state();
+        let terms = self.terms.lock();
         SubstrateImage {
-            metadata: self.metadata.export_state(),
+            metadata,
             lineage,
             lineage_seq,
-            ledger: self.ledger.export_state(),
-            reserves: self.reserves.lock().iter().map(|(&d, &p)| (d, p)).collect(),
-            licenses: self
+            ledger,
+            reserves: terms.reserves.iter().map(|(&d, &p)| (d, p)).collect(),
+            licenses: terms
                 .licenses
-                .lock()
                 .iter()
                 .map(|(&d, l)| (d, l.clone()))
                 .collect(),
-            // Lock order matches the candidate pipeline: exclusive
-            // holds before CI policies.
-            exclusive_holds: self
-                .exclusive_holds
-                .lock()
-                .iter()
-                .map(|(&d, (holder, until))| (d, holder.clone(), *until))
-                .collect(),
-            ci_policies: self
+            ci_policies: terms
                 .ci_policies
-                .lock()
                 .iter()
                 .map(|(&d, p)| (d, p.clone()))
+                .collect(),
+            exclusive_holds: terms
+                .exclusive_holds
+                .iter()
+                .map(|(&d, (holder, until))| (d, holder.clone(), *until))
                 .collect(),
         }
     }
@@ -215,14 +225,16 @@ impl MarketSubstrate {
         self.metadata.restore_state(image.metadata);
         self.lineage.restore_state(image.lineage, image.lineage_seq);
         self.ledger.restore_state(image.ledger);
-        *self.reserves.lock() = image.reserves.into_iter().collect();
-        *self.licenses.lock() = image.licenses.into_iter().collect();
-        *self.exclusive_holds.lock() = image
-            .exclusive_holds
-            .into_iter()
-            .map(|(d, holder, until)| (d, (holder, until)))
-            .collect();
-        *self.ci_policies.lock() = image.ci_policies.into_iter().collect();
+        *self.terms.lock() = Terms {
+            reserves: image.reserves.into_iter().collect(),
+            licenses: image.licenses.into_iter().collect(),
+            ci_policies: image.ci_policies.into_iter().collect(),
+            exclusive_holds: image
+                .exclusive_holds
+                .into_iter()
+                .map(|(d, holder, until)| (d, (holder, until)))
+                .collect(),
+        };
     }
 }
 
@@ -251,7 +263,7 @@ pub struct SubstrateImage {
 /// materialized snapshot: the offer book and its lifecycle records, the
 /// participant roster, the shard clock and id allocators, the audit
 /// chain's events, disputes, and the shard's RNG stream position.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MarketShardState {
     /// Logical clock.
     pub clock: u64,
@@ -287,34 +299,101 @@ pub struct MarketShardState {
     pub disputes: Vec<crate::trust::Dispute>,
 }
 
+/// What one market shard owns privately — offer book, lifecycle
+/// records, roster, clocks, id allocators and RNG — behind the market's
+/// one `book` guard.
+pub(crate) struct ShardBook {
+    pub(crate) clock: u64,
+    /// Completed rounds.
+    pub(crate) round: u64,
+    pub(crate) next_offer: u64,
+    pub(crate) next_tx: u64,
+    pub(crate) next_delivery: u64,
+    /// Offer book, keyed by offer id (ordered ⇒ deterministic rounds).
+    pub(crate) offers: BTreeMap<u64, Offer>,
+    pub(crate) transactions: Vec<TransactionRecord>,
+    /// Deliveries by id; ids are dense in delivery order.
+    pub(crate) deliveries: BTreeMap<u64, Delivery>,
+    pub(crate) purchases: Vec<Purchase>,
+    pub(crate) participants: BTreeMap<String, Participant>,
+    pub(crate) last_missing: Vec<Vec<String>>,
+    pub(crate) last_negotiations: Vec<NegotiationRequest>,
+    pub(crate) rng: StdRng,
+}
+
+impl ShardBook {
+    /// The book an image describes; its audit events and disputes
+    /// belong to other owners and are ignored here. A fresh shard is
+    /// the empty image with a seeded RNG.
+    fn restore(state: MarketShardState) -> Self {
+        ShardBook {
+            clock: state.clock,
+            round: state.round,
+            next_offer: state.next_offer,
+            next_tx: state.next_tx,
+            next_delivery: state.next_delivery,
+            offers: state.offers.into_iter().map(|o| (o.id, o)).collect(),
+            transactions: state.transactions,
+            deliveries: state.deliveries.into_iter().map(|d| (d.id, d)).collect(),
+            purchases: state.purchases,
+            participants: state
+                .participants
+                .into_iter()
+                .map(|p| (p.name.clone(), p))
+                .collect(),
+            last_missing: state.last_missing,
+            last_negotiations: state.last_negotiations,
+            rng: StdRng::from_state(state.rng),
+        }
+    }
+
+    /// Read the logical clock, then advance it.
+    pub(crate) fn tick(&mut self) -> u64 {
+        let at = self.clock;
+        self.clock += 1;
+        at
+    }
+
+    /// Allocate the next transaction id.
+    pub(crate) fn next_tx(&mut self) -> u64 {
+        self.next_tx += 1;
+        self.next_tx - 1
+    }
+
+    /// File a delivery under the next delivery id.
+    pub(crate) fn deliver(&mut self, delivery: impl FnOnce(u64) -> Delivery) -> u64 {
+        let id = self.next_delivery;
+        self.next_delivery += 1;
+        self.deliveries.insert(id, delivery(id));
+        id
+    }
+
+    pub(crate) fn set_offer_state(&mut self, id: u64, state: OfferState) {
+        if let Some(o) = self.offers.get_mut(&id) {
+            o.state = state;
+        }
+    }
+}
+
 /// The deployed data market.
+///
+/// Every owner of market state has exactly one guard, and no code path
+/// holds two at once: the shard's private state (offer book,
+/// deliveries, roster, clocks, RNG) sits behind `book`, the licensing
+/// terms behind `terms` (shared with
+/// every shard of the [`MarketSubstrate`]), and the ledger, audit log
+/// and dispute log behind one guard each. A method reads what it needs,
+/// drops the guard, then takes the next, so no module has to know a
+/// lock order.
 pub struct DataMarket {
     pub(crate) config: MarketConfig,
     pub(crate) metadata: Arc<MetadataEngine>,
     pub(crate) lineage: Arc<LineageLog>,
-    pub(crate) privacy: PrivacyBudget,
     pub(crate) ledger: Arc<Ledger>,
     pub(crate) audit: AuditLog,
     pub(crate) disputes: DisputeManager,
-    clock: AtomicU64,
-    pub(crate) round_counter: AtomicU64,
-    next_offer: AtomicU64,
-    pub(crate) next_tx: AtomicU64,
-    pub(crate) next_delivery: AtomicU64,
-    /// Offer book, keyed by offer id (ordered ⇒ deterministic rounds,
-    /// O(log n) state updates instead of the former linear scans).
-    pub(crate) offers: Mutex<BTreeMap<u64, Offer>>,
-    pub(crate) transactions: Mutex<Vec<TransactionRecord>>,
-    pub(crate) deliveries: Mutex<Vec<Delivery>>,
-    pub(crate) purchases: Mutex<Vec<Purchase>>,
-    pub(crate) reserves: Arc<Mutex<BTreeMap<DatasetId, f64>>>,
-    pub(crate) licenses: Arc<Mutex<BTreeMap<DatasetId, License>>>,
-    pub(crate) ci_policies: Arc<Mutex<BTreeMap<DatasetId, ContextualIntegrityPolicy>>>,
-    pub(crate) exclusive_holds: Arc<Mutex<BTreeMap<DatasetId, (String, u64)>>>,
-    pub(crate) participants: Mutex<BTreeMap<String, Participant>>,
-    pub(crate) last_missing: Mutex<Vec<Vec<String>>>,
-    pub(crate) last_negotiations: Mutex<Vec<NegotiationRequest>>,
-    pub(crate) rng: Mutex<rand::rngs::StdRng>,
+    pub(crate) terms: Arc<Mutex<Terms>>,
+    pub(crate) book: Mutex<ShardBook>,
 }
 
 impl DataMarket {
@@ -328,32 +407,19 @@ impl DataMarket {
     /// the same substrate, while participants, offer books, clocks and
     /// RNG streams stay private to this shard.
     pub fn with_substrate(config: MarketConfig, substrate: MarketSubstrate) -> Self {
-        let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+        let book = Mutex::new(ShardBook::restore(MarketShardState {
+            rng: StdRng::seed_from_u64(config.seed).state(),
+            ..MarketShardState::default()
+        }));
         DataMarket {
             config,
             metadata: substrate.metadata,
             lineage: substrate.lineage,
-            privacy: PrivacyBudget::new(),
             ledger: substrate.ledger,
             audit: AuditLog::new(),
             disputes: DisputeManager::new(),
-            clock: AtomicU64::new(0),
-            round_counter: AtomicU64::new(0),
-            next_offer: AtomicU64::new(0),
-            next_tx: AtomicU64::new(0),
-            next_delivery: AtomicU64::new(0),
-            offers: Mutex::new(BTreeMap::new()),
-            transactions: Mutex::new(Vec::new()),
-            deliveries: Mutex::new(Vec::new()),
-            purchases: Mutex::new(Vec::new()),
-            reserves: substrate.reserves,
-            licenses: substrate.licenses,
-            ci_policies: substrate.ci_policies,
-            exclusive_holds: substrate.exclusive_holds,
-            participants: Mutex::new(BTreeMap::new()),
-            last_missing: Mutex::new(Vec::new()),
-            last_negotiations: Mutex::new(Vec::new()),
-            rng: Mutex::new(rng),
+            terms: substrate.terms,
+            book,
         }
     }
 
@@ -365,10 +431,7 @@ impl DataMarket {
             metadata: Arc::clone(&self.metadata),
             lineage: Arc::clone(&self.lineage),
             ledger: Arc::clone(&self.ledger),
-            reserves: Arc::clone(&self.reserves),
-            licenses: Arc::clone(&self.licenses),
-            ci_policies: Arc::clone(&self.ci_policies),
-            exclusive_holds: Arc::clone(&self.exclusive_holds),
+            terms: Arc::clone(&self.terms),
         }
     }
 
@@ -379,46 +442,46 @@ impl DataMarket {
 
     /// Logical time (monotone).
     pub fn now(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        self.book.lock().clock
     }
 
     /// Completed rounds.
     pub fn round(&self) -> u64 {
-        self.round_counter.load(Ordering::Relaxed)
+        self.book.lock().round
     }
 
-    /// Enroll a participant with a role; grants enrollment funds.
+    /// Enroll a participant with a role. A new participant receives the
+    /// enrollment grant; enrolling a known name again changes nothing.
     pub fn enroll(&self, name: impl Into<String>, role: impl Into<String>) {
         let name = name.into();
+        let inserted = match self.book.lock().participants.entry(name.clone()) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(Participant {
+                    name: name.clone(),
+                    role: role.into(),
+                    reputation: 1.0,
+                    excluded_until: 0,
+                });
+                true
+            }
+        };
         let grant = self.config.currency.enrollment_grant();
-        if grant > 0.0 {
+        if inserted && grant > 0.0 {
             self.ledger.deposit(&name, grant);
         }
-        self.participants
-            .lock()
-            .entry(name.clone())
-            .or_insert(Participant {
-                name,
-                role: role.into(),
-                reputation: 1.0,
-                excluded_until: 0,
-            });
     }
 
     /// Participant lookup.
     pub fn participant(&self, name: &str) -> Option<Participant> {
-        self.participants.lock().get(name).cloned()
+        self.book.lock().participants.get(name).cloned()
     }
 
     /// All participants, sorted by name (enumerable for snapshots and
     /// service-layer digests).
     pub fn participants(&self) -> Vec<Participant> {
         // BTreeMap iteration is already name-ordered.
-        self.participants.lock().values().cloned().collect()
+        self.book.lock().participants.values().cloned().collect()
     }
 
     /// Credit an account directly (command-application hook for the
@@ -468,28 +531,29 @@ impl DataMarket {
 
     /// All settled transactions.
     pub fn transactions(&self) -> Vec<TransactionRecord> {
-        self.transactions.lock().clone()
+        self.book.lock().transactions.clone()
     }
 
     /// Fetch an offer (O(log n) in the id-keyed offer book).
     pub fn offer(&self, id: u64) -> Option<Offer> {
-        self.offers.lock().get(&id).cloned()
+        self.book.lock().offers.get(&id).cloned()
     }
 
     /// All offers (cloned snapshot, in id order).
     pub fn offers(&self) -> Vec<Offer> {
-        self.offers.lock().values().cloned().collect()
+        self.book.lock().offers.values().cloned().collect()
     }
 
-    /// All deliveries (cloned snapshot).
+    /// All deliveries (cloned snapshot, in delivery order).
     pub fn deliveries(&self) -> Vec<Delivery> {
-        self.deliveries.lock().clone()
+        self.book.lock().deliveries.values().cloned().collect()
     }
 
     /// Deliveries awaiting an ex post report: `(offer, delivery, buyer)`.
     pub fn awaiting_reports(&self) -> Vec<(u64, u64, String)> {
-        self.offers
+        self.book
             .lock()
+            .offers
             .values()
             .filter_map(|o| match o.state {
                 OfferState::AwaitingReport { delivery } => {
@@ -506,10 +570,7 @@ impl DataMarket {
         wtp: WtpFunction,
         purpose: impl Into<String>,
     ) -> MarketResult<u64> {
-        self.check_submittable(&wtp.buyer)?;
-        let id = self.next_offer.fetch_add(1, Ordering::Relaxed);
-        self.insert_offer(id, wtp, purpose.into());
-        Ok(id)
+        self.submit(None, wtp, purpose.into())
     }
 
     /// Submit a WTP offer under a **caller-assigned** offer id. Sharded
@@ -526,48 +587,49 @@ impl DataMarket {
         wtp: WtpFunction,
         purpose: impl Into<String>,
     ) -> MarketResult<u64> {
-        self.check_submittable(&wtp.buyer)?;
-        if self.offers.lock().contains_key(&id) {
-            return Err(MarketError::Invalid(format!("offer id {id} already taken")));
-        }
-        self.next_offer.fetch_max(id + 1, Ordering::Relaxed);
-        self.insert_offer(id, wtp, purpose.into());
-        Ok(id)
+        self.submit(Some(id), wtp, purpose.into())
     }
 
-    /// Shared submission guard: the buyer must be enrolled and not
-    /// currently excluded.
-    fn check_submittable(&self, buyer: &str) -> MarketResult<()> {
-        let current_round = self.round();
-        let participants = self.participants.lock();
-        let p = participants
-            .get(buyer)
-            .ok_or_else(|| MarketError::UnknownParticipant(buyer.to_string()))?;
-        if p.excluded_until > current_round {
-            return Err(MarketError::Invalid(format!(
-                "{buyer} is excluded until round {}",
-                p.excluded_until
-            )));
-        }
-        Ok(())
-    }
-
-    fn insert_offer(&self, id: u64, wtp: WtpFunction, purpose: String) {
-        let at = self.tick();
-        self.audit.record(AuditEvent::WtpSubmitted {
-            offer: id,
-            buyer: wtp.buyer.clone(),
-        });
-        self.offers.lock().insert(
-            id,
-            Offer {
+    /// File an offer: the buyer must be enrolled and not currently
+    /// excluded, and a caller-assigned id must be unused.
+    fn submit(&self, id: Option<u64>, wtp: WtpFunction, purpose: String) -> MarketResult<u64> {
+        let buyer = wtp.buyer.clone();
+        let id = {
+            let mut book = self.book.lock();
+            let p = book
+                .participants
+                .get(&buyer)
+                .ok_or_else(|| MarketError::UnknownParticipant(buyer.clone()))?;
+            if p.excluded_until > book.round {
+                return Err(MarketError::Invalid(format!(
+                    "{buyer} is excluded until round {}",
+                    p.excluded_until
+                )));
+            }
+            let id = match id {
+                Some(id) if book.offers.contains_key(&id) => {
+                    return Err(MarketError::Invalid(format!("offer id {id} already taken")));
+                }
+                Some(id) => id,
+                None => book.next_offer,
+            };
+            book.next_offer = book.next_offer.max(id + 1);
+            let submitted_at = book.tick();
+            book.offers.insert(
                 id,
-                wtp,
-                purpose,
-                submitted_at: at,
-                state: OfferState::Pending,
-            },
-        );
+                Offer {
+                    id,
+                    wtp,
+                    purpose,
+                    submitted_at,
+                    state: OfferState::Pending,
+                },
+            );
+            id
+        };
+        self.audit
+            .record(AuditEvent::WtpSubmitted { offer: id, buyer });
+        Ok(id)
     }
 
     /// Submit with the default "analytics" purpose.
@@ -675,16 +737,11 @@ impl DataMarket {
         ctx.finish(self)
     }
 
-    pub(crate) fn set_offer_state(&self, id: u64, state: OfferState) {
-        if let Some(o) = self.offers.lock().get_mut(&id) {
-            o.state = state;
-        }
-    }
-
     /// The license attached to a dataset (Standard when unset).
     pub fn license_of(&self, dataset: DatasetId) -> License {
-        self.licenses
+        self.terms
             .lock()
+            .licenses
             .get(&dataset)
             .cloned()
             .unwrap_or_default()
@@ -694,40 +751,44 @@ impl DataMarket {
     /// arbiter would ask sellers to complete. Sellers respond via
     /// `SellerHandle::annotate` / `publish_mapping_table`.
     pub fn negotiation_requests(&self) -> Vec<NegotiationRequest> {
-        self.last_negotiations.lock().clone()
+        self.book.lock().last_negotiations.clone()
     }
 
     /// The demand report from the most recent round (§7.1 opportunities).
     pub fn demand_report(&self) -> DemandReport {
-        let missing = self.last_missing.lock();
-        demand_report(missing.iter().map(|v| v.as_slice()))
+        let book = self.book.lock();
+        demand_report(book.last_missing.iter().map(|v| v.as_slice()))
     }
 
     /// Item-based CF recommendations for a buyer.
     pub fn recommendations(&self, buyer: &str, k: usize) -> Vec<DatasetId> {
-        crate::arbiter::services::recommend(&self.purchases.lock(), buyer, k)
+        crate::arbiter::services::recommend(&self.book.lock().purchases, buyer, k)
     }
 
-    /// Capture this shard's private state for a materialized snapshot.
+    /// Capture this shard's private state for a materialized snapshot:
+    /// the book in one cut, then the audit chain and the disputes.
     /// Shared substrate state is exported separately via
     /// [`MarketSubstrate::export_state`].
     pub fn export_shard_state(&self) -> MarketShardState {
+        let audit_events = self.audit.entries().into_iter().map(|e| e.event).collect();
+        let disputes = (0..).map_while(|i| self.disputes.get(i)).collect();
+        let book = self.book.lock();
         MarketShardState {
-            clock: self.clock.load(Ordering::SeqCst),
-            round: self.round_counter.load(Ordering::SeqCst),
-            next_offer: self.next_offer.load(Ordering::SeqCst),
-            next_tx: self.next_tx.load(Ordering::SeqCst),
-            next_delivery: self.next_delivery.load(Ordering::SeqCst),
-            offers: self.offers(),
-            transactions: self.transactions.lock().clone(),
-            deliveries: self.deliveries.lock().clone(),
-            purchases: self.purchases.lock().clone(),
-            participants: self.participants(),
-            last_missing: self.last_missing.lock().clone(),
-            last_negotiations: self.last_negotiations.lock().clone(),
-            rng: self.rng.lock().state(),
-            audit_events: self.audit.entries().into_iter().map(|e| e.event).collect(),
-            disputes: (0..).map_while(|i| self.disputes.get(i)).collect(),
+            clock: book.clock,
+            round: book.round,
+            next_offer: book.next_offer,
+            next_tx: book.next_tx,
+            next_delivery: book.next_delivery,
+            offers: book.offers.values().cloned().collect(),
+            transactions: book.transactions.clone(),
+            deliveries: book.deliveries.values().cloned().collect(),
+            purchases: book.purchases.clone(),
+            participants: book.participants.values().cloned().collect(),
+            last_missing: book.last_missing.clone(),
+            last_negotiations: book.last_negotiations.clone(),
+            rng: book.rng.state(),
+            audit_events,
+            disputes,
         }
     }
 
@@ -735,29 +796,14 @@ impl DataMarket {
     /// image. The market must be freshly constructed: the audit chain
     /// and dispute log are append-only, so this replays their events
     /// into the empty structures rather than overwriting.
-    pub fn restore_shard_state(&self, state: MarketShardState) {
-        self.clock.store(state.clock, Ordering::SeqCst);
-        self.round_counter.store(state.round, Ordering::SeqCst);
-        self.next_offer.store(state.next_offer, Ordering::SeqCst);
-        self.next_tx.store(state.next_tx, Ordering::SeqCst);
-        self.next_delivery
-            .store(state.next_delivery, Ordering::SeqCst);
-        *self.offers.lock() = state.offers.into_iter().map(|o| (o.id, o)).collect();
-        *self.transactions.lock() = state.transactions;
-        *self.deliveries.lock() = state.deliveries;
-        *self.purchases.lock() = state.purchases;
-        *self.participants.lock() = state
-            .participants
-            .into_iter()
-            .map(|p| (p.name.clone(), p))
-            .collect();
-        *self.last_missing.lock() = state.last_missing;
-        *self.last_negotiations.lock() = state.last_negotiations;
-        *self.rng.lock() = rand::rngs::StdRng::from_state(state.rng);
-        for event in state.audit_events {
+    pub fn restore_shard_state(&self, mut state: MarketShardState) {
+        let audit_events = std::mem::take(&mut state.audit_events);
+        let disputes = std::mem::take(&mut state.disputes);
+        *self.book.lock() = ShardBook::restore(state);
+        for event in audit_events {
             self.audit.record(event);
         }
-        for d in state.disputes {
+        for d in disputes {
             let id = self.disputes.open(d.complainant, d.tx, d.reason);
             debug_assert_eq!(id, d.id, "dispute ids are dense from 0");
             if let crate::trust::DisputeState::Resolved { refund } = d.state {
@@ -790,6 +836,19 @@ mod tests {
     }
 
     #[test]
+    fn enrollment_grants_once_per_participant() {
+        let market = DataMarket::new(MarketConfig::internal());
+        // Every handle lookup enrolls; only the first one may grant.
+        for _ in 0..3 {
+            let _ = market.seller("team");
+        }
+        let _ = market.buyer("team");
+        assert_eq!(market.balance("team"), 100.0);
+        assert_eq!(market.ledger().total_supply(), 100.0);
+        assert_eq!(market.participant("team").unwrap().role, "seller");
+    }
+
+    #[test]
     fn offer_book_is_id_keyed() {
         let market = simple_market();
         let _ = market.buyer("b");
@@ -810,7 +869,10 @@ mod tests {
         }
         assert!(market.offer(999).is_none());
         // State updates address by id, not by position.
-        market.set_offer_state(ids[3], OfferState::Expired);
+        market
+            .book
+            .lock()
+            .set_offer_state(ids[3], OfferState::Expired);
         assert_eq!(market.offer(ids[3]).unwrap().state, OfferState::Expired);
         assert_eq!(market.offer(ids[2]).unwrap().state, OfferState::Pending);
         // Snapshots come back in id order.

@@ -89,8 +89,11 @@ impl<'m> SellerHandle<'m> {
     }
 
     /// Share with differential privacy: numeric columns are Laplace-
-    /// perturbed before registration, and the spend is booked against a
-    /// fresh per-dataset ε budget of `total_budget`.
+    /// perturbed before registration. A release whose ε exceeds
+    /// `total_budget` is refused; an accepted one is a fresh dataset,
+    /// and its ε is recorded in the lineage as a `PrivateRelease`
+    /// (summed by [`AccountabilityReport::privacy_spent`]) and in the
+    /// audit chain.
     pub fn share_private(
         &self,
         rel: Relation,
@@ -110,11 +113,6 @@ impl<'m> SellerHandle<'m> {
             released = perturb_numeric_column(&released, col, params, &mut rng)?;
         }
         let id = self.register(released);
-        self.market.privacy.register(id, total_budget);
-        self.market
-            .privacy
-            .spend(id, params.epsilon)
-            .map_err(|e| MarketError::PrivacyBudget(e.to_string()))?;
         self.market.lineage.record(
             id,
             LineageEvent::PrivateRelease {
@@ -170,8 +168,9 @@ impl<'m> SellerHandle<'m> {
     pub fn set_reserve(&self, dataset: DatasetId, reserve: f64) -> MarketResult<()> {
         self.assert_owner(dataset)?;
         self.market
-            .reserves
+            .terms
             .lock()
+            .reserves
             .insert(dataset, reserve.max(0.0));
         Ok(())
     }
@@ -179,7 +178,7 @@ impl<'m> SellerHandle<'m> {
     /// Attach a license (§4.4).
     pub fn set_license(&self, dataset: DatasetId, license: License) -> MarketResult<()> {
         self.assert_owner(dataset)?;
-        self.market.licenses.lock().insert(dataset, license);
+        self.market.terms.lock().licenses.insert(dataset, license);
         Ok(())
     }
 
@@ -190,7 +189,7 @@ impl<'m> SellerHandle<'m> {
         policy: ContextualIntegrityPolicy,
     ) -> MarketResult<()> {
         self.assert_owner(dataset)?;
-        self.market.ci_policies.lock().insert(dataset, policy);
+        self.market.terms.lock().ci_policies.insert(dataset, policy);
         Ok(())
     }
 

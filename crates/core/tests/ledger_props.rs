@@ -274,3 +274,55 @@ proptest! {
         }
     }
 }
+
+/// A reader beside a settling writer sees one cut of the ledger. The
+/// writer runs settlement's money path, `hold → release_up_to → close`,
+/// then pays the seller's proceeds back so the cycle repeats; the
+/// reader takes `total_supply()` reads and, every fourth read, an
+/// `export_state()` image meanwhile. Every read must show exactly what
+/// was minted, and every image's balances plus its held escrows must
+/// add up to it too: a hold whose debit is visible before its escrow,
+/// or a refund visible before its escrow closes, would not.
+///
+/// Reads walk every escrow ever taken, so each round starts a fresh
+/// ledger and both threads leave a barrier together: the reads stay
+/// cheap and overlap the writes for the whole round.
+#[test]
+fn concurrent_reader_sees_conserved_supply() {
+    const ROUNDS: usize = 600;
+    const CYCLES: usize = 500;
+    const READS: usize = 150;
+    let minted = micros(1_000.0);
+    for round in 0..ROUNDS {
+        let ledger = Ledger::new();
+        ledger.deposit("buyer", 1_000.0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..CYCLES {
+                    let escrow = ledger.hold("buyer", 10.0).unwrap();
+                    ledger.release_up_to(escrow, "seller", 4.0).unwrap();
+                    ledger.close(escrow).unwrap();
+                    ledger.transfer("seller", "buyer", 4.0).unwrap();
+                }
+            });
+            start.wait();
+            for read in 0..READS {
+                let supply = micros(ledger.total_supply());
+                assert_eq!(supply, minted, "round {round}, read {read}");
+                if read % 4 == 0 {
+                    let image = ledger.export_state();
+                    let balances: i64 = image.accounts.iter().map(|(_, m)| m).sum();
+                    let held: i64 = image
+                        .escrows
+                        .iter()
+                        .filter(|e| e.held)
+                        .map(|e| e.remaining_micros)
+                        .sum();
+                    assert_eq!(balances + held, minted, "round {round}, image {read}");
+                }
+            }
+        });
+    }
+}

@@ -1,9 +1,14 @@
-//! dmp-lint: lock-discipline static analysis for the workspace, and
-//! the check that keeps clippy's per-module classes in step with the
+//! dmp-lint: the `lock-across-fsync` check for the workspace, and the
+//! check that keeps clippy's per-module classes in step with the
 //! module map. Zero external dependencies, in the house style of the
 //! `compat/` shims and the telemetry exposition linter: a small
 //! hand-rolled lexer ([`lexer`]), a checked-in module classification
-//! map ([`classify`](mod@classify)), and the lock rules ([`rules`]).
+//! map ([`classify`](mod@classify)), and the rules ([`rules`]).
+//!
+//! Lock order needs no check: in `dmp-core` every owner of market
+//! state has one guard (a market's `book`, the shared licensing
+//! `terms`, the ledger, the audit log, the dispute log), and no code
+//! path holds two at once.
 //!
 //! Clippy carries determinism, float strictness and panic hygiene:
 //! each [`MODULE_MAP`] entry's file carries the `#![deny(clippy::…)]`
@@ -42,7 +47,7 @@ pub use classify::{HEADERS, MODULE_MAP};
 pub use rules::{Finding, RULES};
 
 use lexer::{Comment, Tok};
-use rules::{LockPair, ALLOW_MALFORMED, ALLOW_UNUSED, CLASS_HEADER, LOCK_ORDER};
+use rules::{ALLOW_MALFORMED, ALLOW_UNUSED, CLASS_HEADER};
 
 /// One parsed `// dmp-lint: allow(...)` annotation.
 #[derive(Debug)]
@@ -55,12 +60,11 @@ struct AllowSite {
     used: bool,
 }
 
-/// Accumulates per-file analyses, then resolves the cross-file checks
-/// (lock ordering, allow usage) in [`Linter::finish`].
+/// Accumulates per-file analyses, then applies the allow annotations
+/// and reports the unused ones in [`Linter::finish`].
 #[derive(Default)]
 pub struct Linter {
     findings: Vec<Finding>,
-    pairs: Vec<LockPair>,
     allows: Vec<AllowSite>,
 }
 
@@ -69,9 +73,7 @@ impl Linter {
     /// classification, so fixtures can present virtual paths.
     pub fn check_file(&mut self, path: &str, src: &str) {
         let lexed = lexer::lex(src);
-        let analysis = rules::analyze(path, &lexed.toks);
-        self.findings.extend(analysis.findings);
-        self.pairs.extend(analysis.pairs);
+        self.findings.extend(rules::analyze(path, &lexed.toks));
         self.check_headers(path, &lexed.toks);
         self.collect_allows(path, &lexed.comments, &lexed.toks);
     }
@@ -136,42 +138,9 @@ impl Linter {
         }
     }
 
-    /// Resolve workspace-wide checks and apply suppressions. Returns
-    /// the surviving findings, sorted by path and line.
+    /// Apply suppressions and report unused allows. Returns the
+    /// surviving findings, sorted by path and line.
     pub fn finish(mut self) -> Vec<Finding> {
-        // Lock-order inversions: group held→acquired pairs, look for
-        // both directions of the same receiver pair.
-        let mut by_pair: BTreeMap<(String, String), Vec<(String, u32)>> = BTreeMap::new();
-        for p in &self.pairs {
-            by_pair
-                .entry((p.first.clone(), p.second.clone()))
-                .or_default()
-                .push((p.path.clone(), p.line));
-        }
-        for ((a, b), sites) in &by_pair {
-            if a >= b {
-                continue; // report each unordered pair once
-            }
-            let Some(rev) = by_pair.get(&(b.clone(), a.clone())) else {
-                continue;
-            };
-            for (dir_sites, x, y, other) in [(sites, a, b, rev.first()), (rev, b, a, sites.first())]
-            {
-                if let (Some((path, line)), Some((opath, oline))) = (dir_sites.first(), other) {
-                    self.findings.push(Finding {
-                        path: path.clone(),
-                        line: *line,
-                        rule: LOCK_ORDER,
-                        message: format!(
-                            "`{y}` acquired while `{x}` is held, but the opposite \
-                             order occurs at {opath}:{oline} — deadlock under \
-                             concurrency"
-                        ),
-                    });
-                }
-            }
-        }
-
         // Apply suppressions, marking the annotations that fire.
         let allows = &mut self.allows;
         let mut kept = Vec::with_capacity(self.findings.len());
@@ -359,19 +328,23 @@ mod tests {
     fn annotation_grammar() {
         assert!(parse_annotation(" just a comment").is_none());
         assert_eq!(
-            parse_annotation(" dmp-lint: allow(lock-order) -- one global order"),
-            Some(Ok(vec!["lock-order".to_string()]))
+            parse_annotation(" dmp-lint: allow(lock-across-fsync) -- WAL order"),
+            Some(Ok(vec!["lock-across-fsync".to_string()]))
         );
-        let multi = parse_annotation(" dmp-lint: allow(lock-order, lock-across-fsync) -- WAL");
+        let multi = parse_annotation(" dmp-lint: allow(lock-across-fsync, class-header) -- WAL");
         assert_eq!(
             multi,
             Some(Ok(vec![
-                "lock-order".to_string(),
-                "lock-across-fsync".to_string()
+                "lock-across-fsync".to_string(),
+                "class-header".to_string()
             ]))
         );
         assert!(matches!(
-            parse_annotation(" dmp-lint: allow(lock-order)"),
+            parse_annotation(" dmp-lint: allow(lock-across-fsync)"),
+            Some(Err(_))
+        ));
+        assert!(matches!(
+            parse_annotation(" dmp-lint: allow(lock-order) -- deleted with the lock pairs"),
             Some(Err(_))
         ));
         assert!(matches!(
@@ -379,7 +352,7 @@ mod tests {
             Some(Err(_))
         ));
         assert!(matches!(
-            parse_annotation(" dmp-lint: allow(lock-order) -- "),
+            parse_annotation(" dmp-lint: allow(lock-across-fsync) -- "),
             Some(Err(_))
         ));
         assert!(matches!(
@@ -402,7 +375,7 @@ mod tests {
 
     #[test]
     fn unused_allow_is_a_finding() {
-        let src = "// dmp-lint: allow(lock-order) -- nope\nfn f() {}\n";
+        let src = "// dmp-lint: allow(lock-across-fsync) -- nope\nfn f() {}\n";
         let f = lint_source("crates/core/src/arbiter/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "allow-unused");

@@ -1,10 +1,11 @@
-//! The lock-discipline rules: every `.lock()` site is recorded, guards
-//! held across fsync-bearing calls are flagged, and pairwise
-//! acquisition order is checked for inversions workspace-wide. The
-//! other three rules
-//! ([`CLASS_HEADER`] and the two annotation checks) are produced by
-//! [`crate::Linter`]; clippy carries determinism, float and panic
+//! The lock-discipline rule: every `.lock()` site is tracked, and a
+//! guard held across an fsync-bearing call is flagged. The other three
+//! rules ([`CLASS_HEADER`] and the two annotation checks) are produced
+//! by [`crate::Linter`]; clippy carries determinism, float and panic
 //! hygiene (README "Correctness tooling").
+//!
+//! There is no lock-order rule: every owner of market state has one
+//! guard and no code path holds two, so there is no order to keep.
 //!
 //! Known approximations, chosen over false negatives:
 //!
@@ -37,24 +38,6 @@ impl Finding {
     }
 }
 
-/// Guard A (`first`) was held while guard B (`second`) was acquired at
-/// `path:line`. Collected per file, checked for inversions
-/// workspace-wide by [`crate::Linter::finish`].
-#[derive(Debug, Clone)]
-pub struct LockPair {
-    pub first: String,
-    pub second: String,
-    pub path: String,
-    pub line: u32,
-}
-
-/// Per-file analysis output.
-#[derive(Debug, Default)]
-pub struct Analysis {
-    pub findings: Vec<Finding>,
-    pub pairs: Vec<LockPair>,
-}
-
 /// A `Mutex` guard is live across an fsync-bearing call (`sync_all`,
 /// `sync_data`, `journal.append`, `write_snapshot`): every other path
 /// on that lock stalls for the disk.
@@ -68,18 +51,6 @@ pub struct Analysis {
 /// ordering invariant needs append and apply to be atomic, annotate:
 /// `// dmp-lint: allow(lock-across-fsync) -- WAL invariant: durable-before-visible`.
 pub const LOCK_ACROSS_FSYNC: &str = "lock-across-fsync";
-
-/// Two locks are taken in opposite orders at different sites: under
-/// concurrency, a deadlock waiting for its interleaving.
-///
-/// ```text
-/// fn a() { let _l = licenses.lock(); let _h = holds.lock(); }
-/// fn b() { let _h = holds.lock(); let _l = licenses.lock(); }
-/// ```
-///
-/// Keep the one global order (licenses before exclusive_holds before
-/// ci_policies; escrows before accounts) and restructure the outlier.
-pub const LOCK_ORDER: &str = "lock-order";
 
 /// A [`MODULE_MAP`](crate::MODULE_MAP) entry's file (or `mod.rs`, for
 /// a directory entry) lacks the `#![deny(clippy::…)]` header of one of
@@ -101,7 +72,6 @@ pub const ALLOW_MALFORMED: &str = "allow-malformed";
 /// Every rule id, in the order the findings table prints them.
 pub const RULES: &[&str] = &[
     LOCK_ACROSS_FSYNC,
-    LOCK_ORDER,
     CLASS_HEADER,
     ALLOW_UNUSED,
     ALLOW_MALFORMED,
@@ -112,7 +82,7 @@ struct Guard {
     /// Binding name when `let`-bound (enables `drop(name)` tracking).
     name: Option<String>,
     /// The field/variable the lock was taken on (`self.inner.lock()` →
-    /// `inner`): the identity used for ordering checks.
+    /// `inner`), named in the finding.
     receiver: String,
     /// Brace depth at acquisition; the guard dies when depth drops
     /// below it.
@@ -122,8 +92,8 @@ struct Guard {
 }
 
 /// Analyze one file's token stream.
-pub fn analyze(path: &str, toks: &[Tok]) -> Analysis {
-    let mut out = Analysis::default();
+pub fn analyze(path: &str, toks: &[Tok]) -> Vec<Finding> {
+    let mut out = Vec::new();
     let mut depth: i32 = 0;
     let mut guards: Vec<Guard> = Vec::new();
     let mut pending_let: Option<String> = None;
@@ -135,8 +105,8 @@ pub fn analyze(path: &str, toks: &[Tok]) -> Analysis {
     };
     let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.is_punct(c));
 
-    let push = |out: &mut Analysis, rule: &'static str, line: u32, msg: String| {
-        out.findings.push(Finding {
+    let push = |out: &mut Vec<Finding>, rule: &'static str, line: u32, msg: String| {
+        out.push(Finding {
             path: path.to_string(),
             line,
             rule,
@@ -228,16 +198,6 @@ pub fn analyze(path: &str, toks: &[Tok]) -> Analysis {
                 }
             }
             let binds_guard = pending_let.is_some() && punct(j, ';');
-            for g in &guards {
-                if g.receiver != receiver {
-                    out.pairs.push(LockPair {
-                        first: g.receiver.clone(),
-                        second: receiver.clone(),
-                        path: path.to_string(),
-                        line,
-                    });
-                }
-            }
             guards.push(Guard {
                 name: if binds_guard {
                     pending_let.clone()

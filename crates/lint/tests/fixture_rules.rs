@@ -47,21 +47,6 @@ fn lock_across_fsync_scoped_guard_is_clean() {
 }
 
 #[test]
-fn lock_order_inversion_fires() {
-    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/lock-order/bad.rs"));
-    assert_eq!(f.len(), 2, "one finding per direction of the inversion");
-    assert!(f.iter().all(|x| x.rule == "lock-order"));
-    let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
-    assert_eq!(lines, vec![3, 9], "second acquisition of each direction");
-}
-
-#[test]
-fn lock_order_consistent_order_is_clean() {
-    let f = lint_source(UNCLASSIFIED, include_str!("fixtures/lock-order/good.rs"));
-    assert_findings(&f, &[]);
-}
-
-#[test]
 fn allow_unused_fires_on_stale_annotation() {
     let f = lint_source(UNCLASSIFIED, include_str!("fixtures/allow-unused/bad.rs"));
     assert_findings(&f, &[("allow-unused", 1)]);

@@ -31,7 +31,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dmp_core::market::MarketConfig;
@@ -163,8 +163,8 @@ pub struct ServiceNode {
     started: Instant,
     /// Applied-command observer (the coordinator's forwarding hook).
     /// Invoked under the apply lock so followers observe journal order;
-    /// installed only *after* recovery, so replay never forwards.
-    follower: Mutex<Option<Arc<dyn CommandFollower>>>,
+    /// installed once, only *after* recovery, so replay never forwards.
+    follower: OnceLock<Arc<dyn CommandFollower>>,
 }
 
 impl ServiceNode {
@@ -372,7 +372,7 @@ impl ServiceNode {
                 reason = "/health uptime display; presentation, never state"
             )]
             started: Instant::now(),
-            follower: Mutex::new(None),
+            follower: OnceLock::new(),
         })
     }
 
@@ -402,7 +402,7 @@ impl ServiceNode {
         // appliers must not interleave their follower deliveries, or a
         // worker replica would apply commands out of journal order and
         // diverge bit-for-bit even though every command arrived.
-        if let Some(follower) = self.follower.lock().clone() {
+        if let Some(follower) = self.follower.get() {
             follower.on_applied(seq, &cmd);
         }
         apply_hist.record_duration_us(apply_started.elapsed());
@@ -567,10 +567,11 @@ impl ServiceNode {
         self.applied.load(Ordering::Relaxed)
     }
 
-    /// Install the applied-command observer. Call only after recovery
-    /// (i.e. on an already-open node): replay must never forward.
+    /// Install the applied-command observer. Call once, and only after
+    /// recovery (i.e. on an already-open node): replay must never
+    /// forward. A second call is ignored; the first follower stays.
     pub fn set_follower(&self, follower: Arc<dyn CommandFollower>) {
-        *self.follower.lock() = Some(follower);
+        let _ = self.follower.set(follower);
     }
 
     /// Run `f` with the apply path quiesced: no command can journal or

@@ -38,7 +38,7 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dmp_core::arbiter::pipeline::{self, CandidatePhaseExport, RoundContext};
 use dmp_core::arbiter::pricing::Sale;
@@ -292,10 +292,10 @@ pub struct ShardRouter {
     /// Atomic so the gateway's `/health` never takes a shard lock a
     /// running round might hold.
     rounds: std::sync::atomic::AtomicU64,
-    /// Candidate-phase delegation (coordinator role). `None` — the
-    /// default, and always the state during journal replay — computes
-    /// every round locally.
-    distributor: Mutex<Option<Arc<dyn RoundDistributor>>>,
+    /// Candidate-phase delegation (coordinator role), installed once.
+    /// Unset — the default, and always the state during journal replay —
+    /// computes every round locally.
+    distributor: OnceLock<Arc<dyn RoundDistributor>>,
 }
 
 impl ShardRouter {
@@ -321,17 +321,18 @@ impl ShardRouter {
                 round_rng: StdRng::seed_from_u64(base.seed),
             }),
             rounds: std::sync::atomic::AtomicU64::new(0),
-            distributor: Mutex::new(None),
+            distributor: OnceLock::new(),
         }
     }
 
     /// Attach a [`RoundDistributor`]: subsequent rounds farm the
-    /// candidate phase out through it. Call only *after* recovery
-    /// replay so replayed rounds recompute locally (the distributed and
-    /// local paths are pinned bit-identical, so either replays the same
-    /// state — but replay must not depend on worker availability).
+    /// candidate phase out through it. Call once (a second call is
+    /// ignored), and only *after* recovery replay so replayed rounds
+    /// recompute locally (the distributed and local paths are pinned
+    /// bit-identical, so either replays the same state — but replay
+    /// must not depend on worker availability).
     pub fn set_distributor(&self, d: Arc<dyn RoundDistributor>) {
-        *self.distributor.lock() = Some(d);
+        let _ = self.distributor.set(d);
     }
 
     /// Number of shards.
@@ -494,7 +495,7 @@ impl ShardRouter {
         let m = crate::metrics::metrics();
         let round_seed = self.draw_round_seed();
         let round = self.rounds_completed() + 1;
-        let distributor = self.distributor.lock().clone();
+        let distributor = self.distributor.get();
         // Phase 1: candidates — distributed when a distributor is
         // attached and has live workers, shard-parallel locally
         // otherwise. Both paths produce identical contexts: the export
@@ -506,7 +507,6 @@ impl ShardRouter {
         )]
         let phase_started = std::time::Instant::now();
         let remote = distributor
-            .as_ref()
             .and_then(|d| d.candidates(round, round_seed, self.shards.len()))
             .filter(|exports| exports.len() == self.shards.len());
         let mut ctxs: Vec<RoundContext> = match &remote {
@@ -538,7 +538,7 @@ impl ShardRouter {
         let merged = self.finish_round(ctxs, sales);
         // Broadcast the settled round so every worker replica replays
         // it and stays bit-identical to the coordinator.
-        if let (Some(d), Some(exports)) = (&distributor, &remote) {
+        if let (Some(d), Some(exports)) = (distributor, &remote) {
             d.round_complete(round, round_seed, exports);
         }
         merged
