@@ -7,7 +7,6 @@
 //! other; i.e., it facilitates the DoD's job."
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dmp_relation::DatasetId;
 
@@ -43,74 +42,53 @@ impl JoinCandidate {
 /// The relationship index: all join candidates above threshold, plus
 /// adjacency lists for join-path search.
 ///
-/// Edges live in **append-only segments behind `Arc`s**, so an
-/// incrementally-extended index shares its predecessor's edge storage
-/// instead of cloning it — extension cost is proportional to the *new*
-/// edges, not the catalog. Edge order is the deterministic enumeration
-/// order of the builds that produced each segment (entries in id order,
-/// pairs lower-id-first), so replaying the same registration history
-/// always yields the same index.
+/// Edge order is the full build's enumeration order and nothing else:
+/// columns in dataset-id order, then column order, each pair
+/// lower-column-first. [`crate::MetadataEngine::cached_indexes`] builds
+/// the index afresh for every catalogue version, so the order depends
+/// only on the catalogue's contents. Join-path search keeps the first
+/// of equally confident paths, so a replica restored from an image
+/// walks the same edges as one that never stopped.
 #[derive(Debug, Default, Clone)]
 pub struct RelationshipIndex {
-    /// Append-only edge segments (one per build/extension step).
-    segments: Vec<Arc<Vec<JoinCandidate>>>,
-    /// dataset -> `(segment, offset)` refs into `segments` (either side).
-    by_dataset: HashMap<DatasetId, Vec<(u32, u32)>>,
+    /// Every edge, in enumeration order.
+    edges: Vec<JoinCandidate>,
+    /// dataset -> indexes into `edges` (either side), ascending.
+    by_dataset: HashMap<DatasetId, Vec<usize>>,
 }
 
 impl RelationshipIndex {
-    /// An index holding one segment of freshly-built edges.
     fn from_edges(edges: Vec<JoinCandidate>) -> Self {
-        RelationshipIndex::default().appended(edges)
+        let mut by_dataset: HashMap<DatasetId, Vec<usize>> = HashMap::new();
+        for (i, e) in edges.iter().enumerate() {
+            by_dataset.entry(e.left.dataset).or_default().push(i);
+            by_dataset.entry(e.right.dataset).or_default().push(i);
+        }
+        RelationshipIndex { edges, by_dataset }
     }
 
-    /// A new index sharing this one's segments plus `new_edges` as one
-    /// more segment. O(new edges + adjacency refs); the existing edge
-    /// storage is shared, not copied.
-    fn appended(&self, new_edges: Vec<JoinCandidate>) -> Self {
-        let mut idx = self.clone();
-        if new_edges.is_empty() {
-            return idx;
-        }
-        let seg = idx.segments.len() as u32;
-        for (i, e) in new_edges.iter().enumerate() {
-            idx.by_dataset
-                .entry(e.left.dataset)
-                .or_default()
-                .push((seg, i as u32));
-            idx.by_dataset
-                .entry(e.right.dataset)
-                .or_default()
-                .push((seg, i as u32));
-        }
-        idx.segments.push(Arc::new(new_edges));
-        idx
-    }
-}
-
-impl RelationshipIndex {
-    /// All edges, in segment order.
+    /// All edges, in enumeration order.
     pub fn edges(&self) -> impl Iterator<Item = &JoinCandidate> {
-        self.segments.iter().flat_map(|s| s.iter())
+        self.edges.iter()
     }
 
-    /// Edges incident to a dataset.
+    /// Edges incident to a dataset, in enumeration order.
     pub fn edges_of(&self, d: DatasetId) -> impl Iterator<Item = &JoinCandidate> {
         self.by_dataset
             .get(&d)
             .into_iter()
             .flatten()
-            .map(move |&(seg, i)| &self.segments[seg as usize][i as usize])
+            .map(move |&i| &self.edges[i])
     }
 
     /// Number of edges.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum()
+        self.edges.len()
     }
 
     /// True iff the index has no edges.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.is_empty())
+        self.edges.is_empty()
     }
 }
 
@@ -209,7 +187,15 @@ impl IndexBuilder {
     /// paper targets for a first system (and exactly what the F3 benchmark
     /// measures).
     fn build_relationships(&self, entries: &[DatasetEntry]) -> RelationshipIndex {
-        let cols = collect_cols(entries);
+        let cols: Vec<ColInfo<'_>> = entries
+            .iter()
+            .flat_map(|e| {
+                e.latest_snapshot().profiles.iter().map(move |p| ColInfo {
+                    dataset: e.id,
+                    profile: p,
+                })
+            })
+            .collect();
         let mut edges = Vec::new();
         for i in 0..cols.len() {
             for j in (i + 1)..cols.len() {
@@ -255,69 +241,12 @@ impl IndexBuilder {
             None
         }
     }
-
-    /// **Incrementally extend** `base` (built over `old_entries`) with
-    /// `new_entries`: new columns are compared against the whole catalog
-    /// — O(new × all) pair work instead of the full O(all²) rebuild —
-    /// and the existing edge segments are *shared*, not copied. The
-    /// result contains exactly the edges a fresh [`IndexBuilder::build`]
-    /// over the union would find (pinned by test), differing only in
-    /// storage order. This is the paper's "fully-incremental" metadata
-    /// engine claim made real: steady-state ingestion cost is
-    /// proportional to what changed, not to the catalog.
-    pub fn extend(
-        &self,
-        base: &Indexes,
-        old_entries: &[DatasetEntry],
-        new_entries: &[DatasetEntry],
-    ) -> Indexes {
-        let mut idx = Indexes {
-            name_index: base.name_index.clone(),
-            dataset_index: base.dataset_index.clone(),
-            relationships: RelationshipIndex::default(),
-        };
-        self.build_name_indexes(new_entries, &mut idx);
-
-        let old_cols = collect_cols(old_entries);
-        let new_cols = collect_cols(new_entries);
-        let mut new_edges = Vec::new();
-        for n in &new_cols {
-            for o in &old_cols {
-                // Canonical orientation: lower dataset id on the left
-                // (new entries always carry higher ids than old ones).
-                if let Some(edge) = self.compare(o, n) {
-                    new_edges.push(edge);
-                }
-            }
-        }
-        for i in 0..new_cols.len() {
-            for j in (i + 1)..new_cols.len() {
-                if let Some(edge) = self.compare(&new_cols[i], &new_cols[j]) {
-                    new_edges.push(edge);
-                }
-            }
-        }
-        idx.relationships = base.relationships.appended(new_edges);
-        idx
-    }
 }
 
 /// One column's identity + profile, flattened for pair comparison.
 struct ColInfo<'a> {
     dataset: DatasetId,
     profile: &'a ColumnProfile,
-}
-
-fn collect_cols(entries: &[DatasetEntry]) -> Vec<ColInfo<'_>> {
-    entries
-        .iter()
-        .flat_map(|e| {
-            e.latest_snapshot().profiles.iter().map(move |p| ColInfo {
-                dataset: e.id,
-                profile: p,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -364,68 +293,36 @@ mod tests {
         eng
     }
 
-    /// Canonical comparison form: the edge *set*, sorted (incremental
-    /// extension may store edges in a different segment order).
-    fn edge_keys(idx: &Indexes) -> Vec<(DatasetId, String, DatasetId, String, u64)> {
-        let mut keys: Vec<_> = idx
-            .relationships
-            .edges()
+    /// One edge's identity and score, for comparing indexes edge by
+    /// edge in order.
+    type EdgeKey = (ColumnRef, ColumnRef, u64, u64, u64, bool);
+
+    fn keys<'a>(edges: impl Iterator<Item = &'a JoinCandidate>) -> Vec<EdgeKey> {
+        edges
             .map(|e| {
                 (
-                    e.left.dataset,
-                    e.left.column.clone(),
-                    e.right.dataset,
-                    e.right.column.clone(),
+                    e.left.clone(),
+                    e.right.clone(),
                     e.jaccard.to_bits(),
+                    e.containment_l_in_r.to_bits(),
+                    e.containment_r_in_l.to_bits(),
+                    e.keyish,
                 )
             })
-            .collect();
-        keys.sort();
-        keys
+            .collect()
     }
 
-    #[test]
-    fn incremental_extension_matches_full_rebuild() {
-        let eng = lake();
-        let builder = IndexBuilder::new();
-        let entries_before = eng.entries();
-        let base = builder.build(&eng);
-
-        // Grow the catalog: one related table, one unrelated.
-        let mut b = RelationBuilder::new("invoices")
-            .column("invoice_id", DataType::Int)
-            .column("customer", DataType::Int);
-        for i in 0..150 {
-            b = b.row(vec![Value::Int(50_000 + i), Value::Int(i % 200)]);
+    /// The cached index equals a fresh build edge for edge, in order,
+    /// both overall and per dataset.
+    fn assert_same_order(cached: &Indexes, eng: &MetadataEngine) {
+        let fresh = IndexBuilder::new().build(eng);
+        let (c, f) = (&cached.relationships, &fresh.relationships);
+        assert_eq!(keys(c.edges()), keys(f.edges()));
+        for id in eng.ids() {
+            assert_eq!(keys(c.edges_of(id)), keys(f.edges_of(id)), "{id:?}");
         }
-        eng.register("invoices", "dave", b.build().unwrap());
-        let mut b = RelationBuilder::new("notes").column("text", DataType::Str);
-        for i in 0..10 {
-            b = b.row(vec![Value::str(format!("note {i}"))]);
-        }
-        eng.register("notes", "erin", b.build().unwrap());
-
-        let entries_after = eng.entries();
-        let new_entries = &entries_after[entries_before.len()..];
-        let extended = builder.extend(&base, &entries_before, new_entries);
-        let full = builder.build(&eng);
-
-        assert_eq!(
-            edge_keys(&extended),
-            edge_keys(&full),
-            "incremental extension must be indistinguishable from a rebuild"
-        );
-        assert_eq!(extended.name_index, full.name_index);
-        assert_eq!(extended.dataset_index, full.dataset_index);
-        // The new join edge is actually found via the incremental path.
-        let ids = eng.ids();
-        assert!(
-            extended
-                .relationships
-                .edges_of(ids[3])
-                .any(|e| e.left.dataset == ids[0] || e.right.dataset == ids[0]),
-            "customers~invoices edge expected"
-        );
+        assert_eq!(cached.name_index, fresh.name_index);
+        assert_eq!(cached.dataset_index, fresh.dataset_index);
     }
 
     #[test]
@@ -435,22 +332,42 @@ mod tests {
         let b = eng.cached_indexes();
         assert!(Arc::ptr_eq(&a, &b), "same generation must share one build");
 
-        // Appending a dataset produces a fresh (extended) index that
-        // matches a from-scratch build.
-        let mut rb = RelationBuilder::new("extra").column("cust_id", DataType::Int);
-        for i in 0..120 {
-            rb = rb.row(vec![Value::Int(i)]);
+        // A table with two joinable key columns, registered after a
+        // cached build: `hub` joins `spoke` on both `k1 ~ y` and
+        // `k2 ~ x`, and the cached index must list them in the order a
+        // fresh build does.
+        let mut rb = RelationBuilder::new("hub")
+            .column("k1", DataType::Int)
+            .column("k2", DataType::Int);
+        for i in 0..100 {
+            rb = rb.row(vec![Value::Int(i), Value::Int(1000 + i)]);
         }
-        eng.register("extra", "frank", rb.build().unwrap());
+        let hub = eng.register("hub", "frank", rb.build().unwrap());
+        assert_same_order(&eng.cached_indexes(), &eng);
+        let mut rb = RelationBuilder::new("spoke")
+            .column("x", DataType::Int)
+            .column("y", DataType::Int);
+        for i in 0..100 {
+            rb = rb.row(vec![Value::Int(1000 + i), Value::Int((i + 1) % 100)]);
+        }
+        let spoke = eng.register("spoke", "grace", rb.build().unwrap());
         let c = eng.cached_indexes();
         assert!(!Arc::ptr_eq(&a, &c), "mutation must invalidate the cache");
-        assert_eq!(edge_keys(&c), edge_keys(&IndexBuilder::new().build(&eng)));
+        let hub_spoke: Vec<_> = c
+            .relationships
+            .edges_of(hub)
+            .filter(|e| e.right.dataset == spoke)
+            .map(|e| (e.left.column.as_str(), e.right.column.as_str()))
+            .collect();
+        assert_eq!(hub_spoke, [("k1", "y"), ("k2", "x")]);
+        assert_same_order(&c, &eng);
 
         // A tag on an existing entry changes the name indexes too.
         let ids = eng.ids();
         eng.add_tag(ids[0], "gold");
         let d = eng.cached_indexes();
         assert!(d.dataset_index.contains_key("gold"));
+        assert_same_order(&d, &eng);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! security credentials."
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,31 +97,19 @@ impl DatasetEntry {
 /// proceed concurrently (`parking_lot::RwLock` inside).
 #[derive(Debug, Default)]
 pub struct MetadataEngine {
-    entries: RwLock<HashMap<DatasetId, DatasetEntry>>,
+    /// The catalogue, in id order.
+    entries: RwLock<BTreeMap<DatasetId, DatasetEntry>>,
     next_id: AtomicU64,
     clock: AtomicU64,
     /// Catalog mutation counter: bumped by every register / update /
     /// tag / remove. Keys the built-index cache below.
     generation: AtomicU64,
-    /// Default-threshold discovery indexes for `generation` — building
-    /// the relationship index is O(columns²) over the whole catalog, so
-    /// it is built at most once per catalog version, **extended
-    /// incrementally** when the catalog only grew, and shared by every
-    /// reader (every offer evaluation, every shard) instead of being
-    /// rebuilt per query.
-    index_cache: Mutex<Option<IndexCacheEntry>>,
-}
-
-/// One cached index build: the generation it reflects, the
-/// `(id, version, tag count)` fingerprint of the catalog it was built
-/// over (to detect pure-append growth — an update or new tag on an
-/// *existing* entry perturbs the prefix and forces a full rebuild),
-/// and the built indexes.
-#[derive(Debug)]
-struct IndexCacheEntry {
-    generation: u64,
-    fingerprint: Vec<(DatasetId, u32, u32)>,
-    indexes: Arc<crate::index::Indexes>,
+    /// Default-threshold discovery indexes and the generation they
+    /// reflect — building the relationship index is O(columns²) over
+    /// the whole catalog, so it is built at most once per catalog
+    /// version and shared by every reader (every offer evaluation,
+    /// every shard) instead of being rebuilt per query.
+    index_cache: Mutex<Option<(u64, Arc<crate::index::Indexes>)>>,
 }
 
 impl MetadataEngine {
@@ -140,62 +128,35 @@ impl MetadataEngine {
 
     /// The catalog mutation generation (changes whenever a rebuild of
     /// derived structures would observe different contents).
-    pub fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
     /// Default-threshold discovery indexes for the current catalog
-    /// version, built on first use and cached until the next mutation.
-    /// When the catalog has only *grown* since the cached build (the
-    /// common market flow: sellers register, nobody updates/withdraws),
-    /// the cached index is extended incrementally — O(new × all) pair
-    /// comparisons instead of O(all²) — and the result is bit-identical
-    /// to a full rebuild ([`crate::index::IndexBuilder::extend`]).
-    /// Racing builders produce identical indexes, and a mutation
-    /// mid-build simply leaves a stale entry the next caller redoes.
+    /// version: the cached build while the generation matches, else one
+    /// full [`crate::index::IndexBuilder::build`]. The index is a
+    /// function of the catalogue's contents alone, edges in the full
+    /// build's enumeration order, so a market restored from an image
+    /// walks the same join paths as one that never stopped. Racing
+    /// builders produce identical indexes, and a mutation mid-build
+    /// simply leaves a stale entry the next caller redoes.
     pub fn cached_indexes(&self) -> Arc<crate::index::Indexes> {
         let generation = self.generation();
-        let previous = {
-            let cache = self.index_cache.lock();
-            match cache.as_ref() {
-                Some(entry) if entry.generation == generation => {
-                    return Arc::clone(&entry.indexes);
-                }
-                Some(entry) => Some((entry.fingerprint.clone(), Arc::clone(&entry.indexes))),
-                None => None,
+        if let Some((cached, indexes)) = self.index_cache.lock().as_ref() {
+            if *cached == generation {
+                return Arc::clone(indexes);
             }
-        };
+        }
         // Build outside the cache lock: O(columns²) work must not block
         // readers that already have a current snapshot.
-        let entries = self.entries();
-        let fingerprint: Vec<(DatasetId, u32, u32)> = entries
-            .iter()
-            .map(|e| (e.id, e.version, e.tags.len() as u32))
-            .collect();
-        let builder = crate::index::IndexBuilder::new();
-        let built = match previous {
-            // Pure append since the cached build (ids are monotone, so
-            // growth shows up as a strict fingerprint prefix): extend.
-            Some((old_fp, old_idx))
-                if fingerprint.len() >= old_fp.len()
-                    && fingerprint[..old_fp.len()] == old_fp[..] =>
-            {
-                let (old_entries, new_entries) = entries.split_at(old_fp.len());
-                Arc::new(builder.extend(&old_idx, old_entries, new_entries))
-            }
-            _ => Arc::new(builder.build(self)),
-        };
-        // Cache only if no mutation raced the snapshot: generation
-        // bumps happen under the entries write lock, so generation
-        // unchanged across the snapshot ⇒ the build describes exactly
-        // generation `generation`. On a race, serve the (at least as
-        // fresh) build uncached; the next caller rebuilds cleanly.
+        let built = Arc::new(crate::index::IndexBuilder::new().build(self));
+        // Cache only if no mutation raced the build: generation bumps
+        // happen under the entries write lock, so generation unchanged
+        // across the build ⇒ the build describes exactly generation
+        // `generation`. On a race, serve the (at least as fresh) build
+        // uncached; the next caller rebuilds cleanly.
         if self.generation() == generation {
-            *self.index_cache.lock() = Some(IndexCacheEntry {
-                generation,
-                fingerprint,
-                indexes: Arc::clone(&built),
-            });
+            *self.index_cache.lock() = Some((generation, Arc::clone(&built)));
         }
         built
     }
@@ -345,9 +306,7 @@ impl MetadataEngine {
 
     /// All dataset ids, ascending.
     pub fn ids(&self) -> Vec<DatasetId> {
-        let mut ids: Vec<DatasetId> = self.entries.read().keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.entries.read().keys().copied().collect()
     }
 
     /// Number of registered datasets.
@@ -360,11 +319,9 @@ impl MetadataEngine {
         self.entries.read().is_empty()
     }
 
-    /// Snapshot of all entries (for index building).
+    /// Snapshot of all entries in id order (for index building).
     pub fn entries(&self) -> Vec<DatasetEntry> {
-        let mut v: Vec<DatasetEntry> = self.entries.read().values().cloned().collect();
-        v.sort_by_key(|e| e.id);
-        v
+        self.entries.read().values().cloned().collect()
     }
 
     /// Catalog state for materialized snapshots. Per entry this keeps
@@ -404,7 +361,7 @@ impl MetadataEngine {
     /// latest context snapshot at its original `(version, at)`, and
     /// restores the id/clock counters.
     pub fn restore_state(&self, image: MetadataImage) {
-        let mut rebuilt = HashMap::with_capacity(image.entries.len());
+        let mut rebuilt = BTreeMap::new();
         for e in image.entries {
             let rel = e.relation;
             let snapshot = snapshot_of(

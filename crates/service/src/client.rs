@@ -8,8 +8,12 @@
 //! error on the next request. The stale-connection retry only fires
 //! for requests written to a *reused* socket that died before
 //! producing any response bytes — a fresh connection failing is a real
-//! error, and a half-read response is never retried (the server may
-//! have applied the command).
+//! error, and a half-read response is never retried. That retry is
+//! safe for an idle-timeout close, where the server never read the
+//! request. It is **not** safe for a node killed after it journaled
+//! the command and before it replied: the socket looks the same, and
+//! the resend applies a mutating command a second time. ROADMAP item
+//! 11 (exactly-once writes) closes that hole.
 //!
 //! [`Client::pipeline`] writes a whole batch of requests before
 //! reading any responses — HTTP/1.1 pipelining, which the gateway
@@ -178,10 +182,12 @@ impl Client {
                     return Ok((status, body));
                 }
                 Err(e) if was_reused && Self::is_stale_conn_error(&e) => {
-                    // Stale keep-alive socket (idle-timeout race): no
-                    // response byte arrived, so the server did not
-                    // process the request on this socket. Re-dial and
-                    // resend once; a fresh socket failing is final.
+                    // Reused socket died before any response byte:
+                    // an idle-timeout close, where the server never
+                    // read the request, or a node killed after
+                    // journaling it, where this resend applies it
+                    // twice (ROADMAP item 11). Re-dial and resend
+                    // once; a fresh socket failing is final.
                     self.conn = None;
                     wrote = self.write(bytes);
                 }
@@ -276,8 +282,10 @@ impl Client {
                         }
                     }
                     Err(HttpError::Eof) | Err(HttpError::Io(_)) if was_reused && !got_any => {
-                        // Stale keep-alive socket: nothing was
-                        // processed, resend the whole remainder.
+                        // Reused socket died before any response
+                        // byte: resend the whole remainder. A node
+                        // killed after journaling part of it applies
+                        // that part twice (ROADMAP item 11).
                         reconnect = true;
                         break;
                     }

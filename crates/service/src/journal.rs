@@ -356,20 +356,7 @@ impl Journal {
             return Ok(0);
         }
 
-        let compact_path = self.path.with_extension("compact");
-        {
-            let mut f = File::create(&compact_path)?;
-            f.write_all(&kept)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&compact_path, &self.path)?;
-        // Persist the rename (same directory-fsync contract as
-        // snapshot writes; an unopenable directory is tolerated).
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                d.sync_all()?;
-            }
-        }
+        replace_durably(&self.path.with_extension("compact"), &self.path, &kept)?;
         // The old handle still points at the pre-rename inode; appends
         // through it would write to an unlinked file. Reopen.
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
@@ -388,6 +375,28 @@ impl Journal {
     pub fn is_empty(&self) -> std::io::Result<bool> {
         Ok(self.len()? == 0)
     }
+}
+
+/// Replace `dest` with `bytes` so a crash leaves either the old file or
+/// the new one, whole: write them to `tmp`, fsync it, rename it over
+/// `dest`, then fsync the directory so the rename itself survives power
+/// loss. A failed directory fsync is returned — the caller must not
+/// report a durability point that may vanish — but a directory that
+/// cannot be *opened* for syncing is a platform limitation, not a
+/// write failure, and is tolerated.
+pub(crate) fn replace_durably(tmp: &Path, dest: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    {
+        let mut f = File::create(tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(tmp, dest)?;
+    if let Some(dir) = dest.parent() {
+        if let Ok(d) = File::open(dir) {
+            d.sync_all()?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

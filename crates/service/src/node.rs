@@ -29,7 +29,7 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 
 use crate::command::Command;
 use crate::error::ServiceError;
-use crate::journal::Journal;
+use crate::journal::{replace_durably, Journal};
 use crate::metrics::metrics;
 use crate::shard::{fnv1a, Outcome, ShardRouter};
 use crate::snapshot::{self, Snapshot};
@@ -182,24 +182,6 @@ impl ServiceNode {
         Self::config_fingerprint(&self.cfg)
     }
 
-    /// Persist the config fingerprint atomically (tmp, fsync, rename,
-    /// directory fsync). A bare `fs::write` could be torn by a crash
-    /// into an empty or partial `node.meta`, which a later open would
-    /// read as a *mismatch* and refuse a perfectly good directory.
-    fn write_meta(dir: &Path, meta_path: &Path, fingerprint: &str) -> std::io::Result<()> {
-        let tmp = meta_path.with_extension("meta.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, fingerprint.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, meta_path)?;
-        if let Ok(d) = std::fs::File::open(dir) {
-            d.sync_all()?;
-        }
-        Ok(())
-    }
-
     /// Open a node, running crash recovery against `cfg.dir`.
     pub fn open(cfg: ServiceConfig) -> Result<ServiceNode, ServiceError> {
         // Zero shards, from a struct literal or `with_shards(0)`: the
@@ -247,7 +229,11 @@ impl ServiceNode {
             }
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Self::write_meta(&cfg.dir, &meta_path, &fingerprint)?;
+                // Atomically: a bare `fs::write` could be torn by a
+                // crash into an empty or partial `node.meta`, which a
+                // later open would read as a mismatch and refuse.
+                let tmp = meta_path.with_extension("meta.tmp");
+                replace_durably(&tmp, &meta_path, fingerprint.as_bytes())?;
             }
             Err(e) => return Err(ServiceError::Io(e)),
         }

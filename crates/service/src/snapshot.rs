@@ -37,11 +37,10 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{frame_json, scan_frames};
+use crate::journal::{frame_json, replace_durably, scan_frames};
 use crate::state::{dec_hex, enc_hex, field, StateImage, Wire};
 use crate::wire::Json;
 
@@ -89,24 +88,10 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBu
     }
 
     let final_path = snapshot_path(dir, snapshot.seq);
-    let tmp_path = final_path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
-    // Persist the rename itself (directory entry). A failed directory
-    // fsync means the snapshot may *vanish* on power loss even though
-    // the data blocks are safe — swallowing that error would let the
-    // caller report a durability point that does not exist. Propagate
-    // it; the node logs the failure and keeps running on the journal,
-    // and recovery falls back to the previous intact snapshot. (A
-    // directory that cannot be *opened* for syncing is a platform
-    // limitation, not a write failure — tolerated.)
-    if let Ok(d) = File::open(dir) {
-        d.sync_all()?;
-    }
+    // A failed directory fsync propagates: the node logs it and keeps
+    // running on the journal, and recovery falls back to the previous
+    // intact snapshot.
+    replace_durably(&final_path.with_extension("tmp"), &final_path, &buf)?;
     Ok(final_path)
 }
 
