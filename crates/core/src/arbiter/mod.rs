@@ -14,9 +14,9 @@
 //! * [`services`] — arbiter services: demand reports for opportunistic
 //!   sellers and item-based collaborative-filtering recommendations;
 //! * [`pipeline`] — the round's phases wiring the above together:
-//!   expiry → candidates (rayon-parallel) → clearing → conflict-graph
-//!   settlement, run by `DataMarket::run_round` and by the service's
-//!   shard router alike.
+//!   expiry → candidates (rayon-parallel) → clearing → settlement
+//!   (parallel plans, ordered commits), run by `DataMarket::run_round`
+//!   and by the service's shard router alike.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 

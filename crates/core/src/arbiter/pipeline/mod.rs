@@ -15,8 +15,8 @@
 //!    order, so parallel and sequential runs are byte-identical.
 //! 2. **[`clear`]**: merge every context's bids in global offer-id
 //!    order and run the pricing engine once (§3.2).
-//! 3. **[`settle`]**: plan conflict-graph components concurrently,
-//!    commit every sale in offer-id order on its buyer's market — ex
+//! 3. **[`settle`]**: plan every cleared sale concurrently, commit
+//!    every sale in offer-id order on its buyer's market — ex
 //!    ante through the escrow ledger, ex post (§3.2.2.2) by delivery
 //!    awaiting the buyer's report.
 //! 4. **Close** (`DataMarket::close_round`): publish negotiation and
@@ -31,7 +31,6 @@
 
 mod candidates;
 mod clearing;
-mod conflict;
 mod context;
 mod expiry;
 mod settlement;

@@ -1,6 +1,6 @@
-//! Phase 3: transaction support + revenue allocation, by conflict graph
-//! — and the ex post reporting path that settles deliveries outside the
-//! round.
+//! Phase 3: transaction support + revenue allocation — every cleared
+//! sale planned in parallel, then committed in sale order — and the ex
+//! post reporting path that settles deliveries outside the round.
 
 #![deny(
     clippy::unwrap_used,
@@ -27,7 +27,6 @@ use crate::market::{
 };
 use crate::trust::AuditEvent;
 
-use super::conflict::connected_components;
 use super::RoundContext;
 
 /// The commit-independent arithmetic of one ex ante settlement.
@@ -50,8 +49,7 @@ pub(crate) struct SettlementPlan {
     pub reward_shares: Vec<DatasetShare>,
 }
 
-/// Settle a round's cleared sales; returns how many conflict components
-/// they partitioned into.
+/// Settle a round's cleared sales.
 ///
 /// `markets[i]` and `ctxs[i]` are one market and its round; `home`
 /// names the market a sale's buyer lives on (`|_| 0` for one market);
@@ -62,62 +60,36 @@ pub(crate) struct SettlementPlan {
 /// An unfunded sale leaves its offer pending and no partial state; a
 /// sale without a winning mashup on its home market is skipped.
 ///
-/// Sales sharing an account or hold (`DataMarket::settlement_conflict_keys`)
-/// form connected components whose plans are computed concurrently —
-/// plans read nothing a commit writes. Commits then run strictly in
-/// sale order: ids, the audit chain and hold success depend on it, and
-/// an earlier sale's proceeds may fund a later purchase.
+/// Every sale's plan is its own parallel task — plans read nothing a
+/// commit writes. Commits then run strictly in sale order: ids, the
+/// audit chain and hold success depend on it, and an earlier sale's
+/// proceeds may fund a later purchase.
 pub fn settle(
     markets: &[DataMarket],
     ctxs: &mut [RoundContext],
     sales: Vec<Sale>,
     home: impl Fn(&str) -> usize,
-) -> usize {
+) {
     super::timed("settlement", || {
         let homed: Vec<(usize, Sale)> = sales
             .into_iter()
             .map(|sale| (home(&sale.buyer), sale))
             .collect();
         let rounds: &[RoundContext] = ctxs;
-        // A sale's home market and its winning mashup there.
-        let mashup = |at: usize, sale: &Sale| {
-            let market = markets.get(at)?;
-            let mashup = rounds.get(at)?.best_mashups.get(&sale.offer_id)?;
-            Some((market, mashup))
-        };
-        let keys: Vec<Vec<String>> = homed
-            .iter()
-            .map(|(at, sale)| match mashup(*at, sale) {
-                Some((market, mashup)) => market.settlement_conflict_keys(sale, mashup),
-                None => Vec::new(),
-            })
-            .collect();
-        let components = connected_components(&keys);
         // Ex post sales move no money until the report: nothing to plan.
-        let plan = |at: usize, sale: &Sale| {
-            let (market, mashup) = mashup(at, sale)?;
-            (!market.is_ex_post()).then(|| market.plan_settlement(sale, mashup))
-        };
-        let mut plans: Vec<(usize, Option<SettlementPlan>)> = components
+        let plans: Vec<Option<SettlementPlan>> = homed
             .par_iter()
-            .map(|component| {
-                component
-                    .iter()
-                    .map(|&i| (i, homed.get(i).and_then(|(at, sale)| plan(*at, sale))))
-                    .collect::<Vec<_>>()
+            .map(|(at, sale)| {
+                let market = markets.get(*at)?;
+                let mashup = rounds.get(*at)?.best_mashups.get(&sale.offer_id)?;
+                (!market.is_ex_post()).then(|| market.plan_settlement(sale, mashup))
             })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
             .collect();
-        // Back to sale order, whichever component finished first.
-        plans.sort_by_key(|(i, _)| *i);
-        for ((at, sale), (_, plan)) in homed.into_iter().zip(plans) {
+        for ((at, sale), plan) in homed.into_iter().zip(plans) {
             if let (Some(market), Some(ctx)) = (markets.get(at), ctxs.get_mut(at)) {
                 commit(market, ctx, sale, plan);
             }
         }
-        components.len()
     })
 }
 
@@ -158,48 +130,30 @@ impl DataMarket {
     pub(crate) fn plan_settlement(&self, sale: &Sale, mashup: &BuiltMashup) -> SettlementPlan {
         let fee = sale.price * self.config.design.arbiter_fee.clamp(0.0, 1.0);
         let to_sellers = sale.price - fee;
-        let shares = dataset_shares(&self.config.design, &mashup.relation, to_sellers);
-        let reward_shares = if self.config.contribution_reward > 0.0 {
-            dataset_shares(
-                &self.config.design,
-                &mashup.relation,
-                self.config.contribution_reward,
-            )
-        } else {
-            Vec::new()
-        };
         SettlementPlan {
             fee,
-            shares,
-            reward_shares,
+            shares: dataset_shares(&self.config.design, &mashup.relation, to_sellers),
+            reward_shares: self.reward_shares(mashup),
         }
     }
 
-    /// The conflict keys of one cleared sale: the ledger accounts and
-    /// exclusivity-hold slots its settlement writes. Two sales with
-    /// disjoint key sets commute semantically; sharing any key makes
-    /// them neighbors in the round's conflict graph. [`ARBITER_ACCOUNT`]
-    /// is excluded — every sale credits the arbiter's fee account, and
-    /// integer micro-credit deposits commute exactly, so including it
-    /// would collapse every round into one component. A dataset with no
-    /// metadata entry pays its residual to the arbiter and is likewise
-    /// account-free (its `d:` hold key still counts).
-    pub(crate) fn settlement_conflict_keys(
-        &self,
-        sale: &Sale,
-        mashup: &BuiltMashup,
-    ) -> Vec<String> {
-        let mut keys = vec![format!("a:{}", sale.buyer)];
-        for &d in &mashup.datasets {
-            let owner = self.metadata.with_entry(d, |e| e.owner.clone());
-            if let Some(owner) = owner.filter(|o| o != ARBITER_ACCOUNT) {
-                keys.push(format!("a:{owner}"));
-            }
-            keys.push(format!("d:{}", d.0));
+    /// Platform-minted contribution rewards for `mashup`, split like its
+    /// revenue (empty when the config mints none).
+    fn reward_shares(&self, mashup: &BuiltMashup) -> Vec<DatasetShare> {
+        let reward = self.config.contribution_reward;
+        if reward > 0.0 {
+            dataset_shares(&self.config.design, &mashup.relation, reward)
+        } else {
+            Vec::new()
         }
-        keys.sort();
-        keys.dedup();
-        keys
+    }
+
+    /// The account a revenue share pays: the dataset's owner, or the
+    /// arbiter for a provenance-free residual.
+    fn payee(&self, share: &DatasetShare) -> String {
+        self.metadata
+            .with_entry(share.dataset, |e| e.owner.clone())
+            .unwrap_or_else(|| ARBITER_ACCOUNT.to_string())
     }
 
     /// Commit one ex ante settlement from its precomputed plan. Order
@@ -225,11 +179,8 @@ impl DataMarket {
             self.ledger.release_up_to(escrow, ARBITER_ACCOUNT, fee)?;
         }
         for share in shares {
-            let owner = self
-                .metadata
-                .with_entry(share.dataset, |e| e.owner.clone())
-                .unwrap_or_else(|| ARBITER_ACCOUNT.to_string()); // provenance-free residual
-            self.ledger.release_up_to(escrow, &owner, share.amount)?;
+            self.ledger
+                .release_up_to(escrow, &self.payee(share), share.amount)?;
         }
         self.ledger.close(escrow)?; // refund rounding residue, if any
 
@@ -421,11 +372,8 @@ impl DataMarket {
         let fee = (base * fee_rate + penalty).min(deposit - to_sellers);
         let shares = dataset_shares(&self.config.design, &delivery.relation, to_sellers);
         for share in &shares {
-            let owner = self
-                .metadata
-                .with_entry(share.dataset, |e| e.owner.clone())
-                .unwrap_or_else(|| ARBITER_ACCOUNT.to_string());
-            self.ledger.release_up_to(escrow, &owner, share.amount)?;
+            self.ledger
+                .release_up_to(escrow, &self.payee(share), share.amount)?;
         }
         if fee > 0.0 {
             self.ledger.release_up_to(escrow, ARBITER_ACCOUNT, fee)?;
@@ -456,16 +404,7 @@ impl DataMarket {
             confidence: 1.0,
             missing: Vec::new(),
         };
-        let reward_shares = if self.config.contribution_reward > 0.0 {
-            dataset_shares(
-                &self.config.design,
-                &built.relation,
-                self.config.contribution_reward,
-            )
-        } else {
-            Vec::new()
-        };
-        self.finish_transaction(&record, &built, round, &reward_shares);
+        self.finish_transaction(&record, &built, round, &self.reward_shares(&built));
         let mut book = self.book.lock();
         book.transactions.push(record);
         book.set_offer_state(offer.id, OfferState::Fulfilled { tx });
@@ -484,7 +423,20 @@ mod tests {
     use dmp_mechanism::design::MarketDesign;
     use dmp_mechanism::elicitation::ExPostMechanism;
     use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
-    use dmp_relation::builder::keyed_rel;
+    use dmp_relation::builder::{keyed_rel, RelationBuilder};
+    use dmp_relation::{DataType, Value};
+
+    /// A market under `design` where seller `s` shares one table and
+    /// `buyer`, funded with `funds`, offers 30 for it; and the offer id.
+    fn one_offer(design: MarketDesign, buyer: &str, funds: f64) -> (DataMarket, u64) {
+        let market = DataMarket::new(MarketConfig::external(3).with_design(design));
+        let table = keyed_rel("t", &[(1, "x")]);
+        market.seller("s").share(table).unwrap();
+        market.buyer(buyer).deposit(funds);
+        let wtp = WtpFunction::simple(buyer, ["k", "v"], PriceCurve::Constant(30.0));
+        let offer = market.submit_wtp(wtp).unwrap();
+        (market, offer)
+    }
 
     /// A round of `market` opened and cleared, with its cleared sales.
     fn staged_ctx(market: &DataMarket) -> (RoundContext, Vec<Sale>) {
@@ -506,22 +458,7 @@ mod tests {
 
     #[test]
     fn ex_ante_settlement_moves_money_and_fulfills_the_offer() {
-        let market = DataMarket::new(
-            MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0)),
-        );
-        market
-            .seller("s")
-            .share(keyed_rel("t", &[(1, "x")]))
-            .unwrap();
-        let b = market.buyer("b");
-        b.deposit(100.0);
-        let offer = market
-            .submit_wtp(WtpFunction::simple(
-                "b",
-                ["k", "v"],
-                PriceCurve::Constant(30.0),
-            ))
-            .unwrap();
+        let (market, offer) = one_offer(MarketDesign::posted_price_baseline(10.0), "b", 100.0);
 
         let (mut ctx, sales) = staged_ctx(&market);
         settle_one_market(&market, &mut ctx, sales);
@@ -545,20 +482,7 @@ mod tests {
             exclusion_rounds: 1,
             round_value: 0.0,
         });
-        let market = DataMarket::new(MarketConfig::external(3).with_design(design));
-        market
-            .seller("s")
-            .share(keyed_rel("t", &[(1, "x")]))
-            .unwrap();
-        let b = market.buyer("b");
-        b.deposit(100.0);
-        let offer = market
-            .submit_wtp(WtpFunction::simple(
-                "b",
-                ["k", "v"],
-                PriceCurve::Constant(30.0),
-            ))
-            .unwrap();
+        let (market, offer) = one_offer(design, "b", 100.0);
 
         let (mut ctx, sales) = staged_ctx(&market);
         settle_one_market(&market, &mut ctx, sales);
@@ -581,21 +505,7 @@ mod tests {
 
     #[test]
     fn unfunded_ex_ante_sale_leaves_no_partial_state() {
-        let market = DataMarket::new(
-            MarketConfig::external(3).with_design(MarketDesign::posted_price_baseline(10.0)),
-        );
-        market
-            .seller("s")
-            .share(keyed_rel("t", &[(1, "x")]))
-            .unwrap();
-        let _ = market.buyer("broke"); // no deposit
-        let offer = market
-            .submit_wtp(WtpFunction::simple(
-                "broke",
-                ["k", "v"],
-                PriceCurve::Constant(30.0),
-            ))
-            .unwrap();
+        let (market, offer) = one_offer(MarketDesign::posted_price_baseline(10.0), "broke", 0.0);
 
         let (mut ctx, sales) = staged_ctx(&market);
         assert_eq!(sales.len(), 1, "the bid clears");
@@ -605,5 +515,73 @@ mod tests {
         assert_eq!(ctx.revenue, 0.0);
         assert_eq!(market.offer(offer).unwrap().state, OfferState::Pending);
         assert!(market.transactions().is_empty());
+    }
+
+    /// Ten offers over six tables of five sellers (`s0` owns two), a 10 %
+    /// fee: `b0` buys twice, `b0` and `b6` buy the same table, `b7` buys a
+    /// two-table mashup, `b4` cannot pay and `b5` pays only for its first.
+    fn crowded_round() -> (DataMarket, RoundContext, Vec<Sale>) {
+        let mut design = MarketDesign::posted_price_baseline(10.0);
+        design.arbiter_fee = 0.1;
+        let market = DataMarket::new(MarketConfig::external(3).with_design(design));
+        for (d, seller) in ["s0", "s0", "s1", "s2", "s3", "s4"].into_iter().enumerate() {
+            let table = RelationBuilder::new(format!("d{d}"))
+                .column("k", DataType::Int)
+                .column(format!("x{d}"), DataType::Str)
+                .rows((1..=3).map(|k| vec![Value::Int(k), Value::str(format!("v{k}"))]))
+                .build()
+                .unwrap();
+            market.seller(seller).share(table).unwrap();
+        }
+        let funds = [100.0, 100.0, 100.0, 100.0, 0.0, 15.0, 100.0, 100.0];
+        for (b, funds) in funds.into_iter().enumerate() {
+            market.buyer(&format!("b{b}")).deposit(funds);
+        }
+        let buyers = [0, 0, 1, 2, 3, 4, 5, 5, 6, 7];
+        let wants = "x0 x2 x1 x3 x4 x5 x2 x3 x0 x3+x4".split(' ');
+        for (b, want) in buyers.into_iter().zip(wants) {
+            let wtp =
+                WtpFunction::simple(format!("b{b}"), want.split('+'), PriceCurve::Constant(30.0));
+            market.submit_wtp(wtp).unwrap();
+        }
+        let (ctx, sales) = staged_ctx(&market);
+        (market, ctx, sales)
+    }
+
+    /// Balances (as bits), transactions, offer states and audit chain.
+    fn settled_state(market: &DataMarket) -> String {
+        let balances: Vec<_> = market
+            .ledger
+            .balances()
+            .into_iter()
+            .map(|(account, balance)| (account, balance.to_bits()))
+            .collect();
+        let states: Vec<_> = market.offers().into_iter().map(|o| o.state).collect();
+        let (txs, audit) = (market.transactions(), market.audit_log().entries());
+        format!("{balances:?}\n{txs:?}\n{states:?}\n{audit:?}")
+    }
+
+    #[test]
+    fn parallel_plans_settle_like_sale_by_sale_planning() {
+        let (market, mut ctx, sales) = crowded_round();
+        assert!(sales.len() >= 8, "only {} sales cleared", sales.len());
+        settle_one_market(&market, &mut ctx, sales);
+
+        let (reference, mut ref_ctx, ref_sales) = crowded_round();
+        for sale in ref_sales {
+            let mashup = ref_ctx.best_mashups.get(&sale.offer_id);
+            let plan = mashup.map(|m| reference.plan_settlement(&sale, m));
+            commit(&reference, &mut ref_ctx, sale, plan);
+        }
+
+        assert_eq!(settled_state(&market), settled_state(&reference));
+        assert_eq!(ctx.completed_sales, ref_ctx.completed_sales);
+        assert_eq!(ctx.revenue.to_bits(), ref_ctx.revenue.to_bits());
+        assert_eq!(ctx.fees.to_bits(), ref_ctx.fees.to_bits());
+        let pending = market
+            .offers()
+            .into_iter()
+            .filter(|o| o.state == OfferState::Pending);
+        assert_eq!(pending.count(), 2, "b4's offer and b5's second");
     }
 }

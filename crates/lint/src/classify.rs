@@ -88,8 +88,8 @@ pub const MODULE_MAP: &[MapEntry] = &[
     MapEntry {
         pattern: "crates/core/src/arbiter/pipeline/settlement.rs",
         classes: &["panic_free", "no_index"],
-        why: "the one settlement path (library and shard router): conflict-graph \
-              planning, then commits in global offer-id order; a panic between \
+        why: "the one settlement path (library and shard router): parallel \
+              plans, then commits in global offer-id order; a panic between \
               escrow release and license grant strands funds",
     },
     MapEntry {

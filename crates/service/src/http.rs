@@ -6,7 +6,7 @@
 //! each gateway connection thread calls it in a loop, so pipelined
 //! requests come out in wire order however the socket cuts them.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,13 +154,15 @@ fn parse_header_line(
     Ok((name, value))
 }
 
-/// Read one request off a buffered stream.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
-    let Some(line) = read_line_bounded(stream)? else {
-        return Err(HttpError::Eof);
-    };
-    let (method, path) = parse_request_line(&line)?;
+/// A message head: start line, lower-cased headers, `Content-Length`.
+type Head = (String, Vec<(String, String)>, usize);
 
+/// Read a message head up to its blank line. Returns `None` on clean
+/// EOF before the start line.
+fn read_head(stream: &mut impl BufRead) -> Result<Option<Head>, HttpError> {
+    let Some(start) = read_line_bounded(stream)? else {
+        return Ok(None);
+    };
     let mut headers = Vec::new();
     let mut content_length: Option<usize> = None;
     loop {
@@ -175,17 +177,33 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
         }
         headers.push(parse_header_line(&header, &mut content_length)?);
     }
-    let content_length = content_length.unwrap_or(0);
+    Ok(Some((start, headers, content_length.unwrap_or(0))))
+}
+
+/// Read a `len`-byte body, growing the buffer as bytes arrive; a short body is malformed.
+fn read_body(stream: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::with_capacity(len.min(64 * 1024));
+    stream.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(HttpError::Malformed("short body".into()));
+    }
+    Ok(body)
+}
+
+/// Read one request off a buffered stream.
+pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
+    let Some((line, headers, content_length)) = read_head(stream)? else {
+        return Err(HttpError::Eof);
+    };
+    let (method, path) = parse_request_line(&line)?;
     if content_length > max_body {
         return Err(HttpError::TooLarge);
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
     Ok(Request {
         method,
         path,
+        body: read_body(stream, content_length)?,
         headers,
-        body,
     })
 }
 
@@ -257,7 +275,7 @@ impl Response {
 /// before its next request instead of writing into a socket the server
 /// is about to shut.
 pub fn read_response_full(stream: &mut impl BufRead) -> Result<(u16, Vec<u8>, bool), HttpError> {
-    let Some(line) = read_line_bounded(stream)? else {
+    let Some((line, headers, content_length)) = read_head(stream)? else {
         return Err(HttpError::Eof);
     };
     let status: u16 = line
@@ -265,41 +283,10 @@ pub fn read_response_full(stream: &mut impl BufRead) -> Result<(u16, Vec<u8>, bo
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| HttpError::Malformed(format!("bad status line '{line}'")))?;
-    let mut content_length: Option<usize> = None;
-    let mut close = false;
-    let mut seen = 0usize;
-    loop {
-        let Some(header) = read_line_bounded(stream)? else {
-            return Err(HttpError::Malformed("eof inside headers".into()));
-        };
-        if header.is_empty() {
-            break;
-        }
-        seen += 1;
-        if seen > MAX_HEADERS {
-            return Err(HttpError::TooLarge);
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                let parsed: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed("bad content-length".into()))?;
-                // Same smuggling guard as the server side.
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    return Err(HttpError::Malformed(
-                        "conflicting duplicate content-length headers".into(),
-                    ));
-                }
-                content_length = Some(parsed);
-            } else if name.trim().eq_ignore_ascii_case("connection") {
-                close = value.trim().eq_ignore_ascii_case("close");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length.unwrap_or(0)];
-    stream.read_exact(&mut body)?;
-    Ok((status, body, close))
+    let close = headers
+        .iter()
+        .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
+    Ok((status, read_body(stream, content_length)?, close))
 }
 
 #[cfg(test)]
@@ -347,6 +334,19 @@ mod tests {
             read_response_full(&mut reader),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn body_is_not_allocated_before_its_bytes_arrive() {
+        // Each once aborted the reader: `vec!` overflow, a 1 TiB allocation.
+        for len in ["18446744073709551615", "1099511627776"] {
+            let raw = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nshort");
+            let reply = read_response_full(&mut BufReader::new(raw.as_bytes()));
+            assert!(matches!(reply, Err(HttpError::Malformed(_))), "{len}");
+        }
+        let raw = b"POST / HTTP/1.1\r\ncontent-length: 9\r\n\r\nbody";
+        let req = read_request(&mut BufReader::new(&raw[..]), 1024);
+        assert!(matches!(req, Err(HttpError::Malformed(_))));
     }
 
     #[test]

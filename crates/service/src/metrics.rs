@@ -124,7 +124,7 @@ pub struct ServiceMetrics {
     round_phase_us: Vec<Arc<Histogram>>,
     /// `dmp_round_cross_shard_sales_total`.
     pub cross_shard_sales: Arc<Counter>,
-    /// `dmp_round_settlement_components` (conflict components per round).
+    /// `dmp_round_settlement_components` (cleared sales planned per round).
     pub settlement_components: Arc<Histogram>,
     worker_rpc_us: Vec<Arc<Histogram>>,
     /// `dmp_worker_rpc_failures_total` (RPCs that errored; the worker is
@@ -269,7 +269,7 @@ pub fn metrics() -> &'static ServiceMetrics {
             ),
             settlement_components: r.histogram(
                 "dmp_round_settlement_components",
-                "Conflict components the round's cleared sales partitioned into.",
+                "Settlement components per round: one per cleared sale, each planned as its own task.",
             ),
             worker_rpc_us: WORKER_RPCS
                 .iter()

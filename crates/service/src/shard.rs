@@ -204,9 +204,9 @@ pub struct MergedRoundReport {
     pub expired: usize,
     /// Ex post deliveries created, summed.
     pub deliveries: usize,
-    /// Conflict components the round's cleared sales partitioned into
-    /// (settlement plans within different components touch disjoint
-    /// accounts and datasets, so they were computed concurrently).
+    /// Settlement components: the cleared sales handed to settlement.
+    /// Plans read no state a commit writes, so the graph that constrains
+    /// planning has no edges and each sale is its own component.
     pub components: usize,
     /// The raw per-shard reports (shard index = position).
     pub per_shard: Vec<RoundReport>,
@@ -564,8 +564,8 @@ impl ShardRouter {
             reason = "per-phase latency telemetry; never read into round state"
         )]
         let phase_started = std::time::Instant::now();
-        let components =
-            pipeline::settle(&self.shards, &mut ctxs, sales, |buyer| self.shard_of(buyer));
+        let components = sales.len();
+        pipeline::settle(&self.shards, &mut ctxs, sales, |buyer| self.shard_of(buyer));
         m.settlement_components.record(components as u64);
         // Cross-shard accounting over sales that actually *settled*
         // (cleared-but-unfunded sales leave their offers pending and
