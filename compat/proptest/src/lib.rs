@@ -37,7 +37,7 @@ pub mod bool {
 
 pub mod prelude {
     //! One-stop imports, mirroring `proptest::prelude`.
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 

@@ -45,17 +45,6 @@ impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     }
 }
 
-/// Always generates a clone of one value.
-#[derive(Debug, Clone)]
-pub struct Just<T>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! numeric_range_strategy {
     ($($t:ty),+ $(,)?) => {$(
         impl Strategy for Range<$t> {

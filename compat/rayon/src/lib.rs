@@ -4,8 +4,8 @@
 //! minimal API-compatible shims under `compat/` (see the workspace
 //! README).
 //!
-//! Supported shape: `slice.par_iter().map(f).collect::<Vec<_>>()` (plus
-//! `filter_map` and [`join`]). Work is split into contiguous chunks —
+//! Supported shape: `slice.par_iter().map(f).collect::<Vec<_>>()`, the
+//! one shape the workspace calls. Work is split into contiguous chunks —
 //! one per available core, the first of them run by the calling thread —
 //! and results are written back **in input order**, so `collect` is
 //! deterministic regardless of scheduling.
@@ -15,21 +15,6 @@ use std::sync::OnceLock;
 
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParallelIterator};
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim: join worker panicked"))
-    })
 }
 
 fn worker_count(items: usize) -> usize {
@@ -126,28 +111,10 @@ impl<'a, T: Sync> ParIter<'a, T> {
             f,
         }
     }
-
-    /// Map + filter in one pass, preserving input order.
-    pub fn filter_map<R, F>(self, f: F) -> ParFilterMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&'a T) -> Option<R> + Sync,
-    {
-        ParFilterMap {
-            items: self.items,
-            f,
-        }
-    }
 }
 
 /// Result of [`ParIter::map`].
 pub struct ParMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-/// Result of [`ParIter::filter_map`].
-pub struct ParFilterMap<'a, T, F> {
     items: &'a [T],
     f: F,
 }
@@ -182,21 +149,6 @@ where
     }
 }
 
-impl<'a, T, R, F> ParallelIterator for ParFilterMap<'a, T, F>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> Option<R> + Sync,
-{
-    type Item = R;
-    fn to_vec(self) -> Vec<R> {
-        par_map_slice(self.items, self.f)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -206,23 +158,6 @@ mod tests {
         let v: Vec<u64> = (0..1000).collect();
         let doubled: Vec<u64> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_filter_map_preserves_order() {
-        let v: Vec<u64> = (0..100).collect();
-        let evens: Vec<u64> = v
-            .par_iter()
-            .filter_map(|x| if x % 2 == 0 { Some(*x) } else { None })
-            .collect();
-        assert_eq!(evens, (0..100).filter(|x| x % 2 == 0).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]

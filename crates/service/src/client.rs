@@ -1,27 +1,39 @@
 //! A small blocking HTTP client for the gateway, shared by the e2e
 //! tests, the `serve` example and the throughput benches.
 //!
-//! One [`Client`] manages one keep-alive connection and hides its
-//! lifecycle: a `Connection: close` response (or a keep-alive socket
-//! the server already shut — an idle-timeout race every pooled HTTP
-//! client has to handle) triggers a transparent re-dial instead of an
-//! error on the next request. The stale-connection retry only fires
-//! for requests written to a *reused* socket that died before
-//! producing any response bytes — a fresh connection failing is a real
-//! error, and a half-read response is never retried. That retry is
-//! safe for an idle-timeout close, where the server never read the
-//! request. It is **not** safe for a node killed after it journaled
-//! the command and before it replied: the socket looks the same, and
-//! the resend applies a mutating command a second time. ROADMAP item
-//! 11 (exactly-once writes) closes that hole.
+//! One [`Client`] owns one keep-alive socket and the queue of requests
+//! written on it and not yet answered. [`Client::send`] writes a request
+//! at once and [`Client::receive`] reads the reply to the oldest one;
+//! [`Client::request`], [`Client::get_text`] and [`Client::pipeline`]
+//! are built from the two. A pipelined batch leaves in one write and the
+//! gateway answers in request order (HTTP/1.1 pipelining): one round
+//! trip per batch, not per request.
 //!
-//! [`Client::pipeline`] writes a whole batch of requests before
-//! reading any responses — HTTP/1.1 pipelining, which the gateway
-//! answers in request order. One round trip per *batch*
-//! instead of one per request is the difference between
-//! latency-bound and throughput-bound benching.
+//! One rule says when a request is written again:
+//!
+//! - A reply carrying `Connection: close` drops the socket, and the
+//!   requests still unanswered go out again on a fresh one: the server
+//!   closed after answering, so it never read them.
+//! - An *idle* socket (it carried a reply, and every request written
+//!   on it before was answered) that fails before the first byte of
+//!   the next reply (EOF, reset, abort or broken pipe on the read, or a
+//!   write it took no byte of) is re-dialed once, and every unanswered
+//!   request is written again. That is the idle-timeout close every
+//!   pooled HTTP client has to handle, where the server never read
+//!   them. It is **not** safe for a node killed after it journaled a
+//!   command and before it replied: the socket looks the same, and the
+//!   resend applies the command a second time. ROADMAP item 11
+//!   (exactly-once writes) closes that hole.
+//! - Anything else is an error: a fresh socket failing, a failure after
+//!   a reply while later requests wait (the gateway read them before it
+//!   answered), a write that breaks off, a read timeout (the server may
+//!   still be applying the request), a reply that breaks off or does not
+//!   parse, a damaged body. The error drops the socket and the queue, so
+//!   a later request never pairs with a stale reply, and a half-read
+//!   reply is never resent.
 
-use std::io::{BufReader, Write};
+use std::collections::VecDeque;
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -59,143 +71,143 @@ impl PipelinedRequest {
     }
 }
 
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Whether this socket already served at least one request; only
-    /// then may a dead socket be a stale-keep-alive race worth a retry.
-    reused: bool,
-}
-
 /// A keep-alive connection to a gateway (re-dialed transparently).
 pub struct Client {
-    conn: Option<Conn>,
+    conn: Option<BufReader<TcpStream>>,
+    /// Whether `conn` is idle: a reply came back on it and every request
+    /// written before that reply is answered. Only then may its failure
+    /// be the server's idle close rather than a real error.
+    idle: bool,
     addr: SocketAddr,
-    /// A request [`Client::send`] wrote and [`Client::receive`] has not
-    /// read the reply to: its bytes (a stale socket gets them again)
-    /// and how the write went.
-    sent: Option<(Vec<u8>, std::io::Result<()>)>,
+    /// Requests written and not yet answered, oldest first: what a fresh
+    /// socket carries again.
+    unanswered: VecDeque<Vec<u8>>,
+    /// Why a write failed where no resend is allowed; the next
+    /// [`Client::receive`] reports it.
+    write_error: Option<io::Error>,
 }
 
 impl Client {
     /// Connect.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
+    pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let mut client = Client {
             conn: None,
+            idle: false,
             addr,
-            sent: None,
+            unanswered: VecDeque::new(),
+            write_error: None,
         };
         client.ensure_conn()?;
         Ok(client)
     }
 
-    fn ensure_conn(&mut self) -> std::io::Result<&mut Conn> {
+    fn ensure_conn(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
         if self.conn.is_none() {
+            self.idle = false;
             let stream = TcpStream::connect(self.addr)?;
             stream.set_read_timeout(Some(Duration::from_secs(30)))?;
             stream.set_nodelay(true)?;
-            let writer = stream.try_clone()?;
-            self.conn = Some(Conn {
-                reader: BufReader::new(stream),
-                writer,
-                reused: false,
-            });
+            self.conn = Some(BufReader::new(stream));
         }
         Ok(self.conn.as_mut().expect("just ensured"))
     }
 
-    fn encode(method: &str, path: &str, body: Option<&Json>, addr: SocketAddr) -> Vec<u8> {
-        Self::encode_text(
-            method,
-            path,
-            &body.map(Json::dump).unwrap_or_default(),
-            addr,
+    fn encode(method: &str, path: &str, body: &str, addr: SocketAddr) -> Vec<u8> {
+        format!(
+            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\ncontent-type: application/json\r\n\r\n{body}",
+            body.len()
         )
+        .into_bytes()
     }
 
-    fn encode_text(method: &str, path: &str, body_text: &str, addr: SocketAddr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(body_text.len() + 128);
-        let _ = write!(
-            out,
-            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\ncontent-type: application/json\r\n\r\n{}",
-            body_text.len(),
-            body_text
-        );
-        out
-    }
-
-    /// Decode a response body. A damaged byte is an error, never
-    /// repaired: a reply the worker did not send must not be accepted.
-    fn decode(body: &[u8]) -> std::io::Result<Json> {
-        Json::parse_bytes(body)
-            .map_err(|e| std::io::Error::other(format!("bad response JSON: {e}")))
-    }
-
-    /// Whether an error smells like the server closed a keep-alive
-    /// socket under us (as opposed to refusing or misbehaving).
-    fn is_stale_conn_error(e: &std::io::Error) -> bool {
-        matches!(
-            e.kind(),
-            std::io::ErrorKind::UnexpectedEof
-                | std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::ConnectionAborted
-                | std::io::ErrorKind::BrokenPipe
-        )
-    }
-
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let conn = self.ensure_conn()?;
-        conn.writer.write_all(bytes)?;
-        conn.writer.flush()
-    }
-
-    /// Read the reply to `bytes`, which went out with result `wrote`:
-    /// `(status, body)`.
-    fn complete(
-        &mut self,
-        bytes: &[u8],
-        mut wrote: std::io::Result<()>,
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        loop {
-            let was_reused = self.conn.as_ref().is_some_and(|c| c.reused);
-            let attempt = wrote.and_then(|()| {
-                let conn = self.conn.as_mut().ok_or(std::io::ErrorKind::NotConnected)?;
-                let reply = read_response_full(&mut conn.reader).map_err(|e| match e {
-                    HttpError::Io(io) => io,
-                    HttpError::Eof => std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed before response",
-                    ),
-                    other => std::io::Error::other(format!("{other:?}")),
-                })?;
-                conn.reused = true;
-                Ok(reply)
+    /// Queue `requests` and write them in one write. A socket that is
+    /// gone gets the whole queue instead, since it answered none of it;
+    /// so does the fresh socket that replaces an idle one taking no byte
+    /// of the write.
+    fn enqueue(&mut self, requests: impl IntoIterator<Item = Vec<u8>>) {
+        let mut from = self.unanswered.len();
+        self.unanswered.extend(requests);
+        while self.write_error.is_none() {
+            if self.conn.is_none() {
+                from = 0;
+            }
+            let slices: Vec<&[u8]> = self.unanswered.range(from..).map(Vec::as_slice).collect();
+            let wire = slices.concat();
+            let mut sent = 0;
+            let wrote = self.ensure_conn().and_then(|c| {
+                sent = c.get_ref().write(&wire)?;
+                c.get_ref().write_all(&wire[sent..])
             });
-            match attempt {
-                Ok((status, body, close)) => {
-                    if close {
-                        // Server said this socket is done: drop it now
-                        // so the next request re-dials instead of
-                        // writing into a closing stream.
-                        self.conn = None;
-                    }
-                    return Ok((status, body));
-                }
-                Err(e) if was_reused && Self::is_stale_conn_error(&e) => {
-                    // Reused socket died before any response byte:
-                    // an idle-timeout close, where the server never
-                    // read the request, or a node killed after
-                    // journaling it, where this resend applies it
-                    // twice (ROADMAP item 11). Re-dial and resend
-                    // once; a fresh socket failing is final.
-                    self.conn = None;
-                    wrote = self.write(bytes);
-                }
-                Err(e) => {
-                    self.conn = None;
+            let Err(e) = wrote else { return };
+            self.conn = None;
+            // Once a byte left, the server may have read a request.
+            if !(self.idle && sent == 0) {
+                self.write_error = Some(e);
+            }
+        }
+    }
+
+    /// Read the reply to the oldest unanswered request, its body through
+    /// `decode`. Any error drops the socket and the queue.
+    fn receive_with<T>(
+        &mut self,
+        decode: impl FnOnce(Vec<u8>) -> io::Result<T>,
+    ) -> io::Result<(u16, T)> {
+        if self.unanswered.is_empty() {
+            return Err(io::Error::other("receive() without send()"));
+        }
+        let reply = self
+            .read_reply()
+            .and_then(|(status, body)| Ok((status, decode(body)?)));
+        if reply.is_ok() {
+            self.unanswered.pop_front();
+        } else {
+            self.conn = None;
+            self.unanswered.clear();
+            self.write_error = None;
+        }
+        reply
+    }
+
+    fn read_reply(&mut self) -> io::Result<(u16, Vec<u8>)> {
+        loop {
+            if self.conn.is_none() {
+                // A `Connection: close` reply or an idle close dropped
+                // the socket with requests unanswered.
+                self.enqueue([]);
+            }
+            if let Some(e) = self.write_error.take() {
+                return Err(e);
+            }
+            let reader = self.ensure_conn()?;
+            // Before the first byte of the reply: the one place where an
+            // idle socket failing is the server's idle close.
+            let first = match reader.fill_buf() {
+                Ok([]) => Err(ErrorKind::UnexpectedEof.into()),
+                other => other.map(drop),
+            };
+            if let Err(e) = first {
+                use ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+                let idle_close = matches!(
+                    e.kind(),
+                    UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe
+                );
+                if !(self.idle && idle_close) {
                     return Err(e);
                 }
+                self.conn = None;
+                continue;
             }
+            let (status, body, close) = read_response_full(reader).map_err(|e| match e {
+                HttpError::Io(io) => io,
+                other => io::Error::other(format!("{other:?}")),
+            })?;
+            // Idle once the only request waiting is this one.
+            self.idle = self.unanswered.len() == 1;
+            if close {
+                self.conn = None;
+            }
+            return Ok((status, body));
         }
     }
 
@@ -205,11 +217,9 @@ impl Client {
         method: &str,
         path: &str,
         body: Option<&Json>,
-    ) -> std::io::Result<(u16, Json)> {
-        let bytes = Self::encode(method, path, body, self.addr);
-        let wrote = self.write(&bytes);
-        let (status, body) = self.complete(&bytes, wrote)?;
-        Ok((status, Self::decode(&body)?))
+    ) -> io::Result<(u16, Json)> {
+        self.send(method, path, &body.map(Json::dump).unwrap_or_default());
+        self.receive()
     }
 
     /// The first half of [`Client::request`]: write the request (its
@@ -219,123 +229,59 @@ impl Client {
     /// servers work at the same time and no thread is spawned. A failed
     /// write is reported by `receive`.
     pub fn send(&mut self, method: &str, path: &str, body_text: &str) {
-        let bytes = Self::encode_text(method, path, body_text, self.addr);
-        let wrote = self.write(&bytes);
-        self.sent = Some((bytes, wrote));
+        self.enqueue([Self::encode(method, path, body_text, self.addr)]);
     }
 
-    /// The second half: `(status, parsed body)` of the request
-    /// [`Client::send`] wrote.
-    pub fn receive(&mut self) -> std::io::Result<(u16, Json)> {
-        let Some((bytes, wrote)) = self.sent.take() else {
-            return Err(std::io::Error::other("receive() without send()"));
-        };
-        let (status, body) = self.complete(&bytes, wrote)?;
-        Ok((status, Self::decode(&body)?))
+    /// The second half: `(status, parsed body)` of the oldest request
+    /// [`Client::send`] wrote. A damaged body is an error, never
+    /// repaired: a reply the worker did not send must not be accepted.
+    pub fn receive(&mut self) -> io::Result<(u16, Json)> {
+        self.receive_with(|body| {
+            Json::parse_bytes(&body)
+                .map_err(|e| io::Error::other(format!("bad response JSON: {e}")))
+        })
     }
 
-    /// Write every request in `batch` before reading any response —
-    /// HTTP/1.1 pipelining. Responses return in request order. If the
-    /// server closes the connection partway (e.g. a 400 with
-    /// `Connection: close`), the remaining requests are resent on a
-    /// fresh connection.
-    pub fn pipeline(&mut self, batch: &[PipelinedRequest]) -> std::io::Result<Vec<(u16, Json)>> {
-        let mut results = Vec::with_capacity(batch.len());
-        let mut start = 0usize;
-        while start < batch.len() {
-            let rest = &batch[start..];
-            let mut wire = Vec::new();
-            for r in rest {
-                wire.extend_from_slice(&Self::encode(
-                    &r.method,
-                    &r.path,
-                    r.body.as_ref(),
-                    self.addr,
-                ));
-            }
-            let conn = self.ensure_conn()?;
-            let was_reused = conn.reused;
-            conn.writer.write_all(&wire)?;
-            conn.writer.flush()?;
-            let mut got_any = false;
-            let mut reconnect = false;
-            for _ in rest {
-                match read_response_full(&mut conn.reader) {
-                    Ok((status, bytes, close)) => {
-                        got_any = true;
-                        conn.reused = true;
-                        match Self::decode(&bytes) {
-                            Ok(json) => results.push((status, json)),
-                            Err(e) => {
-                                // Later replies are still in flight on
-                                // this socket; it cannot be reused.
-                                self.conn = None;
-                                return Err(e);
-                            }
-                        }
-                        start += 1;
-                        if close {
-                            // Later pipelined requests die with the
-                            // socket; resend them on a fresh one.
-                            reconnect = true;
-                            break;
-                        }
-                    }
-                    Err(HttpError::Eof) | Err(HttpError::Io(_)) if was_reused && !got_any => {
-                        // Reused socket died before any response
-                        // byte: resend the whole remainder. A node
-                        // killed after journaling part of it applies
-                        // that part twice (ROADMAP item 11).
-                        reconnect = true;
-                        break;
-                    }
-                    Err(e) => {
-                        self.conn = None;
-                        return Err(match e {
-                            HttpError::Io(io) => io,
-                            other => std::io::Error::other(format!("{other:?}")),
-                        });
-                    }
-                }
-            }
-            if reconnect {
-                self.conn = None;
-            }
-        }
-        Ok(results)
+    /// Write every request in `batch` in one write, then read their
+    /// replies, which return in request order.
+    pub fn pipeline(&mut self, batch: &[PipelinedRequest]) -> io::Result<Vec<(u16, Json)>> {
+        let addr = self.addr;
+        self.enqueue(batch.iter().map(|r| {
+            let body = r.body.as_ref().map(Json::dump).unwrap_or_default();
+            Self::encode(&r.method, &r.path, &body, addr)
+        }));
+        batch.iter().map(|_| self.receive()).collect()
     }
 
     /// `GET path` returning the raw body text (for non-JSON endpoints
     /// like the Prometheus exposition on `/metrics`), expecting 200.
-    pub fn get_text(&mut self, path: &str) -> std::io::Result<String> {
-        let bytes = Self::encode("GET", path, None, self.addr);
-        let wrote = self.write(&bytes);
-        let (status, body) = self.complete(&bytes, wrote)?;
+    pub fn get_text(&mut self, path: &str) -> io::Result<String> {
+        self.send("GET", path, "");
+        let (status, text) = self.receive_with(|body| {
+            String::from_utf8(body).map_err(|_| io::Error::other("response body is not UTF-8"))
+        })?;
         if status != 200 {
-            return Err(std::io::Error::other(format!("GET {path} -> {status}")));
+            return Err(io::Error::other(format!("GET {path} -> {status}")));
         }
-        String::from_utf8(body).map_err(|_| std::io::Error::other("response body is not UTF-8"))
+        Ok(text)
     }
 
     /// `GET path`, expecting 200.
-    pub fn get(&mut self, path: &str) -> std::io::Result<Json> {
-        let (status, json) = self.request("GET", path, None)?;
-        if status != 200 {
-            return Err(std::io::Error::other(format!(
-                "GET {path} -> {status}: {}",
-                json.dump()
-            )));
-        }
-        Ok(json)
+    pub fn get(&mut self, path: &str) -> io::Result<Json> {
+        self.expect_200("GET", path, None)
     }
 
     /// `POST path`, expecting 200.
-    pub fn post(&mut self, path: &str, body: &Json) -> std::io::Result<Json> {
-        let (status, json) = self.request("POST", path, Some(body))?;
+    pub fn post(&mut self, path: &str, body: &Json) -> io::Result<Json> {
+        self.expect_200("POST", path, Some(body))
+    }
+
+    fn expect_200(&mut self, method: &str, path: &str, body: Option<&Json>) -> io::Result<Json> {
+        let (status, json) = self.request(method, path, body)?;
         if status != 200 {
-            return Err(std::io::Error::other(format!(
-                "POST {path} -> {status}: {}",
-                json.dump()
+            let text = json.dump();
+            return Err(io::Error::other(format!(
+                "{method} {path} -> {status}: {text}"
             )));
         }
         Ok(json)
@@ -345,35 +291,65 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use crate::http::read_request;
     use std::net::TcpListener;
 
-    /// A one-connection server: waits for `bodies.len()` bodyless
-    /// requests, then answers them in order with the given bodies.
-    fn canned_server(bodies: Vec<&'static [u8]>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    /// One connection of a test server: rounds of "read this many
+    /// requests, every one before any reply, then write these bytes",
+    /// and then [`CLOSE`] the socket or [`HOLD`] it, reading on until the
+    /// client lets go.
+    type Conn = (Vec<(usize, Vec<u8>)>, bool);
+    const CLOSE: bool = true;
+    const HOLD: bool = false;
+
+    type Server = (SocketAddr, std::thread::JoinHandle<Vec<String>>);
+
+    /// A server that plays `conns` in turn, one per accepted connection.
+    /// It returns the path of every request it read, on any connection,
+    /// in order.
+    fn scripted_server(conns: Vec<Conn>) -> Server {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
             let mut seen = Vec::new();
-            let mut chunk = [0u8; 1024];
-            while seen.windows(4).filter(|w| w == b"\r\n\r\n").count() < bodies.len() {
-                let n = stream.read(&mut chunk).unwrap();
-                assert!(n > 0, "client hung up before sending every request");
-                seen.extend_from_slice(&chunk[..n]);
+            for (rounds, close) in conns {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut next = || read_request(&mut reader, 1 << 20).map(|r| r.path);
+                for (n, bytes) in rounds {
+                    for _ in 0..n {
+                        seen.push(next().expect("client hung up before sending every request"));
+                    }
+                    stream.write_all(&bytes).unwrap();
+                }
+                if !close {
+                    seen.extend(std::iter::from_fn(|| next().ok()));
+                }
             }
-            for body in bodies {
-                let head = format!(
-                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
-                    body.len()
-                );
-                stream.write_all(head.as_bytes()).unwrap();
-                stream.write_all(body).unwrap();
-            }
-            // Hold the socket until the client lets go of it.
-            let _ = stream.read(&mut chunk);
+            seen
         });
         (addr, handle)
+    }
+
+    /// A 200 reply with `body`.
+    fn reply(body: &[u8]) -> Vec<u8> {
+        let head = format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n", body.len());
+        [head.as_bytes(), body].concat()
+    }
+
+    /// `n` 200 replies with `{}`.
+    fn ok(n: usize) -> Vec<u8> {
+        reply(b"{}").repeat(n)
+    }
+
+    /// A 200 reply with `{}` that closes the connection.
+    const OK_CLOSE: &[u8] = b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-length: 2\r\n\r\n{}";
+
+    /// A one-connection server: waits for `bodies.len()` requests, then
+    /// answers them in order with the given bodies.
+    fn canned_server(bodies: Vec<&'static [u8]>) -> Server {
+        let replies = bodies.iter().flat_map(|body| reply(body)).collect();
+        scripted_server(vec![(vec![(bodies.len(), replies)], HOLD)])
     }
 
     /// Valid JSON but for one byte that is not UTF-8: lossy decoding
@@ -387,7 +363,7 @@ mod tests {
         let err = client.request("GET", "/internal/digest", None).unwrap_err();
         assert!(err.to_string().contains("invalid UTF-8"), "{err}");
         drop(client);
-        server.join().unwrap();
+        assert_eq!(server.join().unwrap(), ["/internal/digest"]);
     }
 
     #[test]
@@ -405,8 +381,8 @@ mod tests {
         let err = b.receive().unwrap_err();
         assert!(err.to_string().contains("invalid UTF-8"), "{err}");
         drop((a, b));
-        server_a.join().unwrap();
-        server_b.join().unwrap();
+        assert_eq!(server_a.join().unwrap(), ["/x"]);
+        assert_eq!(server_b.join().unwrap(), ["/x"]);
     }
 
     #[test]
@@ -420,6 +396,84 @@ mod tests {
         // would pair the next request with a stale response.
         assert!(client.conn.is_none());
         drop(client);
-        server.join().unwrap();
+        assert_eq!(server.join().unwrap(), ["/a", "/a", "/a"]);
+    }
+
+    /// After `/warm`, the server plays `then` to the batch on the same
+    /// socket; a second connection, which a resend would dial, only
+    /// listens. The batch must fail with each request reaching the
+    /// server once.
+    fn failure_is_not_a_resend(batch: &[PipelinedRequest], mut then: Conn) {
+        then.0.insert(0, (1, ok(1)));
+        let (addr, server) = scripted_server(vec![then, (vec![], HOLD)]);
+        let mut client = Client::connect(addr).unwrap();
+        client.get("/warm").unwrap();
+        let timeout = Some(Duration::from_millis(200));
+        let socket = client.conn.as_ref().unwrap().get_ref();
+        socket.set_read_timeout(timeout).unwrap();
+        let result = client.pipeline(batch);
+        drop(client);
+        // The connection a resend would use; this client never dials it.
+        let _ = TcpStream::connect(addr);
+        let mut expected = vec!["/warm"];
+        expected.extend(batch.iter().map(|r| r.path.as_str()));
+        assert_eq!(server.join().unwrap(), expected);
+        assert!(result.is_err());
+    }
+
+    /// A read timeout on an idle socket is an error, never a resend: the
+    /// server may still be applying the write. The server writes
+    /// `partial` of the reply and holds the socket past the timeout.
+    fn timeout_is_not_a_resend(partial: &'static [u8]) {
+        let deposit = [PipelinedRequest::post("/deposits", Json::Null)];
+        failure_is_not_a_resend(&deposit, (vec![(1, partial.to_vec())], HOLD));
+    }
+
+    #[test]
+    fn timeout_before_any_reply_byte_is_not_a_resend() {
+        timeout_is_not_a_resend(b"");
+    }
+
+    #[test]
+    fn timeout_mid_reply_is_not_a_resend() {
+        timeout_is_not_a_resend(b"HTTP/1.1 200 OK\r\ncontent-");
+    }
+
+    #[test]
+    fn close_after_part_of_a_batch_is_not_a_resend() {
+        // The gateway read `/b` before it answered `/a`: a failure after
+        // the first reply may follow `/b` being applied.
+        let batch = [PipelinedRequest::get("/a"), PipelinedRequest::get("/b")];
+        failure_is_not_a_resend(&batch, (vec![(2, ok(1))], CLOSE));
+    }
+
+    #[test]
+    fn idle_closed_socket_is_redialed_and_each_request_sent_once() {
+        let (addr, server) = scripted_server(vec![
+            (vec![(1, ok(1))], CLOSE),
+            (vec![(2, ok(2))], CLOSE),
+            (vec![(1, ok(1))], HOLD),
+        ]);
+        let mut client = Client::connect(addr).unwrap();
+        client.get("/warm").unwrap();
+        let batch = [PipelinedRequest::get("/a"), PipelinedRequest::get("/b")];
+        assert_eq!(client.pipeline(&batch).unwrap().len(), 2);
+        client.send("POST", "/c", "{}");
+        assert_eq!(client.receive().unwrap().0, 200);
+        drop(client);
+        assert_eq!(server.join().unwrap(), ["/warm", "/a", "/b", "/c"]);
+    }
+
+    #[test]
+    fn connection_close_mid_batch_resends_the_rest_once() {
+        let (addr, server) = scripted_server(vec![
+            (vec![(2, [ok(1), OK_CLOSE.to_vec()].concat())], CLOSE),
+            (vec![(1, ok(1))], HOLD),
+        ]);
+        let mut client = Client::connect(addr).unwrap();
+        let batch = ["/a", "/b", "/c"].map(PipelinedRequest::get);
+        assert_eq!(client.pipeline(&batch).unwrap().len(), 3);
+        drop(client);
+        assert_eq!(server.join().unwrap(), ["/a", "/b", "/c"]);
     }
 }

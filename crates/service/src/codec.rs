@@ -71,13 +71,14 @@ record!(
     }
 );
 
-/// Encode a whole round's exports (one per shard, shard order).
+/// Encode exports in the order given: a round's in shard order, a
+/// candidates reply's in the order its shards were asked for.
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
     enc_all(exports)
 }
 
-/// Decode a whole round's exports; `shards` pins the expected count so
-/// a short or padded payload is refused before it reaches settlement.
+/// Decode exports; `shards` pins the expected count so a short or
+/// padded payload is refused before anything uses it.
 pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExport>, WireError> {
     let exports: Vec<CandidatePhaseExport> = Wire::dec(j)?;
     if exports.len() != shards {
@@ -87,27 +88,6 @@ pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExpor
         )));
     }
     Ok(exports)
-}
-
-/// Encode indexed exports `(shard, export)` — the candidates RPC reply,
-/// which carries only the shards the worker was assigned.
-pub fn encode_indexed_exports(exports: &[(usize, CandidatePhaseExport)]) -> Json {
-    enc_all(exports)
-}
-
-/// Decode indexed exports, validating every shard index against the
-/// deployment's shard count.
-pub fn decode_indexed_exports(
-    j: &Json,
-    shards: usize,
-) -> Result<Vec<(usize, CandidatePhaseExport)>, WireError> {
-    let exports: Vec<(usize, CandidatePhaseExport)> = Wire::dec(j)?;
-    match exports.iter().find(|(shard, _)| *shard >= shards) {
-        Some((shard, _)) => Err(WireError::new(format!(
-            "shard index {shard} out of range for {shards} shards"
-        ))),
-        None => Ok(exports),
-    }
 }
 
 #[cfg(test)]
@@ -220,16 +200,6 @@ mod tests {
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
-    }
-
-    #[test]
-    fn indexed_exports_validate_shard_range() {
-        let exports = vec![(1usize, export_of(1, Vec::new()))];
-        let j = encode_indexed_exports(&exports);
-        let decoded = decode_indexed_exports(&j, 2).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded.first().unwrap().0, 1);
-        assert!(decode_indexed_exports(&j, 1).is_err(), "index out of range");
     }
 
     #[test]

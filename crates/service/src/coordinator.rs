@@ -110,18 +110,7 @@ impl WorkerPool {
 
     /// Workers currently in rotation.
     pub fn live_workers(&self) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// One RPC to one worker. `None` = the worker failed (see
-    /// [`WorkerPool::book_reply`]) or was already out of rotation.
-    fn rpc(&self, idx: usize, rpc: &str, path: &str, body: &Json) -> Option<Json> {
-        self.fan_out(&[(idx, &body.dump())], rpc, path)
-            .pop()
-            .and_then(|(_, reply)| reply)
+        self.live_indices().len()
     }
 
     /// Book one RPC's result: time it into the per-RPC latency series;
@@ -138,30 +127,15 @@ impl WorkerPool {
     ) -> Option<Json> {
         let m = metrics();
         m.worker_rpc_us(rpc).record_duration_us(started.elapsed());
-        match result {
-            Ok((200, json)) => Some(json),
-            Ok((status, json)) => {
-                m.worker_rpc_failures.inc();
-                worker.alive.store(false, Ordering::Relaxed);
-                log!(
-                    Warn,
-                    "worker {} refused {path} with {status}: {} — out of rotation",
-                    worker.addr,
-                    json.dump()
-                );
-                None
-            }
-            Err(e) => {
-                m.worker_rpc_failures.inc();
-                worker.alive.store(false, Ordering::Relaxed);
-                log!(
-                    Warn,
-                    "worker {} failed {path}: {e} — out of rotation",
-                    worker.addr
-                );
-                None
-            }
-        }
+        let failure = match result {
+            Ok((200, json)) => return Some(json),
+            Ok((status, json)) => format!("refused {path} with {status}: {}", json.dump()),
+            Err(e) => format!("failed {path}: {e}"),
+        };
+        m.worker_rpc_failures.inc();
+        worker.alive.store(false, Ordering::Relaxed);
+        log!(Warn, "worker {} {failure} — out of rotation", worker.addr);
+        None
     }
 
     /// Ship `node`'s current state to worker `idx` (`/internal/restore`)
@@ -183,12 +157,11 @@ impl WorkerPool {
             ("digest", image.digest().enc()),
             ("state", image.into_json()),
         ]);
-        // Mark alive first so `rpc` will talk to a currently-dead
+        // Mark alive first so `fan_out` will talk to a currently-dead
         // worker; a failure flips it right back.
         worker.alive.store(true, Ordering::Relaxed);
-        let revived = self
-            .rpc(idx, "restore", "/internal/restore", &body)
-            .is_some();
+        let replies = self.fan_out(&[(idx, &body.dump())], "restore", "/internal/restore");
+        let revived = replies.iter().any(Option::is_some);
         if revived {
             log!(Info, "worker {} provisioned at seq {applied}", worker.addr);
         }
@@ -202,8 +175,8 @@ impl WorkerPool {
             .count()
     }
 
-    /// Fan `POST path` out to a set of workers, pairing each worker
-    /// index with its reply (`None` = that worker failed or is out of
+    /// Fan `POST path` out to a set of workers, returning their replies
+    /// in target order (`None` = that worker failed or is out of
     /// rotation): write every request, then read every reply. The
     /// workers compute at the same time — the entire point of
     /// distributing the candidate phase — while this thread waits on
@@ -211,12 +184,7 @@ impl WorkerPool {
     /// sockets and the workers cost and not what the scheduler makes
     /// of a spawn and a join per worker. Targets are in ascending
     /// worker order, which is also the order their clients lock in.
-    fn fan_out(
-        &self,
-        targets: &[(usize, &str)],
-        rpc: &str,
-        path: &str,
-    ) -> Vec<(usize, Option<Json>)> {
+    fn fan_out(&self, targets: &[(usize, &str)], rpc: &str, path: &str) -> Vec<Option<Json>> {
         // Wall-clock is fine here: RPC latency telemetry, never applied state.
         let started = Instant::now();
         let mut in_flight = Vec::with_capacity(targets.len());
@@ -231,14 +199,12 @@ impl WorkerPool {
                 (worker, client)
             }));
         }
-        targets
-            .iter()
-            .zip(in_flight)
-            .map(|((idx, _), sent)| {
-                let reply = sent.and_then(|(worker, mut client)| {
+        in_flight
+            .into_iter()
+            .map(|sent| {
+                sent.and_then(|(worker, mut client)| {
                     self.book_reply(worker, rpc, path, started, client.receive())
-                });
-                (*idx, reply)
+                })
             })
             .collect()
     }
@@ -324,41 +290,40 @@ impl RoundDistributor for WorkerPool {
                 );
             }
             dispatched_before = true;
-            // Round-robin the outstanding shards over the live workers.
-            let mut assignment: Vec<(usize, Vec<usize>)> =
-                live.iter().map(|&w| (w, Vec::new())).collect();
-            for (k, &shard) in todo.iter().enumerate() {
-                if let Some((_, list)) = assignment.get_mut(k % live.len()) {
-                    list.push(shard);
+            // Round-robin the outstanding shards over the live workers:
+            // each gets its shard list and the request body naming it.
+            let mut bodies: Vec<(usize, String, Vec<usize>)> = Vec::with_capacity(live.len());
+            for (k, &w) in live.iter().enumerate() {
+                let list: Vec<usize> = todo.iter().copied().skip(k).step_by(live.len()).collect();
+                if list.is_empty() {
+                    continue;
                 }
+                let body = Json::obj([
+                    ("fp", Json::str(self.fingerprint.clone())),
+                    ("round", round.enc()),
+                    ("seed", round_seed.enc()),
+                    ("shards", list.enc()),
+                ]);
+                bodies.push((w, body.dump(), list));
             }
-            let bodies: Vec<(usize, String)> = assignment
-                .into_iter()
-                .filter(|(_, list)| !list.is_empty())
-                .map(|(w, list)| {
-                    let body = Json::obj([
-                        ("fp", Json::str(self.fingerprint.clone())),
-                        ("round", round.enc()),
-                        ("seed", round_seed.enc()),
-                        ("shards", list.enc()),
-                    ]);
-                    (w, body.dump())
-                })
+            let targets: Vec<(usize, &str)> = bodies
+                .iter()
+                .map(|(w, text, _)| (*w, text.as_str()))
                 .collect();
-            let targets: Vec<(usize, &str)> =
-                bodies.iter().map(|(w, text)| (*w, text.as_str())).collect();
-            for (_, reply) in self.fan_out(&targets, "candidates", "/internal/candidates") {
+            let replies = self.fan_out(&targets, "candidates", "/internal/candidates");
+            // A worker replies its exports in the order its shards were asked for.
+            for ((_, _, list), reply) in bodies.iter().zip(replies) {
                 let Some(reply) = reply else { continue };
-                let pairs = match field(&reply, "exports")
-                    .and_then(|j| codec::decode_indexed_exports(j, shards))
+                let exports = match field(&reply, "exports")
+                    .and_then(|j| codec::decode_exports(j, list.len()))
                 {
-                    Ok(pairs) => pairs,
+                    Ok(exports) => exports,
                     Err(e) => {
                         log!(Warn, "round {round}: undecodable candidate reply: {e}");
                         continue;
                     }
                 };
-                for (shard, export) in pairs {
+                for (&shard, export) in list.iter().zip(exports) {
                     if let Some(slot) = collected.get_mut(shard) {
                         *slot = Some(export);
                     }

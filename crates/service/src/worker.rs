@@ -169,21 +169,30 @@ impl WorkerNode {
         }
     }
 
-    /// Fingerprint gate shared by every RPC: a worker configured with
-    /// different shard hashing or RNG seeds would accept commands and
-    /// silently diverge — refuse instead.
-    fn check_fp(&self, body: &Json) -> Result<(), Response> {
-        let fp = field(body, "fp")
-            .and_then(String::dec)
-            .map_err(|e| Response::json(400, err_body(&e.to_string())))?;
+    /// The preamble of every `POST /internal/*` RPC: the body, once it
+    /// parses and carries this worker's fingerprint. A worker configured
+    /// with different shard hashing or RNG seeds would accept commands
+    /// and silently diverge — refuse instead.
+    fn checked_body(&self, req: &Request) -> Result<Json, Response> {
+        let body = parse_body(req)?;
+        let fp = arg(&body, "fp", String::dec)?;
         if fp != self.fingerprint {
-            return Err(Response::json(
-                409,
-                err_body(&format!(
-                    "config fingerprint mismatch: worker is '{}', request is '{fp}'",
-                    self.fingerprint
-                )),
-            ));
+            let msg = format!(
+                "config fingerprint mismatch: worker is '{}', request is '{fp}'",
+                self.fingerprint
+            );
+            return Err(Response::json(409, err_body(&msg)));
+        }
+        Ok(body)
+    }
+
+    /// Refuse a round RPC for any round but the next one this replica
+    /// would run.
+    fn check_round(router: &ShardRouter, round: u64) -> Result<(), Response> {
+        let expected_round = router.rounds_completed() + 1;
+        if round != expected_round {
+            let msg = format!("worker expects round {expected_round}, refusing round {round}");
+            return Err(Response::json(409, err_body(&msg)));
         }
         Ok(())
     }
@@ -193,27 +202,16 @@ impl WorkerNode {
     /// apply critical section over one connection, so FIFO per worker
     /// is journal order). Rejected commands are applied for their side
     /// effects exactly like journal replay (`router.apply` is total).
-    fn rpc_apply(&self, req: &Request) -> Response {
-        let body = match parse_body(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Err(resp) = self.check_fp(&body) {
-            return resp;
-        }
-        let (seq, cmd) = match (
-            field(&body, "seq").and_then(u64::dec),
-            field(&body, "cmd").and_then(Command::decode),
-        ) {
-            (Ok(seq), Ok(cmd)) => (seq, cmd),
-            (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
-        };
+    fn rpc_apply(&self, req: &Request) -> Result<Json, Response> {
+        let body = self.checked_body(req)?;
+        let seq = arg(&body, "seq", u64::dec)?;
+        let cmd = arg(&body, "cmd", Command::decode)?;
         let router = self.router();
         // Rejections are part of the deterministic state machine: the
         // coordinator journaled this command whatever its outcome.
         let _ = router.apply(&cmd);
         self.applied.store(seq, Ordering::Relaxed);
-        Response::json(200, Json::obj([("applied", seq.enc())]).dump())
+        Ok(Json::obj([("applied", seq.enc())]))
     }
 
     /// `POST /internal/candidates {fp, round, seed, shards}` — compute
@@ -222,67 +220,28 @@ impl WorkerNode {
     /// and return the exports. Refuses a round number or seed this
     /// replica would not produce itself: accepting either would settle
     /// the round from diverged state.
-    fn rpc_candidates(&self, req: &Request) -> Response {
-        let body = match parse_body(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Err(resp) = self.check_fp(&body) {
-            return resp;
-        }
-        let (round, seed) = match (
-            field(&body, "round").and_then(u64::dec),
-            field(&body, "seed").and_then(u64::dec),
-        ) {
-            (Ok(r), Ok(s)) => (r, s),
-            (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
-        };
+    fn rpc_candidates(&self, req: &Request) -> Result<Json, Response> {
+        let body = self.checked_body(req)?;
+        let (round, seed) = round_and_seed(&body)?;
         let router = self.router();
         let shard_count = router.shard_count();
-        let assigned = match field(&body, "shards").and_then(<Vec<usize>>::dec) {
-            Ok(assigned) => assigned,
-            Err(e) => return Response::json(400, err_body(&e.to_string())),
-        };
+        let assigned = arg(&body, "shards", <Vec<usize>>::dec)?;
         if let Some(i) = assigned.iter().find(|&&i| i >= shard_count) {
-            return Response::json(
-                400,
-                err_body(&format!("shard {i} out of range for {shard_count} shards")),
-            );
+            let msg = format!("shard {i} out of range for {shard_count} shards");
+            return Err(Response::json(400, err_body(&msg)));
         }
         self.maybe_kill(KillPhase::PreCandidate, round);
-        let expected_round = router.rounds_completed() + 1;
-        if round != expected_round {
-            return Response::json(
-                409,
-                err_body(&format!(
-                    "worker expects round {expected_round}, refusing round {round}"
-                )),
-            );
-        }
-        let predicted = router.predict_round_seed();
-        if seed != predicted {
-            return Response::json(
-                409,
-                err_body(&format!(
-                    "round seed {seed} is not the {predicted} this replica would draw: \
-                     coordinator and worker have diverged"
-                )),
-            );
-        }
+        Self::check_round(&router, round)?;
+        check_seed(seed, router.predict_round_seed(), "would draw")?;
 
-        let mut pending = self.pending.lock();
-        match pending.as_ref() {
-            Some(p) if p.round == round && p.seed == seed => {}
-            _ => {
-                *pending = Some(PendingRound {
-                    round,
-                    seed,
-                    slots: (0..shard_count).map(|_| None).collect(),
-                });
-            }
-        }
-        let Some(pending) = pending.as_mut() else {
-            return Response::json(500, err_body("pending round vanished"));
+        let mut stash = self.pending.lock();
+        let pending = match stash.take() {
+            Some(p) if p.round == round && p.seed == seed => stash.insert(p),
+            _ => stash.insert(PendingRound {
+                round,
+                seed,
+                slots: (0..shard_count).map(|_| None).collect(),
+            }),
         };
         // Shard-parallel candidate phase, exactly like a local round;
         // already-stashed shards (a repeated request after a lost
@@ -302,21 +261,21 @@ impl WorkerNode {
                 *slot = Some(pair);
             }
         }
+        // The exports go back in the order the shards were asked for.
         let mut reply = Vec::with_capacity(assigned.len());
         for i in assigned {
             match pending.slots.get(i) {
-                Some(Some((_, export))) => reply.push((i, export.clone())),
-                _ => return Response::json(500, err_body(&format!("shard {i} did not compute"))),
+                Some(Some((_, export))) => reply.push(export.clone()),
+                _ => {
+                    let msg = format!("shard {i} did not compute");
+                    return Err(Response::json(500, err_body(&msg)));
+                }
             }
         }
-        Response::json(
-            200,
-            Json::obj([
-                ("round", round.enc()),
-                ("exports", codec::encode_indexed_exports(&reply)),
-            ])
-            .dump(),
-        )
+        Ok(Json::obj([
+            ("round", round.enc()),
+            ("exports", codec::encode_exports(&reply)),
+        ]))
     }
 
     /// `POST /internal/settle {fp, round, seed, exports}` — the round
@@ -325,63 +284,24 @@ impl WorkerNode {
     /// stashed contexts; the rest import their export (local expiry +
     /// audit replay). Clearing and settlement are then the same code
     /// path the coordinator ran, so the replica lands bit-identical.
-    fn rpc_settle(&self, req: &Request) -> Response {
-        let body = match parse_body(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Err(resp) = self.check_fp(&body) {
-            return resp;
-        }
-        let (round, seed) = match (
-            field(&body, "round").and_then(u64::dec),
-            field(&body, "seed").and_then(u64::dec),
-        ) {
-            (Ok(r), Ok(s)) => (r, s),
-            (Err(e), _) | (_, Err(e)) => return Response::json(400, err_body(&e.to_string())),
-        };
+    fn rpc_settle(&self, req: &Request) -> Result<Json, Response> {
+        let body = self.checked_body(req)?;
+        let (round, seed) = round_and_seed(&body)?;
         let router = self.router();
         let shard_count = router.shard_count();
-        let exports =
-            match field(&body, "exports").and_then(|j| codec::decode_exports(j, shard_count)) {
-                Ok(exports) => exports,
-                Err(e) => return Response::json(400, err_body(&e.to_string())),
-            };
+        let exports = arg(&body, "exports", |j| codec::decode_exports(j, shard_count))?;
         self.maybe_kill(KillPhase::PreSettle, round);
-        let expected_round = router.rounds_completed() + 1;
-        if round != expected_round {
-            return Response::json(
-                409,
-                err_body(&format!(
-                    "worker expects round {expected_round}, refusing round {round}"
-                )),
-            );
-        }
+        Self::check_round(&router, round)?;
         // RNG lockstep: drawing (not predicting) advances this
         // replica's coordinator stream exactly as the coordinator's
         // own draw did. A mismatch means divergence — and the draw is
         // the last mutation before the check, so a refused settle
         // leaves the replica re-provisionable, not half-settled.
-        let drawn = router.draw_round_seed();
-        if drawn != seed {
-            return Response::json(
-                409,
-                err_body(&format!(
-                    "round seed {seed} is not the {drawn} this replica drew: \
-                     coordinator and worker have diverged"
-                )),
-            );
-        }
-        let stash = {
-            let mut pending = self.pending.lock();
-            match pending.take() {
-                Some(p) if p.round == round && p.seed == seed => Some(p),
-                _ => None,
-            }
-        };
-        let mut slots = match stash {
-            Some(p) => p.slots,
-            None => (0..shard_count).map(|_| None).collect(),
+        check_seed(seed, router.draw_round_seed(), "drew")?;
+        let stashed = self.pending.lock().take();
+        let mut slots = match stashed {
+            Some(p) if p.round == round && p.seed == seed => p.slots,
+            _ => (0..shard_count).map(|_| None).collect(),
         };
         let mut ctxs = Vec::with_capacity(shard_count);
         for (i, export) in exports.iter().enumerate() {
@@ -393,28 +313,20 @@ impl WorkerNode {
         let sales = router.clear_round(&mut ctxs);
         self.maybe_kill(KillPhase::MidSettle, round);
         let report = router.finish_round(ctxs, sales);
-        Response::json(
-            200,
-            Json::obj([
-                ("rounds", router.rounds_completed().enc()),
-                ("sales", report.sales.enc()),
-            ])
-            .dump(),
-        )
+        Ok(Json::obj([
+            ("rounds", router.rounds_completed().enc()),
+            ("sales", report.sales.enc()),
+        ]))
     }
 
     /// `GET /internal/digest` — the replica-equivalence probe.
-    fn rpc_digest(&self) -> Response {
+    fn rpc_digest(&self) -> Json {
         let router = self.router();
-        Response::json(
-            200,
-            Json::obj([
-                ("digest", router.state_digest().enc()),
-                ("rounds", router.rounds_completed().enc()),
-                ("applied", self.applied.load(Ordering::Relaxed).enc()),
-            ])
-            .dump(),
-        )
+        Json::obj([
+            ("digest", router.state_digest().enc()),
+            ("rounds", router.rounds_completed().enc()),
+            ("applied", self.applied.load(Ordering::Relaxed).enc()),
+        ])
     }
 
     /// `POST /internal/restore {fp, applied, digest, state}` — become a
@@ -424,66 +336,84 @@ impl WorkerNode {
     /// does, and only then swap it in wholesale. A mismatch is a 409
     /// and this worker keeps the state it had. Any pending round is
     /// stale by definition and dropped.
-    fn rpc_restore(&self, req: &Request) -> Response {
-        let body = match parse_body(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Err(resp) = self.check_fp(&body) {
-            return resp;
-        }
-        let parts = || -> Result<_, WireError> {
-            Ok((
-                field(&body, "applied").and_then(u64::dec)?,
-                field(&body, "digest").and_then(u64::dec)?,
-                field(&body, "state").and_then(StateImage::from_json)?,
-            ))
-        };
-        let (applied, digest, image) = match parts() {
-            Ok(parts) => parts,
-            Err(e) => return Response::json(400, err_body(&e.to_string())),
-        };
+    fn rpc_restore(&self, req: &Request) -> Result<Json, Response> {
+        let body = self.checked_body(req)?;
+        let applied = arg(&body, "applied", u64::dec)?;
+        let digest = arg(&body, "digest", u64::dec)?;
+        let image = arg(&body, "state", StateImage::from_json)?;
         let cfg = &self.cfg;
-        let fresh = match ShardRouter::restore_verified(&cfg.market, cfg.shards, &image, digest) {
-            Ok(fresh) => fresh,
-            Err(ServiceError::Wire(e)) => return Response::json(400, err_body(&e.to_string())),
-            Err(e) => return Response::json(409, err_body(&format!("not installed: {e}"))),
-        };
+        let fresh = ShardRouter::restore_verified(&cfg.market, cfg.shards, &image, digest)
+            .map_err(|e| match e {
+                ServiceError::Wire(e) => bad_field(e),
+                e => Response::json(409, err_body(&format!("not installed: {e}"))),
+            })?;
         *self.pending.lock() = None;
         *self.router.lock() = Arc::new(fresh);
         self.applied.store(applied, Ordering::Relaxed);
-        Response::json(
-            200,
-            Json::obj([("digest", digest.enc()), ("applied", applied.enc())]).dump(),
-        )
+        Ok(Json::obj([
+            ("digest", digest.enc()),
+            ("applied", applied.enc()),
+        ]))
     }
 
     fn health_body(&self) -> String {
-        let router = self.router();
+        let rounds = self.router().rounds_completed() as f64;
+        let applied = self.applied.load(Ordering::Relaxed) as f64;
         Json::obj([
             ("status", Json::str("ok")),
             ("role", Json::str("worker")),
-            (
-                "rounds_completed",
-                Json::Num(router.rounds_completed() as f64),
-            ),
-            (
-                "applied",
-                Json::Num(self.applied.load(Ordering::Relaxed) as f64),
-            ),
+            ("rounds_completed", Json::Num(rounds)),
+            ("applied", Json::Num(applied)),
         ])
         .dump()
     }
 }
 
+/// An RPC's answer: its JSON as a 200, or its refusal.
+fn reply(result: Result<Json, Response>) -> Response {
+    result.map_or_else(|refusal| refusal, |json| Response::json(200, json.dump()))
+}
+
+/// The 400 for a body field that does not decode.
+fn bad_field(e: WireError) -> Response {
+    Response::json(400, err_body(&e.to_string()))
+}
+
+/// Refuse a round `seed` other than the one this replica drew or
+/// would draw (`mine`, which `how` names): the two have diverged.
+fn check_seed(seed: u64, mine: u64, how: &str) -> Result<(), Response> {
+    if seed != mine {
+        let msg = format!(
+            "round seed {seed} is not the {mine} this replica {how}: \
+             coordinator and worker have diverged"
+        );
+        return Err(Response::json(409, err_body(&msg)));
+    }
+    Ok(())
+}
+
+/// The `round` and `seed` of a round RPC, `round`'s refusal first.
+fn round_and_seed(body: &Json) -> Result<(u64, u64), Response> {
+    Ok((arg(body, "round", u64::dec)?, arg(body, "seed", u64::dec)?))
+}
+
+/// Decode the body field `key`; a missing or malformed one is a 400.
+fn arg<T>(
+    body: &Json,
+    key: &str,
+    dec: impl FnOnce(&Json) -> Result<T, WireError>,
+) -> Result<T, Response> {
+    field(body, key).and_then(dec).map_err(bad_field)
+}
+
 impl Service for WorkerNode {
     fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/internal/apply") => self.rpc_apply(req),
-            ("POST", "/internal/candidates") => self.rpc_candidates(req),
-            ("POST", "/internal/settle") => self.rpc_settle(req),
-            ("GET", "/internal/digest") => self.rpc_digest(),
-            ("POST", "/internal/restore") => self.rpc_restore(req),
+            ("POST", "/internal/apply") => reply(self.rpc_apply(req)),
+            ("POST", "/internal/candidates") => reply(self.rpc_candidates(req)),
+            ("POST", "/internal/settle") => reply(self.rpc_settle(req)),
+            ("GET", "/internal/digest") => reply(Ok(self.rpc_digest())),
+            ("POST", "/internal/restore") => reply(self.rpc_restore(req)),
             ("GET", "/health") => Response::json(200, self.health_body()),
             ("GET", "/metrics") => Response::text(
                 200,
