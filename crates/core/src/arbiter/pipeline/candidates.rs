@@ -5,7 +5,7 @@ use rayon::prelude::*;
 
 use dmp_relation::DatasetId;
 
-use crate::arbiter::mashup_builder::{build_mashups, BuiltMashup};
+use crate::arbiter::mashup_builder::BuiltMashup;
 use crate::arbiter::pricing::RoundBid;
 use crate::arbiter::wtp_evaluator::evaluate;
 use crate::license::License;
@@ -37,12 +37,22 @@ impl Default for CandidateStage {
     }
 }
 
+/// An admissible candidate's evaluation: the WTP-evaluator's verdict
+/// and the price terms its viability check read.
+#[derive(Clone, Copy)]
+struct Scored {
+    satisfaction: f64,
+    bid: f64,
+    license_multiplier: f64,
+    reserve_floor: f64,
+}
+
 /// Outcome of evaluating one offer's candidates.
 struct OfferOutcome {
     offer_id: u64,
     buyer: String,
-    /// Winning candidate, if any: (mashup, satisfaction, bid).
-    best: Option<(BuiltMashup, f64, f64)>,
+    /// Winning candidate, if any.
+    best: Option<(BuiltMashup, Scored)>,
     /// Attributes unserved when no candidate exists at all.
     all_attributes: Vec<String>,
 }
@@ -79,9 +89,7 @@ impl CandidateStage {
         // appended in offer order regardless of worker scheduling.
         for outcome in outcomes {
             match outcome.best {
-                Some((m, satisfaction, bid)) => {
-                    let (license_multiplier, reserve_floor) =
-                        market.terms.lock().price_terms(&m.datasets);
+                Some((m, scored)) => {
                     market.audit.record(AuditEvent::MashupBuilt {
                         offer: outcome.offer_id,
                         datasets: m.datasets.clone(),
@@ -105,11 +113,11 @@ impl CandidateStage {
                     ctx.bids.push(RoundBid {
                         offer_id: outcome.offer_id,
                         buyer: outcome.buyer,
-                        bid,
-                        satisfaction,
+                        bid: scored.bid,
+                        satisfaction: scored.satisfaction,
                         datasets: m.datasets.clone(),
-                        reserve_floor,
-                        license_multiplier,
+                        reserve_floor: scored.reserve_floor,
+                        license_multiplier: scored.license_multiplier,
                     });
                     ctx.best_mashups.insert(outcome.offer_id, m);
                 }
@@ -132,8 +140,13 @@ impl CandidateStage {
 }
 
 /// Evaluate one offer: candidates in, best admissible-viable bid out.
+/// The candidates come from the substrate's mashup cache and are
+/// evaluated by reference; only the winner is cloned.
 fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> OfferOutcome {
-    let mashups = build_mashups(&market.metadata, &offer.wtp, market.config.max_candidates);
+    let max = market.config.max_candidates;
+    let mashups = market
+        .mashups
+        .get_or_build(&market.metadata, &offer.wtp, max);
     let role = market.participant(&offer.wtp.buyer).map(|p| p.role);
     // Prefer *viable* candidates: ones whose seller reserve floor the
     // buyer's bid can possibly cover — otherwise a single overpriced
@@ -141,31 +154,38 @@ fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> Off
     // could serve. Ties between equally-priced candidates break
     // randomly, so equivalent suppliers share demand instead of the
     // first-registered seller capturing it.
-    let mut evaluated: Vec<(BuiltMashup, f64, f64, bool)> = Vec::new();
-    for m in mashups {
-        if !market.admissible(&m, offer, role.as_deref().unwrap_or(""), ctx.now, ctx.round) {
+    let mut evaluated: Vec<(&BuiltMashup, Scored, bool)> = Vec::new();
+    for m in mashups.iter() {
+        let Some((license_multiplier, reserve_floor)) =
+            market.admissible_terms(m, offer, role.as_deref().unwrap_or(""), ctx.now, ctx.round)
+        else {
             continue;
-        }
+        };
         let ev = evaluate(&offer.wtp, &m.relation);
         if ev.bid <= 0.0 {
             continue;
         }
-        let (mult, floor) = market.terms.lock().price_terms(&m.datasets);
-        let viable = ev.bid * mult + 1e-9 >= floor;
-        evaluated.push((m, ev.satisfaction, ev.bid, viable));
+        let viable = ev.bid * license_multiplier + 1e-9 >= reserve_floor;
+        let scored = Scored {
+            satisfaction: ev.satisfaction,
+            bid: ev.bid,
+            license_multiplier,
+            reserve_floor,
+        };
+        evaluated.push((m, scored, viable));
     }
-    let any_viable = evaluated.iter().any(|(_, _, _, v)| *v);
+    let any_viable = evaluated.iter().any(|(_, _, v)| *v);
     if any_viable {
-        evaluated.retain(|(_, _, _, v)| *v);
+        evaluated.retain(|(_, _, v)| *v);
     }
     let best_bid = evaluated
         .iter()
-        .map(|(_, _, b, _)| *b)
+        .map(|(_, s, _)| s.bid)
         .fold(f64::NEG_INFINITY, f64::max);
     let tied: Vec<usize> = evaluated
         .iter()
         .enumerate()
-        .filter(|(_, (_, _, b, _))| (*b - best_bid).abs() < 1e-9)
+        .filter(|(_, (_, s, _))| (s.bid - best_bid).abs() < 1e-9)
         .map(|(i, _)| i)
         .collect();
     let best = if tied.is_empty() {
@@ -173,8 +193,8 @@ fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> Off
     } else {
         use rand::Rng;
         let pick = tied[ctx.offer_rng(offer.id).gen_range(0..tied.len())];
-        let (m, s, b, _) = evaluated.swap_remove(pick);
-        Some((m, s, b))
+        let (m, scored, _) = evaluated[pick];
+        Some((m.clone(), scored))
     };
     OfferOutcome {
         offer_id: offer.id,
@@ -185,18 +205,20 @@ fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> Off
 }
 
 impl DataMarket {
-    /// Is a mashup's dataset set admissible for this buyer/offer?
-    /// Checks intrinsic constraints against the catalog, then
-    /// exclusivity holds and contextual-integrity policies (§4.4) under
-    /// one `terms` guard.
-    pub(crate) fn admissible(
+    /// The price terms (see [`Terms::price_terms`]) of a mashup whose
+    /// dataset set is admissible for this buyer/offer, `None` when it
+    /// is not. Checks intrinsic constraints against the catalog, then
+    /// exclusivity holds and contextual-integrity policies (§4.4) and
+    /// reads the price terms, all under one `terms` guard, so the
+    /// floor a bid carries is the floor its viability check used.
+    fn admissible_terms(
         &self,
         mashup: &BuiltMashup,
         offer: &Offer,
         buyer_role: &str,
         now: u64,
         round: u64,
-    ) -> bool {
+    ) -> Option<(f64, f64)> {
         let wtp = &offer.wtp;
         // An unknown dataset, or one the buyer's constraints refuse.
         let refused = mashup.datasets.iter().any(|&d| {
@@ -207,10 +229,10 @@ impl DataMarket {
             admits != Some(true)
         });
         if refused {
-            return false;
+            return None;
         }
         let terms = self.terms.lock();
-        mashup.datasets.iter().all(|d| {
+        let permitted = mashup.datasets.iter().all(|d| {
             let held_by_other = terms
                 .exclusive_holds
                 .get(d)
@@ -220,7 +242,8 @@ impl DataMarket {
                 .get(d)
                 .is_some_and(|policy| !policy.permits(buyer_role, &offer.purpose));
             !held_by_other && !refused
-        })
+        });
+        permitted.then(|| terms.price_terms(&mashup.datasets))
     }
 }
 
@@ -228,7 +251,7 @@ impl Terms {
     /// `(license multiplier, reserve floor)` of a dataset set: the max
     /// of the individual multipliers (one exclusive dataset taxes the
     /// whole mashup) and the sum of the seller reserves.
-    pub(crate) fn price_terms(&self, datasets: &[DatasetId]) -> (f64, f64) {
+    fn price_terms(&self, datasets: &[DatasetId]) -> (f64, f64) {
         let multiplier = datasets
             .iter()
             .map(|d| self.licenses.get(d).map_or(1.0, License::price_multiplier))

@@ -28,6 +28,7 @@ use dmp_relation::{DatasetId, Relation};
 pub use dmp_valuation::sharing::DatasetShare;
 
 use crate::arbiter::ledger::Ledger;
+use crate::arbiter::mashup_builder::MashupCache;
 use crate::arbiter::pipeline::{self, CandidateStage, RoundContext};
 use crate::arbiter::services::{demand_report, DemandReport, Purchase};
 use crate::buyer::BuyerHandle;
@@ -159,13 +160,17 @@ pub const ARBITER_ACCOUNT: &str = "__arbiter__";
 /// (`DataMarket::new`), so library users see no difference.
 ///
 /// The licensing terms sit behind one guard, `terms`, shared by every
-/// shard; the ledger keeps its own. No code path holds both.
+/// shard; the ledger keeps its own. No code path holds both. The
+/// substrate also carries the [`MashupCache`] over its catalogue, so
+/// every shard builds a mashup once per catalogue version; it is
+/// derived state, never exported or restored.
 #[derive(Clone, Default)]
 pub struct MarketSubstrate {
     pub(crate) metadata: Arc<MetadataEngine>,
     pub(crate) lineage: Arc<LineageLog>,
     pub(crate) ledger: Arc<Ledger>,
     pub(crate) terms: Arc<Mutex<Terms>>,
+    pub(crate) mashups: Arc<MashupCache>,
 }
 
 /// The licensing terms attached to the catalog, keyed by dataset:
@@ -384,7 +389,8 @@ impl ShardBook {
 /// every shard of the [`MarketSubstrate`]), and the ledger, audit log
 /// and dispute log behind one guard each. A method reads what it needs,
 /// drops the guard, then takes the next, so no module has to know a
-/// lock order.
+/// lock order. The substrate's mashup cache has a guard of its own; it
+/// guards derived state only.
 pub struct DataMarket {
     pub(crate) config: MarketConfig,
     pub(crate) metadata: Arc<MetadataEngine>,
@@ -393,6 +399,7 @@ pub struct DataMarket {
     pub(crate) audit: AuditLog,
     pub(crate) disputes: DisputeManager,
     pub(crate) terms: Arc<Mutex<Terms>>,
+    pub(crate) mashups: Arc<MashupCache>,
     pub(crate) book: Mutex<ShardBook>,
 }
 
@@ -419,6 +426,7 @@ impl DataMarket {
             audit: AuditLog::new(),
             disputes: DisputeManager::new(),
             terms: substrate.terms,
+            mashups: substrate.mashups,
             book,
         }
     }
@@ -432,6 +440,7 @@ impl DataMarket {
             lineage: Arc::clone(&self.lineage),
             ledger: Arc::clone(&self.ledger),
             terms: Arc::clone(&self.terms),
+            mashups: Arc::clone(&self.mashups),
         }
     }
 
@@ -512,6 +521,12 @@ impl DataMarket {
     /// The metadata engine (read access for discovery tooling).
     pub fn metadata(&self) -> &MetadataEngine {
         &self.metadata
+    }
+
+    /// The mashup cache the candidate stage reads, shared with every
+    /// shard of this market's substrate.
+    pub fn mashup_cache(&self) -> &MashupCache {
+        &self.mashups
     }
 
     /// The audit log.

@@ -127,8 +127,14 @@ impl MetadataEngine {
     }
 
     /// The catalog mutation generation (changes whenever a rebuild of
-    /// derived structures would observe different contents).
-    fn generation(&self) -> u64 {
+    /// derived structures would observe different contents). Caches of
+    /// derived state key on it: this engine's discovery indexes and the
+    /// market's mashup cache, which serves a DoD build while the
+    /// generation it was built at is current. So every input the DoD
+    /// reads (the set of ids, names, relations and the profiles taken
+    /// of them, tags) must bump it when it changes; a mutation that
+    /// does not would leave both caches serving the old catalogue.
+    pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 

@@ -182,3 +182,109 @@ fn restored_router_joins_like_the_live_one_at_one_shard() {
 fn restored_router_joins_like_the_live_one_at_four_shards() {
     assert_restored_agrees(4);
 }
+
+/// `hub(k1, k2, a)` is on the market and a buyer's `[a, b]` offer has
+/// been evaluated (so the mashup cache holds `[a, b]` at the old
+/// catalogue generation); then `spoke(x, y, b)` arrives and the buyer
+/// asks for `[a, b]` again.
+fn market_grown_after_a_cached_ask(shards: usize) -> ShardRouter {
+    let router = ShardRouter::new(&market(), shards);
+    for (name, role) in [
+        ("hubco", "seller"),
+        ("spokeco", "seller"),
+        ("buyer", "buyer"),
+    ] {
+        apply(
+            &router,
+            Command::Enroll {
+                name: name.into(),
+                role: role.into(),
+            },
+        );
+    }
+    apply(
+        &router,
+        Command::Deposit {
+            account: "buyer".into(),
+            amount: 200.0,
+        },
+    );
+    let int = |i: i64| CellSpec::Int(i);
+    apply(
+        &router,
+        ask(
+            "hubco",
+            "hub",
+            [
+                ("k1", ColType::Int),
+                ("k2", ColType::Int),
+                ("a", ColType::Str),
+            ],
+            (0..100)
+                .map(|i| vec![int(i), int(1000 + i), CellSpec::Str(format!("a{i}"))])
+                .collect(),
+        ),
+    );
+    let a_and_b = || Command::SubmitOffer(OfferSpec::simple("buyer", ["a", "b"], 30.0));
+    apply(&router, a_and_b());
+    apply(&router, Command::RunRound { rounds: 1 });
+    assert!(
+        joined_rows(&router).is_empty(),
+        "before spoke arrives no mashup has b"
+    );
+    apply(
+        &router,
+        ask(
+            "spokeco",
+            "spoke",
+            [
+                ("x", ColType::Int),
+                ("y", ColType::Int),
+                ("b", ColType::Float),
+            ],
+            (0..100)
+                .map(|i| {
+                    vec![
+                        int(1000 + i),
+                        int((i + 1) % 100),
+                        CellSpec::Float(i as f64 + 0.5),
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    apply(&router, a_and_b());
+    router
+}
+
+fn assert_grown_catalogue_invalidates_the_cache(shards: usize) {
+    let live = market_grown_after_a_cached_ask(shards);
+    let restored = ShardRouter::new(&market(), shards);
+    restored.restore_state(live.export_state()).unwrap();
+    for router in [&live, &restored] {
+        apply(router, Command::RunRound { rounds: 1 });
+    }
+    let rows = joined_rows(&live);
+    assert_eq!(
+        rows.len(),
+        1,
+        "the second [a, b] offer must join spoke on {shards} shard(s)"
+    );
+    assert_eq!(rows[0].len(), 100, "{shards} shard(s)");
+    assert_eq!(rows, joined_rows(&restored), "{shards} shard(s)");
+    assert_eq!(
+        live.state_digest(),
+        restored.state_digest(),
+        "{shards} shard(s)"
+    );
+}
+
+#[test]
+fn a_mashup_cached_before_the_catalogue_grew_is_rebuilt_at_one_shard() {
+    assert_grown_catalogue_invalidates_the_cache(1);
+}
+
+#[test]
+fn a_mashup_cached_before_the_catalogue_grew_is_rebuilt_at_four_shards() {
+    assert_grown_catalogue_invalidates_the_cache(4);
+}
