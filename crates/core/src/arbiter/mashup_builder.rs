@@ -24,8 +24,10 @@ use dmp_telemetry::{global, Counter};
 /// A materialized candidate mashup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltMashup {
-    /// The relation (already joined with owned data when provided).
-    pub relation: Relation,
+    /// The relation (already joined with owned data when provided),
+    /// shared: a cache entry, the round's winner, its export and its
+    /// settlement plan all read one set of rows.
+    pub relation: Arc<Relation>,
     /// Market datasets that contributed (excludes the buyer's own data).
     pub datasets: Vec<DatasetId>,
     /// Fraction of requested attributes covered.
@@ -73,7 +75,7 @@ pub fn build_mashups(metadata: &MetadataEngine, wtp: &WtpFunction, max: usize) -
             continue;
         }
         out.push(BuiltMashup {
-            relation,
+            relation: Arc::new(relation),
             datasets: cand.datasets,
             coverage: cand.coverage,
             confidence: cand.confidence,
@@ -294,7 +296,7 @@ mod tests {
     fn build_of(rows: usize) -> Arc<Vec<BuiltMashup>> {
         let rows: Vec<(i64, &str)> = (0..rows as i64).map(|i| (i, "x")).collect();
         Arc::new(vec![BuiltMashup {
-            relation: dmp_relation::builder::keyed_rel("t", &rows),
+            relation: Arc::new(dmp_relation::builder::keyed_rel("t", &rows)),
             datasets: Vec::new(),
             coverage: 1.0,
             confidence: 1.0,

@@ -141,7 +141,8 @@ impl CandidateStage {
 
 /// Evaluate one offer: candidates in, best admissible-viable bid out.
 /// The candidates come from the substrate's mashup cache and are
-/// evaluated by reference; only the winner is cloned.
+/// evaluated by reference; the winner shares its rows with the cache
+/// entry, so cloning it copies no row.
 fn evaluate_offer(market: &DataMarket, ctx: &RoundContext, offer: &Offer) -> OfferOutcome {
     let max = market.config.max_candidates;
     let mashups = market

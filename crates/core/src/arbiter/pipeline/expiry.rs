@@ -1,35 +1,29 @@
 //! Phase 1, first half: snapshot pending offers and expire stale ones.
 
-use crate::market::{DataMarket, OfferState};
+use crate::market::DataMarket;
 
 use super::RoundContext;
 
 /// Collect the round's pending offers (in offer-id order) and mark
 /// offers whose intrinsic constraints are no longer live (§3.2.2.1,
-/// `expires_at`) as [`OfferState::Expired`]. Live offers flow on to the
-/// [`super::CandidateStage`] via [`RoundContext::pending`].
+/// `expires_at`) as
+/// [`OfferState::Expired`](crate::market::OfferState::Expired). Live
+/// offers flow on to the [`super::CandidateStage`] via
+/// [`RoundContext::pending`]. Only pending offers are visited, through
+/// the book's pending-offer index.
 pub(crate) fn expire(market: &DataMarket, ctx: &mut RoundContext) {
     super::timed("expiry", || {
-        let mut book = market.book.lock();
-        for offer in book.offers.values_mut() {
-            if offer.state != OfferState::Pending {
-                continue;
-            }
-            ctx.considered += 1;
-            if offer.wtp.constraints.is_live(ctx.now) {
-                ctx.pending.push(offer.clone());
-            } else {
-                offer.state = OfferState::Expired;
-                ctx.expired += 1;
-            }
-        }
+        let (considered, expired, live) = market.book.lock().expire(ctx.now);
+        ctx.considered += considered;
+        ctx.expired += expired;
+        ctx.pending.extend(live);
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::market::MarketConfig;
+    use crate::market::{MarketConfig, OfferState};
     use dmp_mechanism::design::MarketDesign;
     use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
     use dmp_relation::builder::keyed_rel;

@@ -15,7 +15,7 @@
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -316,6 +316,12 @@ pub(crate) struct ShardBook {
     pub(crate) next_delivery: u64,
     /// Offer book, keyed by offer id (ordered ⇒ deterministic rounds).
     pub(crate) offers: BTreeMap<u64, Offer>,
+    /// Ids of the [`OfferState::Pending`] offers, so expiry visits live
+    /// offers only, not every offer ever submitted. Derived from
+    /// `offers` (built on restore, kept by [`ShardBook::file_offer`],
+    /// [`ShardBook::set_offer_state`] and expiry); no image or digest
+    /// holds it.
+    pending: BTreeSet<u64>,
     pub(crate) transactions: Vec<TransactionRecord>,
     /// Deliveries by id; ids are dense in delivery order.
     pub(crate) deliveries: BTreeMap<u64, Delivery>,
@@ -331,6 +337,12 @@ impl ShardBook {
     /// belong to other owners and are ignored here. A fresh shard is
     /// the empty image with a seeded RNG.
     fn restore(state: MarketShardState) -> Self {
+        let pending = state
+            .offers
+            .iter()
+            .filter(|o| o.state == OfferState::Pending)
+            .map(|o| o.id)
+            .collect();
         ShardBook {
             clock: state.clock,
             round: state.round,
@@ -338,6 +350,7 @@ impl ShardBook {
             next_tx: state.next_tx,
             next_delivery: state.next_delivery,
             offers: state.offers.into_iter().map(|o| (o.id, o)).collect(),
+            pending,
             transactions: state.transactions,
             deliveries: state.deliveries.into_iter().map(|d| (d.id, d)).collect(),
             purchases: state.purchases,
@@ -373,10 +386,43 @@ impl ShardBook {
         id
     }
 
+    /// File a new offer; it is pending.
+    fn file_offer(&mut self, offer: Offer) {
+        debug_assert_eq!(offer.state, OfferState::Pending);
+        self.pending.insert(offer.id);
+        self.offers.insert(offer.id, offer);
+    }
+
     pub(crate) fn set_offer_state(&mut self, id: u64, state: OfferState) {
         if let Some(o) = self.offers.get_mut(&id) {
+            if state == OfferState::Pending {
+                self.pending.insert(id);
+            } else {
+                self.pending.remove(&id);
+            }
             o.state = state;
         }
+    }
+
+    /// Expire the pending offers that are no longer live at `now`, in id
+    /// order: `(considered, expired, the live offers)`.
+    pub(crate) fn expire(&mut self, now: u64) -> (usize, usize, Vec<Offer>) {
+        let considered = self.pending.len();
+        let mut live = Vec::with_capacity(considered);
+        let offers = &mut self.offers;
+        self.pending.retain(|id| {
+            let Some(offer) = offers.get_mut(id) else {
+                return false;
+            };
+            if offer.wtp.constraints.is_live(now) {
+                live.push(offer.clone());
+                true
+            } else {
+                offer.state = OfferState::Expired;
+                false
+            }
+        });
+        (considered, considered - live.len(), live)
     }
 }
 
@@ -630,16 +676,13 @@ impl DataMarket {
             };
             book.next_offer = book.next_offer.max(id + 1);
             let submitted_at = book.tick();
-            book.offers.insert(
+            book.file_offer(Offer {
                 id,
-                Offer {
-                    id,
-                    wtp,
-                    purpose,
-                    submitted_at,
-                    state: OfferState::Pending,
-                },
-            );
+                wtp,
+                purpose,
+                submitted_at,
+                state: OfferState::Pending,
+            });
             id
         };
         self.audit
@@ -832,7 +875,10 @@ impl DataMarket {
 mod tests {
     use super::*;
     use dmp_mechanism::design::MarketDesign;
+    use dmp_mechanism::elicitation::{ElicitationProtocol, ExPostMechanism};
     use dmp_mechanism::wtp::PriceCurve;
+    use dmp_relation::builder::keyed_rel;
+    use proptest::prelude::*;
 
     fn simple_market() -> DataMarket {
         let config =
@@ -893,5 +939,118 @@ mod tests {
         // Snapshots come back in id order.
         let snapshot: Vec<u64> = market.offers().iter().map(|o| o.id).collect();
         assert_eq!(snapshot, ids);
+    }
+
+    /// A market selling one table, ex ante or ex post, to a rich and a
+    /// poor buyer (the poor one cannot fund every sale, so some offers
+    /// stay pending after they clear).
+    fn trading_market(ex_post: bool) -> DataMarket {
+        let mut design = MarketDesign::posted_price_baseline(10.0);
+        if ex_post {
+            design.elicitation = ElicitationProtocol::ExPost(ExPostMechanism {
+                audit_prob: 0.5,
+                penalty_mult: 2.0,
+                exclusion_rounds: 1,
+                round_value: 0.0,
+            });
+        }
+        let market = DataMarket::new(MarketConfig::external(3).with_design(design));
+        let table = keyed_rel("t", &[(1, "x"), (2, "y")]);
+        market.seller("s").share(table).unwrap();
+        market.buyer("rich").deposit(10_000.0);
+        market.buyer("poor").deposit(15.0);
+        market
+    }
+
+    /// Expiry as a scan of every offer ever filed: `(considered,
+    /// expired, live ids)`.
+    fn full_scan(offers: &BTreeMap<u64, Offer>, now: u64) -> (usize, usize, Vec<u64>) {
+        let pending: Vec<&Offer> = offers
+            .values()
+            .filter(|o| o.state == OfferState::Pending)
+            .collect();
+        let live: Vec<u64> = pending
+            .iter()
+            .filter(|o| o.wtp.constraints.is_live(now))
+            .map(|o| o.id)
+            .collect();
+        (pending.len(), pending.len() - live.len(), live)
+    }
+
+    fn pending_by_scan(book: &ShardBook) -> BTreeSet<u64> {
+        book.offers
+            .values()
+            .filter(|o| o.state == OfferState::Pending)
+            .map(|o| o.id)
+            .collect()
+    }
+
+    /// One round whose expiry is checked against [`full_scan`].
+    fn checked_round(market: &DataMarket) -> Result<(), TestCaseError> {
+        let mut ctx = RoundContext::open(market);
+        let reference = full_scan(&market.book.lock().offers, ctx.now);
+        pipeline::expire(market, &mut ctx);
+        let live: Vec<u64> = ctx.pending.iter().map(|o| o.id).collect();
+        prop_assert_eq!(&reference, &(ctx.considered, ctx.expired, live.clone()));
+        let indexed: Vec<u64> = market.book.lock().pending.iter().copied().collect();
+        prop_assert_eq!(
+            indexed,
+            live,
+            "after expiry only the live offers are pending"
+        );
+        CandidateStage::default().run(market, &mut ctx);
+        let round = std::slice::from_mut(&mut ctx);
+        let sales = pipeline::clear(&market.config.design, round);
+        pipeline::settle(std::slice::from_ref(market), round, sales, |_| 0);
+        market.close_round(ctx);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Submits (live, expiring or already expired), rounds, ex post
+        /// reports and restores in random order: after every step the
+        /// pending-offer index is exactly the offers a scan finds
+        /// pending, and every round's expiry equals a full scan's.
+        #[test]
+        fn the_pending_index_equals_a_full_scan(
+            ex_post in proptest::bool::ANY,
+            steps in proptest::collection::vec((0u8..5, 0u64..64), 1..32),
+        ) {
+            let mut market = trading_market(ex_post);
+            for (kind, x) in steps {
+                match kind {
+                    0 | 1 => {
+                        let buyer = if x % 2 == 0 { "rich" } else { "poor" };
+                        let mut wtp = WtpFunction::simple(buyer, ["k", "v"], PriceCurve::Constant(30.0));
+                        let now = market.now();
+                        // Kind 1 has expired before the next round opens.
+                        wtp.constraints.expires_at = match (kind, x % 3) {
+                            (1, _) => Some(now.saturating_sub(x % 4)),
+                            (_, 0) => None,
+                            _ => Some(now + x % 5),
+                        };
+                        // An excluded buyer's offer is refused.
+                        let _ = market.submit_wtp(wtp);
+                    }
+                    2 => checked_round(&market)?,
+                    3 => {
+                        let awaiting = market.awaiting_reports();
+                        if let Some((_, delivery, _)) = awaiting.get(x as usize % awaiting.len().max(1)) {
+                            market.report_value(*delivery, (x % 40) as f64).unwrap();
+                        }
+                    }
+                    _ => {
+                        let restored = DataMarket::new(market.config.clone());
+                        restored.substrate().restore_state(market.substrate().export_state());
+                        restored.restore_shard_state(market.export_shard_state());
+                        market = restored;
+                    }
+                }
+                let book = market.book.lock();
+                prop_assert_eq!(&book.pending, &pending_by_scan(&book));
+            }
+        }
     }
 }

@@ -6,10 +6,13 @@
 //! data never enters the cache, and the cached rows stay under the
 //! bound. Sequential and parallel candidate stages clear the same
 //! rounds on a cold cache and on a warm one, and a market restored from
-//! an image (cold) clears like the live one (warm).
+//! an image (cold) clears like the live one (warm). A round's winner is
+//! the cached build itself, and the delivery a sale files equals it.
+
+use std::sync::Arc;
 
 use dmp_core::arbiter::mashup_builder::{build_mashups, MASHUP_CACHE_MAX_ROWS};
-use dmp_core::arbiter::pipeline::CandidateStage;
+use dmp_core::arbiter::pipeline::{clear, settle, CandidateStage};
 use dmp_core::market::{DataMarket, MarketConfig, RoundReport};
 use dmp_mechanism::design::MarketDesign;
 use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
@@ -183,23 +186,16 @@ fn assert_same_round(a: &RoundReport, b: &RoundReport, what: &str) {
 }
 
 /// Offers, transactions, deliveries, audit events and the ledger agree.
-/// Relations compare by value: their schema's name index is a hash map,
-/// so their `Debug` text is not comparable.
 fn assert_same_market(a: &DataMarket, b: &DataMarket, what: &str) {
     let (sa, sb) = (a.export_shard_state(), b.export_shard_state());
     let states = |s: &dmp_core::market::MarketShardState| {
         let offers: Vec<_> = s.offers.iter().map(|o| (o.id, o.state.clone())).collect();
-        format!("{offers:?} {:?} {:?}", s.transactions, s.audit_events)
+        format!(
+            "{offers:?} {:?} {:?} {:?}",
+            s.transactions, s.deliveries, s.audit_events
+        )
     };
     assert_eq!(states(&sa), states(&sb), "{what}");
-    assert_eq!(sa.deliveries.len(), sb.deliveries.len(), "{what}");
-    for (da, db) in sa.deliveries.iter().zip(&sb.deliveries) {
-        assert_eq!(
-            (da.offer_id, &da.relation, &da.datasets, da.settlement),
-            (db.offer_id, &db.relation, &db.datasets, db.settlement),
-            "{what}"
-        );
-    }
     assert_eq!(
         format!("{:?}", a.substrate().export_state().ledger),
         format!("{:?}", b.substrate().export_state().ledger),
@@ -264,5 +260,65 @@ fn a_restored_market_with_a_cold_cache_clears_like_the_live_warm_one() {
         let what = format!("seed {seed}");
         assert_same_round(&a, &b, &what);
         assert_same_market(&live, &restored, &what);
+    }
+}
+
+#[test]
+fn each_winner_is_the_cached_build_and_its_delivery_equals_it() {
+    for seed in 0..6 {
+        let market = market(seed);
+        submit_requests(&market);
+        let offers = market.offers();
+        let max = market.config().max_candidates;
+        let mut ctx = market.begin_round_seeded(seed);
+        let mut shared = 0;
+        for bid in &ctx.bids {
+            let won = &ctx.best_mashups[&bid.offer_id];
+            let wtp = &offers.iter().find(|o| o.id == bid.offer_id).unwrap().wtp;
+            if wtp.owned_data.is_some() {
+                continue; // built past the cache
+            }
+            let cached = market
+                .mashup_cache()
+                .cached(market.metadata(), wtp, max)
+                .expect("the round cached every plain request");
+            assert!(
+                cached
+                    .iter()
+                    .any(|m| Arc::ptr_eq(&m.relation, &won.relation)),
+                "seed {seed}, offer {}: the winner copied the cached rows",
+                bid.offer_id
+            );
+            shared += 1;
+        }
+        assert!(shared >= 3, "seed {seed}: only {shared} plain requests won");
+
+        let won: Vec<(u64, Arc<Relation>)> = ctx
+            .best_mashups
+            .iter()
+            .map(|(&id, m)| (id, Arc::clone(&m.relation)))
+            .collect();
+        let sales = clear(&market.config().design, std::slice::from_mut(&mut ctx));
+        settle(
+            std::slice::from_ref(&market),
+            std::slice::from_mut(&mut ctx),
+            sales,
+            |_| 0,
+        );
+        market.close_round(ctx);
+        let deliveries = market.deliveries();
+        assert_eq!(
+            deliveries.len(),
+            won.len(),
+            "seed {seed}: every winner sold"
+        );
+        for d in &deliveries {
+            let (_, relation) = won.iter().find(|(id, _)| *id == d.offer_id).unwrap();
+            assert_eq!(
+                &d.relation, &**relation,
+                "seed {seed}, offer {}",
+                d.offer_id
+            );
+        }
     }
 }

@@ -305,7 +305,12 @@ impl<'a> DodEngine<'a> {
             return Ok(None);
         }
         let cols: Vec<&str> = physical.iter().map(|&(_, p)| p).collect();
-        let mut projected = acc.project(&cols)?;
+        // A join this candidate made is its own: project it in place.
+        // The anchor is the catalogue's, so its kept cells are copied.
+        let mut projected = match joins {
+            Some(joined) => joined.into_projection(&cols)?,
+            None => anchor_rel.project(&cols)?,
+        };
         for &(ref attr, p) in &physical {
             if attr != p && !projected.schema().contains(attr) {
                 projected = projected.rename(p, attr)?;

@@ -21,11 +21,7 @@ impl Relation {
 
     /// Keep only `cols`, in the given order.
     pub fn project(&self, cols: &[&str]) -> RelResult<Relation> {
-        let schema = self.schema().project(cols)?.shared();
-        let idxs: Vec<usize> = cols
-            .iter()
-            .map(|c| self.schema().index_of(c))
-            .collect::<RelResult<_>>()?;
+        let (schema, idxs) = self.projection(cols)?;
         let rows = self
             .rows()
             .iter()
@@ -41,6 +37,42 @@ impl Relation {
             schema,
             rows,
         ))
+    }
+
+    /// [`Relation::project`] of a relation the caller no longer needs:
+    /// the kept values and each row's provenance move into the output
+    /// instead of being cloned, and the dropped values are freed. Each
+    /// output row's values are allocated at the projection's width, so
+    /// the result holds no more memory than `project`'s would.
+    pub fn into_projection(self, cols: &[&str]) -> RelResult<Relation> {
+        let (schema, idxs) = self.projection(cols)?;
+        let name = format!("π({})", self.name());
+        let rows = self
+            .into_rows()
+            .into_iter()
+            .map(|r| {
+                let (mut values, prov) = r.into_parts();
+                // `Schema::project` refused a repeated column, so each
+                // position is taken once.
+                let kept = idxs
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut values[i], Value::Null))
+                    .collect();
+                Row::new(kept, prov)
+            })
+            .collect();
+        Ok(Relation::from_rows_unchecked(name, schema, rows))
+    }
+
+    /// The schema of the projection onto `cols` and the input position
+    /// of each of its columns.
+    fn projection(&self, cols: &[&str]) -> RelResult<(Arc<Schema>, Vec<usize>)> {
+        let schema = self.schema().project(cols)?.shared();
+        let idxs = cols
+            .iter()
+            .map(|c| self.schema().index_of(c))
+            .collect::<RelResult<_>>()?;
+        Ok((schema, idxs))
     }
 
     /// Rename a single column. Takes the relation by value: only the
@@ -129,6 +161,21 @@ mod tests {
         assert_eq!(p.schema().names().collect::<Vec<_>>(), vec!["g", "x"]);
         assert_eq!(p.rows()[0].provenance().len(), 1);
         assert!(r.project(&["nope"]).is_err());
+    }
+
+    #[test]
+    fn into_projection_equals_project() {
+        let r = rel();
+        for cols in [&["g", "x"][..], &["x"], &["g"]] {
+            let moved = r.clone().into_projection(cols).unwrap();
+            assert_eq!(moved, r.project(cols).unwrap());
+            assert!(moved
+                .rows()
+                .iter()
+                .all(|row| row.values().len() == cols.len()));
+        }
+        assert!(rel().into_projection(&["nope"]).is_err());
+        assert!(rel().into_projection(&["x", "x"]).is_err());
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl Row {
     pub fn set_provenance(&mut self, prov: Provenance) {
         self.prov = prov;
     }
+
+    /// The values and the provenance, moved out.
+    pub(crate) fn into_parts(self) -> (Vec<Value>, Provenance) {
+        (self.values, self.prov)
+    }
 }
 
 /// An in-memory relation: named, typed, provenance-carrying.
@@ -157,6 +162,11 @@ impl Relation {
     /// Rows in order.
     pub fn rows(&self) -> &[Row] {
         &self.rows
+    }
+
+    /// The rows, moved out.
+    pub(crate) fn into_rows(self) -> Vec<Row> {
+        self.rows
     }
 
     /// The market dataset id this relation is registered as, if any.
@@ -361,6 +371,25 @@ mod tests {
         let r = people();
         assert_eq!(r.column_f64("id").unwrap(), vec![1.0, 2.0]);
         assert!(r.column_f64("name").unwrap().is_empty());
+    }
+
+    #[test]
+    fn equal_relations_print_equal_debug_text() {
+        // Built apart, joined and projected apart: only the contents
+        // may decide the text, so states can be compared by it.
+        let build = || {
+            let r = people().with_source(DatasetId(3));
+            r.natural_join(
+                &r.clone().rename("name", "alias").unwrap(),
+                crate::ops::JoinKind::Inner,
+            )
+            .unwrap()
+            .into_projection(&["alias", "id"])
+            .unwrap()
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Relation schemas: field names, types, and positional lookup.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,26 +94,27 @@ impl Field {
     }
 }
 
-/// An ordered list of fields with O(1) name lookup.
+/// An ordered list of uniquely named fields.
 ///
-/// Schemas are immutable once built and shared between relations via
-/// [`Arc`], so projections and selections never copy them.
-#[derive(Debug, Clone)]
+/// Names are looked up by a scan of the fields: a relation has a handful
+/// of columns, and a schema built without a name map costs no allocation
+/// beyond its fields and prints the same `Debug` text wherever it is
+/// built. Schemas are immutable once built and shared between relations
+/// via [`Arc`], so projections and selections never copy them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
-    by_name: HashMap<String, usize>,
 }
 
 impl Schema {
     /// Build a schema, rejecting duplicate column names.
     pub fn new(fields: Vec<Field>) -> RelResult<Self> {
-        let mut by_name = HashMap::with_capacity(fields.len());
         for (i, f) in fields.iter().enumerate() {
-            if by_name.insert(f.name.clone(), i).is_some() {
+            if fields[..i].iter().any(|g| g.name == f.name) {
                 return Err(RelError::DuplicateColumn(f.name.clone()));
             }
         }
-        Ok(Schema { fields, by_name })
+        Ok(Schema { fields })
     }
 
     /// Convenience constructor from `(name, type)` pairs.
@@ -144,15 +144,15 @@ impl Schema {
 
     /// Position of a column by name.
     pub fn index_of(&self, name: &str) -> RelResult<usize> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.fields
+            .iter()
+            .position(|f| f.name == name)
             .ok_or_else(|| RelError::UnknownColumn(name.to_string()))
     }
 
     /// Whether a column exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.by_name.contains_key(name)
+        self.fields.iter().any(|f| f.name == name)
     }
 
     /// Field by name.
@@ -194,13 +194,6 @@ impl Schema {
         Schema::new(fields)
     }
 }
-
-impl PartialEq for Schema {
-    fn eq(&self, other: &Self) -> bool {
-        self.fields == other.fields
-    }
-}
-impl Eq for Schema {}
 
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -117,7 +117,7 @@ mod tests {
         rel.push_values(vec![Value::Int(1), Value::str("x")])
             .unwrap();
         BuiltMashup {
-            relation: rel.with_source(DatasetId(3)),
+            relation: std::sync::Arc::new(rel.with_source(DatasetId(3))),
             datasets: vec![DatasetId(3)],
             coverage: 0.5,
             confidence: 0.25,

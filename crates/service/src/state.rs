@@ -296,6 +296,17 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A shared value travels as the value itself.
+impl<T: Wire> Wire for Arc<T> {
+    fn enc(&self) -> Json {
+        T::enc(self)
+    }
+
+    fn dec(j: &Json) -> Result<Self, WireError> {
+        T::dec(j).map(Arc::new)
+    }
+}
+
 /// xoshiro256++ state words.
 impl Wire for [u64; 4] {
     fn enc(&self) -> Json {
