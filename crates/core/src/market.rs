@@ -64,8 +64,8 @@ pub enum OfferState {
 pub struct Offer {
     /// Offer id.
     pub id: u64,
-    /// The WTP-function.
-    pub wtp: WtpFunction,
+    /// The WTP-function, shared with every round that reads the offer.
+    pub wtp: Arc<WtpFunction>,
     /// Declared purpose (checked against contextual-integrity policies).
     pub purpose: String,
     /// Logical submission time.
@@ -405,7 +405,8 @@ impl ShardBook {
     }
 
     /// Expire the pending offers that are no longer live at `now`, in id
-    /// order: `(considered, expired, the live offers)`.
+    /// order: `(considered, expired, the live offers)`. A live offer's
+    /// copy shares its WTP-function with the book.
     pub(crate) fn expire(&mut self, now: u64) -> (usize, usize, Vec<Offer>) {
         let considered = self.pending.len();
         let mut live = Vec::with_capacity(considered);
@@ -678,7 +679,7 @@ impl DataMarket {
             let submitted_at = book.tick();
             book.file_offer(Offer {
                 id,
-                wtp,
+                wtp: Arc::new(wtp),
                 purpose,
                 submitted_at,
                 state: OfferState::Pending,
