@@ -32,7 +32,7 @@ use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;
 
 use crate::state::{enc_all, record, Wire};
-use crate::wire::{Json, WireError};
+use crate::wire::{Json, Tree, WireError};
 
 /// The current candidate-codec version. Bump on any format change and
 /// keep decode refusing everything it does not understand.
@@ -74,13 +74,13 @@ record!(
 /// Encode exports in the order given: a round's in shard order, a
 /// candidates reply's in the order its shards were asked for.
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
-    enc_all(exports)
+    Tree::build(|t| enc_all(exports, t))
 }
 
 /// Decode exports; `shards` pins the expected count so a short or
 /// padded payload is refused before anything uses it.
 pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExport>, WireError> {
-    let exports: Vec<CandidatePhaseExport> = Wire::dec(j)?;
+    let exports: Vec<CandidatePhaseExport> = Wire::from_json(j)?;
     if exports.len() != shards {
         return Err(WireError::new(format!(
             "expected {shards} shard exports, got {}",
@@ -139,8 +139,8 @@ mod tests {
 
     #[test]
     fn export_with_a_missing_field_is_refused() {
-        let decode = |text: &str| CandidatePhaseExport::dec(&Json::parse(text).unwrap());
-        let full = export_of(9, vec![bid(42)]).enc().dump();
+        let decode = |text: &str| CandidatePhaseExport::from_json(&Json::parse(text).unwrap());
+        let full = export_of(9, vec![bid(42)]).json().dump();
         assert_eq!(
             decode(&full).expect("decodes back"),
             export_of(9, vec![bid(42)])
@@ -153,14 +153,14 @@ mod tests {
 
     #[test]
     fn version_skew_is_refused() {
-        let mut encoded = export_of(1, Vec::new()).enc().dump();
+        let mut encoded = export_of(1, Vec::new()).json().dump();
         encoded = encoded.replacen("\"1\"", "\"2\"", 1);
-        let err = CandidatePhaseExport::dec(&Json::parse(&encoded).unwrap()).unwrap_err();
+        let err = CandidatePhaseExport::from_json(&Json::parse(&encoded).unwrap()).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         // Missing version tag is also refused.
         let unversioned =
             r#"{"round":"1","bids":[],"mashups":[],"missing":[],"negotiations":[],"audit":[]}"#;
-        assert!(CandidatePhaseExport::dec(&Json::parse(unversioned).unwrap()).is_err());
+        assert!(CandidatePhaseExport::from_json(&Json::parse(unversioned).unwrap()).is_err());
     }
 
     #[test]
@@ -181,9 +181,9 @@ mod tests {
                 datasets: vec![DatasetId(3)],
             }],
         };
-        let encoded = export.enc().dump();
+        let encoded = export.json().dump();
         let decoded =
-            CandidatePhaseExport::dec(&Json::parse(&encoded).unwrap()).expect("decodes back");
+            CandidatePhaseExport::from_json(&Json::parse(&encoded).unwrap()).expect("decodes back");
         assert_eq!(decoded, export, "wire round-trip changed the export");
     }
 
@@ -196,7 +196,7 @@ mod tests {
         b.satisfaction = f64::MIN_POSITIVE;
         let export = export_of(1, vec![b.clone()]);
         let decoded =
-            CandidatePhaseExport::dec(&Json::parse(&export.enc().dump()).unwrap()).unwrap();
+            CandidatePhaseExport::from_json(&Json::parse(&export.json().dump()).unwrap()).unwrap();
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
@@ -261,8 +261,8 @@ mod tests {
             bids in proptest::collection::vec(arb_bid(), 0..8),
         ) {
             let export = export_of(round, bids);
-            let text = export.enc().dump();
-            let decoded = CandidatePhaseExport::dec(&Json::parse(&text).expect("self-produced json"))
+            let text = export.json().dump();
+            let decoded = CandidatePhaseExport::from_json(&Json::parse(&text).expect("self-produced json"))
                 .expect("self-produced payload decodes");
             prop_assert_eq!(decoded.round, export.round);
             prop_assert_eq!(decoded.bids.len(), export.bids.len());

@@ -153,8 +153,8 @@ impl WorkerPool {
         // digest: state crosses a process boundary here.
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("applied", applied.enc()),
-            ("digest", image.digest().enc()),
+            ("applied", applied.json()),
+            ("digest", image.digest().json()),
             ("state", image.into_json()),
         ]);
         // Mark alive first so `fan_out` will talk to a currently-dead
@@ -244,7 +244,7 @@ impl CommandFollower for WorkerPool {
         }
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("seq", seq.enc()),
+            ("seq", seq.json()),
             ("cmd", cmd.encode()),
         ]);
         self.broadcast(&body, "apply", "/internal/apply");
@@ -300,9 +300,9 @@ impl RoundDistributor for WorkerPool {
                 }
                 let body = Json::obj([
                     ("fp", Json::str(self.fingerprint.clone())),
-                    ("round", round.enc()),
-                    ("seed", round_seed.enc()),
-                    ("shards", list.enc()),
+                    ("round", round.json()),
+                    ("seed", round_seed.json()),
+                    ("shards", list.json()),
                 ]);
                 bodies.push((w, body.dump(), list));
             }
@@ -346,8 +346,8 @@ impl RoundDistributor for WorkerPool {
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]) {
         let body = Json::obj([
             ("fp", Json::str(self.fingerprint.clone())),
-            ("round", round.enc()),
-            ("seed", round_seed.enc()),
+            ("round", round.json()),
+            ("seed", round_seed.json()),
             ("exports", codec::encode_exports(exports)),
         ]);
         self.broadcast(&body, "settle", "/internal/settle");

@@ -18,13 +18,14 @@
 //! last intact record, and returns every valid `(seq, Command)` for
 //! replay.
 //!
-//! Reading a journal back (on open, and for the seqs
-//! [`Journal::truncate_prefix`] needs) is one sequential frame walk that
+//! Reading a journal back on open is one sequential frame walk that
 //! checks lengths and CRCs, then a decode of the intact payloads on the
 //! rayon pool, a fixed-size chunk of records per item. The first record
 //! that does not decode cuts the journal exactly where a
 //! record-by-record decode would, so what open returns and keeps on disk
-//! is the same on any number of threads.
+//! is the same on any number of threads. Compaction decodes no record
+//! but the last: seqs are gap-free, so a record's seq is the journal's
+//! first seq plus its position.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
@@ -117,32 +118,40 @@ fn frame_header(payload: &[u8]) -> [u8; 8] {
     header
 }
 
-/// Frame one journal/snapshot record.
+/// Frame one journal/snapshot record (tests splice frames by hand).
+#[cfg(test)]
 pub(crate) fn frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
 }
 
-/// Frame `json` as one record, serializing it straight into `out`
-/// behind a header that is filled in once the payload is there.
-/// Byte-identical to `frame(json.dump().as_bytes(), out)`. A value
-/// the wire cannot carry (a non-finite number from a library caller)
-/// is `InvalidData`, not a panic, and leaves `out` as it was.
-pub(crate) fn frame_json(json: &Json, out: &mut Vec<u8>) -> std::io::Result<()> {
+/// Frame what `write` appends to `out` as one record, behind a header
+/// that is filled in once the payload is there, so a document is
+/// serialized straight into its frame. An error leaves `out` as it was.
+pub(crate) fn frame_with<E>(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 8]);
-    if let Err(e) = json.dump_into(out) {
+    if let Err(e) = write(out) {
         out.truncate(start);
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            e.to_string(),
-        ));
+        return Err(e);
     }
     let (head, payload) = out.split_at_mut(start + 8);
     if let Some(slot) = head.get_mut(start..) {
         slot.copy_from_slice(&frame_header(payload));
     }
     Ok(())
+}
+
+/// Frame `json` as one record. Byte-identical to
+/// `frame(json.dump().as_bytes(), out)`. A value the wire cannot carry
+/// (a non-finite number from a library caller) is `InvalidData`, not a
+/// panic, and leaves `out` as it was.
+pub(crate) fn frame_json(json: &Json, out: &mut Vec<u8>) -> std::io::Result<()> {
+    frame_with(out, |out| json.dump_into(out))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Scan framed records out of a byte buffer, stopping cleanly at the
@@ -200,18 +209,17 @@ fn decode_record(payload: &[u8]) -> Option<(u64, Command)> {
 const DECODE_CHUNK: usize = 512;
 
 /// Decode `payloads` with [`decode_record`] on the rayon pool, one
-/// [`DECODE_CHUNK`] per item, and return `keep(seq, cmd)` for each
-/// record of the longest prefix that decodes: the first undecodable
-/// payload ends the result, exactly where a sequential decode would
-/// stop. `keep` runs on the thread that decoded the record.
-fn decode_prefix<R: Send>(payloads: &[&[u8]], keep: impl Fn(u64, Command) -> R + Sync) -> Vec<R> {
+/// [`DECODE_CHUNK`] per item, and return the records of the longest
+/// prefix that decodes: the first undecodable payload ends the result,
+/// exactly where a sequential decode would stop.
+fn decode_prefix(payloads: &[&[u8]]) -> Vec<(u64, Command)> {
     let chunks: Vec<&[&[u8]]> = payloads.chunks(DECODE_CHUNK).collect();
-    let decoded: Vec<Vec<R>> = chunks
+    let decoded: Vec<Vec<(u64, Command)>> = chunks
         .par_iter()
         .map(|chunk| {
             chunk
                 .iter()
-                .map_while(|payload| decode_record(payload).map(|(seq, cmd)| keep(seq, cmd)))
+                .map_while(|payload| decode_record(payload))
                 .collect()
         })
         .collect();
@@ -239,6 +247,11 @@ pub struct Journal {
     /// frame would strand durable records behind garbage, because
     /// recovery stops scanning at the first bad frame.
     poisoned: bool,
+    /// The seq of the first record the file holds (`None` while it
+    /// holds none). Seqs are gap-free — the node appends them in order
+    /// and refuses a journal with a gap at open — so the record at
+    /// index `i` is `first + i`.
+    first: Option<u64>,
     /// `fdatasync` every append (off trades durability for throughput;
     /// the OS still sees the write immediately, so only a *machine*
     /// crash can lose the tail).
@@ -272,7 +285,7 @@ impl Journal {
         file.read_to_end(&mut bytes)?;
         let (payloads, mut valid_len) = scan_frames(&bytes);
 
-        let records = decode_prefix(&payloads, |seq, cmd| (seq, cmd));
+        let records = decode_prefix(&payloads);
         if records.len() < payloads.len() {
             // A CRC-intact frame that does not decode is corruption
             // too: keep the consistent prefix, drop it and the rest
@@ -298,6 +311,7 @@ impl Journal {
                 path,
                 valid_len: valid_len as u64,
                 poisoned: false,
+                first: records.first().map(|(seq, _)| *seq),
                 fsync,
             },
             records,
@@ -363,6 +377,7 @@ impl Journal {
         match result {
             Ok(()) => {
                 self.valid_len += buf.len() as u64;
+                self.first.get_or_insert(seq);
                 m.journal_appends.inc();
                 m.journal_bytes.add(buf.len() as u64);
                 m.journal_append_us.record_duration_us(started.elapsed());
@@ -398,9 +413,10 @@ impl Journal {
     /// rename the old journal is intact, after it the compacted journal
     /// is complete. Returns the number of bytes dropped.
     ///
-    /// Each record's seq comes from the decoder [`Journal::open`] uses,
-    /// run on the rayon pool; a record inside the valid prefix that does
-    /// not decode is `InvalidData` and leaves the file as it was.
+    /// Seqs are gap-free, so a record's seq is the journal's first seq
+    /// plus its index and no record is decoded but the last, whose seq
+    /// must agree; a disagreement is `InvalidData` and leaves the file
+    /// as it was.
     pub fn truncate_prefix(&mut self, upto_seq: u64) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(
@@ -417,35 +433,36 @@ impl Journal {
                 "journal changed underneath the writer during compaction",
             ));
         }
-        // The command is dropped on the thread that decoded it.
-        let seqs = decode_prefix(&payloads, |seq, _| seq);
-        if seqs.len() < payloads.len() {
+        let (Some(first), Some(last)) = (self.first, payloads.last()) else {
+            return Ok(0);
+        };
+        let last_seq = first.checked_add(payloads.len() as u64 - 1);
+        if decode_record(last).map(|(seq, _)| seq) != last_seq {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                "undecodable record inside the journal's valid prefix",
+                "the journal's last record does not carry the seq its position implies",
             ));
         }
-        let mut kept = Vec::new();
-        let mut dropped = 0u64;
-        for (payload, seq) in payloads.iter().zip(seqs) {
-            if seq > upto_seq {
-                frame(payload, &mut kept);
-            } else {
-                dropped += 8 + payload.len() as u64;
-            }
-        }
+        let covered = upto_seq.saturating_add(1).saturating_sub(first);
+        let dropped: usize = payloads
+            .iter()
+            .take(usize::try_from(covered).unwrap_or(usize::MAX))
+            .map(|payload| 8 + payload.len())
+            .sum();
         if dropped == 0 {
             return Ok(0);
         }
+        let kept = bytes.get(dropped..scanned_len).unwrap_or_default();
 
-        replace_durably(&self.path.with_extension("compact"), &self.path, &kept)?;
+        replace_durably(&self.path.with_extension("compact"), &self.path, kept)?;
         // The old handle still points at the pre-rename inode; appends
         // through it would write to an unlinked file. Reopen.
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.valid_len = kept.len() as u64;
-        Ok(dropped)
+        self.first = (!kept.is_empty()).then_some(first + covered);
+        Ok(dropped as u64)
     }
 
     /// Current journal size in bytes.
@@ -799,6 +816,66 @@ mod tests {
             prop_assert_eq!(reopened.len(), records.len() + 1);
             prop_assert_eq!(reopened.last(), Some(&(next, appended)));
         }
+    }
+
+    /// `truncate_prefix` as it was before seqs came from positions:
+    /// decode every record and re-frame those past `upto`.
+    fn decoding_compaction(bytes: &[u8], upto: u64) -> Vec<u8> {
+        let (payloads, _) = scan_frames(bytes);
+        let mut kept = Vec::new();
+        for payload in payloads {
+            let (seq, _) = decode_record(payload).unwrap();
+            if seq > upto {
+                frame(payload, &mut kept);
+            }
+        }
+        kept
+    }
+
+    #[test]
+    fn compaction_by_position_keeps_what_decoding_every_record_kept() {
+        let (full, offsets) = generated_journal();
+        let records = 40;
+        let bytes = &full[..offsets[records]];
+        let next = Command::RunRound { rounds: 1 };
+        for upto in [0, 1, records as u64 / 2, records as u64] {
+            let dir = tmp("positional");
+            let path = dir.join("journal.wal");
+            std::fs::write(&path, bytes).unwrap();
+            let (mut journal, _) = Journal::open(&path, false).unwrap();
+            let expected = decoding_compaction(bytes, upto);
+            let dropped = journal.truncate_prefix(upto).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "cut at {upto}");
+            assert_eq!(dropped, (bytes.len() - expected.len()) as u64);
+            // The journal still knows its first seq: it takes the next
+            // append, and a second compaction agrees with the loop too.
+            journal.append(records as u64 + 1, &next).unwrap();
+            let grown = std::fs::read(&path).unwrap();
+            journal.truncate_prefix(upto + 1).unwrap();
+            let expected = decoding_compaction(&grown, upto + 1);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                expected,
+                "cut at {}",
+                upto + 1
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_refuses_a_journal_whose_last_seq_disagrees_with_its_position() {
+        let dir = tmp("positional-gap");
+        let path = dir.join("journal.wal");
+        let (mut journal, _) = Journal::open(&path, false).unwrap();
+        for seq in [1, 2, 4] {
+            journal
+                .append(seq, &Command::RunRound { rounds: 1 })
+                .unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let err = journal.truncate_prefix(2).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
     }
 
     #[test]

@@ -44,8 +44,7 @@ use crate::error::ServiceError;
 use crate::journal::{replace_durably, Journal};
 use crate::metrics::metrics;
 use crate::shard::{fnv1a, Outcome, ShardRouter};
-use crate::snapshot::{self, Snapshot};
-use crate::state;
+use crate::snapshot;
 
 /// Node deployment configuration.
 #[derive(Debug, Clone)]
@@ -283,19 +282,21 @@ impl ServiceNode {
         let mut snapshot_ok = false;
         let candidates = snapshot::list_snapshots(&cfg.dir);
         for (_, path) in candidates.iter().rev() {
-            let Some(snap) = snapshot::load_file(path) else {
-                metrics().recovery_snapshot_rejected.inc();
-                log!(
-                    Warn,
-                    "snapshot unreadable: {}; trying older",
-                    path.display()
-                );
-                continue;
-            };
-            match ShardRouter::restore_verified(&cfg.market, cfg.shards, &snap.state, snap.digest) {
-                Ok(restored) => {
+            let restored = snapshot::load_image(path)
+                .map_err(ServiceError::from)
+                .and_then(|file| {
+                    let router = ShardRouter::restore_verified(
+                        &cfg.market,
+                        cfg.shards,
+                        file.image,
+                        file.digest,
+                    )?;
+                    Ok((router, file.seq))
+                });
+            match restored {
+                Ok((restored, seq)) => {
                     router = restored;
-                    applied = snap.seq;
+                    applied = seq;
                     snapshot_ok = true;
                     metrics().recovery_snapshot_verified.inc();
                     break;
@@ -304,8 +305,8 @@ impl ServiceNode {
                     metrics().recovery_snapshot_rejected.inc();
                     log!(
                         Warn,
-                        "snapshot rejected seq={} ({why}); trying older",
-                        snap.seq
+                        "snapshot rejected: {} ({why}); trying older",
+                        path.display()
                     );
                 }
             }
@@ -433,20 +434,16 @@ impl ServiceNode {
     /// often appliers pause behind this.
     fn checkpoint_steps(&self, inner: &mut NodeInner, seq: u64) -> Result<(), ServiceError> {
         let m = metrics();
-        // One walk of the state: the digest is a hash of the encoding.
-        let state = state::encode(&self.router.export_state());
-        let snap = Snapshot {
-            seq,
-            digest: state.digest(),
-            state,
-        };
+        let image = self.router.export_state();
         #[expect(
             clippy::disallowed_methods,
             reason = "snapshot-write telemetry; never applied state"
         )]
         let write_started = Instant::now();
-        let path = match snapshot::write_snapshot(&self.cfg.dir, &snap) {
-            Ok(path) => {
+        // One walk of the state: each section is streamed into its
+        // frame, and the digest is a hash of those bytes.
+        let path = match snapshot::write_image(&self.cfg.dir, seq, &image) {
+            Ok((path, _digest)) => {
                 m.snapshot_writes.inc();
                 m.snapshot_write_us
                     .record_duration_us(write_started.elapsed());
@@ -460,6 +457,8 @@ impl ServiceNode {
                 return Err(e.into());
             }
         };
+        // Free the export before the verify step restores a second copy.
+        drop(image);
 
         if self.cfg.keep_snapshots == 0 {
             return Ok(()); // unbounded retention: never compact
@@ -473,19 +472,18 @@ impl ServiceNode {
             reason = "snapshot-verify telemetry; never applied state"
         )]
         let verify_started = Instant::now();
-        let verified = snapshot::load_file(&path)
-            .ok_or_else(|| "reread failed".to_string())
+        let verified = snapshot::load_image(&path)
+            .map_err(ServiceError::from)
             .and_then(|on_disk| {
                 let cfg = &self.cfg;
                 ShardRouter::restore_verified(
                     &cfg.market,
                     cfg.shards,
-                    &on_disk.state,
+                    on_disk.image,
                     on_disk.digest,
                 )
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-            });
+            })
+            .map(drop);
         m.snapshot_verify_us
             .record_duration_us(verify_started.elapsed());
         if let Err(why) = verified {

@@ -674,18 +674,18 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Build a router from an encoded image, trusting it only once the
+    /// Build a router from a decoded image, trusting it only once the
     /// restored state reproduces `expected` — the one rule for state
     /// that arrives from a disk or a socket (recovery, compaction,
     /// worker provisioning). A mismatch is [`ServiceError::Rejected`].
     pub fn restore_verified(
         market: &MarketConfig,
         shards: usize,
-        image: &crate::state::StateImage,
+        image: RouterImage,
         expected: u64,
     ) -> Result<ShardRouter, ServiceError> {
         let router = ShardRouter::new(market, shards);
-        router.restore_state(crate::state::decode(image)?)?;
+        router.restore_state(image)?;
         let digest = router.state_digest();
         if digest != expected {
             return Err(ServiceError::Rejected(format!(
@@ -696,9 +696,10 @@ impl ShardRouter {
     }
 
     /// The state digest: FNV-1a over the canonical encoding of
-    /// [`ShardRouter::export_state`] (see [`StateImage::digest`]). It
-    /// covers everything a materialized snapshot carries — ledger,
-    /// catalog relations cell by cell, lineage, offer books, id
+    /// [`ShardRouter::export_state`] (see [`state::digest`]), streamed
+    /// into the hasher as it is encoded: neither a tree nor the text is
+    /// built. It covers everything a materialized snapshot carries —
+    /// ledger, catalog relations cell by cell, lineage, offer books, id
     /// allocators, RNG stream positions, transactions, deliveries,
     /// audit events, disputes — because it *is* a hash of what the
     /// snapshot carries. Hasher-derived values (content hashes,
@@ -709,9 +710,9 @@ impl ShardRouter {
     /// store this to *prove* a decoded state image equivalent before
     /// the journal tail replays on top.
     ///
-    /// [`StateImage::digest`]: crate::state::StateImage::digest
+    /// [`state::digest`]: crate::state::digest
     pub fn state_digest(&self) -> u64 {
-        crate::state::encode(&self.export_state()).digest()
+        crate::state::digest(&self.export_state())
     }
 }
 

@@ -14,10 +14,17 @@
 //! Format v3 frames: `header, substrate, shard × N, router`. The
 //! sections are encoded as in v2; what changed is the *definition* of
 //! the header's digest (FNV-1a over the sections' own bytes, see
-//! [`StateImage::digest`]), so a v2 file — like a v1 command-prefix
+//! [`state::digest`]), so a v2 file — like a v1 command-prefix
 //! checkpoint — is not readable by this module, and the node's
 //! `node.meta` fingerprint was bumped alongside so older directories
 //! are refused at open, never misread.
+//!
+//! The node writes and reads the sections as text and builds no tree:
+//! [`write_image`] streams each section into its frame and takes the
+//! digest from those same bytes, and [`load_image`] decodes each
+//! CRC-checked section straight from the file's bytes.
+//! [`write_snapshot`] and [`load_file`] are the same files in the tree
+//! form ([`Snapshot`]): one format, one frame scan, two views.
 //!
 //! Files are written atomically (`.tmp` + fsync + rename + directory
 //! fsync), named `snapshot-<seq>.dmp` so the newest sorts last. Stale
@@ -37,12 +44,14 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
+use std::convert::Infallible;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{frame_json, replace_durably, scan_frames};
-use crate::state::{dec_hex, enc_hex, field, StateImage, Wire};
-use crate::wire::Json;
+use crate::journal::{frame_json, frame_with, replace_durably, scan_frames};
+use crate::shard::{Fnv1a, RouterImage};
+use crate::state::{self, dec_hex, enc_hex, field, StateImage, Wire};
+use crate::wire::{Json, Text, WireError};
 
 /// An in-memory snapshot: materialized state + expected digest.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +62,16 @@ pub struct Snapshot {
     pub digest: u64,
     /// The encoded router state (substrate, shards, router allocators).
     pub state: StateImage,
+}
+
+/// A snapshot file decoded straight from its bytes, with no tree.
+pub struct ImageFile {
+    /// Sequence number of the last command folded into the state.
+    pub seq: u64,
+    /// FNV-1a digest the restored router state must reproduce.
+    pub digest: u64,
+    /// The decoded router state.
+    pub image: RouterImage,
 }
 
 /// On-disk format version. v1 (command-prefix checkpoints) and v2 (a
@@ -72,47 +91,98 @@ fn seq_of(path: &Path) -> Option<u64> {
         .and_then(|n| n.parse::<u64>().ok())
 }
 
-/// Write `snapshot` atomically into `dir`; returns the final path.
-pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
+/// The header frame: format version, seq, digest and shard count.
+fn header(seq: u64, digest: u64, shards: usize) -> std::io::Result<Vec<u8>> {
     let header = Json::obj([
         ("version", Json::str(FORMAT_VERSION)),
         // u64 seq and digest exceed f64's exact-integer range: strings.
-        ("seq", snapshot.seq.enc()),
-        ("digest", enc_hex(snapshot.digest)),
-        ("shards", snapshot.state.shards.len().enc()),
+        ("seq", seq.json()),
+        ("digest", enc_hex(digest)),
+        ("shards", shards.json()),
     ]);
-    let mut buf = Vec::new();
-    for section in std::iter::once(&header).chain(snapshot.state.sections()) {
-        frame_json(section, &mut buf)?;
-    }
+    let mut frame = Vec::new();
+    frame_json(&header, &mut frame)?;
+    Ok(frame)
+}
 
-    let final_path = snapshot_path(dir, snapshot.seq);
-    // A failed directory fsync propagates: the node logs it and keeps
-    // running on the journal, and recovery falls back to the previous
-    // intact snapshot.
-    replace_durably(&final_path.with_extension("tmp"), &final_path, &buf)?;
+/// Write the file's bytes atomically into `dir`; returns the final
+/// path. A failed directory fsync propagates: the node logs it and
+/// keeps running on the journal, and recovery falls back to the
+/// previous intact snapshot.
+fn write_file(dir: &Path, seq: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let final_path = snapshot_path(dir, seq);
+    replace_durably(&final_path.with_extension("tmp"), &final_path, bytes)?;
     Ok(final_path)
 }
 
-fn parse_snapshot(bytes: &[u8]) -> Option<Snapshot> {
+/// Write `snapshot` atomically into `dir`; returns the final path.
+pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
+    let state = &snapshot.state;
+    let mut buf = header(snapshot.seq, snapshot.digest, state.shards.len())?;
+    for section in state.sections() {
+        frame_json(section, &mut buf)?;
+    }
+    write_file(dir, snapshot.seq, &buf)
+}
+
+/// Write `image` as the snapshot at `seq`, each section streamed as
+/// text into its frame; returns the final path and the state digest,
+/// hashed from those same section bytes (so it equals
+/// [`state::digest`] of `image`).
+pub fn write_image(dir: &Path, seq: u64, image: &RouterImage) -> std::io::Result<(PathBuf, u64)> {
+    // The header comes first but carries the digest of what follows.
+    // The digest is always 16 hex digits, so a header framed around a
+    // placeholder has the real one's length: reserve it, write the
+    // sections, then overwrite it.
+    let shards = image.shards.len();
+    let mut buf = header(seq, 0, shards)?;
+    let mut hash = Fnv1a::default();
+    for section in state::sections(image) {
+        let payload = buf.len() + 8;
+        let Ok(()) = frame_with(&mut buf, |out| {
+            section.enc(&mut Text::new(out));
+            Ok::<(), Infallible>(())
+        });
+        hash.update(buf.get(payload..).unwrap_or_default());
+    }
+    let digest = hash.finish();
+    let header = header(seq, digest, shards)?;
+    if let Some(slot) = buf.get_mut(..header.len()) {
+        slot.copy_from_slice(&header);
+    }
+    Ok((write_file(dir, seq, &buf)?, digest))
+}
+
+/// The header's seq and digest and the section payloads, in file
+/// order, of an intact format-v3 snapshot; `None` if torn, of another
+/// version, or not holding the sections its header counts.
+fn frames(bytes: &[u8]) -> Option<(u64, u64, Vec<&[u8]>)> {
     let (payloads, valid_len) = scan_frames(bytes);
-    if valid_len != bytes.len() || payloads.is_empty() {
+    if valid_len != bytes.len() {
         return None; // torn or trailing garbage: not an intact snapshot
     }
-    let (first, rest) = payloads.split_first()?;
+    let (first, sections) = payloads.split_first()?;
     let header = Json::parse_bytes(first).ok()?;
     if header.req_str("version").ok()? != FORMAT_VERSION {
         return None;
     }
-    let seq = field(&header, "seq").and_then(u64::dec).ok()?;
+    let seq = field(&header, "seq").and_then(u64::from_json).ok()?;
     let digest = field(&header, "digest").and_then(dec_hex).ok()?;
-    let shards = field(&header, "shards").and_then(usize::dec).ok()?;
-    // header + substrate + shards + router.
-    if rest.len() != shards + 2 {
+    let shards = field(&header, "shards").and_then(usize::from_json).ok()?;
+    // substrate + shards + router.
+    if shards.checked_add(2) != Some(sections.len()) {
         return None;
     }
-    let mut trees = rest
+    Some((seq, digest, sections.to_vec()))
+}
+
+/// Parse one snapshot file into trees; `None` if missing, torn, or
+/// unparseable.
+pub fn load_file(path: &Path) -> Option<Snapshot> {
+    let bytes = fs::read(path).ok()?;
+    let (seq, digest, sections) = frames(&bytes)?;
+    let mut trees = sections
         .iter()
         .map(|payload| Json::parse_bytes(payload).ok())
         .collect::<Option<Vec<Json>>>()?;
@@ -130,9 +200,18 @@ fn parse_snapshot(bytes: &[u8]) -> Option<Snapshot> {
     })
 }
 
-/// Parse one snapshot file; `None` if missing, torn, or unparseable.
-pub fn load_file(path: &Path) -> Option<Snapshot> {
-    parse_snapshot(&fs::read(path).ok()?)
+/// Read one snapshot file and decode each section straight from its
+/// bytes. Accepts exactly the files [`load_file`] and then
+/// [`state::decode`] accept, and decodes them to the same image.
+pub fn load_image(path: &Path) -> Result<ImageFile, WireError> {
+    let bytes = fs::read(path).map_err(|e| WireError::new(format!("unreadable: {e}")))?;
+    let (seq, digest, sections) =
+        frames(&bytes).ok_or_else(|| WireError::new("torn, or not a format-v3 snapshot"))?;
+    Ok(ImageFile {
+        seq,
+        digest,
+        image: state::decode_text(&sections)?,
+    })
 }
 
 /// All snapshot files in `dir`, sorted by sequence number ascending.

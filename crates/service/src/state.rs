@@ -8,12 +8,20 @@
 //! hex form of its IEEE-754 bit pattern (bit-exact, and immune to the
 //! wire codec's non-finite rejection), every record an object with
 //! exactly its fields in a fixed order. Decoding accepts exactly what
-//! encoding emits, so an image has one byte form and
-//! [`StateImage::digest`] — FNV-1a over those bytes — identifies the
-//! state: `digest(image) == digest(encode(restore(decode(image))))`.
+//! encoding emits, so an image has one byte form and [`digest`] —
+//! FNV-1a over those bytes — identifies the state:
+//! `digest(image) == digest(restore(decode(encode(image))))`.
 //!
-//! One `Wire` trait carries both directions. Each image type names
-//! its fields once, in a `record!` or `tagged!` table whose
+//! One `Wire` trait carries both directions, and each image type has
+//! one `enc` and one `dec`. `enc` writes tokens into an emitter
+//! (`wire::Emitter`): compact text into any
+//! [`wire::Sink`](crate::wire::Sink) — a snapshot frame, the digest's
+//! hasher — or a [`Json`] tree for the tree users (RPC envelopes,
+//! [`encode`]). `dec` reads tokens from a reader (`wire::Reader`): the
+//! wire parser over a section's bytes, with [`Json::parse`]'s grammar
+//! and depth limit, or a parsed tree. The node checkpoints, digests and
+//! recovers on the text forms and builds no tree. Each image type
+//! names its fields once, in a `record!` or `tagged!` table whose
 //! generated `enc` destructures the value **without `..`** — a field
 //! added to an image struct does not compile until it is listed. The
 //! exact-bits scalar forms live in the scalar impls and nowhere else.
@@ -52,11 +60,11 @@ use dmp_relation::{
 };
 
 use crate::shard::{Fnv1a, RouterImage};
-use crate::wire::{Json, WireError};
+use crate::wire::{Emitter, Json, Parser, Reader, Text, Tree, TreeReader, WireError};
 
-/// The framed form of a materialized snapshot: one JSON tree for the
+/// The tree form of a materialized snapshot: one JSON tree for the
 /// shared substrate, one per shard, and one for the router-level
-/// allocators. `snapshot.rs` writes each tree as its own CRC frame so a
+/// allocators — the sections `snapshot.rs` writes as CRC frames, so a
 /// torn write is detected per-section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateImage {
@@ -76,10 +84,9 @@ impl StateImage {
             .chain([&self.router])
     }
 
-    /// The state digest: FNV-1a over the sections' wire text in file
-    /// order, hashed as it is produced (nothing is allocated). Two
-    /// images with equal digests encode the same state, and because the
-    /// encoding is canonical the digest of an image equals
+    /// The state digest of the trees: FNV-1a over their wire text in
+    /// file order, hashed as it is dumped. Equal to [`digest`] of the
+    /// image they encode, so an image's digest is also
     /// [`ShardRouter::state_digest`](crate::shard::ShardRouter::state_digest)
     /// of the router it restores to.
     pub fn digest(&self) -> u64 {
@@ -100,19 +107,35 @@ impl StateImage {
             ("router", self.router),
         ])
     }
+}
 
-    /// Inverse of [`StateImage::into_json`].
-    pub fn from_json(j: &Json) -> Result<StateImage, WireError> {
-        Ok(StateImage {
-            substrate: field(j, "substrate")?.clone(),
-            shards: arr(field(j, "shards")?)?.to_vec(),
-            router: field(j, "router")?.clone(),
-        })
+/// The router section: the router-level allocators.
+pub(crate) struct Allocators {
+    next_offer: u64,
+    rng: [u64; 4],
+    rounds: u64,
+}
+
+/// One section of an image, in the order a snapshot file holds them.
+pub(crate) enum Section<'a> {
+    Substrate(&'a SubstrateImage),
+    Shard(&'a MarketShardState),
+    Router(Allocators),
+}
+
+impl Section<'_> {
+    /// Encode the section into `e`.
+    pub(crate) fn enc<E: Emitter>(&self, e: &mut E) {
+        match self {
+            Section::Substrate(substrate) => substrate.enc(e),
+            Section::Shard(shard) => shard.enc(e),
+            Section::Router(allocators) => allocators.enc(e),
+        }
     }
 }
 
-/// Encode a router state image into its wire-JSON snapshot form.
-pub fn encode(image: &RouterImage) -> StateImage {
+/// `image`'s sections in file order: substrate, every shard, router.
+pub(crate) fn sections(image: &RouterImage) -> impl Iterator<Item = Section<'_>> {
     let RouterImage {
         substrate,
         shards,
@@ -120,44 +143,135 @@ pub fn encode(image: &RouterImage) -> StateImage {
         round_rng,
         rounds,
     } = image;
+    let router = Allocators {
+        next_offer: *next_offer,
+        rng: *round_rng,
+        rounds: *rounds,
+    };
+    std::iter::once(Section::Substrate(substrate))
+        .chain(shards.iter().map(Section::Shard))
+        .chain([Section::Router(router)])
+}
+
+/// The state digest: FNV-1a over the image's wire text, section by
+/// section in file order, hashed as it is written — no tree and no
+/// text is held.
+pub fn digest(image: &RouterImage) -> u64 {
+    let mut hash = Fnv1a::default();
+    for section in sections(image) {
+        section.enc(&mut Text::new(&mut hash));
+    }
+    hash.finish()
+}
+
+/// Encode a router state image into its tree form.
+pub fn encode(image: &RouterImage) -> StateImage {
+    let mut trees: Vec<Json> = sections(image)
+        .map(|section| Tree::build(|t| section.enc(t)))
+        .collect();
+    let router = trees.pop().unwrap_or(Json::Null);
+    let mut trees = trees.into_iter();
     StateImage {
-        substrate: substrate.enc(),
-        shards: shards.iter().map(Wire::enc).collect(),
-        router: Json::obj([
-            ("next_offer", next_offer.enc()),
-            ("rng", round_rng.enc()),
-            ("rounds", rounds.enc()),
-        ]),
+        substrate: trees.next().unwrap_or(Json::Null),
+        shards: trees.collect(),
+        router,
     }
 }
 
-/// Decode a snapshot back into a router state image. Any structural
-/// defect — missing field, bad integer, unknown tag — is a [`WireError`];
-/// the caller treats the snapshot as unusable and falls back.
+/// Decode a snapshot's trees back into a router state image. Any
+/// structural defect — missing field, bad integer, unknown tag — is a
+/// [`WireError`]; the caller treats the snapshot as unusable and falls
+/// back.
 pub fn decode(state: &StateImage) -> Result<RouterImage, WireError> {
-    let mut router = Fields::of(&state.router)?;
-    let image = RouterImage {
-        substrate: Wire::dec(&state.substrate)?,
-        shards: state
-            .shards
+    decode_trees(&state.substrate, &state.shards, &state.router)
+}
+
+/// Decode the document [`StateImage::into_json`] makes, reading the
+/// sections in place.
+pub(crate) fn decode_document(j: &Json) -> Result<RouterImage, WireError> {
+    decode_trees(
+        field(j, "substrate")?,
+        arr(field(j, "shards")?)?,
+        field(j, "router")?,
+    )
+}
+
+fn decode_trees(
+    substrate: &Json,
+    shards: &[Json],
+    router: &Json,
+) -> Result<RouterImage, WireError> {
+    Ok(image(
+        Wire::from_json(substrate)?,
+        shards
             .iter()
-            .map(Wire::dec)
+            .map(Wire::from_json)
             .collect::<Result<_, _>>()?,
-        next_offer: router.next("next_offer")?,
-        round_rng: router.next("rng")?,
-        rounds: router.next("rounds")?,
-    };
-    router.end()?;
-    Ok(image)
+        Wire::from_json(router)?,
+    ))
+}
+
+/// Decode a snapshot's sections — substrate, every shard, router — from
+/// their text, as the file holds them: no tree is built.
+pub(crate) fn decode_text(sections: &[&[u8]]) -> Result<RouterImage, WireError> {
+    let missing = || WireError::new("a state image needs a substrate and a router section");
+    let (substrate, rest) = sections.split_first().ok_or_else(missing)?;
+    let (router, shards) = rest.split_last().ok_or_else(missing)?;
+    Ok(image(
+        from_text(substrate)?,
+        shards
+            .iter()
+            .map(|s| from_text(s))
+            .collect::<Result<_, _>>()?,
+        from_text(router)?,
+    ))
+}
+
+fn image(
+    substrate: SubstrateImage,
+    shards: Vec<MarketShardState>,
+    router: Allocators,
+) -> RouterImage {
+    let Allocators {
+        next_offer,
+        rng,
+        rounds,
+    } = router;
+    RouterImage {
+        substrate,
+        shards,
+        next_offer,
+        round_rng: rng,
+        rounds,
+    }
+}
+
+/// Decode one document from its text: what `Json::parse_bytes` and
+/// then [`Wire::from_json`] accept, and nothing else.
+pub(crate) fn from_text<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut parser = Parser::over(bytes)?;
+    let value = T::dec(&mut parser)?;
+    parser.finish()?;
+    Ok(value)
 }
 
 /// A value with one canonical wire-JSON form: `dec` accepts exactly
 /// what `enc` emits and nothing else.
 pub(crate) trait Wire: Sized {
     /// The canonical encoding.
-    fn enc(&self) -> Json;
+    fn enc<E: Emitter>(&self, e: &mut E);
     /// Decode, refusing anything `enc` would not have produced.
-    fn dec(j: &Json) -> Result<Self, WireError>;
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError>;
+
+    /// The encoding as a tree.
+    fn json(&self) -> Json {
+        Tree::build(|t| self.enc(t))
+    }
+
+    /// Decode from a tree.
+    fn from_json(j: &Json) -> Result<Self, WireError> {
+        Self::dec(&mut TreeReader::new(j))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -179,12 +293,13 @@ fn canonical_decimal(s: &str) -> bool {
 macro_rules! decimal_wire {
     ($($int:ty),+) => {$(
         impl Wire for $int {
-            fn enc(&self) -> Json {
-                Json::Str(self.to_string())
+            fn enc<E: Emitter>(&self, e: &mut E) {
+                let n = *self as i128;
+                e.decimal(n.unsigned_abs() as u64, n < 0);
             }
 
-            fn dec(j: &Json) -> Result<Self, WireError> {
-                j.as_str()
+            fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+                Some(r.str()?)
                     .filter(|s| canonical_decimal(s))
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| {
@@ -196,61 +311,65 @@ macro_rules! decimal_wire {
 }
 decimal_wire!(u64, i64, u32, usize);
 
-/// A 64-bit word as 16 lower-case hex digits (floats' bit patterns, and
-/// the digest in a snapshot header).
-pub(crate) fn enc_hex(word: u64) -> Json {
-    Json::Str(format!("{word:016x}"))
-}
-
-/// Inverse of [`enc_hex`]: no sign, no upper case, no other width.
-pub(crate) fn dec_hex(j: &Json) -> Result<u64, WireError> {
-    j.as_str()
+/// The 16 lower-case hex digits of `s` as a word: no sign, no upper
+/// case, no other width.
+fn hex_word(s: &str) -> Result<u64, WireError> {
+    Some(s)
         .filter(|s| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or_else(|| WireError::new("expected 16 lower-case hex digits"))
 }
 
+/// A 64-bit word as 16 lower-case hex digits (the digest in a snapshot
+/// header; floats' bit patterns are the same form).
+pub(crate) fn enc_hex(word: u64) -> Json {
+    Json::Str(format!("{word:016x}"))
+}
+
+/// Inverse of [`enc_hex`].
+pub(crate) fn dec_hex(j: &Json) -> Result<u64, WireError> {
+    hex_word(j.as_str().unwrap_or_default())
+}
+
 /// Floats travel as the hex bit pattern: exact for every value including
 /// NaN payloads and infinities, which wire JSON cannot represent.
 impl Wire for f64 {
-    fn enc(&self) -> Json {
-        enc_hex(self.to_bits())
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.hex(self.to_bits());
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        dec_hex(j).map(f64::from_bits)
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        hex_word(&r.str()?).map(f64::from_bits)
     }
 }
 
 impl Wire for bool {
-    fn enc(&self) -> Json {
-        Json::Bool(*self)
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.bool(*self);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        j.as_bool().ok_or_else(|| WireError::new("expected bool"))
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.bool()
     }
 }
 
 impl Wire for String {
-    fn enc(&self) -> Json {
-        Json::Str(self.clone())
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.str(self);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        j.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| WireError::new("expected string"))
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.str().map(|s| s.into_owned())
     }
 }
 
 impl Wire for DatasetId {
-    fn enc(&self) -> Json {
-        self.0.enc()
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        self.0.enc(e);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        u64::dec(j).map(DatasetId)
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        u64::dec(r).map(DatasetId)
     }
 }
 
@@ -262,126 +381,138 @@ pub(crate) fn arr(j: &Json) -> Result<&[Json], WireError> {
     j.as_arr().ok_or_else(|| WireError::new("expected array"))
 }
 
-/// Field lookup in an RPC envelope (records decode through [`Fields`]).
+/// Field lookup in an RPC envelope (records decode through [`member`]).
 pub(crate) fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, WireError> {
     obj.get(key)
         .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
 }
 
 /// A slice as an array of its elements' encodings.
-pub(crate) fn enc_all<T: Wire>(items: &[T]) -> Json {
-    Json::Arr(items.iter().map(T::enc).collect())
+pub(crate) fn enc_all<T: Wire, E: Emitter>(items: &[T], e: &mut E) {
+    e.open_arr(items.len());
+    for item in items {
+        e.item();
+        item.enc(e);
+    }
+    e.close_arr();
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn enc(&self) -> Json {
-        enc_all(self)
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        enc_all(self, e);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        arr(j)?.iter().map(T::dec).collect()
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_arr()?;
+        let mut items = Vec::new();
+        while r.more()? {
+            items.push(T::dec(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn enc(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::enc)
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        match self {
+            Some(value) => value.enc(e),
+            None => e.null(),
+        }
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        match j {
-            Json::Null => Ok(None),
-            other => T::dec(other).map(Some),
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::dec(r).map(Some)
         }
     }
 }
 
 /// A shared value travels as the value itself.
 impl<T: Wire> Wire for Arc<T> {
-    fn enc(&self) -> Json {
-        T::enc(self)
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        T::enc(self, e);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        T::dec(j).map(Arc::new)
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        T::dec(r).map(Arc::new)
     }
 }
 
 /// xoshiro256++ state words.
 impl Wire for [u64; 4] {
-    fn enc(&self) -> Json {
-        enc_all(self)
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        enc_all(self, e);
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        <Vec<u64>>::dec(j)?
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        <Vec<u64>>::dec(r)?
             .try_into()
             .map_err(|_| WireError::new("rng state must be 4 words"))
     }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn enc(&self) -> Json {
-        Json::Arr(vec![self.0.enc(), self.1.enc()])
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_arr(2);
+        e.item();
+        self.0.enc(e);
+        e.item();
+        self.1.enc(e);
+        e.close_arr();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        match arr(j)? {
-            [a, b] => Ok((A::dec(a)?, B::dec(b)?)),
-            _ => Err(WireError::new("expected a 2-element array")),
-        }
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_arr()?;
+        r.item()?;
+        let a = A::dec(r)?;
+        r.item()?;
+        let b = B::dec(r)?;
+        r.close_arr()?;
+        Ok((a, b))
     }
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn enc(&self) -> Json {
-        Json::Arr(vec![self.0.enc(), self.1.enc(), self.2.enc()])
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_arr(3);
+        e.item();
+        self.0.enc(e);
+        e.item();
+        self.1.enc(e);
+        e.item();
+        self.2.enc(e);
+        e.close_arr();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        match arr(j)? {
-            [a, b, c] => Ok((A::dec(a)?, B::dec(b)?, C::dec(c)?)),
-            _ => Err(WireError::new("expected a 3-element array")),
-        }
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_arr()?;
+        r.item()?;
+        let a = A::dec(r)?;
+        r.item()?;
+        let b = B::dec(r)?;
+        r.item()?;
+        let c = C::dec(r)?;
+        r.close_arr()?;
+        Ok((a, b, c))
     }
 }
 
-/// Cursor over an object's fields for record decoding: every field must
-/// be present, in encoding order, and nothing may follow the last.
-pub(crate) struct Fields<'a>(std::slice::Iter<'a, (String, Json)>);
+/// Decode the next member of a record, which must be `key`.
+pub(crate) fn member<T: Wire, R: Reader>(r: &mut R, key: &str) -> Result<T, WireError> {
+    r.key(key)?;
+    T::dec(r)
+}
 
-impl<'a> Fields<'a> {
-    pub(crate) fn of(j: &'a Json) -> Result<Self, WireError> {
-        match j {
-            Json::Obj(pairs) => Ok(Fields(pairs.iter())),
-            _ => Err(WireError::new("expected object")),
-        }
-    }
-
-    /// Decode the next field, which must be `key`.
-    pub(crate) fn next<T: Wire>(&mut self, key: &str) -> Result<T, WireError> {
-        match self.0.next() {
-            Some((k, v)) if k == key => T::dec(v),
-            _ => Err(WireError::new(format!("missing field '{key}'"))),
-        }
-    }
-
-    /// The leading `"v"` field of a versioned record: anything but
-    /// `supported` is refused.
-    pub(crate) fn version(&mut self, supported: u64) -> Result<(), WireError> {
-        match self.next::<u64>("v")? {
-            v if v == supported => Ok(()),
-            v => Err(WireError::new(format!(
-                "wire version {v} is not the supported {supported}"
-            ))),
-        }
-    }
-
-    pub(crate) fn end(mut self) -> Result<(), WireError> {
-        match self.0.next() {
-            None => Ok(()),
-            Some((k, _)) => Err(WireError::new(format!("unexpected field '{k}'"))),
-        }
+/// The leading `"v"` member of a versioned record: anything but
+/// `supported` is refused.
+pub(crate) fn version<R: Reader>(r: &mut R, supported: u64) -> Result<(), WireError> {
+    match member::<u64, R>(r, "v")? {
+        v if v == supported => Ok(()),
+        v => Err(WireError::new(format!(
+            "wire version {v} is not the supported {supported}"
+        ))),
     }
 }
 
@@ -392,32 +523,43 @@ impl<'a> Fields<'a> {
 macro_rules! record {
     ($(#[version = $version:expr])? $ty:path { $($field:ident => $key:literal),+ $(,)? }) => {
         impl $crate::state::Wire for $ty {
-            fn enc(&self) -> $crate::wire::Json {
+            fn enc<E: $crate::wire::Emitter>(&self, e: &mut E) {
                 let Self { $($field),+ } = self;
-                $crate::wire::Json::Obj(vec![
-                    $(("v".to_string(), $crate::state::Wire::enc(&$version)),)?
-                    $(($key.to_string(), $crate::state::Wire::enc($field))),+
-                ])
+                e.open_obj([$($key),+].len() $(+ { let _ = $version; 1 })?);
+                $(
+                    e.key("v");
+                    $crate::state::Wire::enc(&$version, e);
+                )?
+                $(
+                    e.key($key);
+                    $crate::state::Wire::enc($field, e);
+                )+
+                e.close_obj();
             }
 
-            fn dec(j: &$crate::wire::Json) -> Result<Self, $crate::wire::WireError> {
-                let mut fields = $crate::state::Fields::of(j)?;
-                $(fields.version($version)?;)?
-                let out = Self { $($field: fields.next($key)?),+ };
-                fields.end()?;
+            fn dec<R: $crate::wire::Reader>(r: &mut R) -> Result<Self, $crate::wire::WireError> {
+                r.open_obj()?;
+                $($crate::state::version(r, $version)?;)?
+                let out = Self { $($field: $crate::state::member(r, $key)?),+ };
+                r.close_obj()?;
                 Ok(out)
             }
         }
     };
     ($ty:path as ($($field:ident),+)) => {
         impl $crate::state::Wire for $ty {
-            fn enc(&self) -> $crate::wire::Json {
+            fn enc<E: $crate::wire::Emitter>(&self, e: &mut E) {
                 let Self { $($field),+ } = self;
-                $crate::wire::Json::Arr(vec![$($crate::state::Wire::enc($field)),+])
+                e.open_arr([$(stringify!($field)),+].len());
+                $(
+                    e.item();
+                    $crate::state::Wire::enc($field, e);
+                )+
+                e.close_arr();
             }
 
-            fn dec(j: &$crate::wire::Json) -> Result<Self, $crate::wire::WireError> {
-                let ($($field),+) = $crate::state::Wire::dec(j)?;
+            fn dec<R: $crate::wire::Reader>(r: &mut R) -> Result<Self, $crate::wire::WireError> {
+                let ($($field),+) = $crate::state::Wire::dec(r)?;
                 Ok(Self { $($field),+ })
             }
         }
@@ -433,23 +575,29 @@ macro_rules! tagged {
         $($tag:literal => $variant:ident $({ $($field:ident => $key:literal),+ })?),+ $(,)?
     }) => {
         impl Wire for $ty {
-            fn enc(&self) -> Json {
+            fn enc<E: Emitter>(&self, e: &mut E) {
                 match self {
-                    $(Self::$variant $({ $($field),+ })? => Json::Obj(vec![
-                        ("k".to_string(), Json::str($tag)),
-                        $($(($key.to_string(), $field.enc())),+)?
-                    ]),)+
+                    $(Self::$variant $({ $($field),+ })? => {
+                        e.open_obj(["k" $($(, $key)+)?].len());
+                        e.key("k");
+                        e.str($tag);
+                        $($(
+                            e.key($key);
+                            $field.enc(e);
+                        )+)?
+                    })+
                 }
+                e.close_obj();
             }
 
-            fn dec(j: &Json) -> Result<Self, WireError> {
-                let mut fields = Fields::of(j)?;
-                let tag: String = fields.next("k")?;
+            fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+                r.open_obj()?;
+                let tag: String = member(r, "k")?;
                 let out = match tag.as_str() {
-                    $($tag => Self::$variant $({ $($field: fields.next($key)?),+ })?,)+
+                    $($tag => Self::$variant $({ $($field: member(r, $key)?),+ })?,)+
                     _ => return Err(WireError::new(concat!("unknown ", stringify!($ty), " tag"))),
                 };
-                fields.end()?;
+                r.close_obj()?;
                 Ok(out)
             }
         }
@@ -461,25 +609,25 @@ macro_rules! tagged {
 // ---------------------------------------------------------------------
 
 impl Wire for DataType {
-    fn enc(&self) -> Json {
-        Json::str(match self {
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.str(match self {
             DataType::Bool => "bool",
             DataType::Int => "int",
             DataType::Float => "float",
             DataType::Str => "str",
             DataType::Timestamp => "ts",
             DataType::Any => "any",
-        })
+        });
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        match j.as_str() {
-            Some("bool") => Ok(DataType::Bool),
-            Some("int") => Ok(DataType::Int),
-            Some("float") => Ok(DataType::Float),
-            Some("str") => Ok(DataType::Str),
-            Some("ts") => Ok(DataType::Timestamp),
-            Some("any") => Ok(DataType::Any),
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        match r.str()?.as_ref() {
+            "bool" => Ok(DataType::Bool),
+            "int" => Ok(DataType::Int),
+            "float" => Ok(DataType::Float),
+            "str" => Ok(DataType::Str),
+            "ts" => Ok(DataType::Timestamp),
+            "any" => Ok(DataType::Any),
             _ => Err(WireError::new("unknown dtype tag")),
         }
     }
@@ -489,34 +637,66 @@ impl Wire for DataType {
 /// `["I","42"]`, `["F","<bits>"]`, `["S","text"]`, `["T","-3"]`,
 /// `["M",[["<src>",value],...]]`.
 impl Wire for Value {
-    fn enc(&self) -> Json {
-        let tagged = |tag: &str, payload: Json| Json::Arr(vec![Json::str(tag), payload]);
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        let tag = match self {
+            Value::Null => "N",
+            Value::Bool(_) => "B",
+            Value::Int(_) => "I",
+            Value::Float(_) => "F",
+            Value::Str(_) => "S",
+            Value::Timestamp(_) => "T",
+            Value::Multi(_) => "M",
+        };
+        e.open_arr(if let Value::Null = self { 1 } else { 2 });
+        e.item();
+        e.str(tag);
         match self {
-            Value::Null => Json::Arr(vec![Json::str("N")]),
-            Value::Bool(b) => tagged("B", b.enc()),
-            Value::Int(i) => tagged("I", i.enc()),
-            Value::Float(f) => tagged("F", f.enc()),
-            Value::Str(s) => tagged("S", Json::str(s.as_ref())),
-            Value::Timestamp(t) => tagged("T", t.enc()),
-            Value::Multi(parts) => tagged("M", parts.enc()),
+            Value::Null => {}
+            Value::Bool(b) => {
+                e.item();
+                b.enc(e);
+            }
+            Value::Int(i) | Value::Timestamp(i) => {
+                e.item();
+                i.enc(e);
+            }
+            Value::Float(f) => {
+                e.item();
+                f.enc(e);
+            }
+            Value::Str(s) => {
+                e.item();
+                e.str(s);
+            }
+            Value::Multi(parts) => {
+                e.item();
+                parts.enc(e);
+            }
         }
+        e.close_arr();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        let (tag, payload) = match arr(j)? {
-            [Json::Str(tag), payload @ ..] => (tag.as_str(), payload),
-            _ => return Err(WireError::new("value tag must be a string")),
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_arr()?;
+        r.item()?;
+        let tag = match r.str()?.as_bytes() {
+            [tag @ (b'N' | b'B' | b'I' | b'F' | b'S' | b'T' | b'M')] => *tag,
+            _ => return Err(WireError::new("unknown value tag")),
         };
-        match (tag, payload) {
-            ("N", []) => Ok(Value::Null),
-            ("B", [b]) => bool::dec(b).map(Value::Bool),
-            ("I", [i]) => i64::dec(i).map(Value::Int),
-            ("F", [f]) => f64::dec(f).map(Value::Float),
-            ("S", [Json::Str(s)]) => Ok(Value::Str(Arc::from(s.as_str()))),
-            ("T", [t]) => i64::dec(t).map(Value::Timestamp),
-            ("M", [parts]) => Wire::dec(parts).map(Value::Multi),
-            _ => Err(WireError::new("unknown value tag or payload")),
+        if tag != b'N' {
+            r.item()?;
         }
+        let value = match tag {
+            b'B' => Value::Bool(bool::dec(r)?),
+            b'I' => Value::Int(i64::dec(r)?),
+            b'F' => Value::Float(f64::dec(r)?),
+            b'S' => Value::Str(Arc::from(r.str()?.as_ref())),
+            b'T' => Value::Timestamp(i64::dec(r)?),
+            b'M' => Value::Multi(Wire::dec(r)?),
+            _ => Value::Null,
+        };
+        r.close_arr()?;
+        Ok(value)
     }
 }
 
@@ -525,48 +705,59 @@ record!(ProvAtom as (dataset, row));
 
 /// `[name, dtype]`.
 impl Wire for Field {
-    fn enc(&self) -> Json {
-        Json::Arr(vec![Json::str(self.name()), self.dtype().enc()])
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_arr(2);
+        e.item();
+        e.str(self.name());
+        e.item();
+        self.dtype().enc(e);
+        e.close_arr();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        let (name, dtype): (String, DataType) = Wire::dec(j)?;
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        let (name, dtype): (String, DataType) = Wire::dec(r)?;
         Ok(Field::new(name, dtype))
     }
 }
 
 /// `[[value, …], [atom, …]]`: the cells, then the recorded provenance.
 impl Wire for Row {
-    fn enc(&self) -> Json {
-        Json::Arr(vec![
-            enc_all(self.values()),
-            enc_all(self.provenance().atoms()),
-        ])
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_arr(2);
+        e.item();
+        enc_all(self.values(), e);
+        e.item();
+        enc_all(self.provenance().atoms(), e);
+        e.close_arr();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        let (values, atoms): (Vec<Value>, Vec<ProvAtom>) = Wire::dec(j)?;
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        let (values, atoms): (Vec<Value>, Vec<ProvAtom>) = Wire::dec(r)?;
         Ok(Row::new(values, Provenance::from_atoms(atoms)))
     }
 }
 
 impl Wire for Relation {
-    fn enc(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(self.name())),
-            ("source", self.source().enc()),
-            ("schema", enc_all(self.schema().fields())),
-            ("rows", enc_all(self.rows())),
-        ])
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_obj(4);
+        e.key("name");
+        e.str(self.name());
+        e.key("source");
+        self.source().enc(e);
+        e.key("schema");
+        enc_all(self.schema().fields(), e);
+        e.key("rows");
+        enc_all(self.rows(), e);
+        e.close_obj();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        let mut fields = Fields::of(j)?;
-        let name: String = fields.next("name")?;
-        let source: Option<DatasetId> = fields.next("source")?;
-        let schema: Vec<Field> = fields.next("schema")?;
-        let rows: Vec<Row> = fields.next("rows")?;
-        fields.end()?;
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_obj()?;
+        let name: String = member(r, "name")?;
+        let source: Option<DatasetId> = member(r, "source")?;
+        let schema: Vec<Field> = member(r, "schema")?;
+        let rows: Vec<Row> = member(r, "rows")?;
+        r.close_obj()?;
         let schema = Schema::new(schema)
             .map_err(|e| WireError::new(format!("bad snapshot schema: {e}")))?
             .shared();
@@ -703,35 +894,47 @@ tagged!(TaskKind {
 
 /// Two tuple variants, which the `tagged!` table has no syntax for.
 impl Wire for PriceCurve {
-    fn enc(&self) -> Json {
-        let tag = |k: &str| ("k", Json::str(k));
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        e.open_obj(3);
+        e.key("k");
         match self {
-            PriceCurve::Step(steps) => Json::obj([tag("step"), ("steps", steps.enc())]),
+            PriceCurve::Step(steps) => {
+                e.str("step");
+                e.key("steps");
+                steps.enc(e);
+            }
             PriceCurve::Linear {
                 min_satisfaction,
                 max_price,
-            } => Json::obj([
-                tag("lin"),
-                ("min", min_satisfaction.enc()),
-                ("max", max_price.enc()),
-            ]),
-            PriceCurve::Constant(p) => Json::obj([tag("const"), ("p", p.enc())]),
+            } => {
+                e.str("lin");
+                e.key("min");
+                min_satisfaction.enc(e);
+                e.key("max");
+                max_price.enc(e);
+            }
+            PriceCurve::Constant(p) => {
+                e.str("const");
+                e.key("p");
+                p.enc(e);
+            }
         }
+        e.close_obj();
     }
 
-    fn dec(j: &Json) -> Result<Self, WireError> {
-        let mut fields = Fields::of(j)?;
-        let tag: String = fields.next("k")?;
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        r.open_obj()?;
+        let tag: String = member(r, "k")?;
         let out = match tag.as_str() {
-            "step" => PriceCurve::Step(fields.next("steps")?),
+            "step" => PriceCurve::Step(member(r, "steps")?),
             "lin" => PriceCurve::Linear {
-                min_satisfaction: fields.next("min")?,
-                max_price: fields.next("max")?,
+                min_satisfaction: member(r, "min")?,
+                max_price: member(r, "max")?,
             },
-            "const" => PriceCurve::Constant(fields.next("p")?),
+            "const" => PriceCurve::Constant(member(r, "p")?),
             _ => return Err(WireError::new("unknown curve tag")),
         };
-        fields.end()?;
+        r.close_obj()?;
         Ok(out)
     }
 }
@@ -817,20 +1020,46 @@ tagged!(DisputeState {
     "res" => Resolved { refund => "refund" },
 });
 
+// ---------------------------------------------------------------------
+// Router-level allocators.
+// ---------------------------------------------------------------------
+
+record!(Allocators {
+    next_offer => "next_offer",
+    rng => "rng",
+    rounds => "rounds",
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fmt::Debug;
 
+    /// The text `enc` writes, which must be the dump of the tree it
+    /// builds.
+    fn text<T: Wire>(v: &T) -> String {
+        let mut out = String::new();
+        v.enc(&mut Text::new(&mut out));
+        assert_eq!(out, v.json().dump());
+        out
+    }
+
     fn round_trips<T: Wire + PartialEq + Debug>(values: &[T]) {
         for v in values {
-            assert_eq!(&T::dec(&v.enc()).unwrap(), v);
+            assert_eq!(&T::from_json(&v.json()).unwrap(), v);
+            assert_eq!(&from_text::<T>(text(v).as_bytes()).unwrap(), v);
         }
     }
 
+    /// Both readers refuse each form: the tree, and its text.
     fn refuses<T: Wire + Debug>(forms: &[Json]) {
         for form in forms {
-            assert!(T::dec(form).is_err(), "accepted {form:?}");
+            assert!(T::from_json(form).is_err(), "accepted {form:?}");
+            let dumped = form.dump();
+            assert!(
+                from_text::<T>(dumped.as_bytes()).is_err(),
+                "accepted {dumped}"
+            );
         }
     }
 
@@ -877,9 +1106,11 @@ mod tests {
             0x7ff8_0000_dead_beef, // a NaN with a payload
             u64::MAX,
         ] {
-            let encoded = f64::from_bits(bits).enc();
+            let encoded = f64::from_bits(bits).json();
             assert_eq!(encoded, Json::str(format!("{bits:016x}")));
-            assert_eq!(f64::dec(&encoded).unwrap().to_bits(), bits);
+            assert_eq!(f64::from_json(&encoded).unwrap().to_bits(), bits);
+            let dumped = text(&f64::from_bits(bits));
+            assert_eq!(from_text::<f64>(dumped.as_bytes()).unwrap().to_bits(), bits);
         }
         refuses::<f64>(&[
             Json::str("+00000000000003f"),
@@ -903,10 +1134,10 @@ mod tests {
             reputation: 0.5,
             excluded_until: 3,
         };
-        let Json::Obj(pairs) = p.enc() else {
+        let Json::Obj(pairs) = p.json() else {
             panic!("a record encodes as an object")
         };
-        let back = Participant::dec(&Json::Obj(pairs.clone())).unwrap();
+        let back = Participant::from_json(&Json::Obj(pairs.clone())).unwrap();
         assert_eq!(
             (back.name, back.role, back.reputation, back.excluded_until),
             (p.name, p.role, p.reputation, p.excluded_until)
@@ -956,5 +1187,64 @@ mod tests {
         ]);
         refuses::<(u64, u64)>(&[parse(r#"["1"]"#), parse(r#"["1","2","3"]"#)]);
         refuses::<[u64; 4]>(&[parse(r#"["1","2","3"]"#)]);
+    }
+
+    /// Every one-byte insertion of a structural character and every
+    /// one-byte deletion of a document: the text reader accepts the
+    /// variant exactly when the tree parser and the tree reader do, and
+    /// decodes it to the same value.
+    fn single_edits_agree<T: Wire + PartialEq + Debug>(value: &T) {
+        let honest = text(value);
+        let mut variants = Vec::new();
+        for at in 0..=honest.len() {
+            for b in b",:[]{}\" n1\\\t" {
+                let mut v = honest.clone().into_bytes();
+                v.insert(at, *b);
+                variants.push(v);
+            }
+            if at < honest.len() {
+                let mut v = honest.clone().into_bytes();
+                v.remove(at);
+                variants.push(v);
+            }
+        }
+        for variant in variants {
+            let trees = Json::parse_bytes(&variant).and_then(|j| T::from_json(&j));
+            let streamed = from_text::<T>(&variant);
+            assert_eq!(
+                trees.ok(),
+                streamed.ok(),
+                "{}",
+                String::from_utf8_lossy(&variant)
+            );
+        }
+    }
+
+    #[test]
+    fn the_text_reader_agrees_with_the_tree_path_on_every_single_edit() {
+        let multi = Value::Multi(vec![
+            Sourced {
+                source: DatasetId(1),
+                value: Value::str("a\"b"),
+            },
+            Sourced {
+                source: DatasetId(20),
+                value: Value::Null,
+            },
+        ]);
+        single_edits_agree(&(
+            (
+                License::Exclusive {
+                    tax_rate: 0.35,
+                    hold_rounds: 2,
+                },
+                PriceCurve::Step(vec![(0.8, 100.0)]),
+            ),
+            (
+                vec![multi, Value::Float(1.5), Value::Bool(true)],
+                Some((false, String::from("x"))),
+            ),
+        ));
+        single_edits_agree(&(None::<u64>, Vec::<i64>::new()));
     }
 }

@@ -16,6 +16,12 @@
 //! are rejected at encode time (JSON has no NaN/Infinity). `dump ∘
 //! parse` is the identity on every value this module can produce; the
 //! property suite in `tests/wire_props.rs` pins that down.
+//!
+//! Codecs that state a type's form once (`state.rs`) write and read it
+//! a token at a time: an `Emitter` writes compact text into a [`Sink`]
+//! (byte-identical to dumping the tree) or builds the tree, and a
+//! `Reader` reads the text with this parser's own grammar and depth
+//! limit, or walks a parsed tree.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(
@@ -28,6 +34,7 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -230,13 +237,9 @@ impl Json {
 
     /// Parse a JSON document (one value, surrounded by whitespace only).
     pub fn parse(input: &str) -> Result<Json, WireError> {
-        let mut p = Parser { src: input, pos: 0 };
-        p.skip_ws();
+        let mut p = Parser::new(input);
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != input.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        p.finish()?;
         Ok(value)
     }
 
@@ -245,12 +248,16 @@ impl Json {
     /// in place. Invalid UTF-8 is an error at the first bad byte —
     /// never repaired.
     pub fn parse_bytes(input: &[u8]) -> Result<Json, WireError> {
-        let text = std::str::from_utf8(input).map_err(|e| WireError {
-            msg: "invalid UTF-8".into(),
-            pos: e.valid_up_to(),
-        })?;
-        Json::parse(text)
+        Json::parse(utf8(input)?)
     }
+}
+
+/// `input` as text: invalid UTF-8 is an error at the first bad byte.
+fn utf8(input: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(input).map_err(|e| WireError {
+        msg: "invalid UTF-8".into(),
+        pos: e.valid_up_to(),
+    })
 }
 
 /// A buffer [`Json::dump_into`] can append UTF-8 text to.
@@ -317,12 +324,50 @@ fn write_escaped<S: Sink>(s: &str, out: &mut S) {
 /// once, when the `&str` was made; the parser only ever stops on ASCII
 /// bytes, so every slice it takes is on char boundaries and `get`
 /// returning `None` is unreachable rather than a panic.
-struct Parser<'a> {
+///
+/// It reads a document two ways over the same primitives: into a
+/// [`Json`] tree ([`Json::parse`]), or a token at a time as a
+/// [`Reader`] (the state-image sections), with one grammar and one
+/// depth limit.
+pub(crate) struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// [`Reader`] only: containers open around the cursor.
+    depth: usize,
+    /// [`Reader`] only: the innermost open container has had no
+    /// element or member yet.
+    first: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        let mut p = Parser {
+            src,
+            pos: 0,
+            depth: 0,
+            first: false,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// A [`Reader`] over one document in `input`, bytes off a disk or
+    /// a socket: validated as [`Json::parse_bytes`] validates them.
+    /// Read one value, then [`Parser::finish`].
+    pub(crate) fn over(input: &'a [u8]) -> Result<Self, WireError> {
+        utf8(input).map(Parser::new)
+    }
+
+    /// Only whitespace may follow the value.
+    pub(crate) fn finish(mut self) -> Result<(), WireError> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
+    }
+
     fn err(&self, msg: impl Into<String>) -> WireError {
         WireError {
             msg: msg.into(),
@@ -354,13 +399,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, WireError> {
+    fn keyword(&mut self, lit: &str) -> Result<(), WireError> {
         if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected '{lit}'")))
         }
+    }
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, WireError> {
+        self.keyword(lit).map(|()| value)
     }
 
     fn value(&mut self, depth: usize) -> Result<Json, WireError> {
@@ -432,22 +481,36 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, WireError> {
+        self.cow_string().map(Cow::into_owned)
+    }
+
+    /// A string literal, borrowed from the input when it holds no
+    /// escape.
+    fn cow_string(&mut self) -> Result<Cow<'a, str>, WireError> {
         self.require(b'"')?;
         let mut out = String::new();
         loop {
             // Copy the run up to the next byte that needs a decision;
             // the time spent on a string is linear in its length.
-            let rest = self.src.get(self.pos..).unwrap_or_default();
-            let run = rest.bytes().position(needs_escape).unwrap_or(rest.len());
-            out.push_str(rest.get(..run).unwrap_or_default());
-            self.pos += run;
+            let src = self.src;
+            let rest = src.get(self.pos..).unwrap_or_default();
+            let len = rest.bytes().position(needs_escape).unwrap_or(rest.len());
+            let run = rest.get(..len).unwrap_or_default();
+            self.pos += len;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    // Every escape pushes a char: `out` is empty only
+                    // if there was none.
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
@@ -540,6 +603,521 @@ impl<'a> Parser<'a> {
             return Err(self.err("number out of range"));
         }
         Ok(Json::Num(n))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Token streams: a value written or read one token at a time, so a
+// codec (`state.rs`) states each type's form once and runs it against
+// text or a tree.
+// ---------------------------------------------------------------------
+
+/// Where an encoder writes a value, token by token. Callers pair every
+/// `open_*` with its `close_*`, call [`Emitter::item`] before each array
+/// element and [`Emitter::key`] before each member's value.
+pub(crate) trait Emitter {
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// An integer as a string of its decimal digits, led by `-` when
+    /// `negative`: `to_string`'s form.
+    fn decimal(&mut self, magnitude: u64, negative: bool);
+    /// A 64-bit word as a string of 16 lower-case hex digits.
+    fn hex(&mut self, word: u64);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// `null`.
+    fn null(&mut self);
+    /// `[` of an array of `len` elements.
+    fn open_arr(&mut self, len: usize);
+    /// Before each array element.
+    fn item(&mut self);
+    /// `]`.
+    fn close_arr(&mut self);
+    /// `{` of an object of `len` members.
+    fn open_obj(&mut self, len: usize);
+    /// Before each member's value.
+    fn key(&mut self, key: &str);
+    /// `}`.
+    fn close_obj(&mut self);
+}
+
+/// An [`Emitter`] writing compact text into a [`Sink`]: the bytes
+/// [`Json::dump_into`] writes for the tree [`Tree`] builds from the
+/// same calls.
+pub(crate) struct Text<'s, S: Sink> {
+    out: &'s mut S,
+    /// The innermost open container has had no element or member yet.
+    first: bool,
+}
+
+impl<'s, S: Sink> Text<'s, S> {
+    pub(crate) fn new(out: &'s mut S) -> Self {
+        Text { out, first: false }
+    }
+
+    fn quoted(&mut self, digits: Digits) {
+        self.out.push_str("\"");
+        self.out.push_str(digits.as_str());
+        self.out.push_str("\"");
+    }
+
+    fn separate(&mut self) {
+        if !self.first {
+            self.out.push_str(",");
+        }
+        self.first = false;
+    }
+}
+
+impl<S: Sink> Emitter for Text<'_, S> {
+    fn str(&mut self, s: &str) {
+        write_escaped(s, self.out);
+    }
+
+    fn decimal(&mut self, magnitude: u64, negative: bool) {
+        self.quoted(Digits::decimal(magnitude, negative));
+    }
+
+    fn hex(&mut self, word: u64) {
+        self.quoted(Digits::hex(word));
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn open_arr(&mut self, _len: usize) {
+        self.out.push_str("[");
+        self.first = true;
+    }
+
+    fn item(&mut self) {
+        self.separate();
+    }
+
+    fn close_arr(&mut self) {
+        self.out.push_str("]");
+        self.first = false;
+    }
+
+    fn open_obj(&mut self, _len: usize) {
+        self.out.push_str("{");
+        self.first = true;
+    }
+
+    fn key(&mut self, key: &str) {
+        self.separate();
+        write_escaped(key, self.out);
+        self.out.push_str(":");
+    }
+
+    fn close_obj(&mut self) {
+        self.out.push_str("}");
+        self.first = false;
+    }
+}
+
+/// A number's digits, written on the stack for [`Text`]: formatting
+/// through `fmt` costs more than the digits, and a state image holds
+/// hundreds of thousands of numbers. At most 20 characters: the digits
+/// of `u64::MAX`, or `-` and the 19 of `i64::MIN`.
+struct Digits {
+    buf: [u8; 20],
+    start: usize,
+}
+
+impl Digits {
+    /// Decimal, led by `-` when `negative`: `to_string`'s form.
+    fn decimal(mut magnitude: u64, negative: bool) -> Digits {
+        let mut d = Digits {
+            buf: [0; 20],
+            start: 20,
+        };
+        loop {
+            d.push(b'0' + (magnitude % 10) as u8);
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
+            }
+        }
+        if negative {
+            d.push(b'-');
+        }
+        d
+    }
+
+    /// 16 lower-case hex digits: `{:016x}`.
+    fn hex(word: u64) -> Digits {
+        let mut d = Digits {
+            buf: [0; 20],
+            start: 20,
+        };
+        for nibble in (0..16).map(|i| (word >> (4 * i) & 0xf) as u8) {
+            d.push(if nibble < 10 {
+                b'0' + nibble
+            } else {
+                b'a' + nibble - 10
+            });
+        }
+        d
+    }
+
+    /// Prepend `b`.
+    fn push(&mut self, b: u8) {
+        self.start = self.start.saturating_sub(1);
+        if let Some(slot) = self.buf.get_mut(self.start) {
+            *slot = b;
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        let digits = self.buf.get(self.start..).unwrap_or_default();
+        std::str::from_utf8(digits).unwrap_or_default()
+    }
+}
+
+/// An [`Emitter`] building the [`Json`] tree of what it is given.
+#[derive(Default)]
+pub(crate) struct Tree {
+    /// Open containers, innermost last.
+    open: Vec<Json>,
+    /// Keys of members whose values are not yet put, innermost last.
+    keys: Vec<String>,
+    root: Option<Json>,
+}
+
+impl Tree {
+    /// The tree of the value `enc` emits.
+    pub(crate) fn build(enc: impl FnOnce(&mut Tree)) -> Json {
+        let mut tree = Tree::default();
+        enc(&mut tree);
+        tree.root.unwrap_or(Json::Null)
+    }
+
+    fn put(&mut self, value: Json) {
+        match self.open.last_mut() {
+            Some(Json::Arr(items)) => items.push(value),
+            Some(Json::Obj(pairs)) => pairs.push((self.keys.pop().unwrap_or_default(), value)),
+            _ => self.root = Some(value),
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some(container) = self.open.pop() {
+            self.put(container);
+        }
+    }
+}
+
+impl Emitter for Tree {
+    fn str(&mut self, s: &str) {
+        self.put(Json::str(s));
+    }
+
+    fn decimal(&mut self, magnitude: u64, negative: bool) {
+        self.put(Json::Str(if negative {
+            format!("-{magnitude}")
+        } else {
+            magnitude.to_string()
+        }));
+    }
+
+    fn hex(&mut self, word: u64) {
+        self.put(Json::Str(format!("{word:016x}")));
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.put(Json::Bool(b));
+    }
+
+    fn null(&mut self) {
+        self.put(Json::Null);
+    }
+
+    fn open_arr(&mut self, len: usize) {
+        self.open.push(Json::Arr(Vec::with_capacity(len)));
+    }
+
+    fn item(&mut self) {}
+
+    fn close_arr(&mut self) {
+        self.close();
+    }
+
+    fn open_obj(&mut self, len: usize) {
+        self.open.push(Json::Obj(Vec::with_capacity(len)));
+    }
+
+    fn key(&mut self, key: &str) {
+        self.keys.push(key.to_string());
+    }
+
+    fn close_obj(&mut self) {
+        self.close();
+    }
+}
+
+/// Where a decoder reads a value from, token by token; each call
+/// refuses what is not there. Inside an array, [`Reader::more`] comes
+/// before each element and once after the last; inside an object,
+/// [`Reader::key`] names each member in order and
+/// [`Reader::close_obj`] follows the last.
+pub(crate) trait Reader {
+    /// A string (borrowed where the source allows).
+    fn str(&mut self) -> Result<Cow<'_, str>, WireError>;
+    /// `true` / `false`.
+    fn bool(&mut self) -> Result<bool, WireError>;
+    /// Consume a `null` if one is next; `false` leaves the value.
+    fn null(&mut self) -> Result<bool, WireError>;
+    /// `[`.
+    fn open_arr(&mut self) -> Result<(), WireError>;
+    /// Whether another element follows; `false` has consumed the `]`.
+    fn more(&mut self) -> Result<bool, WireError>;
+    /// `{`.
+    fn open_obj(&mut self) -> Result<(), WireError>;
+    /// The next member, which must be named `key`.
+    fn key(&mut self, key: &str) -> Result<(), WireError>;
+    /// `}`, with no member left.
+    fn close_obj(&mut self) -> Result<(), WireError>;
+
+    /// Another element must follow.
+    fn item(&mut self) -> Result<(), WireError> {
+        if self.more()? {
+            Ok(())
+        } else {
+            Err(WireError::new("array too short"))
+        }
+    }
+
+    /// No element may follow.
+    fn close_arr(&mut self) -> Result<(), WireError> {
+        if self.more()? {
+            Err(WireError::new("array too long"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl Parser<'_> {
+    /// Past a separator: a value starts here, as deep as
+    /// [`Parser::value`] would have been asked to read it.
+    fn element(&mut self) -> Result<(), WireError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.skip_ws();
+        Ok(())
+    }
+
+    fn open(&mut self, b: u8) -> Result<(), WireError> {
+        self.require(b)?;
+        self.depth += 1;
+        self.first = true;
+        self.skip_ws();
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth = self.depth.saturating_sub(1);
+        self.first = false;
+        self.skip_ws();
+    }
+}
+
+/// The token reader over text: the grammar of [`Json::parse`], the
+/// depth limit included, with whitespace allowed wherever it allows it.
+impl Reader for Parser<'_> {
+    fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
+        let s = self.cow_string()?;
+        self.skip_ws();
+        Ok(s)
+    }
+
+    fn bool(&mut self) -> Result<bool, WireError> {
+        let b = match self.peek() {
+            Some(b't') => self.keyword("true").map(|()| true),
+            Some(b'f') => self.keyword("false").map(|()| false),
+            _ => Err(self.err("expected bool")),
+        }?;
+        self.skip_ws();
+        Ok(b)
+    }
+
+    fn null(&mut self) -> Result<bool, WireError> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.keyword("null")?;
+        self.skip_ws();
+        Ok(true)
+    }
+
+    fn open_arr(&mut self) -> Result<(), WireError> {
+        self.open(b'[')
+    }
+
+    fn more(&mut self) -> Result<bool, WireError> {
+        match (self.peek(), std::mem::take(&mut self.first)) {
+            (Some(b']'), _) => {
+                self.close();
+                Ok(false)
+            }
+            (_, true) => self.element().map(|()| true),
+            (Some(b','), false) => {
+                self.pos += 1;
+                self.element().map(|()| true)
+            }
+            _ => Err(self.err("expected ',' or ']' in array")),
+        }
+    }
+
+    fn open_obj(&mut self) -> Result<(), WireError> {
+        self.open(b'{')
+    }
+
+    fn key(&mut self, key: &str) -> Result<(), WireError> {
+        if !std::mem::take(&mut self.first) {
+            self.require(b',')
+                .map_err(|_| self.err(format!("missing field '{key}'")))?;
+            self.skip_ws();
+        }
+        if self.cow_string()? != key {
+            return Err(self.err(format!("missing field '{key}'")));
+        }
+        self.skip_ws();
+        self.require(b':')?;
+        self.element()
+    }
+
+    fn close_obj(&mut self) -> Result<(), WireError> {
+        if self.peek() != Some(b'}') {
+            return Err(self.err("expected '}': unexpected field"));
+        }
+        self.close();
+        Ok(())
+    }
+}
+
+/// The token reader over a parsed [`Json`] tree.
+pub(crate) struct TreeReader<'a> {
+    /// The value the next read takes.
+    next: Option<&'a Json>,
+    /// Open containers: the elements or members not yet read.
+    open: Vec<Open<'a>>,
+}
+
+enum Open<'a> {
+    Arr(std::slice::Iter<'a, Json>),
+    Obj(std::slice::Iter<'a, (String, Json)>),
+}
+
+impl<'a> TreeReader<'a> {
+    pub(crate) fn new(root: &'a Json) -> Self {
+        TreeReader {
+            next: Some(root),
+            open: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn take(&mut self, what: &str) -> Result<&'a Json, WireError> {
+        self.next
+            .take()
+            .ok_or_else(|| WireError::new(format!("expected {what}")))
+    }
+}
+
+impl Reader for TreeReader<'_> {
+    #[inline]
+    fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
+        match self.take("string")? {
+            Json::Str(s) => Ok(Cow::Borrowed(s)),
+            _ => Err(WireError::new("expected string")),
+        }
+    }
+
+    #[inline]
+    fn bool(&mut self) -> Result<bool, WireError> {
+        self.take("bool")?
+            .as_bool()
+            .ok_or_else(|| WireError::new("expected bool"))
+    }
+
+    #[inline]
+    fn null(&mut self) -> Result<bool, WireError> {
+        let null = matches!(self.next, Some(Json::Null));
+        if null {
+            self.next = None;
+        }
+        Ok(null)
+    }
+
+    #[inline]
+    fn open_arr(&mut self) -> Result<(), WireError> {
+        match self.take("array")? {
+            Json::Arr(items) => {
+                self.open.push(Open::Arr(items.iter()));
+                Ok(())
+            }
+            _ => Err(WireError::new("expected array")),
+        }
+    }
+
+    #[inline]
+    fn more(&mut self) -> Result<bool, WireError> {
+        let Some(Open::Arr(items)) = self.open.last_mut() else {
+            return Err(WireError::new("not in an array"));
+        };
+        self.next = items.next();
+        if self.next.is_none() {
+            self.open.pop();
+        }
+        Ok(self.next.is_some())
+    }
+
+    #[inline]
+    fn open_obj(&mut self) -> Result<(), WireError> {
+        match self.take("object")? {
+            Json::Obj(pairs) => {
+                self.open.push(Open::Obj(pairs.iter()));
+                Ok(())
+            }
+            _ => Err(WireError::new("expected object")),
+        }
+    }
+
+    #[inline]
+    fn key(&mut self, key: &str) -> Result<(), WireError> {
+        match self.open.last_mut() {
+            Some(Open::Obj(pairs)) => match pairs.next() {
+                Some((k, v)) if k == key => {
+                    self.next = Some(v);
+                    Ok(())
+                }
+                _ => Err(WireError::new(format!("missing field '{key}'"))),
+            },
+            _ => Err(WireError::new("not in an object")),
+        }
+    }
+
+    #[inline]
+    fn close_obj(&mut self) -> Result<(), WireError> {
+        match self.open.last_mut() {
+            Some(Open::Obj(pairs)) => match pairs.next() {
+                None => {
+                    self.open.pop();
+                    Ok(())
+                }
+                Some((k, _)) => Err(WireError::new(format!("unexpected field '{k}'"))),
+            },
+            _ => Err(WireError::new("not in an object")),
+        }
     }
 }
 

@@ -47,12 +47,11 @@ use rayon::prelude::*;
 
 use crate::codec;
 use crate::command::Command;
-use crate::error::ServiceError;
 use crate::gateway::{err_body, parse_body, Service};
 use crate::http::{Request, Response};
 use crate::node::config_fingerprint;
 use crate::shard::ShardRouter;
-use crate::state::{field, StateImage, Wire};
+use crate::state::{self, field, Wire};
 use crate::wire::{Json, WireError};
 
 /// Protocol phase at which a worker kills itself — fault injection for
@@ -175,7 +174,7 @@ impl WorkerNode {
     /// and silently diverge — refuse instead.
     fn checked_body(&self, req: &Request) -> Result<Json, Response> {
         let body = parse_body(req)?;
-        let fp = arg(&body, "fp", String::dec)?;
+        let fp = arg(&body, "fp", String::from_json)?;
         if fp != self.fingerprint {
             let msg = format!(
                 "config fingerprint mismatch: worker is '{}', request is '{fp}'",
@@ -204,14 +203,14 @@ impl WorkerNode {
     /// effects exactly like journal replay (`router.apply` is total).
     fn rpc_apply(&self, req: &Request) -> Result<Json, Response> {
         let body = self.checked_body(req)?;
-        let seq = arg(&body, "seq", u64::dec)?;
+        let seq = arg(&body, "seq", u64::from_json)?;
         let cmd = arg(&body, "cmd", Command::decode)?;
         let router = self.router();
         // Rejections are part of the deterministic state machine: the
         // coordinator journaled this command whatever its outcome.
         let _ = router.apply(&cmd);
         self.applied.store(seq, Ordering::Relaxed);
-        Ok(Json::obj([("applied", seq.enc())]))
+        Ok(Json::obj([("applied", seq.json())]))
     }
 
     /// `POST /internal/candidates {fp, round, seed, shards}` — compute
@@ -225,7 +224,7 @@ impl WorkerNode {
         let (round, seed) = round_and_seed(&body)?;
         let router = self.router();
         let shard_count = router.shard_count();
-        let assigned = arg(&body, "shards", <Vec<usize>>::dec)?;
+        let assigned = arg(&body, "shards", <Vec<usize>>::from_json)?;
         if let Some(i) = assigned.iter().find(|&&i| i >= shard_count) {
             let msg = format!("shard {i} out of range for {shard_count} shards");
             return Err(Response::json(400, err_body(&msg)));
@@ -273,7 +272,7 @@ impl WorkerNode {
             }
         }
         Ok(Json::obj([
-            ("round", round.enc()),
+            ("round", round.json()),
             ("exports", codec::encode_exports(&reply)),
         ]))
     }
@@ -314,8 +313,8 @@ impl WorkerNode {
         self.maybe_kill(KillPhase::MidSettle, round);
         let report = router.finish_round(ctxs, sales);
         Ok(Json::obj([
-            ("rounds", router.rounds_completed().enc()),
-            ("sales", report.sales.enc()),
+            ("rounds", router.rounds_completed().json()),
+            ("sales", report.sales.json()),
         ]))
     }
 
@@ -323,9 +322,9 @@ impl WorkerNode {
     fn rpc_digest(&self) -> Json {
         let router = self.router();
         Json::obj([
-            ("digest", router.state_digest().enc()),
-            ("rounds", router.rounds_completed().enc()),
-            ("applied", self.applied.load(Ordering::Relaxed).enc()),
+            ("digest", router.state_digest().json()),
+            ("rounds", router.rounds_completed().json()),
+            ("applied", self.applied.load(Ordering::Relaxed).json()),
         ])
     }
 
@@ -338,21 +337,18 @@ impl WorkerNode {
     /// stale by definition and dropped.
     fn rpc_restore(&self, req: &Request) -> Result<Json, Response> {
         let body = self.checked_body(req)?;
-        let applied = arg(&body, "applied", u64::dec)?;
-        let digest = arg(&body, "digest", u64::dec)?;
-        let image = arg(&body, "state", StateImage::from_json)?;
+        let applied = arg(&body, "applied", u64::from_json)?;
+        let digest = arg(&body, "digest", u64::from_json)?;
+        let image = arg(&body, "state", state::decode_document)?;
         let cfg = &self.cfg;
-        let fresh = ShardRouter::restore_verified(&cfg.market, cfg.shards, &image, digest)
-            .map_err(|e| match e {
-                ServiceError::Wire(e) => bad_field(e),
-                e => Response::json(409, err_body(&format!("not installed: {e}"))),
-            })?;
+        let fresh = ShardRouter::restore_verified(&cfg.market, cfg.shards, image, digest)
+            .map_err(|e| Response::json(409, err_body(&format!("not installed: {e}"))))?;
         *self.pending.lock() = None;
         *self.router.lock() = Arc::new(fresh);
         self.applied.store(applied, Ordering::Relaxed);
         Ok(Json::obj([
-            ("digest", digest.enc()),
-            ("applied", applied.enc()),
+            ("digest", digest.json()),
+            ("applied", applied.json()),
         ]))
     }
 
@@ -394,7 +390,10 @@ fn check_seed(seed: u64, mine: u64, how: &str) -> Result<(), Response> {
 
 /// The `round` and `seed` of a round RPC, `round`'s refusal first.
 fn round_and_seed(body: &Json) -> Result<(u64, u64), Response> {
-    Ok((arg(body, "round", u64::dec)?, arg(body, "seed", u64::dec)?))
+    Ok((
+        arg(body, "round", u64::from_json)?,
+        arg(body, "seed", u64::from_json)?,
+    ))
 }
 
 /// Decode the body field `key`; a missing or malformed one is a 400.
@@ -430,7 +429,7 @@ impl Service for WorkerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state;
+    use crate::state::StateImage;
     use dmp_mechanism::design::MarketDesign;
 
     fn worker_cfg() -> WorkerConfig {
@@ -461,7 +460,7 @@ mod tests {
         };
         let body = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("seq", 1u64.enc()),
+            ("seq", 1u64.json()),
             ("cmd", cmd.encode()),
         ]);
         let resp = worker.handle(&post("/internal/apply", body));
@@ -474,7 +473,7 @@ mod tests {
         let worker = WorkerNode::new(worker_cfg());
         let body = Json::obj([
             ("fp", Json::str("v4 shards=9 seed=9 ...")),
-            ("seq", 1u64.enc()),
+            ("seq", 1u64.json()),
             (
                 "cmd",
                 Command::Enroll {
@@ -495,18 +494,18 @@ mod tests {
         let seed = worker.router().predict_round_seed();
         let wrong_seed = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.enc()),
-            ("seed", seed.wrapping_add(1).enc()),
-            ("shards", Json::Arr(vec![0usize.enc()])),
+            ("round", 1u64.json()),
+            ("seed", seed.wrapping_add(1).json()),
+            ("shards", Json::Arr(vec![0usize.json()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", wrong_seed));
         assert_eq!(resp.status, 409, "{}", resp.body);
 
         let wrong_round = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", 7u64.enc()),
-            ("seed", seed.enc()),
-            ("shards", Json::Arr(vec![0usize.enc()])),
+            ("round", 7u64.json()),
+            ("seed", seed.json()),
+            ("shards", Json::Arr(vec![0usize.json()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", wrong_round));
         assert_eq!(resp.status, 409);
@@ -534,9 +533,9 @@ mod tests {
         let seed = worker.router().predict_round_seed();
         let candidates = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.enc()),
-            ("seed", seed.enc()),
-            ("shards", Json::Arr(vec![0usize.enc()])),
+            ("round", 1u64.json()),
+            ("seed", seed.json()),
+            ("shards", Json::Arr(vec![0usize.json()])),
         ]);
         let resp = worker.handle(&post("/internal/candidates", candidates));
         assert_eq!(resp.status, 200, "{}", resp.body);
@@ -569,8 +568,8 @@ mod tests {
         };
         let settle = Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.enc()),
-            ("seed", seed.enc()),
+            ("round", 1u64.json()),
+            ("seed", seed.json()),
             ("exports", codec::encode_exports(&exports)),
         ]);
         let resp = worker.handle(&post("/internal/settle", settle));
@@ -599,8 +598,8 @@ mod tests {
     fn restore_body(worker: &WorkerNode, digest: u64, image: StateImage) -> Json {
         Json::obj([
             ("fp", Json::str(worker.fingerprint())),
-            ("applied", 2u64.enc()),
-            ("digest", digest.enc()),
+            ("applied", 2u64.json()),
+            ("digest", digest.json()),
             ("state", image.into_json()),
         ])
     }

@@ -10,7 +10,9 @@ use dmp_mechanism::design::MarketDesign;
 use dmp_mechanism::wtp::{PriceCurve, TaskKind};
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::shard::ShardRouter;
+use dmp_service::snapshot::{self, Snapshot};
 use dmp_service::state::{self, StateImage};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::Json;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -279,4 +281,100 @@ fn property_streams_populate_the_state() {
         }
     }
     assert!(sales > 0, "streams never cleared a sale — vacuous property");
+}
+
+// ---------------------------------------------------------------------
+// The streamed codec against the tree adapters: the node checkpoints,
+// digests and recovers on text and builds no tree, so every byte it
+// writes and every verdict it reaches must equal the tree path's.
+// ---------------------------------------------------------------------
+
+/// The frames of a snapshot file: `(len u32 LE, crc u32 LE, payload)`.
+fn frame_payloads(bytes: &[u8]) -> Vec<&[u8]> {
+    let mut payloads = Vec::new();
+    let mut rest = bytes;
+    while let [l0, l1, l2, l3, _, _, _, _, tail @ ..] = rest {
+        let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize;
+        let (payload, after) = tail.split_at(len);
+        payloads.push(payload);
+        rest = after;
+    }
+    payloads
+}
+
+/// The node's loader and the tree loader read `path` alike: both
+/// accept and decode images with equal digests, or both refuse.
+fn loaders_agree(path: &std::path::Path) -> Result<Option<u64>, TestCaseError> {
+    let streamed = snapshot::load_image(path)
+        .ok()
+        .map(|f| state::digest(&f.image));
+    let trees = snapshot::load_file(path)
+        .and_then(|snap| state::decode(&snap.state).ok())
+        .map(|image| state::digest(&image));
+    prop_assert_eq!(
+        streamed,
+        trees,
+        "the loaders disagree on {}",
+        path.display()
+    );
+    Ok(streamed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On the states `command_stream` reaches at 1 and 4 shards: each
+    /// section the node streams into its snapshot is the dump of
+    /// `state::encode`'s tree section byte for byte (the whole file is
+    /// `write_snapshot`'s), the streamed digest is the trees' digest,
+    /// and the node's loader agrees with `load_file` + `state::decode`
+    /// on the file and on each single-leaf mutation of it.
+    #[test]
+    fn the_streamed_codec_writes_and_reads_what_the_trees_do(
+        seed in 0u64..10_000,
+        four in proptest::bool::ANY,
+        rounds in 1usize..4,
+        pick in 0usize..1_000_000,
+    ) {
+        let shards = if four { 4 } else { 1 };
+        let router = ShardRouter::new(&market_config(seed), shards);
+        for cmd in command_stream(rounds, seed) {
+            let _ = router.apply(&cmd);
+        }
+        let trees = state::encode(&router.export_state());
+        prop_assert_eq!(router.state_digest(), trees.digest());
+
+        let dir = ScratchDir::new("state-props-streamed");
+        let streamed_dir = dir.join("streamed");
+        let (path, digest) =
+            snapshot::write_image(&streamed_dir, 9, &router.export_state()).unwrap();
+        prop_assert_eq!(digest, trees.digest());
+        let bytes = std::fs::read(&path).unwrap();
+        let payloads = frame_payloads(&bytes);
+        prop_assert_eq!(payloads.len(), shards + 3);
+        for (payload, tree) in payloads[1..].iter().zip(trees.sections()) {
+            prop_assert_eq!(std::str::from_utf8(payload).unwrap(), tree.dump());
+        }
+        let snap = Snapshot { seq: 9, digest, state: trees.clone() };
+        let tree_path = snapshot::write_snapshot(&dir.join("trees"), &snap).unwrap();
+        prop_assert!(std::fs::read(&tree_path).unwrap() == bytes, "the files differ");
+        prop_assert_eq!(loaders_agree(&path)?, Some(digest));
+
+        // One leaf changed, as in `no_leaf_of_the_image_is_parsed_and_ignored`.
+        let mut sections: Vec<Json> = trees.sections().cloned().collect();
+        let total: usize = sections.iter().map(count_leaves).sum();
+        let mut n = pick % total;
+        for section in &mut sections {
+            mutate_leaf(section, &mut n);
+        }
+        let router_section = sections.pop().expect("router section");
+        let tampered = StateImage {
+            substrate: sections.remove(0),
+            shards: sections,
+            router: router_section,
+        };
+        let snap = Snapshot { seq: 9, digest, state: tampered };
+        let path = snapshot::write_snapshot(&dir.join("tampered"), &snap).unwrap();
+        loaders_agree(&path)?;
+    }
 }

@@ -3,8 +3,17 @@
 //! `Json::parse_bytes`, and a linear-scaling check. (The golden
 //! durability files this suite introduced are in `tests/golden.rs`.)
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use dmp_core::market::MarketConfig;
+use dmp_mechanism::design::MarketDesign;
+use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
+use dmp_service::journal::crc32;
+use dmp_service::shard::ShardRouter;
+use dmp_service::snapshot;
+use dmp_service::state;
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::{Json, WireError};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -273,7 +282,15 @@ struct MutatedDocument;
 impl Strategy for MutatedDocument {
     type Value = Vec<u8>;
     fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
-        let mut bytes = arb_json(rng, 3).dump().into_bytes();
+        let bytes = arb_json(rng, 3).dump().into_bytes();
+        MutatedDocument::damage(rng, bytes)
+    }
+}
+
+impl MutatedDocument {
+    /// A few bytes of `bytes` flipped, replaced, inserted, removed or
+    /// cut off.
+    fn damage(rng: &mut TestRng, mut bytes: Vec<u8>) -> Vec<u8> {
         for _ in 0..rng.gen_range(1usize..4) {
             let at = rng.gen_range(0usize..bytes.len().max(1));
             match rng.gen_range(0u32..5) {
@@ -419,4 +436,179 @@ fn parse_cost_per_byte_is_flat_from_64_kib_to_4_mib() {
         small.len(),
         large.len()
     );
+}
+
+// ---------------------------------------------------------------------
+// (d) The snapshot section reader: a node decodes each CRC-checked
+// section straight from the file's bytes. Whatever a section holds, it
+// must never panic and must accept exactly what `Json::parse_bytes`
+// and `state::decode` accept (`load_file` is that tree path).
+// ---------------------------------------------------------------------
+
+/// The frame payloads (header, substrate, shards, router) of a small
+/// honest two-shard snapshot: strings with escapes, floats, a cleared
+/// trade, an offer left pending.
+fn honest_sections() -> &'static Vec<Vec<u8>> {
+    static SECTIONS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    SECTIONS.get_or_init(|| {
+        let market =
+            MarketConfig::external(11).with_design(MarketDesign::posted_price_baseline(5.0));
+        let router = ShardRouter::new(&market, 2);
+        let table = TableSpec {
+            name: "cities \"q\" π\n".into(),
+            columns: vec![
+                ("city".into(), ColType::Str),
+                ("pop".into(), ColType::Float),
+            ],
+            rows: vec![
+                vec![CellSpec::Str("Zürich\t→".into()), CellSpec::Float(0.1)],
+                vec![CellSpec::Null, CellSpec::Float(-2.5)],
+            ],
+        };
+        for cmd in [
+            Command::Enroll {
+                name: "s".into(),
+                role: "seller".into(),
+            },
+            Command::Enroll {
+                name: "b".into(),
+                role: "buyer".into(),
+            },
+            Command::Deposit {
+                account: "b".into(),
+                amount: 40.0,
+            },
+            Command::SubmitAsk(AskSpec {
+                seller: "s".into(),
+                table,
+                reserve: None,
+                license: None,
+            }),
+            Command::SubmitOffer(OfferSpec::simple("b", ["city", "pop"], 9.0)),
+            Command::RunRound { rounds: 1 },
+            Command::SubmitOffer(OfferSpec::simple("b", ["elevation"], 3.0)),
+        ] {
+            let _ = router.apply(&cmd);
+        }
+        let dir = ScratchDir::new("wire-parser-sections");
+        let (path, _) = snapshot::write_image(dir.path(), 7, &router.export_state()).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let mut sections = Vec::new();
+        let mut rest = &bytes[..];
+        while rest.len() >= 8 {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            sections.push(rest[8..8 + len].to_vec());
+            rest = &rest[8 + len..];
+        }
+        assert_eq!(sections.len(), 5, "header, substrate, two shards, router");
+        sections
+    })
+}
+
+/// The honest file with section `at` holding `payload`, CRC-valid.
+fn snapshot_with(at: usize, payload: &[u8]) -> Vec<u8> {
+    let mut file = Vec::new();
+    for (i, section) in honest_sections().iter().enumerate() {
+        let payload = if i == at { payload } else { section };
+        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        file.extend_from_slice(&crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+    }
+    file
+}
+
+/// Write `file` and read it with both loaders: they must both refuse,
+/// or both accept and decode to images with equal digests. Returns
+/// whether they accepted.
+fn loaders_agree_on(file: &[u8]) -> bool {
+    let dir = ScratchDir::new("wire-parser-loaders");
+    let path = dir.join("snapshot-00000000000000000007.dmp");
+    std::fs::write(&path, file).unwrap();
+    let streamed = snapshot::load_image(&path)
+        .ok()
+        .map(|f| state::digest(&f.image));
+    let trees = snapshot::load_file(&path)
+        .and_then(|snap| state::decode(&snap.state).ok())
+        .map(|image| state::digest(&image));
+    assert_eq!(streamed, trees, "the loaders disagree");
+    streamed.is_some()
+}
+
+/// A section (never the header) and what it holds instead: the honest
+/// text damaged as [`MutatedDocument`] damages a document, or cut
+/// short, or [`ArbitraryBytes`].
+struct HostileSection;
+
+impl Strategy for HostileSection {
+    type Value = (usize, Vec<u8>);
+    fn generate(&self, rng: &mut TestRng) -> (usize, Vec<u8>) {
+        let sections = honest_sections();
+        let at = rng.gen_range(1usize..sections.len());
+        let honest = sections[at].clone();
+        let payload = match rng.gen_range(0u32..3) {
+            0 => MutatedDocument::damage(rng, honest),
+            1 => honest[..rng.gen_range(0usize..=honest.len())].to_vec(),
+            _ => ArbitraryBytes.generate(rng),
+        };
+        (at, payload)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_sections_never_panic_and_the_loaders_agree(hostile in HostileSection) {
+        let (at, payload) = hostile;
+        loaders_agree_on(&snapshot_with(at, &payload));
+    }
+}
+
+#[test]
+fn the_honest_snapshot_and_reformatted_sections_load_alike() {
+    assert!(loaders_agree_on(&snapshot_with(0, &honest_sections()[0])));
+    // Whitespace between every token and escapes for plain characters
+    // are the same document to the parser, so to both loaders.
+    for at in 1..honest_sections().len() {
+        let text = std::str::from_utf8(&honest_sections()[at]).unwrap();
+        let spaced = text
+            .replace(',', " ,\n")
+            .replace(':', "\t: ")
+            .replace('[', "[ ")
+            .replace('}', "\r\n}");
+        assert!(loaders_agree_on(&snapshot_with(at, spaced.as_bytes())));
+        let escaped = text.replacen("\"k\"", "\"\\u006b\"", 1);
+        assert!(loaders_agree_on(&snapshot_with(at, escaped.as_bytes())));
+    }
+}
+
+#[test]
+fn invalid_utf8_in_a_section_is_refused_by_both_loaders() {
+    for at in 1..honest_sections().len() {
+        let mut bytes = honest_sections()[at].clone();
+        let quote = bytes.iter().position(|&b| b == b'"').unwrap();
+        bytes.insert(quote + 1, 0xff);
+        assert!(!loaders_agree_on(&snapshot_with(at, &bytes)));
+    }
+}
+
+#[test]
+fn the_depth_limit_is_the_parsers_in_both_loaders() {
+    // A fused cell nested `k` deep in place of the first float cell:
+    // each level opens three containers, so some `k` crosses the
+    // parser's 64-level limit; both loaders must refuse from there on.
+    let substrate = std::str::from_utf8(&honest_sections()[1]).unwrap();
+    let float = substrate.find("[\"F\",\"").unwrap();
+    let end = float + substrate[float..].find(']').unwrap() + 1;
+    let verdicts: Vec<bool> = (0..30)
+        .flat_map(|k| {
+            ["[\"N\"]", "[\"M\",[]]", "[\"S\",\"x\"]"].map(|inner| {
+                let nested =
+                    (0..k).fold(inner.to_string(), |v, _| format!("[\"M\",[[\"1\",{v}]]]"));
+                let text = format!("{}{nested}{}", &substrate[..float], &substrate[end..]);
+                loaders_agree_on(&snapshot_with(1, text.as_bytes()))
+            })
+        })
+        .collect();
+    assert!(verdicts.first() == Some(&true) && verdicts.last() == Some(&false));
 }
