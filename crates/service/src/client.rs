@@ -242,6 +242,13 @@ impl Client {
         })
     }
 
+    /// [`Client::receive`] without the parse: `(status, body bytes)`, for
+    /// a caller that decodes the body itself or only needs the status.
+    /// A reply that breaks off is still an error.
+    pub fn receive_raw(&mut self) -> io::Result<(u16, Vec<u8>)> {
+        self.receive_with(Ok)
+    }
+
     /// Write every request in `batch` in one write, then read their
     /// replies, which return in request order.
     pub fn pipeline(&mut self, batch: &[PipelinedRequest]) -> io::Result<Vec<(u16, Json)>> {

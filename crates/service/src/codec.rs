@@ -1,10 +1,12 @@
 //! Versioned wire codec for the distributed round protocol: the
 //! [`CandidatePhaseExport`]s that coordinator and shard workers exchange
-//! between processes.
+//! between processes, and the two round messages that carry them — a
+//! worker's reply to `/internal/candidates` and the coordinator's
+//! `/internal/settle` body.
 //!
 //! Format rules (shared with the snapshot codec in [`crate::state`]):
 //!
-//! * every payload carries an explicit `"v"` version tag and decoding
+//! * every export carries an explicit `"v"` version tag and decoding
 //!   refuses unknown versions — a mixed-version deployment fails fast
 //!   instead of settling a round from a misread candidate graph;
 //! * integers ride as decimal strings and floats as `{:016x}` bit
@@ -14,6 +16,13 @@
 //!   pin ledgers bit-for-bit;
 //! * decoding is total: every defect (missing field, bad integer,
 //!   unknown tag, version skew) is a [`WireError`], never a panic.
+//!
+//! The node's round path is streamed: each message is one `record!`
+//! table, written token by token as compact text and decoded straight
+//! from the body bytes, so no `Json` tree is built on either side of
+//! the socket. [`encode_exports`] / [`decode_exports`] are tree
+//! adapters over the same table, kept for the benchmark's codec probes;
+//! a message's text is byte-identical to the dump of its tree form.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
@@ -27,12 +36,14 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
+use std::borrow::Cow;
+
 use dmp_core::arbiter::mashup_builder::BuiltMashup;
 use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;
 
-use crate::state::{enc_all, record, Wire};
-use crate::wire::{Json, Tree, WireError};
+use crate::state::{enc_all, from_text, record, Wire};
+use crate::wire::{Emitter, Json, Reader, Text, Tree, WireError};
 
 /// The current candidate-codec version. Bump on any format change and
 /// keep decode refusing everything it does not understand.
@@ -71,14 +82,124 @@ record!(
     }
 );
 
-/// Encode exports in the order given: a round's in shard order, a
-/// candidates reply's in the order its shards were asked for.
+/// The `/internal/settle` body: the round the coordinator settled, and
+/// the exports of the shards the receiving worker did not compute,
+/// `shards` naming each one's index.
+pub(crate) struct SettleBody<'a> {
+    pub(crate) fp: String,
+    pub(crate) round: u64,
+    pub(crate) seed: u64,
+    pub(crate) shards: Vec<usize>,
+    pub(crate) exports: Vec<Cow<'a, CandidatePhaseExport>>,
+}
+
+record!(SettleBody<'_> {
+    fp => "fp",
+    round => "round",
+    seed => "seed",
+    shards => "shards",
+    exports => "exports",
+});
+
+/// A worker's `/internal/candidates` reply: one export per shard it was
+/// asked for, in the order it was asked.
+struct CandidatesReply<'a> {
+    round: u64,
+    exports: Vec<Cow<'a, CandidatePhaseExport>>,
+}
+
+record!(CandidatesReply<'_> {
+    round => "round",
+    exports => "exports",
+});
+
+/// A borrowed value travels as the value itself and decodes owned, so
+/// a message can be written from exports the sender keeps.
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    fn enc<E: Emitter>(&self, e: &mut E) {
+        T::enc(self, e);
+    }
+
+    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        T::dec(r).map(Cow::Owned)
+    }
+}
+
+/// `value`'s canonical compact text.
+fn to_text<T: Wire>(value: &T) -> String {
+    let mut out = String::new();
+    value.enc(&mut Text::new(&mut out));
+    out
+}
+
+/// The settle body for a worker that lacks `shards` (ascending indices
+/// into `exports`, the round's exports in shard order). An index past
+/// the end ships nothing, which the worker refuses.
+pub(crate) fn settle_text(
+    fp: &str,
+    round: u64,
+    seed: u64,
+    exports: &[CandidatePhaseExport],
+    shards: Vec<usize>,
+) -> String {
+    let shipped = shards
+        .iter()
+        .filter_map(|&i| exports.get(i).map(Cow::Borrowed))
+        .collect();
+    to_text(&SettleBody {
+        fp: fp.to_owned(),
+        round,
+        seed,
+        shards,
+        exports: shipped,
+    })
+}
+
+/// Decode a settle body from its bytes. The shard list is the worker's
+/// to check: which shards it still needs is its own state.
+pub(crate) fn decode_settle(bytes: &[u8]) -> Result<SettleBody<'static>, WireError> {
+    from_text(bytes)
+}
+
+/// A candidates reply for `round` carrying `exports`.
+pub(crate) fn candidates_reply_text(round: u64, exports: Vec<&CandidatePhaseExport>) -> String {
+    to_text(&CandidatesReply {
+        round,
+        exports: exports.into_iter().map(Cow::Borrowed).collect(),
+    })
+}
+
+/// Decode a worker's candidates reply from its bytes: it must be for
+/// `round` and carry exactly `shards` exports, else it is refused
+/// before anything uses it.
+pub fn decode_candidates_reply(
+    bytes: &[u8],
+    round: u64,
+    shards: usize,
+) -> Result<Vec<CandidatePhaseExport>, WireError> {
+    let reply: CandidatesReply<'static> = from_text(bytes)?;
+    if reply.round != round {
+        return Err(WireError::new(format!(
+            "reply is for round {}, not {round}",
+            reply.round
+        )));
+    }
+    if reply.exports.len() != shards {
+        return Err(WireError::new(format!(
+            "expected {shards} shard exports, got {}",
+            reply.exports.len()
+        )));
+    }
+    Ok(reply.exports.into_iter().map(Cow::into_owned).collect())
+}
+
+/// Tree adapter: encode exports in the order given.
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
     Tree::build(|t| enc_all(exports, t))
 }
 
-/// Decode exports; `shards` pins the expected count so a short or
-/// padded payload is refused before anything uses it.
+/// Tree adapter: decode exports; `shards` pins the expected count so a
+/// short or padded payload is refused.
 pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExport>, WireError> {
     let exports: Vec<CandidatePhaseExport> = Wire::from_json(j)?;
     if exports.len() != shards {
@@ -200,6 +321,68 @@ mod tests {
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
+    }
+
+    #[test]
+    fn streamed_round_messages_are_the_dump_of_their_tree_form() {
+        let exports = vec![
+            export_of(3, vec![bid(42), bid(7)]),
+            export_of(3, Vec::new()),
+            export_of(3, vec![bid(1)]),
+        ];
+        let settle = settle_text("v5 shards=3", 3, 99, &exports, vec![0, 1, 2]);
+        let tree = Json::obj([
+            ("fp", Json::str("v5 shards=3")),
+            ("round", 3u64.json()),
+            ("seed", 99u64.json()),
+            ("shards", vec![0usize, 1, 2].json()),
+            ("exports", encode_exports(&exports)),
+        ]);
+        assert_eq!(settle, tree.dump());
+        let reply = candidates_reply_text(3, exports.iter().collect());
+        let tree = Json::obj([
+            ("round", 3u64.json()),
+            ("exports", encode_exports(&exports)),
+        ]);
+        assert_eq!(reply, tree.dump());
+
+        // And back, straight from the bytes.
+        assert_eq!(
+            decode_candidates_reply(reply.as_bytes(), 3, 3).unwrap(),
+            exports
+        );
+        let body = decode_settle(settle.as_bytes()).unwrap();
+        assert_eq!(
+            (body.fp.as_str(), body.round, body.seed),
+            ("v5 shards=3", 3, 99)
+        );
+        assert_eq!(body.shards, [0, 1, 2]);
+        assert_eq!(
+            body.exports,
+            exports.iter().map(Cow::Borrowed).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_settle_body_ships_only_the_listed_shards() {
+        let exports = vec![export_of(2, vec![bid(1)]), export_of(2, vec![bid(2)])];
+        let body = decode_settle(settle_text("fp", 2, 5, &exports, vec![1]).as_bytes()).unwrap();
+        assert_eq!(body.shards, [1]);
+        assert_eq!(body.exports, [Cow::Borrowed(&exports[1])]);
+    }
+
+    #[test]
+    fn a_candidates_reply_for_another_round_or_count_is_refused() {
+        let exports = [export_of(4, vec![bid(9)])];
+        let reply = candidates_reply_text(4, exports.iter().collect());
+        assert!(decode_candidates_reply(reply.as_bytes(), 4, 1).is_ok());
+        assert!(decode_candidates_reply(reply.as_bytes(), 5, 1).is_err());
+        assert!(decode_candidates_reply(reply.as_bytes(), 4, 2).is_err());
+        // Trailing bytes, a missing member and a bad version are refused.
+        assert!(decode_candidates_reply(format!("{reply}x").as_bytes(), 4, 1).is_err());
+        assert!(decode_candidates_reply(br#"{"round":"4"}"#, 4, 0).is_err());
+        let skewed = reply.replacen(r#""v":"1""#, r#""v":"2""#, 1);
+        assert!(decode_candidates_reply(skewed.as_bytes(), 4, 1).is_err());
     }
 
     #[test]

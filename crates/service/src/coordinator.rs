@@ -51,7 +51,7 @@ use crate::command::Command;
 use crate::metrics::metrics;
 use crate::node::{CommandFollower, ServiceNode};
 use crate::shard::RoundDistributor;
-use crate::state::{self, field, Wire};
+use crate::state::{self, Wire};
 use crate::wire::Json;
 
 /// One remote worker: a keep-alive client plus a liveness flag. A
@@ -65,6 +65,15 @@ struct RemoteWorker {
     alive: AtomicBool,
 }
 
+/// Which worker supplied each shard's export in the round it names:
+/// the shards `round_complete` leaves out of that worker's settle body,
+/// because the worker holds their candidate phase already.
+struct Suppliers {
+    round: u64,
+    seed: u64,
+    by_shard: Vec<Option<usize>>,
+}
+
 /// Client pool over N shard workers, implementing both coordinator
 /// hooks: [`CommandFollower`] (forward the journaled command stream)
 /// and [`RoundDistributor`] (farm out candidate phases, broadcast
@@ -73,6 +82,8 @@ pub struct WorkerPool {
     fingerprint: String,
     shards: usize,
     workers: Vec<RemoteWorker>,
+    /// Set by `candidates`, taken by the `round_complete` that follows.
+    suppliers: Mutex<Option<Suppliers>>,
 }
 
 impl WorkerPool {
@@ -96,6 +107,7 @@ impl WorkerPool {
             fingerprint,
             shards,
             workers,
+            suppliers: Mutex::new(None),
         })
     }
 
@@ -113,59 +125,78 @@ impl WorkerPool {
         self.live_indices().len()
     }
 
-    /// Book one RPC's result: time it into the per-RPC latency series;
-    /// any failure — transport error, protocol refusal — takes the
-    /// worker out of rotation and yields `None`; the caller decides
-    /// whether the work re-dispatches.
+    /// Book one RPC's result: time it into the per-RPC latency series
+    /// and yield the reply's body bytes; any failure — transport error,
+    /// protocol refusal — takes the worker out of rotation and yields
+    /// `None`; the caller decides whether the work re-dispatches.
     fn book_reply(
         &self,
         worker: &RemoteWorker,
         rpc: &str,
         path: &str,
         started: Instant,
-        result: std::io::Result<(u16, Json)>,
-    ) -> Option<Json> {
-        let m = metrics();
-        m.worker_rpc_us(rpc).record_duration_us(started.elapsed());
-        let failure = match result {
-            Ok((200, json)) => return Some(json),
-            Ok((status, json)) => format!("refused {path} with {status}: {}", json.dump()),
-            Err(e) => format!("failed {path}: {e}"),
-        };
-        m.worker_rpc_failures.inc();
-        worker.alive.store(false, Ordering::Relaxed);
-        log!(Warn, "worker {} {failure} — out of rotation", worker.addr);
-        None
+        result: std::io::Result<(u16, Vec<u8>)>,
+    ) -> Option<Vec<u8>> {
+        metrics()
+            .worker_rpc_us(rpc)
+            .record_duration_us(started.elapsed());
+        match result {
+            Ok((200, body)) => Some(body),
+            Ok((status, body)) => {
+                let text = String::from_utf8_lossy(&body);
+                self.retire(worker, &format!("refused {path} with {status}: {text}"));
+                None
+            }
+            Err(e) => {
+                self.retire(worker, &format!("failed {path}: {e}"));
+                None
+            }
+        }
     }
 
-    /// Ship `node`'s current state to worker `idx` (`/internal/restore`)
-    /// under a quiesced apply path, reviving it into rotation on
-    /// success. This is the journal-backed re-dispatch path for a
-    /// *replacement* worker: restore to the coordinator's consistent
-    /// cut, then follow the live command stream from there.
+    /// Take `worker` out of rotation after a failed RPC.
+    fn retire(&self, worker: &RemoteWorker, failure: &str) {
+        metrics().worker_rpc_failures.inc();
+        worker.alive.store(false, Ordering::Relaxed);
+        log!(Warn, "worker {} {failure} — out of rotation", worker.addr);
+    }
+
+    /// Ship `node`'s current state to worker `idx` (`/internal/restore`),
+    /// reviving it into rotation on success. This is the journal-backed
+    /// re-dispatch path for a *replacement* worker: restore to the
+    /// coordinator's consistent cut, then follow the live command
+    /// stream from there.
     pub fn provision(&self, node: &ServiceNode, idx: usize) -> bool {
         let Some(worker) = self.workers.get(idx) else {
             return false;
         };
-        let (image, applied) =
-            node.quiesced(|router, applied| (state::encode(&router.export_state()), applied));
-        // The worker installs the image only if it restores to this
-        // digest: state crosses a process boundary here.
-        let body = Json::obj([
-            ("fp", Json::str(self.fingerprint.clone())),
-            ("applied", applied.json()),
-            ("digest", image.digest().json()),
-            ("state", image.into_json()),
-        ]);
+        let (body, applied) = self.restore_body(node);
         // Mark alive first so `fan_out` will talk to a currently-dead
         // worker; a failure flips it right back.
         worker.alive.store(true, Ordering::Relaxed);
-        let replies = self.fan_out(&[(idx, &body.dump())], "restore", "/internal/restore");
+        let replies = self.fan_out([(idx, body)], "restore", "/internal/restore");
         let revived = replies.iter().any(Option::is_some);
         if revived {
             log!(Info, "worker {} provisioned at seq {applied}", worker.addr);
         }
         revived
+    }
+
+    /// The `/internal/restore` body for `node`'s state, and the journal
+    /// seq that state is at. Only the export is taken under the apply
+    /// lock (a consistent cut); the image is encoded and its digest
+    /// streamed after the lock is released. The worker installs the
+    /// image only if it restores to this digest: state crosses a
+    /// process boundary here.
+    fn restore_body(&self, node: &ServiceNode) -> (String, u64) {
+        let (export, applied) = node.quiesced(|router, applied| (router.export_state(), applied));
+        let body = Json::obj([
+            ("fp", Json::str(self.fingerprint.clone())),
+            ("applied", applied.json()),
+            ("digest", state::digest(&export).json()),
+            ("state", state::encode(&export).into_json()),
+        ]);
+        (body.dump(), applied)
     }
 
     /// Provision every worker; returns how many are in rotation after.
@@ -175,49 +206,47 @@ impl WorkerPool {
             .count()
     }
 
-    /// Fan `POST path` out to a set of workers, returning their replies
-    /// in target order (`None` = that worker failed or is out of
-    /// rotation): write every request, then read every reply. The
-    /// workers compute at the same time — the entire point of
-    /// distributing the candidate phase — while this thread waits on
+    /// Fan `POST path` out to a set of workers, returning their reply
+    /// bodies, unparsed, in target order (`None` = that worker failed
+    /// or is out of rotation): write every request, then read every
+    /// reply. The workers compute at the same time — the entire point
+    /// of distributing the candidate phase — while this thread waits on
     /// the first reply; no thread is spawned, so an RPC costs what the
     /// sockets and the workers cost and not what the scheduler makes
-    /// of a spawn and a join per worker. Targets are in ascending
+    /// of a spawn and a join per worker. A body is taken from `targets`
+    /// only when its request is written, so a lazily encoded body
+    /// overlaps the earlier workers' work. Targets are in ascending
     /// worker order, which is also the order their clients lock in.
-    fn fan_out(&self, targets: &[(usize, &str)], rpc: &str, path: &str) -> Vec<Option<Json>> {
+    fn fan_out<B: AsRef<str>>(
+        &self,
+        targets: impl IntoIterator<Item = (usize, B)>,
+        rpc: &str,
+        path: &str,
+    ) -> Vec<Option<Vec<u8>>> {
         // Wall-clock is fine here: RPC latency telemetry, never applied state.
         let started = Instant::now();
-        let mut in_flight = Vec::with_capacity(targets.len());
-        for (idx, body_text) in targets {
-            let live = self
-                .workers
-                .get(*idx)
-                .filter(|w| w.alive.load(Ordering::Relaxed));
-            in_flight.push(live.map(|worker| {
-                let mut client = worker.client.lock();
-                client.send("POST", path, body_text);
-                (worker, client)
-            }));
-        }
+        let in_flight: Vec<_> = targets
+            .into_iter()
+            .map(|(idx, body)| {
+                let live = self
+                    .workers
+                    .get(idx)
+                    .filter(|w| w.alive.load(Ordering::Relaxed));
+                live.map(|worker| {
+                    let mut client = worker.client.lock();
+                    client.send("POST", path, body.as_ref());
+                    (worker, client)
+                })
+            })
+            .collect();
         in_flight
             .into_iter()
             .map(|sent| {
                 sent.and_then(|(worker, mut client)| {
-                    self.book_reply(worker, rpc, path, started, client.receive())
+                    self.book_reply(worker, rpc, path, started, client.receive_raw())
                 })
             })
             .collect()
-    }
-
-    /// [`WorkerPool::fan_out`] of one body to every live worker.
-    fn broadcast(&self, body: &Json, rpc: &str, path: &str) {
-        let body_text = body.dump();
-        let targets: Vec<(usize, &str)> = self
-            .live_indices()
-            .into_iter()
-            .map(|i| (i, body_text.as_str()))
-            .collect();
-        self.fan_out(&targets, rpc, path);
     }
 
     /// Indices of workers currently in rotation.
@@ -246,27 +275,35 @@ impl CommandFollower for WorkerPool {
             ("fp", Json::str(self.fingerprint.clone())),
             ("seq", seq.json()),
             ("cmd", cmd.encode()),
-        ]);
-        self.broadcast(&body, "apply", "/internal/apply");
+        ])
+        .dump();
+        // The acks are checked by status only.
+        let targets = self.live_indices().into_iter().map(|i| (i, &body));
+        self.fan_out(targets, "apply", "/internal/apply");
     }
 }
 
 impl RoundDistributor for WorkerPool {
     /// Farm the candidate phase out: assign shards round-robin over
     /// the live workers, collect exports, and re-dispatch any failed
-    /// worker's shards to the survivors. Returns `None` only when no
-    /// worker is left — the round then computes locally and the
-    /// deployment degrades to a single process instead of stalling.
+    /// worker's shards to the survivors. A worker whose reply does not
+    /// decode leaves rotation like one that refused. Returns `None`
+    /// only when no worker is left — the round then computes locally
+    /// and the deployment degrades to a single process instead of
+    /// stalling. Records which worker supplied each shard, for the
+    /// settle broadcast.
     fn candidates(
         &self,
         round: u64,
         round_seed: u64,
         shards: usize,
     ) -> Option<Vec<CandidatePhaseExport>> {
+        *self.suppliers.lock() = None;
         if shards != self.shards {
             return None; // mis-wired pool: fall back to local compute
         }
         let mut collected: Vec<Option<CandidatePhaseExport>> = (0..shards).map(|_| None).collect();
+        let mut by_shard: Vec<Option<usize>> = vec![None; shards];
         let mut todo: Vec<usize> = (0..shards).collect();
         let mut dispatched_before = false;
         while !todo.is_empty() {
@@ -306,26 +343,27 @@ impl RoundDistributor for WorkerPool {
                 ]);
                 bodies.push((w, body.dump(), list));
             }
-            let targets: Vec<(usize, &str)> = bodies
-                .iter()
-                .map(|(w, text, _)| (*w, text.as_str()))
-                .collect();
-            let replies = self.fan_out(&targets, "candidates", "/internal/candidates");
+            let targets = bodies.iter().map(|(w, text, _)| (*w, text));
+            let replies = self.fan_out(targets, "candidates", "/internal/candidates");
             // A worker replies its exports in the order its shards were asked for.
-            for ((_, _, list), reply) in bodies.iter().zip(replies) {
+            for ((w, _, list), reply) in bodies.iter().zip(replies) {
                 let Some(reply) = reply else { continue };
-                let exports = match field(&reply, "exports")
-                    .and_then(|j| codec::decode_exports(j, list.len()))
-                {
+                let exports = match codec::decode_candidates_reply(&reply, round, list.len()) {
                     Ok(exports) => exports,
                     Err(e) => {
-                        log!(Warn, "round {round}: undecodable candidate reply: {e}");
+                        if let Some(worker) = self.workers.get(*w) {
+                            let failure = format!("sent an undecodable candidate reply: {e}");
+                            self.retire(worker, &failure);
+                        }
                         continue;
                     }
                 };
                 for (&shard, export) in list.iter().zip(exports) {
-                    if let Some(slot) = collected.get_mut(shard) {
+                    if let (Some(slot), Some(by)) =
+                        (collected.get_mut(shard), by_shard.get_mut(shard))
+                    {
                         *slot = Some(export);
+                        *by = Some(*w);
                     }
                 }
             }
@@ -336,20 +374,114 @@ impl RoundDistributor for WorkerPool {
                 .map(|(i, _)| i)
                 .collect();
         }
+        *self.suppliers.lock() = Some(Suppliers {
+            round,
+            seed: round_seed,
+            by_shard,
+        });
         collected.into_iter().collect()
     }
 
-    /// Broadcast the settled round's full export set so every live
-    /// worker re-executes clearing + settlement and stays a replica. A
-    /// worker that fails here leaves rotation; its shards re-dispatch
-    /// next round.
+    /// Send every live worker the settled round's exports it lacks —
+    /// those of the shards another worker supplied — so it re-executes
+    /// clearing + settlement and stays a replica. Without a supplier
+    /// record for this round and seed every shard ships: when in doubt,
+    /// ship. A worker that fails here leaves rotation; its shards
+    /// re-dispatch next round.
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]) {
-        let body = Json::obj([
-            ("fp", Json::str(self.fingerprint.clone())),
-            ("round", round.json()),
-            ("seed", round_seed.json()),
-            ("exports", codec::encode_exports(exports)),
-        ]);
-        self.broadcast(&body, "settle", "/internal/settle");
+        let suppliers = self
+            .suppliers
+            .lock()
+            .take()
+            .filter(|s| s.round == round && s.seed == round_seed)
+            .map(|s| s.by_shard);
+        let supplier = |shard: usize| suppliers.as_ref().and_then(|by| by.get(shard).copied());
+        // Each body is encoded as its request is written (see `fan_out`).
+        let targets = self.live_indices().into_iter().map(|w| {
+            let lacking = (0..exports.len())
+                .filter(|&i| supplier(i) != Some(Some(w)))
+                .collect();
+            let body = codec::settle_text(&self.fingerprint, round, round_seed, exports, lacking);
+            (w, body)
+        });
+        self.fan_out(targets, "settle", "/internal/settle");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::read_request;
+    use crate::node::ServiceConfig;
+    use crate::state::field;
+    use crate::test_support::ScratchDir;
+    use dmp_core::market::MarketConfig;
+    use std::io::{BufReader, Write};
+    use std::net::TcpListener;
+
+    /// A "worker" that answers every request on its one connection with
+    /// a 200 and `{}`, until the connection closes.
+    fn worker_answering_empty_objects() -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            while read_request(&mut reader, 1 << 20).is_ok() {
+                let reply = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}";
+                if stream.write_all(reply).is_err() {
+                    break;
+                }
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_worker_whose_candidates_reply_does_not_decode_leaves_rotation() {
+        // Were it kept in rotation, its shards would re-dispatch to it
+        // for ever.
+        let (addr, server) = worker_answering_empty_objects();
+        let pool = WorkerPool::connect("fp".into(), 2, &[addr]).expect("pool connects");
+        assert_eq!(pool.candidates(1, 7, 2), None);
+        assert_eq!(pool.live_workers(), 0);
+        drop(pool);
+        server
+            .join()
+            .expect("the server thread ends with its connection");
+    }
+
+    #[test]
+    fn the_restore_body_carries_the_digest_of_its_applied_cut() {
+        let dir = ScratchDir::new("coordinator-restore-body");
+        let node = ServiceNode::open(ServiceConfig::new(dir.path(), MarketConfig::external(3)))
+            .expect("node opens");
+        for cmd in [
+            Command::Enroll {
+                name: "alice".into(),
+                role: "buyer".into(),
+            },
+            Command::Deposit {
+                account: "alice".into(),
+                amount: 12.5,
+            },
+            Command::RunRound { rounds: 1 },
+        ] {
+            node.apply(cmd).expect("applies");
+        }
+        let pool = WorkerPool::connect(node.fingerprint(), node.config().shards, &[])
+            .expect("an empty pool connects");
+        let (text, applied) = pool.restore_body(&node);
+        let body = Json::parse(&text).expect("the body is JSON");
+        assert_eq!(applied, 3);
+        assert_eq!(
+            field(&body, "applied").and_then(u64::from_json),
+            Ok(applied)
+        );
+        let digest = field(&body, "digest").and_then(u64::from_json);
+        assert_eq!(digest, Ok(node.state_digest()));
+        // The image in the body restores to that digest.
+        let image = field(&body, "state").and_then(state::decode_document);
+        assert_eq!(image.map(|i| state::digest(&i)), digest);
     }
 }

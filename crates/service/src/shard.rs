@@ -255,7 +255,7 @@ impl MergedRoundReport {
 /// round must still complete, and journal replay always takes the local
 /// path because the distributor is attached only after recovery).
 /// After the coordinator settles the round authoritatively,
-/// `round_complete` broadcasts the full export set so every worker can
+/// `round_complete` sends every worker the exports it lacks so it can
 /// re-execute settlement locally and stay a bit-exact replica.
 pub trait RoundDistributor: Send + Sync {
     /// Compute the candidate phase for `round` under `round_seed`,
@@ -269,7 +269,8 @@ pub trait RoundDistributor: Send + Sync {
     ) -> Option<Vec<CandidatePhaseExport>>;
 
     /// The round cleared and settled on the coordinator; `exports`
-    /// holds every shard's candidate phase so workers can replay it.
+    /// holds every shard's candidate phase, in shard order, of which a
+    /// distributor ships each worker what it needs to replay it.
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]);
 }
 

@@ -9,23 +9,29 @@
 //! every round arrives as the `candidates` / `settle` RPC pair — the
 //! worker computes the candidate phase for its *assigned* shards,
 //! then re-executes clearing + settlement locally for **all** shards
-//! once the coordinator broadcasts the full export set. Nothing here
-//! is durable: a dead worker is replaced by provisioning a fresh one
-//! from the coordinator's quiesced state (`/internal/restore`).
+//! once the coordinator sends the exports of the shards it did not
+//! compute. Nothing here is durable: a dead worker is replaced by
+//! provisioning a fresh one from the coordinator's quiesced state
+//! (`/internal/restore`).
 //!
 //! | RPC                      | Body                              | Effect |
 //! |--------------------------|-----------------------------------|--------|
 //! | `POST /internal/apply`   | `{fp, seq, cmd}`                  | apply one journaled command |
-//! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | compute + stash candidate phase, return exports |
-//! | `POST /internal/settle`  | `{fp, round, seed, exports}`      | re-execute clear + settlement locally |
+//! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | compute + stash candidate phase, return `{round, exports}` |
+//! | `POST /internal/settle`  | `{fp, round, seed, shards, exports}` | re-execute clear + settlement locally from the stash and the shipped `shards`' exports |
 //! | `GET /internal/digest`   | —                                 | state digest + round/seq watermarks |
 //! | `POST /internal/restore` | `{fp, applied, digest, state}`    | become a fresh replica of the given state, if it restores to `digest` |
 //!
+//! The candidates reply and the settle body are streamed text
+//! ([`codec`]): written without a `Json` tree and decoded straight
+//! from the body bytes.
+//!
 //! Every RPC carries the deployment's config fingerprint and is
-//! **refused** on mismatch (wrong fingerprint, wrong round number, or
-//! a round seed the worker's own RNG lockstep would not draw): a
-//! diverged replica must fail fast and be re-provisioned, never settle
-//! a round from the wrong state.
+//! **refused** on mismatch (wrong fingerprint, wrong round number, a
+//! round seed the worker's own RNG lockstep would not draw, or a settle
+//! that leaves some shard neither stashed nor shipped): a diverged
+//! replica must fail fast and be re-provisioned, never settle a round
+//! from the wrong state.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(
@@ -45,7 +51,7 @@ use dmp_core::market::MarketConfig;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use crate::codec;
+use crate::codec::{self, SettleBody};
 use crate::command::Command;
 use crate::gateway::{err_body, parse_body, Service};
 use crate::http::{Request, Response};
@@ -174,7 +180,12 @@ impl WorkerNode {
     /// and silently diverge — refuse instead.
     fn checked_body(&self, req: &Request) -> Result<Json, Response> {
         let body = parse_body(req)?;
-        let fp = arg(&body, "fp", String::from_json)?;
+        self.check_fingerprint(&arg(&body, "fp", String::from_json)?)?;
+        Ok(body)
+    }
+
+    /// Refuse a request carrying another deployment's fingerprint.
+    fn check_fingerprint(&self, fp: &str) -> Result<(), Response> {
         if fp != self.fingerprint {
             let msg = format!(
                 "config fingerprint mismatch: worker is '{}', request is '{fp}'",
@@ -182,7 +193,7 @@ impl WorkerNode {
             );
             return Err(Response::json(409, err_body(&msg)));
         }
-        Ok(body)
+        Ok(())
     }
 
     /// Refuse a round RPC for any round but the next one this replica
@@ -216,10 +227,10 @@ impl WorkerNode {
     /// `POST /internal/candidates {fp, round, seed, shards}` — compute
     /// the candidate phase for the assigned shards under the
     /// coordinator's seed, stash the contexts for the settle broadcast,
-    /// and return the exports. Refuses a round number or seed this
-    /// replica would not produce itself: accepting either would settle
-    /// the round from diverged state.
-    fn rpc_candidates(&self, req: &Request) -> Result<Json, Response> {
+    /// and return `{round, exports}`. Refuses a round number or seed
+    /// this replica would not produce itself: accepting either would
+    /// settle the round from diverged state.
+    fn rpc_candidates(&self, req: &Request) -> Result<String, Response> {
         let body = self.checked_body(req)?;
         let (round, seed) = round_and_seed(&body)?;
         let router = self.router();
@@ -264,49 +275,84 @@ impl WorkerNode {
         let mut reply = Vec::with_capacity(assigned.len());
         for i in assigned {
             match pending.slots.get(i) {
-                Some(Some((_, export))) => reply.push(export.clone()),
+                Some(Some((_, export))) => reply.push(export),
                 _ => {
                     let msg = format!("shard {i} did not compute");
                     return Err(Response::json(500, err_body(&msg)));
                 }
             }
         }
-        Ok(Json::obj([
-            ("round", round.json()),
-            ("exports", codec::encode_exports(&reply)),
-        ]))
+        Ok(codec::candidates_reply_text(round, reply))
     }
 
-    /// `POST /internal/settle {fp, round, seed, exports}` — the round
-    /// cleared and settled on the coordinator; re-execute it here from
-    /// the full export set. Shards this worker computed reuse their
-    /// stashed contexts; the rest import their export (local expiry +
-    /// audit replay). Clearing and settlement are then the same code
-    /// path the coordinator ran, so the replica lands bit-identical.
+    /// `POST /internal/settle {fp, round, seed, shards, exports}` — the
+    /// round cleared and settled on the coordinator; re-execute it here.
+    /// Shards this worker computed reuse their stashed contexts; the
+    /// coordinator ships the exports of the rest, `shards` naming each
+    /// one's index, and they import (local expiry + audit replay). A
+    /// shard both stashed and shipped reuses its stash: importing it
+    /// too would advance it twice. Clearing and settlement are then the
+    /// same code path the coordinator ran, so the replica lands
+    /// bit-identical.
+    ///
+    /// The body is decoded straight from its bytes. A shard list that is
+    /// out of range, unsorted, repeated or not one index per export is a
+    /// 400; a shard neither stashed for this round and seed nor shipped
+    /// is a 409. Both are checked before the round seed is drawn, so a
+    /// refused settle leaves the replica untouched.
     fn rpc_settle(&self, req: &Request) -> Result<Json, Response> {
-        let body = self.checked_body(req)?;
-        let (round, seed) = round_and_seed(&body)?;
+        let body = codec::decode_settle(&req.body).map_err(bad_field)?;
+        self.check_fingerprint(&body.fp)?;
+        let SettleBody {
+            round,
+            seed,
+            shards,
+            exports,
+            ..
+        } = body;
         let router = self.router();
         let shard_count = router.shard_count();
-        let exports = arg(&body, "exports", |j| codec::decode_exports(j, shard_count))?;
+        check_shard_list(&shards, exports.len(), shard_count)?;
         self.maybe_kill(KillPhase::PreSettle, round);
         Self::check_round(&router, round)?;
+        let mut pending = self.pending.lock();
+        let slots = pending
+            .as_ref()
+            .filter(|p| p.round == round && p.seed == seed)
+            .map(|p| p.slots.as_slice())
+            .unwrap_or_default();
+        let stashed = |i: usize| matches!(slots.get(i), Some(Some(_)));
+        let unsupplied =
+            (0..shard_count).find(|&i| !stashed(i) && shards.binary_search(&i).is_err());
+        if let Some(i) = unsupplied {
+            let msg = format!("round {round}: shard {i} is neither stashed here nor shipped");
+            return Err(Response::json(409, err_body(&msg)));
+        }
         // RNG lockstep: drawing (not predicting) advances this
         // replica's coordinator stream exactly as the coordinator's
         // own draw did. A mismatch means divergence — and the draw is
         // the last mutation before the check, so a refused settle
         // leaves the replica re-provisionable, not half-settled.
         check_seed(seed, router.draw_round_seed(), "drew")?;
-        let stashed = self.pending.lock().take();
-        let mut slots = match stashed {
+        let mut slots = match pending.take() {
             Some(p) if p.round == round && p.seed == seed => p.slots,
-            _ => (0..shard_count).map(|_| None).collect(),
+            _ => Vec::new(),
         };
+        drop(pending);
+        let mut shipped = shards.into_iter().zip(exports).peekable();
         let mut ctxs = Vec::with_capacity(shard_count);
-        for (i, export) in exports.iter().enumerate() {
-            match slots.get_mut(i).and_then(Option::take) {
-                Some((ctx, _)) => ctxs.push(ctx),
-                None => ctxs.push(router.shard(i).begin_round_imported(seed, export)),
+        for i in 0..shard_count {
+            let export = shipped.next_if(|(shard, _)| *shard == i);
+            match (slots.get_mut(i).and_then(Option::take), export) {
+                (Some((ctx, _)), _) => ctxs.push(ctx),
+                (None, Some((_, export))) => {
+                    ctxs.push(router.shard(i).begin_round_imported(seed, &export));
+                }
+                (None, None) => {
+                    // Ruled out above, before the draw.
+                    let msg = format!("shard {i} vanished from the settle");
+                    return Err(Response::json(500, err_body(&msg)));
+                }
             }
         }
         let sales = router.clear_round(&mut ctxs);
@@ -375,6 +421,24 @@ fn bad_field(e: WireError) -> Response {
     Response::json(400, err_body(&e.to_string()))
 }
 
+/// Refuse a settle's shard list unless it is ascending, unique, in
+/// range for `shard_count` shards and one index per shipped export.
+fn check_shard_list(shards: &[usize], exports: usize, shard_count: usize) -> Result<(), Response> {
+    let problem = if shards.len() != exports {
+        Some(format!(
+            "{} shards listed for {exports} exports",
+            shards.len()
+        ))
+    } else if let Some(i) = shards.iter().find(|&&i| i >= shard_count) {
+        Some(format!("shard {i} out of range for {shard_count} shards"))
+    } else if shards.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
+        Some(format!("shard list {shards:?} is not ascending and unique"))
+    } else {
+        None
+    };
+    problem.map_or(Ok(()), |msg| Err(Response::json(400, err_body(&msg))))
+}
+
 /// Refuse a round `seed` other than the one this replica drew or
 /// would draw (`mine`, which `how` names): the two have diverged.
 fn check_seed(seed: u64, mine: u64, how: &str) -> Result<(), Response> {
@@ -409,7 +473,9 @@ impl Service for WorkerNode {
     fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/internal/apply") => reply(self.rpc_apply(req)),
-            ("POST", "/internal/candidates") => reply(self.rpc_candidates(req)),
+            ("POST", "/internal/candidates") => self
+                .rpc_candidates(req)
+                .map_or_else(|refusal| refusal, |text| Response::json(200, text)),
             ("POST", "/internal/settle") => reply(self.rpc_settle(req)),
             ("GET", "/internal/digest") => reply(Ok(self.rpc_digest())),
             ("POST", "/internal/restore") => reply(self.rpc_restore(req)),
@@ -514,72 +580,159 @@ mod tests {
         assert_eq!(worker.router().rounds_completed(), 0);
     }
 
+    /// A router after the commands every replica in these tests has
+    /// applied before its first round.
+    fn enrolled(router: &ShardRouter) {
+        let _ = router.apply(&Command::Enroll {
+            name: "alice".into(),
+            role: "buyer".into(),
+        });
+        let _ = router.apply(&Command::Deposit {
+            account: "alice".into(),
+            amount: 50.0,
+        });
+    }
+
+    /// A fresh replica's round-1 seed and every shard's export: what the
+    /// coordinator ships, computed on a third identical replica.
+    fn round_one_exports() -> (u64, Vec<CandidatePhaseExport>) {
+        let replica = ShardRouter::new(&worker_cfg().market, 2);
+        enrolled(&replica);
+        let seed = replica.draw_round_seed();
+        let exports = replica
+            .shards()
+            .iter()
+            .map(|m| m.begin_round_exported(seed).1)
+            .collect();
+        (seed, exports)
+    }
+
+    fn candidates(worker: &WorkerNode, seed: u64, shards: &[usize]) -> Response {
+        let body = Json::obj([
+            ("fp", Json::str(worker.fingerprint())),
+            ("round", 1u64.json()),
+            ("seed", seed.json()),
+            ("shards", shards.to_vec().json()),
+        ]);
+        worker.handle(&post("/internal/candidates", body))
+    }
+
+    /// A round-1 settle naming `shards` and carrying `exports`, whether
+    /// or not the two agree.
+    fn settle(
+        worker: &WorkerNode,
+        seed: u64,
+        shards: Vec<usize>,
+        exports: &[CandidatePhaseExport],
+    ) -> Response {
+        let body = SettleBody {
+            fp: worker.fingerprint().into(),
+            round: 1,
+            seed,
+            shards,
+            exports: exports.iter().map(std::borrow::Cow::Borrowed).collect(),
+        };
+        worker.handle(&post("/internal/settle", body.json()))
+    }
+
+    /// What a refused settle must leave alone.
+    fn watermarks(worker: &WorkerNode) -> (u64, u64, u64) {
+        let router = worker.router();
+        (
+            router.predict_round_seed(),
+            router.rounds_completed(),
+            router.state_digest(),
+        )
+    }
+
     #[test]
     fn candidates_then_settle_tracks_a_local_round() {
         // A worker fed the candidate/settle pair must land on exactly
         // the state of a standalone router running the same round.
         let reference = ShardRouter::new(&worker_cfg().market, 2);
+        enrolled(&reference);
         let worker = WorkerNode::new(worker_cfg());
-        for router in [&reference, worker.router().as_ref()] {
-            let _ = router.apply(&Command::Enroll {
-                name: "alice".into(),
-                role: "buyer".into(),
-            });
-            let _ = router.apply(&Command::Deposit {
-                account: "alice".into(),
-                amount: 50.0,
-            });
-        }
+        enrolled(&worker.router());
         let seed = worker.router().predict_round_seed();
-        let candidates = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.json()),
-            ("seed", seed.json()),
-            ("shards", Json::Arr(vec![0usize.json()])),
-        ]);
-        let resp = worker.handle(&post("/internal/candidates", candidates));
+        let resp = candidates(&worker, seed, &[0]);
         assert_eq!(resp.status, 200, "{}", resp.body);
+        let (_, exports) = round_one_exports();
+        let reply = codec::decode_candidates_reply(resp.body.as_bytes(), 1, 1).unwrap();
+        assert_eq!(
+            reply.first(),
+            exports.first(),
+            "the worker's export is the replica's"
+        );
 
         // The coordinator's authoritative run (local compute).
         reference.run_round();
 
-        // Broadcast the full export set back; worker shard 0 reuses
-        // its stash, shard 1 imports.
-        let drawn = reference.state_digest(); // pin before worker settles
-        let exports: Vec<_> = {
-            // Reconstruct what the coordinator shipped: recompute the
-            // same round on a third identical replica.
-            let replica = ShardRouter::new(&worker_cfg().market, 2);
-            let _ = replica.apply(&Command::Enroll {
-                name: "alice".into(),
-                role: "buyer".into(),
-            });
-            let _ = replica.apply(&Command::Deposit {
-                account: "alice".into(),
-                amount: 50.0,
-            });
-            let replica_seed = replica.draw_round_seed();
-            assert_eq!(replica_seed, seed);
-            replica
-                .shards()
-                .iter()
-                .map(|m| m.begin_round_exported(replica_seed).1)
-                .collect()
-        };
-        let settle = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.json()),
-            ("seed", seed.json()),
-            ("exports", codec::encode_exports(&exports)),
-        ]);
-        let resp = worker.handle(&post("/internal/settle", settle));
+        // The coordinator ships only the shard the worker lacks: shard
+        // 0 reuses its stash, shard 1 imports.
+        let resp = settle(&worker, seed, vec![1], &exports[1..]);
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(worker.router().rounds_completed(), 1);
         assert_eq!(
             worker.router().state_digest(),
-            drawn,
+            reference.state_digest(),
             "replica diverged from the coordinator after one distributed round"
         );
+
+        // A worker that computed nothing is shipped every shard.
+        let bystander = WorkerNode::new(worker_cfg());
+        enrolled(&bystander.router());
+        let resp = settle(&bystander, seed, vec![0, 1], &exports);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(bystander.router().state_digest(), reference.state_digest());
+    }
+
+    #[test]
+    fn settle_missing_a_shard_is_refused_before_the_draw() {
+        let (seed, exports) = round_one_exports();
+        // Nothing stashed, and shard 0 not shipped.
+        let worker = WorkerNode::new(worker_cfg());
+        enrolled(&worker.router());
+        let before = watermarks(&worker);
+        let resp = settle(&worker, seed, vec![1], &exports[1..]);
+        assert_eq!(resp.status, 409, "{}", resp.body);
+        assert_eq!(watermarks(&worker), before);
+
+        // Shard 0 stashed (its candidate phase moved the shard), shard
+        // 1 neither stashed nor shipped: refused, and the stash survives
+        // for the settle that does ship it.
+        let resp = candidates(&worker, seed, &[0]);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let before = watermarks(&worker);
+        let resp = settle(&worker, seed, Vec::new(), &[]);
+        assert_eq!(resp.status, 409, "{}", resp.body);
+        assert_eq!(watermarks(&worker), before);
+        let resp = settle(&worker, seed, vec![1], &exports[1..]);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let reference = ShardRouter::new(&worker_cfg().market, 2);
+        enrolled(&reference);
+        reference.run_round();
+        assert_eq!(worker.router().state_digest(), reference.state_digest());
+    }
+
+    #[test]
+    fn settle_with_a_malformed_shard_list_is_a_400() {
+        let (seed, exports) = round_one_exports();
+        let worker = WorkerNode::new(worker_cfg());
+        enrolled(&worker.router());
+        let before = watermarks(&worker);
+        let one = &exports[..1];
+        let both = [exports[0].clone(), exports[0].clone()];
+        for (shards, shipped) in [
+            (vec![2], one),         // out of range
+            (vec![1, 0], &exports), // unsorted
+            (vec![1, 1], &both),    // repeated
+            (vec![0, 1], one),      // more indices than exports
+            (vec![0], &exports),    // more exports than indices
+        ] {
+            let resp = settle(&worker, seed, shards.clone(), shipped);
+            assert_eq!(resp.status, 400, "{shards:?}: {}", resp.body);
+            assert_eq!(watermarks(&worker), before, "{shards:?}");
+        }
     }
 
     fn funded_source() -> ShardRouter {

@@ -30,17 +30,12 @@ use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::metrics::metrics;
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::shard::{MergedRoundReport, Outcome, ShardRouter};
+use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::Json;
 use dmp_telemetry::lint_exposition;
 use proptest::prelude::*;
 mod common;
 use common::{command_stream, market_config, POSTED_PRICE};
-
-fn temp_dir(name: &str, seed: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-dist-{name}-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A live `dmp-worker` process; killed on drop.
 struct WorkerProc {
@@ -147,16 +142,16 @@ fn replay_local(
     (router, reports)
 }
 
-/// Boot a coordinator over the given workers, replay the stream, and
-/// return everything needed for equivalence assertions.
+/// Boot a coordinator in `dir` over the given workers, replay the
+/// stream, and return everything needed for equivalence assertions.
 fn replay_distributed(
-    name: &str,
+    dir: &ScratchDir,
     cmds: &[Command],
     seed: u64,
     shards: usize,
     workers: &[WorkerProc],
 ) -> (Arc<ServiceNode>, Arc<WorkerPool>, Vec<MergedRoundReport>) {
-    let cfg = ServiceConfig::new(temp_dir(name, seed), market_config(seed)).with_shards(shards);
+    let cfg = ServiceConfig::new(dir.path(), market_config(seed)).with_shards(shards);
     let node = Arc::new(ServiceNode::open(cfg).expect("coordinator opens"));
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
     let pool =
@@ -195,7 +190,8 @@ fn three_workers_over_sockets_match_single_process() {
     let rounds = 5usize;
     let cmds = command_stream(rounds, seed);
     let workers: Vec<WorkerProc> = (0..3).map(|_| WorkerProc::spawn(seed, 4, None)).collect();
-    let (node, pool, dist_reports) = replay_distributed("headline", &cmds, seed, 4, &workers);
+    let dir = ScratchDir::new("dist-headline");
+    let (node, pool, dist_reports) = replay_distributed(&dir, &cmds, seed, 4, &workers);
     let (local4, local4_reports) = replay_local(&cmds, seed, 4);
     let (local1, _) = replay_local(&cmds, seed, 1);
 
@@ -287,7 +283,8 @@ fn kill_at_phase(phase: &str) {
         WorkerProc::spawn(seed, 4, None),
         WorkerProc::spawn(seed, 4, None),
     ];
-    let (node, pool, _) = replay_distributed(&format!("kill-{phase}"), &cmds, seed, 4, &workers);
+    let dir = ScratchDir::new(&format!("dist-kill-{phase}"));
+    let (node, pool, _) = replay_distributed(&dir, &cmds, seed, 4, &workers);
     let (local4, _) = replay_local(&cmds, seed, 4);
 
     assert_eq!(
@@ -340,7 +337,8 @@ fn worker_killed_mid_settle_costs_nothing() {
 fn mismatched_worker_is_refused_over_the_wire() {
     let seed = 99;
     let imposter = WorkerProc::spawn(seed + 1, 4, None);
-    let cfg = ServiceConfig::new(temp_dir("mismatch", seed), market_config(seed)).with_shards(4);
+    let dir = ScratchDir::new("dist-mismatch");
+    let cfg = ServiceConfig::new(dir.path(), market_config(seed)).with_shards(4);
     let node = Arc::new(ServiceNode::open(cfg).expect("coordinator opens"));
     let pool = Arc::new(
         WorkerPool::connect(node.fingerprint(), 4, &[imposter.addr]).expect("pool connects"),
@@ -398,7 +396,8 @@ fn restore_that_misses_its_digest_is_refused_before_installation() {
     let seed = 1_234;
     let workers = vec![WorkerProc::spawn(seed, 4, None)];
     let cmds = command_stream(2, seed);
-    let (node, pool, _) = replay_distributed("bad-restore", &cmds, seed, 4, &workers);
+    let dir = ScratchDir::new("dist-bad-restore");
+    let (node, pool, _) = replay_distributed(&dir, &cmds, seed, 4, &workers);
     let worker = workers.first().expect("one worker spawned");
     let replica_before = digest_of(worker.addr);
     assert_eq!(replica_before.0, node.state_digest().to_string());
@@ -456,8 +455,8 @@ proptest! {
             WorkerProc::spawn(case_seed, 4, Some(("pre-candidate", 2))),
             WorkerProc::spawn(case_seed, 4, None),
         ];
-        let (node, _pool, dist_reports) =
-            replay_distributed("prop", &cmds, case_seed, 4, &workers);
+        let dir = ScratchDir::new("dist-prop");
+        let (node, _pool, dist_reports) = replay_distributed(&dir, &cmds, case_seed, 4, &workers);
         let (local4, local4_reports) = replay_local(&cmds, case_seed, 4);
         let (local1, _) = replay_local(&cmds, case_seed, 1);
 

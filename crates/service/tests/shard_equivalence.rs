@@ -16,6 +16,7 @@ use dmp_core::market::OfferState;
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::shard::{MergedRoundReport, Outcome, ShardRouter};
+use dmp_service::test_support::ScratchDir;
 use proptest::prelude::*;
 mod common;
 use common::{command_stream, market_config};
@@ -349,14 +350,10 @@ fn unfunded_cleared_sale_is_not_a_cross_shard_trade() {
 /// both invisible to market semantics.
 #[test]
 fn materialized_snapshot_reopen_preserves_shard_equivalence() {
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("dmp-sheq-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
     let cmds = command_stream(5, 4242);
 
-    let cfg4 = ServiceConfig::new(tmp("msnap-four"), market_config(4242))
+    let dir4 = ScratchDir::new("sheq-msnap-four");
+    let cfg4 = ServiceConfig::new(dir4.path(), market_config(4242))
         .with_shards(4)
         .with_snapshot_every(10)
         .with_keep_snapshots(1);
@@ -405,11 +402,6 @@ fn materialized_snapshot_reopen_preserves_shard_equivalence() {
 /// node's for the same command stream.
 #[test]
 fn node_recovery_preserves_cross_shard_equivalence() {
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("dmp-sheq-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
     let cmds = command_stream(4, 77);
 
     let apply_all = |node: &ServiceNode| {
@@ -418,7 +410,8 @@ fn node_recovery_preserves_cross_shard_equivalence() {
         }
     };
 
-    let cfg4 = ServiceConfig::new(tmp("four"), market_config(77))
+    let dir4 = ScratchDir::new("sheq-four");
+    let cfg4 = ServiceConfig::new(dir4.path(), market_config(77))
         .with_shards(4)
         .with_snapshot_every(8);
     let digest4 = {
@@ -430,7 +423,8 @@ fn node_recovery_preserves_cross_shard_equivalence() {
     let node4 = ServiceNode::open(cfg4).unwrap();
     assert_eq!(node4.state_digest(), digest4, "4-shard recovery diverged");
 
-    let cfg1 = ServiceConfig::new(tmp("one"), market_config(77)).with_shards(1);
+    let dir1 = ScratchDir::new("sheq-one");
+    let cfg1 = ServiceConfig::new(dir1.path(), market_config(77)).with_shards(1);
     let node1 = ServiceNode::open(cfg1).unwrap();
     apply_all(&node1);
 

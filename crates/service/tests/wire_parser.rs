@@ -1,20 +1,26 @@
 //! The wire parser against hostile and large input: a differential
 //! suite against the scanner it replaced, byte-level fuzzing of
-//! `Json::parse_bytes`, and a linear-scaling check. (The golden
-//! durability files this suite introduced are in `tests/golden.rs`.)
+//! `Json::parse_bytes`, a linear-scaling check, and hostile snapshot
+//! sections and round-protocol bodies for the decoders that read
+//! straight from bytes. (The golden durability files this suite
+//! introduced are in `tests/golden.rs`.)
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
+use dmp_service::codec;
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
+use dmp_service::gateway::Service;
+use dmp_service::http::Request;
 use dmp_service::journal::crc32;
 use dmp_service::shard::ShardRouter;
 use dmp_service::snapshot;
 use dmp_service::state;
 use dmp_service::test_support::ScratchDir;
 use dmp_service::wire::{Json, WireError};
+use dmp_service::worker::{WorkerConfig, WorkerNode};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use rand::Rng;
@@ -445,49 +451,59 @@ fn parse_cost_per_byte_is_flat_from_64_kib_to_4_mib() {
 // and `state::decode` accept (`load_file` is that tree path).
 // ---------------------------------------------------------------------
 
+fn honest_market() -> MarketConfig {
+    MarketConfig::external(11).with_design(MarketDesign::posted_price_baseline(5.0))
+}
+
+/// A small honest command stream: strings with escapes, floats, an
+/// offer the first round clears, and an offer left pending after it.
+fn honest_commands() -> Vec<Command> {
+    let table = TableSpec {
+        name: "cities \"q\" π\n".into(),
+        columns: vec![
+            ("city".into(), ColType::Str),
+            ("pop".into(), ColType::Float),
+        ],
+        rows: vec![
+            vec![CellSpec::Str("Zürich\t→".into()), CellSpec::Float(0.1)],
+            vec![CellSpec::Null, CellSpec::Float(-2.5)],
+        ],
+    };
+    vec![
+        Command::Enroll {
+            name: "s".into(),
+            role: "seller".into(),
+        },
+        Command::Enroll {
+            name: "b".into(),
+            role: "buyer".into(),
+        },
+        Command::Deposit {
+            account: "b".into(),
+            amount: 40.0,
+        },
+        Command::SubmitAsk(AskSpec {
+            seller: "s".into(),
+            table,
+            reserve: None,
+            license: None,
+        }),
+        Command::SubmitOffer(OfferSpec::simple("b", ["city", "pop"], 9.0)),
+        Command::RunRound { rounds: 1 },
+        Command::SubmitOffer(OfferSpec::simple("b", ["elevation"], 3.0)),
+    ]
+}
+
+/// Where the first round of [`honest_commands`] starts.
+const BEFORE_ROUND_ONE: usize = 5;
+
 /// The frame payloads (header, substrate, shards, router) of a small
-/// honest two-shard snapshot: strings with escapes, floats, a cleared
-/// trade, an offer left pending.
+/// honest two-shard snapshot of [`honest_commands`].
 fn honest_sections() -> &'static Vec<Vec<u8>> {
     static SECTIONS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     SECTIONS.get_or_init(|| {
-        let market =
-            MarketConfig::external(11).with_design(MarketDesign::posted_price_baseline(5.0));
-        let router = ShardRouter::new(&market, 2);
-        let table = TableSpec {
-            name: "cities \"q\" π\n".into(),
-            columns: vec![
-                ("city".into(), ColType::Str),
-                ("pop".into(), ColType::Float),
-            ],
-            rows: vec![
-                vec![CellSpec::Str("Zürich\t→".into()), CellSpec::Float(0.1)],
-                vec![CellSpec::Null, CellSpec::Float(-2.5)],
-            ],
-        };
-        for cmd in [
-            Command::Enroll {
-                name: "s".into(),
-                role: "seller".into(),
-            },
-            Command::Enroll {
-                name: "b".into(),
-                role: "buyer".into(),
-            },
-            Command::Deposit {
-                account: "b".into(),
-                amount: 40.0,
-            },
-            Command::SubmitAsk(AskSpec {
-                seller: "s".into(),
-                table,
-                reserve: None,
-                license: None,
-            }),
-            Command::SubmitOffer(OfferSpec::simple("b", ["city", "pop"], 9.0)),
-            Command::RunRound { rounds: 1 },
-            Command::SubmitOffer(OfferSpec::simple("b", ["elevation"], 3.0)),
-        ] {
+        let router = ShardRouter::new(&honest_market(), 2);
+        for cmd in honest_commands() {
             let _ = router.apply(&cmd);
         }
         let dir = ScratchDir::new("wire-parser-sections");
@@ -534,9 +550,18 @@ fn loaders_agree_on(file: &[u8]) -> bool {
     streamed.is_some()
 }
 
-/// A section (never the header) and what it holds instead: the honest
-/// text damaged as [`MutatedDocument`] damages a document, or cut
-/// short, or [`ArbitraryBytes`].
+/// What hostile input holds instead of `honest`: the honest text
+/// damaged as [`MutatedDocument`] damages a document, or cut short, or
+/// [`ArbitraryBytes`].
+fn hostile(rng: &mut TestRng, honest: &[u8]) -> Vec<u8> {
+    match rng.gen_range(0u32..3) {
+        0 => MutatedDocument::damage(rng, honest.to_vec()),
+        1 => honest[..rng.gen_range(0usize..=honest.len())].to_vec(),
+        _ => ArbitraryBytes.generate(rng),
+    }
+}
+
+/// A section (never the header) and what it holds instead: [`hostile`].
 struct HostileSection;
 
 impl Strategy for HostileSection {
@@ -544,13 +569,7 @@ impl Strategy for HostileSection {
     fn generate(&self, rng: &mut TestRng) -> (usize, Vec<u8>) {
         let sections = honest_sections();
         let at = rng.gen_range(1usize..sections.len());
-        let honest = sections[at].clone();
-        let payload = match rng.gen_range(0u32..3) {
-            0 => MutatedDocument::damage(rng, honest),
-            1 => honest[..rng.gen_range(0usize..=honest.len())].to_vec(),
-            _ => ArbitraryBytes.generate(rng),
-        };
-        (at, payload)
+        (at, hostile(rng, &sections[at]))
     }
 }
 
@@ -611,4 +630,145 @@ fn the_depth_limit_is_the_parsers_in_both_loaders() {
         })
         .collect();
     assert!(verdicts.first() == Some(&true) && verdicts.last() == Some(&false));
+}
+
+// ---------------------------------------------------------------------
+// (e) The round protocol's bodies: a worker decodes the settle body,
+// and the coordinator a candidates reply, straight from the bytes.
+// Neither may panic on anything, and a refused settle must leave the
+// worker's replica where it was.
+// ---------------------------------------------------------------------
+
+/// Round 1 of [`honest_commands`] as the wire carries it: the settle
+/// body shipping both shards, and a candidates reply carrying both
+/// exports. Both are written in the tree form, whose dump the streamed
+/// writers equal byte for byte.
+struct HonestRound {
+    settle: Vec<u8>,
+    reply: Vec<u8>,
+}
+
+fn honest_round() -> &'static HonestRound {
+    static ROUND: OnceLock<HonestRound> = OnceLock::new();
+    ROUND.get_or_init(|| {
+        let replica = ShardRouter::new(&honest_market(), 2);
+        for cmd in &honest_commands()[..BEFORE_ROUND_ONE] {
+            let _ = replica.apply(cmd);
+        }
+        let seed = replica.draw_round_seed();
+        let exports: Vec<_> = replica
+            .shards()
+            .iter()
+            .map(|m| m.begin_round_exported(seed).1)
+            .collect();
+        assert!(!exports[0].bids.is_empty() || !exports[1].bids.is_empty());
+        let fp = fresh_worker(false).fingerprint().to_string();
+        let settle = Json::obj([
+            ("fp", Json::str(fp)),
+            ("round", Json::str("1")),
+            ("seed", Json::str(seed.to_string())),
+            ("shards", Json::Arr(vec![Json::str("0"), Json::str("1")])),
+            ("exports", codec::encode_exports(&exports)),
+        ]);
+        let reply = Json::obj([
+            ("round", Json::str("1")),
+            ("exports", codec::encode_exports(&exports)),
+        ]);
+        HonestRound {
+            settle: settle.dump().into_bytes(),
+            reply: reply.dump().into_bytes(),
+        }
+    })
+}
+
+/// A worker just before round 1 of [`honest_commands`], with shard 0's
+/// candidate phase stashed if `stash`.
+fn fresh_worker(stash: bool) -> WorkerNode {
+    let worker = WorkerNode::new(WorkerConfig::new(honest_market(), 2));
+    for cmd in &honest_commands()[..BEFORE_ROUND_ONE] {
+        let _ = worker.router().apply(cmd);
+    }
+    if stash {
+        let seed = worker.router().predict_round_seed();
+        let body = Json::obj([
+            ("fp", Json::str(worker.fingerprint())),
+            ("round", Json::str("1")),
+            ("seed", Json::str(seed.to_string())),
+            ("shards", Json::Arr(vec![Json::str("0")])),
+        ]);
+        let resp = worker.handle(&post("/internal/candidates", body.dump().into_bytes()));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    worker
+}
+
+fn post(path: &str, body: Vec<u8>) -> Request {
+    Request {
+        method: "POST".into(),
+        path: path.into(),
+        headers: Vec::new(),
+        body,
+    }
+}
+
+/// What a refused settle must leave alone.
+fn watermarks(worker: &WorkerNode) -> (u64, u64, u64) {
+    let router = worker.router();
+    (
+        router.predict_round_seed(),
+        router.rounds_completed(),
+        router.state_digest(),
+    )
+}
+
+/// One of the round's honest bodies, as [`hostile`] input.
+struct HostileBody(fn(&HonestRound) -> &[u8]);
+
+impl Strategy for HostileBody {
+    type Value = Vec<u8>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+        hostile(rng, (self.0)(honest_round()))
+    }
+}
+
+#[test]
+fn the_honest_round_bodies_are_accepted() {
+    for stash in [false, true] {
+        let worker = fresh_worker(stash);
+        let resp = worker.handle(&post("/internal/settle", honest_round().settle.clone()));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(worker.router().rounds_completed(), 1);
+    }
+    assert!(codec::decode_candidates_reply(&honest_round().reply, 1, 2).is_ok());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_settle_bodies_never_panic_or_move_a_refusing_worker(
+        body in HostileBody(|r| &r.settle),
+        stash in proptest::bool::ANY,
+    ) {
+        let worker = fresh_worker(stash);
+        let before = watermarks(&worker);
+        let resp = worker.handle(&post("/internal/settle", body));
+        if resp.status != 200 {
+            prop_assert_eq!(watermarks(&worker), before, "refused with {}", resp.body);
+        }
+    }
+
+    #[test]
+    fn hostile_candidate_replies_never_panic_and_agree_with_the_tree(
+        body in HostileBody(|r| &r.reply),
+    ) {
+        // Whatever the streamed decoder accepts, the tree adapter reads
+        // as the same exports.
+        if let Ok(exports) = codec::decode_candidates_reply(&body, 1, 2) {
+            let tree = Json::parse_bytes(&body).ok().and_then(|j| {
+                j.get("exports").and_then(|e| codec::decode_exports(e, 2).ok())
+            });
+            prop_assert_eq!(tree, Some(exports));
+        }
+    }
 }
