@@ -1,8 +1,8 @@
-//! Versioned wire codec for the distributed round protocol: the
+//! Versioned wire codec for the distributed protocol: the
 //! [`CandidatePhaseExport`]s that coordinator and shard workers exchange
-//! between processes, and the two round messages that carry them — a
-//! worker's reply to `/internal/candidates` and the coordinator's
-//! `/internal/settle` body.
+//! between processes, and every internal RPC message — the bodies of
+//! `/internal/{apply,candidates,settle,restore}` and the workers'
+//! replies.
 //!
 //! Format rules (shared with the snapshot codec in [`crate::state`]):
 //!
@@ -17,12 +17,14 @@
 //! * decoding is total: every defect (missing field, bad integer,
 //!   unknown tag, version skew) is a [`WireError`], never a panic.
 //!
-//! The node's round path is streamed: each message is one `record!`
-//! table, written token by token as compact text and decoded straight
-//! from the body bytes, so no `Json` tree is built on either side of
-//! the socket. [`encode_exports`] / [`decode_exports`] are tree
-//! adapters over the same table, kept for the benchmark's codec probes;
-//! a message's text is byte-identical to the dump of its tree form.
+//! Each message is one `record!` table, written token by token as
+//! compact text and decoded straight from the body bytes, so no `Json`
+//! tree is built on either side of the socket. The one tree inside a
+//! message is the `/internal/apply` body's `cmd`: a client command
+//! keeps its own grammar ([`Command::decode`](crate::command::Command::decode)),
+//! dumped in place and parsed as one value. [`encode_exports`] /
+//! [`decode_exports`] give the benchmark's codec probes the exports as
+//! a tree: the text parsed, and a tree's dump read as text.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
@@ -42,8 +44,9 @@ use dmp_core::arbiter::mashup_builder::BuiltMashup;
 use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;
 
-use crate::state::{enc_all, from_text, record, Wire};
-use crate::wire::{Emitter, Json, Reader, Text, Tree, WireError};
+use crate::shard::RouterImage;
+use crate::state::{enc_all, from_text, record, to_text, tree, Wire};
+use crate::wire::{Json, Parser, Sink, Text, WireError};
 
 /// The current candidate-codec version. Bump on any format change and
 /// keep decode refusing everything it does not understand.
@@ -82,6 +85,36 @@ record!(
     }
 );
 
+/// The `/internal/apply` body: one journaled command and its seq.
+pub(crate) struct ApplyBody {
+    pub(crate) fp: String,
+    pub(crate) seq: u64,
+    /// [`Command::encode`](crate::command::Command::encode)'s tree.
+    pub(crate) cmd: Json,
+}
+
+record!(ApplyBody {
+    fp => "fp",
+    seq => "seq",
+    cmd => "cmd",
+});
+
+/// The `/internal/candidates` body: the round, its seed, and the
+/// shards whose candidate phase the worker computes.
+pub(crate) struct CandidatesBody {
+    pub(crate) fp: String,
+    pub(crate) round: u64,
+    pub(crate) seed: u64,
+    pub(crate) shards: Vec<usize>,
+}
+
+record!(CandidatesBody {
+    fp => "fp",
+    round => "round",
+    seed => "seed",
+    shards => "shards",
+});
+
 /// The `/internal/settle` body: the round the coordinator settled, and
 /// the exports of the shards the receiving worker did not compute,
 /// `shards` naming each one's index.
@@ -101,6 +134,65 @@ record!(SettleBody<'_> {
     exports => "exports",
 });
 
+/// The `/internal/restore` body: the coordinator's state at journal seq
+/// `applied`, and the digest it must restore to. The image is written
+/// straight from the export and decoded straight into a router image.
+pub(crate) struct RestoreBody<'a> {
+    pub(crate) fp: String,
+    pub(crate) applied: u64,
+    pub(crate) digest: u64,
+    pub(crate) state: Cow<'a, RouterImage>,
+}
+
+record!(RestoreBody<'_> {
+    fp => "fp",
+    applied => "applied",
+    digest => "digest",
+    state => "state",
+});
+
+/// A worker's `/internal/apply` reply.
+pub(crate) struct ApplyReply {
+    pub(crate) applied: u64,
+}
+
+record!(ApplyReply { applied => "applied" });
+
+/// A worker's `/internal/settle` reply.
+pub(crate) struct SettleReply {
+    pub(crate) rounds: u64,
+    pub(crate) sales: usize,
+}
+
+record!(SettleReply {
+    rounds => "rounds",
+    sales => "sales",
+});
+
+/// A worker's `/internal/digest` reply: the replica-equivalence probe.
+pub(crate) struct DigestReply {
+    pub(crate) digest: u64,
+    pub(crate) rounds: u64,
+    pub(crate) applied: u64,
+}
+
+record!(DigestReply {
+    digest => "digest",
+    rounds => "rounds",
+    applied => "applied",
+});
+
+/// A worker's `/internal/restore` reply.
+pub(crate) struct RestoreReply {
+    pub(crate) digest: u64,
+    pub(crate) applied: u64,
+}
+
+record!(RestoreReply {
+    digest => "digest",
+    applied => "applied",
+});
+
 /// A worker's `/internal/candidates` reply: one export per shard it was
 /// asked for, in the order it was asked.
 struct CandidatesReply<'a> {
@@ -116,20 +208,13 @@ record!(CandidatesReply<'_> {
 /// A borrowed value travels as the value itself and decodes owned, so
 /// a message can be written from exports the sender keeps.
 impl<T: Wire + Clone> Wire for Cow<'_, T> {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         T::enc(self, e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         T::dec(r).map(Cow::Owned)
     }
-}
-
-/// `value`'s canonical compact text.
-fn to_text<T: Wire>(value: &T) -> String {
-    let mut out = String::new();
-    value.enc(&mut Text::new(&mut out));
-    out
 }
 
 /// The settle body for a worker that lacks `shards` (ascending indices
@@ -153,12 +238,6 @@ pub(crate) fn settle_text(
         shards,
         exports: shipped,
     })
-}
-
-/// Decode a settle body from its bytes. The shard list is the worker's
-/// to check: which shards it still needs is its own state.
-pub(crate) fn decode_settle(bytes: &[u8]) -> Result<SettleBody<'static>, WireError> {
-    from_text(bytes)
 }
 
 /// A candidates reply for `round` carrying `exports`.
@@ -193,15 +272,15 @@ pub fn decode_candidates_reply(
     Ok(reply.exports.into_iter().map(Cow::into_owned).collect())
 }
 
-/// Tree adapter: encode exports in the order given.
+/// Tree adapter: exports in the order given, as their text parsed.
 pub fn encode_exports(exports: &[CandidatePhaseExport]) -> Json {
-    Tree::build(|t| enc_all(exports, t))
+    tree(|e| enc_all(exports, e))
 }
 
-/// Tree adapter: decode exports; `shards` pins the expected count so a
-/// short or padded payload is refused.
+/// Tree adapter: decode exports from the tree's dump; `shards` pins
+/// the expected count so a short or padded payload is refused.
 pub fn decode_exports(j: &Json, shards: usize) -> Result<Vec<CandidatePhaseExport>, WireError> {
-    let exports: Vec<CandidatePhaseExport> = Wire::from_json(j)?;
+    let exports: Vec<CandidatePhaseExport> = from_text(j.try_dump()?.as_bytes())?;
     if exports.len() != shards {
         return Err(WireError::new(format!(
             "expected {shards} shard exports, got {}",
@@ -258,10 +337,32 @@ mod tests {
         }
     }
 
+    /// [`bid`]'s text, as every message carrying it has held it.
+    fn bid_text(offer_id: u64) -> String {
+        format!(
+            concat!(
+                r#"{{"offer":"{0}","buyer":"buyer \"q\" π {0}","bid":"405edd3c07ee0b0b","#,
+                r#""satisfaction":"3fec000000000000","datasets":["3","11"],"#,
+                r#""reserve_floor":"401d000000000000","license_multiplier":"3ff8000000000000"}}"#
+            ),
+            offer_id
+        )
+    }
+
+    /// [`export_of`]'s text for `round` and bids of these offers.
+    fn export_text(round: u64, offers: &[u64]) -> String {
+        let bids: Vec<String> = offers.iter().map(|&id| bid_text(id)).collect();
+        format!(
+            r#"{{"v":"1","round":"{round}","bids":[{}],"mashups":[],"missing":[],"negotiations":[],"audit":[]}}"#,
+            bids.join(",")
+        )
+    }
+
     #[test]
     fn export_with_a_missing_field_is_refused() {
-        let decode = |text: &str| CandidatePhaseExport::from_json(&Json::parse(text).unwrap());
-        let full = export_of(9, vec![bid(42)]).json().dump();
+        let decode = |text: &str| from_text::<CandidatePhaseExport>(text.as_bytes());
+        let full = to_text(&export_of(9, vec![bid(42)]));
+        assert_eq!(full, export_text(9, &[42]));
         assert_eq!(
             decode(&full).expect("decodes back"),
             export_of(9, vec![bid(42)])
@@ -274,14 +375,14 @@ mod tests {
 
     #[test]
     fn version_skew_is_refused() {
-        let mut encoded = export_of(1, Vec::new()).json().dump();
+        let mut encoded = to_text(&export_of(1, Vec::new()));
         encoded = encoded.replacen("\"1\"", "\"2\"", 1);
-        let err = CandidatePhaseExport::from_json(&Json::parse(&encoded).unwrap()).unwrap_err();
+        let err = from_text::<CandidatePhaseExport>(encoded.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         // Missing version tag is also refused.
         let unversioned =
             r#"{"round":"1","bids":[],"mashups":[],"missing":[],"negotiations":[],"audit":[]}"#;
-        assert!(CandidatePhaseExport::from_json(&Json::parse(unversioned).unwrap()).is_err());
+        assert!(from_text::<CandidatePhaseExport>(unversioned.as_bytes()).is_err());
     }
 
     #[test]
@@ -302,9 +403,8 @@ mod tests {
                 datasets: vec![DatasetId(3)],
             }],
         };
-        let encoded = export.json().dump();
-        let decoded =
-            CandidatePhaseExport::from_json(&Json::parse(&encoded).unwrap()).expect("decodes back");
+        let encoded = to_text(&export);
+        let decoded = from_text::<CandidatePhaseExport>(encoded.as_bytes()).expect("decodes back");
         assert_eq!(decoded, export, "wire round-trip changed the export");
     }
 
@@ -316,42 +416,46 @@ mod tests {
         b.bid = 0.1 + 0.2;
         b.satisfaction = f64::MIN_POSITIVE;
         let export = export_of(1, vec![b.clone()]);
-        let decoded =
-            CandidatePhaseExport::from_json(&Json::parse(&export.json().dump()).unwrap()).unwrap();
+        let decoded = from_text::<CandidatePhaseExport>(to_text(&export).as_bytes()).unwrap();
         let back = decoded.bids.first().unwrap();
         assert_eq!(back.bid.to_bits(), b.bid.to_bits());
         assert_eq!(back.satisfaction.to_bits(), b.satisfaction.to_bits());
     }
 
     #[test]
-    fn streamed_round_messages_are_the_dump_of_their_tree_form() {
+    fn round_messages_are_their_pinned_bytes() {
         let exports = vec![
             export_of(3, vec![bid(42), bid(7)]),
             export_of(3, Vec::new()),
             export_of(3, vec![bid(1)]),
         ];
+        let exports_text = format!(
+            "[{},{},{}]",
+            export_text(3, &[42, 7]),
+            export_text(3, &[]),
+            export_text(3, &[1])
+        );
         let settle = settle_text("v5 shards=3", 3, 99, &exports, vec![0, 1, 2]);
-        let tree = Json::obj([
-            ("fp", Json::str("v5 shards=3")),
-            ("round", 3u64.json()),
-            ("seed", 99u64.json()),
-            ("shards", vec![0usize, 1, 2].json()),
-            ("exports", encode_exports(&exports)),
-        ]);
-        assert_eq!(settle, tree.dump());
+        assert_eq!(
+            settle,
+            format!(
+                r#"{{"fp":"v5 shards=3","round":"3","seed":"99","shards":["0","1","2"],"exports":{exports_text}}}"#
+            )
+        );
         let reply = candidates_reply_text(3, exports.iter().collect());
-        let tree = Json::obj([
-            ("round", 3u64.json()),
-            ("exports", encode_exports(&exports)),
-        ]);
-        assert_eq!(reply, tree.dump());
+        assert_eq!(
+            reply,
+            format!(r#"{{"round":"3","exports":{exports_text}}}"#)
+        );
+        // The tree adapter is the same text, parsed.
+        assert_eq!(encode_exports(&exports).dump(), exports_text);
 
         // And back, straight from the bytes.
         assert_eq!(
             decode_candidates_reply(reply.as_bytes(), 3, 3).unwrap(),
             exports
         );
-        let body = decode_settle(settle.as_bytes()).unwrap();
+        let body: SettleBody = from_text(settle.as_bytes()).unwrap();
         assert_eq!(
             (body.fp.as_str(), body.round, body.seed),
             ("v5 shards=3", 3, 99)
@@ -366,7 +470,8 @@ mod tests {
     #[test]
     fn a_settle_body_ships_only_the_listed_shards() {
         let exports = vec![export_of(2, vec![bid(1)]), export_of(2, vec![bid(2)])];
-        let body = decode_settle(settle_text("fp", 2, 5, &exports, vec![1]).as_bytes()).unwrap();
+        let text = settle_text("fp", 2, 5, &exports, vec![1]);
+        let body: SettleBody = from_text(text.as_bytes()).unwrap();
         assert_eq!(body.shards, [1]);
         assert_eq!(body.exports, [Cow::Borrowed(&exports[1])]);
     }
@@ -444,8 +549,8 @@ mod tests {
             bids in proptest::collection::vec(arb_bid(), 0..8),
         ) {
             let export = export_of(round, bids);
-            let text = export.json().dump();
-            let decoded = CandidatePhaseExport::from_json(&Json::parse(&text).expect("self-produced json"))
+            let text = to_text(&export);
+            let decoded = from_text::<CandidatePhaseExport>(text.as_bytes())
                 .expect("self-produced payload decodes");
             prop_assert_eq!(decoded.round, export.round);
             prop_assert_eq!(decoded.bids.len(), export.bids.len());

@@ -36,6 +36,7 @@
     clippy::unimplemented
 )]
 
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,13 +47,12 @@ use dmp_telemetry::log;
 use parking_lot::Mutex;
 
 use crate::client::Client;
-use crate::codec;
+use crate::codec::{self, ApplyBody, CandidatesBody, RestoreBody};
 use crate::command::Command;
 use crate::metrics::metrics;
 use crate::node::{CommandFollower, ServiceNode};
 use crate::shard::RoundDistributor;
-use crate::state::{self, Wire};
-use crate::wire::Json;
+use crate::state::{self, to_text};
 
 /// One remote worker: a keep-alive client plus a liveness flag. A
 /// worker that fails an RPC (connection error, protocol refusal) is
@@ -184,19 +184,19 @@ impl WorkerPool {
 
     /// The `/internal/restore` body for `node`'s state, and the journal
     /// seq that state is at. Only the export is taken under the apply
-    /// lock (a consistent cut); the image is encoded and its digest
-    /// streamed after the lock is released. The worker installs the
+    /// lock (a consistent cut); its digest and the body are streamed
+    /// from it after the lock is released. The worker installs the
     /// image only if it restores to this digest: state crosses a
     /// process boundary here.
     fn restore_body(&self, node: &ServiceNode) -> (String, u64) {
         let (export, applied) = node.quiesced(|router, applied| (router.export_state(), applied));
-        let body = Json::obj([
-            ("fp", Json::str(self.fingerprint.clone())),
-            ("applied", applied.json()),
-            ("digest", state::digest(&export).json()),
-            ("state", state::encode(&export).into_json()),
-        ]);
-        (body.dump(), applied)
+        let body = to_text(&RestoreBody {
+            fp: self.fingerprint.clone(),
+            applied,
+            digest: state::digest(&export),
+            state: Cow::Borrowed(&export),
+        });
+        (body, applied)
     }
 
     /// Provision every worker; returns how many are in rotation after.
@@ -271,12 +271,11 @@ impl CommandFollower for WorkerPool {
         if matches!(cmd, Command::RunRound { .. }) {
             return;
         }
-        let body = Json::obj([
-            ("fp", Json::str(self.fingerprint.clone())),
-            ("seq", seq.json()),
-            ("cmd", cmd.encode()),
-        ])
-        .dump();
+        let body = to_text(&ApplyBody {
+            fp: self.fingerprint.clone(),
+            seq,
+            cmd: cmd.encode(),
+        });
         // The acks are checked by status only.
         let targets = self.live_indices().into_iter().map(|i| (i, &body));
         self.fan_out(targets, "apply", "/internal/apply");
@@ -335,13 +334,13 @@ impl RoundDistributor for WorkerPool {
                 if list.is_empty() {
                     continue;
                 }
-                let body = Json::obj([
-                    ("fp", Json::str(self.fingerprint.clone())),
-                    ("round", round.json()),
-                    ("seed", round_seed.json()),
-                    ("shards", list.json()),
-                ]);
-                bodies.push((w, body.dump(), list));
+                let body = to_text(&CandidatesBody {
+                    fp: self.fingerprint.clone(),
+                    round,
+                    seed: round_seed,
+                    shards: list.clone(),
+                });
+                bodies.push((w, body, list));
             }
             let targets = bodies.iter().map(|(w, text, _)| (*w, text));
             let replies = self.fan_out(targets, "candidates", "/internal/candidates");
@@ -413,7 +412,7 @@ mod tests {
     use super::*;
     use crate::http::read_request;
     use crate::node::ServiceConfig;
-    use crate::state::field;
+    use crate::state::from_text;
     use crate::test_support::ScratchDir;
     use dmp_core::market::MarketConfig;
     use std::io::{BufReader, Write};
@@ -472,16 +471,18 @@ mod tests {
         let pool = WorkerPool::connect(node.fingerprint(), node.config().shards, &[])
             .expect("an empty pool connects");
         let (text, applied) = pool.restore_body(&node);
-        let body = Json::parse(&text).expect("the body is JSON");
         assert_eq!(applied, 3);
+        // The state is the image document, the tree adapter's text.
+        let (fp, digest) = (node.fingerprint(), node.state_digest());
+        let image = state::encode(&node.router().export_state()).into_json();
+        let document = image.dump();
         assert_eq!(
-            field(&body, "applied").and_then(u64::from_json),
-            Ok(applied)
+            text,
+            format!(r#"{{"fp":"{fp}","applied":"3","digest":"{digest}","state":{document}}}"#)
         );
-        let digest = field(&body, "digest").and_then(u64::from_json);
-        assert_eq!(digest, Ok(node.state_digest()));
         // The image in the body restores to that digest.
-        let image = field(&body, "state").and_then(state::decode_document);
-        assert_eq!(image.map(|i| state::digest(&i)), digest);
+        let body: RestoreBody = from_text(text.as_bytes()).expect("the body decodes");
+        assert_eq!((body.applied, body.digest), (applied, digest));
+        assert_eq!(state::digest(&body.state), digest);
     }
 }

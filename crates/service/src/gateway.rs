@@ -388,7 +388,7 @@ pub(crate) fn err_body(msg: &str) -> String {
     Json::obj([("error", Json::str(msg))]).dump()
 }
 
-pub(crate) fn parse_body(req: &Request) -> Result<Json, Response> {
+fn parse_body(req: &Request) -> Result<Json, Response> {
     Json::parse_bytes(&req.body).map_err(|e| Response::json(400, err_body(&e.to_string())))
 }
 

@@ -719,6 +719,7 @@ impl ShardRouter {
 
 /// The router's complete recoverable state, captured by
 /// [`ShardRouter::export_state`] and serialized by the snapshot codec.
+#[derive(Clone)]
 pub struct RouterImage {
     /// Shared substrate (catalog, lineage, ledger, licensing terms).
     pub substrate: SubstrateImage,

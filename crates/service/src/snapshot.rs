@@ -19,12 +19,14 @@
 //! `node.meta` fingerprint was bumped alongside so older directories
 //! are refused at open, never misread.
 //!
-//! The node writes and reads the sections as text and builds no tree:
-//! [`write_image`] streams each section into its frame and takes the
-//! digest from those same bytes, and [`load_image`] decodes each
-//! CRC-checked section straight from the file's bytes.
-//! [`write_snapshot`] and [`load_file`] are the same files in the tree
-//! form ([`Snapshot`]): one format, one frame scan, two views.
+//! The node writes and reads the file as text and builds no tree: the
+//! header is a `record!` table like the sections, [`write_image`]
+//! streams each section into its frame and takes the digest from those
+//! same bytes, and [`load_image`] decodes each CRC-checked section
+//! straight from the file's bytes. [`write_snapshot`] and
+//! [`load_file`] are the same files with the sections as trees
+//! ([`Snapshot`]), for the benchmark and the tests: one format, one
+//! header codec, one frame scan.
 //!
 //! Files are written atomically (`.tmp` + fsync + rename + directory
 //! fsync), named `snapshot-<seq>.dmp` so the newest sorts last. Stale
@@ -50,7 +52,7 @@ use std::path::{Path, PathBuf};
 
 use crate::journal::{frame_json, frame_with, replace_durably, scan_frames};
 use crate::shard::{Fnv1a, RouterImage};
-use crate::state::{self, dec_hex, enc_hex, field, StateImage, Wire};
+use crate::state::{self, from_text, record, Hex, StateImage, Wire};
 use crate::wire::{Json, Text, WireError};
 
 /// An in-memory snapshot: materialized state + expected digest.
@@ -91,18 +93,42 @@ fn seq_of(path: &Path) -> Option<u64> {
         .and_then(|n| n.parse::<u64>().ok())
 }
 
-/// The header frame: format version, seq, digest and shard count.
-fn header(seq: u64, digest: u64, shards: usize) -> std::io::Result<Vec<u8>> {
-    let header = Json::obj([
-        ("version", Json::str(FORMAT_VERSION)),
-        // u64 seq and digest exceed f64's exact-integer range: strings.
-        ("seq", seq.json()),
-        ("digest", enc_hex(digest)),
-        ("shards", shards.json()),
-    ]);
+/// The header frame's payload: format version, seq, digest and shard
+/// count. Integers ride as decimal strings and the digest as hex, like
+/// every integer of the state image.
+struct Header {
+    version: String,
+    seq: u64,
+    digest: Hex,
+    shards: usize,
+}
+
+record!(Header {
+    version => "version",
+    seq => "seq",
+    digest => "digest",
+    shards => "shards",
+});
+
+/// Append one frame holding the text `write` writes.
+fn frame_text(out: &mut Vec<u8>, write: impl FnOnce(&mut Text<'_, Vec<u8>>)) {
+    let Ok(()) = frame_with(out, |out| {
+        write(&mut Text::new(out));
+        Ok::<(), Infallible>(())
+    });
+}
+
+/// The header frame.
+fn header(seq: u64, digest: u64, shards: usize) -> Vec<u8> {
+    let header = Header {
+        version: FORMAT_VERSION.to_owned(),
+        seq,
+        digest: Hex(digest),
+        shards,
+    };
     let mut frame = Vec::new();
-    frame_json(&header, &mut frame)?;
-    Ok(frame)
+    frame_text(&mut frame, |e| header.enc(e));
+    frame
 }
 
 /// Write the file's bytes atomically into `dir`; returns the final
@@ -119,7 +145,7 @@ fn write_file(dir: &Path, seq: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
 /// Write `snapshot` atomically into `dir`; returns the final path.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
     let state = &snapshot.state;
-    let mut buf = header(snapshot.seq, snapshot.digest, state.shards.len())?;
+    let mut buf = header(snapshot.seq, snapshot.digest, state.shards.len());
     for section in state.sections() {
         frame_json(section, &mut buf)?;
     }
@@ -136,18 +162,15 @@ pub fn write_image(dir: &Path, seq: u64, image: &RouterImage) -> std::io::Result
     // placeholder has the real one's length: reserve it, write the
     // sections, then overwrite it.
     let shards = image.shards.len();
-    let mut buf = header(seq, 0, shards)?;
+    let mut buf = header(seq, 0, shards);
     let mut hash = Fnv1a::default();
     for section in state::sections(image) {
         let payload = buf.len() + 8;
-        let Ok(()) = frame_with(&mut buf, |out| {
-            section.enc(&mut Text::new(out));
-            Ok::<(), Infallible>(())
-        });
+        frame_text(&mut buf, |e| section.enc(e));
         hash.update(buf.get(payload..).unwrap_or_default());
     }
     let digest = hash.finish();
-    let header = header(seq, digest, shards)?;
+    let header = header(seq, digest, shards);
     if let Some(slot) = buf.get_mut(..header.len()) {
         slot.copy_from_slice(&header);
     }
@@ -163,13 +186,15 @@ fn frames(bytes: &[u8]) -> Option<(u64, u64, Vec<&[u8]>)> {
         return None; // torn or trailing garbage: not an intact snapshot
     }
     let (first, sections) = payloads.split_first()?;
-    let header = Json::parse_bytes(first).ok()?;
-    if header.req_str("version").ok()? != FORMAT_VERSION {
+    let Header {
+        version,
+        seq,
+        digest: Hex(digest),
+        shards,
+    } = from_text(first).ok()?;
+    if version != FORMAT_VERSION {
         return None;
     }
-    let seq = field(&header, "seq").and_then(u64::from_json).ok()?;
-    let digest = field(&header, "digest").and_then(dec_hex).ok()?;
-    let shards = field(&header, "shards").and_then(usize::from_json).ok()?;
     // substrate + shards + router.
     if shards.checked_add(2) != Some(sections.len()) {
         return None;
@@ -352,31 +377,38 @@ mod tests {
         let path = write_snapshot(dir.path(), &sample()).unwrap();
         let bytes = fs::read(&path).unwrap();
         let (payloads, _) = scan_frames(&bytes);
-        let header = String::from_utf8(payloads[0].to_vec()).unwrap();
-        assert!(header.contains(r#""version":"3""#), "{header}");
-        let mut downgraded = Vec::new();
-        frame(
-            header
-                .replace(r#""version":"3""#, r#""version":"2""#)
-                .as_bytes(),
-            &mut downgraded,
-        );
-        for payload in &payloads[1..] {
-            frame(payload, &mut downgraded);
+        let header = r#"{"version":"3","seq":"17","digest":"deadbeefcafef00d","shards":"2"}"#;
+        assert_eq!(payloads[0], header.as_bytes());
+        // And the header takes no second spelling: whitespace is the
+        // parser's to allow, but a scalar spelled otherwise, or a member
+        // out of order, missing or extra, is not a header.
+        let swapped = r#""seq":"17","version":"3""#;
+        for (variant, loads) in [
+            (
+                header.replace(r#""version":"3""#, r#""version":"2""#),
+                false,
+            ),
+            (header.replace(r#""seq":"17""#, r#""seq":"017""#), false),
+            (
+                header.replace("deadbeefcafef00d", "DEADBEEFCAFEF00D"),
+                false,
+            ),
+            (
+                header.replace(r#""version":"3","seq":"17""#, swapped),
+                false,
+            ),
+            (header.replace(r#","shards":"2""#, ""), false),
+            (header.replace('}', r#","count":"0"}"#), false),
+            (header.replace(',', " ,\n"), true),
+        ] {
+            let mut file = Vec::new();
+            frame(variant.as_bytes(), &mut file);
+            for payload in &payloads[1..] {
+                frame(payload, &mut file);
+            }
+            fs::write(&path, &file).unwrap();
+            assert_eq!(load_file(&path).is_some(), loads, "{variant}");
         }
-        fs::write(&path, &downgraded).unwrap();
-        assert!(load_file(&path).is_none());
-        // And the header's scalars take no second spelling.
-        let mut padded = Vec::new();
-        frame(
-            header.replace(r#""seq":"17""#, r#""seq":"017""#).as_bytes(),
-            &mut padded,
-        );
-        for payload in &payloads[1..] {
-            frame(payload, &mut padded);
-        }
-        fs::write(&path, &padded).unwrap();
-        assert!(load_file(&path).is_none());
     }
 
     #[test]

@@ -13,18 +13,21 @@
 //! `digest(image) == digest(restore(decode(encode(image))))`.
 //!
 //! One `Wire` trait carries both directions, and each image type has
-//! one `enc` and one `dec`. `enc` writes tokens into an emitter
-//! (`wire::Emitter`): compact text into any
-//! [`wire::Sink`](crate::wire::Sink) — a snapshot frame, the digest's
-//! hasher — or a [`Json`] tree for the tree users (RPC envelopes,
-//! [`encode`]). `dec` reads tokens from a reader (`wire::Reader`): the
-//! wire parser over a section's bytes, with [`Json::parse`]'s grammar
-//! and depth limit, or a parsed tree. The node checkpoints, digests and
-//! recovers on the text forms and builds no tree. Each image type
+//! one `enc` and one `dec`. `enc` writes compact text token by token
+//! into any [`wire::Sink`](crate::wire::Sink) — a snapshot frame, a
+//! request body, the digest's hasher — and `dec` reads it back token by
+//! token with the wire parser, under [`Json::parse`]'s grammar and
+//! depth limit. No `Json` tree is built on either side: the node
+//! checkpoints, digests and recovers on the text, and the internal RPC
+//! messages (`codec.rs`) are tables over the same trait. Each type
 //! names its fields once, in a `record!` or `tagged!` table whose
 //! generated `enc` destructures the value **without `..`** — a field
 //! added to an image struct does not compile until it is listed. The
 //! exact-bits scalar forms live in the scalar impls and nowhere else.
+//!
+//! [`encode`] and [`decode`] are the one place a tree appears: they
+//! give the benchmark and the tests the image as [`StateImage`] trees,
+//! by parsing the text and by reading a tree's dump.
 //!
 //! The codec never panics on malformed input: a corrupt snapshot decodes
 //! to a [`WireError`] and recovery falls back to the previous snapshot
@@ -60,7 +63,7 @@ use dmp_relation::{
 };
 
 use crate::shard::{Fnv1a, RouterImage};
-use crate::wire::{Emitter, Json, Parser, Reader, Text, Tree, TreeReader, WireError};
+use crate::wire::{Json, Parser, Sink, Text, WireError};
 
 /// The tree form of a materialized snapshot: one JSON tree for the
 /// shared substrate, one per shard, and one for the router-level
@@ -99,7 +102,8 @@ impl StateImage {
         hash.finish()
     }
 
-    /// The image as one document (the `/internal/restore` payload).
+    /// The image as one document: the form of a `/internal/restore`
+    /// body's `state`.
     pub fn into_json(self) -> Json {
         Json::obj([
             ("substrate", self.substrate),
@@ -125,7 +129,7 @@ pub(crate) enum Section<'a> {
 
 impl Section<'_> {
     /// Encode the section into `e`.
-    pub(crate) fn enc<E: Emitter>(&self, e: &mut E) {
+    pub(crate) fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         match self {
             Section::Substrate(substrate) => substrate.enc(e),
             Section::Shard(shard) => shard.enc(e),
@@ -164,10 +168,11 @@ pub fn digest(image: &RouterImage) -> u64 {
     hash.finish()
 }
 
-/// Encode a router state image into its tree form.
+/// Encode a router state image into its tree form: each section's
+/// text, parsed.
 pub fn encode(image: &RouterImage) -> StateImage {
     let mut trees: Vec<Json> = sections(image)
-        .map(|section| Tree::build(|t| section.enc(t)))
+        .map(|section| tree(|e| section.enc(e)))
         .collect();
     let router = trees.pop().unwrap_or(Json::Null);
     let mut trees = trees.into_iter();
@@ -178,37 +183,17 @@ pub fn encode(image: &RouterImage) -> StateImage {
     }
 }
 
-/// Decode a snapshot's trees back into a router state image. Any
-/// structural defect — missing field, bad integer, unknown tag — is a
-/// [`WireError`]; the caller treats the snapshot as unusable and falls
-/// back.
+/// Decode a snapshot's trees back into a router state image: each
+/// section's dump, read as text. Any structural defect — missing
+/// field, bad integer, unknown tag — is a [`WireError`]; the caller
+/// treats the snapshot as unusable and falls back.
 pub fn decode(state: &StateImage) -> Result<RouterImage, WireError> {
-    decode_trees(&state.substrate, &state.shards, &state.router)
-}
-
-/// Decode the document [`StateImage::into_json`] makes, reading the
-/// sections in place.
-pub(crate) fn decode_document(j: &Json) -> Result<RouterImage, WireError> {
-    decode_trees(
-        field(j, "substrate")?,
-        arr(field(j, "shards")?)?,
-        field(j, "router")?,
-    )
-}
-
-fn decode_trees(
-    substrate: &Json,
-    shards: &[Json],
-    router: &Json,
-) -> Result<RouterImage, WireError> {
-    Ok(image(
-        Wire::from_json(substrate)?,
-        shards
-            .iter()
-            .map(Wire::from_json)
-            .collect::<Result<_, _>>()?,
-        Wire::from_json(router)?,
-    ))
+    let texts = state
+        .sections()
+        .map(Json::try_dump)
+        .collect::<Result<Vec<_>, _>>()?;
+    let sections: Vec<&[u8]> = texts.iter().map(String::as_bytes).collect();
+    decode_text(&sections)
 }
 
 /// Decode a snapshot's sections — substrate, every shard, router — from
@@ -246,8 +231,27 @@ fn image(
     }
 }
 
-/// Decode one document from its text: what `Json::parse_bytes` and
-/// then [`Wire::from_json`] accept, and nothing else.
+/// The tree of the text `write` writes (the tree adapters' one way to
+/// make a tree).
+pub(crate) fn tree(write: impl FnOnce(&mut Text<'_, String>)) -> Json {
+    let mut text = String::new();
+    write(&mut Text::new(&mut text));
+    // Images and exports hold no numbers, so their text parses unless
+    // it nests past the parser's depth limit; then the tree is `null`,
+    // which no decoder takes.
+    Json::parse(&text).unwrap_or(Json::Null)
+}
+
+/// `value`'s canonical compact text.
+pub(crate) fn to_text<T: Wire>(value: &T) -> String {
+    let mut out = String::new();
+    value.enc(&mut Text::new(&mut out));
+    out
+}
+
+/// Decode one document from its text: `T`'s canonical form, with
+/// whitespace and escapes wherever [`Json::parse`] allows them, and
+/// nothing else.
 pub(crate) fn from_text<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
     let mut parser = Parser::over(bytes)?;
     let value = T::dec(&mut parser)?;
@@ -259,19 +263,9 @@ pub(crate) fn from_text<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 /// what `enc` emits and nothing else.
 pub(crate) trait Wire: Sized {
     /// The canonical encoding.
-    fn enc<E: Emitter>(&self, e: &mut E);
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>);
     /// Decode, refusing anything `enc` would not have produced.
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError>;
-
-    /// The encoding as a tree.
-    fn json(&self) -> Json {
-        Tree::build(|t| self.enc(t))
-    }
-
-    /// Decode from a tree.
-    fn from_json(j: &Json) -> Result<Self, WireError> {
-        Self::dec(&mut TreeReader::new(j))
-    }
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError>;
 }
 
 // ---------------------------------------------------------------------
@@ -293,12 +287,12 @@ fn canonical_decimal(s: &str) -> bool {
 macro_rules! decimal_wire {
     ($($int:ty),+) => {$(
         impl Wire for $int {
-            fn enc<E: Emitter>(&self, e: &mut E) {
+            fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
                 let n = *self as i128;
                 e.decimal(n.unsigned_abs() as u64, n < 0);
             }
 
-            fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+            fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
                 Some(r.str()?)
                     .filter(|s| canonical_decimal(s))
                     .and_then(|s| s.parse().ok())
@@ -322,53 +316,71 @@ fn hex_word(s: &str) -> Result<u64, WireError> {
 
 /// A 64-bit word as 16 lower-case hex digits (the digest in a snapshot
 /// header; floats' bit patterns are the same form).
-pub(crate) fn enc_hex(word: u64) -> Json {
-    Json::Str(format!("{word:016x}"))
-}
+pub(crate) struct Hex(pub(crate) u64);
 
-/// Inverse of [`enc_hex`].
-pub(crate) fn dec_hex(j: &Json) -> Result<u64, WireError> {
-    hex_word(j.as_str().unwrap_or_default())
+impl Wire for Hex {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.hex(self.0);
+    }
+
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        hex_word(&r.str()?).map(Hex)
+    }
 }
 
 /// Floats travel as the hex bit pattern: exact for every value including
 /// NaN payloads and infinities, which wire JSON cannot represent.
 impl Wire for f64 {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.hex(self.to_bits());
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        Hex(self.to_bits()).enc(e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
-        hex_word(&r.str()?).map(f64::from_bits)
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        Hex::dec(r).map(|Hex(bits)| f64::from_bits(bits))
     }
 }
 
 impl Wire for bool {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         e.bool(*self);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.bool()
     }
 }
 
 impl Wire for String {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         e.str(self);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.str().map(|s| s.into_owned())
     }
 }
 
+/// A value in a grammar of its own (a client command inside an
+/// `/internal/apply` body): written as [`Json::dump_into`] writes it,
+/// read as [`Json::parse`] reads it.
+impl Wire for Json {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        // Only a non-finite number fails, and the journal refuses every
+        // command that holds one before it is applied or forwarded.
+        let _ = e.raw(self);
+    }
+
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.raw()
+    }
+}
+
 impl Wire for DatasetId {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         self.0.enc(e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         u64::dec(r).map(DatasetId)
     }
 }
@@ -377,19 +389,9 @@ impl Wire for DatasetId {
 // Containers.
 // ---------------------------------------------------------------------
 
-pub(crate) fn arr(j: &Json) -> Result<&[Json], WireError> {
-    j.as_arr().ok_or_else(|| WireError::new("expected array"))
-}
-
-/// Field lookup in an RPC envelope (records decode through [`member`]).
-pub(crate) fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    obj.get(key)
-        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
-}
-
 /// A slice as an array of its elements' encodings.
-pub(crate) fn enc_all<T: Wire, E: Emitter>(items: &[T], e: &mut E) {
-    e.open_arr(items.len());
+pub(crate) fn enc_all<T: Wire, S: Sink>(items: &[T], e: &mut Text<'_, S>) {
+    e.open_arr();
     for item in items {
         e.item();
         item.enc(e);
@@ -398,11 +400,11 @@ pub(crate) fn enc_all<T: Wire, E: Emitter>(items: &[T], e: &mut E) {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         enc_all(self, e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.open_arr()?;
         let mut items = Vec::new();
         while r.more()? {
@@ -413,14 +415,14 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         match self {
             Some(value) => value.enc(e),
             None => e.null(),
         }
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         if r.null()? {
             Ok(None)
         } else {
@@ -431,84 +433,66 @@ impl<T: Wire> Wire for Option<T> {
 
 /// A shared value travels as the value itself.
 impl<T: Wire> Wire for Arc<T> {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         T::enc(self, e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         T::dec(r).map(Arc::new)
     }
 }
 
 /// xoshiro256++ state words.
 impl Wire for [u64; 4] {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         enc_all(self, e);
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         <Vec<u64>>::dec(r)?
             .try_into()
             .map_err(|_| WireError::new("rng state must be 4 words"))
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_arr(2);
-        e.item();
-        self.0.enc(e);
-        e.item();
-        self.1.enc(e);
-        e.close_arr();
-    }
+/// Tuples are arrays of their elements.
+macro_rules! tuple_wire {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+                e.open_arr();
+                $(
+                    e.item();
+                    self.$i.enc(e);
+                )+
+                e.close_arr();
+            }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
-        r.open_arr()?;
-        r.item()?;
-        let a = A::dec(r)?;
-        r.item()?;
-        let b = B::dec(r)?;
-        r.close_arr()?;
-        Ok((a, b))
-    }
+            fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+                r.open_arr()?;
+                let out = ($({
+                    r.item()?;
+                    $t::dec(r)?
+                },)+);
+                r.close_arr()?;
+                Ok(out)
+            }
+        }
+    };
 }
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_arr(3);
-        e.item();
-        self.0.enc(e);
-        e.item();
-        self.1.enc(e);
-        e.item();
-        self.2.enc(e);
-        e.close_arr();
-    }
-
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
-        r.open_arr()?;
-        r.item()?;
-        let a = A::dec(r)?;
-        r.item()?;
-        let b = B::dec(r)?;
-        r.item()?;
-        let c = C::dec(r)?;
-        r.close_arr()?;
-        Ok((a, b, c))
-    }
-}
+tuple_wire!(A.0, B.1);
+tuple_wire!(A.0, B.1, C.2);
 
 /// Decode the next member of a record, which must be `key`.
-pub(crate) fn member<T: Wire, R: Reader>(r: &mut R, key: &str) -> Result<T, WireError> {
+pub(crate) fn member<T: Wire>(r: &mut Parser<'_>, key: &str) -> Result<T, WireError> {
     r.key(key)?;
     T::dec(r)
 }
 
 /// The leading `"v"` member of a versioned record: anything but
 /// `supported` is refused.
-pub(crate) fn version<R: Reader>(r: &mut R, supported: u64) -> Result<(), WireError> {
-    match member::<u64, R>(r, "v")? {
+pub(crate) fn version(r: &mut Parser<'_>, supported: u64) -> Result<(), WireError> {
+    match member::<u64>(r, "v")? {
         v if v == supported => Ok(()),
         v => Err(WireError::new(format!(
             "wire version {v} is not the supported {supported}"
@@ -523,9 +507,9 @@ pub(crate) fn version<R: Reader>(r: &mut R, supported: u64) -> Result<(), WireEr
 macro_rules! record {
     ($(#[version = $version:expr])? $ty:path { $($field:ident => $key:literal),+ $(,)? }) => {
         impl $crate::state::Wire for $ty {
-            fn enc<E: $crate::wire::Emitter>(&self, e: &mut E) {
+            fn enc<S: $crate::wire::Sink>(&self, e: &mut $crate::wire::Text<'_, S>) {
                 let Self { $($field),+ } = self;
-                e.open_obj([$($key),+].len() $(+ { let _ = $version; 1 })?);
+                e.open_obj();
                 $(
                     e.key("v");
                     $crate::state::Wire::enc(&$version, e);
@@ -537,7 +521,7 @@ macro_rules! record {
                 e.close_obj();
             }
 
-            fn dec<R: $crate::wire::Reader>(r: &mut R) -> Result<Self, $crate::wire::WireError> {
+            fn dec(r: &mut $crate::wire::Parser<'_>) -> Result<Self, $crate::wire::WireError> {
                 r.open_obj()?;
                 $($crate::state::version(r, $version)?;)?
                 let out = Self { $($field: $crate::state::member(r, $key)?),+ };
@@ -548,9 +532,9 @@ macro_rules! record {
     };
     ($ty:path as ($($field:ident),+)) => {
         impl $crate::state::Wire for $ty {
-            fn enc<E: $crate::wire::Emitter>(&self, e: &mut E) {
+            fn enc<S: $crate::wire::Sink>(&self, e: &mut $crate::wire::Text<'_, S>) {
                 let Self { $($field),+ } = self;
-                e.open_arr([$(stringify!($field)),+].len());
+                e.open_arr();
                 $(
                     e.item();
                     $crate::state::Wire::enc($field, e);
@@ -558,7 +542,7 @@ macro_rules! record {
                 e.close_arr();
             }
 
-            fn dec<R: $crate::wire::Reader>(r: &mut R) -> Result<Self, $crate::wire::WireError> {
+            fn dec(r: &mut $crate::wire::Parser<'_>) -> Result<Self, $crate::wire::WireError> {
                 let ($($field),+) = $crate::state::Wire::dec(r)?;
                 Ok(Self { $($field),+ })
             }
@@ -575,10 +559,10 @@ macro_rules! tagged {
         $($tag:literal => $variant:ident $({ $($field:ident => $key:literal),+ })?),+ $(,)?
     }) => {
         impl Wire for $ty {
-            fn enc<E: Emitter>(&self, e: &mut E) {
+            fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
                 match self {
                     $(Self::$variant $({ $($field),+ })? => {
-                        e.open_obj(["k" $($(, $key)+)?].len());
+                        e.open_obj();
                         e.key("k");
                         e.str($tag);
                         $($(
@@ -590,7 +574,7 @@ macro_rules! tagged {
                 e.close_obj();
             }
 
-            fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+            fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
                 r.open_obj()?;
                 let tag: String = member(r, "k")?;
                 let out = match tag.as_str() {
@@ -609,7 +593,7 @@ macro_rules! tagged {
 // ---------------------------------------------------------------------
 
 impl Wire for DataType {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         e.str(match self {
             DataType::Bool => "bool",
             DataType::Int => "int",
@@ -620,7 +604,7 @@ impl Wire for DataType {
         });
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         match r.str()?.as_ref() {
             "bool" => Ok(DataType::Bool),
             "int" => Ok(DataType::Int),
@@ -637,7 +621,7 @@ impl Wire for DataType {
 /// `["I","42"]`, `["F","<bits>"]`, `["S","text"]`, `["T","-3"]`,
 /// `["M",[["<src>",value],...]]`.
 impl Wire for Value {
-    fn enc<E: Emitter>(&self, e: &mut E) {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         let tag = match self {
             Value::Null => "N",
             Value::Bool(_) => "B",
@@ -647,7 +631,7 @@ impl Wire for Value {
             Value::Timestamp(_) => "T",
             Value::Multi(_) => "M",
         };
-        e.open_arr(if let Value::Null = self { 1 } else { 2 });
+        e.open_arr();
         e.item();
         e.str(tag);
         match self {
@@ -676,7 +660,7 @@ impl Wire for Value {
         e.close_arr();
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.open_arr()?;
         r.item()?;
         let tag = match r.str()?.as_bytes() {
@@ -705,8 +689,8 @@ record!(ProvAtom as (dataset, row));
 
 /// `[name, dtype]`.
 impl Wire for Field {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_arr(2);
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_arr();
         e.item();
         e.str(self.name());
         e.item();
@@ -714,7 +698,7 @@ impl Wire for Field {
         e.close_arr();
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         let (name, dtype): (String, DataType) = Wire::dec(r)?;
         Ok(Field::new(name, dtype))
     }
@@ -722,8 +706,8 @@ impl Wire for Field {
 
 /// `[[value, …], [atom, …]]`: the cells, then the recorded provenance.
 impl Wire for Row {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_arr(2);
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_arr();
         e.item();
         enc_all(self.values(), e);
         e.item();
@@ -731,15 +715,15 @@ impl Wire for Row {
         e.close_arr();
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         let (values, atoms): (Vec<Value>, Vec<ProvAtom>) = Wire::dec(r)?;
         Ok(Row::new(values, Provenance::from_atoms(atoms)))
     }
 }
 
 impl Wire for Relation {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_obj(4);
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_obj();
         e.key("name");
         e.str(self.name());
         e.key("source");
@@ -751,7 +735,7 @@ impl Wire for Relation {
         e.close_obj();
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.open_obj()?;
         let name: String = member(r, "name")?;
         let source: Option<DatasetId> = member(r, "source")?;
@@ -894,8 +878,8 @@ tagged!(TaskKind {
 
 /// Two tuple variants, which the `tagged!` table has no syntax for.
 impl Wire for PriceCurve {
-    fn enc<E: Emitter>(&self, e: &mut E) {
-        e.open_obj(3);
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_obj();
         e.key("k");
         match self {
             PriceCurve::Step(steps) => {
@@ -922,7 +906,7 @@ impl Wire for PriceCurve {
         e.close_obj();
     }
 
-    fn dec<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
         r.open_obj()?;
         let tag: String = member(r, "k")?;
         let out = match tag.as_str() {
@@ -1030,31 +1014,66 @@ record!(Allocators {
     rounds => "rounds",
 });
 
+/// The whole image as one document, `{substrate, shards, router}`: the
+/// sections of a snapshot file, in its order, and the `state` of a
+/// `/internal/restore` body ([`StateImage::into_json`]'s form).
+impl Wire for RouterImage {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        let RouterImage {
+            substrate,
+            shards,
+            next_offer,
+            round_rng,
+            rounds,
+        } = self;
+        e.open_obj();
+        e.key("substrate");
+        substrate.enc(e);
+        e.key("shards");
+        enc_all(shards, e);
+        e.key("router");
+        Allocators {
+            next_offer: *next_offer,
+            rng: *round_rng,
+            rounds: *rounds,
+        }
+        .enc(e);
+        e.close_obj();
+    }
+
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.open_obj()?;
+        let substrate = member(r, "substrate")?;
+        let shards = member(r, "shards")?;
+        let router = member(r, "router")?;
+        r.close_obj()?;
+        Ok(image(substrate, shards, router))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fmt::Debug;
 
-    /// The text `enc` writes, which must be the dump of the tree it
-    /// builds.
-    fn text<T: Wire>(v: &T) -> String {
-        let mut out = String::new();
-        v.enc(&mut Text::new(&mut out));
-        assert_eq!(out, v.json().dump());
-        out
+    /// Each value writes exactly its pinned text (the bytes every
+    /// snapshot and digest so far was made of), and reads back from it.
+    fn pinned<T: Wire + PartialEq + Debug>(cases: &[(T, &str)]) {
+        for (value, pin) in cases {
+            assert_eq!(to_text(value), *pin);
+            assert_eq!(&from_text::<T>(pin.as_bytes()).unwrap(), value);
+        }
     }
 
     fn round_trips<T: Wire + PartialEq + Debug>(values: &[T]) {
         for v in values {
-            assert_eq!(&T::from_json(&v.json()).unwrap(), v);
-            assert_eq!(&from_text::<T>(text(v).as_bytes()).unwrap(), v);
+            assert_eq!(&from_text::<T>(to_text(v).as_bytes()).unwrap(), v);
         }
     }
 
-    /// Both readers refuse each form: the tree, and its text.
+    /// The reader refuses each form's text.
     fn refuses<T: Wire + Debug>(forms: &[Json]) {
         for form in forms {
-            assert!(T::from_json(form).is_err(), "accepted {form:?}");
             let dumped = form.dump();
             assert!(
                 from_text::<T>(dumped.as_bytes()).is_err(),
@@ -1075,6 +1094,10 @@ mod tests {
         round_trips(&[i64::MIN, -10, -1, 0, 1, i64::MAX]);
         round_trips(&[0u32, 9, u32::MAX]);
         round_trips(&[0usize, 100, usize::MAX]);
+        pinned(&[(u64::MAX, r#""18446744073709551615""#)]);
+        pinned(&[(i64::MIN, r#""-9223372036854775808""#)]);
+        pinned(&[(u32::MAX, r#""4294967295""#)]);
+        pinned(&[(0usize, r#""0""#)]);
         let bad: Vec<Json> = NOT_CANONICAL
             .iter()
             .map(|s| Json::str(*s))
@@ -1106,12 +1129,11 @@ mod tests {
             0x7ff8_0000_dead_beef, // a NaN with a payload
             u64::MAX,
         ] {
-            let encoded = f64::from_bits(bits).json();
-            assert_eq!(encoded, Json::str(format!("{bits:016x}")));
-            assert_eq!(f64::from_json(&encoded).unwrap().to_bits(), bits);
-            let dumped = text(&f64::from_bits(bits));
+            let dumped = to_text(&f64::from_bits(bits));
+            assert_eq!(dumped, format!("\"{bits:016x}\""));
             assert_eq!(from_text::<f64>(dumped.as_bytes()).unwrap().to_bits(), bits);
         }
+        assert_eq!(to_text(&f64::NEG_INFINITY), r#""fff0000000000000""#);
         refuses::<f64>(&[
             Json::str("+00000000000003f"),
             Json::str("-00000000000003f"),
@@ -1134,14 +1156,17 @@ mod tests {
             reputation: 0.5,
             excluded_until: 3,
         };
-        let Json::Obj(pairs) = p.json() else {
-            panic!("a record encodes as an object")
-        };
-        let back = Participant::from_json(&Json::Obj(pairs.clone())).unwrap();
+        let pin =
+            r#"{"name":"a","role":"buyer","reputation":"3fe0000000000000","excluded_until":"3"}"#;
+        assert_eq!(to_text(&p), pin);
+        let back = from_text::<Participant>(pin.as_bytes()).unwrap();
         assert_eq!(
             (back.name, back.role, back.reputation, back.excluded_until),
             (p.name, p.role, p.reputation, p.excluded_until)
         );
+        let Ok(Json::Obj(pairs)) = Json::parse(pin) else {
+            panic!("a record encodes as an object")
+        };
         let mut missing = pairs.clone();
         missing.pop();
         let mut extra = pairs.clone();
@@ -1161,13 +1186,16 @@ mod tests {
 
     #[test]
     fn tagged_variants_and_tuples_are_as_strict() {
-        round_trips(&[
-            License::Standard,
-            License::Exclusive {
-                tax_rate: 0.35,
-                hold_rounds: 2,
-            },
-            License::NonTransferable,
+        pinned(&[
+            (License::Standard, r#"{"k":"std"}"#),
+            (
+                License::Exclusive {
+                    tax_rate: 0.35,
+                    hold_rounds: 2,
+                },
+                r#"{"k":"excl","tax":"3fd6666666666666","rounds":"2"}"#,
+            ),
+            (License::NonTransferable, r#"{"k":"nt"}"#),
         ]);
         let parse = |text: &str| Json::parse(text).unwrap();
         refuses::<License>(&[
@@ -1177,7 +1205,13 @@ mod tests {
             parse(r#"{"tax":"3fd6666666666666","k":"excl","rounds":"2"}"#),
             parse(r#"{}"#),
         ]);
-        round_trips(&[Value::Null, Value::Int(-3), Value::str("x")]);
+        pinned(&[
+            (Value::Null, r#"["N"]"#),
+            (Value::Int(-3), r#"["I","-3"]"#),
+            (Value::str("x"), r#"["S","x"]"#),
+            (Value::Float(1.5), r#"["F","3ff8000000000000"]"#),
+            (Value::Bool(true), r#"["B",true]"#),
+        ]);
         refuses::<Value>(&[
             parse(r#"["N","extra"]"#),
             parse(r#"["I"]"#),
@@ -1185,16 +1219,19 @@ mod tests {
             parse(r#"["S",1]"#),
             parse(r#"[]"#),
         ]);
+        pinned(&[(Some((false, String::from("x"))), r#"[false,"x"]"#)]);
+        pinned(&[((None::<u64>, Vec::<i64>::new()), r#"[null,[]]"#)]);
         refuses::<(u64, u64)>(&[parse(r#"["1"]"#), parse(r#"["1","2","3"]"#)]);
         refuses::<[u64; 4]>(&[parse(r#"["1","2","3"]"#)]);
     }
 
     /// Every one-byte insertion of a structural character and every
     /// one-byte deletion of a document: the text reader accepts the
-    /// variant exactly when the tree parser and the tree reader do, and
-    /// decodes it to the same value.
-    fn single_edits_agree<T: Wire + PartialEq + Debug>(value: &T) {
-        let honest = text(value);
+    /// variant exactly when the parser does and the reader takes the
+    /// parsed tree's canonical dump, and decodes it to the same value.
+    fn single_edits_agree<T: Wire + PartialEq + Debug>(value: &T, pin: &str) {
+        let honest = to_text(value);
+        assert_eq!(honest, pin);
         let mut variants = Vec::new();
         for at in 0..=honest.len() {
             for b in b",:[]{}\" n1\\\t" {
@@ -1209,10 +1246,11 @@ mod tests {
             }
         }
         for variant in variants {
-            let trees = Json::parse_bytes(&variant).and_then(|j| T::from_json(&j));
+            let canonical =
+                Json::parse_bytes(&variant).and_then(|j| from_text::<T>(j.dump().as_bytes()));
             let streamed = from_text::<T>(&variant);
             assert_eq!(
-                trees.ok(),
+                canonical.ok(),
                 streamed.ok(),
                 "{}",
                 String::from_utf8_lossy(&variant)
@@ -1232,19 +1270,27 @@ mod tests {
                 value: Value::Null,
             },
         ]);
-        single_edits_agree(&(
-            (
-                License::Exclusive {
-                    tax_rate: 0.35,
-                    hold_rounds: 2,
-                },
-                PriceCurve::Step(vec![(0.8, 100.0)]),
+        single_edits_agree(
+            &(
+                (
+                    License::Exclusive {
+                        tax_rate: 0.35,
+                        hold_rounds: 2,
+                    },
+                    PriceCurve::Step(vec![(0.8, 100.0)]),
+                ),
+                (
+                    vec![multi, Value::Float(1.5), Value::Bool(true)],
+                    Some((false, String::from("x"))),
+                ),
             ),
-            (
-                vec![multi, Value::Float(1.5), Value::Bool(true)],
-                Some((false, String::from("x"))),
+            concat!(
+                r#"[[{"k":"excl","tax":"3fd6666666666666","rounds":"2"},"#,
+                r#"{"k":"step","steps":[["3fe999999999999a","4059000000000000"]]}],"#,
+                r#"[[["M",[["1",["S","a\"b"]],["20",["N"]]]],["F","3ff8000000000000"],["B",true]],"#,
+                r#"[false,"x"]]]"#,
             ),
-        ));
-        single_edits_agree(&(None::<u64>, Vec::<i64>::new()));
+        );
+        single_edits_agree(&(None::<u64>, Vec::<i64>::new()), "[null,[]]");
     }
 }

@@ -18,10 +18,10 @@
 //! property suite in `tests/wire_props.rs` pins that down.
 //!
 //! Codecs that state a type's form once (`state.rs`) write and read it
-//! a token at a time: an `Emitter` writes compact text into a [`Sink`]
-//! (byte-identical to dumping the tree) or builds the tree, and a
-//! `Reader` reads the text with this parser's own grammar and depth
-//! limit, or walks a parsed tree.
+//! a token at a time and build no tree: `Text` writes compact text
+//! into a [`Sink`], byte-identical to dumping the same value, and the
+//! parser reads it back token by token with its own grammar and depth
+//! limit.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(
@@ -326,15 +326,15 @@ fn write_escaped<S: Sink>(s: &str, out: &mut S) {
 /// returning `None` is unreachable rather than a panic.
 ///
 /// It reads a document two ways over the same primitives: into a
-/// [`Json`] tree ([`Json::parse`]), or a token at a time as a
-/// [`Reader`] (the state-image sections), with one grammar and one
-/// depth limit.
+/// [`Json`] tree ([`Json::parse`]), or a token at a time (the codec's
+/// messages and state-image sections), with one grammar and one depth
+/// limit.
 pub(crate) struct Parser<'a> {
     src: &'a str,
     pos: usize,
-    /// [`Reader`] only: containers open around the cursor.
+    /// Token reading only: containers open around the cursor.
     depth: usize,
-    /// [`Reader`] only: the innermost open container has had no
+    /// Token reading only: the innermost open container has had no
     /// element or member yet.
     first: bool,
 }
@@ -351,8 +351,8 @@ impl<'a> Parser<'a> {
         p
     }
 
-    /// A [`Reader`] over one document in `input`, bytes off a disk or
-    /// a socket: validated as [`Json::parse_bytes`] validates them.
+    /// A token reader over one document in `input`, bytes off a disk
+    /// or a socket: validated as [`Json::parse_bytes`] validates them.
     /// Read one value, then [`Parser::finish`].
     pub(crate) fn over(input: &'a [u8]) -> Result<Self, WireError> {
         utf8(input).map(Parser::new)
@@ -608,42 +608,13 @@ impl<'a> Parser<'a> {
 
 // ---------------------------------------------------------------------
 // Token streams: a value written or read one token at a time, so a
-// codec (`state.rs`) states each type's form once and runs it against
-// text or a tree.
+// codec (`state.rs`) states each type's form once.
 // ---------------------------------------------------------------------
 
-/// Where an encoder writes a value, token by token. Callers pair every
-/// `open_*` with its `close_*`, call [`Emitter::item`] before each array
-/// element and [`Emitter::key`] before each member's value.
-pub(crate) trait Emitter {
-    /// A string.
-    fn str(&mut self, s: &str);
-    /// An integer as a string of its decimal digits, led by `-` when
-    /// `negative`: `to_string`'s form.
-    fn decimal(&mut self, magnitude: u64, negative: bool);
-    /// A 64-bit word as a string of 16 lower-case hex digits.
-    fn hex(&mut self, word: u64);
-    /// `true` / `false`.
-    fn bool(&mut self, b: bool);
-    /// `null`.
-    fn null(&mut self);
-    /// `[` of an array of `len` elements.
-    fn open_arr(&mut self, len: usize);
-    /// Before each array element.
-    fn item(&mut self);
-    /// `]`.
-    fn close_arr(&mut self);
-    /// `{` of an object of `len` members.
-    fn open_obj(&mut self, len: usize);
-    /// Before each member's value.
-    fn key(&mut self, key: &str);
-    /// `}`.
-    fn close_obj(&mut self);
-}
-
-/// An [`Emitter`] writing compact text into a [`Sink`]: the bytes
-/// [`Json::dump_into`] writes for the tree [`Tree`] builds from the
-/// same calls.
+/// Compact text written token by token into a [`Sink`]: the bytes
+/// [`Json::dump_into`] writes for the same value. Callers pair every
+/// `open_*` with its `close_*`, call [`Text::item`] before each array
+/// element and [`Text::key`] before each member's value.
 pub(crate) struct Text<'s, S: Sink> {
     out: &'s mut S,
     /// The innermost open container has had no element or member yet.
@@ -667,55 +638,71 @@ impl<'s, S: Sink> Text<'s, S> {
         }
         self.first = false;
     }
-}
 
-impl<S: Sink> Emitter for Text<'_, S> {
-    fn str(&mut self, s: &str) {
+    /// A string.
+    pub(crate) fn str(&mut self, s: &str) {
         write_escaped(s, self.out);
     }
 
-    fn decimal(&mut self, magnitude: u64, negative: bool) {
+    /// An integer as a string of its decimal digits, led by `-` when
+    /// `negative`: `to_string`'s form.
+    pub(crate) fn decimal(&mut self, magnitude: u64, negative: bool) {
         self.quoted(Digits::decimal(magnitude, negative));
     }
 
-    fn hex(&mut self, word: u64) {
+    /// A 64-bit word as a string of 16 lower-case hex digits.
+    pub(crate) fn hex(&mut self, word: u64) {
         self.quoted(Digits::hex(word));
     }
 
-    fn bool(&mut self, b: bool) {
+    /// `true` / `false`.
+    pub(crate) fn bool(&mut self, b: bool) {
         self.out.push_str(if b { "true" } else { "false" });
     }
 
-    fn null(&mut self) {
+    /// `null`.
+    pub(crate) fn null(&mut self) {
         self.out.push_str("null");
     }
 
-    fn open_arr(&mut self, _len: usize) {
+    /// A whole value, as [`Json::dump_into`] writes it; a non-finite
+    /// number is an error, and the sink keeps the partial text.
+    pub(crate) fn raw(&mut self, value: &Json) -> Result<(), WireError> {
+        value.dump_into(self.out)
+    }
+
+    /// `[`.
+    pub(crate) fn open_arr(&mut self) {
         self.out.push_str("[");
         self.first = true;
     }
 
-    fn item(&mut self) {
+    /// Before each array element.
+    pub(crate) fn item(&mut self) {
         self.separate();
     }
 
-    fn close_arr(&mut self) {
+    /// `]`.
+    pub(crate) fn close_arr(&mut self) {
         self.out.push_str("]");
         self.first = false;
     }
 
-    fn open_obj(&mut self, _len: usize) {
+    /// `{`.
+    pub(crate) fn open_obj(&mut self) {
         self.out.push_str("{");
         self.first = true;
     }
 
-    fn key(&mut self, key: &str) {
+    /// Before each member's value.
+    pub(crate) fn key(&mut self, key: &str) {
         self.separate();
         write_escaped(key, self.out);
         self.out.push_str(":");
     }
 
-    fn close_obj(&mut self) {
+    /// `}`.
+    pub(crate) fn close_obj(&mut self) {
         self.out.push_str("}");
         self.first = false;
     }
@@ -780,129 +767,12 @@ impl Digits {
     }
 }
 
-/// An [`Emitter`] building the [`Json`] tree of what it is given.
-#[derive(Default)]
-pub(crate) struct Tree {
-    /// Open containers, innermost last.
-    open: Vec<Json>,
-    /// Keys of members whose values are not yet put, innermost last.
-    keys: Vec<String>,
-    root: Option<Json>,
-}
-
-impl Tree {
-    /// The tree of the value `enc` emits.
-    pub(crate) fn build(enc: impl FnOnce(&mut Tree)) -> Json {
-        let mut tree = Tree::default();
-        enc(&mut tree);
-        tree.root.unwrap_or(Json::Null)
-    }
-
-    fn put(&mut self, value: Json) {
-        match self.open.last_mut() {
-            Some(Json::Arr(items)) => items.push(value),
-            Some(Json::Obj(pairs)) => pairs.push((self.keys.pop().unwrap_or_default(), value)),
-            _ => self.root = Some(value),
-        }
-    }
-
-    fn close(&mut self) {
-        if let Some(container) = self.open.pop() {
-            self.put(container);
-        }
-    }
-}
-
-impl Emitter for Tree {
-    fn str(&mut self, s: &str) {
-        self.put(Json::str(s));
-    }
-
-    fn decimal(&mut self, magnitude: u64, negative: bool) {
-        self.put(Json::Str(if negative {
-            format!("-{magnitude}")
-        } else {
-            magnitude.to_string()
-        }));
-    }
-
-    fn hex(&mut self, word: u64) {
-        self.put(Json::Str(format!("{word:016x}")));
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.put(Json::Bool(b));
-    }
-
-    fn null(&mut self) {
-        self.put(Json::Null);
-    }
-
-    fn open_arr(&mut self, len: usize) {
-        self.open.push(Json::Arr(Vec::with_capacity(len)));
-    }
-
-    fn item(&mut self) {}
-
-    fn close_arr(&mut self) {
-        self.close();
-    }
-
-    fn open_obj(&mut self, len: usize) {
-        self.open.push(Json::Obj(Vec::with_capacity(len)));
-    }
-
-    fn key(&mut self, key: &str) {
-        self.keys.push(key.to_string());
-    }
-
-    fn close_obj(&mut self) {
-        self.close();
-    }
-}
-
-/// Where a decoder reads a value from, token by token; each call
-/// refuses what is not there. Inside an array, [`Reader::more`] comes
-/// before each element and once after the last; inside an object,
-/// [`Reader::key`] names each member in order and
-/// [`Reader::close_obj`] follows the last.
-pub(crate) trait Reader {
-    /// A string (borrowed where the source allows).
-    fn str(&mut self) -> Result<Cow<'_, str>, WireError>;
-    /// `true` / `false`.
-    fn bool(&mut self) -> Result<bool, WireError>;
-    /// Consume a `null` if one is next; `false` leaves the value.
-    fn null(&mut self) -> Result<bool, WireError>;
-    /// `[`.
-    fn open_arr(&mut self) -> Result<(), WireError>;
-    /// Whether another element follows; `false` has consumed the `]`.
-    fn more(&mut self) -> Result<bool, WireError>;
-    /// `{`.
-    fn open_obj(&mut self) -> Result<(), WireError>;
-    /// The next member, which must be named `key`.
-    fn key(&mut self, key: &str) -> Result<(), WireError>;
-    /// `}`, with no member left.
-    fn close_obj(&mut self) -> Result<(), WireError>;
-
-    /// Another element must follow.
-    fn item(&mut self) -> Result<(), WireError> {
-        if self.more()? {
-            Ok(())
-        } else {
-            Err(WireError::new("array too short"))
-        }
-    }
-
-    /// No element may follow.
-    fn close_arr(&mut self) -> Result<(), WireError> {
-        if self.more()? {
-            Err(WireError::new("array too long"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
+/// The token reader over text: the grammar of [`Json::parse`], the
+/// depth limit included, with whitespace allowed wherever it allows it.
+/// Each call refuses what is not there. Inside an array,
+/// [`Parser::more`] comes before each element and once after the last;
+/// inside an object, [`Parser::key`] names each member in order and
+/// [`Parser::close_obj`] follows the last.
 impl Parser<'_> {
     /// Past a separator: a value starts here, as deep as
     /// [`Parser::value`] would have been asked to read it.
@@ -928,18 +798,16 @@ impl Parser<'_> {
         self.first = false;
         self.skip_ws();
     }
-}
 
-/// The token reader over text: the grammar of [`Json::parse`], the
-/// depth limit included, with whitespace allowed wherever it allows it.
-impl Reader for Parser<'_> {
-    fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
+    /// A string (borrowed where it holds no escape).
+    pub(crate) fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
         let s = self.cow_string()?;
         self.skip_ws();
         Ok(s)
     }
 
-    fn bool(&mut self) -> Result<bool, WireError> {
+    /// `true` / `false`.
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         let b = match self.peek() {
             Some(b't') => self.keyword("true").map(|()| true),
             Some(b'f') => self.keyword("false").map(|()| false),
@@ -949,7 +817,8 @@ impl Reader for Parser<'_> {
         Ok(b)
     }
 
-    fn null(&mut self) -> Result<bool, WireError> {
+    /// Consume a `null` if one is next; `false` leaves the value.
+    pub(crate) fn null(&mut self) -> Result<bool, WireError> {
         if self.peek() != Some(b'n') {
             return Ok(false);
         }
@@ -958,11 +827,21 @@ impl Reader for Parser<'_> {
         Ok(true)
     }
 
-    fn open_arr(&mut self) -> Result<(), WireError> {
+    /// A whole value as a tree, read as [`Json::parse`] reads it at
+    /// this depth.
+    pub(crate) fn raw(&mut self) -> Result<Json, WireError> {
+        let value = self.value(self.depth)?;
+        self.skip_ws();
+        Ok(value)
+    }
+
+    /// `[`.
+    pub(crate) fn open_arr(&mut self) -> Result<(), WireError> {
         self.open(b'[')
     }
 
-    fn more(&mut self) -> Result<bool, WireError> {
+    /// Whether another element follows; `false` has consumed the `]`.
+    pub(crate) fn more(&mut self) -> Result<bool, WireError> {
         match (self.peek(), std::mem::take(&mut self.first)) {
             (Some(b']'), _) => {
                 self.close();
@@ -977,11 +856,31 @@ impl Reader for Parser<'_> {
         }
     }
 
-    fn open_obj(&mut self) -> Result<(), WireError> {
+    /// Another element must follow.
+    pub(crate) fn item(&mut self) -> Result<(), WireError> {
+        if self.more()? {
+            Ok(())
+        } else {
+            Err(WireError::new("array too short"))
+        }
+    }
+
+    /// No element may follow.
+    pub(crate) fn close_arr(&mut self) -> Result<(), WireError> {
+        if self.more()? {
+            Err(WireError::new("array too long"))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `{`.
+    pub(crate) fn open_obj(&mut self) -> Result<(), WireError> {
         self.open(b'{')
     }
 
-    fn key(&mut self, key: &str) -> Result<(), WireError> {
+    /// The next member, which must be named `key`.
+    pub(crate) fn key(&mut self, key: &str) -> Result<(), WireError> {
         if !std::mem::take(&mut self.first) {
             self.require(b',')
                 .map_err(|_| self.err(format!("missing field '{key}'")))?;
@@ -995,129 +894,13 @@ impl Reader for Parser<'_> {
         self.element()
     }
 
-    fn close_obj(&mut self) -> Result<(), WireError> {
+    /// `}`, with no member left.
+    pub(crate) fn close_obj(&mut self) -> Result<(), WireError> {
         if self.peek() != Some(b'}') {
             return Err(self.err("expected '}': unexpected field"));
         }
         self.close();
         Ok(())
-    }
-}
-
-/// The token reader over a parsed [`Json`] tree.
-pub(crate) struct TreeReader<'a> {
-    /// The value the next read takes.
-    next: Option<&'a Json>,
-    /// Open containers: the elements or members not yet read.
-    open: Vec<Open<'a>>,
-}
-
-enum Open<'a> {
-    Arr(std::slice::Iter<'a, Json>),
-    Obj(std::slice::Iter<'a, (String, Json)>),
-}
-
-impl<'a> TreeReader<'a> {
-    pub(crate) fn new(root: &'a Json) -> Self {
-        TreeReader {
-            next: Some(root),
-            open: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, what: &str) -> Result<&'a Json, WireError> {
-        self.next
-            .take()
-            .ok_or_else(|| WireError::new(format!("expected {what}")))
-    }
-}
-
-impl Reader for TreeReader<'_> {
-    #[inline]
-    fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
-        match self.take("string")? {
-            Json::Str(s) => Ok(Cow::Borrowed(s)),
-            _ => Err(WireError::new("expected string")),
-        }
-    }
-
-    #[inline]
-    fn bool(&mut self) -> Result<bool, WireError> {
-        self.take("bool")?
-            .as_bool()
-            .ok_or_else(|| WireError::new("expected bool"))
-    }
-
-    #[inline]
-    fn null(&mut self) -> Result<bool, WireError> {
-        let null = matches!(self.next, Some(Json::Null));
-        if null {
-            self.next = None;
-        }
-        Ok(null)
-    }
-
-    #[inline]
-    fn open_arr(&mut self) -> Result<(), WireError> {
-        match self.take("array")? {
-            Json::Arr(items) => {
-                self.open.push(Open::Arr(items.iter()));
-                Ok(())
-            }
-            _ => Err(WireError::new("expected array")),
-        }
-    }
-
-    #[inline]
-    fn more(&mut self) -> Result<bool, WireError> {
-        let Some(Open::Arr(items)) = self.open.last_mut() else {
-            return Err(WireError::new("not in an array"));
-        };
-        self.next = items.next();
-        if self.next.is_none() {
-            self.open.pop();
-        }
-        Ok(self.next.is_some())
-    }
-
-    #[inline]
-    fn open_obj(&mut self) -> Result<(), WireError> {
-        match self.take("object")? {
-            Json::Obj(pairs) => {
-                self.open.push(Open::Obj(pairs.iter()));
-                Ok(())
-            }
-            _ => Err(WireError::new("expected object")),
-        }
-    }
-
-    #[inline]
-    fn key(&mut self, key: &str) -> Result<(), WireError> {
-        match self.open.last_mut() {
-            Some(Open::Obj(pairs)) => match pairs.next() {
-                Some((k, v)) if k == key => {
-                    self.next = Some(v);
-                    Ok(())
-                }
-                _ => Err(WireError::new(format!("missing field '{key}'"))),
-            },
-            _ => Err(WireError::new("not in an object")),
-        }
-    }
-
-    #[inline]
-    fn close_obj(&mut self) -> Result<(), WireError> {
-        match self.open.last_mut() {
-            Some(Open::Obj(pairs)) => match pairs.next() {
-                None => {
-                    self.open.pop();
-                    Ok(())
-                }
-                Some((k, _)) => Err(WireError::new(format!("unexpected field '{k}'"))),
-            },
-            _ => Err(WireError::new("not in an object")),
-        }
     }
 }
 

@@ -14,24 +14,26 @@
 //! provisioning a fresh one from the coordinator's quiesced state
 //! (`/internal/restore`).
 //!
-//! | RPC                      | Body                              | Effect |
-//! |--------------------------|-----------------------------------|--------|
-//! | `POST /internal/apply`   | `{fp, seq, cmd}`                  | apply one journaled command |
-//! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | compute + stash candidate phase, return `{round, exports}` |
-//! | `POST /internal/settle`  | `{fp, round, seed, shards, exports}` | re-execute clear + settlement locally from the stash and the shipped `shards`' exports |
-//! | `GET /internal/digest`   | —                                 | state digest + round/seq watermarks |
-//! | `POST /internal/restore` | `{fp, applied, digest, state}`    | become a fresh replica of the given state, if it restores to `digest` |
+//! | RPC                      | Body                              | Reply | Effect |
+//! |--------------------------|-----------------------------------|-------|--------|
+//! | `POST /internal/apply`   | `{fp, seq, cmd}`                  | `{applied}` | apply one journaled command |
+//! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | `{round, exports}` | compute + stash the assigned shards' candidate phase |
+//! | `POST /internal/settle`  | `{fp, round, seed, shards, exports}` | `{rounds, sales}` | re-execute clear + settlement locally from the stash and the shipped `shards`' exports |
+//! | `GET /internal/digest`   | —                                 | `{digest, rounds, applied}` | state digest + round/seq watermarks |
+//! | `POST /internal/restore` | `{fp, applied, digest, state:{substrate, shards, router}}` | `{digest, applied}` | become a fresh replica of the given state, if it restores to `digest` |
 //!
-//! The candidates reply and the settle body are streamed text
-//! ([`codec`]): written without a `Json` tree and decoded straight
-//! from the body bytes.
+//! Every body and reply is a [`codec`] table: written as text without a
+//! `Json` tree, and decoded straight from the body bytes (`cmd` keeps
+//! the client command grammar and is read as one value). A body that
+//! does not decode is a 400, and so is a round RPC's shard list that is
+//! out of range, unsorted or repeated.
 //!
 //! Every RPC carries the deployment's config fingerprint and is
-//! **refused** on mismatch (wrong fingerprint, wrong round number, a
-//! round seed the worker's own RNG lockstep would not draw, or a settle
-//! that leaves some shard neither stashed nor shipped): a diverged
-//! replica must fail fast and be re-provisioned, never settle a round
-//! from the wrong state.
+//! **refused** with a 409 on mismatch (wrong fingerprint, wrong round
+//! number, a round seed the worker's own RNG lockstep would not draw,
+//! or a settle that leaves some shard neither stashed nor shipped)
+//! before it changes anything: a diverged replica must fail fast and be
+//! re-provisioned, never settle a round from the wrong state.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(
@@ -51,13 +53,16 @@ use dmp_core::market::MarketConfig;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use crate::codec::{self, SettleBody};
+use crate::codec::{
+    self, ApplyBody, ApplyReply, CandidatesBody, DigestReply, RestoreBody, RestoreReply,
+    SettleBody, SettleReply,
+};
 use crate::command::Command;
-use crate::gateway::{err_body, parse_body, Service};
+use crate::gateway::{err_body, Service};
 use crate::http::{Request, Response};
 use crate::node::config_fingerprint;
 use crate::shard::ShardRouter;
-use crate::state::{self, field, Wire};
+use crate::state::{from_text, to_text, Wire};
 use crate::wire::{Json, WireError};
 
 /// Protocol phase at which a worker kills itself — fault injection for
@@ -174,17 +179,9 @@ impl WorkerNode {
         }
     }
 
-    /// The preamble of every `POST /internal/*` RPC: the body, once it
-    /// parses and carries this worker's fingerprint. A worker configured
-    /// with different shard hashing or RNG seeds would accept commands
-    /// and silently diverge — refuse instead.
-    fn checked_body(&self, req: &Request) -> Result<Json, Response> {
-        let body = parse_body(req)?;
-        self.check_fingerprint(&arg(&body, "fp", String::from_json)?)?;
-        Ok(body)
-    }
-
-    /// Refuse a request carrying another deployment's fingerprint.
+    /// Refuse a request carrying another deployment's fingerprint. A
+    /// worker configured with different shard hashing or RNG seeds
+    /// would accept commands and silently diverge — refuse instead.
     fn check_fingerprint(&self, fp: &str) -> Result<(), Response> {
         if fp != self.fingerprint {
             let msg = format!(
@@ -212,16 +209,16 @@ impl WorkerNode {
     /// apply critical section over one connection, so FIFO per worker
     /// is journal order). Rejected commands are applied for their side
     /// effects exactly like journal replay (`router.apply` is total).
-    fn rpc_apply(&self, req: &Request) -> Result<Json, Response> {
-        let body = self.checked_body(req)?;
-        let seq = arg(&body, "seq", u64::from_json)?;
-        let cmd = arg(&body, "cmd", Command::decode)?;
+    fn rpc_apply(&self, req: &Request) -> Result<String, Response> {
+        let ApplyBody { fp, seq, cmd } = decode(req)?;
+        self.check_fingerprint(&fp)?;
+        let cmd = Command::decode(&cmd).map_err(bad_field)?;
         let router = self.router();
         // Rejections are part of the deterministic state machine: the
         // coordinator journaled this command whatever its outcome.
         let _ = router.apply(&cmd);
         self.applied.store(seq, Ordering::Relaxed);
-        Ok(Json::obj([("applied", seq.json())]))
+        Ok(to_text(&ApplyReply { applied: seq }))
     }
 
     /// `POST /internal/candidates {fp, round, seed, shards}` — compute
@@ -229,17 +226,20 @@ impl WorkerNode {
     /// coordinator's seed, stash the contexts for the settle broadcast,
     /// and return `{round, exports}`. Refuses a round number or seed
     /// this replica would not produce itself: accepting either would
-    /// settle the round from diverged state.
+    /// settle the round from diverged state. A shard list that is not
+    /// ascending and unique is a 400 before either is checked: a
+    /// repeated shard would run its candidate phase twice.
     fn rpc_candidates(&self, req: &Request) -> Result<String, Response> {
-        let body = self.checked_body(req)?;
-        let (round, seed) = round_and_seed(&body)?;
+        let CandidatesBody {
+            fp,
+            round,
+            seed,
+            shards: assigned,
+        } = decode(req)?;
+        self.check_fingerprint(&fp)?;
         let router = self.router();
         let shard_count = router.shard_count();
-        let assigned = arg(&body, "shards", <Vec<usize>>::from_json)?;
-        if let Some(i) = assigned.iter().find(|&&i| i >= shard_count) {
-            let msg = format!("shard {i} out of range for {shard_count} shards");
-            return Err(Response::json(400, err_body(&msg)));
-        }
+        check_shard_list(&assigned, shard_count)?;
         self.maybe_kill(KillPhase::PreCandidate, round);
         Self::check_round(&router, round)?;
         check_seed(seed, router.predict_round_seed(), "would draw")?;
@@ -300,19 +300,26 @@ impl WorkerNode {
     /// 400; a shard neither stashed for this round and seed nor shipped
     /// is a 409. Both are checked before the round seed is drawn, so a
     /// refused settle leaves the replica untouched.
-    fn rpc_settle(&self, req: &Request) -> Result<Json, Response> {
-        let body = codec::decode_settle(&req.body).map_err(bad_field)?;
-        self.check_fingerprint(&body.fp)?;
+    fn rpc_settle(&self, req: &Request) -> Result<String, Response> {
         let SettleBody {
+            fp,
             round,
             seed,
             shards,
             exports,
-            ..
-        } = body;
+        } = decode(req)?;
+        self.check_fingerprint(&fp)?;
         let router = self.router();
         let shard_count = router.shard_count();
-        check_shard_list(&shards, exports.len(), shard_count)?;
+        if shards.len() != exports.len() {
+            let msg = format!(
+                "{} shards listed for {} exports",
+                shards.len(),
+                exports.len()
+            );
+            return Err(Response::json(400, err_body(&msg)));
+        }
+        check_shard_list(&shards, shard_count)?;
         self.maybe_kill(KillPhase::PreSettle, round);
         Self::check_round(&router, round)?;
         let mut pending = self.pending.lock();
@@ -358,20 +365,20 @@ impl WorkerNode {
         let sales = router.clear_round(&mut ctxs);
         self.maybe_kill(KillPhase::MidSettle, round);
         let report = router.finish_round(ctxs, sales);
-        Ok(Json::obj([
-            ("rounds", router.rounds_completed().json()),
-            ("sales", report.sales.json()),
-        ]))
+        Ok(to_text(&SettleReply {
+            rounds: router.rounds_completed(),
+            sales: report.sales,
+        }))
     }
 
     /// `GET /internal/digest` — the replica-equivalence probe.
-    fn rpc_digest(&self) -> Json {
+    fn rpc_digest(&self) -> String {
         let router = self.router();
-        Json::obj([
-            ("digest", router.state_digest().json()),
-            ("rounds", router.rounds_completed().json()),
-            ("applied", self.applied.load(Ordering::Relaxed).json()),
-        ])
+        to_text(&DigestReply {
+            digest: router.state_digest(),
+            rounds: router.rounds_completed(),
+            applied: self.applied.load(Ordering::Relaxed),
+        })
     }
 
     /// `POST /internal/restore {fp, applied, digest, state}` — become a
@@ -380,22 +387,24 @@ impl WorkerNode {
     /// recovery), require it to reproduce `digest` exactly as recovery
     /// does, and only then swap it in wholesale. A mismatch is a 409
     /// and this worker keeps the state it had. Any pending round is
-    /// stale by definition and dropped.
-    fn rpc_restore(&self, req: &Request) -> Result<Json, Response> {
-        let body = self.checked_body(req)?;
-        let applied = arg(&body, "applied", u64::from_json)?;
-        let digest = arg(&body, "digest", u64::from_json)?;
-        let image = arg(&body, "state", state::decode_document)?;
+    /// stale by definition and dropped. The image is decoded straight
+    /// from the body bytes into a router image.
+    fn rpc_restore(&self, req: &Request) -> Result<String, Response> {
+        let RestoreBody {
+            fp,
+            applied,
+            digest,
+            state,
+        } = decode(req)?;
+        self.check_fingerprint(&fp)?;
         let cfg = &self.cfg;
-        let fresh = ShardRouter::restore_verified(&cfg.market, cfg.shards, image, digest)
-            .map_err(|e| Response::json(409, err_body(&format!("not installed: {e}"))))?;
+        let fresh =
+            ShardRouter::restore_verified(&cfg.market, cfg.shards, state.into_owned(), digest)
+                .map_err(|e| Response::json(409, err_body(&format!("not installed: {e}"))))?;
         *self.pending.lock() = None;
         *self.router.lock() = Arc::new(fresh);
         self.applied.store(applied, Ordering::Relaxed);
-        Ok(Json::obj([
-            ("digest", digest.json()),
-            ("applied", applied.json()),
-        ]))
+        Ok(to_text(&RestoreReply { digest, applied }))
     }
 
     fn health_body(&self) -> String {
@@ -411,32 +420,33 @@ impl WorkerNode {
     }
 }
 
-/// An RPC's answer: its JSON as a 200, or its refusal.
-fn reply(result: Result<Json, Response>) -> Response {
-    result.map_or_else(|refusal| refusal, |json| Response::json(200, json.dump()))
+/// An RPC's answer: its text as a 200, or its refusal.
+fn reply(result: Result<String, Response>) -> Response {
+    result.map_or_else(|refusal| refusal, |text| Response::json(200, text))
 }
 
-/// The 400 for a body field that does not decode.
+/// A request's body, decoded straight from its bytes; one that does not
+/// decode is a 400.
+fn decode<T: Wire>(req: &Request) -> Result<T, Response> {
+    from_text(&req.body).map_err(bad_field)
+}
+
+/// The 400 for a body that does not decode.
 fn bad_field(e: WireError) -> Response {
     Response::json(400, err_body(&e.to_string()))
 }
 
-/// Refuse a settle's shard list unless it is ascending, unique, in
-/// range for `shard_count` shards and one index per shipped export.
-fn check_shard_list(shards: &[usize], exports: usize, shard_count: usize) -> Result<(), Response> {
-    let problem = if shards.len() != exports {
-        Some(format!(
-            "{} shards listed for {exports} exports",
-            shards.len()
-        ))
-    } else if let Some(i) = shards.iter().find(|&&i| i >= shard_count) {
-        Some(format!("shard {i} out of range for {shard_count} shards"))
+/// Refuse a round RPC's shard list unless it is ascending, unique and
+/// in range for `shard_count` shards.
+fn check_shard_list(shards: &[usize], shard_count: usize) -> Result<(), Response> {
+    let msg = if let Some(i) = shards.iter().find(|&&i| i >= shard_count) {
+        format!("shard {i} out of range for {shard_count} shards")
     } else if shards.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
-        Some(format!("shard list {shards:?} is not ascending and unique"))
+        format!("shard list {shards:?} is not ascending and unique")
     } else {
-        None
+        return Ok(());
     };
-    problem.map_or(Ok(()), |msg| Err(Response::json(400, err_body(&msg))))
+    Err(Response::json(400, err_body(&msg)))
 }
 
 /// Refuse a round `seed` other than the one this replica drew or
@@ -452,30 +462,11 @@ fn check_seed(seed: u64, mine: u64, how: &str) -> Result<(), Response> {
     Ok(())
 }
 
-/// The `round` and `seed` of a round RPC, `round`'s refusal first.
-fn round_and_seed(body: &Json) -> Result<(u64, u64), Response> {
-    Ok((
-        arg(body, "round", u64::from_json)?,
-        arg(body, "seed", u64::from_json)?,
-    ))
-}
-
-/// Decode the body field `key`; a missing or malformed one is a 400.
-fn arg<T>(
-    body: &Json,
-    key: &str,
-    dec: impl FnOnce(&Json) -> Result<T, WireError>,
-) -> Result<T, Response> {
-    field(body, key).and_then(dec).map_err(bad_field)
-}
-
 impl Service for WorkerNode {
     fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/internal/apply") => reply(self.rpc_apply(req)),
-            ("POST", "/internal/candidates") => self
-                .rpc_candidates(req)
-                .map_or_else(|refusal| refusal, |text| Response::json(200, text)),
+            ("POST", "/internal/candidates") => reply(self.rpc_candidates(req)),
             ("POST", "/internal/settle") => reply(self.rpc_settle(req)),
             ("GET", "/internal/digest") => reply(Ok(self.rpc_digest())),
             ("POST", "/internal/restore") => reply(self.rpc_restore(req)),
@@ -495,8 +486,9 @@ impl Service for WorkerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StateImage;
+    use crate::shard::RouterImage;
     use dmp_mechanism::design::MarketDesign;
+    use std::borrow::Cow;
 
     fn worker_cfg() -> WorkerConfig {
         let market =
@@ -504,75 +496,84 @@ mod tests {
         WorkerConfig::new(market, 2)
     }
 
-    fn post(path: &str, body: Json) -> Request {
+    fn post(path: &str, body: String) -> Request {
         Request {
             method: "POST".into(),
             path: path.into(),
             headers: Vec::new(),
-            body: body.dump().into_bytes(),
+            body: body.into_bytes(),
         }
     }
 
-    fn parse(resp: &Response) -> Json {
-        Json::parse(&resp.body).expect("json body")
+    fn alice() -> Command {
+        Command::Enroll {
+            name: "alice".into(),
+            role: "buyer".into(),
+        }
+    }
+
+    fn apply_body(fp: &str, cmd: &Command) -> String {
+        to_text(&ApplyBody {
+            fp: fp.into(),
+            seq: 1,
+            cmd: cmd.encode(),
+        })
     }
 
     #[test]
     fn apply_rpc_mirrors_a_command() {
+        let pin = r#"{"fp":"fp","seq":"1","cmd":{"op":"enroll","name":"alice","role":"buyer"}}"#;
+        assert_eq!(apply_body("fp", &alice()), pin);
         let worker = WorkerNode::new(worker_cfg());
-        let cmd = Command::Enroll {
-            name: "alice".into(),
-            role: "buyer".into(),
-        };
-        let body = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("seq", 1u64.json()),
-            ("cmd", cmd.encode()),
-        ]);
+        let body = apply_body(worker.fingerprint(), &alice());
         let resp = worker.handle(&post("/internal/apply", body));
         assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, r#"{"applied":"1"}"#);
         assert!(worker.router().participant_exists("alice"));
+        assert_eq!(
+            worker.rpc_digest(),
+            r#"{"digest":"7894926015426366143","rounds":"0","applied":"1"}"#
+        );
     }
 
     #[test]
     fn wrong_fingerprint_is_refused() {
         let worker = WorkerNode::new(worker_cfg());
-        let body = Json::obj([
-            ("fp", Json::str("v4 shards=9 seed=9 ...")),
-            ("seq", 1u64.json()),
-            (
-                "cmd",
-                Command::Enroll {
-                    name: "alice".into(),
-                    role: "buyer".into(),
-                }
-                .encode(),
-            ),
-        ]);
+        let body = apply_body("v4 shards=9 seed=9 ...", &alice());
         let resp = worker.handle(&post("/internal/apply", body));
         assert_eq!(resp.status, 409);
+        // A body, or a command in it, that does not decode is a 400.
+        let honest = apply_body(worker.fingerprint(), &alice());
+        for bad in [
+            honest.replace(r#""seq":"1""#, r#""seq":1"#),
+            honest.replace(r#""op":"enroll""#, r#""op":"nope""#),
+        ] {
+            let resp = worker.handle(&post("/internal/apply", bad.clone()));
+            assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
+        }
         assert!(!worker.router().participant_exists("alice"));
+    }
+
+    fn candidates_body(fp: &str, round: u64, seed: u64, shards: &[usize]) -> String {
+        to_text(&CandidatesBody {
+            fp: fp.into(),
+            round,
+            seed,
+            shards: shards.to_vec(),
+        })
     }
 
     #[test]
     fn candidates_refuse_wrong_seed_and_round() {
         let worker = WorkerNode::new(worker_cfg());
+        let pin = r#"{"fp":"fp","round":"3","seed":"99","shards":["0","2"]}"#;
+        assert_eq!(candidates_body("fp", 3, 99, &[0, 2]), pin);
         let seed = worker.router().predict_round_seed();
-        let wrong_seed = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.json()),
-            ("seed", seed.wrapping_add(1).json()),
-            ("shards", Json::Arr(vec![0usize.json()])),
-        ]);
+        let wrong_seed = candidates_body(worker.fingerprint(), 1, seed.wrapping_add(1), &[0]);
         let resp = worker.handle(&post("/internal/candidates", wrong_seed));
         assert_eq!(resp.status, 409, "{}", resp.body);
 
-        let wrong_round = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("round", 7u64.json()),
-            ("seed", seed.json()),
-            ("shards", Json::Arr(vec![0usize.json()])),
-        ]);
+        let wrong_round = candidates_body(worker.fingerprint(), 7, seed, &[0]);
         let resp = worker.handle(&post("/internal/candidates", wrong_round));
         assert_eq!(resp.status, 409);
         // Neither refusal advanced the replica.
@@ -583,10 +584,7 @@ mod tests {
     /// A router after the commands every replica in these tests has
     /// applied before its first round.
     fn enrolled(router: &ShardRouter) {
-        let _ = router.apply(&Command::Enroll {
-            name: "alice".into(),
-            role: "buyer".into(),
-        });
+        let _ = router.apply(&alice());
         let _ = router.apply(&Command::Deposit {
             account: "alice".into(),
             amount: 50.0,
@@ -607,13 +605,16 @@ mod tests {
         (seed, exports)
     }
 
+    /// The state a replica must reach after round 1.
+    fn reference_after_round_one() -> u64 {
+        let reference = ShardRouter::new(&worker_cfg().market, 2);
+        enrolled(&reference);
+        reference.run_round();
+        reference.state_digest()
+    }
+
     fn candidates(worker: &WorkerNode, seed: u64, shards: &[usize]) -> Response {
-        let body = Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("round", 1u64.json()),
-            ("seed", seed.json()),
-            ("shards", shards.to_vec().json()),
-        ]);
+        let body = candidates_body(worker.fingerprint(), 1, seed, shards);
         worker.handle(&post("/internal/candidates", body))
     }
 
@@ -630,9 +631,9 @@ mod tests {
             round: 1,
             seed,
             shards,
-            exports: exports.iter().map(std::borrow::Cow::Borrowed).collect(),
+            exports: exports.iter().map(Cow::Borrowed).collect(),
         };
-        worker.handle(&post("/internal/settle", body.json()))
+        worker.handle(&post("/internal/settle", to_text(&body)))
     }
 
     /// What a refused settle must leave alone.
@@ -649,8 +650,7 @@ mod tests {
     fn candidates_then_settle_tracks_a_local_round() {
         // A worker fed the candidate/settle pair must land on exactly
         // the state of a standalone router running the same round.
-        let reference = ShardRouter::new(&worker_cfg().market, 2);
-        enrolled(&reference);
+        let reference = reference_after_round_one();
         let worker = WorkerNode::new(worker_cfg());
         enrolled(&worker.router());
         let seed = worker.router().predict_round_seed();
@@ -664,17 +664,15 @@ mod tests {
             "the worker's export is the replica's"
         );
 
-        // The coordinator's authoritative run (local compute).
-        reference.run_round();
-
         // The coordinator ships only the shard the worker lacks: shard
         // 0 reuses its stash, shard 1 imports.
         let resp = settle(&worker, seed, vec![1], &exports[1..]);
         assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.body, r#"{"rounds":"1","sales":"0"}"#);
         assert_eq!(worker.router().rounds_completed(), 1);
         assert_eq!(
             worker.router().state_digest(),
-            reference.state_digest(),
+            reference,
             "replica diverged from the coordinator after one distributed round"
         );
 
@@ -683,7 +681,32 @@ mod tests {
         enrolled(&bystander.router());
         let resp = settle(&bystander, seed, vec![0, 1], &exports);
         assert_eq!(resp.status, 200, "{}", resp.body);
-        assert_eq!(bystander.router().state_digest(), reference.state_digest());
+        assert_eq!(bystander.router().state_digest(), reference);
+    }
+
+    #[test]
+    fn candidates_with_a_repeated_or_unsorted_shard_list_is_a_400() {
+        // A repeated shard would run its candidate phase twice and fork
+        // the replica from the coordinator.
+        let (seed, _) = round_one_exports();
+        let worker = WorkerNode::new(worker_cfg());
+        enrolled(&worker.router());
+        let before = watermarks(&worker);
+        for shards in [vec![0, 0, 1, 1], vec![1, 0], vec![1, 1], vec![2]] {
+            let resp = candidates(&worker, seed, &shards);
+            assert_eq!(resp.status, 400, "{shards:?}: {}", resp.body);
+            assert_eq!(watermarks(&worker), before, "{shards:?}");
+        }
+        // Refused before the round and seed checks.
+        let body = candidates_body(worker.fingerprint(), 7, seed.wrapping_add(1), &[0, 0]);
+        let resp = worker.handle(&post("/internal/candidates", body));
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        // An honest round afterwards still settles onto the reference.
+        let resp = candidates(&worker, seed, &[0, 1]);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let resp = settle(&worker, seed, Vec::new(), &[]);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(worker.router().state_digest(), reference_after_round_one());
     }
 
     #[test]
@@ -708,10 +731,7 @@ mod tests {
         assert_eq!(watermarks(&worker), before);
         let resp = settle(&worker, seed, vec![1], &exports[1..]);
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let reference = ShardRouter::new(&worker_cfg().market, 2);
-        enrolled(&reference);
-        reference.run_round();
-        assert_eq!(worker.router().state_digest(), reference.state_digest());
+        assert_eq!(worker.router().state_digest(), reference_after_round_one());
     }
 
     #[test]
@@ -748,28 +768,31 @@ mod tests {
         source
     }
 
-    fn restore_body(worker: &WorkerNode, digest: u64, image: StateImage) -> Json {
-        Json::obj([
-            ("fp", Json::str(worker.fingerprint())),
-            ("applied", 2u64.json()),
-            ("digest", digest.json()),
-            ("state", image.into_json()),
-        ])
+    fn restore_body(worker: &WorkerNode, digest: u64, image: &RouterImage) -> String {
+        to_text(&RestoreBody {
+            fp: worker.fingerprint().into(),
+            applied: 2,
+            digest,
+            state: Cow::Borrowed(image),
+        })
     }
 
     #[test]
     fn restore_provisions_a_fresh_replica() {
         let source = funded_source();
-        let image = state::encode(&source.export_state());
+        let image = source.export_state();
         let worker = WorkerNode::new(worker_cfg());
-        let body = restore_body(&worker, image.digest(), image);
+        let body = restore_body(&worker, crate::state::digest(&image), &image);
         let resp = worker.handle(&post("/internal/restore", body));
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(worker.router().state_digest(), source.state_digest());
-        let digest = parse(&resp);
         assert_eq!(
-            digest.req_str("digest").ok(),
-            Some(source.state_digest().to_string())
+            resp.body,
+            r#"{"digest":"8688219693043093365","applied":"2"}"#
+        );
+        assert_eq!(
+            resp.body,
+            format!(r#"{{"digest":"{}","applied":"2"}}"#, source.state_digest())
         );
     }
 
@@ -778,25 +801,19 @@ mod tests {
         // One leaf of the image changes on the way (alice's balance:
         // 9.5 credits in micro-credits); the digest is the honest one.
         let source = funded_source();
-        let honest = state::encode(&source.export_state());
-        let digest = honest.digest();
-        let text = honest.substrate.dump();
-        assert!(text.contains("\"9500000\""), "{text}");
-        let tampered = StateImage {
-            substrate: Json::parse(&text.replace("\"9500000\"", "\"9500001\"")).unwrap(),
-            ..honest
-        };
+        let image = source.export_state();
+        let digest = crate::state::digest(&image);
         let worker = WorkerNode::new(worker_cfg());
+        let honest = restore_body(&worker, digest, &image);
+        assert!(honest.contains("\"9500000\""), "{honest}");
+        let tampered = honest.replace("\"9500000\"", "\"9500001\"");
         let _ = worker.router().apply(&Command::Enroll {
             name: "bob".into(),
             role: "buyer".into(),
         });
         let (router_before, digest_before) = (worker.router(), worker.router().state_digest());
 
-        let resp = worker.handle(&post(
-            "/internal/restore",
-            restore_body(&worker, digest, tampered),
-        ));
+        let resp = worker.handle(&post("/internal/restore", tampered));
         assert_eq!(resp.status, 409, "{}", resp.body);
         assert!(
             Arc::ptr_eq(&router_before, &worker.router()),
@@ -805,12 +822,15 @@ mod tests {
         assert_eq!(worker.router().state_digest(), digest_before);
         assert!(worker.router().participant_exists("bob"));
         // A body without the digest is malformed, not trusted.
-        let mut no_digest = restore_body(&worker, digest, state::encode(&source.export_state()));
-        if let Json::Obj(pairs) = &mut no_digest {
-            pairs.retain(|(k, _)| k != "digest");
-        }
+        let no_digest = honest.replace(&format!(r#","digest":"{digest}""#), "");
+        assert_ne!(no_digest, honest);
         let resp = worker.handle(&post("/internal/restore", no_digest));
         assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(Arc::ptr_eq(&router_before, &worker.router()));
+        // Another deployment's image is refused before it is installed.
+        let foreign = honest.replace(worker.fingerprint(), "v5 shards=9");
+        let resp = worker.handle(&post("/internal/restore", foreign));
+        assert_eq!(resp.status, 409, "{}", resp.body);
         assert!(Arc::ptr_eq(&router_before, &worker.router()));
     }
 }

@@ -1,8 +1,8 @@
 //! The wire parser against hostile and large input: a differential
 //! suite against the scanner it replaced, byte-level fuzzing of
 //! `Json::parse_bytes`, a linear-scaling check, and hostile snapshot
-//! sections and round-protocol bodies for the decoders that read
-//! straight from bytes. (The golden durability files this suite
+//! headers and sections and internal RPC bodies for the decoders that
+//! read straight from bytes. (The golden durability files this suite
 //! introduced are in `tests/golden.rs`.)
 
 use std::sync::OnceLock;
@@ -445,10 +445,12 @@ fn parse_cost_per_byte_is_flat_from_64_kib_to_4_mib() {
 }
 
 // ---------------------------------------------------------------------
-// (d) The snapshot section reader: a node decodes each CRC-checked
-// section straight from the file's bytes. Whatever a section holds, it
-// must never panic and must accept exactly what `Json::parse_bytes`
-// and `state::decode` accept (`load_file` is that tree path).
+// (d) The snapshot reader: a node decodes the header and each
+// CRC-checked section straight from the file's bytes. Whatever a
+// section holds, it must never panic and must accept exactly what
+// `Json::parse_bytes` and `state::decode` accept (`load_file` is that
+// tree path); whatever the header holds, both loaders must refuse it
+// unless it is a canonical header.
 // ---------------------------------------------------------------------
 
 fn honest_market() -> MarketConfig {
@@ -561,31 +563,75 @@ fn hostile(rng: &mut TestRng, honest: &[u8]) -> Vec<u8> {
     }
 }
 
-/// A section (never the header) and what it holds instead: [`hostile`].
+/// A frame (the header, or a section) and what it holds instead:
+/// [`hostile`].
 struct HostileSection;
 
 impl Strategy for HostileSection {
     type Value = (usize, Vec<u8>);
     fn generate(&self, rng: &mut TestRng) -> (usize, Vec<u8>) {
         let sections = honest_sections();
-        let at = rng.gen_range(1usize..sections.len());
+        let at = rng.gen_range(0usize..sections.len());
         (at, hostile(rng, &sections[at]))
     }
 }
 
+/// The seq and digest of `header` if it is a canonical header of a
+/// format-v3 snapshot of two shards: exactly its four members, in
+/// order, each in the one spelling the writer uses.
+fn canonical_header(header: &Json) -> Option<(u64, u64)> {
+    let Json::Obj(pairs) = header else {
+        return None;
+    };
+    let [(k0, Json::Str(version)), (k1, Json::Str(seq)), (k2, Json::Str(digest)), (k3, Json::Str(shards))] =
+        pairs.as_slice()
+    else {
+        return None;
+    };
+    let shape = [k0, k1, k2, k3] == ["version", "seq", "digest", "shards"]
+        && version == "3"
+        && shards == "2";
+    let seq = seq.parse::<u64>().ok().filter(|n| n.to_string() == *seq);
+    let hex = digest.len() == 16
+        && digest
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    let digest = u64::from_str_radix(digest, 16).ok().filter(|_| hex);
+    shape.then_some((seq?, digest?))
+}
+
+/// A file whose header frame holds `payload`: the loaders agree on it,
+/// and read a seq and digest exactly when it is a canonical header.
+fn loaders_read_the_header_only_when_canonical(payload: &[u8]) {
+    let dir = ScratchDir::new("wire-parser-header");
+    let path = dir.join("snapshot-00000000000000000007.dmp");
+    std::fs::write(&path, snapshot_with(0, payload)).unwrap();
+    let streamed = snapshot::load_image(&path).ok().map(|f| (f.seq, f.digest));
+    let trees = snapshot::load_file(&path).map(|snap| (snap.seq, snap.digest));
+    assert_eq!(streamed, trees, "the loaders disagree");
+    let expected = Json::parse_bytes(payload)
+        .ok()
+        .and_then(|header| canonical_header(&header));
+    assert_eq!(streamed, expected, "{}", String::from_utf8_lossy(payload));
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(640))]
 
     #[test]
     fn hostile_sections_never_panic_and_the_loaders_agree(hostile in HostileSection) {
         let (at, payload) = hostile;
         loaders_agree_on(&snapshot_with(at, &payload));
+        if at == 0 {
+            loaders_read_the_header_only_when_canonical(&payload);
+        }
     }
 }
 
 #[test]
 fn the_honest_snapshot_and_reformatted_sections_load_alike() {
     assert!(loaders_agree_on(&snapshot_with(0, &honest_sections()[0])));
+    loaders_read_the_header_only_when_canonical(&honest_sections()[0]);
     // Whitespace between every token and escapes for plain characters
     // are the same document to the parser, so to both loaders.
     for at in 1..honest_sections().len() {
@@ -633,19 +679,24 @@ fn the_depth_limit_is_the_parsers_in_both_loaders() {
 }
 
 // ---------------------------------------------------------------------
-// (e) The round protocol's bodies: a worker decodes the settle body,
-// and the coordinator a candidates reply, straight from the bytes.
-// Neither may panic on anything, and a refused settle must leave the
-// worker's replica where it was.
+// (e) The internal RPC bodies: a worker decodes every body, and the
+// coordinator a candidates reply, straight from the bytes. Neither may
+// panic on anything, and a refused RPC must leave the worker's replica
+// where it was.
 // ---------------------------------------------------------------------
 
 /// Round 1 of [`honest_commands`] as the wire carries it: the settle
-/// body shipping both shards, and a candidates reply carrying both
-/// exports. Both are written in the tree form, whose dump the streamed
-/// writers equal byte for byte.
+/// body shipping both shards, a candidates reply carrying both exports
+/// and the candidates request asking for them, an apply body for the
+/// command after the round, and a restore body for the state the round
+/// starts from. All are written in the tree form, whose dump the
+/// streamed writers equal byte for byte.
 struct HonestRound {
     settle: Vec<u8>,
     reply: Vec<u8>,
+    apply: Vec<u8>,
+    candidates: Vec<u8>,
+    restore: Vec<u8>,
 }
 
 fn honest_round() -> &'static HonestRound {
@@ -655,6 +706,8 @@ fn honest_round() -> &'static HonestRound {
         for cmd in &honest_commands()[..BEFORE_ROUND_ONE] {
             let _ = replica.apply(cmd);
         }
+        let image = state::encode(&replica.export_state());
+        let digest = image.digest();
         let seed = replica.draw_round_seed();
         let exports: Vec<_> = replica
             .shards()
@@ -664,7 +717,7 @@ fn honest_round() -> &'static HonestRound {
         assert!(!exports[0].bids.is_empty() || !exports[1].bids.is_empty());
         let fp = fresh_worker(false).fingerprint().to_string();
         let settle = Json::obj([
-            ("fp", Json::str(fp)),
+            ("fp", Json::str(&fp)),
             ("round", Json::str("1")),
             ("seed", Json::str(seed.to_string())),
             ("shards", Json::Arr(vec![Json::str("0"), Json::str("1")])),
@@ -674,9 +727,29 @@ fn honest_round() -> &'static HonestRound {
             ("round", Json::str("1")),
             ("exports", codec::encode_exports(&exports)),
         ]);
+        let apply = Json::obj([
+            ("fp", Json::str(&fp)),
+            ("seq", Json::str((BEFORE_ROUND_ONE + 2).to_string())),
+            ("cmd", honest_commands()[BEFORE_ROUND_ONE + 1].encode()),
+        ]);
+        let candidates = Json::obj([
+            ("fp", Json::str(&fp)),
+            ("round", Json::str("1")),
+            ("seed", Json::str(seed.to_string())),
+            ("shards", Json::Arr(vec![Json::str("0"), Json::str("1")])),
+        ]);
+        let restore = Json::obj([
+            ("fp", Json::str(&fp)),
+            ("applied", Json::str(BEFORE_ROUND_ONE.to_string())),
+            ("digest", Json::str(digest.to_string())),
+            ("state", image.into_json()),
+        ]);
         HonestRound {
             settle: settle.dump().into_bytes(),
             reply: reply.dump().into_bytes(),
+            apply: apply.dump().into_bytes(),
+            candidates: candidates.dump().into_bytes(),
+            restore: restore.dump().into_bytes(),
         }
     })
 }
@@ -731,6 +804,18 @@ impl Strategy for HostileBody {
     }
 }
 
+/// Send `body` to a worker just before round 1; whatever it answers, a
+/// refusal must have left the replica where it was.
+fn a_refusal_moves_nothing(path: &str, body: Vec<u8>, stash: bool) -> Result<(), TestCaseError> {
+    let worker = fresh_worker(stash);
+    let before = watermarks(&worker);
+    let resp = worker.handle(&post(path, body));
+    if resp.status != 200 {
+        prop_assert_eq!(watermarks(&worker), before, "refused with {}", resp.body);
+    }
+    Ok(())
+}
+
 #[test]
 fn the_honest_round_bodies_are_accepted() {
     for stash in [false, true] {
@@ -740,6 +825,37 @@ fn the_honest_round_bodies_are_accepted() {
         assert_eq!(worker.router().rounds_completed(), 1);
     }
     assert!(codec::decode_candidates_reply(&honest_round().reply, 1, 2).is_ok());
+    let round = honest_round();
+    for (path, body) in [
+        ("/internal/candidates", &round.candidates),
+        ("/internal/apply", &round.apply),
+        ("/internal/restore", &round.restore),
+    ] {
+        let worker = fresh_worker(false);
+        let resp = worker.handle(&post(path, body.clone()));
+        assert_eq!(resp.status, 200, "{path}: {}", resp.body);
+    }
+}
+
+#[test]
+fn an_apply_body_is_read_under_the_parsers_depth_limit() {
+    // `cmd` is read as one value, and the command grammar ignores a
+    // member it does not know: the body is accepted exactly when it
+    // parses whole.
+    let verdicts: Vec<bool> = (60..70)
+        .map(|k| {
+            let worker = fresh_worker(false);
+            let deep = format!("{}{}", "[".repeat(k), "]".repeat(k));
+            let body = format!(
+                r#"{{"fp":"{}","seq":"6","cmd":{{"op":"enroll","name":"c","role":"buyer","x":{deep}}}}}"#,
+                worker.fingerprint()
+            );
+            let resp = worker.handle(&post("/internal/apply", body.clone().into_bytes()));
+            assert_eq!(resp.status == 200, Json::parse(&body).is_ok(), "{k} deep");
+            resp.status == 200
+        })
+        .collect();
+    assert!(verdicts.first() == Some(&true) && verdicts.last() == Some(&false));
 }
 
 proptest! {
@@ -750,12 +866,31 @@ proptest! {
         body in HostileBody(|r| &r.settle),
         stash in proptest::bool::ANY,
     ) {
-        let worker = fresh_worker(stash);
-        let before = watermarks(&worker);
-        let resp = worker.handle(&post("/internal/settle", body));
-        if resp.status != 200 {
-            prop_assert_eq!(watermarks(&worker), before, "refused with {}", resp.body);
-        }
+        a_refusal_moves_nothing("/internal/settle", body, stash)?;
+    }
+
+    #[test]
+    fn hostile_candidates_bodies_never_panic_or_move_a_refusing_worker(
+        body in HostileBody(|r| &r.candidates),
+        stash in proptest::bool::ANY,
+    ) {
+        a_refusal_moves_nothing("/internal/candidates", body, stash)?;
+    }
+
+    #[test]
+    fn hostile_apply_bodies_never_panic_or_move_a_refusing_worker(
+        body in HostileBody(|r| &r.apply),
+        stash in proptest::bool::ANY,
+    ) {
+        a_refusal_moves_nothing("/internal/apply", body, stash)?;
+    }
+
+    #[test]
+    fn hostile_restore_bodies_never_panic_or_move_a_refusing_worker(
+        body in HostileBody(|r| &r.restore),
+        stash in proptest::bool::ANY,
+    ) {
+        a_refusal_moves_nothing("/internal/restore", body, stash)?;
     }
 
     #[test]
