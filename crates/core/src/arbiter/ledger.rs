@@ -110,8 +110,14 @@ impl Ledger {
             return;
         }
         let mut state = self.state.lock();
-        let e = state.accounts.entry(account.to_string()).or_insert(0);
-        *e = e.saturating_add(m);
+        // Look the name up before copying it: most deposits credit an
+        // account that exists.
+        match state.accounts.get_mut(account) {
+            Some(e) => *e = e.saturating_add(m),
+            None => {
+                state.accounts.insert(account.to_string(), m);
+            }
+        }
     }
 
     /// Current balance (0 for unknown accounts).

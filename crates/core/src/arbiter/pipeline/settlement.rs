@@ -119,14 +119,12 @@ fn commit(market: &DataMarket, ctx: &mut RoundContext, sale: Sale, plan: Option<
 }
 
 impl BuiltMashup {
-    /// The rows a delivery files: an owned copy of the shared relation,
-    /// made once per sale. Deliveries that shared the `Arc` instead cut
-    /// `rounds_local` `recovery_s` by a third in `marketbench` (2-vCPU
-    /// box), but cost `rounds_dist` `ops_per_s` 13–20 %: its workers'
-    /// export encode and settle decode slowed by 30–60 %, as if a kept
-    /// delivery pinned rows decoded out of an RPC's document.
-    fn delivered_rows(&self) -> Relation {
-        Relation::clone(&self.relation)
+    /// The rows a delivery files: the winning build's own, shared, so a
+    /// sale copies no row. (Sharing once cost the distributed path its
+    /// throughput, while its messages were still decoded through `Json`
+    /// trees; on the streamed codec it does not.)
+    fn delivered_rows(&self) -> Arc<Relation> {
+        Arc::clone(&self.relation)
     }
 }
 
@@ -413,7 +411,7 @@ impl DataMarket {
             round,
         };
         let built = BuiltMashup {
-            relation: Arc::new(delivery.relation),
+            relation: delivery.relation,
             datasets: delivery.datasets,
             coverage: 1.0,
             confidence: 1.0,
@@ -516,6 +514,26 @@ mod tests {
         assert!((settlement.paid - 30.0).abs() < 1e-9);
         assert_eq!(settlement.penalty, 0.0);
         assert!(market.balance("s") > 0.0);
+    }
+
+    #[test]
+    fn a_filed_delivery_shares_the_winners_rows() {
+        let mut ex_post = MarketDesign::posted_price_baseline(10.0);
+        ex_post.elicitation = ElicitationProtocol::ExPost(ExPostMechanism {
+            audit_prob: 0.0,
+            penalty_mult: 2.0,
+            exclusion_rounds: 1,
+            round_value: 0.0,
+        });
+        for design in [MarketDesign::posted_price_baseline(10.0), ex_post] {
+            let (market, offer) = one_offer(design, "b", 100.0);
+            let (mut ctx, sales) = staged_ctx(&market);
+            let won = Arc::clone(&ctx.best_mashups[&offer].relation);
+            settle_one_market(&market, &mut ctx, sales);
+            let deliveries = market.deliveries();
+            assert_eq!(deliveries.len(), 1);
+            assert!(Arc::ptr_eq(&deliveries[0].relation, &won));
+        }
     }
 
     #[test]

@@ -106,8 +106,8 @@ pub struct Delivery {
     pub offer_id: u64,
     /// Buyer principal.
     pub buyer: String,
-    /// The delivered mashup.
-    pub relation: Relation,
+    /// The delivered mashup: the winning build's rows, shared.
+    pub relation: Arc<Relation>,
     /// Arbiter-measured satisfaction (used for audits).
     pub satisfaction: f64,
     /// Escrowed deposit id.
@@ -531,6 +531,11 @@ impl DataMarket {
     /// Participant lookup.
     pub fn participant(&self, name: &str) -> Option<Participant> {
         self.book.lock().participants.get(name).cloned()
+    }
+
+    /// Whether `name` is enrolled, without copying its record.
+    pub fn is_participant(&self, name: &str) -> bool {
+        self.book.lock().participants.contains_key(name)
     }
 
     /// All participants, sorted by name (enumerable for snapshots and

@@ -315,7 +315,7 @@ fn each_winner_is_the_cached_build_and_its_delivery_equals_it() {
         for d in &deliveries {
             let (_, relation) = won.iter().find(|(id, _)| *id == d.offer_id).unwrap();
             assert_eq!(
-                &d.relation, &**relation,
+                &*d.relation, &**relation,
                 "seed {seed}, offer {}",
                 d.offer_id
             );

@@ -39,8 +39,8 @@ impl Finding {
 }
 
 /// A `Mutex` guard is live across an fsync-bearing call (`sync_all`,
-/// `sync_data`, `journal.append`, `write_snapshot`): every other path
-/// on that lock stalls for the disk.
+/// `sync_data`, `journal.append`, `journal.truncate_prefix`,
+/// `write_image`): every other path on that lock stalls for the disk.
 ///
 /// ```text
 /// let mut inner = self.inner.lock();
@@ -50,6 +50,11 @@ impl Finding {
 /// Move the I/O out of the critical section, or, where the WAL
 /// ordering invariant needs append and apply to be atomic, annotate:
 /// `// dmp-lint: allow(lock-across-fsync) -- WAL invariant: durable-before-visible`.
+///
+/// The rule is lexical: it sees a guard taken in the function it reads.
+/// A guard passed down as `&mut NodeInner`, as the node's checkpoint
+/// path passes it to the snapshot write and the journal compaction, is
+/// out of its reach.
 pub const LOCK_ACROSS_FSYNC: &str = "lock-across-fsync";
 
 /// A [`MODULE_MAP`](crate::MODULE_MAP) entry's file (or `mod.rs`, for
@@ -212,8 +217,8 @@ pub fn analyze(path: &str, toks: &[Tok]) -> Vec<Finding> {
         if !guards.is_empty() {
             let marker = match ident(i) {
                 Some(m @ ("sync_all" | "sync_data")) if punct(i.wrapping_sub(1), '.') => Some(m),
-                Some(m @ "write_snapshot") if punct(i + 1, '(') => Some(m),
-                Some(m @ "append")
+                Some(m @ "write_image") if punct(i + 1, '(') => Some(m),
+                Some(m @ ("append" | "truncate_prefix"))
                     if punct(i.wrapping_sub(1), '.')
                         && ident(i.wrapping_sub(2)) == Some("journal") =>
                 {

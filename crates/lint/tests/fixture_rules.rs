@@ -47,6 +47,24 @@ fn lock_across_fsync_scoped_guard_is_clean() {
 }
 
 #[test]
+fn lock_across_fsync_fires_on_the_checkpoint_writes() {
+    let f = lint_source(
+        UNCLASSIFIED,
+        include_str!("fixtures/lock-across-fsync-checkpoint/bad.rs"),
+    );
+    assert_findings(&f, &[("lock-across-fsync", 3), ("lock-across-fsync", 4)]);
+}
+
+#[test]
+fn lock_across_fsync_checkpoint_outside_the_guard_is_clean() {
+    let f = lint_source(
+        UNCLASSIFIED,
+        include_str!("fixtures/lock-across-fsync-checkpoint/good.rs"),
+    );
+    assert_findings(&f, &[]);
+}
+
+#[test]
 fn allow_unused_fires_on_stale_annotation() {
     let f = lint_source(UNCLASSIFIED, include_str!("fixtures/allow-unused/bad.rs"));
     assert_findings(&f, &[("allow-unused", 1)]);

@@ -19,10 +19,9 @@
 //!
 //! Each message is one `record!` table, written token by token as
 //! compact text and decoded straight from the body bytes, so no `Json`
-//! tree is built on either side of the socket. The one tree inside a
-//! message is the `/internal/apply` body's `cmd`: a client command
-//! keeps its own grammar ([`Command::decode`](crate::command::Command::decode)),
-//! dumped in place and parsed as one value. [`encode_exports`] /
+//! tree is built on either side of the socket. The `/internal/apply`
+//! body's `cmd` keeps the client command grammar of
+//! [`command`](crate::command), streamed the same way. [`encode_exports`] /
 //! [`decode_exports`] give the benchmark's codec probes the exports as
 //! a tree: the text parsed, and a tree's dump read as text.
 
@@ -44,6 +43,7 @@ use dmp_core::arbiter::mashup_builder::BuiltMashup;
 use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_core::arbiter::pricing::RoundBid;
 
+use crate::command::Command;
 use crate::shard::RouterImage;
 use crate::state::{enc_all, from_text, record, to_text, tree, Wire};
 use crate::wire::{Json, Parser, Sink, Text, WireError};
@@ -86,14 +86,13 @@ record!(
 );
 
 /// The `/internal/apply` body: one journaled command and its seq.
-pub(crate) struct ApplyBody {
+pub(crate) struct ApplyBody<'a> {
     pub(crate) fp: String,
     pub(crate) seq: u64,
-    /// [`Command::encode`](crate::command::Command::encode)'s tree.
-    pub(crate) cmd: Json,
+    pub(crate) cmd: Cow<'a, Command>,
 }
 
-record!(ApplyBody {
+record!(ApplyBody<'_> {
     fp => "fp",
     seq => "seq",
     cmd => "cmd",

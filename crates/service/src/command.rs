@@ -9,17 +9,29 @@
 //! crash-recovery tests pin down.
 //!
 //! A `Command` carries the core's own [`TaskKind`], [`PriceCurve`] and
-//! [`License`]. The private `enc_*` / `dec_*` functions below are their
-//! wire grammar, and a write route's request body is its command's wire
-//! form minus `"op"`.
+//! [`License`]. Its wire grammar is stated once, in the `grammar!`
+//! tables below: an object led by `"op"` holding the command's members,
+//! with `"kind"`-tagged tasks, curves and licences. Each table generates
+//! one encoder, which writes compact text token by token through the
+//! wire module's `Text`, and one decoder, which reads it straight from
+//! the bytes with its `Parser`; neither builds a `Json` tree. The decoder takes
+//! members in any order (a tag, too, may come after the members it
+//! chooses), skips members it does not know and reads the first of a
+//! repeated one. A journal record and an `/internal/apply` body carry
+//! the whole command; a write route's request body is its members
+//! without `"op"` (`from_route`). [`Command::encode`] and
+//! [`Command::decode`] adapt the text to and from the tree form.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
+use std::borrow::Cow;
 
 use dmp_core::license::License;
 use dmp_mechanism::wtp::{IntrinsicConstraints, PriceCurve, TaskKind, WtpFunction};
 use dmp_relation::{DataType, Relation, RelationBuilder, Value};
 
-use crate::wire::{Json, WireError};
+use crate::state::Wire;
+use crate::wire::{Json, Parser, Sink, Text, WireError};
 
 /// One externally-visible market mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,133 +153,58 @@ impl Command {
     /// full on recovery, so a single command must stay bounded.
     pub const MAX_ROUNDS_PER_COMMAND: u64 = 1024;
 
-    /// Encode to the wire JSON form (`{"op": ..., ...}`).
+    /// The wire form as a tree: the encoder's text, parsed.
     pub fn encode(&self) -> Json {
-        match self {
-            Command::Enroll { name, role } => Json::obj([
-                ("op", Json::str("enroll")),
-                ("name", Json::str(name.clone())),
-                ("role", Json::str(role.clone())),
-            ]),
-            Command::Deposit { account, amount } => Json::obj([
-                ("op", Json::str("deposit")),
-                ("account", Json::str(account.clone())),
-                ("amount", Json::Num(*amount)),
-            ]),
-            Command::SubmitOffer(o) => Json::obj([
-                ("op", Json::str("offer")),
-                ("buyer", Json::str(o.buyer.clone())),
-                (
-                    "attributes",
-                    Json::Arr(o.attributes.iter().map(|s| Json::str(s.clone())).collect()),
-                ),
-                (
-                    "keywords",
-                    Json::Arr(o.keywords.iter().map(|s| Json::str(s.clone())).collect()),
-                ),
-                ("task", enc_task(&o.task)),
-                ("curve", enc_curve(&o.curve)),
-                ("min_rows", Json::Num(o.min_rows as f64)),
-                ("purpose", Json::str(o.purpose.clone())),
-            ]),
-            Command::SubmitAsk(a) => {
-                let mut pairs = vec![
-                    ("op".to_string(), Json::str("ask")),
-                    ("seller".to_string(), Json::str(a.seller.clone())),
-                    ("table".to_string(), a.table.encode()),
-                ];
-                if let Some(r) = a.reserve {
-                    pairs.push(("reserve".to_string(), Json::Num(r)));
-                }
-                if let Some(l) = &a.license {
-                    pairs.push(("license".to_string(), enc_license(l)));
-                }
-                Json::Obj(pairs)
-            }
-            Command::GrantLicense {
-                seller,
-                dataset,
-                license,
-            } => Json::obj([
-                ("op", Json::str("grant_license")),
-                ("seller", Json::str(seller.clone())),
-                ("dataset", Json::Num(*dataset as f64)),
-                ("license", enc_license(license)),
-            ]),
-            Command::RunRound { rounds } => Json::obj([
-                ("op", Json::str("run_round")),
-                ("rounds", Json::Num(*rounds as f64)),
-            ]),
-        }
+        // A command nests six deep at most, far inside the parser's
+        // depth limit, so its text always parses.
+        Json::parse(&text(self)).unwrap_or(Json::Null)
     }
 
-    /// Decode from the wire JSON form. Two fields have defaults, which
-    /// [`Command::encode`] always writes out: `role` is
+    /// Decode the tree form: its text, read by the decoder. Two fields
+    /// have defaults, which the encoder always writes out: `role` is
     /// `"participant"` and `rounds` is 1.
     pub fn decode(json: &Json) -> Result<Command, WireError> {
-        let op = json.req_str("op")?;
-        match op.as_str() {
-            "enroll" => Ok(Command::Enroll {
-                name: json.req_str("name")?,
-                role: opt(json, "role", Json::as_str, "a string")?
-                    .unwrap_or("participant")
-                    .to_string(),
-            }),
-            "deposit" => Ok(Command::Deposit {
-                account: json.req_str("account")?,
-                amount: json.req_f64("amount")?,
-            }),
-            "offer" => Ok(Command::SubmitOffer(OfferSpec::decode(json)?)),
-            "ask" => Ok(Command::SubmitAsk(AskSpec::decode(json)?)),
-            "grant_license" => Ok(Command::GrantLicense {
-                seller: json.req_str("seller")?,
-                dataset: json.req_u64("dataset")?,
-                license: dec_license(
-                    json.get("license")
-                        .ok_or_else(|| WireError::new("missing field 'license'"))?,
-                )?,
-            }),
-            "run_round" => {
-                let rounds = opt(json, "rounds", Json::as_u64, "a positive integer")?.unwrap_or(1);
-                if rounds == 0 || rounds > Command::MAX_ROUNDS_PER_COMMAND {
-                    return Err(WireError::new(format!(
-                        "'rounds' must be in 1..={}",
-                        Command::MAX_ROUNDS_PER_COMMAND
-                    )));
-                }
-                Ok(Command::RunRound {
-                    rounds: rounds as u32,
-                })
+        read(json.try_dump()?.as_bytes())
+    }
+
+    /// A decoded command runs a bounded number of rounds.
+    fn bounded(self) -> Result<Command, WireError> {
+        match self {
+            Command::RunRound { rounds }
+                if !(1..=Command::MAX_ROUNDS_PER_COMMAND).contains(&u64::from(rounds)) =>
+            {
+                Err(WireError::new(format!(
+                    "'rounds' must be in 1..={}",
+                    Command::MAX_ROUNDS_PER_COMMAND
+                )))
             }
-            other => Err(WireError::new(format!("unknown op '{other}'"))),
+            cmd => Ok(cmd),
         }
     }
 }
 
-/// An optional field: `None` when absent, `read` of it when present.
-/// Strict: a field `read` refuses is an error naming what it
-/// `must_be`, never a silent default (the journaled command must mean
-/// what the client said).
-fn opt<'a, T>(
-    json: &'a Json,
-    key: &str,
-    read: impl FnOnce(&'a Json) -> Option<T>,
-    must_be: &str,
-) -> Result<Option<T>, WireError> {
-    json.get(key)
-        .map(|j| read(j).ok_or_else(|| WireError::new(format!("'{key}' must be {must_be}"))))
-        .transpose()
-}
-
-fn str_list(items: &[Json]) -> Result<Vec<String>, WireError> {
-    items
-        .iter()
-        .map(|j| {
-            j.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| WireError::new("expected string in list"))
-        })
-        .collect()
+/// A write route's command: `body` (an empty one is `{}`) holds the
+/// members of the command `op` names; an `"op"` among them is skipped
+/// like any member the command does not have. `/enroll` may also carry
+/// an opening `"deposit"`, returned as read: a non-number is NaN, which
+/// the deposit bound refuses.
+pub(crate) fn from_route(op: &str, body: &[u8]) -> Result<(Command, Option<f64>), WireError> {
+    let mut r = Parser::over(if body.is_empty() { b"{}" } else { body })?;
+    r.open_obj()
+        .map_err(|_| WireError::new("request body must be a JSON object"))?;
+    let mut deposit = None;
+    let cmd = Command::take_variant(op, &mut r, Vec::new(), &mut |key, r| {
+        if op != "enroll" || key != "deposit" || deposit.is_some() {
+            return Ok(false);
+        }
+        deposit = Some(match r.peek() {
+            Some(b'-' | b'0'..=b'9') => r.num()?,
+            _ => r.skip().map(|()| f64::NAN)?,
+        });
+        Ok(true)
+    })?;
+    r.finish()?;
+    Ok((cmd, deposit))
 }
 
 impl OfferSpec {
@@ -288,26 +225,6 @@ impl OfferSpec {
         }
     }
 
-    fn decode(json: &Json) -> Result<OfferSpec, WireError> {
-        Ok(OfferSpec {
-            buyer: json.req_str("buyer")?,
-            attributes: str_list(json.req_arr("attributes")?)?,
-            keywords: str_list(opt(json, "keywords", Json::as_arr, "an array")?.unwrap_or(&[]))?,
-            task: match json.get("task") {
-                Some(j) => dec_task(j)?,
-                None => TaskKind::AttributeCoverage,
-            },
-            curve: dec_curve(
-                json.get("curve")
-                    .ok_or_else(|| WireError::new("missing field 'curve'"))?,
-            )?,
-            min_rows: opt(json, "min_rows", Json::as_u64, "a non-negative integer")?.unwrap_or(1),
-            purpose: opt(json, "purpose", Json::as_str, "a string")?
-                .unwrap_or("analytics")
-                .to_string(),
-        })
-    }
-
     /// Materialize into a core [`WtpFunction`].
     pub fn to_wtp(&self) -> WtpFunction {
         WtpFunction {
@@ -320,25 +237,6 @@ impl OfferSpec {
             owned_data: None,
             min_rows: self.min_rows as usize,
         }
-    }
-}
-
-impl AskSpec {
-    fn decode(json: &Json) -> Result<AskSpec, WireError> {
-        Ok(AskSpec {
-            seller: json.req_str("seller")?,
-            table: TableSpec::decode(
-                json.get("table")
-                    .ok_or_else(|| WireError::new("missing field 'table'"))?,
-            )?,
-            reserve: opt(
-                json,
-                "reserve",
-                |j| j.as_f64().filter(|r| r.is_finite()),
-                "a finite number",
-            )?,
-            license: json.get("license").map(dec_license).transpose()?,
-        })
     }
 }
 
@@ -376,28 +274,22 @@ impl ColType {
 }
 
 impl CellSpec {
-    fn encode(&self) -> Json {
-        match self {
-            CellSpec::Null => Json::Null,
-            CellSpec::Int(i) => Json::Num(*i as f64),
-            CellSpec::Float(f) => Json::Num(*f),
-            CellSpec::Str(s) => Json::str(s.clone()),
-            CellSpec::Bool(b) => Json::Bool(*b),
-        }
-    }
-
-    fn decode(json: &Json, col: ColType) -> Result<CellSpec, WireError> {
-        match (json, col) {
-            (Json::Null, _) => Ok(CellSpec::Null),
-            (Json::Num(n), ColType::Int | ColType::Timestamp) => {
+    /// Type a decoded cell by its column: a number is an integer cell in
+    /// an int or timestamp column, and must be one.
+    fn typed(&mut self, col: ColType) -> Result<(), WireError> {
+        match (&*self, col) {
+            (CellSpec::Null, _)
+            | (CellSpec::Int(_), ColType::Int | ColType::Timestamp)
+            | (CellSpec::Float(_), ColType::Float)
+            | (CellSpec::Str(_), ColType::Str)
+            | (CellSpec::Bool(_), ColType::Bool) => Ok(()),
+            (CellSpec::Float(n), ColType::Int | ColType::Timestamp) => {
                 if n.fract() != 0.0 || n.abs() > 2f64.powi(53) {
                     return Err(WireError::new("expected integer cell"));
                 }
-                Ok(CellSpec::Int(*n as i64))
+                *self = CellSpec::Int(*n as i64);
+                Ok(())
             }
-            (Json::Num(n), ColType::Float) => Ok(CellSpec::Float(*n)),
-            (Json::Str(s), ColType::Str) => Ok(CellSpec::Str(s.clone())),
-            (Json::Bool(b), ColType::Bool) => Ok(CellSpec::Bool(*b)),
             _ => Err(WireError::new(format!(
                 "cell does not match column type '{}'",
                 col.as_str()
@@ -418,73 +310,22 @@ impl CellSpec {
 }
 
 impl TableSpec {
-    fn encode(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(self.name.clone())),
-            (
-                "columns",
-                Json::Arr(
-                    self.columns
-                        .iter()
-                        .map(|(name, ty)| {
-                            Json::Arr(vec![Json::str(name.clone()), Json::str(ty.as_str())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "rows",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(CellSpec::encode).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn decode(json: &Json) -> Result<TableSpec, WireError> {
-        let name = json.req_str("name")?;
-        let mut columns = Vec::new();
-        for col in json.req_arr("columns")? {
-            let pair = col
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| WireError::new("column must be a [name, type] pair"))?;
-            let cname = pair[0]
-                .as_str()
-                .ok_or_else(|| WireError::new("column name must be a string"))?;
-            let ctype = pair[1]
-                .as_str()
-                .ok_or_else(|| WireError::new("column type must be a string"))?;
-            columns.push((cname.to_string(), ColType::from_str(ctype)?));
-        }
-        let mut rows = Vec::new();
-        for row in json.req_arr("rows")? {
-            let cells = row
-                .as_arr()
-                .ok_or_else(|| WireError::new("row must be an array"))?;
-            if cells.len() != columns.len() {
+    /// Type every row by the columns: one cell per column, each of its
+    /// column's type.
+    fn typed(mut self) -> Result<TableSpec, WireError> {
+        for row in &mut self.rows {
+            if row.len() != self.columns.len() {
                 return Err(WireError::new(format!(
                     "row has {} cells, schema has {} columns",
-                    cells.len(),
-                    columns.len()
+                    row.len(),
+                    self.columns.len()
                 )));
             }
-            rows.push(
-                cells
-                    .iter()
-                    .zip(&columns)
-                    .map(|(cell, (_, ty))| CellSpec::decode(cell, *ty))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
+            for (cell, (_, ty)) in row.iter_mut().zip(&self.columns) {
+                cell.typed(*ty)?;
+            }
         }
-        Ok(TableSpec {
-            name,
-            columns,
-            rows,
-        })
+        Ok(self)
     }
 
     /// Materialize into a core [`Relation`].
@@ -506,129 +347,465 @@ impl TableSpec {
     }
 }
 
-fn enc_task(task: &TaskKind) -> Json {
-    match task {
-        TaskKind::AttributeCoverage => Json::obj([("kind", Json::str("attribute_coverage"))]),
-        TaskKind::Classification { label } => Json::obj([
-            ("kind", Json::str("classification")),
-            ("label", Json::str(label.clone())),
-        ]),
-        TaskKind::Regression { target } => Json::obj([
-            ("kind", Json::str("regression")),
-            ("target", Json::str(target.clone())),
-        ]),
-        TaskKind::AggregateCompleteness {
-            group_by,
-            expected_groups,
-        } => Json::obj([
-            ("kind", Json::str("aggregate_completeness")),
-            ("group_by", Json::str(group_by.clone())),
-            ("expected_groups", Json::Num(*expected_groups as f64)),
-        ]),
+// ---------------------------------------------------------------------
+// The grammar.
+// ---------------------------------------------------------------------
+
+grammar!(Command by "op" as "op" {
+    "enroll" => Enroll { name, role } [
+        name => "name",
+        role => "role" or "participant".to_string(),
+    ],
+    "deposit" => Deposit { account, amount } [account => "account", amount => "amount"],
+    "offer" => SubmitOffer(OfferSpec {
+        buyer,
+        attributes,
+        keywords,
+        task,
+        curve,
+        min_rows,
+        purpose,
+    }) [
+        buyer => "buyer",
+        attributes => "attributes",
+        keywords => "keywords" or Vec::new(),
+        task => "task" or TaskKind::AttributeCoverage,
+        curve => "curve",
+        min_rows => "min_rows" or 1,
+        purpose => "purpose" or "analytics".to_string(),
+    ],
+    "ask" => SubmitAsk(AskSpec { seller, table, reserve, license }) [
+        seller => "seller",
+        table => "table",
+        reserve => "reserve",
+        license => "license",
+    ],
+    "grant_license" => GrantLicense { seller, dataset, license } [
+        seller => "seller",
+        dataset => "dataset",
+        license => "license",
+    ],
+    "run_round" => RunRound { rounds } [rounds => "rounds" or 1],
+} check Command::bounded);
+
+grammar!(TaskKind by "kind" as "task kind" {
+    "attribute_coverage" => AttributeCoverage {} [],
+    "classification" => Classification { label } [label => "label"],
+    "regression" => Regression { target } [target => "target"],
+    "aggregate_completeness" => AggregateCompleteness { group_by, expected_groups } [
+        group_by => "group_by",
+        expected_groups => "expected_groups",
+    ],
+});
+
+grammar!(PriceCurve by "kind" as "curve kind" {
+    "constant" => Constant(price) [price => "price"],
+    "linear" => Linear { min_satisfaction, max_price } [
+        min_satisfaction => "min_satisfaction",
+        max_price => "max_price",
+    ],
+    "step" => Step(steps) [steps => "steps"],
+});
+
+grammar!(License by "kind" as "license kind" {
+    "standard" => Standard {} [],
+    "exclusive" => Exclusive { tax_rate, hold_rounds } [
+        tax_rate => "tax_rate",
+        hold_rounds => "hold_rounds",
+    ],
+    "ownership_transfer" => OwnershipTransfer {} [],
+    "non_transferable" => NonTransferable {} [],
+});
+
+grammar!(TableSpec {
+    name => "name",
+    columns => "columns",
+    rows => "rows",
+} check TableSpec::typed);
+
+/// A command inside an internal message keeps its own grammar.
+impl Wire for Command {
+    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
+        self.put(e);
+    }
+
+    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        Command::take(r)
     }
 }
 
-fn dec_task(json: &Json) -> Result<TaskKind, WireError> {
-    match json.req_str("kind")?.as_str() {
-        "attribute_coverage" => Ok(TaskKind::AttributeCoverage),
-        "classification" => Ok(TaskKind::Classification {
-            label: json.req_str("label")?,
-        }),
-        "regression" => Ok(TaskKind::Regression {
-            target: json.req_str("target")?,
-        }),
-        "aggregate_completeness" => Ok(TaskKind::AggregateCompleteness {
-            group_by: json.req_str("group_by")?,
-            expected_groups: usize::try_from(json.req_u64("expected_groups")?)
-                .map_err(|_| WireError::new("'expected_groups' exceeds usize range"))?,
-        }),
-        other => Err(WireError::new(format!("unknown task kind '{other}'"))),
+/// A value of the command grammar: `put` writes it as compact text and
+/// `take` reads it back.
+pub(crate) trait Grammar: Sized {
+    /// Write the value.
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>);
+    /// Read one value.
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError>;
+    /// What an absent member reads as; `None`: the member is required.
+    fn absent() -> Option<Self> {
+        None
+    }
+    /// Whether a member holding this value is written.
+    fn present(&self) -> bool {
+        true
     }
 }
 
-fn enc_curve(curve: &PriceCurve) -> Json {
-    match curve {
-        PriceCurve::Constant(p) => {
-            Json::obj([("kind", Json::str("constant")), ("price", Json::Num(*p))])
+/// A `grammar!` enum: an object whose tag member names the variant.
+trait Tagged: Sized {
+    /// The tag member's key.
+    const TAG: &'static str;
+
+    /// Read the members of the variant `tag` names, through the object's
+    /// `}`: first `early`, the members that came before the tag, then
+    /// the rest. `extra` is offered each member no field takes, and the
+    /// member is skipped unless it takes it.
+    fn take_variant<'a>(
+        tag: &str,
+        r: &mut Parser<'a>,
+        early: Vec<Early<'a>>,
+        extra: &mut Extra<'a, '_>,
+    ) -> Result<Self, WireError>;
+}
+
+/// A member read before its object's tag: the key, and a bookmark at
+/// the value.
+pub(crate) type Early<'a> = (Cow<'a, str>, Parser<'a>);
+
+/// A hook for members a variant does not have: `true` if it read one.
+type Extra<'a, 'f> = dyn FnMut(&str, &mut Parser<'a>) -> Result<bool, WireError> + 'f;
+
+/// Read a tagged object: the members ahead of the tag are bookmarked
+/// until it names the variant.
+fn take_tagged<T: Tagged>(r: &mut Parser<'_>) -> Result<T, WireError> {
+    r.open_obj()?;
+    let mut early = Vec::new();
+    while let Some(key) = r.next_key()? {
+        if key == T::TAG {
+            let tag = r.str()?;
+            return T::take_variant(&tag, r, early, &mut |_, _| Ok(false));
         }
-        PriceCurve::Linear {
-            min_satisfaction,
-            max_price,
-        } => Json::obj([
-            ("kind", Json::str("linear")),
-            ("min_satisfaction", Json::Num(*min_satisfaction)),
-            ("max_price", Json::Num(*max_price)),
-        ]),
-        PriceCurve::Step(steps) => Json::obj([
-            ("kind", Json::str("step")),
-            (
-                "steps",
-                Json::Arr(
-                    steps
-                        .iter()
-                        .map(|&(t, p)| Json::Arr(vec![Json::Num(t), Json::Num(p)]))
-                        .collect(),
-                ),
-            ),
-        ]),
+        early.push((key, r.clone()));
+        r.skip()?;
+    }
+    Err(missing(T::TAG))
+}
+
+/// Write one member, unless its value is absent.
+pub(crate) fn put_member<T: Grammar, S: Sink>(e: &mut Text<'_, S>, key: &str, value: &T) {
+    if value.present() {
+        e.key(key);
+        value.put(e);
     }
 }
 
-fn dec_curve(json: &Json) -> Result<PriceCurve, WireError> {
-    match json.req_str("kind")?.as_str() {
-        "constant" => Ok(PriceCurve::Constant(json.req_f64("price")?)),
-        "linear" => Ok(PriceCurve::Linear {
-            min_satisfaction: json.req_f64("min_satisfaction")?,
-            max_price: json.req_f64("max_price")?,
-        }),
-        "step" => {
-            let mut steps = Vec::new();
-            for step in json.req_arr("steps")? {
-                let pair = step
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| WireError::new("step must be a [satisfaction, price] pair"))?;
-                let t = pair[0]
-                    .as_f64()
-                    .ok_or_else(|| WireError::new("step threshold must be a number"))?;
-                let p = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| WireError::new("step price must be a number"))?;
-                steps.push((t, p));
+/// A member's value: the one read, else its type's absent value.
+pub(crate) fn member<T: Grammar>(read: Option<T>, key: &str) -> Result<T, WireError> {
+    read.or_else(T::absent).ok_or_else(|| missing(key))
+}
+
+fn missing(key: &str) -> WireError {
+    WireError::new(format!("missing field '{key}'"))
+}
+
+/// An error inside member `key`, named by it.
+pub(crate) fn in_member(key: &str, e: WireError) -> WireError {
+    WireError {
+        msg: format!("'{key}': {}", e.msg),
+        pos: e.pos,
+    }
+}
+
+/// `value`'s text.
+fn text<T: Grammar>(value: &T) -> String {
+    let mut out = String::new();
+    value.put(&mut Text::new(&mut out));
+    out
+}
+
+/// Read one document: a `T`, then nothing but whitespace.
+pub(crate) fn read<T: Grammar>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut r = Parser::over(bytes)?;
+    let value = T::take(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// `grammar!(Type { field => "key", … })` — an object with these
+/// members. `grammar!(Enum by "tag" as "what" { "name" => Variant shape
+/// [field => "key", …], … })` — an object whose `"tag"` member, written
+/// first, names the variant; `shape` binds the variant's fields by name
+/// without `..`, so a field added to the type does not compile until
+/// it is listed. Members are written in table order and read in any
+/// order: the first of a repeated member counts and an unknown one is
+/// skipped. An absent member takes its row's `or` default, else its
+/// type's [`Grammar::absent`] value, else it is an error. `check f`
+/// passes each decoded value through `f`.
+macro_rules! grammar {
+    (@members $r:ident, $early:ident, $extra:ident,
+        [$($field:ident => $key:literal $(or $default:expr)?),*]) => {
+        $(let mut $field = None;)*
+        for (key, mut at) in $early {
+            $crate::command::grammar!(@member key, &mut at, $extra, [$($field => $key),*]);
+        }
+        while let Some(key) = $r.next_key()? {
+            $crate::command::grammar!(@member key, $r, $extra, [$($field => $key),*]);
+        }
+        $(let $field = $crate::command::member($field $(.or_else(|| Some($default)))?, $key)?;)*
+    };
+    (@member $name:ident, $p:expr, $extra:ident, [$($field:ident => $key:literal),*]) => {
+        match $name.as_ref() {
+            $($key if $field.is_none() => {
+                $field = Some(
+                    $crate::command::Grammar::take($p)
+                        .map_err(|e| $crate::command::in_member($key, e))?,
+                );
+            })*
+            _ => {
+                if !$extra(&$name, $p)? {
+                    $p.skip()?;
+                }
             }
-            Ok(PriceCurve::Step(steps))
         }
-        other => Err(WireError::new(format!("unknown curve kind '{other}'"))),
+    };
+    ($ty:ident by $tag_key:literal as $what:literal {
+        $($tag:literal => $variant:ident $shape:tt
+            [$($field:ident => $key:literal $(or $default:expr)?),* $(,)?]),+ $(,)?
+    } $(check $check:path)?) => {
+        impl $crate::command::Grammar for $ty {
+            fn put<S: $crate::wire::Sink>(&self, e: &mut $crate::wire::Text<'_, S>) {
+                e.open_obj();
+                e.key($tag_key);
+                match self {
+                    $(Self::$variant $shape => {
+                        e.str($tag);
+                        $($crate::command::put_member(e, $key, $field);)*
+                    })+
+                }
+                e.close_obj();
+            }
+
+            fn take(r: &mut $crate::wire::Parser<'_>) -> Result<Self, $crate::wire::WireError> {
+                $crate::command::take_tagged(r)
+            }
+        }
+
+        impl $crate::command::Tagged for $ty {
+            const TAG: &'static str = $tag_key;
+
+            fn take_variant<'a>(
+                tag: &str,
+                r: &mut $crate::wire::Parser<'a>,
+                early: Vec<$crate::command::Early<'a>>,
+                extra: &mut $crate::command::Extra<'a, '_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                let out = match tag {
+                    $($tag => {
+                        $crate::command::grammar!(@members r, early, extra,
+                            [$($field => $key $(or $default)?),*]);
+                        Self::$variant $shape
+                    })+
+                    other => {
+                        return Err($crate::wire::WireError::new(format!(
+                            concat!("unknown ", $what, " '{}'"),
+                            other
+                        )))
+                    }
+                };
+                $(let out = $check(out)?;)?
+                Ok(out)
+            }
+        }
+    };
+    ($ty:ty { $($field:ident => $key:literal $(or $default:expr)?),+ $(,)? }
+        $(check $check:path)?) => {
+        impl $crate::command::Grammar for $ty {
+            fn put<S: $crate::wire::Sink>(&self, e: &mut $crate::wire::Text<'_, S>) {
+                let Self { $($field),+ } = self;
+                e.open_obj();
+                $($crate::command::put_member(e, $key, $field);)+
+                e.close_obj();
+            }
+
+            fn take(r: &mut $crate::wire::Parser<'_>) -> Result<Self, $crate::wire::WireError> {
+                r.open_obj()?;
+                let early: Vec<$crate::command::Early<'_>> = Vec::new();
+                let extra = |_: &str, _: &mut $crate::wire::Parser<'_>| Ok(false);
+                $crate::command::grammar!(@members r, early, extra,
+                    [$($field => $key $(or $default)?),+]);
+                let out = Self { $($field),+ };
+                $(let out = $check(out)?;)?
+                Ok(out)
+            }
+        }
+    };
+}
+pub(crate) use grammar;
+
+// ---------------------------------------------------------------------
+// Scalars and containers.
+// ---------------------------------------------------------------------
+
+impl Grammar for String {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.str(self);
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.str().map(Cow::into_owned)
     }
 }
 
-fn enc_license(license: &License) -> Json {
-    match license {
-        License::Standard => Json::obj([("kind", Json::str("standard"))]),
-        License::Exclusive {
-            tax_rate,
-            hold_rounds,
-        } => Json::obj([
-            ("kind", Json::str("exclusive")),
-            ("tax_rate", Json::Num(*tax_rate)),
-            ("hold_rounds", Json::Num(*hold_rounds as f64)),
-        ]),
-        License::OwnershipTransfer => Json::obj([("kind", Json::str("ownership_transfer"))]),
-        License::NonTransferable => Json::obj([("kind", Json::str("non_transferable"))]),
+/// Any finite JSON number.
+impl Grammar for f64 {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.num(*self);
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.num()
     }
 }
 
-fn dec_license(json: &Json) -> Result<License, WireError> {
-    match json.req_str("kind")?.as_str() {
-        "standard" => Ok(License::Standard),
-        "exclusive" => Ok(License::Exclusive {
-            tax_rate: json.req_f64("tax_rate")?,
-            hold_rounds: u32::try_from(json.req_u64("hold_rounds")?)
-                .map_err(|_| WireError::new("'hold_rounds' exceeds u32 range"))?,
-        }),
-        "ownership_transfer" => Ok(License::OwnershipTransfer),
-        "non_transferable" => Ok(License::NonTransferable),
-        other => Err(WireError::new(format!("unknown license kind '{other}'"))),
+/// A number that is a whole value in `0..=2^53`, where every integer
+/// is exact.
+impl Grammar for u64 {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.num(*self as f64);
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        match r.num()? {
+            n if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Ok(n as u64),
+            _ => Err(WireError::new("expected a non-negative integer")),
+        }
+    }
+}
+
+/// Narrower integers: a `u64` in their range.
+macro_rules! narrow_grammar {
+    ($($int:ty),+) => {$(
+        impl Grammar for $int {
+            fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+                e.num(*self as f64);
+            }
+
+            fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+                <$int>::try_from(u64::take(r)?).map_err(|_| {
+                    WireError::new(concat!("integer exceeds ", stringify!($int), " range"))
+                })
+            }
+        }
+    )+};
+}
+narrow_grammar!(u32, usize);
+
+impl<T: Grammar> Grammar for Vec<T> {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_arr();
+        for item in self {
+            e.item();
+            item.put(e);
+        }
+        e.close_arr();
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.open_arr()?;
+        let mut items = Vec::new();
+        while r.more()? {
+            items.push(T::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A pair is an array of exactly two.
+impl<A: Grammar, B: Grammar> Grammar for (A, B) {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.open_arr();
+        e.item();
+        self.0.put(e);
+        e.item();
+        self.1.put(e);
+        e.close_arr();
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        r.open_arr()?;
+        r.item()?;
+        let a = A::take(r)?;
+        r.item()?;
+        let b = B::take(r)?;
+        r.close_arr()?;
+        Ok((a, b))
+    }
+}
+
+/// An optional member: written only when it holds a value, `None` when
+/// absent. A `null` is not absent.
+impl<T: Grammar> Grammar for Option<T> {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        match self {
+            Some(value) => value.put(e),
+            None => e.null(),
+        }
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        T::take(r).map(Some)
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+
+    fn present(&self) -> bool {
+        self.is_some()
+    }
+}
+
+/// A borrowed value is written as the value and read owned.
+impl<T: Grammar + Clone> Grammar for Cow<'_, T> {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        T::put(self, e);
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        T::take(r).map(Cow::Owned)
+    }
+}
+
+impl Grammar for ColType {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        e.str(self.as_str());
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        ColType::from_str(&r.str()?)
+    }
+}
+
+/// A cell is a JSON scalar. A number reads as a float until
+/// [`TableSpec::typed`] types it by its column.
+impl Grammar for CellSpec {
+    fn put<S: Sink>(&self, e: &mut Text<'_, S>) {
+        match self {
+            CellSpec::Null => e.null(),
+            CellSpec::Int(i) => e.num(*i as f64),
+            CellSpec::Float(f) => e.num(*f),
+            CellSpec::Str(s) => e.str(s),
+            CellSpec::Bool(b) => e.bool(*b),
+        }
+    }
+
+    fn take(r: &mut Parser<'_>) -> Result<Self, WireError> {
+        match r.peek() {
+            Some(b'"') => r.str().map(|s| CellSpec::Str(s.into_owned())),
+            Some(b't' | b'f') => r.bool().map(CellSpec::Bool),
+            Some(b'n') => r.null().map(|_| CellSpec::Null),
+            _ => r.num().map(CellSpec::Float),
+        }
     }
 }
 
@@ -640,6 +817,10 @@ mod tests {
         let encoded = cmd.encode().dump();
         let decoded = Command::decode(&Json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(decoded, cmd, "wire round-trip changed the command");
+    }
+
+    fn decode(text: &str) -> Result<Command, WireError> {
+        read(text.as_bytes())
     }
 
     #[test]
@@ -696,6 +877,187 @@ mod tests {
         round_trip(Command::RunRound { rounds: 4 });
     }
 
+    fn pinned_commands() -> Vec<Command> {
+        let two53 = 1i64 << 53;
+        let offer = |task, curve| {
+            Command::SubmitOffer(OfferSpec {
+                buyer: "b".into(),
+                attributes: vec!["city".into(), "temp".into()],
+                keywords: vec!["weather".into()],
+                task,
+                curve,
+                min_rows: 3,
+                purpose: "research".into(),
+            })
+        };
+        let table = TableSpec {
+            name: "t \"q\" π\n".into(),
+            columns: vec![
+                ("k".into(), ColType::Int),
+                ("at".into(), ColType::Timestamp),
+                ("x".into(), ColType::Float),
+                ("s".into(), ColType::Str),
+                ("ok".into(), ColType::Bool),
+            ],
+            rows: vec![
+                vec![
+                    CellSpec::Int(two53),
+                    CellSpec::Int(-two53),
+                    CellSpec::Float(0.1),
+                    CellSpec::Str("Zürich\t→ \\ \u{1}😀".into()),
+                    CellSpec::Bool(true),
+                ],
+                vec![
+                    CellSpec::Int(-7),
+                    CellSpec::Int(1_700_000_000),
+                    CellSpec::Float(-0.0),
+                    CellSpec::Null,
+                    CellSpec::Bool(false),
+                ],
+                vec![
+                    CellSpec::Null,
+                    CellSpec::Null,
+                    CellSpec::Float(1e-7),
+                    CellSpec::Str(String::new()),
+                    CellSpec::Null,
+                ],
+            ],
+        };
+        vec![
+            Command::Enroll {
+                name: "alice".into(),
+                role: "buyer".into(),
+            },
+            Command::Deposit {
+                account: "a\"b\\c\n\u{1f}é→😀".into(),
+                amount: 123.456789,
+            },
+            Command::Deposit {
+                account: "big".into(),
+                amount: 1e21,
+            },
+            offer(TaskKind::AttributeCoverage, PriceCurve::Constant(9.5)),
+            offer(
+                TaskKind::Classification {
+                    label: "label".into(),
+                },
+                PriceCurve::Linear {
+                    min_satisfaction: 0.25,
+                    max_price: 120.0,
+                },
+            ),
+            offer(
+                TaskKind::Regression { target: "y".into() },
+                PriceCurve::Step(vec![(0.5, 10.0), (0.9, 20.25)]),
+            ),
+            offer(
+                TaskKind::AggregateCompleteness {
+                    group_by: "city".into(),
+                    expected_groups: 12,
+                },
+                PriceCurve::Step(Vec::new()),
+            ),
+            Command::SubmitOffer(OfferSpec::simple("b", Vec::<String>::new(), 0.0)),
+            Command::SubmitAsk(AskSpec {
+                seller: "s".into(),
+                table: table.clone(),
+                reserve: None,
+                license: None,
+            }),
+            Command::SubmitAsk(AskSpec {
+                seller: "s".into(),
+                table: TableSpec {
+                    name: "empty".into(),
+                    columns: Vec::new(),
+                    rows: Vec::new(),
+                },
+                reserve: Some(5.0),
+                license: Some(License::Exclusive {
+                    tax_rate: 0.5,
+                    hold_rounds: 3,
+                }),
+            }),
+            Command::SubmitAsk(AskSpec {
+                seller: "s".into(),
+                table: TableSpec {
+                    name: "one".into(),
+                    columns: vec![("k".into(), ColType::Int)],
+                    rows: vec![vec![CellSpec::Int(1)]],
+                },
+                reserve: Some(0.75),
+                license: None,
+            }),
+            Command::SubmitAsk(AskSpec {
+                seller: "s".into(),
+                table: TableSpec {
+                    name: "one".into(),
+                    columns: vec![("k".into(), ColType::Int)],
+                    rows: vec![vec![CellSpec::Int(1)]],
+                },
+                reserve: None,
+                license: Some(License::Standard),
+            }),
+            Command::GrantLicense {
+                seller: "s".into(),
+                dataset: 0,
+                license: License::OwnershipTransfer,
+            },
+            Command::GrantLicense {
+                seller: "s".into(),
+                dataset: 9_007_199_254_740_992,
+                license: License::NonTransferable,
+            },
+            Command::RunRound { rounds: 1024 },
+        ]
+    }
+
+    /// The bytes the tree encoder (`encode().dump()`) wrote for
+    /// [`pinned_commands`] before the grammar was streamed: every
+    /// variant, `reserve` and `license` absent and present, every task
+    /// and curve, escaped and multi-byte strings, integer cells at
+    /// ±2^53 and floats whose shortest form has no exponent.
+    const PINNED: [&str; 15] = [
+        r#"{"op":"enroll","name":"alice","role":"buyer"}"#,
+        r#"{"op":"deposit","account":"a\"b\\c\n\u001fé→😀","amount":123.456789}"#,
+        r#"{"op":"deposit","account":"big","amount":1000000000000000000000}"#,
+        r#"{"op":"offer","buyer":"b","attributes":["city","temp"],"keywords":["weather"],"task":{"kind":"attribute_coverage"},"curve":{"kind":"constant","price":9.5},"min_rows":3,"purpose":"research"}"#,
+        r#"{"op":"offer","buyer":"b","attributes":["city","temp"],"keywords":["weather"],"task":{"kind":"classification","label":"label"},"curve":{"kind":"linear","min_satisfaction":0.25,"max_price":120},"min_rows":3,"purpose":"research"}"#,
+        r#"{"op":"offer","buyer":"b","attributes":["city","temp"],"keywords":["weather"],"task":{"kind":"regression","target":"y"},"curve":{"kind":"step","steps":[[0.5,10],[0.9,20.25]]},"min_rows":3,"purpose":"research"}"#,
+        r#"{"op":"offer","buyer":"b","attributes":["city","temp"],"keywords":["weather"],"task":{"kind":"aggregate_completeness","group_by":"city","expected_groups":12},"curve":{"kind":"step","steps":[]},"min_rows":3,"purpose":"research"}"#,
+        r#"{"op":"offer","buyer":"b","attributes":[],"keywords":[],"task":{"kind":"attribute_coverage"},"curve":{"kind":"constant","price":0},"min_rows":1,"purpose":"analytics"}"#,
+        r#"{"op":"ask","seller":"s","table":{"name":"t \"q\" π\n","columns":[["k","int"],["at","timestamp"],["x","float"],["s","str"],["ok","bool"]],"rows":[[9007199254740992,-9007199254740992,0.1,"Zürich\t→ \\ \u0001😀",true],[-7,1700000000,-0,null,false],[null,null,0.0000001,"",null]]}}"#,
+        r#"{"op":"ask","seller":"s","table":{"name":"empty","columns":[],"rows":[]},"reserve":5,"license":{"kind":"exclusive","tax_rate":0.5,"hold_rounds":3}}"#,
+        r#"{"op":"ask","seller":"s","table":{"name":"one","columns":[["k","int"]],"rows":[[1]]},"reserve":0.75}"#,
+        r#"{"op":"ask","seller":"s","table":{"name":"one","columns":[["k","int"]],"rows":[[1]]},"license":{"kind":"standard"}}"#,
+        r#"{"op":"grant_license","seller":"s","dataset":0,"license":{"kind":"ownership_transfer"}}"#,
+        r#"{"op":"grant_license","seller":"s","dataset":9007199254740992,"license":{"kind":"non_transferable"}}"#,
+        r#"{"op":"run_round","rounds":1024}"#,
+    ];
+
+    #[test]
+    fn every_variant_writes_its_pinned_bytes_and_reads_them_back() {
+        let cmds = pinned_commands();
+        assert_eq!(cmds.len(), PINNED.len());
+        for (cmd, pin) in cmds.into_iter().zip(PINNED) {
+            assert_eq!(text(&cmd), pin);
+            assert_eq!(cmd.encode().dump(), pin);
+            assert_eq!(decode(pin), Ok(cmd), "{pin}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_number_is_written_as_a_null_no_decoder_takes() {
+        let cmd = Command::Deposit {
+            account: "a".into(),
+            amount: f64::NAN,
+        };
+        assert_eq!(
+            text(&cmd),
+            r#"{"op":"deposit","account":"a","amount":null}"#
+        );
+        assert!(decode(&text(&cmd)).is_err());
+    }
+
     #[test]
     fn table_spec_materializes() {
         let table = TableSpec {
@@ -713,35 +1075,50 @@ mod tests {
 
     #[test]
     fn mistyped_cells_rejected() {
-        let json =
-            Json::parse(r#"{"name":"t","columns":[["k","int"]],"rows":[["oops"]]}"#).unwrap();
-        assert!(TableSpec::decode(&json).is_err());
+        let table = |columns: &str, rows: &str| {
+            let text = format!(r#"{{"name":"t","columns":{columns},"rows":{rows}}}"#);
+            read::<TableSpec>(text.as_bytes())
+        };
+        assert!(table(r#"[["k","int"]]"#, r#"[[1],[null],[-3]]"#).is_ok());
+        for (columns, rows) in [
+            (r#"[["k","int"]]"#, r#"[["oops"]]"#),
+            (r#"[["k","int"]]"#, r#"[[1.5]]"#),
+            (r#"[["k","timestamp"]]"#, r#"[[9007199254740994]]"#),
+            (r#"[["k","float"]]"#, r#"[[true]]"#),
+            (r#"[["k","str"]]"#, r#"[[1]]"#),
+            (r#"[["k","bool"]]"#, r#"[[[]]]"#),
+            (r#"[["k","int"]]"#, r#"[[1,2]]"#),
+            (r#"[["k","int"]]"#, r#"[[]]"#),
+            (r#"[["k","int"]]"#, r#"[1]"#),
+            (r#"[["k","day"]]"#, r#"[]"#),
+            (r#"[["k"]]"#, r#"[]"#),
+            (r#"[["k","int","x"]]"#, r#"[]"#),
+        ] {
+            assert!(table(columns, rows).is_err(), "{columns} {rows}");
+        }
     }
 
     #[test]
     fn unknown_op_rejected() {
-        let json = Json::parse(r#"{"op":"frobnicate"}"#).unwrap();
-        assert!(Command::decode(&json).is_err());
+        assert!(decode(r#"{"op":"frobnicate"}"#).is_err());
+        assert!(decode(r#"{"name":"a"}"#).is_err());
     }
 
     #[test]
     fn run_round_count_is_bounded() {
-        let ok = Json::parse(r#"{"op":"run_round","rounds":1024}"#).unwrap();
-        assert!(Command::decode(&ok).is_ok());
+        assert!(decode(r#"{"op":"run_round","rounds":1024}"#).is_ok());
         for bad in [
             r#"{"op":"run_round","rounds":0}"#,
             r#"{"op":"run_round","rounds":1025}"#,
             r#"{"op":"run_round","rounds":4000000000}"#,
             r#"{"op":"run_round","rounds":2.5}"#,
         ] {
-            let json = Json::parse(bad).unwrap();
-            assert!(Command::decode(&json).is_err(), "accepted {bad}");
+            assert!(decode(bad).is_err(), "accepted {bad}");
         }
     }
 
     #[test]
     fn role_and_rounds_have_defaults_but_no_silent_ones() {
-        let decode = |text: &str| Command::decode(&Json::parse(text).unwrap());
         assert_eq!(
             decode(r#"{"op":"enroll","name":"a"}"#).unwrap(),
             Command::Enroll {
@@ -763,5 +1140,90 @@ mod tests {
             decode(r#"{"op":"run_round","op":"enroll","name":"a"}"#).unwrap(),
             Command::RunRound { rounds: 1 }
         );
+    }
+
+    #[test]
+    fn members_come_in_any_order_unknown_ones_are_skipped_and_the_first_counts() {
+        let ask = |text: &str| match decode(text) {
+            Ok(Command::SubmitAsk(ask)) => ask,
+            other => panic!("{text}: {other:?}"),
+        };
+        let canonical = ask(PINNED[9]);
+        for text in [
+            // Tags after the members they choose; rows before columns.
+            r#"{"table":{"rows":[],"columns":[],"name":"empty"},"license":{"hold_rounds":3,"tax_rate":0.5,"kind":"exclusive"},"reserve":5,"seller":"s","op":"ask"}"#,
+            // Unknown members of every kind, nested and escaped.
+            r#"{"op":"ask","x":{"a":[1,{"b":null}],"c":"\u0041"},"seller":"s","table":{"name":"empty","columns":[],"rows":[],"extra":[[]]},"reserve":5,"license":{"kind":"exclusive","tax_rate":0.5,"hold_rounds":3,"label":7},"y":-0.5e3}"#,
+            // The first of a repeated member counts; a later one need
+            // only be JSON.
+            r#"{"op":"ask","seller":"s","seller":5,"table":{"name":"empty","columns":[],"rows":[],"rows":"x"},"reserve":5,"reserve":null,"license":{"kind":"exclusive","kind":"standard","tax_rate":0.5,"hold_rounds":3}}"#,
+            // Escaped keys are the keys they spell; whitespace anywhere.
+            " {\"\\u006fp\" : \"ask\" ,\n\"seller\":\"s\",\"t\\u0061ble\":{\"name\":\"empty\",\"columns\":[ ],\"rows\":[]},\"reserve\":5,\"license\":{\"kind\":\"exclusive\",\"tax_rate\":0.5,\"hold_rounds\":3}}\t",
+        ] {
+            assert_eq!(ask(text), canonical, "{text}");
+        }
+        for bad in [
+            // A repeated member's first value decides, even when wrong.
+            r#"{"op":"ask","seller":5,"seller":"s","table":{"name":"empty","columns":[],"rows":[]}}"#,
+            // `null` is not absent.
+            r#"{"op":"ask","seller":"s","table":{"name":"empty","columns":[],"rows":[]},"reserve":null}"#,
+            r#"{"op":"ask","seller":"s","table":{"name":"empty","columns":[],"rows":[]},"license":null}"#,
+            r#"{"op":"offer","buyer":"b","attributes":[],"keywords":null,"curve":{"kind":"constant","price":1}}"#,
+            // A skipped member must still be JSON, and so must the rest.
+            r#"{"op":"run_round","x":[1,]}"#,
+            r#"{"op":"run_round"} x"#,
+            r#"{"op":"run_round",}"#,
+            r#"{"op":"run_round" "rounds":1}"#,
+            // A tag that is not a string, or absent.
+            r#"{"op":"ask","seller":"s","table":{"name":"e","columns":[],"rows":[]},"license":{"kind":1}}"#,
+            r#"{"op":"offer","buyer":"b","attributes":[],"curve":{"price":1}}"#,
+        ] {
+            assert!(decode(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn a_route_reads_its_commands_members_and_an_enroll_its_deposit() {
+        let route = |op: &str, body: &str| from_route(op, body.as_bytes());
+        let alice = Command::Enroll {
+            name: "alice".into(),
+            role: "participant".into(),
+        };
+        assert_eq!(
+            route("enroll", r#"{"name":"alice","op":"run_round"}"#),
+            Ok((alice.clone(), None))
+        );
+        assert_eq!(
+            route("enroll", r#"{"deposit":5,"name":"alice","deposit":"x"}"#),
+            Ok((alice.clone(), Some(5.0)))
+        );
+        let Ok((_, Some(nan))) = route("enroll", r#"{"name":"alice","deposit":{"a":1}}"#) else {
+            panic!("a non-number deposit was not read");
+        };
+        assert!(nan.is_nan());
+        // Only `/enroll` has a deposit: elsewhere it is an unknown member.
+        assert_eq!(
+            route("deposit", r#"{"account":"a","amount":1,"deposit":5}"#),
+            Ok((
+                Command::Deposit {
+                    account: "a".into(),
+                    amount: 1.0,
+                },
+                None
+            ))
+        );
+        assert_eq!(
+            route("run_round", ""),
+            Ok((Command::RunRound { rounds: 1 }, None))
+        );
+        for bad in [
+            "null",
+            "[]",
+            "{",
+            r#"{"name":"alice","deposit":1,}"#,
+            "{} {}",
+        ] {
+            assert!(route("enroll", bad).is_err(), "accepted {bad}");
+        }
     }
 }

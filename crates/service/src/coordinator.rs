@@ -274,7 +274,7 @@ impl CommandFollower for WorkerPool {
         let body = to_text(&ApplyBody {
             fp: self.fingerprint.clone(),
             seq,
-            cmd: cmd.encode(),
+            cmd: Cow::Borrowed(cmd),
         });
         // The acks are checked by status only.
         let targets = self.live_indices().into_iter().map(|i| (i, &body));

@@ -27,8 +27,8 @@
 //!   `Connection: close` (`dmp_gateway_refused_total`).
 //! * **`Connection: close`** is honored after the response flushes.
 //!
-//! A write route's body is its command's wire form minus `"op"`
-//! ([`Command::decode`] is the one decoder; an empty body is `{}`).
+//! A write route's body is its command's wire form minus `"op"`, read
+//! by the command grammar's streamed decoder (an empty body is `{}`).
 //! Two fields have defaults: `"role"` is `"participant"` and
 //! `"rounds"` is 1. `/enroll` also takes an optional `"deposit"`.
 //!
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::command::Command;
+use crate::command::{self, Command};
 use crate::error::ServiceError;
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::{endpoint, metrics, ENDPOINTS};
@@ -388,10 +388,6 @@ pub(crate) fn err_body(msg: &str) -> String {
     Json::obj([("error", Json::str(msg))]).dump()
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    Json::parse_bytes(&req.body).map_err(|e| Response::json(400, err_body(&e.to_string())))
-}
-
 fn apply_response(result: Result<Outcome, ServiceError>) -> Response {
     match result {
         Ok(outcome) => Response::json(200, outcome.to_json().dump()),
@@ -480,45 +476,20 @@ fn write_op(path: &str) -> Option<&'static str> {
     })
 }
 
-/// A write route: the body (an empty one is `{}`) is the command's wire
-/// form minus `"op"`. The route's `op` goes *first*, ahead of the
-/// body's pairs, and [`Json::get`] reads the first key, so a body's
-/// own `"op"` never chooses the command.
+/// A write route: the body (an empty one is `{}`) holds the members
+/// of the route's command, decoded straight from its bytes under the
+/// route's `op`, so a body's own `"op"` never chooses the command.
 fn write(node: &ServiceNode, op: &str, req: &Request) -> Response {
-    let body = if req.body.is_empty() {
-        Json::Obj(Vec::new())
-    } else {
-        match parse_body(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        }
-    };
-    let Json::Obj(pairs) = body else {
-        return Response::json(400, err_body("request body must be a JSON object"));
-    };
-    let json = Json::Obj(
-        std::iter::once(("op".to_string(), Json::str(op)))
-            .chain(pairs)
-            .collect(),
-    );
-    let cmd = match Command::decode(&json) {
-        Ok(cmd) => cmd,
+    let (cmd, deposit) = match command::from_route(op, &req.body) {
+        Ok(decoded) => decoded,
         Err(e) => return Response::json(400, err_body(&e.to_string())),
     };
     // `/enroll` may carry an opening deposit, a second command. It is
     // checked before the enroll applies, so that a bad amount never
     // leaves an enroll without its deposit behind.
-    let deposit = match json.get("deposit") {
-        Some(j) if op == "enroll" => {
-            // A non-number fails the bound like any other bad amount.
-            let amount = j.as_f64().unwrap_or(f64::NAN);
-            if let Err(e) = check_deposit(amount) {
-                return apply_response(Err(e));
-            }
-            Some(amount)
-        }
-        _ => None,
-    };
+    if let Some(Err(e)) = deposit.map(check_deposit) {
+        return apply_response(Err(e));
+    }
     let result = node.apply(cmd);
     let (Some(amount), Ok(Outcome::Enrolled { name, shard })) = (deposit, &result) else {
         return apply_response(result);

@@ -18,6 +18,10 @@
 //! last intact record, and returns every valid `(seq, Command)` for
 //! replay.
 //!
+//! A payload is written straight into its frame and read straight from
+//! its bytes by the command grammar's streamed codec (`command.rs`); no
+//! `Json` tree is built either way.
+//!
 //! Reading a journal back on open is one sequential frame walk that
 //! checks lengths and CRCs, then a decode of the intact payloads on the
 //! rayon pool, a fixed-size chunk of records per item. The first record
@@ -39,6 +43,8 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
+use std::borrow::Cow;
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -46,9 +52,9 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::command::Command;
+use crate::command::{self, grammar, Command, Grammar};
 use crate::metrics::metrics;
-use crate::wire::Json;
+use crate::wire::{Json, Text};
 
 /// Slicing-by-8 tables of the reflected CRC-32 (IEEE 802.3):
 /// `CRC_TABLES[0][b]` steps the CRC over byte `b`, and `CRC_TABLES[k][b]`
@@ -128,7 +134,7 @@ pub(crate) fn frame(payload: &[u8], out: &mut Vec<u8>) {
 /// Frame what `write` appends to `out` as one record, behind a header
 /// that is filled in once the payload is there, so a document is
 /// serialized straight into its frame. An error leaves `out` as it was.
-pub(crate) fn frame_with<E>(
+fn frame_with<E>(
     out: &mut Vec<u8>,
     write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
 ) -> Result<(), E> {
@@ -143,6 +149,14 @@ pub(crate) fn frame_with<E>(
         slot.copy_from_slice(&frame_header(payload));
     }
     Ok(())
+}
+
+/// Append one frame holding the text `write` writes.
+pub(crate) fn frame_text(out: &mut Vec<u8>, write: impl FnOnce(&mut Text<'_, Vec<u8>>)) {
+    let Ok(()) = frame_with(out, |out| {
+        write(&mut Text::new(out));
+        Ok::<(), Infallible>(())
+    });
 }
 
 /// Frame `json` as one record. Byte-identical to
@@ -191,15 +205,34 @@ fn read_u32_le(bytes: &[u8], at: usize) -> Option<u32> {
 /// length prefix must not allocate unbounded memory).
 const MAX_RECORD: usize = 64 * 1024 * 1024;
 
-/// Decode one journal payload into `(seq, Command)`.
+/// One journal payload: a command under its seq.
+struct Record<'c> {
+    seq: u64,
+    cmd: Cow<'c, Command>,
+}
+
+grammar!(Record<'_> {
+    seq => "seq",
+    cmd => "cmd",
+});
+
+/// Frame `cmd` under `seq` as `append` writes it.
+fn frame_record(seq: u64, cmd: &Command, out: &mut Vec<u8>) {
+    let record = Record {
+        seq,
+        cmd: Cow::Borrowed(cmd),
+    };
+    frame_text(out, |e| record.put(e));
+}
+
+/// Decode one journal payload into `(seq, Command)`, straight from its
+/// bytes.
 fn decode_record(payload: &[u8]) -> Option<(u64, Command)> {
     if payload.len() > MAX_RECORD {
         return None;
     }
-    let json = Json::parse_bytes(payload).ok()?;
-    let seq = json.req_u64("seq").ok()?;
-    let cmd = Command::decode(json.get("cmd")?).ok()?;
-    Some((seq, cmd))
+    let Record { seq, cmd } = command::read(payload).ok()?;
+    Some((seq, cmd.into_owned()))
 }
 
 /// Records one pool item decodes: enough that claiming an item costs
@@ -332,13 +365,11 @@ impl Journal {
                  file may end in a torn frame; reopen the journal to truncate and resume",
             ));
         }
-        #[expect(
-            clippy::cast_precision_loss,
-            reason = "JSON wire carries seq as f64; the round-trip decode below refuses any seq that does not survive exactly"
-        )]
-        let record = Json::obj([("seq", Json::Num(seq as f64)), ("cmd", cmd.encode())]);
+        // The wire carries seq as a JSON number: the round-trip decode
+        // below refuses any seq, or any number in the command, that does
+        // not survive exactly.
         let mut buf = Vec::new();
-        frame_json(&record, &mut buf)?;
+        frame_record(seq, cmd, &mut buf);
         match buf.get(8..).and_then(decode_record) {
             Some((s, c)) if s == seq && c == *cmd => {}
             _ => {
@@ -746,8 +777,7 @@ mod tests {
                     }),
                     _ => Command::RunRound { rounds: 1 + i % 3 },
                 };
-                let record = Json::obj([("seq", Json::Num(f64::from(i))), ("cmd", cmd.encode())]);
-                frame_json(&record, &mut bytes).unwrap();
+                frame_record(u64::from(i), &cmd, &mut bytes);
                 offsets.push(bytes.len());
             }
             (bytes, offsets)

@@ -408,9 +408,7 @@ impl ShardRouter {
                 // Only enrolled principals (and the arbiter) hold
                 // accounts: minting into an unknown name would create a
                 // balance `GET /ledger/:name` then denies exists.
-                if market.participant(account).is_none()
-                    && account != dmp_core::market::ARBITER_ACCOUNT
-                {
+                if !market.is_participant(account) && account != dmp_core::market::ARBITER_ACCOUNT {
                     return Err(ServiceError::Rejected(format!(
                         "unknown account '{account}': enroll before depositing"
                     )));
@@ -620,9 +618,7 @@ impl ShardRouter {
 
     /// Whether any shard knows this participant.
     pub fn participant_exists(&self, name: &str) -> bool {
-        self.market_at(self.shard_of(name))
-            .participant(name)
-            .is_some()
+        self.market_at(self.shard_of(name)).is_participant(name)
     }
 
     /// All balances as `(account, balance)`, sorted by account name

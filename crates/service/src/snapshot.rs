@@ -46,14 +46,13 @@
 )]
 #![deny(clippy::indexing_slicing)]
 
-use std::convert::Infallible;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{frame_json, frame_with, replace_durably, scan_frames};
+use crate::journal::{frame_json, frame_text, replace_durably, scan_frames};
 use crate::shard::{Fnv1a, RouterImage};
 use crate::state::{self, from_text, record, Hex, StateImage, Wire};
-use crate::wire::{Json, Text, WireError};
+use crate::wire::{Json, WireError};
 
 /// An in-memory snapshot: materialized state + expected digest.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,14 +108,6 @@ record!(Header {
     digest => "digest",
     shards => "shards",
 });
-
-/// Append one frame holding the text `write` writes.
-fn frame_text(out: &mut Vec<u8>, write: impl FnOnce(&mut Text<'_, Vec<u8>>)) {
-    let Ok(()) = frame_with(out, |out| {
-        write(&mut Text::new(out));
-        Ok::<(), Infallible>(())
-    });
-}
 
 /// The header frame.
 fn header(seq: u64, digest: u64, shards: usize) -> Vec<u8> {

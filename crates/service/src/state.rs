@@ -360,21 +360,6 @@ impl Wire for String {
     }
 }
 
-/// A value in a grammar of its own (a client command inside an
-/// `/internal/apply` body): written as [`Json::dump_into`] writes it,
-/// read as [`Json::parse`] reads it.
-impl Wire for Json {
-    fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
-        // Only a non-finite number fails, and the journal refuses every
-        // command that holds one before it is applied or forwarded.
-        let _ = e.raw(self);
-    }
-
-    fn dec(r: &mut Parser<'_>) -> Result<Self, WireError> {
-        r.raw()
-    }
-}
-
 impl Wire for DatasetId {
     fn enc<S: Sink>(&self, e: &mut Text<'_, S>) {
         self.0.enc(e);

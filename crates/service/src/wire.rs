@@ -17,11 +17,11 @@
 //! parse` is the identity on every value this module can produce; the
 //! property suite in `tests/wire_props.rs` pins that down.
 //!
-//! Codecs that state a type's form once (`state.rs`) write and read it
-//! a token at a time and build no tree: `Text` writes compact text
-//! into a [`Sink`], byte-identical to dumping the same value, and the
-//! parser reads it back token by token with its own grammar and depth
-//! limit.
+//! Codecs that state a type's form once (`state.rs`, `command.rs`)
+//! write and read it a token at a time and build no tree: `Text` writes
+//! compact text into a [`Sink`], byte-identical to dumping the same
+//! value, and the parser reads it back token by token with its own
+//! grammar and depth limit.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![deny(
@@ -83,6 +83,11 @@ impl std::error::Error for WireError {}
 
 /// Maximum nesting depth accepted by the parser (stack safety).
 const MAX_DEPTH: usize = 64;
+
+/// The powers of ten a number's fast path divides by, all exact.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
 
 impl Json {
     /// Build a string value.
@@ -204,9 +209,7 @@ impl Json {
                 if !n.is_finite() {
                     return Err(WireError::new("non-finite number"));
                 }
-                // Rust's shortest round-trip f64 formatting; valid JSON.
-                // Writing into a sink cannot fail.
-                let _ = write!(FmtSink(out), "{n}");
+                write_num(*n, out);
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -288,6 +291,12 @@ impl<S: Sink> fmt::Write for FmtSink<'_, S> {
     }
 }
 
+/// A finite number in Rust's shortest round-trip `f64` form, which is
+/// valid JSON. Writing into a sink cannot fail.
+fn write_num<S: Sink>(n: f64, out: &mut S) {
+    let _ = write!(FmtSink(out), "{n}");
+}
+
 /// Bytes a JSON string cannot carry verbatim: the closing quote, the
 /// escape introducer and the control range. All ASCII, so in valid
 /// UTF-8 they only ever occur as whole characters — a run of other
@@ -326,9 +335,11 @@ fn write_escaped<S: Sink>(s: &str, out: &mut S) {
 /// returning `None` is unreachable rather than a panic.
 ///
 /// It reads a document two ways over the same primitives: into a
-/// [`Json`] tree ([`Json::parse`]), or a token at a time (the codec's
-/// messages and state-image sections), with one grammar and one depth
-/// limit.
+/// [`Json`] tree ([`Json::parse`]), or a token at a time (client
+/// commands, the codec's messages and state-image sections), with one
+/// grammar and one depth limit. A clone is a bookmark: it reads on
+/// from where it was made.
+#[derive(Clone)]
 pub(crate) struct Parser<'a> {
     src: &'a str,
     pos: usize,
@@ -380,16 +391,20 @@ impl<'a> Parser<'a> {
         self.src.as_bytes().get(self.pos..).unwrap_or_default()
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The next byte: at a value, the first of it.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn require(&mut self, b: u8) -> Result<(), WireError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -423,7 +438,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
@@ -486,6 +501,7 @@ impl<'a> Parser<'a> {
 
     /// A string literal, borrowed from the input when it holds no
     /// escape.
+    #[inline]
     fn cow_string(&mut self) -> Result<Cow<'a, str>, WireError> {
         self.require(b'"')?;
         let mut out = String::new();
@@ -571,28 +587,37 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, WireError> {
+    #[inline]
+    fn number(&mut self) -> Result<f64, WireError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let (int_part, int_digits) = self.digits(0);
+        let (mut mantissa, mut frac_digits, mut plain) = (int_part, 0, int_digits > 0);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            (mantissa, frac_digits) = self.digits(int_part);
+            plain &= frac_digits > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            plain = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(0);
+        }
+        // Clinger's fast path: with at most 15 digits the mantissa and
+        // the power of ten are exact doubles, so one division rounds the
+        // decimal exactly as parsing its text does.
+        if let Some(scale) = POW10
+            .get(frac_digits)
+            .filter(|_| plain && int_digits + frac_digits <= 15)
+        {
+            let n = mantissa as f64 / scale;
+            return Ok(if negative { -n } else { n });
         }
         let n: f64 = self
             .src
@@ -602,7 +627,19 @@ impl<'a> Parser<'a> {
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
-        Ok(Json::Num(n))
+        Ok(n)
+    }
+
+    /// Past a run of decimal digits: `acc` with them appended (exact
+    /// while there are at most 19 in all) and how many there were.
+    #[inline]
+    fn digits(&mut self, mut acc: u64) -> (u64, usize) {
+        let start = self.pos;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            acc = acc.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            self.pos += 1;
+        }
+        (acc, self.pos - start)
     }
 }
 
@@ -665,10 +702,15 @@ impl<'s, S: Sink> Text<'s, S> {
         self.out.push_str("null");
     }
 
-    /// A whole value, as [`Json::dump_into`] writes it; a non-finite
-    /// number is an error, and the sink keeps the partial text.
-    pub(crate) fn raw(&mut self, value: &Json) -> Result<(), WireError> {
-        value.dump_into(self.out)
+    /// A number, as [`Json::dump_into`] writes it. JSON has no
+    /// non-finite numbers: one is written as `null`, which no number
+    /// reader takes.
+    pub(crate) fn num(&mut self, n: f64) {
+        if n.is_finite() {
+            write_num(n, self.out);
+        } else {
+            self.null();
+        }
     }
 
     /// `[`.
@@ -772,10 +814,12 @@ impl Digits {
 /// Each call refuses what is not there. Inside an array,
 /// [`Parser::more`] comes before each element and once after the last;
 /// inside an object, [`Parser::key`] names each member in order and
-/// [`Parser::close_obj`] follows the last.
-impl Parser<'_> {
+/// [`Parser::close_obj`] follows the last, or [`Parser::next_key`]
+/// reads the members in whatever order they come.
+impl<'a> Parser<'a> {
     /// Past a separator: a value starts here, as deep as
     /// [`Parser::value`] would have been asked to read it.
+    #[inline]
     fn element(&mut self) -> Result<(), WireError> {
         if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -784,6 +828,7 @@ impl Parser<'_> {
         Ok(())
     }
 
+    #[inline]
     fn open(&mut self, b: u8) -> Result<(), WireError> {
         self.require(b)?;
         self.depth += 1;
@@ -792,6 +837,7 @@ impl Parser<'_> {
         Ok(())
     }
 
+    #[inline]
     fn close(&mut self) {
         self.pos += 1;
         self.depth = self.depth.saturating_sub(1);
@@ -800,7 +846,8 @@ impl Parser<'_> {
     }
 
     /// A string (borrowed where it holds no escape).
-    pub(crate) fn str(&mut self) -> Result<Cow<'_, str>, WireError> {
+    #[inline]
+    pub(crate) fn str(&mut self) -> Result<Cow<'a, str>, WireError> {
         let s = self.cow_string()?;
         self.skip_ws();
         Ok(s)
@@ -827,20 +874,52 @@ impl Parser<'_> {
         Ok(true)
     }
 
-    /// A whole value as a tree, read as [`Json::parse`] reads it at
-    /// this depth.
-    pub(crate) fn raw(&mut self) -> Result<Json, WireError> {
-        let value = self.value(self.depth)?;
+    /// A number.
+    #[inline]
+    pub(crate) fn num(&mut self) -> Result<f64, WireError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.err("expected number"));
+        }
+        let n = self.number()?;
         self.skip_ws();
-        Ok(value)
+        Ok(n)
+    }
+
+    /// Past one value of any kind, checked as [`Json::parse`] checks
+    /// it; nothing of it is kept.
+    pub(crate) fn skip(&mut self) -> Result<(), WireError> {
+        match self.peek() {
+            Some(b'[') => {
+                self.open_arr()?;
+                while self.more()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'{') => {
+                self.open_obj()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.str().map(drop),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'n') => self.null().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.num().map(drop),
+            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
     }
 
     /// `[`.
+    #[inline]
     pub(crate) fn open_arr(&mut self) -> Result<(), WireError> {
         self.open(b'[')
     }
 
     /// Whether another element follows; `false` has consumed the `]`.
+    #[inline]
     pub(crate) fn more(&mut self) -> Result<bool, WireError> {
         match (self.peek(), std::mem::take(&mut self.first)) {
             (Some(b']'), _) => {
@@ -875,6 +954,7 @@ impl Parser<'_> {
     }
 
     /// `{`.
+    #[inline]
     pub(crate) fn open_obj(&mut self) -> Result<(), WireError> {
         self.open(b'{')
     }
@@ -892,6 +972,29 @@ impl Parser<'_> {
         self.skip_ws();
         self.require(b':')?;
         self.element()
+    }
+
+    /// The next member's key, whatever it is, or `None` once the
+    /// object's `}` is consumed.
+    #[inline]
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, WireError> {
+        match (self.peek(), std::mem::take(&mut self.first)) {
+            (Some(b'}'), _) => {
+                self.close();
+                return Ok(None);
+            }
+            (_, true) => {}
+            (Some(b','), false) => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => return Err(self.err("expected ',' or '}' in object")),
+        }
+        let key = self.cow_string()?;
+        self.skip_ws();
+        self.require(b':')?;
+        self.element()?;
+        Ok(Some(key))
     }
 
     /// `}`, with no member left.
@@ -983,6 +1086,50 @@ mod tests {
     fn depth_limit_enforced() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn numbers_read_exactly_as_their_text_parses() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "-0.0",
+            "0.1",
+            "25.25",
+            "1e3",
+            "1.5E-7",
+            "007",
+            "1.",
+            "-.5",
+            "9007199254740993",
+            "123456789012345",
+            "1234567890123456",
+            "0.000000000000001",
+            "99999999999999.9",
+        ]
+        .map(String::from)
+        .to_vec();
+        for _ in 0..20_000 {
+            let int: String = (0..rng.gen_range(1..10usize))
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect();
+            let frac: String = (0..rng.gen_range(0..10usize))
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect();
+            let sign = if rng.gen_bool(0.5) { "-" } else { "" };
+            texts.push(if frac.is_empty() {
+                format!("{sign}{int}")
+            } else {
+                format!("{sign}{int}.{frac}")
+            });
+        }
+        for text in texts {
+            let read = Json::parse(&text).ok().and_then(|j| j.as_f64());
+            let parsed = text.parse::<f64>().ok();
+            assert_eq!(read.map(f64::to_bits), parsed.map(f64::to_bits), "{text}");
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ use crate::codec::{
     self, ApplyBody, ApplyReply, CandidatesBody, DigestReply, RestoreBody, RestoreReply,
     SettleBody, SettleReply,
 };
-use crate::command::Command;
 use crate::gateway::{err_body, Service};
 use crate::http::{Request, Response};
 use crate::node::config_fingerprint;
@@ -212,7 +211,6 @@ impl WorkerNode {
     fn rpc_apply(&self, req: &Request) -> Result<String, Response> {
         let ApplyBody { fp, seq, cmd } = decode(req)?;
         self.check_fingerprint(&fp)?;
-        let cmd = Command::decode(&cmd).map_err(bad_field)?;
         let router = self.router();
         // Rejections are part of the deterministic state machine: the
         // coordinator journaled this command whatever its outcome.
@@ -486,6 +484,7 @@ impl Service for WorkerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Command;
     use crate::shard::RouterImage;
     use dmp_mechanism::design::MarketDesign;
     use std::borrow::Cow;
@@ -516,7 +515,7 @@ mod tests {
         to_text(&ApplyBody {
             fp: fp.into(),
             seq: 1,
-            cmd: cmd.encode(),
+            cmd: Cow::Borrowed(cmd),
         })
     }
 

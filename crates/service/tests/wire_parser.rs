@@ -1,20 +1,26 @@
 //! The wire parser against hostile and large input: a differential
 //! suite against the scanner it replaced, byte-level fuzzing of
 //! `Json::parse_bytes`, a linear-scaling check, and hostile snapshot
-//! headers and sections and internal RPC bodies for the decoders that
-//! read straight from bytes. (The golden durability files this suite
-//! introduced are in `tests/golden.rs`.)
+//! headers and sections, internal RPC bodies, journal records and write
+//! route bodies for the decoders that read straight from bytes, the
+//! last two against the tree decoder the command grammar replaced.
+//! (The golden durability files this suite introduced are in
+//! `tests/golden.rs`.)
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use dmp_core::arbiter::ledger::MAX_AMOUNT;
+use dmp_core::license::License;
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
+use dmp_mechanism::wtp::{PriceCurve, TaskKind};
 use dmp_service::codec;
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::gateway::Service;
 use dmp_service::http::Request;
-use dmp_service::journal::crc32;
+use dmp_service::journal::{crc32, Journal};
+use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::shard::ShardRouter;
 use dmp_service::snapshot;
 use dmp_service::state;
@@ -905,5 +911,544 @@ proptest! {
             });
             prop_assert_eq!(tree, Some(exports));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// (f) The command grammar: journal records and write-route bodies are
+// decoded straight from their bytes. The tree decoder that grammar
+// replaced is kept below, verbatim but for free functions in place of
+// methods, as the oracle: on any bytes, the streamed decoder must never
+// panic and must accept exactly what it accepted, as the same command.
+// ---------------------------------------------------------------------
+
+/// An optional field: `None` when absent, `read` of it when present.
+/// Strict: a field `read` refuses is an error naming what it
+/// `must_be`, never a silent default (the journaled command must mean
+/// what the client said).
+fn opt<'a, T>(
+    json: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    must_be: &str,
+) -> Result<Option<T>, WireError> {
+    json.get(key)
+        .map(|j| read(j).ok_or_else(|| WireError::new(format!("'{key}' must be {must_be}"))))
+        .transpose()
+}
+
+fn str_list(items: &[Json]) -> Result<Vec<String>, WireError> {
+    items
+        .iter()
+        .map(|j| {
+            j.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| WireError::new("expected string in list"))
+        })
+        .collect()
+}
+
+/// `Command::decode` of the tree decoder.
+fn tree_command(json: &Json) -> Result<Command, WireError> {
+    let op = json.req_str("op")?;
+    match op.as_str() {
+        "enroll" => Ok(Command::Enroll {
+            name: json.req_str("name")?,
+            role: opt(json, "role", Json::as_str, "a string")?
+                .unwrap_or("participant")
+                .to_string(),
+        }),
+        "deposit" => Ok(Command::Deposit {
+            account: json.req_str("account")?,
+            amount: json.req_f64("amount")?,
+        }),
+        "offer" => Ok(Command::SubmitOffer(tree_offer(json)?)),
+        "ask" => Ok(Command::SubmitAsk(tree_ask(json)?)),
+        "grant_license" => Ok(Command::GrantLicense {
+            seller: json.req_str("seller")?,
+            dataset: json.req_u64("dataset")?,
+            license: dec_license(
+                json.get("license")
+                    .ok_or_else(|| WireError::new("missing field 'license'"))?,
+            )?,
+        }),
+        "run_round" => {
+            let rounds = opt(json, "rounds", Json::as_u64, "a positive integer")?.unwrap_or(1);
+            if rounds == 0 || rounds > Command::MAX_ROUNDS_PER_COMMAND {
+                return Err(WireError::new(format!(
+                    "'rounds' must be in 1..={}",
+                    Command::MAX_ROUNDS_PER_COMMAND
+                )));
+            }
+            Ok(Command::RunRound {
+                rounds: rounds as u32,
+            })
+        }
+        other => Err(WireError::new(format!("unknown op '{other}'"))),
+    }
+}
+
+fn tree_offer(json: &Json) -> Result<OfferSpec, WireError> {
+    Ok(OfferSpec {
+        buyer: json.req_str("buyer")?,
+        attributes: str_list(json.req_arr("attributes")?)?,
+        keywords: str_list(opt(json, "keywords", Json::as_arr, "an array")?.unwrap_or(&[]))?,
+        task: match json.get("task") {
+            Some(j) => dec_task(j)?,
+            None => TaskKind::AttributeCoverage,
+        },
+        curve: dec_curve(
+            json.get("curve")
+                .ok_or_else(|| WireError::new("missing field 'curve'"))?,
+        )?,
+        min_rows: opt(json, "min_rows", Json::as_u64, "a non-negative integer")?.unwrap_or(1),
+        purpose: opt(json, "purpose", Json::as_str, "a string")?
+            .unwrap_or("analytics")
+            .to_string(),
+    })
+}
+
+fn tree_ask(json: &Json) -> Result<AskSpec, WireError> {
+    Ok(AskSpec {
+        seller: json.req_str("seller")?,
+        table: tree_table(
+            json.get("table")
+                .ok_or_else(|| WireError::new("missing field 'table'"))?,
+        )?,
+        reserve: opt(
+            json,
+            "reserve",
+            |j| j.as_f64().filter(|r| r.is_finite()),
+            "a finite number",
+        )?,
+        license: json.get("license").map(dec_license).transpose()?,
+    })
+}
+
+fn col_type(s: &str) -> Result<ColType, WireError> {
+    match s {
+        "int" => Ok(ColType::Int),
+        "float" => Ok(ColType::Float),
+        "str" => Ok(ColType::Str),
+        "bool" => Ok(ColType::Bool),
+        "timestamp" => Ok(ColType::Timestamp),
+        other => Err(WireError::new(format!("unknown column type '{other}'"))),
+    }
+}
+
+fn tree_cell(json: &Json, col: ColType) -> Result<CellSpec, WireError> {
+    match (json, col) {
+        (Json::Null, _) => Ok(CellSpec::Null),
+        (Json::Num(n), ColType::Int | ColType::Timestamp) => {
+            if n.fract() != 0.0 || n.abs() > 2f64.powi(53) {
+                return Err(WireError::new("expected integer cell"));
+            }
+            Ok(CellSpec::Int(*n as i64))
+        }
+        (Json::Num(n), ColType::Float) => Ok(CellSpec::Float(*n)),
+        (Json::Str(s), ColType::Str) => Ok(CellSpec::Str(s.clone())),
+        (Json::Bool(b), ColType::Bool) => Ok(CellSpec::Bool(*b)),
+        _ => Err(WireError::new("cell does not match column type")),
+    }
+}
+
+fn tree_table(json: &Json) -> Result<TableSpec, WireError> {
+    let name = json.req_str("name")?;
+    let mut columns = Vec::new();
+    for col in json.req_arr("columns")? {
+        let pair = col
+            .as_arr()
+            .filter(|p| p.len() == 2)
+            .ok_or_else(|| WireError::new("column must be a [name, type] pair"))?;
+        let cname = pair[0]
+            .as_str()
+            .ok_or_else(|| WireError::new("column name must be a string"))?;
+        let ctype = pair[1]
+            .as_str()
+            .ok_or_else(|| WireError::new("column type must be a string"))?;
+        columns.push((cname.to_string(), col_type(ctype)?));
+    }
+    let mut rows = Vec::new();
+    for row in json.req_arr("rows")? {
+        let cells = row
+            .as_arr()
+            .ok_or_else(|| WireError::new("row must be an array"))?;
+        if cells.len() != columns.len() {
+            return Err(WireError::new(format!(
+                "row has {} cells, schema has {} columns",
+                cells.len(),
+                columns.len()
+            )));
+        }
+        rows.push(
+            cells
+                .iter()
+                .zip(&columns)
+                .map(|(cell, (_, ty))| tree_cell(cell, *ty))
+                .collect::<Result<Vec<_>, _>>()?,
+        );
+    }
+    Ok(TableSpec {
+        name,
+        columns,
+        rows,
+    })
+}
+
+fn dec_task(json: &Json) -> Result<TaskKind, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "attribute_coverage" => Ok(TaskKind::AttributeCoverage),
+        "classification" => Ok(TaskKind::Classification {
+            label: json.req_str("label")?,
+        }),
+        "regression" => Ok(TaskKind::Regression {
+            target: json.req_str("target")?,
+        }),
+        "aggregate_completeness" => Ok(TaskKind::AggregateCompleteness {
+            group_by: json.req_str("group_by")?,
+            expected_groups: usize::try_from(json.req_u64("expected_groups")?)
+                .map_err(|_| WireError::new("'expected_groups' exceeds usize range"))?,
+        }),
+        other => Err(WireError::new(format!("unknown task kind '{other}'"))),
+    }
+}
+
+fn dec_curve(json: &Json) -> Result<PriceCurve, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "constant" => Ok(PriceCurve::Constant(json.req_f64("price")?)),
+        "linear" => Ok(PriceCurve::Linear {
+            min_satisfaction: json.req_f64("min_satisfaction")?,
+            max_price: json.req_f64("max_price")?,
+        }),
+        "step" => {
+            let mut steps = Vec::new();
+            for step in json.req_arr("steps")? {
+                let pair = step
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or_else(|| WireError::new("step must be a [satisfaction, price] pair"))?;
+                let t = pair[0]
+                    .as_f64()
+                    .ok_or_else(|| WireError::new("step threshold must be a number"))?;
+                let p = pair[1]
+                    .as_f64()
+                    .ok_or_else(|| WireError::new("step price must be a number"))?;
+                steps.push((t, p));
+            }
+            Ok(PriceCurve::Step(steps))
+        }
+        other => Err(WireError::new(format!("unknown curve kind '{other}'"))),
+    }
+}
+
+fn dec_license(json: &Json) -> Result<License, WireError> {
+    match json.req_str("kind")?.as_str() {
+        "standard" => Ok(License::Standard),
+        "exclusive" => Ok(License::Exclusive {
+            tax_rate: json.req_f64("tax_rate")?,
+            hold_rounds: u32::try_from(json.req_u64("hold_rounds")?)
+                .map_err(|_| WireError::new("'hold_rounds' exceeds u32 range"))?,
+        }),
+        "ownership_transfer" => Ok(License::OwnershipTransfer),
+        "non_transferable" => Ok(License::NonTransferable),
+        other => Err(WireError::new(format!("unknown license kind '{other}'"))),
+    }
+}
+
+/// The journal's record decode over the tree decoder.
+fn tree_record(payload: &[u8]) -> Option<(u64, Command)> {
+    let json = Json::parse_bytes(payload).ok()?;
+    let seq = json.req_u64("seq").ok()?;
+    let cmd = tree_command(json.get("cmd")?).ok()?;
+    Some((seq, cmd))
+}
+
+/// A write route's decode over the tree decoder: the command and
+/// `/enroll`'s opening deposit, or `None` for a 400 before anything is
+/// journaled.
+fn tree_route(op: &str, body: &[u8]) -> Option<(Command, Option<f64>)> {
+    let body = if body.is_empty() {
+        Json::Obj(Vec::new())
+    } else {
+        Json::parse_bytes(body).ok()?
+    };
+    let Json::Obj(pairs) = body else {
+        return None;
+    };
+    let json = Json::Obj(
+        std::iter::once(("op".to_string(), Json::str(op)))
+            .chain(pairs)
+            .collect(),
+    );
+    let cmd = tree_command(&json).ok()?;
+    let deposit = match json.get("deposit") {
+        Some(j) if op == "enroll" => {
+            let amount = j.as_f64().unwrap_or(f64::NAN);
+            if !(0.0..=MAX_AMOUNT).contains(&amount) {
+                return None;
+            }
+            Some(amount)
+        }
+        _ => None,
+    };
+    Some((cmd, deposit))
+}
+
+/// [`honest_commands`] and one command of every other shape: each task,
+/// curve and licence, a reserve, and a timestamp column.
+fn grammar_commands() -> Vec<Command> {
+    let mut cmds = honest_commands();
+    let offer = |task, curve| {
+        Command::SubmitOffer(OfferSpec {
+            buyer: "b".into(),
+            attributes: vec!["city".into()],
+            keywords: vec!["weather".into(), "\u{1F600}".into()],
+            task,
+            curve,
+            min_rows: 2,
+            purpose: "research".into(),
+        })
+    };
+    cmds.extend([
+        offer(
+            TaskKind::Classification { label: "l".into() },
+            PriceCurve::Linear {
+                min_satisfaction: 0.5,
+                max_price: 12.25,
+            },
+        ),
+        offer(
+            TaskKind::AggregateCompleteness {
+                group_by: "city".into(),
+                expected_groups: 4,
+            },
+            PriceCurve::Step(vec![(0.5, 1.0), (0.75, 3.5)]),
+        ),
+        offer(
+            TaskKind::Regression { target: "t".into() },
+            PriceCurve::Constant(1e-3),
+        ),
+        Command::SubmitAsk(AskSpec {
+            seller: "s".into(),
+            table: TableSpec {
+                name: "ts".into(),
+                columns: vec![
+                    ("at".into(), ColType::Timestamp),
+                    ("ok".into(), ColType::Bool),
+                ],
+                rows: vec![vec![CellSpec::Int(-3), CellSpec::Bool(true)]],
+            },
+            reserve: Some(2.5),
+            license: Some(License::Exclusive {
+                tax_rate: 0.25,
+                hold_rounds: 2,
+            }),
+        }),
+        Command::GrantLicense {
+            seller: "s".into(),
+            dataset: 0,
+            license: License::OwnershipTransfer,
+        },
+        Command::RunRound { rounds: 3 },
+    ]);
+    cmds
+}
+
+/// Every command of [`grammar_commands`] as a journal payload, in the
+/// bytes the journal writes.
+fn honest_records() -> &'static Vec<Vec<u8>> {
+    static RECORDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    RECORDS.get_or_init(|| {
+        let dir = ScratchDir::new("wire-parser-records");
+        let path = dir.join("journal.wal");
+        let (mut journal, _) = Journal::open(&path, false).unwrap();
+        for (seq, cmd) in (1..).zip(grammar_commands()) {
+            journal.append(seq, &cmd).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let mut records = Vec::new();
+        let mut rest = &bytes[..];
+        while rest.len() >= 8 {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            records.push(rest[8..8 + len].to_vec());
+            rest = &rest[8 + len..];
+        }
+        assert_eq!(records.len(), grammar_commands().len());
+        records
+    })
+}
+
+/// A journal holding one CRC-intact frame of `payload` replays exactly
+/// the record the tree decoder read from it, or none.
+fn the_journal_reads_what_the_tree_read(payload: &[u8]) {
+    let dir = ScratchDir::new("wire-parser-record");
+    let path = dir.join("journal.wal");
+    let mut file = (payload.len() as u32).to_le_bytes().to_vec();
+    file.extend_from_slice(&crc32(payload).to_le_bytes());
+    file.extend_from_slice(payload);
+    std::fs::write(&path, file).unwrap();
+    let (_, records) = Journal::open(&path, false).unwrap();
+    let expected: Vec<_> = tree_record(payload).into_iter().collect();
+    assert_eq!(records, expected, "{}", String::from_utf8_lossy(payload));
+}
+
+/// Every command of [`grammar_commands`] that has a write route, as its
+/// route, op and body: the command's members without `"op"`, and for an
+/// enroll an opening deposit.
+fn honest_route_bodies() -> &'static Vec<(&'static str, &'static str, Vec<u8>)> {
+    static BODIES: OnceLock<Vec<(&'static str, &'static str, Vec<u8>)>> = OnceLock::new();
+    BODIES.get_or_init(|| {
+        grammar_commands()
+            .iter()
+            .map(|cmd| {
+                let (path, op) = match cmd {
+                    Command::Enroll { .. } => ("/enroll", "enroll"),
+                    Command::Deposit { .. } => ("/deposits", "deposit"),
+                    Command::SubmitOffer(_) => ("/offers", "offer"),
+                    Command::SubmitAsk(_) => ("/asks", "ask"),
+                    Command::GrantLicense { .. } => ("/licenses", "grant_license"),
+                    Command::RunRound { .. } => ("/rounds", "run_round"),
+                };
+                let Json::Obj(mut pairs) = cmd.encode() else {
+                    panic!("a command encodes to an object");
+                };
+                pairs.retain(|(k, _)| k != "op");
+                if op == "enroll" {
+                    pairs.push(("deposit".into(), Json::Num(25.5)));
+                }
+                (path, op, Json::Obj(pairs).dump().into_bytes())
+            })
+            .collect()
+    })
+}
+
+/// Post `body` to `path` on a fresh node: it journals exactly what the
+/// tree decoder decoded from it (an enroll's deposit only when the
+/// enroll succeeded), or nothing and answers 400.
+fn the_route_journals_what_the_tree_read(path: &str, op: &str, body: &[u8]) {
+    let dir = ScratchDir::new("wire-parser-route");
+    let cfg = ServiceConfig::new(dir.path(), honest_market())
+        .with_shards(2)
+        .with_fsync(false);
+    let node = ServiceNode::open(cfg).unwrap();
+    let resp = node.handle(&post(path, body.to_vec()));
+    drop(node);
+    let (_, records) = Journal::open(dir.join("journal.wal"), false).unwrap();
+    let cmds: Vec<Command> = records.into_iter().map(|(_, cmd)| cmd).collect();
+    let what = String::from_utf8_lossy(body);
+    match tree_route(op, body) {
+        None => {
+            assert_eq!(resp.status, 400, "{path} {what}: {}", resp.body);
+            assert!(cmds.is_empty(), "{path} {what}: journaled {cmds:?}");
+        }
+        Some((cmd, deposit)) => {
+            assert_eq!(cmds.first(), Some(&cmd), "{path} {what}");
+            let opening = match (&cmd, deposit) {
+                (Command::Enroll { name, .. }, Some(amount)) if resp.status == 200 => {
+                    Some(Command::Deposit {
+                        account: name.clone(),
+                        amount,
+                    })
+                }
+                _ => None,
+            };
+            assert_eq!(cmds.get(1), opening.as_ref(), "{path} {what}");
+            assert!(cmds.len() <= 2, "{path} {what}");
+        }
+    }
+}
+
+/// `json` with every object's members reversed: tags after the members
+/// they choose, a table's rows before its columns.
+fn reversed(json: &Json) -> Json {
+    match json {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .rev()
+                .map(|(k, v)| (k.clone(), reversed(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(reversed).collect()),
+        other => other.clone(),
+    }
+}
+
+/// `json` with every object's members repeated after it, each repeat
+/// holding `junk`, and an unknown member: none of it may count.
+fn padded(json: &Json, junk: &Json) -> Json {
+    match json {
+        Json::Obj(pairs) => {
+            let mut out: Vec<(String, Json)> = pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), padded(v, junk)))
+                .collect();
+            out.extend(pairs.iter().map(|(k, _)| (k.clone(), junk.clone())));
+            out.push(("unknown".into(), junk.clone()));
+            Json::Obj(out)
+        }
+        Json::Arr(items) => Json::Arr(items.iter().map(|v| padded(v, junk)).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn reordered_and_padded_commands_decode_as_the_tree_decoded_them() {
+    let junk = Json::obj([("x", Json::Arr(vec![Json::Null, Json::Num(-1.5)]))]);
+    for (payload, (path, op, body)) in honest_records().iter().zip(honest_route_bodies()) {
+        the_journal_reads_what_the_tree_read(payload);
+        the_route_journals_what_the_tree_read(path, op, body);
+        let record = Json::parse_bytes(payload).unwrap();
+        let body = Json::parse_bytes(body).unwrap();
+        for variant in [
+            reversed(&record),
+            padded(&record, &junk),
+            padded(&record, &Json::Null),
+        ] {
+            assert!(tree_record(variant.dump().as_bytes()).is_some());
+            the_journal_reads_what_the_tree_read(variant.dump().as_bytes());
+        }
+        for variant in [reversed(&body), padded(&body, &junk)] {
+            the_route_journals_what_the_tree_read(path, op, variant.dump().as_bytes());
+        }
+    }
+}
+
+/// One of the honest journal payloads, as [`hostile`] input.
+struct HostileRecord;
+
+impl Strategy for HostileRecord {
+    type Value = Vec<u8>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+        let records = honest_records();
+        let at = rng.gen_range(0usize..records.len());
+        hostile(rng, &records[at])
+    }
+}
+
+/// One of the honest write-route bodies, as [`hostile`] input.
+struct HostileRouteBody;
+
+impl Strategy for HostileRouteBody {
+    type Value = (&'static str, &'static str, Vec<u8>);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let bodies = honest_route_bodies();
+        let (path, op, body) = &bodies[rng.gen_range(0usize..bodies.len())];
+        (path, op, hostile(rng, body))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_journal_records_replay_as_the_tree_decoded_them(payload in HostileRecord) {
+        the_journal_reads_what_the_tree_read(&payload);
+    }
+
+    #[test]
+    fn hostile_route_bodies_journal_what_the_tree_decoded(body in HostileRouteBody) {
+        let (path, op, body) = body;
+        the_route_journals_what_the_tree_read(path, op, &body);
     }
 }

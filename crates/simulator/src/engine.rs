@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use dmp_core::market::{DataMarket, MarketConfig};
 use dmp_mechanism::elicitation::ElicitationProtocol;
 use dmp_mechanism::wtp::{PriceCurve, WtpFunction};
-use dmp_relation::{DataType, RelationBuilder, Value};
+use dmp_relation::{DataType, Relation, RelationBuilder, Value};
 
 use crate::agents::{BuyerStrategy, SellerStrategy};
 use crate::metrics::MarketMetrics;
@@ -411,9 +411,7 @@ impl Simulation {
             }
             // "Transform" the acquisition (here: curate/rename) and
             // relist it under the arbitrageur's name.
-            let relisted = delivery
-                .relation
-                .clone()
+            let relisted = Relation::clone(&delivery.relation)
                 .named(format!("{}_curated_{}", delivery.buyer, delivery.id));
             let _ = self.market.seller(&delivery.buyer).share(relisted);
         }
