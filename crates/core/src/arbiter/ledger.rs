@@ -102,22 +102,28 @@ impl Ledger {
         Self::default()
     }
 
-    /// Mint `amount` into an account (enrollment grants, deposits).
-    /// Amounts below half a micro-credit are dropped.
-    pub fn deposit(&self, account: &str, amount: f64) {
+    /// Mint `amount` into an account (enrollment grants, deposits) and
+    /// return its balance after, read under the same guard. Amounts
+    /// below half a micro-credit are dropped.
+    pub fn deposit(&self, account: &str, amount: f64) -> f64 {
         let m = to_micros(amount);
-        if m <= 0 {
-            return;
-        }
         let mut state = self.state.lock();
+        if m <= 0 {
+            return from_micros(state.accounts.get(account).copied().unwrap_or(0));
+        }
         // Look the name up before copying it: most deposits credit an
         // account that exists.
-        match state.accounts.get_mut(account) {
-            Some(e) => *e = e.saturating_add(m),
+        let credited = match state.accounts.get_mut(account) {
+            Some(e) => {
+                *e = e.saturating_add(m);
+                *e
+            }
             None => {
                 state.accounts.insert(account.to_string(), m);
+                m
             }
-        }
+        };
+        from_micros(credited)
     }
 
     /// Current balance (0 for unknown accounts).
@@ -395,6 +401,17 @@ mod tests {
         assert_eq!(l.balance("alice"), 70.0);
         assert_eq!(l.balance("bob"), 30.0);
         assert_eq!(l.total_supply(), 100.0);
+    }
+
+    #[test]
+    fn deposit_returns_the_balance_it_credited() {
+        let l = Ledger::new();
+        assert_eq!(l.deposit("alice", 12.5), l.balance("alice"));
+        assert_eq!(l.deposit("alice", 0.25), 12.75);
+        assert_eq!(l.balance("alice"), 12.75);
+        // A dropped amount credits nothing and reads the balance as is.
+        assert_eq!(l.deposit("alice", 1e-9), 12.75);
+        assert_eq!(l.deposit("bob", 1e-9), l.balance("bob"));
     }
 
     #[test]

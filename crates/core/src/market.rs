@@ -547,9 +547,10 @@ impl DataMarket {
 
     /// Credit an account directly (command-application hook for the
     /// service layer's `Deposit` command; buyers normally deposit
-    /// through [`crate::buyer::BuyerHandle::deposit`]).
-    pub fn deposit(&self, account: &str, amount: f64) {
-        self.ledger.deposit(account, amount);
+    /// through [`crate::buyer::BuyerHandle::deposit`]); returns the
+    /// account's balance after it.
+    pub fn deposit(&self, account: &str, amount: f64) -> f64 {
+        self.ledger.deposit(account, amount)
     }
 
     /// The ledger (read access for snapshots / durability digests: the

@@ -161,7 +161,9 @@ proptest! {
         let mut escrows: Vec<u64> = Vec::new();
         for (kind, a, b, amount) in raw {
             match decode(kind, a, b, amount) {
-                Op::Deposit { who, amount } => ledger.deposit(ACCOUNTS[who], amount),
+                Op::Deposit { who, amount } => {
+                    ledger.deposit(ACCOUNTS[who], amount);
+                }
                 Op::Transfer { from, to, amount } => {
                     let _ = ledger.transfer(ACCOUNTS[from], ACCOUNTS[to], amount);
                 }

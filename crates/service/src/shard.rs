@@ -254,9 +254,11 @@ impl MergedRoundReport {
 /// fall back to local computation (e.g. every worker is dead — the
 /// round must still complete, and journal replay always takes the local
 /// path because the distributor is attached only after recovery).
-/// After the coordinator settles the round authoritatively,
-/// `round_complete` sends every worker the exports it lacks so it can
-/// re-execute settlement locally and stay a bit-exact replica.
+/// A distributor may send every worker the exports it lacks as soon as
+/// `candidates` has them all, so the workers re-execute settlement
+/// while the coordinator settles the round authoritatively;
+/// `round_complete` then waits until each worker has settled it too,
+/// so a round returns with every live replica bit-exact.
 pub trait RoundDistributor: Send + Sync {
     /// Compute the candidate phase for `round` under `round_seed`,
     /// returning one export per shard (`shards` total, shard order), or
@@ -269,8 +271,8 @@ pub trait RoundDistributor: Send + Sync {
     ) -> Option<Vec<CandidatePhaseExport>>;
 
     /// The round cleared and settled on the coordinator; `exports`
-    /// holds every shard's candidate phase, in shard order, of which a
-    /// distributor ships each worker what it needs to replay it.
+    /// holds every shard's candidate phase, in shard order. Returns
+    /// once every worker has replayed the round or left rotation.
     fn round_complete(&self, round: u64, round_seed: u64, exports: &[CandidatePhaseExport]);
 }
 
@@ -413,10 +415,10 @@ impl ShardRouter {
                         "unknown account '{account}': enroll before depositing"
                     )));
                 }
-                market.deposit(account, *amount);
+                let balance = market.deposit(account, *amount);
                 Ok(Outcome::Deposited {
                     account: account.clone(),
-                    balance: market.balance(account),
+                    balance,
                 })
             }
             Command::SubmitOffer(spec) => {

@@ -16,9 +16,9 @@
 //!
 //! | RPC                      | Body                              | Reply | Effect |
 //! |--------------------------|-----------------------------------|-------|--------|
-//! | `POST /internal/apply`   | `{fp, seq, cmd}`                  | `{applied}` | apply one journaled command |
+//! | `POST /internal/apply`   | `{fp, seq, cmd}`                  | `{applied}` | apply one journaled command (posted: the coordinator reads the ack later) |
 //! | `POST /internal/candidates` | `{fp, round, seed, shards}`    | `{round, exports}` | compute + stash the assigned shards' candidate phase |
-//! | `POST /internal/settle`  | `{fp, round, seed, shards, exports}` | `{rounds, sales}` | re-execute clear + settlement locally from the stash and the shipped `shards`' exports |
+//! | `POST /internal/settle`  | `{fp, round, seed, shards, exports}` | `{rounds, sales}` | re-execute clear + settlement locally from the stash and the shipped `shards`' exports (posted once every shard's export is in; the ack is read when the coordinator's round ends) |
 //! | `GET /internal/digest`   | —                                 | `{digest, rounds, applied}` | state digest + round/seq watermarks |
 //! | `POST /internal/restore` | `{fp, applied, digest, state:{substrate, shards, router}}` | `{digest, applied}` | become a fresh replica of the given state, if it restores to `digest` |
 //!
