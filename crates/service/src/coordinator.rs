@@ -17,8 +17,10 @@
 //! of replies it owes, oldest first, and they are read — status and
 //! the seq or round each ack names — before that worker's next
 //! `candidates` reply or `restore`, when the queue reaches a fixed
-//! bound (`OWED_BOUND`), in [`WorkerPool::live_workers`], and at the
-//! end of every distributed round. So `apply(RunRound)` returns only after
+//! bound (`OWED_BOUND`), before any write once the oldest is
+//! `OWED_AGE` old (well inside a worker's idle close), in
+//! [`WorkerPool::live_workers`], and at the end of every distributed
+//! round. So `apply(RunRound)` returns only after
 //! every live replica has settled the round, and a refused mirror
 //! retires its worker at the next round rather than at the write.
 //! A round posts every worker's settle body as soon as all shards'
@@ -55,7 +57,7 @@ use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dmp_core::arbiter::pipeline::CandidatePhaseExport;
 use dmp_telemetry::log;
@@ -78,6 +80,15 @@ use crate::wire::WireError;
 /// so neither side can block the other's writes.
 const OWED_BOUND: usize = 64;
 
+/// How long a reply may stay owed before the next write on its link
+/// reads it first. A worker's gateway closes a connection that sends
+/// nothing for its read timeout (10 s by default); were an ack still
+/// unread on a socket the worker closed, the requests written after it
+/// would fail as errors and retire a healthy worker. Read well before
+/// that, a closed socket never owes a reply, so the client's idle-close
+/// path re-dials and resends only requests the worker never read.
+const OWED_AGE: Duration = Duration::from_millis(100);
+
 /// One remote worker: its link and a liveness flag. A worker that fails
 /// an RPC (connection error, protocol refusal, a stray ack) is taken
 /// out of rotation until [`WorkerPool::provision`] revives it — a
@@ -90,7 +101,8 @@ struct RemoteWorker {
 }
 
 /// A worker's keep-alive client, and the posted requests on it whose
-/// replies are unread, oldest first, each with when it was written.
+/// replies are unread, oldest first, each with when it was written
+/// (see `OWED_AGE`).
 /// Whoever writes to the worker holds this, so the wire order is the
 /// order requests took the lock in.
 struct Link {
@@ -151,6 +163,8 @@ pub struct WorkerPool {
     fingerprint: String,
     shards: usize,
     workers: Vec<RemoteWorker>,
+    /// `OWED_AGE`, except in tests that script a worker holding acks.
+    owed_age: Duration,
 }
 
 impl WorkerPool {
@@ -178,6 +192,7 @@ impl WorkerPool {
             fingerprint,
             shards,
             workers,
+            owed_age: OWED_AGE,
         })
     }
 
@@ -202,7 +217,7 @@ impl WorkerPool {
     }
 
     /// Book one RPC's result: time it into the per-RPC latency series
-    /// (from the write to the read of its reply) and yield the reply's
+    /// (from `started` to the read of its reply) and yield the reply's
     /// body bytes; any failure — transport error, protocol refusal —
     /// takes the worker out of rotation and yields `None`; the caller
     /// decides whether the work re-dispatches.
@@ -238,12 +253,33 @@ impl WorkerPool {
         log!(Warn, "worker {} {failure} — out of rotation", worker.addr);
     }
 
+    /// Write a `POST` of `body` to `path` on `worker`'s link, first
+    /// reading what the link owes if its oldest reply is `OWED_AGE` old.
+    /// Returns whether the request was written: not if that read
+    /// retired the worker.
+    fn write(&self, worker: &RemoteWorker, link: &mut Link, path: &str, body: &str) -> bool {
+        // Wall-clock is fine here: connection upkeep, never applied state.
+        let stale = link
+            .owed
+            .front()
+            .is_some_and(|(_, at)| at.elapsed() >= self.owed_age);
+        if stale {
+            self.read_owed(worker, link);
+            if !worker.alive.load(Ordering::Relaxed) {
+                return false;
+            }
+        }
+        link.client.send("POST", path, body);
+        true
+    }
+
     /// Write `body` as a posted request on `worker`'s link and move on:
     /// its reply is owed. The post that brings the queue to
     /// `OWED_BOUND` reads every owed reply.
     fn post(&self, worker: &RemoteWorker, link: &mut Link, posted: Posted, body: &str) {
-        // Wall-clock is fine here: RPC latency telemetry, never applied state.
-        link.client.send("POST", posted.path(), body);
+        if !self.write(worker, link, posted.path(), body) {
+            return;
+        }
         link.owed.push_back((posted, Instant::now()));
         if link.owed.len() >= OWED_BOUND {
             self.read_owed(worker, link);
@@ -254,8 +290,12 @@ impl WorkerPool {
     /// book each: a failure, a refusal or an ack naming another request
     /// retires the worker. A transport error drops the client's socket
     /// and every request still unanswered on it, so nothing more is read.
+    /// A posted request's latency is the wait for its ack here: the time
+    /// the coordinator spent blocked on it.
     fn read_owed(&self, worker: &RemoteWorker, link: &mut Link) {
-        while let Some((posted, started)) = link.owed.pop_front() {
+        while let Some((posted, _)) = link.owed.pop_front() {
+            // Wall-clock is fine here: RPC latency telemetry, never applied state.
+            let started = Instant::now();
             let reply = link.client.receive_raw();
             if reply.is_err() {
                 link.owed.clear();
@@ -340,11 +380,10 @@ impl WorkerPool {
         let in_flight: Vec<_> = targets
             .iter()
             .map(|(idx, body)| {
-                self.workers.get(*idx).map(|worker| {
-                    let mut link = worker.link.lock();
-                    link.client.send("POST", PATH, body);
-                    (worker, link)
-                })
+                let worker = self.workers.get(*idx)?;
+                let mut link = worker.link.lock();
+                self.write(worker, &mut link, PATH, body)
+                    .then_some((worker, link))
             })
             .collect();
         in_flight
@@ -785,7 +824,9 @@ mod tests {
         };
         let posts = 3 * OWED_BOUND as u64 + 5;
         let (addr, server) = acking_worker(None);
-        let pool = WorkerPool::connect("fp".into(), 1, &[addr]).unwrap();
+        let mut pool = WorkerPool::connect("fp".into(), 1, &[addr]).unwrap();
+        // Only the bound reads here, however slowly the posts go.
+        pool.owed_age = Duration::MAX;
         for seq in 1..=posts {
             pool.on_applied(seq, &cmd);
             assert!(
@@ -802,7 +843,9 @@ mod tests {
 
         // Two acks out of order name each other's seq: the worker leaves.
         let (addr, server) = acking_worker(Some(OWED_BOUND as u64 / 2));
-        let pool = WorkerPool::connect("fp".into(), 1, &[addr]).unwrap();
+        let mut pool = WorkerPool::connect("fp".into(), 1, &[addr]).unwrap();
+        // A read before the swapped pair is written would wait on the held ack.
+        pool.owed_age = Duration::MAX;
         for seq in 1..OWED_BOUND as u64 {
             pool.on_applied(seq, &cmd);
         }
@@ -848,6 +891,46 @@ mod tests {
         for replica in replicas {
             replica.shutdown();
         }
+    }
+
+    #[test]
+    fn an_ack_left_past_the_workers_idle_close_is_read_before_the_next_write() {
+        // The replica's gateway closes a connection idle for
+        // `read_timeout`. An ack still owed on it when the next request
+        // is written would pair that request with the close and retire
+        // a healthy worker.
+        let dir = ScratchDir::new("coordinator-idle-close");
+        let node = coordinator(&dir);
+        let cfg = GatewayConfig {
+            read_timeout: OWED_AGE * 3,
+            ..GatewayConfig::default()
+        };
+        let worker = WorkerNode::new(WorkerConfig::new(market(), node.config().shards));
+        let replica = Gateway::serve_service(Arc::new(worker), cfg.clone()).unwrap();
+        let pool = Arc::new(
+            WorkerPool::connect(node.fingerprint(), node.config().shards, &[replica.addr()])
+                .unwrap(),
+        );
+        assert_eq!(pool.provision_all(&node), 1);
+        WorkerPool::attach(&pool, &node);
+        let cmds = trading_commands();
+        let (before_offer, offer) = cmds.split_at(cmds.len() - 1);
+        for cmd in before_offer {
+            node.apply(cmd.clone()).expect("applies");
+        }
+        let idle = cfg.read_timeout * 2;
+        // A mirrored command, then a round, each written past the close.
+        std::thread::sleep(idle);
+        node.apply(offer[0].clone()).expect("applies");
+        std::thread::sleep(idle);
+        let (digest, sales) = local_round(&node, &cmds);
+        assert!(sales > 0, "the reference round must sell");
+        assert_eq!(run_round(&node), sales);
+        assert_eq!(pool.live_workers(), 1);
+        assert_eq!(node.state_digest(), digest);
+        assert_eq!(digest_of(replica.addr()), digest);
+        drop((node, pool));
+        replica.shutdown();
     }
 
     #[test]

@@ -276,7 +276,7 @@ pub fn metrics() -> &'static ServiceMetrics {
                 .map(|rpc| {
                     r.histogram(
                         &format!("dmp_worker_rpc_us{{rpc=\"{rpc}\"}}"),
-                        "Coordinator-side wall latency of one worker RPC, microseconds.",
+                        "Coordinator-side wall latency of one worker RPC, microseconds: a candidates request from its write to its reply; a posted apply, settle or restore from the start of the read of its ack to the ack (the time the coordinator waited on it).",
                     )
                 })
                 .collect(),
